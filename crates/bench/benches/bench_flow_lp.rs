@@ -5,7 +5,7 @@ use ccdp_flow::{max_weight_closure, ClosureInstance, FlowNetwork};
 use ccdp_graph::{
     bounded_degree_spanning_forest, bounded_degree_spanning_forest_csr, generators, CsrGraph, Graph,
 };
-use ccdp_lp::{LinearProgram, SolverBackend};
+use ccdp_lp::{solve_partition, LinearProgram, SolveOptions, SolverBackend};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -181,16 +181,16 @@ fn bench_thread_scaling(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3));
     // Per-component polytope solving on a barely-supercritical ER graph:
     // thousands of small tree/unicyclic pieces plus one giant component,
-    // Δ = 1 so every non-trivial piece takes the LP path.
+    // Δ = 1 so every non-trivial piece takes the LP path. The partition is
+    // built once, as the family engine does for a whole grid.
     for &n in &[20_000usize, 100_000] {
-        let g = supercritical_er(n, 13);
+        let part = CsrGraph::from_graph(&supercritical_er(n, 13)).partition_components();
         for &threads in &[1usize, 2, 4, 8] {
             group.bench_function(format!("solve_er_n{n}_t{threads}"), |b| {
                 b.iter(|| {
-                    SolverBackend::Combinatorial
-                        .solver()
-                        .solve_threaded(&g, 1.0, threads)
+                    solve_partition(&part, 1.0, threads, &SolveOptions::default())
                         .unwrap()
+                        .solution
                         .value
                 })
             });

@@ -25,9 +25,7 @@ use crate::cache::ExtensionCache;
 use crate::config::{ConfigError, EstimatorConfig};
 use crate::error::CcdpError;
 use crate::estimator::Estimator;
-use crate::extension::{
-    evaluate_family_csr_profiled, evaluate_family_tuned_obs, EvaluationPath, ExtensionEvaluation,
-};
+use crate::extension::{evaluate_family, EvaluationPath};
 use crate::release::{Diagnostics, Privacy, Release};
 use ccdp_dp::composition::{BudgetExceeded, PrivacyBudget};
 use ccdp_dp::gem::{generalized_exponential_mechanism, power_of_two_grid, GemCandidate};
@@ -36,16 +34,7 @@ use ccdp_dp::NoiseBatch;
 use ccdp_exec::PhaseProfiler;
 use ccdp_graph::{CsrGraph, Graph};
 use rand::{Rng, RngCore};
-
-/// The ε splits, β and Δ grid of one spanning-forest release, fixed before
-/// the family evaluation starts (stage spends are recorded up front).
-struct ReleasePlan {
-    epsilon: f64,
-    eps_gem: f64,
-    eps_release: f64,
-    beta: f64,
-    grid: Vec<usize>,
-}
+use std::sync::Arc;
 
 /// Node-private estimator for `f_sf(G)` (Algorithm 1).
 #[derive(Clone, Debug)]
@@ -53,7 +42,7 @@ pub struct PrivateSpanningForestEstimator {
     config: EstimatorConfig,
     /// Memo for the deterministic family evaluation (`None` when disabled).
     /// Clones share it, so a cloned serving fleet warms one cache.
-    family_cache: Option<std::sync::Arc<ExtensionCache>>,
+    family_cache: Option<Arc<ExtensionCache>>,
 }
 
 impl PrivateSpanningForestEstimator {
@@ -86,44 +75,72 @@ impl PrivateSpanningForestEstimator {
     }
 
     /// The family cache this estimator consults, if caching is enabled.
-    pub fn family_cache(&self) -> Option<&std::sync::Arc<ExtensionCache>> {
+    pub fn family_cache(&self) -> Option<&Arc<ExtensionCache>> {
         self.family_cache.as_ref()
     }
 
-    /// Evaluates the family through the cache (or directly when disabled).
-    /// Returns a shared handle so cache hits copy nothing — each evaluation
-    /// carries per-Δ LP details that would otherwise be cloned per estimate.
-    fn family(
-        &self,
-        g: &Graph,
-        grid: &[usize],
-    ) -> Result<std::sync::Arc<Vec<ExtensionEvaluation>>, CcdpError> {
-        let backend = self.config.solver();
-        let threads = self.config.resolved_threads();
-        let options = self.config.family_options();
-        let obs = self.config.obs();
-        let profiler = obs.profiler.as_deref();
-        match &self.family_cache {
-            Some(cache) => Ok(cache.evaluate_family_observed(
-                g,
-                grid,
-                backend,
-                self.config.graph_tag(),
-                threads,
-                options,
-                profiler,
-                obs.trace.as_ref(),
-            )?),
-            None => Ok(std::sync::Arc::new(evaluate_family_tuned_obs(
-                g, grid, backend, threads, options, profiler,
-            )?)),
-        }
+    /// Runs Algorithm 1 on `g` and returns the private release of `f_sf(G)`.
+    pub fn estimate<R: Rng + ?Sized>(&self, g: &Graph, rng: &mut R) -> Result<Release, CcdpError> {
+        let mut budget = PrivacyBudget::new(self.config.epsilon());
+        self.estimate_with_budget(g, &mut budget, rng)
     }
 
-    /// Fixes the ε splits, β and the doubling grid for a release over `n`
-    /// vertices, recording the stage spends against `budget` up front so the
-    /// ledger order is identical no matter which family engine runs next.
-    fn plan_release(&self, n: usize, budget: &mut PrivacyBudget) -> Result<ReleasePlan, CcdpError> {
+    /// Runs Algorithm 1 drawing from an externally owned [`PrivacyBudget`].
+    ///
+    /// The entire remaining budget is consumed: half on GEM selection, half
+    /// on the Laplace release.
+    pub fn estimate_with_budget<R: Rng + ?Sized>(
+        &self,
+        g: &Graph,
+        budget: &mut PrivacyBudget,
+        rng: &mut R,
+    ) -> Result<Release, CcdpError> {
+        self.release(&CsrGraph::from_graph(g), budget, rng, None)
+    }
+
+    /// Runs Algorithm 1 directly on a CSR arena — the large-scale entry
+    /// point for graphs that never exist as an adjacency-list [`Graph`]. The
+    /// release is bit-for-bit identical to [`Self::estimate`] on the
+    /// equivalent `Graph` with the same RNG state.
+    pub fn estimate_csr<R: Rng + ?Sized>(
+        &self,
+        arena: &CsrGraph,
+        rng: &mut R,
+    ) -> Result<Release, CcdpError> {
+        let mut budget = PrivacyBudget::new(self.config.epsilon());
+        self.release(arena, &mut budget, rng, None)
+    }
+
+    /// [`Self::estimate_csr`] with per-phase wall-clock attribution: the
+    /// family phases of [`evaluate_family`] (on a cache miss) plus
+    /// `release/true-value` (the exact spanning-forest size fed to GEM) and
+    /// `release/mechanisms` (GEM selection plus the Laplace release).
+    pub fn estimate_csr_profiled<R: Rng + ?Sized>(
+        &self,
+        arena: &CsrGraph,
+        rng: &mut R,
+        profiler: &PhaseProfiler,
+    ) -> Result<Release, CcdpError> {
+        let mut budget = PrivacyBudget::new(self.config.epsilon());
+        self.release(arena, &mut budget, rng, Some(profiler))
+    }
+
+    /// The one release path of Algorithm 1 — the single accountant seam of
+    /// the crate: composed estimators (e.g. [`PrivateCcEstimator`]) pass
+    /// their budget down instead of re-deriving ε splits, so one ledger
+    /// records every stage.
+    fn release<R: Rng + ?Sized>(
+        &self,
+        arena: &CsrGraph,
+        budget: &mut PrivacyBudget,
+        rng: &mut R,
+        profiler: Option<&PhaseProfiler>,
+    ) -> Result<Release, CcdpError> {
+        // An explicit profiler argument wins; otherwise the one threaded
+        // through the configuration (the serving tier's per-request handle).
+        let obs = self.config.obs();
+        let profiler = profiler.or(obs.profiler.as_deref());
+        let n = arena.num_vertices();
         let epsilon = budget.remaining_epsilon();
         if epsilon <= 0.0 {
             // An exhausted accountant cannot fund another stage: any positive
@@ -138,32 +155,32 @@ impl PrivateSpanningForestEstimator {
         let beta = self.config.resolved_beta(n);
         let delta_max = self.config.delta_max().unwrap_or(n).min(n.max(1));
         let grid = power_of_two_grid(delta_max);
-        Ok(ReleasePlan {
-            epsilon,
-            eps_gem,
-            eps_release,
-            beta,
-            grid,
-        })
-    }
 
-    /// Steps 1 and 3 of Algorithm 1 once the family values are in hand: GEM
-    /// selection with ε/2 followed by the Laplace release with ε/2. Shared by
-    /// the adjacency-list and CSR entry points so both consume randomness and
-    /// assemble diagnostics identically.
-    fn finish_release<R: Rng + ?Sized>(
-        &self,
-        plan: &ReleasePlan,
-        evals: &[ExtensionEvaluation],
-        true_value: f64,
-        budget: &PrivacyBudget,
-        rng: &mut R,
-    ) -> Release {
+        // Steps 2–4 of Algorithm 4: evaluate the family on the doubling grid,
+        // through the cache when it is enabled. The empty graph takes the
+        // same path as everything else: the grid degenerates to {1}, the
+        // extension value to 0.
+        let threads = self.config.resolved_threads();
+        let evals = match &self.family_cache {
+            Some(cache) => cache.evaluate_family(
+                arena,
+                &grid,
+                self.config.graph_tag(),
+                threads,
+                profiler,
+                obs.trace.as_ref(),
+            )?,
+            None => Arc::new(evaluate_family(arena, &grid, threads, profiler)?),
+        };
+        let true_value = {
+            let _t = profiler.map(|p| p.phase("release/true-value"));
+            arena.spanning_forest_size() as f64
+        };
+        let _t = profiler.map(|p| p.phase("release/mechanisms"));
         let used_lp = evals
             .iter()
             .any(|e| e.path == EvaluationPath::LinearProgram);
-        let candidates: Vec<GemCandidate> = plan
-            .grid
+        let candidates: Vec<GemCandidate> = grid
             .iter()
             .zip(evals.iter())
             .map(|(&d, e)| GemCandidate {
@@ -178,28 +195,23 @@ impl PrivateSpanningForestEstimator {
         // drawing from `rng` directly would produce, and the exhaustion
         // check below pins the draw count against accounting drift.
         let mut noise = NoiseBatch::prefetch(rng, 2);
-        if let Some(ctx) = &self.config.obs().trace {
+        if let Some(ctx) = &obs.trace {
             ctx.event_full(ccdp_obs::SpanKind::NoiseDraw, std::time::Duration::ZERO, 2);
         }
 
         // Step 1 of Algorithm 1: GEM with ε/2.
-        let selection = generalized_exponential_mechanism(
-            &candidates,
-            true_value,
-            plan.eps_gem,
-            plan.beta,
-            &mut noise,
-        );
-        let selected_delta = plan.grid[selection.index];
+        let selection =
+            generalized_exponential_mechanism(&candidates, true_value, eps_gem, beta, &mut noise);
+        let selected_delta = grid[selection.index];
         let extension_value = selection.value;
 
         // Step 3: Laplace release with the remaining ε/2 and sensitivity Δ̂,
         // i.e. noise scale 2Δ̂/ε.
-        let noise_scale = selected_delta as f64 / plan.eps_release;
+        let noise_scale = selected_delta as f64 / eps_release;
         let value = laplace_mechanism(
             extension_value,
             selected_delta as f64,
-            plan.eps_release,
+            eps_release,
             &mut noise,
         );
         assert!(
@@ -207,20 +219,17 @@ impl PrivateSpanningForestEstimator {
             "spanning-forest release must consume exactly its prefetched noise"
         );
 
-        Release::new(
+        Ok(Release::new(
             value,
-            Privacy::NodeDp {
-                epsilon: plan.epsilon,
-            },
+            Privacy::NodeDp { epsilon },
             Self::NAME,
             Diagnostics {
                 selected_delta: Some(selected_delta),
                 extension_value: Some(extension_value),
                 noise_scale: Some(noise_scale),
-                beta: Some(plan.beta),
+                beta: Some(beta),
                 used_lp,
-                family_values: plan
-                    .grid
+                family_values: grid
                     .iter()
                     .copied()
                     .zip(evals.iter().map(|e| e.value))
@@ -229,100 +238,7 @@ impl PrivateSpanningForestEstimator {
                 spanning_forest_estimate: None,
                 budget_ledger: budget.ledger().to_vec(),
             },
-        )
-    }
-
-    /// Runs Algorithm 1 on `g` and returns the private release of `f_sf(G)`.
-    pub fn estimate<R: Rng + ?Sized>(&self, g: &Graph, rng: &mut R) -> Result<Release, CcdpError> {
-        let mut budget = PrivacyBudget::new(self.config.epsilon());
-        self.estimate_with_budget(g, &mut budget, rng)
-    }
-
-    /// Runs Algorithm 1 drawing from an externally owned [`PrivacyBudget`].
-    ///
-    /// This is the single accountant seam of the crate: composed estimators
-    /// (e.g. [`PrivateCcEstimator`]) pass their budget down instead of
-    /// re-deriving ε splits, so one ledger records every stage. The entire
-    /// remaining budget is consumed: half on GEM selection, half on the
-    /// Laplace release.
-    pub fn estimate_with_budget<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        budget: &mut PrivacyBudget,
-        rng: &mut R,
-    ) -> Result<Release, CcdpError> {
-        // Steps 2–4 of Algorithm 4: evaluate the family on the doubling grid.
-        // The empty graph takes the same path as everything else: the grid
-        // degenerates to {1}, the extension value to 0.
-        let plan = self.plan_release(g.num_vertices(), budget)?;
-        let evals = self.family(g, &plan.grid)?;
-        let profiler = self.config.obs().profiler.clone();
-        let profiler = profiler.as_deref();
-        let true_value = {
-            let _t = profiler.map(|p| p.phase("release/true-value"));
-            g.spanning_forest_size() as f64
-        };
-        let _t = profiler.map(|p| p.phase("release/mechanisms"));
-        Ok(self.finish_release(&plan, &evals, true_value, budget, rng))
-    }
-
-    /// Runs Algorithm 1 directly on a CSR arena, bypassing both the
-    /// adjacency-list [`Graph`] and the [`ExtensionCache`]. This is the
-    /// large-scale entry point: the family is evaluated by the partitioned
-    /// CSR engine and the release is bit-for-bit identical to
-    /// [`Self::estimate`] on the equivalent `Graph` with the same RNG state.
-    pub fn estimate_csr<R: Rng + ?Sized>(
-        &self,
-        arena: &CsrGraph,
-        rng: &mut R,
-    ) -> Result<Release, CcdpError> {
-        let mut budget = PrivacyBudget::new(self.config.epsilon());
-        self.estimate_csr_with_budget(arena, &mut budget, rng, None)
-    }
-
-    /// [`Self::estimate_csr`] with per-phase wall-clock attribution: family
-    /// phases (`family/partition`, `family/anchor`, `family/lp`) are recorded
-    /// by the CSR engine, and this wrapper adds `release/true-value` (the
-    /// exact spanning-forest size fed to GEM) and `release/mechanisms` (GEM
-    /// selection plus the Laplace release).
-    pub fn estimate_csr_profiled<R: Rng + ?Sized>(
-        &self,
-        arena: &CsrGraph,
-        rng: &mut R,
-        profiler: &PhaseProfiler,
-    ) -> Result<Release, CcdpError> {
-        let mut budget = PrivacyBudget::new(self.config.epsilon());
-        self.estimate_csr_with_budget(arena, &mut budget, rng, Some(profiler))
-    }
-
-    /// CSR counterpart of [`Self::estimate_with_budget`]. Budget spends, the
-    /// Δ grid, noise consumption and diagnostics all match the `Graph` path;
-    /// only the family engine differs (and is itself value-identical).
-    pub fn estimate_csr_with_budget<R: Rng + ?Sized>(
-        &self,
-        arena: &CsrGraph,
-        budget: &mut PrivacyBudget,
-        rng: &mut R,
-        profiler: Option<&PhaseProfiler>,
-    ) -> Result<Release, CcdpError> {
-        // An explicit profiler argument wins; otherwise the one threaded
-        // through the configuration (the serving tier's per-request handle).
-        let config_profiler = self.config.obs().profiler.clone();
-        let profiler = profiler.or(config_profiler.as_deref());
-        let plan = self.plan_release(arena.num_vertices(), budget)?;
-        let evals = evaluate_family_csr_profiled(
-            arena,
-            &plan.grid,
-            self.config.resolved_threads(),
-            self.config.family_options(),
-            profiler,
-        )?;
-        let true_value = {
-            let _t = profiler.map(|p| p.phase("release/true-value"));
-            arena.spanning_forest_size() as f64
-        };
-        let _t = profiler.map(|p| p.phase("release/mechanisms"));
-        Ok(self.finish_release(&plan, &evals, true_value, budget, rng))
+        ))
     }
 }
 
@@ -387,15 +303,7 @@ impl PrivateCcEstimator {
 
     /// Runs the estimator on `g` and returns the private release of `f_cc(G)`.
     pub fn estimate<R: Rng + ?Sized>(&self, g: &Graph, rng: &mut R) -> Result<Release, CcdpError> {
-        let n = g.num_vertices();
-        let (mut budget, node_count_estimate) = self.count_stage(n, rng)?;
-
-        // The spanning-forest stage consumes everything that remains, drawing
-        // from the same accountant.
-        let sf_release = self
-            .spanning_forest
-            .estimate_with_budget(g, &mut budget, rng)?;
-        Ok(self.assemble(node_count_estimate, sf_release, &budget))
+        self.release(&CsrGraph::from_graph(g), rng, None)
     }
 
     /// Runs the estimator directly on a CSR arena — the large-scale twin of
@@ -406,7 +314,7 @@ impl PrivateCcEstimator {
         arena: &CsrGraph,
         rng: &mut R,
     ) -> Result<Release, CcdpError> {
-        self.estimate_csr_inner(arena, rng, None)
+        self.release(arena, rng, None)
     }
 
     /// [`Self::estimate_csr`] with per-phase wall-clock attribution recorded
@@ -417,33 +325,22 @@ impl PrivateCcEstimator {
         rng: &mut R,
         profiler: &PhaseProfiler,
     ) -> Result<Release, CcdpError> {
-        self.estimate_csr_inner(arena, rng, Some(profiler))
+        self.release(arena, rng, Some(profiler))
     }
 
-    fn estimate_csr_inner<R: Rng + ?Sized>(
+    /// The one release path: spend the node-count slice and release `|V|`
+    /// with sensitivity 1, then hand everything that remains of the same
+    /// accountant to the spanning-forest stage.
+    ///
+    /// The single node-count noise word is prefetched like the
+    /// spanning-forest stage's, so a full release consumes exactly three
+    /// words from `rng` in a fixed order.
+    fn release<R: Rng + ?Sized>(
         &self,
         arena: &CsrGraph,
         rng: &mut R,
         profiler: Option<&PhaseProfiler>,
     ) -> Result<Release, CcdpError> {
-        let (mut budget, node_count_estimate) = self.count_stage(arena.num_vertices(), rng)?;
-        let sf_release =
-            self.spanning_forest
-                .estimate_csr_with_budget(arena, &mut budget, rng, profiler)?;
-        Ok(self.assemble(node_count_estimate, sf_release, &budget))
-    }
-
-    /// Stage 1 shared by both entry points: spend the node-count slice and
-    /// release `|V|` with sensitivity 1.
-    ///
-    /// The single noise word is prefetched like the spanning-forest stage's,
-    /// so a full release consumes exactly three words from `rng` in a fixed
-    /// order.
-    fn count_stage<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        rng: &mut R,
-    ) -> Result<(PrivacyBudget, f64), CcdpError> {
         let epsilon = self.config.epsilon();
         let mut budget = PrivacyBudget::new(epsilon);
         let eps_count = budget.spend("node-count", epsilon * self.config.node_count_fraction())?;
@@ -451,17 +348,13 @@ impl PrivateCcEstimator {
         if let Some(ctx) = &self.config.obs().trace {
             ctx.event_full(ccdp_obs::SpanKind::NoiseDraw, std::time::Duration::ZERO, 1);
         }
-        let node_count_estimate = laplace_mechanism(n as f64, 1.0, eps_count, &mut noise);
+        let node_count_estimate =
+            laplace_mechanism(arena.num_vertices() as f64, 1.0, eps_count, &mut noise);
         assert!(noise.is_exhausted());
-        Ok((budget, node_count_estimate))
-    }
 
-    fn assemble(
-        &self,
-        node_count_estimate: f64,
-        sf_release: Release,
-        budget: &PrivacyBudget,
-    ) -> Release {
+        let sf_release = self
+            .spanning_forest
+            .release(arena, &mut budget, rng, profiler)?;
         let sf_value = sf_release.value();
         let mut diagnostics = sf_release
             .into_diagnostics(crate::release::DiagnosticsAccess::acknowledge_non_private());
@@ -469,14 +362,12 @@ impl PrivateCcEstimator {
         diagnostics.spanning_forest_estimate = Some(sf_value);
         diagnostics.budget_ledger = budget.ledger().to_vec();
 
-        Release::new(
+        Ok(Release::new(
             node_count_estimate - sf_value,
-            Privacy::NodeDp {
-                epsilon: self.config.epsilon(),
-            },
+            Privacy::NodeDp { epsilon },
             Self::NAME,
             diagnostics,
-        )
+        ))
     }
 }
 
@@ -550,13 +441,11 @@ mod tests {
     fn csr_release_is_bitwise_identical_to_graph_release() {
         // The CSR entry points must release the exact bits the Graph path
         // does for the same RNG stream: same family values, same GEM draw,
-        // same Laplace sample — across micro/dedup toggles and thread counts.
+        // same Laplace sample — with and without the family cache.
         let g = generators::erdos_renyi(600, 1.3 / 600.0, &mut StdRng::seed_from_u64(77));
         let arena = CsrGraph::from_graph(&g);
-        for (micro, dedup) in [(true, true), (true, false), (false, true), (false, false)] {
-            let config = EstimatorConfig::new(1.0)
-                .with_micro_solver(micro)
-                .with_solve_dedup(dedup);
+        for caching in [true, false] {
+            let config = EstimatorConfig::new(1.0).with_family_caching(caching);
             let sf = PrivateSpanningForestEstimator::from_config(config.clone()).unwrap();
             let base = sf.estimate(&g, &mut StdRng::seed_from_u64(9)).unwrap();
             let csr = sf
@@ -575,8 +464,12 @@ mod tests {
             assert_eq!(base.value().to_bits(), csr.value().to_bits());
         }
 
-        // The profiled variant is the same release and records the phases.
-        let est = PrivateSpanningForestEstimator::new(1.0).unwrap();
+        // The profiled variant is the same release and records the phases
+        // (uncached, so the second release evaluates the family again).
+        let est = PrivateSpanningForestEstimator::from_config(
+            EstimatorConfig::new(1.0).with_family_caching(false),
+        )
+        .unwrap();
         let profiler = ccdp_exec::PhaseProfiler::new();
         let plain = est
             .estimate_csr(&arena, &mut StdRng::seed_from_u64(11))

@@ -2,8 +2,8 @@
 //!
 //! Evaluating `{f_Δ}` on the selection grid is by far the most expensive part
 //! of [`estimate()`](crate::PrivateSpanningForestEstimator::estimate) — and it
-//! is *deterministic*: the same graph, grid and solver backend always produce
-//! the same family values (all randomness lives downstream, in GEM selection
+//! is *deterministic*: the same graph and grid always produce the same
+//! family values (all randomness lives downstream, in GEM selection
 //! and the Laplace release, and privacy is unaffected by caching a
 //! data-dependent intermediate that never leaves the process). Multi-release
 //! serving — several ε releases of one graph, error-measurement harnesses,
@@ -11,14 +11,15 @@
 //! from this cache afterwards (~20× cheaper repeated estimates).
 //!
 //! The cache is keyed by a 128-bit fingerprint of the graph's CSR arena
-//! (plus vertex count, grid and backend), bounded in size with LRU eviction
+//! (plus vertex count and grid), bounded in size with LRU eviction
 //! (hits refresh an entry's recency), and safe to share across estimators and
 //! threads. Fingerprinting replaces the previous exact-edge-list key: hashing
 //! and key comparison are O(1) in the number of edges instead of O(m), which
 //! matters once graphs reach 10^5–10^6 edges. Every entry keeps the
 //! [`CsrGraph`] it was computed from as a *witness*; a fingerprint hit is
-//! confirmed structurally against the witness before it is served, so a
-//! fingerprint collision degrades to a safe miss, never to a wrong answer.
+//! confirmed by comparing the request arena with the witness (two flat `u32`
+//! arrays, a memory compare) before it is served, so a fingerprint collision
+//! degrades to a safe miss, never to a wrong answer.
 //!
 //! Concurrent misses on the same key are **single-flighted**: the first
 //! caller evaluates while the others wait on an in-flight table and receive
@@ -26,23 +27,20 @@
 //! one family evaluation instead of one per thread. Hit/miss/coalesce/
 //! eviction counters are exposed for tests and capacity planning.
 //!
-//! The thread budget and family fast-path toggles of an evaluation are
-//! deliberately **not** part of the key: family values are bit-for-bit
-//! identical for every budget and toggle combination, so an entry computed
-//! with 8 workers and the micro solver answers a sequential, fully general
-//! request and vice versa.
+//! The thread budget of an evaluation is deliberately **not** part of the
+//! key: family values are bit-for-bit identical for every budget, so an
+//! entry computed with 8 workers answers a sequential request and vice versa.
 
 use crate::error::CoreError;
-use crate::extension::{evaluate_family_tuned_obs, ExtensionEvaluation, FamilyOptions};
+use crate::extension::{evaluate_family, ExtensionEvaluation};
 use ccdp_exec::PhaseProfiler;
 use ccdp_graph::{CsrGraph, GraphVersion};
-use ccdp_lp::SolverBackend;
 use ccdp_obs::{Counter, Gauge, MetricsRegistry, SpanKind, TraceCtx};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Default number of (graph, grid, backend) entries kept per cache.
+/// Default number of (graph, grid) entries kept per cache.
 pub const DEFAULT_FAMILY_CACHE_CAPACITY: usize = 64;
 
 /// Catalog identity of a graph snapshot: which graph, at which version.
@@ -79,15 +77,14 @@ impl std::fmt::Display for GraphTag {
     }
 }
 
-/// Identity of one family evaluation: graph fingerprint plus grid, backend
-/// and optional catalog tag. The fingerprint is confirmed against the stored
+/// Identity of one family evaluation: graph fingerprint plus grid and
+/// optional catalog tag. The fingerprint is confirmed against the stored
 /// witness arena before a hit is served (collisions become safe misses).
 #[derive(Clone, Debug, Hash, PartialEq, Eq)]
 struct CacheKey {
     num_vertices: usize,
     fingerprint: u128,
     grid: Vec<usize>,
-    backend: SolverBackend,
     /// Catalog identity, when the caller serves versioned snapshots.
     tag: Option<GraphTag>,
 }
@@ -137,7 +134,7 @@ impl Flight {
 struct CacheEntry {
     evals: Arc<Vec<ExtensionEvaluation>>,
     /// The CSR arena the evaluation was computed from. A fingerprint hit is
-    /// served only after the request graph matches this witness structurally,
+    /// served only after the request arena equals this witness,
     /// so a colliding key can never replay another graph's family.
     witness: Arc<CsrGraph>,
     /// Monotonic tick of the last hit (or the insert); the eviction victim
@@ -301,90 +298,33 @@ impl ExtensionCache {
         dropped
     }
 
-    /// Evaluates the family `{f_Δ}` of `g` on `grid` with `backend`, answering
-    /// from the cache when this exact evaluation has been done before, and
-    /// joining an in-flight evaluation when another thread is already
-    /// computing this exact key.
+    /// Evaluates the family `{f_Δ}` of `arena` on `grid`, answering from the
+    /// cache when this exact evaluation has been done before, and joining an
+    /// in-flight evaluation when another thread is already computing this
+    /// exact key.
+    ///
+    /// A catalog [`GraphTag`] keys the entry by `(id, version)` *in addition
+    /// to* the graph fingerprint, so evaluations of different snapshot
+    /// versions never answer for each other and can be invalidated per graph
+    /// or per version range. `threads` is the budget of the evaluation on a
+    /// miss; it never enters the key. The profiler records family phase
+    /// timings on a miss (leading or uncached evaluation), and the trace
+    /// context receives a `cache/hit`, `cache/miss` (timed over the
+    /// evaluation) or `cache/coalesced` (timed over the wait) span event.
+    /// Observation only — values, keys and counters are unchanged.
     pub fn evaluate_family(
         &self,
-        g: &ccdp_graph::Graph,
+        arena: &CsrGraph,
         grid: &[usize],
-        backend: SolverBackend,
-    ) -> Result<Arc<Vec<ExtensionEvaluation>>, CoreError> {
-        self.evaluate_family_tagged(g, grid, backend, None, 1)
-    }
-
-    /// [`evaluate_family`](Self::evaluate_family) with a thread budget for
-    /// the evaluation on a miss. The budget never enters the cache key —
-    /// family values are identical for every budget — so threaded and
-    /// sequential callers share entries.
-    pub fn evaluate_family_threaded(
-        &self,
-        g: &ccdp_graph::Graph,
-        grid: &[usize],
-        backend: SolverBackend,
-        threads: usize,
-    ) -> Result<Arc<Vec<ExtensionEvaluation>>, CoreError> {
-        self.evaluate_family_tagged(g, grid, backend, None, threads)
-    }
-
-    /// [`evaluate_family`](Self::evaluate_family) with an optional catalog
-    /// [`GraphTag`] and a thread budget. Tagged entries are keyed by
-    /// `(id, version)` *in addition to* the graph fingerprint, so evaluations
-    /// of different snapshot versions never answer for each other and can be
-    /// invalidated per graph or per version range.
-    pub fn evaluate_family_tagged(
-        &self,
-        g: &ccdp_graph::Graph,
-        grid: &[usize],
-        backend: SolverBackend,
         tag: Option<&GraphTag>,
         threads: usize,
-    ) -> Result<Arc<Vec<ExtensionEvaluation>>, CoreError> {
-        self.evaluate_family_tuned(g, grid, backend, tag, threads, FamilyOptions::default())
-    }
-
-    /// [`evaluate_family_tagged`](Self::evaluate_family_tagged) with explicit
-    /// family fast-path toggles for the evaluation on a miss. Like the thread
-    /// budget, the toggles never enter the cache key: every combination
-    /// produces bit-identical family values, so toggled and default callers
-    /// share entries.
-    pub fn evaluate_family_tuned(
-        &self,
-        g: &ccdp_graph::Graph,
-        grid: &[usize],
-        backend: SolverBackend,
-        tag: Option<&GraphTag>,
-        threads: usize,
-        options: FamilyOptions,
-    ) -> Result<Arc<Vec<ExtensionEvaluation>>, CoreError> {
-        self.evaluate_family_observed(g, grid, backend, tag, threads, options, None, None)
-    }
-
-    /// [`evaluate_family_tuned`](Self::evaluate_family_tuned) with optional
-    /// observability handles: the profiler records family phase timings on a
-    /// miss (leading or uncached evaluation), and the trace context receives
-    /// a `cache/hit`, `cache/miss` (timed over the evaluation) or
-    /// `cache/coalesced` (timed over the wait) span event for the lookup.
-    /// Observation only — values, keys and counters are unchanged.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_family_observed(
-        &self,
-        g: &ccdp_graph::Graph,
-        grid: &[usize],
-        backend: SolverBackend,
-        tag: Option<&GraphTag>,
-        threads: usize,
-        options: FamilyOptions,
         profiler: Option<&PhaseProfiler>,
         trace: Option<&TraceCtx>,
     ) -> Result<Arc<Vec<ExtensionEvaluation>>, CoreError> {
-        let csr = Arc::new(CsrGraph::from_graph(g));
         let key = CacheKey {
-            num_vertices: g.num_vertices(),
-            fingerprint: csr.fingerprint(),
+            num_vertices: arena.num_vertices(),
+            fingerprint: arena.fingerprint(),
             grid: grid.to_vec(),
-            backend,
             tag: tag.cloned(),
         };
 
@@ -393,10 +333,10 @@ impl ExtensionCache {
             let mut inner = self.lock();
             let tick = inner.next_tick();
             if let Some(entry) = inner.map.get_mut(&key) {
-                // Confirm the fingerprint hit structurally before serving it:
-                // a collision must degrade to a miss, never replay another
-                // graph's family.
-                if entry.witness.matches_graph(g) {
+                // Confirm the fingerprint hit against the witness before
+                // serving it: a collision must degrade to a miss, never
+                // replay another graph's family.
+                if *entry.witness == *arena {
                     entry.last_used = tick;
                     self.hits.inc();
                     if let Some(ctx) = trace {
@@ -406,7 +346,7 @@ impl ExtensionCache {
                 }
             }
             match inner.in_flight.get(&key) {
-                Some(in_flight) if in_flight.witness.matches_graph(g) => {
+                Some(in_flight) if *in_flight.witness == *arena => {
                     // Someone else is already evaluating this exact graph:
                     // join their flight instead of racing a duplicate
                     // evaluation.
@@ -419,14 +359,17 @@ impl ExtensionCache {
                     LookupAction::EvaluateUncached
                 }
                 None => {
+                    // Only a leader copies the arena (one memcpy); hits and
+                    // joins compare against the stored copy.
+                    let witness = Arc::new(arena.clone());
                     inner.in_flight.insert(
                         key.clone(),
                         InFlightEntry {
                             flight: Arc::new(Flight::new()),
-                            witness: Arc::clone(&csr),
+                            witness: Arc::clone(&witness),
                         },
                     );
-                    LookupAction::Lead
+                    LookupAction::Lead(witness)
                 }
             }
         };
@@ -439,16 +382,14 @@ impl ExtensionCache {
                 result
             }
             LookupAction::EvaluateUncached => {
-                let result =
-                    evaluate_family_tuned_obs(g, grid, backend, threads, options, profiler)
-                        .map(Arc::new);
+                let result = evaluate_family(arena, grid, threads, profiler).map(Arc::new);
                 self.misses.inc();
                 if let Some(ctx) = trace {
                     ctx.event_timed(SpanKind::CacheMiss, started.expect("timed").elapsed());
                 }
                 result
             }
-            LookupAction::Lead => {
+            LookupAction::Lead(witness) => {
                 // We are the flight leader: evaluate outside the lock (family
                 // evaluation can take a while and lookups of other graphs
                 // must not serialize on it), then store, publish and wake the
@@ -458,12 +399,10 @@ impl ExtensionCache {
                 let guard = FlightGuard {
                     cache: self,
                     key,
-                    witness: csr,
+                    witness,
                     armed: true,
                 };
-                let result =
-                    evaluate_family_tuned_obs(g, grid, backend, threads, options, profiler)
-                        .map(Arc::new);
+                let result = evaluate_family(arena, grid, threads, profiler).map(Arc::new);
                 guard.finish(result.clone());
                 self.misses.inc();
                 if let Some(ctx) = trace {
@@ -530,8 +469,9 @@ impl ExtensionCache {
 enum LookupAction {
     /// Wait on another caller's in-flight evaluation of the same graph.
     Join(Arc<Flight>),
-    /// Lead a registered flight: evaluate, store, publish.
-    Lead,
+    /// Lead a registered flight (carrying its witness): evaluate, store,
+    /// publish.
+    Lead(Arc<CsrGraph>),
     /// Fingerprint collision with a different in-flight graph: evaluate on
     /// the side without registering or storing anything.
     EvaluateUncached,
@@ -601,17 +541,29 @@ mod tests {
     use super::*;
     use ccdp_graph::{generators, Graph};
 
+    /// An untagged sequential lookup of an adjacency-list graph.
+    fn family(cache: &ExtensionCache, g: &Graph, grid: &[usize]) -> Arc<Vec<ExtensionEvaluation>> {
+        tagged(cache, g, grid, None)
+    }
+
+    fn tagged(
+        cache: &ExtensionCache,
+        g: &Graph,
+        grid: &[usize],
+        tag: Option<&GraphTag>,
+    ) -> Arc<Vec<ExtensionEvaluation>> {
+        cache
+            .evaluate_family(&CsrGraph::from_graph(g), grid, tag, 1, None, None)
+            .unwrap()
+    }
+
     #[test]
     fn repeated_evaluations_hit_the_cache() {
         let cache = ExtensionCache::new(8);
         let g = generators::caveman(3, 4);
         let grid = [1usize, 2, 4, 8];
-        let first = cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        let second = cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        let first = family(&cache, &g, &grid);
+        let second = family(&cache, &g, &grid);
         assert!(Arc::ptr_eq(&first, &second));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
@@ -620,25 +572,16 @@ mod tests {
     }
 
     #[test]
-    fn different_graphs_grids_and_backends_are_distinct_entries() {
+    fn different_graphs_and_grids_are_distinct_entries() {
         let cache = ExtensionCache::new(8);
         let a = generators::path(5);
         let b = generators::cycle(5);
         let grid = [1usize, 2, 4];
-        cache
-            .evaluate_family(&a, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        cache
-            .evaluate_family(&b, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        cache
-            .evaluate_family(&a, &grid[..2], SolverBackend::Combinatorial)
-            .unwrap();
-        cache
-            .evaluate_family(&a, &grid, SolverBackend::Simplex)
-            .unwrap();
+        family(&cache, &a, &grid);
+        family(&cache, &b, &grid);
+        family(&cache, &a, &grid[..2]);
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 4, 4));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 3, 3));
     }
 
     #[test]
@@ -647,17 +590,13 @@ mod tests {
         let grid = [1usize, 2];
         let graphs: Vec<Graph> = (3..6).map(generators::path).collect();
         for g in &graphs {
-            cache
-                .evaluate_family(g, &grid, SolverBackend::Combinatorial)
-                .unwrap();
+            family(&cache, g, &grid);
         }
         assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.stats().evictions, 1);
         // The least recently used entry (path(3)) was evicted: re-evaluating
         // it misses.
-        cache
-            .evaluate_family(&graphs[0], &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        family(&cache, &graphs[0], &grid);
         assert_eq!(cache.stats().misses, 4);
     }
 
@@ -668,30 +607,18 @@ mod tests {
         let a = generators::path(3);
         let b = generators::path(4);
         let c = generators::path(5);
-        cache
-            .evaluate_family(&a, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        cache
-            .evaluate_family(&b, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        family(&cache, &a, &grid);
+        family(&cache, &b, &grid);
         // Touch `a`: under FIFO it would still be evicted next; under LRU the
         // victim becomes `b`.
-        cache
-            .evaluate_family(&a, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        cache
-            .evaluate_family(&c, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        family(&cache, &a, &grid);
+        family(&cache, &c, &grid);
         let before = cache.stats();
         assert_eq!((before.evictions, before.entries), (1, 2));
         // `a` must still be resident (hit), `b` must have been evicted (miss).
-        cache
-            .evaluate_family(&a, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        family(&cache, &a, &grid);
         assert_eq!(cache.stats().hits, before.hits + 1);
-        cache
-            .evaluate_family(&b, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        family(&cache, &b, &grid);
         assert_eq!(cache.stats().misses, before.misses + 1);
     }
 
@@ -700,20 +627,14 @@ mod tests {
         let cache = ExtensionCache::new(8);
         let grid = [1usize, 2];
         let g = generators::path(4);
-        cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        family(&cache, &g, &grid);
+        family(&cache, &g, &grid);
         cache.clear();
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // A cleared cache re-evaluates.
-        cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        family(&cache, &g, &grid);
         assert_eq!(cache.stats().misses, 2);
     }
 
@@ -722,12 +643,8 @@ mod tests {
         let cache = ExtensionCache::default();
         let g = generators::complete(5);
         let grid = [1usize, 2, 4];
-        let cached = cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
-        let direct =
-            crate::extension::evaluate_family_with(&g, &grid, SolverBackend::Combinatorial)
-                .unwrap();
+        let cached = family(&cache, &g, &grid);
+        let direct = evaluate_family(&CsrGraph::from_graph(&g), &grid, 1, None).unwrap();
         assert_eq!(cached.len(), direct.len());
         for (c, d) in cached.iter().zip(&direct) {
             assert!((c.value - d.value).abs() < 1e-12);
@@ -743,11 +660,9 @@ mod tests {
         let cache = ExtensionCache::new(8);
         let g = generators::caveman(3, 4);
         let grid = [1usize, 2, 4, 8];
-        let seq = cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        let seq = family(&cache, &g, &grid);
         let par = cache
-            .evaluate_family_threaded(&g, &grid, SolverBackend::Combinatorial, 8)
+            .evaluate_family(&CsrGraph::from_graph(&g), &grid, None, 8, None, None)
             .unwrap();
         assert!(Arc::ptr_eq(&seq, &par));
         let stats = cache.stats();
@@ -762,22 +677,14 @@ mod tests {
         let v0 = GraphTag::new("fleet/g0", GraphVersion::INITIAL);
         let v1 = GraphTag::new("fleet/g0", GraphVersion::new(1));
         // Same edge list, different versions: distinct entries, no replay.
-        cache
-            .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&v0), 1)
-            .unwrap();
-        cache
-            .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&v1), 1)
-            .unwrap();
+        tagged(&cache, &g, &grid, Some(&v0));
+        tagged(&cache, &g, &grid, Some(&v1));
         // And distinct from the untagged entry of the same edge list.
-        cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        family(&cache, &g, &grid);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 3, 3));
         // Re-asking for a version is a hit.
-        cache
-            .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&v0), 1)
-            .unwrap();
+        tagged(&cache, &g, &grid, Some(&v0));
         assert_eq!(cache.stats().hits, 1);
     }
 
@@ -788,17 +695,11 @@ mod tests {
         let grid = [1usize, 2];
         for v in 0..3 {
             let tag = GraphTag::new("a", GraphVersion::new(v));
-            cache
-                .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&tag), 1)
-                .unwrap();
+            tagged(&cache, &g, &grid, Some(&tag));
         }
         let other = GraphTag::new("b", GraphVersion::INITIAL);
-        cache
-            .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&other), 1)
-            .unwrap();
-        cache
-            .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-            .unwrap();
+        tagged(&cache, &g, &grid, Some(&other));
+        family(&cache, &g, &grid);
         assert_eq!(cache.invalidate_graph("a"), 3);
         let stats = cache.stats();
         assert_eq!(stats.invalidations, 3);
@@ -807,9 +708,7 @@ mod tests {
         assert_eq!((stats.entries, stats.evictions), (2, 0));
         // The invalidated versions re-evaluate from scratch.
         let tag = GraphTag::new("a", GraphVersion::new(2));
-        cache
-            .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&tag), 1)
-            .unwrap();
+        tagged(&cache, &g, &grid, Some(&tag));
         assert_eq!(cache.stats().misses, 6);
     }
 
@@ -820,9 +719,7 @@ mod tests {
         let grid = [1usize, 2];
         for v in 0..4 {
             let tag = GraphTag::new("g", GraphVersion::new(v));
-            cache
-                .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&tag), 1)
-                .unwrap();
+            tagged(&cache, &g, &grid, Some(&tag));
         }
         assert_eq!(
             cache.invalidate_versions_below("g", GraphVersion::new(3)),
@@ -831,9 +728,7 @@ mod tests {
         assert_eq!(cache.stats().entries, 1);
         // The frontier version is still a hit.
         let tag = GraphTag::new("g", GraphVersion::new(3));
-        cache
-            .evaluate_family_tagged(&g, &grid, SolverBackend::Combinatorial, Some(&tag), 1)
-            .unwrap();
+        tagged(&cache, &g, &grid, Some(&tag));
         assert_eq!(cache.stats().hits, 1);
     }
 
@@ -851,9 +746,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    cache
-                        .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
-                        .unwrap()
+                    family(&cache, &g, &grid)
                 })
             })
             .collect();

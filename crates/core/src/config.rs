@@ -8,10 +8,8 @@
 //! without catching panics.
 
 use crate::cache::{ExtensionCache, GraphTag};
-use crate::extension::FamilyOptions;
 use ccdp_exec::PhaseProfiler;
 use ccdp_graph::GraphVersion;
-use ccdp_lp::SolverBackend;
 use ccdp_obs::TraceCtx;
 use std::fmt;
 use std::sync::Arc;
@@ -129,13 +127,10 @@ pub struct EstimatorConfig {
     beta: Option<f64>,
     delta_max: Option<usize>,
     node_count_fraction: f64,
-    solver: SolverBackend,
     family_cache_enabled: bool,
     shared_family_cache: Option<Arc<ExtensionCache>>,
     graph_tag: Option<GraphTag>,
     threads: Option<usize>,
-    micro_solver: bool,
-    solve_dedup: bool,
     obs: ObsHandles,
 }
 
@@ -150,13 +145,10 @@ impl PartialEq for EstimatorConfig {
             && self.beta == other.beta
             && self.delta_max == other.delta_max
             && self.node_count_fraction == other.node_count_fraction
-            && self.solver == other.solver
             && self.family_cache_enabled == other.family_cache_enabled
             && same_cache
             && self.graph_tag == other.graph_tag
             && self.threads == other.threads
-            && self.micro_solver == other.micro_solver
-            && self.solve_dedup == other.solve_dedup
     }
 }
 
@@ -172,13 +164,10 @@ impl EstimatorConfig {
             beta: None,
             delta_max: None,
             node_count_fraction: Self::DEFAULT_NODE_COUNT_FRACTION,
-            solver: SolverBackend::default(),
             family_cache_enabled: true,
             shared_family_cache: None,
             graph_tag: None,
             threads: None,
-            micro_solver: true,
-            solve_dedup: true,
             obs: ObsHandles::default(),
         }
     }
@@ -200,24 +189,6 @@ impl EstimatorConfig {
     /// The observability handles threaded through this configuration.
     pub fn obs(&self) -> &ObsHandles {
         &self.obs
-    }
-
-    /// Enables or disables the micro-component fast paths of the large-graph
-    /// family engine (default enabled). A pure execution knob: the micro
-    /// solver replicates the general solver bit-for-bit, so this affects
-    /// wall-clock only, never values, privacy or accuracy. Exposed for
-    /// ablation benchmarks.
-    pub fn with_micro_solver(mut self, enabled: bool) -> Self {
-        self.micro_solver = enabled;
-        self
-    }
-
-    /// Enables or disables isomorphism-class solve dedup across identical
-    /// small components (default enabled). Like the micro solver, a pure
-    /// execution knob — deduplicated solves reuse bit-identical solutions.
-    pub fn with_solve_dedup(mut self, enabled: bool) -> Self {
-        self.solve_dedup = enabled;
-        self
     }
 
     /// Sets the thread budget for per-release parallel solving (default:
@@ -251,16 +222,6 @@ impl EstimatorConfig {
     /// Sets the fraction of ε spent on the node-count release (in `(0, 1)`).
     pub fn with_node_count_fraction(mut self, fraction: f64) -> Self {
         self.node_count_fraction = fraction;
-        self
-    }
-
-    /// Selects the forest-polytope solver backend (default
-    /// [`SolverBackend::Combinatorial`]).
-    ///
-    /// A public, data-independent implementation choice: both backends are
-    /// exact, so this affects runtime only, never privacy or accuracy.
-    pub fn with_solver(mut self, solver: SolverBackend) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -312,11 +273,6 @@ impl EstimatorConfig {
         self.node_count_fraction
     }
 
-    /// The selected forest-polytope solver backend.
-    pub fn solver(&self) -> SolverBackend {
-        self.solver
-    }
-
     /// Whether the family cache is enabled.
     pub fn family_caching(&self) -> bool {
         self.family_cache_enabled
@@ -335,24 +291,6 @@ impl EstimatorConfig {
     /// The thread-budget override, if any.
     pub fn threads(&self) -> Option<usize> {
         self.threads
-    }
-
-    /// Whether the micro-component fast paths are enabled.
-    pub fn micro_solver(&self) -> bool {
-        self.micro_solver
-    }
-
-    /// Whether isomorphism-class solve dedup is enabled.
-    pub fn solve_dedup(&self) -> bool {
-        self.solve_dedup
-    }
-
-    /// The family-engine fast-path toggles this configuration selects.
-    pub fn family_options(&self) -> FamilyOptions {
-        FamilyOptions {
-            micro: self.micro_solver,
-            dedup: self.solve_dedup,
-        }
     }
 
     /// The thread budget to run with: the override if set, otherwise the
@@ -502,15 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn solver_backend_defaults_to_combinatorial_and_is_selectable() {
-        let config = EstimatorConfig::new(1.0);
-        assert_eq!(config.solver(), SolverBackend::Combinatorial);
-        let config = config.with_solver(SolverBackend::Simplex);
-        assert_eq!(config.solver(), SolverBackend::Simplex);
-        assert!(config.validate().is_ok());
-    }
-
-    #[test]
     fn family_cache_resolution_honors_the_knobs() {
         // Default: caching on, fresh private cache.
         assert!(EstimatorConfig::new(1.0).resolve_family_cache().is_some());
@@ -564,33 +493,11 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_toggles_default_on_and_round_trip() {
-        let cfg = EstimatorConfig::new(1.0);
-        assert!(cfg.micro_solver() && cfg.solve_dedup());
-        assert_eq!(cfg.family_options(), FamilyOptions::default());
-        let cfg = cfg.with_micro_solver(false).with_solve_dedup(false);
-        assert!(!cfg.micro_solver() && !cfg.solve_dedup());
-        assert!(cfg.validate().is_ok());
-        assert_ne!(
-            EstimatorConfig::new(1.0),
-            EstimatorConfig::new(1.0).with_micro_solver(false)
-        );
-        assert_ne!(
-            EstimatorConfig::new(1.0),
-            EstimatorConfig::new(1.0).with_solve_dedup(false)
-        );
-    }
-
-    #[test]
     fn config_equality_accounts_for_the_new_fields() {
         assert_eq!(EstimatorConfig::new(1.0), EstimatorConfig::new(1.0));
         assert_ne!(
             EstimatorConfig::new(1.0),
             EstimatorConfig::new(1.0).with_threads(4)
-        );
-        assert_ne!(
-            EstimatorConfig::new(1.0),
-            EstimatorConfig::new(1.0).with_solver(SolverBackend::Simplex)
         );
         assert_ne!(
             EstimatorConfig::new(1.0).with_graph_tag("g", GraphVersion::INITIAL),

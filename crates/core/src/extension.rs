@@ -15,20 +15,11 @@
 //! analysis targets; the LP is only exercised when Δ is below the graph's Δ*.
 
 use crate::error::CoreError;
-use crate::polytope::{
-    forest_polytope_max_threaded, forest_polytope_max_with, PolytopeSolution, SolverBackend,
-};
-use ccdp_exec::{parallel_map, PhaseProfiler};
+use crate::polytope::{forest_polytope_max_with, PolytopeSolution, SolverBackend};
+use ccdp_exec::PhaseProfiler;
 use ccdp_graph::forest::{bounded_degree_spanning_forest, bounded_degree_spanning_forest_csr};
 use ccdp_graph::{CsrGraph, Graph};
 use ccdp_lp::{solve_partition, SolveOptions};
-
-/// Minimum work size (`n + m`) before a family evaluation fans out across
-/// threads. Below this the per-task overhead of the thread pool outweighs
-/// the solve itself, and the serving tier's small graphs stay on the exact
-/// sequential path. The gate depends only on the graph, never on load, so
-/// results stay deterministic.
-const PARALLEL_WORK_THRESHOLD: usize = 4096;
 
 /// How `f_Δ(G)` was computed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,6 +44,11 @@ pub struct ExtensionEvaluation {
 }
 
 /// The Lipschitz extension `f_Δ` for the size of the spanning forest.
+///
+/// This is the single-Δ, adjacency-list evaluation with a selectable solver
+/// backend. The private estimators evaluate the whole grid through
+/// [`evaluate_family`] instead; this type is the reference it is tested
+/// against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LipschitzExtension {
     delta: usize,
@@ -105,19 +101,6 @@ impl LipschitzExtension {
 
     /// Evaluates `f_Δ(G)` and reports how the value was obtained.
     pub fn evaluate_detailed(&self, g: &Graph) -> Result<ExtensionEvaluation, CoreError> {
-        self.evaluate_detailed_threaded(g, 1)
-    }
-
-    /// [`evaluate_detailed`](Self::evaluate_detailed) with a thread budget:
-    /// when the LP path is taken, its connected components are solved on up
-    /// to `threads` workers. The value is identical for every budget
-    /// (components merge in a fixed order); `threads <= 1` is exactly the
-    /// sequential path.
-    pub fn evaluate_detailed_threaded(
-        &self,
-        g: &Graph,
-        threads: usize,
-    ) -> Result<ExtensionEvaluation, CoreError> {
         if g.has_no_edges() {
             return Ok(ExtensionEvaluation {
                 value: 0.0,
@@ -137,11 +120,7 @@ impl LipschitzExtension {
                 lp: None,
             });
         }
-        let lp = if threads <= 1 {
-            forest_polytope_max_with(g, self.delta as f64, self.backend)?
-        } else {
-            forest_polytope_max_threaded(g, self.delta as f64, self.backend, threads)?
-        };
+        let lp = forest_polytope_max_with(g, self.delta as f64, self.backend)?;
         Ok(ExtensionEvaluation {
             value: lp.value,
             delta: self.delta,
@@ -151,179 +130,13 @@ impl LipschitzExtension {
     }
 }
 
-/// Fast-path toggles for the large-graph (CSR-partition) family engine.
+/// Evaluates the whole family `{f_Δ}` of a CSR arena on the given grid of Δ
+/// values — the loop of Algorithm 4 (steps 2–4) that feeds the Generalized
+/// Exponential Mechanism.
 ///
-/// Both are on by default and both are pure execution knobs: the micro solver
-/// replicates the general solver bit-for-bit and dedup only reuses solutions
-/// across identical labeled component slices, so every combination yields the
-/// same family values. Exposed so benches can ablate each path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FamilyOptions {
-    /// Enable micro-component closed forms / mirrored fast solves.
-    pub micro: bool,
-    /// Enable isomorphism-class (labeled-slice) solve dedup.
-    pub dedup: bool,
-}
-
-impl Default for FamilyOptions {
-    fn default() -> Self {
-        FamilyOptions {
-            micro: true,
-            dedup: true,
-        }
-    }
-}
-
-impl FamilyOptions {
-    fn solve_options(&self) -> SolveOptions {
-        SolveOptions {
-            micro: self.micro,
-            dedup: self.dedup,
-            // The family only feeds values into the GEM selection; skipping
-            // weight assembly saves one `f64` per edge per grid point.
-            want_weights: false,
-        }
-    }
-}
-
-/// Evaluates the whole family `{f_Δ}` on the given grid of Δ values with the
-/// default (combinatorial) backend.
-///
-/// This is the loop of Algorithm 4 (steps 2–4) that feeds the Generalized
-/// Exponential Mechanism. Values are clamped to be monotone non-decreasing in Δ,
-/// which they are mathematically (Lemma 3.3) but may fail to be by a hair
-/// numerically when different Δ values take different evaluation paths.
-pub fn evaluate_family(g: &Graph, grid: &[usize]) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    evaluate_family_with(g, grid, SolverBackend::default())
-}
-
-/// [`evaluate_family`] with an explicitly selected polytope solver backend.
-///
-/// Repeated evaluations of the same graph should go through
-/// [`ExtensionCache`](crate::cache::ExtensionCache) instead, which wraps this
-/// function with a graph-keyed memo.
-pub fn evaluate_family_with(
-    g: &Graph,
-    grid: &[usize],
-    backend: SolverBackend,
-) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    evaluate_family_tuned(g, grid, backend, 1, FamilyOptions::default())
-}
-
-/// [`evaluate_family_with`] with a thread budget.
-///
-/// The output is bit-for-bit identical for every thread budget; `threads <= 1`
-/// (or a graph below the work threshold) takes the sequential path itself.
-pub fn evaluate_family_threaded(
-    g: &Graph,
-    grid: &[usize],
-    backend: SolverBackend,
-    threads: usize,
-) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    evaluate_family_tuned(g, grid, backend, threads, FamilyOptions::default())
-}
-
-/// The full-knob family evaluation: backend, thread budget and fast-path
-/// toggles.
-///
-/// Large graphs (`n + m ≥` the work threshold) on the combinatorial backend
-/// route through the CSR-partition engine regardless of the thread budget: the
-/// graph is partitioned into a component-contiguous arena **once**, each grid
-/// point reuses it, and per-component solving goes through the micro/dedup
-/// fast paths of `ccdp_lp`. The engine merges per-component values in
-/// component order, so its results are bit-for-bit identical to the historical
-/// per-Δ sequential path — for every thread budget and toggle combination.
-/// Small graphs and the simplex backend keep the historical paths.
-pub fn evaluate_family_tuned(
-    g: &Graph,
-    grid: &[usize],
-    backend: SolverBackend,
-    threads: usize,
-    options: FamilyOptions,
-) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    evaluate_family_tuned_obs(g, grid, backend, threads, options, None)
-}
-
-/// [`evaluate_family_tuned`] with an optional [`PhaseProfiler`].
-///
-/// The CSR route records its usual `family/partition` / `family/anchor` /
-/// `family/lp` phases (see [`evaluate_family_csr_profiled`]); the small-graph
-/// and simplex routes — which have no internal phase structure — record the
-/// whole evaluation as one `family/direct` phase, so every profiled request
-/// carries at least one family phase regardless of which engine ran.
-/// Profiling never changes values.
-pub fn evaluate_family_tuned_obs(
-    g: &Graph,
-    grid: &[usize],
-    backend: SolverBackend,
-    threads: usize,
-    options: FamilyOptions,
-    profiler: Option<&PhaseProfiler>,
-) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    let work = g.num_vertices() + g.num_edges();
-    if backend == SolverBackend::Combinatorial && work >= PARALLEL_WORK_THRESHOLD {
-        let arena = CsrGraph::from_graph(g);
-        return evaluate_family_csr_profiled(&arena, grid, threads, options, profiler);
-    }
-    let _direct_timer = profiler.map(|p| p.phase("family/direct"));
-    if threads <= 1 || work < PARALLEL_WORK_THRESHOLD {
-        let mut out = Vec::with_capacity(grid.len());
-        let mut running_max = 0.0f64;
-        for &delta in grid {
-            let mut eval = LipschitzExtension::new(delta)
-                .with_backend(backend)
-                .evaluate_detailed(g)?;
-            running_max = running_max.max(eval.value);
-            eval.value = running_max;
-            out.push(eval);
-        }
-        return Ok(out);
-    }
-    // Simplex backend above the work threshold: fan out one task per Δ, then
-    // apply the running-max clamp in grid order — exactly the order the
-    // sequential loop uses. A single-point grid parallelizes across connected
-    // components instead.
-    let results = if grid.len() > 1 {
-        parallel_map(threads, grid.len(), |i| {
-            LipschitzExtension::new(grid[i])
-                .with_backend(backend)
-                .evaluate_detailed(g)
-        })
-    } else {
-        grid.iter()
-            .map(|&delta| {
-                LipschitzExtension::new(delta)
-                    .with_backend(backend)
-                    .evaluate_detailed_threaded(g, threads)
-            })
-            .collect()
-    };
-    let mut out = Vec::with_capacity(grid.len());
-    let mut running_max = 0.0f64;
-    for result in results {
-        let mut eval = result?;
-        running_max = running_max.max(eval.value);
-        eval.value = running_max;
-        out.push(eval);
-    }
-    Ok(out)
-}
-
-/// Evaluates the family directly on a CSR arena with default toggles — the
-/// entry point for graphs built by
-/// [`CsrGraph::from_edge_stream`](ccdp_graph::CsrGraph::from_edge_stream)
-/// that never materialize an adjacency-list [`Graph`].
-pub fn evaluate_family_csr(
-    arena: &CsrGraph,
-    grid: &[usize],
-    threads: usize,
-) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    evaluate_family_csr_with(arena, grid, threads, FamilyOptions::default())
-}
-
-/// [`evaluate_family_csr`] with explicit fast-path toggles.
-///
-/// Semantics mirror the adjacency-list path exactly, decision for decision:
+/// The arena is partitioned into component-contiguous slices **once** and
+/// every grid point reuses the partition. Per Δ, decision for decision like
+/// [`LipschitzExtension::evaluate_detailed`]:
 ///
 /// * the spanning-forest fast path fires iff `Δ ≥ max_degree` or the Lemma 1.8
 ///   construction finds a spanning Δ-forest (the CSR variant builds the
@@ -332,33 +145,32 @@ pub fn evaluate_family_csr(
 ///   forest of a tree component is the component itself), so the search is
 ///   skipped without being run;
 /// * otherwise the Δ-bounded forest polytope is maximized per component over
-///   the shared partition, merging values in component order.
+///   the shared partition by [`solve_partition`] (micro closed forms and
+///   isomorphism-class dedup on, components on up to `threads` workers),
+///   merging values in component order.
 ///
-/// The returned evaluations therefore carry the same values and
-/// [`EvaluationPath`] labels as [`evaluate_family_with`] on the same graph,
-/// bit for bit. LP evaluations carry solver statistics but empty
-/// `edge_weights` (the family never uses the maximizing point itself).
-pub fn evaluate_family_csr_with(
-    arena: &CsrGraph,
-    grid: &[usize],
-    threads: usize,
-    options: FamilyOptions,
-) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    evaluate_family_csr_profiled(arena, grid, threads, options, None)
-}
-
-/// [`evaluate_family_csr_with`] with an optional [`PhaseProfiler`] that
-/// aggregates where the evaluation spends its time, under stable phase names:
+/// Values are clamped to be monotone non-decreasing in Δ, which they are
+/// mathematically (Lemma 3.3) but may fail to be by a hair numerically when
+/// different Δ values take different evaluation paths. The result is
+/// bit-for-bit identical for every thread budget and to the per-Δ
+/// [`LipschitzExtension`] reference on the equivalent [`Graph`]. LP
+/// evaluations carry solver statistics but empty `edge_weights` (the family
+/// never uses the maximizing point itself).
+///
+/// With a [`PhaseProfiler`], time is attributed under stable phase names:
 /// `family/partition` (arena partitioning + tree precheck), `family/anchor`
-/// (fast-path checks including the Lemma 1.8 search), `family/lp` (polytope
-/// solving over the partition). Per-partition solve attribution counters
-/// (component totals, closed forms, dedup hits, general fallbacks) are
-/// recorded as profiler counts. Profiling never changes values.
-pub fn evaluate_family_csr_profiled(
+/// (fast-path checks including the Lemma 1.8 search) and `family/lp`
+/// (polytope solving over the partition), plus per-partition solve counts
+/// (component totals, closed forms, dedup hits, general fallbacks).
+/// Profiling never changes values.
+///
+/// Repeated evaluations of the same graph should go through
+/// [`ExtensionCache`](crate::cache::ExtensionCache), which wraps this
+/// function with a graph-keyed memo.
+pub fn evaluate_family(
     arena: &CsrGraph,
     grid: &[usize],
     threads: usize,
-    options: FamilyOptions,
     profiler: Option<&PhaseProfiler>,
 ) -> Result<Vec<ExtensionEvaluation>, CoreError> {
     let mut out = Vec::with_capacity(grid.len());
@@ -392,7 +204,12 @@ pub fn evaluate_family_csr_profiled(
         }
     }
     drop(partition_timer);
-    let solve_options = options.solve_options();
+    let solve_options = SolveOptions {
+        // The family only feeds values into the GEM selection; skipping
+        // weight assembly saves one `f64` per edge per grid point.
+        want_weights: false,
+        ..SolveOptions::default()
+    };
     let mut running_max = 0.0f64;
     for &delta in grid {
         assert!(delta >= 1, "delta must be at least 1");
@@ -442,7 +259,7 @@ mod tests {
     use ccdp_graph::generators;
     use ccdp_graph::subgraph::remove_vertex;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn approx(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-5
@@ -552,7 +369,7 @@ mod tests {
     fn family_evaluation_is_monotone() {
         let g = generators::caveman(3, 4);
         let grid = [1usize, 2, 4, 8];
-        let evals = evaluate_family(&g, &grid).unwrap();
+        let evals = evaluate_family(&CsrGraph::from_graph(&g), &grid, 1, None).unwrap();
         assert_eq!(evals.len(), 4);
         for w in evals.windows(2) {
             assert!(w[0].value <= w[1].value + 1e-9);
@@ -561,95 +378,61 @@ mod tests {
         assert!(approx(evals[3].value, g.spanning_forest_size() as f64));
     }
 
-    #[test]
-    fn threaded_family_matches_sequential_family_bit_for_bit() {
-        // 700 disjoint 5-cycles cross the parallel work threshold
-        // (n + m = 7000); Δ = 1 forces the LP path on every cycle.
-        let mut edges = Vec::new();
-        for c in 0..700usize {
-            let base = 5 * c;
-            for i in 0..5 {
-                edges.push((base + i, base + (i + 1) % 5));
-            }
-        }
-        let g = Graph::from_edges(3500, &edges);
-        let grid = [1usize, 2, 4, 8];
-        let seq = evaluate_family_with(&g, &grid, SolverBackend::default()).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let par =
-                evaluate_family_threaded(&g, &grid, SolverBackend::default(), threads).unwrap();
-            assert_eq!(seq.len(), par.len());
-            for (s, p) in seq.iter().zip(&par) {
-                assert_eq!(s.value.to_bits(), p.value.to_bits(), "threads={threads}");
-                assert_eq!(s.path, p.path);
-                assert_eq!(s.delta, p.delta);
-            }
-        }
-        // A single-point grid parallelizes across components instead; the
-        // value must still be identical.
-        let seq1 = evaluate_family_with(&g, &[1], SolverBackend::default()).unwrap();
-        let par1 = evaluate_family_threaded(&g, &[1], SolverBackend::default(), 4).unwrap();
-        assert_eq!(seq1[0].value.to_bits(), par1[0].value.to_bits());
+    /// The per-Δ reference: [`LipschitzExtension::evaluate_detailed`] on the
+    /// adjacency list plus the running-max clamp, in grid order.
+    fn reference_family(g: &Graph, grid: &[usize]) -> Vec<ExtensionEvaluation> {
+        let mut running_max = 0.0f64;
+        grid.iter()
+            .map(|&delta| {
+                let mut eval = LipschitzExtension::new(delta).evaluate_detailed(g).unwrap();
+                running_max = running_max.max(eval.value);
+                eval.value = running_max;
+                eval
+            })
+            .collect()
     }
 
     #[test]
-    fn csr_family_engine_matches_historical_loop_bit_for_bit() {
-        // Large enough to cross the work threshold, so evaluate_family_with
-        // routes through the CSR-partition engine; the reference is the
-        // historical per-Δ loop over evaluate_detailed. Barely-supercritical
-        // ER mixes trees, unicyclic components and a few multicyclic ones.
-        let mut rng = StdRng::seed_from_u64(9);
-        let g = generators::erdos_renyi(3000, 1.25 / 3000.0, &mut rng);
-        let grid = [1usize, 2, 4, 8, 16];
-        let mut want = Vec::new();
-        let mut running_max = 0.0f64;
-        for &delta in &grid {
-            let mut eval = LipschitzExtension::new(delta)
-                .evaluate_detailed(&g)
-                .unwrap();
-            running_max = running_max.max(eval.value);
-            eval.value = running_max;
-            want.push(eval);
-        }
-        let toggles = [
-            FamilyOptions::default(),
-            FamilyOptions {
-                micro: true,
-                dedup: false,
-            },
-            FamilyOptions {
-                micro: false,
-                dedup: true,
-            },
-            FamilyOptions {
-                micro: false,
-                dedup: false,
-            },
-        ];
-        for options in toggles {
-            for threads in [1usize, 4] {
-                let got =
-                    evaluate_family_tuned(&g, &grid, SolverBackend::default(), threads, options)
-                        .unwrap();
-                assert_eq!(want.len(), got.len());
-                for (w, g_eval) in want.iter().zip(&got) {
-                    assert_eq!(
-                        w.value.to_bits(),
-                        g_eval.value.to_bits(),
-                        "Δ={} threads={threads} options={options:?}",
-                        w.delta
-                    );
-                    assert_eq!(w.path, g_eval.path);
-                    assert_eq!(w.delta, g_eval.delta);
+    fn family_engine_matches_the_per_delta_reference_bit_for_bit() {
+        // The generator families of the micro-solver proptests at n 4..60
+        // (small graphs: trees, cycles, ER, BA, geometric), plus a
+        // barely-supercritical ER graph of 3000 vertices whose trees,
+        // unicyclic and multicyclic components exercise the parallel fan-out.
+        let mut graphs = Vec::new();
+        for n in (4usize..60).step_by(5) {
+            for seed in 0..2u64 {
+                let mut rng = StdRng::seed_from_u64(seed * 1000 + n as u64);
+                let mut tree = Graph::new(n);
+                for v in 1..n {
+                    tree.add_edge(rng.gen_range(0..v), v);
                 }
+                graphs.push(tree);
+                graphs.push(generators::cycle(n.max(3)));
+                graphs.push(generators::erdos_renyi(n, 1.4 / n as f64, &mut rng));
+                graphs.push(generators::barabasi_albert(n, 2, &mut rng));
+                graphs.push(generators::random_geometric(n, 0.18, &mut rng));
             }
         }
-        // The CSR-arena entry point (no adjacency-list graph at all) agrees too.
-        let arena = CsrGraph::from_graph(&g);
-        let got = evaluate_family_csr(&arena, &grid, 2).unwrap();
-        for (w, g_eval) in want.iter().zip(&got) {
-            assert_eq!(w.value.to_bits(), g_eval.value.to_bits());
-            assert_eq!(w.path, g_eval.path);
+        let mut rng = StdRng::seed_from_u64(9);
+        graphs.push(generators::erdos_renyi(3000, 1.25 / 3000.0, &mut rng));
+        let grid = [1usize, 2, 4, 8, 16];
+        for (i, g) in graphs.iter().enumerate() {
+            let want = reference_family(g, &grid);
+            let arena = CsrGraph::from_graph(g);
+            for threads in [1usize, 3] {
+                let got = evaluate_family(&arena, &grid, threads, None).unwrap();
+                assert_eq!(want.len(), got.len());
+                for (w, e) in want.iter().zip(&got) {
+                    assert_eq!(
+                        w.value.to_bits(),
+                        e.value.to_bits(),
+                        "graph {i} Δ={} threads={threads}",
+                        w.delta
+                    );
+                    assert_eq!(w.path, e.path, "graph {i} Δ={}", w.delta);
+                    assert_eq!(w.delta, e.delta);
+                }
+            }
         }
     }
 

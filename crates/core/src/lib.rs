@@ -56,7 +56,8 @@
 //!   a warm-started cutting-plane simplex backend, selected by
 //!   [`SolverBackend`].
 //! * [`extension`] — the Lipschitz extension family `{f_Δ}` (Lemma 3.3) with the
-//!   spanning-forest fast path.
+//!   spanning-forest fast path, evaluated over a partitioned CSR arena by
+//!   [`evaluate_family`].
 //! * [`cache`] — the graph-keyed [`ExtensionCache`] that makes repeated
 //!   `estimate()` calls on the same graph ~20× cheaper.
 //! * [`algorithm`] — Algorithm 1 (private spanning-forest size) and the derived
@@ -93,13 +94,8 @@ pub use downsens_extension::{
 };
 pub use error::{CcdpError, CoreError};
 pub use estimator::Estimator;
-pub use extension::{
-    evaluate_family, evaluate_family_csr, evaluate_family_csr_profiled, evaluate_family_csr_with,
-    evaluate_family_threaded, evaluate_family_tuned, evaluate_family_tuned_obs,
-    evaluate_family_with, EvaluationPath, ExtensionEvaluation, FamilyOptions, LipschitzExtension,
-};
+pub use extension::{evaluate_family, EvaluationPath, ExtensionEvaluation, LipschitzExtension};
 pub use polytope::{
-    forest_polytope_max, forest_polytope_max_threaded, forest_polytope_max_with, PolytopeSolution,
-    PolytopeSolver, SolverBackend,
+    forest_polytope_max, forest_polytope_max_with, PolytopeSolution, PolytopeSolver, SolverBackend,
 };
 pub use release::{Diagnostics, DiagnosticsAccess, Privacy, Release};

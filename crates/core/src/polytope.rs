@@ -45,22 +45,6 @@ pub fn forest_polytope_max_with(
     backend.solver().solve(g, delta).map_err(CoreError::from)
 }
 
-/// [`forest_polytope_max_with`] with a thread budget: connected components
-/// are solved concurrently on up to `threads` worker threads and merged in
-/// component order, so the solution is identical for every thread budget
-/// (`threads <= 1` takes the sequential path exactly).
-pub fn forest_polytope_max_threaded(
-    g: &Graph,
-    delta: f64,
-    backend: SolverBackend,
-    threads: usize,
-) -> Result<PolytopeSolution, CoreError> {
-    backend
-        .solver()
-        .solve_threaded(g, delta, threads)
-        .map_err(CoreError::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,62 +238,6 @@ mod tests {
                     "forest constraint violated for S = {set:?}: {inside}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn threaded_solve_matches_sequential_solve() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(17);
-        for _ in 0..4 {
-            let g = generators::erdos_renyi(24, 0.12, &mut rng);
-            for backend in BACKENDS {
-                for delta in [1.0, 2.0] {
-                    let seq = forest_polytope_max_with(&g, delta, backend).unwrap();
-                    for threads in [1, 2, 4, 8] {
-                        let par =
-                            forest_polytope_max_threaded(&g, delta, backend, threads).unwrap();
-                        assert_eq!(
-                            seq.value.to_bits(),
-                            par.value.to_bits(),
-                            "threads={threads} delta={delta} ({backend:?})"
-                        );
-                        assert_eq!(seq.edge_weights.len(), par.edge_weights.len());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_solve_matches_sequential_above_work_threshold() {
-        // 700 disjoint 5-cycles: n + m = 7000 crosses the parallel work
-        // threshold, so this actually exercises the per-component fan-out.
-        let mut edges = Vec::new();
-        for c in 0..700usize {
-            let base = 5 * c;
-            for i in 0..5 {
-                edges.push((base + i, base + (i + 1) % 5));
-            }
-        }
-        let big = Graph::from_edges(3500, &edges);
-        let seq = forest_polytope_max_with(&big, 1.0, SolverBackend::Combinatorial).unwrap();
-        for threads in [2, 4, 8] {
-            let par =
-                forest_polytope_max_threaded(&big, 1.0, SolverBackend::Combinatorial, threads)
-                    .unwrap();
-            assert_eq!(seq.value.to_bits(), par.value.to_bits());
-            assert_eq!(
-                seq.edge_weights
-                    .iter()
-                    .map(|w| w.to_bits())
-                    .collect::<Vec<_>>(),
-                par.edge_weights
-                    .iter()
-                    .map(|w| w.to_bits())
-                    .collect::<Vec<_>>(),
-            );
         }
     }
 

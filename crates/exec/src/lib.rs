@@ -486,28 +486,27 @@ impl PhaseProfiler {
         }
     }
 
-    /// Adds this profiler's totals into a metrics registry as the
-    /// `ccdp_exec_phase_*` series (one `phase` label per slot). Counters are
-    /// monotone, so call this once per short-lived profiler (e.g. per
-    /// request, after [`merge`](Self::merge)-ing worker profilers) — not
-    /// repeatedly on one long-lived aggregate.
+    /// Adds this profiler's timed slots into a metrics registry as the
+    /// `ccdp_exec_phase_seconds_total` / `ccdp_exec_phase_invocations_total`
+    /// series (one `phase` label per slot). Counts from
+    /// [`add_count`](Self::add_count) are **not** published: they are exact
+    /// statistics of the graph being solved (components, dedup classes), and
+    /// a scrape of a shared registry must not reveal them. They stay in
+    /// [`report`](Self::report). Counters are monotone, so call this once per
+    /// short-lived profiler (e.g. per request, after [`merge`](Self::merge)-ing
+    /// worker profilers) — not repeatedly on one long-lived aggregate.
     pub fn publish(&self, registry: &ccdp_obs::MetricsRegistry) {
-        for r in self.report() {
-            let labels = [("phase", r.name.as_str())];
-            if r.invocations > 0 {
+        self.visit(|name, seconds, invocations, _count| {
+            if invocations > 0 {
+                let labels = [("phase", name)];
                 registry
                     .float_counter_with("ccdp_exec_phase_seconds_total", &labels)
-                    .add(r.seconds);
+                    .add(seconds);
                 registry
                     .counter_with("ccdp_exec_phase_invocations_total", &labels)
-                    .add(r.invocations);
+                    .add(invocations);
             }
-            if r.count > 0 {
-                registry
-                    .counter_with("ccdp_exec_phase_count_total", &labels)
-                    .add(r.count);
-            }
-        }
+        });
     }
 
     /// Total seconds recorded for `name`, or 0.0 if the phase never ran.
@@ -708,13 +707,17 @@ mod tests {
         assert_eq!(sorted[0].count, 7);
         assert_eq!(sorted[0].invocations, 0);
 
-        // Publishing lands the totals in the registry under phase labels.
+        // Publishing lands the timed totals in the registry under phase
+        // labels; the counts stay in the report only.
         let registry = ccdp_obs::MetricsRegistry::new();
         total.publish(&registry);
         let snap = registry.snapshot();
         assert_eq!(snap.sum("ccdp_exec_phase_invocations_total"), 3.0);
         assert!((snap.sum("ccdp_exec_phase_seconds_total") - 3.5).abs() < 1e-9);
-        assert_eq!(snap.sum("ccdp_exec_phase_count_total"), 11.0);
+        assert!(snap
+            .series
+            .iter()
+            .all(|s| s.name != "ccdp_exec_phase_count_total"));
     }
 
     #[test]

@@ -230,7 +230,7 @@ impl CsrGraph {
     /// A 128-bit structural fingerprint (FNV-1a over the offset and target
     /// arrays), streamed with zero allocation. Used by cache keys: two equal
     /// graphs always fingerprint equally; collisions between distinct graphs
-    /// are guarded by a full [`CsrGraph::matches_graph`] witness check.
+    /// are guarded by a full arena-equality witness check.
     pub fn fingerprint(&self) -> u128 {
         let mut h = fingerprint_seed(self.num_vertices());
         for &o in &self.offsets {

@@ -204,17 +204,6 @@ impl PolytopeSolver for CombinatorialSolver {
     fn solve(&self, g: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError> {
         solve_per_component(g, delta, |local| self.solve_component(local, delta))
     }
-
-    fn solve_threaded(
-        &self,
-        g: &Graph,
-        delta: f64,
-        threads: usize,
-    ) -> Result<PolytopeSolution, PolytopeError> {
-        crate::solver::solve_per_component_parallel(g, delta, threads, |local| {
-            self.solve_component(local, delta)
-        })
-    }
 }
 
 /// Tries to certify that the optimum of a connected core piece is its rank

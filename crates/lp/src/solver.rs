@@ -25,10 +25,9 @@
 
 use crate::cutting_plane;
 use crate::problem::LpError;
-use ccdp_exec::{effective_parallelism, parallel_map};
 use ccdp_graph::components::components;
 use ccdp_graph::subgraph::induced_subgraph;
-use ccdp_graph::{CsrGraph, Graph};
+use ccdp_graph::Graph;
 
 /// Errors surfaced by the polytope solvers.
 #[derive(Clone, Debug, PartialEq)]
@@ -147,21 +146,6 @@ pub trait PolytopeSolver: std::fmt::Debug + Send + Sync {
     /// polytope is defined for any `Δ > 0` — although the paper's algorithm
     /// only uses integer values.
     fn solve(&self, g: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError>;
-
-    /// Like [`solve`](Self::solve), but may fan the independent per-component
-    /// subproblems out over up to `threads` workers. The contract is strict:
-    /// the returned solution must be **identical** to the sequential one for
-    /// every thread count (components are solved independently and merged in
-    /// component order). The default implementation is the sequential path.
-    fn solve_threaded(
-        &self,
-        g: &Graph,
-        delta: f64,
-        threads: usize,
-    ) -> Result<PolytopeSolution, PolytopeError> {
-        let _ = threads;
-        self.solve(g, delta)
-    }
 }
 
 /// Selects one of the built-in [`PolytopeSolver`] backends by name.
@@ -228,68 +212,6 @@ where
     Ok(total)
 }
 
-/// Parallel variant of [`solve_per_component`]: partitions the graph into a
-/// component-contiguous CSR arena once, solves the eligible components on a
-/// scoped work-stealing map, and absorbs results **in component order** — the
-/// exact order the sequential driver uses. Component-local subgraphs from the
-/// partition have the same local vertex numbering as `induced_subgraph` on the
-/// component's (ascending) vertex set, and `solve_component` is a pure
-/// function of the local graph, so the merged solution is bit-for-bit
-/// identical to the sequential one for every thread count.
-pub(crate) fn solve_per_component_parallel<F>(
-    g: &Graph,
-    delta: f64,
-    threads: usize,
-    solve_component: F,
-) -> Result<PolytopeSolution, PolytopeError>
-where
-    F: Fn(&Graph) -> Result<PolytopeSolution, PolytopeError> + Sync,
-{
-    // Adaptive gate: scoped workers cost more than the whole solve for the
-    // tiny graphs the serving tier handles at high QPS, and oversubscribing a
-    // small graph with a large budget inverts the speedup. The effective
-    // budget depends only on (threads, graph size), so gating and clamping
-    // never change output.
-    let threads = effective_parallelism(threads, g.num_vertices() + g.num_edges());
-    if threads < 2 {
-        return solve_per_component(g, delta, solve_component);
-    }
-    if delta <= 0.0 || !delta.is_finite() {
-        return Err(PolytopeError::InvalidDelta { delta });
-    }
-    let part = CsrGraph::from_graph(g).partition_components();
-    let eligible: Vec<usize> = (0..part.num_components())
-        .filter(|&c| {
-            let view = part.component(c);
-            view.num_vertices() >= 2 && view.num_edges() > 0
-        })
-        .collect();
-
-    let results = parallel_map(threads, eligible.len(), |i| {
-        let local = part.component(eligible[i]).to_graph();
-        let sol = solve_component(&local);
-        (local, sol)
-    });
-
-    let all_edges = g.edge_vec();
-    let edge_index: std::collections::HashMap<(usize, usize), usize> = all_edges
-        .iter()
-        .copied()
-        .enumerate()
-        .map(|(i, e)| (e, i))
-        .collect();
-    let mut total = PolytopeSolution::zero(all_edges.len());
-    for (i, (local, sol)) in results.into_iter().enumerate() {
-        let map: Vec<usize> = part
-            .component_vertices(eligible[i])
-            .iter()
-            .map(|&v| v as usize)
-            .collect();
-        total.absorb_component(&local, &map, sol?, &edge_index);
-    }
-    Ok(total)
-}
-
 /// The reference backend: cutting planes over the warm-started incremental
 /// simplex, one LP per connected component (no combinatorial reductions).
 ///
@@ -351,15 +273,6 @@ impl PolytopeSolver for SimplexSolver {
 
     fn solve(&self, g: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError> {
         solve_per_component(g, delta, |local| self.solve_local(local, delta))
-    }
-
-    fn solve_threaded(
-        &self,
-        g: &Graph,
-        delta: f64,
-        threads: usize,
-    ) -> Result<PolytopeSolution, PolytopeError> {
-        solve_per_component_parallel(g, delta, threads, |local| self.solve_local(local, delta))
     }
 }
 

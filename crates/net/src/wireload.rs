@@ -10,13 +10,14 @@
 //! budget_exhausted` is a terminal refusal (counted, never retried), and
 //! anything else is a failure. Latencies are measured client-side —
 //! connect-to-decoded-response, the number a real tenant would see — in the
-//! same lock-free [`LatencyHistogram`] the server uses, so p50/p99 carry
+//! same lock-free [`LogHistogram`] the server uses, so p50/p99 carry
 //! identical bucket semantics on both sides of the wire.
 
 use crate::client::NetClient;
 use crate::error::NetError;
+use ccdp_obs::LogHistogram;
 use ccdp_serve::json::JsonWriter;
-use ccdp_serve::{BudgetLedger, GraphId, GraphRegistry, LatencyHistogram, LoadSpec};
+use ccdp_serve::{BudgetLedger, GraphId, GraphRegistry, LoadSpec};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -76,7 +77,7 @@ impl WireLoadSpec {
     pub fn run(&self, addr: SocketAddr) -> WireLoadReport {
         let schedule = self.base.schedule(&self.base.graph_ids());
         let clients = self.base.clients.max(1);
-        let histogram = Arc::new(LatencyHistogram::new());
+        let histogram = Arc::new(LogHistogram::new());
         let started = Instant::now();
         let handles: Vec<_> = (0..clients)
             .map(|c| {

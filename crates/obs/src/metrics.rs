@@ -125,8 +125,7 @@ impl Gauge {
 }
 
 /// A fixed-size, lock-free histogram of durations with log-spaced buckets —
-/// the serving tier's `LatencyHistogram` bucketing, lifted here so every
-/// layer shares one scheme.
+/// the one bucketing scheme every layer shares.
 ///
 /// Bucket `i = octave · 8 + sub` covers
 /// `[2^octave · (1 + sub/8), 2^octave · (1 + (sub+1)/8))` microseconds;

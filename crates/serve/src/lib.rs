@@ -17,11 +17,11 @@
 //!   with typed [`ServeError::QueueFull`] backpressure and graceful
 //!   drain-on-shutdown. All workers share one
 //!   [`ExtensionCache`](ccdp_core::ExtensionCache), whose single-flight
-//!   table coalesces concurrent misses on the same (graph, grid, backend)
-//!   key into one family evaluation.
+//!   table coalesces concurrent misses on the same (graph, grid) key into
+//!   one family evaluation.
 //! * [`stats`] — [`ServeStats`] / [`StatsSnapshot`]: throughput, queue
 //!   depth, refusal counters, and p50/p99 latency from a lock-free
-//!   log-spaced-bucket [`LatencyHistogram`].
+//!   log-spaced-bucket [`ccdp_obs::LogHistogram`].
 //! * [`loadgen`] — the deterministic [`LoadSpec`] load generator and its
 //!   [`LoadReport`] (the CI smoke artifact).
 //! * [`json`] — the one hand-rolled JSON codec every tier emits and parses
@@ -73,4 +73,4 @@ pub use ledger::{BudgetLedger, TenantAccount, TenantAuditSnapshot, TenantId};
 pub use loadgen::{GraphSpec, LoadReport, LoadSpec, TenantSpec};
 pub use registry::{GraphId, GraphRegistry};
 pub use server::{PendingResponse, ServeConfig, ServeRequest, ServeResponse, Server};
-pub use stats::{LatencyHistogram, ServeStats, StatsSnapshot};
+pub use stats::{ServeStats, StatsSnapshot};

@@ -427,7 +427,7 @@ mod tests {
         assert!(report.is_complete(), "{report:?}");
         assert_eq!(report.completed, 40);
         assert_eq!(report.failed, 0);
-        // Two unique (graph, grid, backend) keys → at most two fresh
+        // Two unique (graph, grid) keys → at most two fresh
         // evaluations; everything else is a hit or a coalesced join.
         assert_eq!(report.cache.misses, 2, "{:?}", report.cache);
         assert!(report.cache_hit_rate() > 0.9);

@@ -26,7 +26,6 @@ use crate::error::ServeError;
 use crate::ledger::{BudgetLedger, TenantId};
 use crate::registry::{GraphId, GraphRegistry};
 use crate::stats::{RequestOutcome, ServeStats, StatsSnapshot};
-use ccdp_core::SolverBackend;
 use ccdp_core::{
     CacheStats, Estimator, EstimatorConfig, ExtensionCache, PrivateCcEstimator, Release,
 };
@@ -51,30 +50,24 @@ pub struct ServeConfig {
     workers: usize,
     queue_capacity: usize,
     cache_capacity: usize,
-    solver: SolverBackend,
     seed: u64,
     delta_max: Option<usize>,
     estimator_threads: Option<usize>,
-    estimator_micro: bool,
-    estimator_dedup: bool,
     tracing: bool,
     audit: bool,
 }
 
 impl ServeConfig {
     /// Defaults: 4 workers, queue capacity 256, default cache capacity,
-    /// default solver backend, seed 0.
+    /// seed 0.
     pub fn new() -> Self {
         ServeConfig {
             workers: 4,
             queue_capacity: 256,
             cache_capacity: ccdp_core::cache::DEFAULT_FAMILY_CACHE_CAPACITY,
-            solver: SolverBackend::default(),
             seed: 0,
             delta_max: None,
             estimator_threads: None,
-            estimator_micro: true,
-            estimator_dedup: true,
             tracing: false,
             audit: true,
         }
@@ -129,12 +122,6 @@ impl ServeConfig {
         self
     }
 
-    /// Forest-polytope solver backend used by every request.
-    pub fn with_solver(mut self, solver: SolverBackend) -> Self {
-        self.solver = solver;
-        self
-    }
-
     /// Base seed of the per-request RNG derivation.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -156,23 +143,6 @@ impl ServeConfig {
     /// scheduling knob.
     pub fn with_estimator_threads(mut self, threads: usize) -> Self {
         self.estimator_threads = Some(threads.max(1));
-        self
-    }
-
-    /// Enables or disables the micro-component closed-form solver forwarded
-    /// to [`EstimatorConfig::with_micro_solver`]. On by default; released
-    /// values are identical either way, so this exists for A/B timing and
-    /// fallback drills.
-    pub fn with_estimator_micro(mut self, micro: bool) -> Self {
-        self.estimator_micro = micro;
-        self
-    }
-
-    /// Enables or disables isomorphism-class solve dedup forwarded to
-    /// [`EstimatorConfig::with_solve_dedup`]. On by default; value-neutral
-    /// like the micro toggle.
-    pub fn with_estimator_dedup(mut self, dedup: bool) -> Self {
-        self.estimator_dedup = dedup;
         self
     }
 
@@ -810,7 +780,6 @@ fn handle_request(
     }
     spend?;
     let mut est_config = EstimatorConfig::new(job.request.epsilon)
-        .with_solver(config.solver)
         .with_shared_family_cache(Arc::clone(&shared.cache))
         .with_graph_tag(job.request.graph.as_str(), version)
         .with_profiler(profiler);
@@ -823,9 +792,6 @@ fn handle_request(
     if let Some(threads) = config.estimator_threads {
         est_config = est_config.with_threads(threads);
     }
-    est_config = est_config
-        .with_micro_solver(config.estimator_micro)
-        .with_solve_dedup(config.estimator_dedup);
     let estimator =
         PrivateCcEstimator::from_config(est_config).map_err(|e| ServeError::Estimator(e.into()))?;
     // Deterministic per-request stream: the same (seed, request id) pair
@@ -1124,10 +1090,10 @@ mod tests {
                 "missing {expected}: {names:?}"
             );
         }
-        // Solver phases from the per-request profiler ride along: the small
-        // graph takes the direct family route plus the two release phases.
+        // Solver phases from the per-request profiler ride along: the
+        // family partition plus the two release phases.
         for expected in [
-            "phase/family/direct",
+            "phase/family/partition",
             "phase/release/true-value",
             "phase/release/mechanisms",
         ] {
@@ -1212,6 +1178,31 @@ mod tests {
         assert!(
             snap.sum("ccdp_exec_phase_invocations_total") > 0.0,
             "exec phase island missing from the scrape"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn metrics_carry_no_exact_solve_counts_of_a_tenant_graph() {
+        // Solve counts (components, dedup classes, closed forms) are exact
+        // statistics of the graph; one request on an idle server would
+        // reveal them as counter deltas on `/metrics`. Only timed phases
+        // may be published.
+        let (registry, ledger) = fleet();
+        let server = Server::start(ServeConfig::new().with_workers(1), registry, ledger);
+        let ok = server
+            .submit(ServeRequest::new("acme", "path", 0.5))
+            .unwrap()
+            .wait();
+        assert!(ok.result.is_ok());
+        let snap = server.metrics().snapshot();
+        assert!(snap.sum("ccdp_exec_phase_invocations_total") > 0.0);
+        assert!(
+            !snap
+                .series
+                .iter()
+                .any(|s| s.name == "ccdp_exec_phase_count_total"),
+            "exact solve counts leaked into the registry"
         );
         server.shutdown();
     }

@@ -36,40 +36,6 @@ use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A fixed-size, lock-free histogram of microsecond latencies with
-/// log-spaced buckets — a thin serving-tier wrapper over the shared
-/// [`ccdp_obs::LogHistogram`] bucketing (40 octaves × 8 sub-buckets;
-/// quantiles report bucket upper edges, conservative and within 12.5% above
-/// ~8 µs).
-#[derive(Debug, Default)]
-pub struct LatencyHistogram {
-    inner: LogHistogram,
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one latency. Lock-free: one relaxed atomic increment (plus
-    /// the running sum).
-    pub fn record(&self, latency: Duration) {
-        self.inner.record(latency);
-    }
-
-    /// The `q`-quantile (`q` in `[0, 1]`) of everything recorded so far.
-    /// `Duration::ZERO` when nothing was recorded.
-    pub fn quantile(&self, q: f64) -> Duration {
-        self.inner.quantile(q)
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.inner.count()
-    }
-}
-
 /// Live counters of a running server, backed by [`ccdp_obs`] instruments.
 #[derive(Debug)]
 pub struct ServeStats {
@@ -300,7 +266,7 @@ mod tests {
 
     #[test]
     fn percentiles_come_from_log_spaced_buckets() {
-        let hist = LatencyHistogram::new();
+        let hist = LogHistogram::new();
         for us in 1..=100u64 {
             hist.record(Duration::from_micros(us));
         }
@@ -308,7 +274,7 @@ mod tests {
         assert_within_bucket(hist.quantile(0.99), Duration::from_micros(99));
         assert_within_bucket(hist.quantile(1.0), Duration::from_micros(100));
         assert_eq!(hist.count(), 100);
-        assert_eq!(LatencyHistogram::default().quantile(0.5), Duration::ZERO);
+        assert_eq!(LogHistogram::default().quantile(0.5), Duration::ZERO);
     }
 
     #[test]

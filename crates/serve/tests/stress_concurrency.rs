@@ -1,14 +1,14 @@
 //! Concurrent-correctness stress tests for the serving tier.
 //!
 //! (a) Single-flight coalescing: 16 racing clients asking for the same
-//!     (graph, grid, backend) key must trigger exactly one family
+//!     (graph, grid) key must trigger exactly one family
 //!     evaluation — the rest are cache hits or in-flight joins.
 //! (b) Budget-ledger safety: under arbitrary interleavings of concurrent
 //!     spends, no tenant's granted ε ever exceeds its quota, and the ledger's
 //!     accounting equals the sum of the grants the clients observed.
 
-use ccdp_core::{ExtensionCache, SolverBackend};
-use ccdp_graph::generators;
+use ccdp_core::ExtensionCache;
+use ccdp_graph::{generators, CsrGraph};
 use ccdp_serve::{
     BudgetLedger, GraphRegistry, ServeConfig, ServeError, ServeRequest, Server, TenantId,
 };
@@ -19,7 +19,7 @@ use std::sync::{Arc, Barrier};
 #[test]
 fn sixteen_racing_clients_coalesce_to_one_family_evaluation() {
     let cache = Arc::new(ExtensionCache::new(8));
-    let g = generators::caveman(5, 5);
+    let g = CsrGraph::from_graph(&generators::caveman(5, 5));
     let grid = [1usize, 2, 4, 8, 16];
     let clients = 16;
     let barrier = Arc::new(Barrier::new(clients));
@@ -31,7 +31,7 @@ fn sixteen_racing_clients_coalesce_to_one_family_evaluation() {
             std::thread::spawn(move || {
                 barrier.wait();
                 cache
-                    .evaluate_family(&g, &grid, SolverBackend::Combinatorial)
+                    .evaluate_family(&g, &grid, None, 1, None, None)
                     .unwrap()
             })
         })

@@ -39,7 +39,7 @@
 
 use crate::error::StreamError;
 use crate::stream::{GraphSnapshot, GraphStream};
-use ccdp_core::{Estimator, EstimatorConfig, ExtensionCache, PrivateCcEstimator, SolverBackend};
+use ccdp_core::{Estimator, EstimatorConfig, ExtensionCache, PrivateCcEstimator};
 use ccdp_graph::GraphVersion;
 use ccdp_obs::{AuditEvent, AuditJournal, AuditKind, Counter, MetricsRegistry};
 use ccdp_serve::{
@@ -78,8 +78,6 @@ pub struct SchedulerConfig {
     pub policy: ReleasePolicy,
     /// ε charged to the owning tenant per fired release.
     pub epsilon_per_release: f64,
-    /// Forest-polytope solver backend for the estimates.
-    pub solver: SolverBackend,
     /// Base seed of the per-release RNG derivation.
     pub seed: u64,
     /// Δmax override forwarded to the estimator, if any.
@@ -96,13 +94,11 @@ pub struct SchedulerConfig {
 }
 
 impl SchedulerConfig {
-    /// A config with the given policy, ε = 0.5 per release, default solver,
-    /// seed 0 and a 4-version registry retention.
+    /// A config with the given policy, ε = 0.5 per release, seed 0 and a 4-version registry retention.
     pub fn new(policy: ReleasePolicy) -> Self {
         SchedulerConfig {
             policy,
             epsilon_per_release: 0.5,
-            solver: SolverBackend::default(),
             seed: 0,
             delta_max: None,
             retain_versions: 4,
@@ -112,12 +108,6 @@ impl SchedulerConfig {
     /// Sets the ε charged per release.
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
         self.epsilon_per_release = epsilon;
-        self
-    }
-
-    /// Sets the solver backend.
-    pub fn with_solver(mut self, solver: SolverBackend) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -439,7 +429,6 @@ impl ReleaseScheduler {
         // what we release is provably what `(id, version)` names.
         let graph = self.registry.resolve_version(&id, version)?;
         let mut est_config = EstimatorConfig::new(self.config.epsilon_per_release)
-            .with_solver(self.config.solver)
             .with_shared_family_cache(Arc::clone(&self.cache))
             .with_graph_tag(id.as_str(), version);
         if let Some(delta_max) = self.config.delta_max {

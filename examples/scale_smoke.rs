@@ -9,8 +9,6 @@
 //!   adjacency-list `Graph` is ever materialized and n = 10^7 fits,
 //! * the sequential and 8-thread releases are **bit-for-bit identical** on
 //!   the same seed (`with_threads` is a pure scheduling knob),
-//! * the micro-solver and solve-dedup fast paths are **value-neutral**:
-//!   every toggle combination releases the same bits,
 //! * at moderate n the CSR release matches the adjacency-list `Graph`
 //!   release bit-for-bit (same RNG stream, same mechanisms),
 //! * the released value is in the right ballpark of the true component
@@ -19,20 +17,20 @@
 //! With `--json PATH`, writes the measurements (including the per-phase
 //! wall-clock breakdown from [`PhaseProfiler`], published through the
 //! unified [`MetricsRegistry`](ccdp::MetricsRegistry) as the same
-//! `ccdp_exec_phase_*` series the serving tier scrapes, and the micro/dedup
-//! ablation timings) archived as `BENCH_scale.json`. With `--baseline PATH`, loads a
-//! committed phase baseline and fails if any phase regressed more than 3×
+//! `ccdp_exec_phase_*` series the serving tier scrapes, plus the solve counts
+//! from the profiler report) archived as `BENCH_scale.json`. With
+//! `--baseline PATH`, loads a committed phase baseline and fails if any phase regressed more than 3×
 //! against it — the CI regression gate.
 //!
 //! ```text
 //! cargo run --release --example scale_smoke
 //! cargo run --release --example scale_smoke -- --n 1000000 --json BENCH_scale.json
 //! cargo run --release --example scale_smoke -- --n 1000000 --baseline BENCH_scale_baseline.json
-//! cargo run --release --example scale_smoke -- --n 10000000 --no-ablate
+//! cargo run --release --example scale_smoke -- --n 10000000
 //! ```
 
 use ccdp::prelude::*;
-use ccdp::{CsrGraph, PhaseProfiler};
+use ccdp::{CsrGraph, PhaseProfiler, PhaseReport};
 use std::time::Instant;
 
 const SEED_GRAPH: u64 = 20_230_605;
@@ -49,22 +47,17 @@ const PHASE_REGRESSION_FACTOR: f64 = 3.0;
 /// Phases faster than this in the baseline are too noisy to gate on.
 const PHASE_GATE_FLOOR_S: f64 = 0.05;
 
-fn config(threads: usize, micro: bool, dedup: bool) -> EstimatorConfig {
+/// Each release runs on a fresh estimator, so the family cache could never
+/// hit; it is disabled so a miss does not clone the arena as its witness.
+fn config(threads: usize) -> EstimatorConfig {
     EstimatorConfig::new(1.0)
         .with_threads(threads)
         .with_delta_max(64)
-        .with_micro_solver(micro)
-        .with_solve_dedup(dedup)
+        .with_family_caching(false)
 }
 
-fn release_csr(
-    arena: &CsrGraph,
-    threads: usize,
-    micro: bool,
-    dedup: bool,
-    profiler: Option<&PhaseProfiler>,
-) -> (f64, f64) {
-    let est = PrivateCcEstimator::from_config(config(threads, micro, dedup)).expect("valid config");
+fn release_csr(arena: &CsrGraph, threads: usize, profiler: Option<&PhaseProfiler>) -> (f64, f64) {
+    let est = PrivateCcEstimator::from_config(config(threads)).expect("valid config");
     let mut rng = StdRng::seed_from_u64(SEED_NOISE);
     let start = Instant::now();
     let release = match profiler {
@@ -98,9 +91,10 @@ fn baseline_phases(raw: &str) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Renders a registry snapshot's `ccdp_exec_phase_*` series: timed phases
-/// sorted by wall-clock spent, bare counts after.
-fn print_phase_table(snapshot: &MetricsSnapshot) {
+/// Renders a registry snapshot's `ccdp_exec_phase_*` series (timed phases
+/// sorted by wall-clock spent), then the count-only profiler slots, which the
+/// registry never receives.
+fn print_phase_table(snapshot: &MetricsSnapshot, phases: &[PhaseReport]) {
     use ccdp::obs::{SeriesSnapshot, SeriesValue};
     let phase_label = |s: &SeriesSnapshot| -> Option<String> {
         s.labels
@@ -134,16 +128,8 @@ fn print_phase_table(snapshot: &MetricsSnapshot) {
     for (phase, seconds, calls) in &timed {
         println!("  phase {phase:<24} {seconds:>9.3}s ({calls} calls)");
     }
-    for s in &snapshot.series {
-        if s.name != "ccdp_exec_phase_count_total" {
-            continue;
-        }
-        let SeriesValue::Counter(count) = s.value else {
-            continue;
-        };
-        if let Some(phase) = phase_label(s) {
-            println!("  count {phase:<24} {count:>12}");
-        }
+    for p in phases.iter().filter(|p| p.invocations == 0) {
+        println!("  count {:<24} {:>12}", p.name, p.count);
     }
 }
 
@@ -151,7 +137,6 @@ fn main() {
     let mut n: usize = 100_000;
     let mut json_path: Option<String> = None;
     let mut baseline_path: Option<String> = None;
-    let mut ablate = true;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -168,10 +153,7 @@ fn main() {
                 i += 1;
                 baseline_path = Some(args[i].clone());
             }
-            "--no-ablate" => ablate = false,
-            other => panic!(
-                "unknown flag `{other}` (use --n N, --json PATH, --baseline PATH, --no-ablate)"
-            ),
+            other => panic!("unknown flag `{other}` (use --n N, --json PATH, --baseline PATH)"),
         }
         i += 1;
     }
@@ -191,12 +173,11 @@ fn main() {
     let truth = arena.num_components();
     println!("graph: n={n} m={m} components={truth} (streamed into CSR in {build_s:.2}s)");
 
-    // Primary configuration (micro + dedup on), with the per-phase breakdown
-    // attributed on the sequential run.
+    // The per-phase breakdown is attributed on the sequential run.
     let profiler = PhaseProfiler::new();
-    let (v1, t1) = release_csr(&arena, 1, true, true, Some(&profiler));
+    let (v1, t1) = release_csr(&arena, 1, Some(&profiler));
     println!("threads=1: value={v1:.3} in {t1:.2}s");
-    let (v8, t8) = release_csr(&arena, 8, true, true, None);
+    let (v8, t8) = release_csr(&arena, 8, None);
     println!("threads=8: value={v8:.3} in {t8:.2}s");
     assert_eq!(
         v1.to_bits(),
@@ -209,32 +190,14 @@ fn main() {
     let phases = profiler.report();
     let registry = MetricsRegistry::new();
     profiler.publish(&registry);
-    print_phase_table(&registry.snapshot());
-
-    // Value-neutrality of the fast paths: every toggle combination must
-    // release the same bits. (micro=off, dedup=off) is the pre-optimization
-    // solver; at large n it is exactly the slow path this example exists to
-    // retire, so ablations are opt-out via --no-ablate.
-    let mut ablations: Vec<(bool, bool, f64)> = Vec::new();
-    if ablate {
-        for (micro, dedup) in [(false, true), (true, false), (false, false)] {
-            let (v, t) = release_csr(&arena, 1, micro, dedup, None);
-            assert_eq!(
-                v1.to_bits(),
-                v.to_bits(),
-                "micro={micro} dedup={dedup} must release identical bits"
-            );
-            println!("ablation micro={micro} dedup={dedup}: {t:.2}s (bit-identical)");
-            ablations.push((micro, dedup, t));
-        }
-    }
+    print_phase_table(&registry.snapshot(), &phases);
 
     // At moderate n, pin the CSR entry point against the historical
     // adjacency-list path: same RNG stream, same released bits.
     if n <= GRAPH_CROSSCHECK_MAX_N {
         let g = generators::erdos_renyi(n, p, &mut StdRng::seed_from_u64(SEED_GRAPH));
         assert!(arena.matches_graph(&g), "stream and Graph builds diverged");
-        let est = PrivateCcEstimator::from_config(config(1, true, true)).expect("valid config");
+        let est = PrivateCcEstimator::from_config(config(1)).expect("valid config");
         let gv = est
             .estimate(&g, &mut StdRng::seed_from_u64(SEED_NOISE))
             .expect("estimate completes")
@@ -288,20 +251,13 @@ fn main() {
             .filter(|p| p.invocations == 0)
             .map(|p| format!("\"{}\":{}", p.name, p.count))
             .collect();
-        let ablation_json: Vec<String> = ablations
-            .iter()
-            .map(|(micro, dedup, t)| {
-                format!("{{\"micro\":{micro},\"dedup\":{dedup},\"t_s\":{t:.3},\"identical\":true}}")
-            })
-            .collect();
         let json = format!(
             "{{\"n\":{n},\"m\":{m},\"components\":{truth},\"build_s\":{build_s:.3},\
 \"t1_s\":{t1:.3},\"t8_s\":{t8:.3},\"speedup\":{speedup:.3},\
 \"value_t1\":{v1:.6},\"value_t8\":{v8:.6},\"identical\":true,\
-\"phases\":{{{}}},\"counts\":{{{}}},\"ablations\":[{}]}}",
+\"phases\":{{{}}},\"counts\":{{{}}}}}",
             phase_json.join(","),
-            count_json.join(","),
-            ablation_json.join(",")
+            count_json.join(",")
         );
         std::fs::write(&path, format!("{json}\n")).expect("write json");
         println!("wrote {path}");

@@ -71,8 +71,7 @@ const USAGE: &str =
             and the fired-alert history (exit 2 when any triple breaches)\n\
   bench     drive the wire load workload ([out=] writes the report JSON;\n\
             [n=] swaps in one ER graph of that size, [threads=] pins the\n\
-            per-request estimator thread budget, [micro=on|off] and\n\
-            [dedup=on|off] toggle the fast solve paths)\n\
+            per-request estimator thread budget)\n\
   common    addr=127.0.0.1:8787";
 
 /// How a successful command ended (drives the exit code).
@@ -119,8 +118,7 @@ fn run(args: &[String]) -> Result<Outcome, CliError> {
         "bench" => cmd_bench(Args::parse(
             rest,
             &[
-                "addr", "clients", "requests", "epsilon", "seed", "out", "n", "threads", "micro",
-                "dedup",
+                "addr", "clients", "requests", "epsilon", "seed", "out", "n", "threads",
             ],
         )?),
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
@@ -581,14 +579,6 @@ fn cmd_bench(args: Args) -> Result<Outcome, CliError> {
     if args.opt("threads").is_some() {
         let threads = args.u64_or("threads", 1)? as usize;
         spec.base.server = spec.base.server.clone().with_estimator_threads(threads);
-    }
-    // `micro=` / `dedup=` toggle the value-neutral fast solve paths for A/B
-    // timing; both default to on.
-    if let Some(micro) = args.toggle_opt("micro")? {
-        spec.base.server = spec.base.server.clone().with_estimator_micro(micro);
-    }
-    if let Some(dedup) = args.toggle_opt("dedup")? {
-        spec.base.server = spec.base.server.clone().with_estimator_dedup(dedup);
     }
 
     let report = match args.opt("addr") {

@@ -61,9 +61,9 @@ pub use ccdp_stream as stream;
 pub use ccdp_core::{
     measure_errors, CacheStats, CcdpError, ConfigError, CoreError, Diagnostics, DiagnosticsAccess,
     EdgeDpBaseline, ErrorStats, Estimator, EstimatorConfig, EvaluationPath, ExtensionCache,
-    ExtensionEvaluation, FamilyOptions, FixedDeltaBaseline, LipschitzExtension,
-    NaiveNodeDpBaseline, NonPrivateBaseline, Privacy, PrivateCcEstimator,
-    PrivateSpanningForestEstimator, Release, SolverBackend,
+    ExtensionEvaluation, FixedDeltaBaseline, LipschitzExtension, NaiveNodeDpBaseline,
+    NonPrivateBaseline, Privacy, PrivateCcEstimator, PrivateSpanningForestEstimator, Release,
+    SolverBackend,
 };
 pub use ccdp_dp::{BudgetExceeded, PrivacyBudget};
 pub use ccdp_exec::{PhaseProfiler, PhaseReport};
@@ -83,13 +83,11 @@ pub mod prelude {
         smallest_anchor_delta,
     };
     pub use ccdp_core::{
-        evaluate_family, evaluate_family_csr, evaluate_family_csr_with, evaluate_family_tuned,
-        evaluate_family_with, forest_polytope_max, forest_polytope_max_with, measure_errors,
-        CacheStats, CcdpError, ConfigError, CoreError, Diagnostics, DiagnosticsAccess,
-        EdgeDpBaseline, ErrorStats, Estimator, EstimatorConfig, EvaluationPath, ExtensionCache,
-        FamilyOptions, FixedDeltaBaseline, LipschitzExtension, NaiveNodeDpBaseline,
-        NonPrivateBaseline, Privacy, PrivateCcEstimator, PrivateSpanningForestEstimator, Release,
-        SolverBackend,
+        evaluate_family, forest_polytope_max, forest_polytope_max_with, measure_errors, CacheStats,
+        CcdpError, ConfigError, CoreError, Diagnostics, DiagnosticsAccess, EdgeDpBaseline,
+        ErrorStats, Estimator, EstimatorConfig, EvaluationPath, ExtensionCache, FixedDeltaBaseline,
+        LipschitzExtension, NaiveNodeDpBaseline, NonPrivateBaseline, Privacy, PrivateCcEstimator,
+        PrivateSpanningForestEstimator, Release, SolverBackend,
     };
     pub use ccdp_dp::{BudgetExceeded, PrivacyBudget};
     pub use ccdp_exec::{PhaseProfiler, PhaseReport};

@@ -1,6 +1,7 @@
 //! Integration tests for the solver layer and the family cache through the
-//! public facade: backend selection via `EstimatorConfig`, cache-correctness
-//! (cached and uncached `estimate()` agree exactly) and cache observability.
+//! public facade: backend selection via `LipschitzExtension::with_backend`,
+//! cache-correctness (cached and uncached `estimate()` agree exactly) and
+//! cache observability.
 
 use ccdp::prelude::*;
 use std::sync::Arc;
@@ -55,25 +56,33 @@ fn shared_cache_serves_a_fleet() {
 }
 
 #[test]
-fn backends_are_selectable_and_agree_through_the_estimator() {
-    // Same seed + same (deterministic) family values ⇒ identical releases,
-    // whichever exact backend computed the family.
+fn backends_agree_through_the_lipschitz_extension() {
+    // Both exact backends give the same f_Δ behind the extension, and the
+    // family engine the estimators run agrees with them: same family values
+    // ⇒ identical releases, whichever exact backend computed them.
     let mut rng_gen = StdRng::seed_from_u64(9);
     let g = generators::erdos_renyi(80, 3.0 / 80.0, &mut rng_gen);
-    let run = |backend: SolverBackend| {
-        let est = PrivateSpanningForestEstimator::from_config(
-            EstimatorConfig::new(1.0).with_solver(backend),
-        )
-        .unwrap();
-        let mut rng = StdRng::seed_from_u64(77);
-        est.estimate(&g, &mut rng).unwrap().value()
-    };
-    let comb = run(SolverBackend::Combinatorial);
-    let simp = run(SolverBackend::Simplex);
-    assert!(
-        (comb - simp).abs() < 1e-6,
-        "backends disagreed through the estimator: {comb} vs {simp}"
-    );
+    let grid = [1usize, 2, 4, 8];
+    let family = evaluate_family(&CsrGraph::from_graph(&g), &grid, 1, None).unwrap();
+    for (&delta, eval) in grid.iter().zip(&family) {
+        let run = |backend: SolverBackend| {
+            LipschitzExtension::new(delta)
+                .with_backend(backend)
+                .evaluate(&g)
+                .unwrap()
+        };
+        let comb = run(SolverBackend::Combinatorial);
+        let simp = run(SolverBackend::Simplex);
+        assert!(
+            (comb - simp).abs() < 1e-6,
+            "backends disagreed at Δ={delta}: {comb} vs {simp}"
+        );
+        assert!(
+            (eval.value - simp).abs() < 1e-6,
+            "family engine disagreed at Δ={delta}: {} vs {simp}",
+            eval.value
+        );
+    }
 }
 
 #[test]

@@ -5,7 +5,9 @@ use ccdp_flow::{max_weight_closure, ClosureInstance, FlowNetwork};
 use ccdp_graph::{
     bounded_degree_spanning_forest, bounded_degree_spanning_forest_csr, generators, CsrGraph, Graph,
 };
-use ccdp_lp::{solve_partition, LinearProgram, SolveOptions, SolverBackend};
+use ccdp_lp::{
+    solve_partition, violated_forest_constraints, LinearProgram, SolveOptions, SolverBackend,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,6 +71,41 @@ fn bench_closure(c: &mut Criterion) {
     }
     group.bench_function("separation_like_200v_600e", |b| {
         b.iter(|| max_weight_closure(&inst).weight)
+    });
+
+    // The separation oracle on a core-sized piece (a random spanning tree
+    // plus a few dozen chords, like the Δ = 4 core of the n = 10^6 release).
+    // At the tree's indicator vector the support is a forest, so the
+    // union-find certificate answers; one chord at 0.5 closes a support
+    // cycle and sends the same graph through the per-root min-cuts.
+    let (num_vertices, num_chords) = (1_300usize, 40usize);
+    let mut core = Graph::new(num_vertices);
+    for v in 1..num_vertices {
+        core.add_edge(rng.gen_range(0..v), v);
+    }
+    let tree = core.clone();
+    while core.num_edges() < num_vertices - 1 + num_chords {
+        core.add_edge(
+            rng.gen_range(0..num_vertices),
+            rng.gen_range(0..num_vertices),
+        );
+    }
+    let edges = core.edge_vec();
+    let forest_point: Vec<f64> = edges
+        .iter()
+        .map(|&(a, b)| if tree.has_edge(a, b) { 1.0 } else { 0.0 })
+        .collect();
+    let mut cycle_point = forest_point.clone();
+    let chord = forest_point
+        .iter()
+        .position(|&w| w == 0.0)
+        .expect("a chord");
+    cycle_point[chord] = 0.5;
+    group.bench_function("violated_forest_constraints_1300v_forest_support", |b| {
+        b.iter(|| violated_forest_constraints(&core, &edges, &forest_point).len())
+    });
+    group.bench_function("violated_forest_constraints_1300v_one_support_cycle", |b| {
+        b.iter(|| violated_forest_constraints(&core, &edges, &cycle_point).len())
     });
     group.finish();
 }

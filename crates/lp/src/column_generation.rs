@@ -54,11 +54,13 @@ const CUTS_PER_ROUND: usize = 64;
 
 /// Pieces with more than this many vertices + edges run column generation
 /// alone: the cutting-plane engine's dense tableau (one variable per edge)
-/// and per-root separation oracle are quadratic in the piece, which is what
-/// capped the release pipeline at n = 10⁶. Column generation terminates
-/// exactly on its own via the pricing certificate; the pieces this large in
-/// practice (peeled 2-cores of supercritical ER giants) have few binding
-/// capacities, which keeps its master tiny.
+/// is quadratic in the piece, and so is its per-root separation oracle on
+/// supports with cycles (a forest-supported point is certified in one
+/// union-find pass), which is what capped the release pipeline at n = 10⁶.
+/// Column generation terminates exactly on its own via the pricing
+/// certificate; the pieces this large in practice (peeled 2-cores of
+/// supercritical ER giants) have few binding capacities, which keeps its
+/// master tiny.
 const CUT_ENGINE_MAX_WORK: usize = 4096;
 
 /// Stepwise column generation over forests for one connected component with

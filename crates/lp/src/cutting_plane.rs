@@ -10,7 +10,7 @@
 //! with one min-cut per root (Padberg–Wolsey's observation that this family
 //! of constraints admits a polynomial separation oracle).
 //!
-//! Three engine properties matter to its users:
+//! Four engine properties matter to its users:
 //!
 //! * **Warm starts.** One [`IncrementalSimplex`] lives for the whole
 //!   cutting-plane loop; each generated cut is reduced against the current
@@ -26,10 +26,17 @@
 //!   bound — cutting planes alone can stall on the massively symmetric
 //!   rank-bound face of supercritical Erdős–Rényi cores, where the bound
 //!   pairing terminates immediately.
+//! * **Linear-time feasibility certificate.** A point whose support is a
+//!   forest (and whose entries exceed 1 by at most the tolerance in total)
+//!   satisfies every forest constraint; one union-find pass over the edges
+//!   proves it and skips the per-root min-cuts, which return nothing on such
+//!   a point. Integral optima of peeled cores are usually of this kind, so
+//!   the oracle's cost is paid only on supports with cycles.
 
 use crate::simplex::IncrementalSimplex;
 use crate::solver::{PolytopeError, PolytopeSolution};
 use ccdp_flow::{max_weight_closure, ClosureInstance};
+use ccdp_graph::unionfind::UnionFind;
 use ccdp_graph::Graph;
 
 /// Tolerance for constraint violation in the separation oracle.
@@ -249,15 +256,49 @@ pub(crate) fn solve_component_with_caps(
 /// (each sorted ascending) whose constraint `x(E[S]) ≤ |S| − 1` is violated
 /// by `x`, most violated first, or an empty vector if `x` satisfies them all.
 ///
-/// For each root `r` it solves a maximum-weight-closure instance whose
-/// optimum is `max_{S ∋ r} [x(E[S]) − |S| + 1]`; a positive optimum certifies
-/// a violation and the optimal closure yields the violating set. `edges` must
-/// be `g.edge_vec()` and `x` the edge weights in the same order.
+/// A point whose support is acyclic and whose entries exceed 1 by at most
+/// the tolerance in total is accepted by [`forest_supported`] in one
+/// union-find pass; any other point goes to [`violated_by_closure`], one
+/// min-cut per root. `edges` must be `g.edge_vec()` and `x` the edge weights
+/// in the same order.
 pub fn violated_forest_constraints(
     g: &Graph,
     edges: &[(usize, usize)],
     x: &[f64],
 ) -> Vec<Vec<usize>> {
+    debug_assert_eq!(x.len(), edges.len());
+    if forest_supported(g.num_vertices(), edges, x) {
+        return Vec::new();
+    }
+    violated_by_closure(g, edges, x)
+}
+
+/// Certificate that `x` violates no forest constraint: the support (edges
+/// with `x_e` above the tolerance, as in [`violated_by_closure`]) has no
+/// cycle and `excess = Σ max(0, x_e − 1)` over it is within the tolerance.
+/// The support edges inside any `S` then form a forest, so
+/// `x(E[S]) ≤ |S| − 1 + excess` and no root's closure can exceed the
+/// tolerance — the oracle would return nothing.
+fn forest_supported(n: usize, edges: &[(usize, usize)], x: &[f64]) -> bool {
+    let mut uf = UnionFind::new(n);
+    let mut excess = 0.0;
+    for (&(a, b), &w) in edges.iter().zip(x) {
+        if w <= VIOLATION_TOL {
+            continue;
+        }
+        if !uf.union(a, b) {
+            return false;
+        }
+        excess += (w - 1.0).max(0.0);
+    }
+    excess <= VIOLATION_TOL
+}
+
+/// The Padberg–Wolsey oracle: for each root `r` it solves a
+/// maximum-weight-closure instance whose optimum is
+/// `max_{S ∋ r} [x(E[S]) − |S| + 1]`; a positive optimum certifies a
+/// violation and the optimal closure yields the violating set.
+fn violated_by_closure(g: &Graph, edges: &[(usize, usize)], x: &[f64]) -> Vec<Vec<usize>> {
     let n = g.num_vertices();
     let mut best_per_root: Vec<(f64, Vec<usize>)> = Vec::new();
 
@@ -427,6 +468,9 @@ fn support_cycle_cuts(g: &Graph, edges: &[(usize, usize)], x: &[f64]) -> Vec<Vec
 mod tests {
     use super::*;
     use ccdp_graph::generators;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn separation_oracle_finds_a_violated_clique_constraint() {
@@ -476,5 +520,76 @@ mod tests {
         let g = generators::cycle(3);
         let sol = solve_component_with_caps(&g, &[1.0; 3], MAX_ROUNDS, MAX_CUTS_PER_ROUND).unwrap();
         assert!((sol.value - 1.5).abs() < 1e-6, "value {}", sol.value);
+    }
+
+    /// One graph from the named family, deterministic in `rng`.
+    fn family_graph(family: u8, n: usize, rng: &mut StdRng) -> Graph {
+        match family {
+            0 => {
+                let mut g = Graph::new(n);
+                for i in 1..n {
+                    let j = rng.gen_range(0..i);
+                    g.add_edge(j, i);
+                }
+                g
+            }
+            1 => generators::erdos_renyi(n, 3.0 / n as f64, rng),
+            2 => generators::barabasi_albert(n, 2, rng),
+            _ => generators::random_geometric(n, 0.3, rng),
+        }
+    }
+
+    /// Membership mask of a random spanning forest: Kruskal over edges in a
+    /// random order.
+    fn random_spanning_forest(g: &Graph, edges: &[(usize, usize)], rng: &mut StdRng) -> Vec<bool> {
+        let mut order: Vec<(u64, usize)> = (0..edges.len()).map(|i| (rng.gen(), i)).collect();
+        order.sort_unstable();
+        let mut uf = UnionFind::new(g.num_vertices());
+        let mut in_forest = vec![false; edges.len()];
+        for (_, i) in order {
+            in_forest[i] = uf.union(edges[i].0, edges[i].1);
+        }
+        in_forest
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The union-find certificate never changes the oracle's answer:
+        /// forest-supported points (integral, fractional, or with an entry
+        /// just over the tolerance above 1) and cyclic supports alike.
+        #[test]
+        fn certificate_matches_the_closure_oracle(
+            family in 0u8..4,
+            n in 4usize..40,
+            point in 0u8..4,
+            seed in 0u64..1u64 << 48,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = family_graph(family, n, &mut rng);
+            let edges = g.edge_vec();
+            let forest = random_spanning_forest(&g, &edges, &mut rng);
+            let mut x: Vec<f64> = match point {
+                0 => forest.iter().map(|&f| if f { 1.0 } else { 0.0 }).collect(),
+                1 | 3 => forest
+                    .iter()
+                    .map(|&f| if f { rng.gen_range(2e-6..=1.0) } else { 0.0 })
+                    .collect(),
+                _ => edges.iter().map(|_| rng.gen_range(0.0..=1.0)).collect(),
+            };
+            if point == 3 {
+                if let Some(i) = forest.iter().position(|&f| f) {
+                    x[i] = 1.0 + 2e-6;
+                    prop_assert!(!forest_supported(g.num_vertices(), &edges, &x));
+                }
+            }
+            if point < 2 {
+                prop_assert!(forest_supported(g.num_vertices(), &edges, &x));
+            }
+            prop_assert_eq!(
+                violated_forest_constraints(&g, &edges, &x),
+                violated_by_closure(&g, &edges, &x)
+            );
+        }
     }
 }

@@ -1,17 +1,13 @@
 //! Criterion micro-benchmarks for the serving tier.
 //!
-//! Three slices of the serving stack:
+//! Two slices of the serving stack:
 //! * `submit_roundtrip` — one request end-to-end through the worker pool on
 //!   a warm cache (the steady-state serving latency),
 //! * `coalesced_burst` — a burst of identical requests racing the
-//!   single-flight table,
-//! * `load_spec` — a small deterministic [`LoadSpec`] run (fleet ingestion,
-//!   schedule, clients, shutdown) as one unit.
+//!   single-flight table.
 
 use ccdp_graph::generators;
-use ccdp_serve::{
-    BudgetLedger, GraphRegistry, GraphSpec, LoadSpec, ServeConfig, ServeRequest, Server, TenantSpec,
-};
+use ccdp_serve::{BudgetLedger, GraphRegistry, ServeConfig, ServeRequest, Server};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use std::time::Duration;
@@ -80,46 +76,5 @@ fn bench_coalesced_burst(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_load_spec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("serve");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(5));
-    let spec = LoadSpec {
-        graphs: vec![
-            GraphSpec::Path { n: 24 },
-            GraphSpec::Star { leaves: 16 },
-            GraphSpec::ErdosRenyi {
-                n: 30,
-                avg_degree: 2.0,
-                seed: 9,
-            },
-        ],
-        tenants: vec![TenantSpec {
-            name: "bench".into(),
-            quota_epsilon: 1e9,
-            weight: 1.0,
-        }],
-        clients: 8,
-        requests: 48,
-        epsilon_per_request: 0.1,
-        seed: 5,
-        server: ServeConfig::new().with_workers(4).with_queue_capacity(32),
-    };
-    group.bench_function("load_spec_48_requests", |b| {
-        b.iter(|| {
-            let report = spec.run();
-            assert!(report.is_complete());
-            report.completed
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    serve_benches,
-    bench_submit_roundtrip,
-    bench_coalesced_burst,
-    bench_load_spec
-);
+criterion_group!(serve_benches, bench_submit_roundtrip, bench_coalesced_burst);
 criterion_main!(serve_benches);

@@ -232,6 +232,7 @@ fn queue_full_refusals_still_carry_a_trace() {
 fn metrics_exposition_covers_every_island() {
     let net = start_traced_fleet(47);
     let mut client = NetClient::connect(net.local_addr());
+    let before = parse_exposition(&client.metrics().unwrap());
     client.estimate("acme", "big", 0.5, None).unwrap();
     client.estimate("acme", "big", 0.5, None).unwrap();
     client.estimate("acme", "stars", 0.5, None).unwrap();
@@ -239,6 +240,25 @@ fn metrics_exposition_covers_every_island() {
 
     let text = client.metrics().unwrap();
     let series = parse_exposition(&text);
+
+    // Counters are monotone: every `*_total` series of the first scrape is
+    // still exported and has not moved backwards.
+    let counters: Vec<_> = before
+        .iter()
+        .filter(|(n, _)| n.split('{').next().unwrap_or(n).ends_with("_total"))
+        .collect();
+    assert!(!counters.is_empty(), "no counters before the first request");
+    for (name, was) in counters {
+        let now = series
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("counter `{name}` vanished between scrapes"));
+        assert!(
+            now >= *was,
+            "counter `{name}` moved backwards: {was} -> {now}"
+        );
+    }
     let names: BTreeSet<&str> = series.iter().map(|(n, _)| n.as_str()).collect();
     assert!(
         names.len() >= 20,

@@ -764,7 +764,11 @@ mod tests {
 
     #[test]
     fn concurrent_emitters_never_corrupt_the_ring() {
-        let tracer = Arc::new(Tracer::with_capacity(1024));
+        // Stripes are assigned round-robin from a process-global counter, so
+        // concurrent tests can push any number of these 8 emitters onto one
+        // stripe. Size every stripe to hold all 8 × 128 events: no emitter
+        // can then overwrite another's whole trace.
+        let tracer = Arc::new(Tracer::with_capacity(8 * 8 * 128));
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let tracer = Arc::clone(&tracer);

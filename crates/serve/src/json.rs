@@ -1,11 +1,11 @@
 //! The one hand-rolled JSON codec of the whole stack.
 //!
-//! Every byte of JSON this repository emits — [`LoadReport`](crate::LoadReport)
-//! summaries, the wire tier's `/stats` and error bodies, the CLI's output —
-//! goes through [`JsonWriter`], and every byte it accepts comes back through
-//! [`parse`]. One module is the single source of truth for the wire format:
-//! escaping rules, number formatting and nesting cannot drift between the
-//! load generator, the HTTP listener and the client.
+//! Every byte of JSON this repository emits — the wire tier's `/stats`,
+//! `/audit` and error bodies, the CLI's output — goes through [`JsonWriter`],
+//! and every byte it accepts comes back through [`parse`]. One module is the
+//! single source of truth for the wire format: escaping rules, number
+//! formatting and nesting cannot drift between the HTTP listener and the
+//! client.
 //!
 //! The build environment has no registry access (see `crates/compat/`), so
 //! this is a deliberate, minimal, dependency-free implementation rather than

@@ -22,8 +22,6 @@
 //! * [`stats`] — [`ServeStats`] / [`StatsSnapshot`]: throughput, queue
 //!   depth, refusal counters, and p50/p99 latency from a lock-free
 //!   log-spaced-bucket [`ccdp_obs::LogHistogram`].
-//! * [`loadgen`] — the deterministic [`LoadSpec`] load generator and its
-//!   [`LoadReport`] (the CI smoke artifact).
 //! * [`json`] — the one hand-rolled JSON codec every tier emits and parses
 //!   with ([`JsonWriter`] / [`json::parse`]); the wire format has a single
 //!   source of truth.
@@ -60,7 +58,6 @@ pub mod error;
 pub mod ids;
 pub mod json;
 pub mod ledger;
-pub mod loadgen;
 pub mod registry;
 pub mod server;
 pub mod stats;
@@ -70,7 +67,6 @@ pub use ccdp_graph::GraphVersion;
 pub use error::ServeError;
 pub use json::{JsonParseError, JsonValue, JsonWriter};
 pub use ledger::{BudgetLedger, TenantAccount, TenantAuditSnapshot, TenantId};
-pub use loadgen::{GraphSpec, LoadReport, LoadSpec, TenantSpec};
 pub use registry::{GraphId, GraphRegistry};
 pub use server::{PendingResponse, ServeConfig, ServeRequest, ServeResponse, Server};
 pub use stats::{ServeStats, StatsSnapshot};

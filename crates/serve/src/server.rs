@@ -52,7 +52,6 @@ pub struct ServeConfig {
     cache_capacity: usize,
     seed: u64,
     delta_max: Option<usize>,
-    estimator_threads: Option<usize>,
     tracing: bool,
     audit: bool,
 }
@@ -67,7 +66,6 @@ impl ServeConfig {
             cache_capacity: ccdp_core::cache::DEFAULT_FAMILY_CACHE_CAPACITY,
             seed: 0,
             delta_max: None,
-            estimator_threads: None,
             tracing: false,
             audit: true,
         }
@@ -132,17 +130,6 @@ impl ServeConfig {
     /// [`EstimatorConfig::with_delta_max`]).
     pub fn with_delta_max(mut self, delta_max: usize) -> Self {
         self.delta_max = Some(delta_max);
-        self
-    }
-
-    /// Per-request estimator thread budget forwarded to
-    /// [`EstimatorConfig::with_threads`]. Unset keeps the estimator's own
-    /// default (machine parallelism); serving fleets that already saturate
-    /// their cores with request workers typically pin this to 1. Released
-    /// values are identical for every budget, so this is purely a
-    /// scheduling knob.
-    pub fn with_estimator_threads(mut self, threads: usize) -> Self {
-        self.estimator_threads = Some(threads.max(1));
         self
     }
 
@@ -788,9 +775,6 @@ fn handle_request(
     }
     if let Some(delta_max) = config.delta_max {
         est_config = est_config.with_delta_max(delta_max);
-    }
-    if let Some(threads) = config.estimator_threads {
-        est_config = est_config.with_threads(threads);
     }
     let estimator =
         PrivateCcEstimator::from_config(est_config).map_err(|e| ServeError::Estimator(e.into()))?;

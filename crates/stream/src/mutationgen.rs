@@ -1,11 +1,12 @@
-//! Deterministic mutation-load generation for evolving-fleet harnesses.
+//! Deterministic mutation-load generation: the seeded fixture behind the
+//! streaming tests and benches.
 //!
 //! A [`MutationSpec`] fully describes a streaming workload — fleet size,
 //! per-graph vertex universe, initial density, mutation count, delete mix —
 //! and materializes, per graph, a reproducible initial [`Graph`] plus a
 //! timestamped [`Mutation`] script. Everything derives from the spec seed,
 //! so a spec is a benchmark: the same spec always produces the same fleet
-//! evolving through the same states, which is what lets CI assert exact
+//! evolving through the same states, which is what lets tests assert exact
 //! cache/registry/count invariants on top of it.
 //!
 //! Deletion mutations are drawn against a mirror of the evolving edge set,

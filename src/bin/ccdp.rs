@@ -18,19 +18,18 @@
 //! ccdp trace    [addr=..] id=<hex trace id>
 //! ccdp audit    [addr=..] tenant=alpha [events=20]
 //! ccdp slo      [addr=..]
-//! ccdp bench    [addr=..] [clients=32] [requests=512] [epsilon=0.25]
-//!               [seed=2023] [out=BENCH_net.json] [n=100000] [threads=8]
 //! ```
 //!
-//! `bench` without `addr=` is self-contained: it provisions the smoke fleet,
-//! starts a server and listener in-process, drives the wire workload and
-//! tears everything down. With `addr=` it drives an already-running
-//! `ccdp serve fleet=smoke` (the workload addresses the fleet by its
-//! deterministic catalog ids).
+//! `serve fleet=smoke` provisions a small fixed fleet (`fleet/g0`…`fleet/g7`,
+//! tenants `alpha`, `beta`, `gamma` and `burst`) so the other commands have
+//! something to address. Load is driven by the `perfbench/` benchmark, not by
+//! this CLI.
 
+use ccdp::graph::generators;
 use ccdp::net::client::resolve;
-use ccdp::net::{NetClient, NetConfig, NetError, NetServer, WireLoadSpec};
-use ccdp::serve::{BudgetLedger, GraphRegistry, GraphSpec, ServeConfig, Server};
+use ccdp::net::{NetClient, NetConfig, NetError, NetServer};
+use ccdp::prelude::{SeedableRng, StdRng};
+use ccdp::serve::{BudgetLedger, GraphRegistry, ServeConfig, Server};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -55,8 +54,8 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str =
-    "usage: ccdp <serve|estimate|ingest|stats|health|top|trace|audit|slo|bench> [KEY=VALUE]...\n\
-  serve     start a listener (fleet=smoke provisions the CI fleet;\n\
+    "usage: ccdp <serve|estimate|ingest|stats|health|top|trace|audit|slo> [KEY=VALUE]...\n\
+  serve     start a listener (fleet=smoke provisions the smoke fleet;\n\
             tracing=on records per-request span traces)\n\
   estimate  one private release: tenant= graph= epsilon= [version=]\n\
   ingest    publish an edge list: graph= file=|edges= [version=]\n\
@@ -69,9 +68,6 @@ const USAGE: &str =
             tenant= [events=20 caps the event tail]\n\
   slo       print the declared SLOs, every (spec, tenant, window) status\n\
             and the fired-alert history (exit 2 when any triple breaches)\n\
-  bench     drive the wire load workload ([out=] writes the report JSON;\n\
-            [n=] swaps in one ER graph of that size, [threads=] pins the\n\
-            per-request estimator thread budget)\n\
   common    addr=127.0.0.1:8787";
 
 /// How a successful command ended (drives the exit code).
@@ -115,12 +111,6 @@ fn run(args: &[String]) -> Result<Outcome, CliError> {
         "trace" => cmd_trace(Args::parse(rest, &["addr", "id"])?),
         "audit" => cmd_audit(Args::parse(rest, &["addr", "tenant", "events"])?),
         "slo" => cmd_slo(Args::parse(rest, &["addr"])?),
-        "bench" => cmd_bench(Args::parse(
-            rest,
-            &[
-                "addr", "clients", "requests", "epsilon", "seed", "out", "n", "threads",
-            ],
-        )?),
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
     }
 }
@@ -136,14 +126,13 @@ fn cmd_serve(args: Args) -> Result<Outcome, CliError> {
 
     let registry = Arc::new(GraphRegistry::new());
     let ledger = Arc::new(BudgetLedger::new());
-    let spec = WireLoadSpec::ci_smoke();
     match fleet {
         "smoke" => {
-            let ids = spec.provision(&registry, &ledger);
+            provision_smoke_fleet(&registry, &ledger);
             println!(
                 "provisioned smoke fleet: {} graphs, {} tenants",
-                ids.len(),
-                spec.base.tenants.len()
+                registry.len(),
+                ledger.snapshot().len()
             );
         }
         "empty" => {}
@@ -212,6 +201,41 @@ fn cmd_serve(args: Args) -> Result<Outcome, CliError> {
         }
     }
     Ok(Outcome::Done)
+}
+
+/// Builds the smoke fleet into `registry` and its tenants into `ledger`:
+/// eight small ER, star and path graphs as `fleet/g0`…`fleet/g7`, three
+/// well-funded tenants and one (`burst`) that runs dry after 16 releases at
+/// ε = 0.25.
+fn provision_smoke_fleet(registry: &GraphRegistry, ledger: &BudgetLedger) {
+    // `G(n, p)` with `p = avg_degree / n`, seeded per graph.
+    let er = |n: usize, avg_degree: f64, seed: u64| {
+        generators::erdos_renyi(n, avg_degree / n as f64, &mut StdRng::seed_from_u64(seed))
+    };
+    let graphs = [
+        er(60, 3.0, 11),
+        er(80, 2.0, 12),
+        er(50, 4.0, 13),
+        generators::star(40),
+        generators::star(25),
+        generators::path(64),
+        generators::path(32),
+        er(40, 1.5, 14),
+    ];
+    let tenants = [
+        ("alpha", 80.0),
+        ("beta", 80.0),
+        ("gamma", 80.0),
+        ("burst", 4.0),
+    ];
+    for (i, graph) in graphs.into_iter().enumerate() {
+        registry.insert(format!("fleet/g{i}"), graph);
+    }
+    for (name, quota) in tenants {
+        ledger
+            .register(name, quota)
+            .expect("a fresh ledger has no tenants yet");
+    }
 }
 
 fn cmd_estimate(args: Args) -> Result<Outcome, CliError> {
@@ -552,76 +576,6 @@ fn cmd_slo(args: Args) -> Result<Outcome, CliError> {
     })
 }
 
-fn cmd_bench(args: Args) -> Result<Outcome, CliError> {
-    let mut spec = WireLoadSpec::ci_smoke();
-    spec.base.clients = args.u64_or("clients", spec.base.clients as u64)? as usize;
-    spec.base.requests = args.u64_or("requests", spec.base.requests as u64)? as usize;
-    spec.base.epsilon_per_request = args.f64_or("epsilon", spec.base.epsilon_per_request)?;
-    spec.base.seed = args.u64_or("seed", spec.base.seed)?;
-    // `n=` swaps the mixed smoke fleet for one barely-supercritical ER graph
-    // of that size — the scale workload the estimator is benchmarked on.
-    if args.opt("n").is_some() {
-        let n = args.u64_or("n", 0)? as usize;
-        if n == 0 {
-            return Err(CliError::BadArg {
-                key: "n",
-                detail: "graph size must be at least 1".into(),
-            });
-        }
-        spec.base.graphs = vec![GraphSpec::ErdosRenyi {
-            n,
-            avg_degree: 1.05,
-            seed: spec.base.seed,
-        }];
-    }
-    // `threads=` pins the per-request estimator thread budget (the released
-    // values are identical for every budget; this only changes scheduling).
-    if args.opt("threads").is_some() {
-        let threads = args.u64_or("threads", 1)? as usize;
-        spec.base.server = spec.base.server.clone().with_estimator_threads(threads);
-    }
-
-    let report = match args.opt("addr") {
-        // Drive an already-running fleet.
-        Some(addr) => spec.run(resolve(addr)?),
-        // Self-contained: provision, serve, drive, tear down.
-        None => {
-            let registry = Arc::new(GraphRegistry::new());
-            let ledger = Arc::new(BudgetLedger::new());
-            spec.provision(&registry, &ledger);
-            let server = Arc::new(Server::start(
-                spec.base.server.clone().with_seed(spec.base.seed),
-                registry,
-                ledger,
-            ));
-            let net = NetServer::start(
-                NetConfig::new().with_max_connections(spec.base.clients + 8),
-                server,
-            )
-            .map_err(|e| CliError::Io {
-                detail: format!("cannot bind a loopback listener: {e}"),
-            })?;
-            let report = spec.run(net.local_addr());
-            net.shutdown();
-            report
-        }
-    };
-
-    let json = report.to_json();
-    println!("{json}");
-    if let Some(path) = args.opt("out") {
-        std::fs::write(path, format!("{json}\n")).map_err(|e| CliError::Io {
-            detail: format!("cannot write `{path}`: {e}"),
-        })?;
-    }
-    if report.failed > 0 {
-        return Err(CliError::Bench {
-            failed: report.failed,
-        });
-    }
-    Ok(Outcome::Done)
-}
-
 // ---------------------------------------------------------------------------
 // Service layer: owns the typed client.
 // ---------------------------------------------------------------------------
@@ -695,19 +649,12 @@ impl Args {
         Ok(self.u64_opt(key)?.unwrap_or(default))
     }
 
-    fn f64_or(&self, key: &'static str, default: f64) -> Result<f64, CliError> {
-        match self.opt(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| CliError::BadArg {
-                key,
-                detail: format!("`{v}` is not a number"),
-            }),
-        }
-    }
-
     fn f64_req(&self, key: &'static str) -> Result<f64, CliError> {
-        self.require(key)?;
-        self.f64_or(key, f64::NAN)
+        let v = self.require(key)?;
+        v.parse().map_err(|_| CliError::BadArg {
+            key,
+            detail: format!("`{v}` is not a number"),
+        })
     }
 
     /// `on|off` (also `true|false`, `1|0`) toggles; `None` when absent.
@@ -742,8 +689,6 @@ enum CliError {
     Io { detail: String },
     /// The wire tier failed or the server refused (typed pass-through).
     Net(NetError),
-    /// The bench workload saw failed requests.
-    Bench { failed: u64 },
 }
 
 impl std::fmt::Display for CliError {
@@ -754,7 +699,6 @@ impl std::fmt::Display for CliError {
             CliError::BadArg { key, detail } => write!(f, "bad `{key}=`: {detail}"),
             CliError::Io { detail } => write!(f, "{detail}"),
             CliError::Net(e) => write!(f, "{e}"),
-            CliError::Bench { failed } => write!(f, "bench saw {failed} failed requests"),
         }
     }
 }

@@ -95,18 +95,15 @@ pub mod prelude {
         components, forest, generators, io, sensitivity, stars, subgraph, CsrGraph, Graph,
         GraphVersion,
     };
-    pub use ccdp_net::{
-        NetClient, NetConfig, NetError, NetServer, NetStatsSnapshot, WireLoadReport, WireLoadSpec,
-    };
+    pub use ccdp_net::{NetClient, NetConfig, NetError, NetServer, NetStatsSnapshot};
     pub use ccdp_obs::{
         replay_tenant, AuditEvent, AuditJournal, AuditKind, BudgetReplay, Counter, FloatCounter,
         Gauge, MetricsRegistry, MetricsSnapshot, SloAlert, SloEngine, SloObjective, SloObservation,
         SloSpec, SloStatus, SpanKind, TraceCtx, TraceId, TraceTree, Tracer,
     };
     pub use ccdp_serve::{
-        BudgetLedger, GraphId, GraphRegistry, LoadReport, LoadSpec, PendingResponse, ServeConfig,
-        ServeError, ServeRequest, ServeResponse, Server, StatsSnapshot, TenantAuditSnapshot,
-        TenantId,
+        BudgetLedger, GraphId, GraphRegistry, PendingResponse, ServeConfig, ServeError,
+        ServeRequest, ServeResponse, Server, StatsSnapshot, TenantAuditSnapshot, TenantId,
     };
     pub use ccdp_stream::{
         EdgeOp, GraphSnapshot, GraphStream, Mutation, MutationSpec, ReleasePolicy, ReleaseRecord,

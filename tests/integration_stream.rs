@@ -31,7 +31,7 @@ fn evolving_fleet_releases_match_their_snapshots() {
             .with_epsilon(0.5)
             .with_retain_versions(3),
         Arc::clone(&registry),
-        ledger,
+        Arc::clone(&ledger),
         Arc::clone(&cache),
     );
     let tenant = TenantId::new("tenant");
@@ -68,6 +68,9 @@ fn evolving_fleet_releases_match_their_snapshots() {
     assert_eq!(stats.misses, releases.len() as u64, "{stats:?}");
     assert_eq!(stats.hits, 0, "{stats:?}");
     assert!(stats.invalidations > 0, "{stats:?}");
+    // Every release maps to exactly one ledger grant.
+    let grants: usize = ledger.snapshot().iter().map(|a| a.grants).sum();
+    assert_eq!(grants, releases.len());
 }
 
 #[test]

@@ -21,7 +21,7 @@
 //! call chain, and release typed [`Release`] values whose non-private
 //! diagnostics are gated behind [`DiagnosticsAccess`](crate::DiagnosticsAccess).
 
-use crate::cache::ExtensionCache;
+use crate::cache::{ArenaRef, ExtensionCache};
 use crate::config::{ConfigError, EstimatorConfig};
 use crate::error::CcdpError;
 use crate::estimator::Estimator;
@@ -95,7 +95,9 @@ impl PrivateSpanningForestEstimator {
         budget: &mut PrivacyBudget,
         rng: &mut R,
     ) -> Result<Release, CcdpError> {
-        self.release(&CsrGraph::from_graph(g), budget, rng, None)
+        // Shared, so a cache miss keeps this arena as its witness uncopied.
+        let arena = Arc::new(CsrGraph::from_graph(g));
+        self.release((&arena).into(), budget, rng, None)
     }
 
     /// Runs Algorithm 1 directly on a CSR arena — the large-scale entry
@@ -108,7 +110,7 @@ impl PrivateSpanningForestEstimator {
         rng: &mut R,
     ) -> Result<Release, CcdpError> {
         let mut budget = PrivacyBudget::new(self.config.epsilon());
-        self.release(arena, &mut budget, rng, None)
+        self.release(arena.into(), &mut budget, rng, None)
     }
 
     /// [`Self::estimate_csr`] with per-phase wall-clock attribution: the
@@ -122,7 +124,7 @@ impl PrivateSpanningForestEstimator {
         profiler: &PhaseProfiler,
     ) -> Result<Release, CcdpError> {
         let mut budget = PrivacyBudget::new(self.config.epsilon());
-        self.release(arena, &mut budget, rng, Some(profiler))
+        self.release(arena.into(), &mut budget, rng, Some(profiler))
     }
 
     /// The one release path of Algorithm 1 — the single accountant seam of
@@ -131,7 +133,7 @@ impl PrivateSpanningForestEstimator {
     /// records every stage.
     fn release<R: Rng + ?Sized>(
         &self,
-        arena: &CsrGraph,
+        arena: ArenaRef<'_>,
         budget: &mut PrivacyBudget,
         rng: &mut R,
         profiler: Option<&PhaseProfiler>,
@@ -140,7 +142,7 @@ impl PrivateSpanningForestEstimator {
         // through the configuration (the serving tier's per-request handle).
         let obs = self.config.obs();
         let profiler = profiler.or(obs.profiler.as_deref());
-        let n = arena.num_vertices();
+        let n = arena.get().num_vertices();
         let epsilon = budget.remaining_epsilon();
         if epsilon <= 0.0 {
             // An exhausted accountant cannot fund another stage: any positive
@@ -170,11 +172,14 @@ impl PrivateSpanningForestEstimator {
                 profiler,
                 obs.trace.as_ref(),
             )?,
-            None => Arc::new(evaluate_family(arena, &grid, threads, profiler)?),
+            None => Arc::new(evaluate_family(arena.get(), &grid, threads, profiler)?),
         };
+        // A memo read: the family evaluation's partition (on a miss) or an
+        // earlier release of this arena (on a hit) already counted the
+        // components.
         let true_value = {
             let _t = profiler.map(|p| p.phase("release/true-value"));
-            arena.spanning_forest_size() as f64
+            arena.get().spanning_forest_size() as f64
         };
         let _t = profiler.map(|p| p.phase("release/mechanisms"));
         let used_lp = evals
@@ -303,7 +308,8 @@ impl PrivateCcEstimator {
 
     /// Runs the estimator on `g` and returns the private release of `f_cc(G)`.
     pub fn estimate<R: Rng + ?Sized>(&self, g: &Graph, rng: &mut R) -> Result<Release, CcdpError> {
-        self.release(&CsrGraph::from_graph(g), rng, None)
+        let arena = Arc::new(CsrGraph::from_graph(g));
+        self.release((&arena).into(), rng, None)
     }
 
     /// Runs the estimator directly on a CSR arena — the large-scale twin of
@@ -314,7 +320,22 @@ impl PrivateCcEstimator {
         arena: &CsrGraph,
         rng: &mut R,
     ) -> Result<Release, CcdpError> {
-        self.release(arena, rng, None)
+        self.release(arena.into(), rng, None)
+    }
+
+    /// Runs the estimator on a shared arena — the serving entry point. The
+    /// release is bit-for-bit [`Self::estimate_csr`] on the same arena; what
+    /// differs is the cost. A family-cache miss keeps this `Arc` as its
+    /// witness instead of copying the arena, and a hit on it is confirmed by
+    /// pointer equality. With the arena's fingerprint and component count
+    /// memoized, a hit on an arena that was released before does no
+    /// O(n + m) work.
+    pub fn estimate_shared<R: Rng + ?Sized>(
+        &self,
+        arena: &Arc<CsrGraph>,
+        rng: &mut R,
+    ) -> Result<Release, CcdpError> {
+        self.release(arena.into(), rng, None)
     }
 
     /// [`Self::estimate_csr`] with per-phase wall-clock attribution recorded
@@ -325,7 +346,7 @@ impl PrivateCcEstimator {
         rng: &mut R,
         profiler: &PhaseProfiler,
     ) -> Result<Release, CcdpError> {
-        self.release(arena, rng, Some(profiler))
+        self.release(arena.into(), rng, Some(profiler))
     }
 
     /// The one release path: spend the node-count slice and release `|V|`
@@ -337,7 +358,7 @@ impl PrivateCcEstimator {
     /// words from `rng` in a fixed order.
     fn release<R: Rng + ?Sized>(
         &self,
-        arena: &CsrGraph,
+        arena: ArenaRef<'_>,
         rng: &mut R,
         profiler: Option<&PhaseProfiler>,
     ) -> Result<Release, CcdpError> {
@@ -348,8 +369,12 @@ impl PrivateCcEstimator {
         if let Some(ctx) = &self.config.obs().trace {
             ctx.event_full(ccdp_obs::SpanKind::NoiseDraw, std::time::Duration::ZERO, 1);
         }
-        let node_count_estimate =
-            laplace_mechanism(arena.num_vertices() as f64, 1.0, eps_count, &mut noise);
+        let node_count_estimate = laplace_mechanism(
+            arena.get().num_vertices() as f64,
+            1.0,
+            eps_count,
+            &mut noise,
+        );
         assert!(noise.is_exhausted());
 
         let sf_release = self
@@ -462,6 +487,10 @@ mod tests {
                 .estimate_csr(&arena, &mut StdRng::seed_from_u64(10))
                 .unwrap();
             assert_eq!(base.value().to_bits(), csr.value().to_bits());
+            let shared = cc
+                .estimate_shared(&Arc::new(arena.clone()), &mut StdRng::seed_from_u64(10))
+                .unwrap();
+            assert_eq!(base.value().to_bits(), shared.value().to_bits());
         }
 
         // The profiled variant is the same release and records the phases

@@ -13,13 +13,22 @@
 //! The cache is keyed by a 128-bit fingerprint of the graph's CSR arena
 //! (plus vertex count and grid), bounded in size with LRU eviction
 //! (hits refresh an entry's recency), and safe to share across estimators and
-//! threads. Fingerprinting replaces the previous exact-edge-list key: hashing
-//! and key comparison are O(1) in the number of edges instead of O(m), which
-//! matters once graphs reach 10^5–10^6 edges. Every entry keeps the
-//! [`CsrGraph`] it was computed from as a *witness*; a fingerprint hit is
-//! confirmed by comparing the request arena with the witness (two flat `u32`
-//! arrays, a memory compare) before it is served, so a fingerprint collision
-//! degrades to a safe miss, never to a wrong answer.
+//! threads. The fingerprint is memoized on the arena
+//! ([`CsrGraph::fingerprint`]), so only the first lookup of an arena hashes
+//! it. Every entry keeps the [`CsrGraph`] it was computed from as a
+//! *witness*, and a fingerprint hit is confirmed against it before it is
+//! served:
+//!
+//! * a request for the *same allocation* as the witness — the arena a
+//!   serving registry published, passed as [`ArenaRef::Shared`] — is
+//!   confirmed by pointer equality, so a hit on a published graph does no
+//!   O(n + m) work;
+//! * any other arena is compared with the witness (two flat `u32` arrays, a
+//!   memory compare), so a fingerprint collision degrades to a safe miss,
+//!   never to a wrong answer.
+//!
+//! A flight leader keeps a shared arena's `Arc` as its witness; only a
+//! borrowed arena is copied, once per miss.
 //!
 //! Concurrent misses on the same key are **single-flighted**: the first
 //! caller evaluates while the others wait on an in-flight table and receive
@@ -74,6 +83,55 @@ impl GraphTag {
 impl std::fmt::Display for GraphTag {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}@{}", self.id, self.version)
+    }
+}
+
+/// A request arena as the cache sees it.
+#[derive(Clone, Copy, Debug)]
+pub enum ArenaRef<'a> {
+    /// A caller-owned arena: a flight leader copies it into its witness.
+    Borrowed(&'a CsrGraph),
+    /// A shared arena (such as the one a registry published): a flight
+    /// leader keeps the `Arc` as its witness, and later lookups with the
+    /// same `Arc` are confirmed by pointer equality.
+    Shared(&'a Arc<CsrGraph>),
+}
+
+impl<'a> ArenaRef<'a> {
+    /// The arena itself.
+    pub(crate) fn get(self) -> &'a CsrGraph {
+        match self {
+            ArenaRef::Borrowed(arena) => arena,
+            ArenaRef::Shared(arena) => arena,
+        }
+    }
+
+    /// The witness a flight leader stores: the shared `Arc`, or a copy of a
+    /// borrowed arena.
+    fn to_witness(self) -> Arc<CsrGraph> {
+        match self {
+            ArenaRef::Borrowed(arena) => Arc::new(arena.clone()),
+            ArenaRef::Shared(arena) => Arc::clone(arena),
+        }
+    }
+
+    /// `true` if the request arena is the witness's graph: pointer equality
+    /// first (one allocation has one content), the content compare only for
+    /// a distinct allocation.
+    fn matches(self, witness: &CsrGraph) -> bool {
+        std::ptr::eq(self.get(), witness) || *self.get() == *witness
+    }
+}
+
+impl<'a> From<&'a CsrGraph> for ArenaRef<'a> {
+    fn from(arena: &'a CsrGraph) -> Self {
+        ArenaRef::Borrowed(arena)
+    }
+}
+
+impl<'a> From<&'a Arc<CsrGraph>> for ArenaRef<'a> {
+    fn from(arena: &'a Arc<CsrGraph>) -> Self {
+        ArenaRef::Shared(arena)
     }
 }
 
@@ -312,15 +370,21 @@ impl ExtensionCache {
     /// context receives a `cache/hit`, `cache/miss` (timed over the
     /// evaluation) or `cache/coalesced` (timed over the wait) span event.
     /// Observation only — values, keys and counters are unchanged.
-    pub fn evaluate_family(
+    ///
+    /// `arena` is a `&CsrGraph` or a `&Arc<CsrGraph>` (see [`ArenaRef`]);
+    /// passing the `Arc` lets a miss keep it as the witness and lets every
+    /// later hit on it skip the content compare.
+    pub fn evaluate_family<'a>(
         &self,
-        arena: &CsrGraph,
+        arena: impl Into<ArenaRef<'a>>,
         grid: &[usize],
         tag: Option<&GraphTag>,
         threads: usize,
         profiler: Option<&PhaseProfiler>,
         trace: Option<&TraceCtx>,
     ) -> Result<Arc<Vec<ExtensionEvaluation>>, CoreError> {
+        let request = arena.into();
+        let arena = request.get();
         let key = CacheKey {
             num_vertices: arena.num_vertices(),
             fingerprint: arena.fingerprint(),
@@ -336,7 +400,7 @@ impl ExtensionCache {
                 // Confirm the fingerprint hit against the witness before
                 // serving it: a collision must degrade to a miss, never
                 // replay another graph's family.
-                if *entry.witness == *arena {
+                if request.matches(&entry.witness) {
                     entry.last_used = tick;
                     self.hits.inc();
                     if let Some(ctx) = trace {
@@ -346,7 +410,7 @@ impl ExtensionCache {
                 }
             }
             match inner.in_flight.get(&key) {
-                Some(in_flight) if *in_flight.witness == *arena => {
+                Some(in_flight) if request.matches(&in_flight.witness) => {
                     // Someone else is already evaluating this exact graph:
                     // join their flight instead of racing a duplicate
                     // evaluation.
@@ -359,9 +423,9 @@ impl ExtensionCache {
                     LookupAction::EvaluateUncached
                 }
                 None => {
-                    // Only a leader copies the arena (one memcpy); hits and
-                    // joins compare against the stored copy.
-                    let witness = Arc::new(arena.clone());
+                    // Only a leader takes a witness: the shared `Arc` itself,
+                    // or one copy of a borrowed arena.
+                    let witness = request.to_witness();
                     inner.in_flight.insert(
                         key.clone(),
                         InFlightEntry {
@@ -730,6 +794,51 @@ mod tests {
         let tag = GraphTag::new("g", GraphVersion::new(3));
         tagged(&cache, &g, &grid, Some(&tag));
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn shared_and_equal_arenas_hit_while_a_forged_collision_misses() {
+        let cache = ExtensionCache::new(8);
+        let grid = [1usize, 2, 4];
+        let g = generators::caveman(3, 4);
+        let arena = Arc::new(CsrGraph::from_graph(&g));
+        let lookup = |a: ArenaRef<'_>| cache.evaluate_family(a, &grid, None, 1, None, None);
+        let first = lookup((&arena).into()).unwrap();
+        // The leader kept the caller's `Arc` as its witness instead of a copy.
+        assert_eq!(Arc::strong_count(&arena), 2);
+        // The same `Arc` hits (pointer check), and so does a distinct
+        // allocation with equal content (content compare).
+        let same = lookup((&arena).into()).unwrap();
+        let equal = CsrGraph::from_graph(&g);
+        let copy = lookup((&equal).into()).unwrap();
+        assert!(Arc::ptr_eq(&first, &same) && Arc::ptr_eq(&first, &copy));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (2, 1));
+
+        // Forge a fingerprint collision: the entry under this key now claims
+        // another graph as its witness, with that graph's family.
+        let other = Arc::new(CsrGraph::from_graph(&generators::path(12)));
+        let other_evals = Arc::new(evaluate_family(&other, &grid, 1, None).unwrap());
+        {
+            let mut inner = cache.lock();
+            let entry = inner
+                .map
+                .values_mut()
+                .find(|e| Arc::ptr_eq(&e.witness, &arena))
+                .expect("the shared arena is the stored witness");
+            entry.witness = other;
+            entry.evals = other_evals;
+        }
+        // Neither the shared arena nor an equal copy is served the forged
+        // family: each lookup degrades to a miss that evaluates this graph.
+        for request in [ArenaRef::Shared(&arena), ArenaRef::Borrowed(&equal)] {
+            let misses = cache.stats().misses;
+            let replayed = lookup(request).unwrap();
+            assert_eq!(cache.stats().misses, misses + 1);
+            let bits = |e: &[ExtensionEvaluation]| -> Vec<u64> {
+                e.iter().map(|x| x.value.to_bits()).collect()
+            };
+            assert_eq!(bits(&replayed), bits(&first));
+        }
     }
 
     #[test]

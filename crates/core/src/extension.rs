@@ -187,9 +187,11 @@ pub fn evaluate_family(
         return Ok(out);
     }
     let partition_timer = profiler.map(|p| p.phase("family/partition"));
-    let fsf = arena.spanning_forest_size() as f64;
     let max_degree = arena.max_degree();
     let part = arena.partition_components();
+    // The partition's labelling filled the arena's component memo, so this
+    // (and the release's true value after it) is a load, not a second pass.
+    let fsf = arena.spanning_forest_size() as f64;
     // Largest maximum degree over *tree* components: for Δ below it the
     // spanning-Δ-forest search is unsatisfiable and gets skipped.
     let mut tree_max_degree = 0usize;

@@ -20,9 +20,16 @@
 //! arena. Per-component subproblems then borrow slices of the shared arrays
 //! ([`CsrComponent`]) instead of re-allocating adjacency per component — the
 //! allocation that used to dominate repeated `induced_subgraph` extraction.
+//!
+//! Because the arena never changes after construction, the two per-graph
+//! facts a release needs — [`CsrGraph::fingerprint`] and
+//! [`CsrGraph::num_components`] — are memoized: the first call pays one
+//! O(n + m) pass, every later call on the same arena (or a clone of it) is a
+//! load.
 
 use crate::graph::Graph;
 use crate::unionfind::UnionFind32;
+use std::sync::OnceLock;
 
 /// An immutable, flat CSR view of an undirected simple graph.
 ///
@@ -30,13 +37,38 @@ use crate::unionfind::UnionFind32;
 /// half-edges, far beyond the 10^6–10^7 target scale). Neighbor rows are
 /// sorted ascending, mirroring [`Graph`]'s invariant, so `has_edge` stays a
 /// binary search and row-wise comparisons against a [`Graph`] are linear.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Equality compares the two arrays only; the memos never affect it.
+#[derive(Clone, Debug)]
 pub struct CsrGraph {
     offsets: Vec<u32>,
     targets: Vec<u32>,
+    /// Memo of [`CsrGraph::fingerprint`].
+    fingerprint: OnceLock<u128>,
+    /// Memo of [`CsrGraph::num_components`], also filled by
+    /// [`CsrGraph::component_labels`] (and so by `partition_components`).
+    components: OnceLock<usize>,
 }
 
+impl PartialEq for CsrGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets && self.targets == other.targets
+    }
+}
+
+impl Eq for CsrGraph {}
+
 impl CsrGraph {
+    /// The one constructor every build path ends in: arrays in, memos empty.
+    fn from_parts(offsets: Vec<u32>, targets: Vec<u32>) -> Self {
+        CsrGraph {
+            offsets,
+            targets,
+            fingerprint: OnceLock::new(),
+            components: OnceLock::new(),
+        }
+    }
+
     /// Builds the flat arena from an adjacency-list graph in O(n + m).
     ///
     /// # Panics
@@ -58,7 +90,7 @@ impl CsrGraph {
             }
             offsets.push(targets.len() as u32);
         }
-        CsrGraph { offsets, targets }
+        CsrGraph::from_parts(offsets, targets)
     }
 
     /// Builds the arena directly from a re-playable edge stream in two
@@ -116,7 +148,7 @@ impl CsrGraph {
         for v in 0..n {
             targets[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
         }
-        let csr = CsrGraph { offsets, targets };
+        let csr = CsrGraph::from_parts(offsets, targets);
         if csr.has_duplicate_half_edges() {
             csr.deduplicated()
         } else {
@@ -144,7 +176,7 @@ impl CsrGraph {
             }
             offsets.push(targets.len() as u32);
         }
-        CsrGraph { offsets, targets }
+        CsrGraph::from_parts(offsets, targets)
     }
 
     /// Number of vertices.
@@ -230,16 +262,19 @@ impl CsrGraph {
     /// A 128-bit structural fingerprint (FNV-1a over the offset and target
     /// arrays), streamed with zero allocation. Used by cache keys: two equal
     /// graphs always fingerprint equally; collisions between distinct graphs
-    /// are guarded by a full arena-equality witness check.
+    /// are guarded by a full arena-equality witness check. Memoized: only the
+    /// first call on an arena hashes it.
     pub fn fingerprint(&self) -> u128 {
-        let mut h = fingerprint_seed(self.num_vertices());
-        for &o in &self.offsets {
-            h = fnv1a_128(h, o);
-        }
-        for &t in &self.targets {
-            h = fnv1a_128(h, t);
-        }
-        h
+        *self.fingerprint.get_or_init(|| {
+            let mut h = fingerprint_seed(self.num_vertices());
+            for &o in &self.offsets {
+                h = fnv1a_128(h, o);
+            }
+            for &t in &self.targets {
+                h = fnv1a_128(h, t);
+            }
+            h
+        })
     }
 
     /// Labels every vertex with its connected component, numbered `0..k` in
@@ -266,24 +301,30 @@ impl CsrGraph {
             }
             next += 1;
         }
+        // The labelling just counted the components: fill the memo for free.
+        let _ = self.components.set(next as usize);
         label
     }
 
-    /// Number of connected components, via the compact `u32` union-find.
+    /// Number of connected components. Memoized: the first call (or the
+    /// first [`component_labels`](Self::component_labels)) runs one pass of
+    /// the compact `u32` union-find; later calls are a load.
     pub fn num_components(&self) -> usize {
-        let n = self.num_vertices();
-        let mut uf = UnionFind32::new(n);
-        for u in 0..n {
-            for &v in self.neighbors(u) {
-                if (v as usize) > u {
-                    uf.union(u as u32, v);
+        *self.components.get_or_init(|| {
+            let n = self.num_vertices();
+            let mut uf = UnionFind32::new(n);
+            for u in 0..n {
+                for &v in self.neighbors(u) {
+                    if (v as usize) > u {
+                        uf.union(u as u32, v);
+                    }
                 }
             }
-        }
-        uf.num_sets()
+            uf.num_sets()
+        })
     }
 
-    /// Spanning-forest size `f_sf = n − f_cc`.
+    /// Spanning-forest size `f_sf = n − f_cc` (reads the component memo).
     pub fn spanning_forest_size(&self) -> usize {
         self.num_vertices() - self.num_components()
     }
@@ -345,8 +386,11 @@ impl CsrGraph {
             offsets.push(targets.len() as u32);
         }
 
+        // Relabeling preserves the component count.
+        let arena = CsrGraph::from_parts(offsets, targets);
+        let _ = arena.components.set(k);
         ComponentPartition {
-            arena: CsrGraph { offsets, targets },
+            arena,
             comp_starts,
             order,
         }
@@ -518,6 +562,43 @@ mod tests {
             assert_eq!(csr.components(), components::components(&g));
             let labels: Vec<usize> = csr.component_labels().iter().map(|&l| l as usize).collect();
             assert_eq!(labels, components::connected_component_labels(&g));
+        }
+    }
+
+    #[test]
+    fn memos_agree_with_from_scratch_counts_and_never_affect_equality() {
+        for g in sample_graphs() {
+            let truth = components::num_connected_components(&g);
+            let fresh = CsrGraph::from_graph(&g);
+            let cold_clone = fresh.clone();
+            let print = fresh.fingerprint();
+            assert_eq!(fresh.num_components(), truth);
+            // A clone taken after the fill carries the memos; one taken
+            // before and an independent build do not.
+            let warm_clone = fresh.clone();
+            assert_eq!(warm_clone.fingerprint.get(), Some(&print));
+            assert_eq!(warm_clone.components.get(), Some(&truth));
+            let independent = CsrGraph::from_graph(&g);
+            assert!(independent.fingerprint.get().is_none());
+            assert!(independent == fresh && cold_clone == fresh);
+            for arena in [&cold_clone, &warm_clone, &independent] {
+                assert_eq!(arena.fingerprint(), print);
+                assert_eq!(arena.num_components(), truth);
+                assert_eq!(arena.spanning_forest_size(), g.num_vertices() - truth);
+                assert_eq!(*arena, fresh);
+            }
+            // Labelling and partitioning fill the memo with the same count
+            // a from-scratch union-find pass finds.
+            let labelled = CsrGraph::from_graph(&g);
+            labelled.component_labels();
+            assert_eq!(labelled.components.get(), Some(&truth));
+            let part = CsrGraph::from_graph(&g).partition_components();
+            let relabeled = part.arena();
+            assert_eq!(relabeled.components.get(), Some(&truth));
+            let recount =
+                CsrGraph::from_parts(relabeled.offsets.clone(), relabeled.targets.clone());
+            assert_eq!(recount.num_components(), truth);
+            assert_eq!(recount, *relabeled);
         }
     }
 

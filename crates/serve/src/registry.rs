@@ -5,8 +5,16 @@
 //! live in one shared [`GraphRegistry`] rather than being owned by any single
 //! estimator. The registry is striped across shards, each guarded by its own
 //! `RwLock`, so concurrent lookups of different graphs never contend on one
-//! lock, and graphs are handed out as `Arc<Graph>` so requests share storage
-//! with the registry instead of cloning edge lists.
+//! lock, and graphs are handed out as `Arc`s so requests share storage with
+//! the registry instead of cloning edge lists.
+//!
+//! Every published snapshot holds its `Arc<Graph>` and the one
+//! `Arc<CsrGraph>` arena built from it at publish — before the shard lock is
+//! taken, so no O(n + m) work ever runs under a registry lock. Requests
+//! resolve the arena ([`GraphRegistry::resolve_arena`]) and release on it:
+//! the arena memoizes its fingerprint and component count, and the family
+//! cache confirms a hit on it by pointer equality, so a cache hit on a
+//! published graph does no O(n + m) work.
 //!
 //! Each catalog id holds a *history* of immutable snapshot versions (see
 //! [`GraphVersion`]): a streaming layer publishes new versions as the graph
@@ -17,7 +25,7 @@
 //! re-publishing could only mean two different graphs claiming one identity.
 
 use crate::error::ServeError;
-use ccdp_graph::{io, Graph, GraphVersion};
+use ccdp_graph::{io, CsrGraph, Graph, GraphVersion};
 use ccdp_obs::{AuditEvent, AuditJournal, AuditKind};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -35,15 +43,31 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// [`GraphRegistry::with_retention`] for unlimited histories.
 pub const DEFAULT_VERSION_RETENTION: usize = 8;
 
+/// One published snapshot: the graph and the CSR arena built from it.
+#[derive(Debug)]
+struct Published {
+    graph: Arc<Graph>,
+    arena: Arc<CsrGraph>,
+}
+
+impl Published {
+    /// Builds the snapshot's arena — O(n + m), so callers run it before
+    /// taking a shard lock.
+    fn new(graph: Arc<Graph>) -> Self {
+        let arena = Arc::new(CsrGraph::from_graph(&graph));
+        Published { graph, arena }
+    }
+}
+
 /// The version history of one catalog id. The `BTreeMap` keeps versions
 /// ordered, so the latest pointer is the last key and range expiry is a
 /// split.
-type History = BTreeMap<GraphVersion, Arc<Graph>>;
+type History = BTreeMap<GraphVersion, Published>;
 
 type Shard = HashMap<GraphId, History>;
 
-/// A sharded map from [`GraphId`] to a version history of `Arc<Graph>`
-/// snapshots.
+/// A sharded map from [`GraphId`] to a version history of published
+/// snapshots, each an `Arc<Graph>` plus its `Arc<CsrGraph>` arena.
 #[derive(Debug)]
 pub struct GraphRegistry {
     shards: Vec<RwLock<Shard>>,
@@ -147,11 +171,12 @@ impl GraphRegistry {
         graph: impl Into<Arc<Graph>>,
     ) -> Option<Arc<Graph>> {
         let id = id.into();
+        let published = Published::new(graph.into());
         let mut shard = self.write(&id);
         let history = shard.entry(id.clone()).or_default();
         let version = next_version(history);
-        let previous = history.last_key_value().map(|(_, g)| Arc::clone(g));
-        history.insert(version, graph.into());
+        let previous = history.last_key_value().map(|(_, p)| Arc::clone(&p.graph));
+        history.insert(version, published);
         enforce_retention(history, self.retention);
         drop(shard);
         self.audit_publish(&id, version, "published as next version");
@@ -175,7 +200,8 @@ impl GraphRegistry {
         graph: impl Into<Arc<Graph>>,
     ) -> Result<Arc<Graph>, ServeError> {
         let id = id.into();
-        let graph = graph.into();
+        let published = Published::new(graph.into());
+        let graph = Arc::clone(&published.graph);
         let mut shard = self.write(&id);
         let history = shard.entry(id.clone()).or_default();
         if history.contains_key(&version) {
@@ -192,7 +218,7 @@ impl GraphRegistry {
                 }
             }
         }
-        history.insert(version, Arc::clone(&graph));
+        history.insert(version, published);
         enforce_retention(history, self.retention);
         drop(shard);
         self.audit_publish(&id, version, "published at explicit version");
@@ -228,18 +254,12 @@ impl GraphRegistry {
 
     /// The latest snapshot stored under `id`, if any.
     pub fn get(&self, id: &GraphId) -> Option<Arc<Graph>> {
-        self.read(id)
-            .get(id)
-            .and_then(|h| h.last_key_value())
-            .map(|(_, g)| Arc::clone(g))
+        self.resolve(id).ok()
     }
 
     /// The snapshot stored under `(id, version)`, if any.
     pub fn get_version(&self, id: &GraphId, version: GraphVersion) -> Option<Arc<Graph>> {
-        self.read(id)
-            .get(id)
-            .and_then(|h| h.get(&version))
-            .map(Arc::clone)
+        self.resolve_version(id, version).ok()
     }
 
     /// The latest published version of `id`, if any.
@@ -266,11 +286,7 @@ impl GraphRegistry {
 
     /// Resolves the latest snapshot of `id` together with its version.
     pub fn resolve_latest(&self, id: &GraphId) -> Result<(GraphVersion, Arc<Graph>), ServeError> {
-        self.read(id)
-            .get(id)
-            .and_then(|h| h.last_key_value())
-            .map(|(&v, g)| (v, Arc::clone(g)))
-            .ok_or_else(|| ServeError::UnknownGraph { graph: id.clone() })
+        self.lookup(id, None, |p| Arc::clone(&p.graph))
     }
 
     /// Resolves the exact `(id, version)` snapshot, distinguishing an unknown
@@ -281,17 +297,47 @@ impl GraphRegistry {
         id: &GraphId,
         version: GraphVersion,
     ) -> Result<Arc<Graph>, ServeError> {
+        Ok(self.lookup(id, Some(version), |p| Arc::clone(&p.graph))?.1)
+    }
+
+    /// Resolves the CSR arena published for `id` — at the pinned `version`,
+    /// or the latest one — together with the version it belongs to. This is
+    /// what a release runs on: the arena was built once at publish, and every
+    /// resolve of one snapshot returns the same `Arc`. Refusals are those of
+    /// [`resolve_latest`](Self::resolve_latest) and
+    /// [`resolve_version`](Self::resolve_version).
+    pub fn resolve_arena(
+        &self,
+        id: &GraphId,
+        version: Option<GraphVersion>,
+    ) -> Result<(GraphVersion, Arc<CsrGraph>), ServeError> {
+        self.lookup(id, version, |p| Arc::clone(&p.arena))
+    }
+
+    /// The one read path: finds the pinned or latest snapshot of `id` under
+    /// the shard's read lock and hands `pick` of it out.
+    fn lookup<T>(
+        &self,
+        id: &GraphId,
+        version: Option<GraphVersion>,
+        pick: impl FnOnce(&Published) -> T,
+    ) -> Result<(GraphVersion, T), ServeError> {
         let shard = self.read(id);
         let history = shard
             .get(id)
             .ok_or_else(|| ServeError::UnknownGraph { graph: id.clone() })?;
-        history
-            .get(&version)
-            .map(Arc::clone)
-            .ok_or_else(|| ServeError::UnknownVersion {
+        let found = match version {
+            Some(v) => history.get_key_value(&v),
+            None => history.last_key_value(),
+        };
+        let (&v, published) = found.ok_or_else(|| match version {
+            Some(version) => ServeError::UnknownVersion {
                 graph: id.clone(),
                 version,
-            })
+            },
+            None => ServeError::UnknownGraph { graph: id.clone() },
+        })?;
+        Ok((v, pick(published)))
     }
 
     /// Expires every snapshot of `id` with a version strictly below
@@ -347,7 +393,7 @@ impl GraphRegistry {
         if history.is_empty() {
             shard.remove(id);
         }
-        removed
+        removed.map(|p| p.graph)
     }
 
     /// Removes and returns the latest snapshot stored under `id`, dropping
@@ -356,6 +402,7 @@ impl GraphRegistry {
         self.write(id)
             .remove(id)
             .and_then(|h| h.into_values().next_back())
+            .map(|p| p.graph)
     }
 
     /// Number of catalog ids across all shards (not versions; see
@@ -536,6 +583,48 @@ mod tests {
                 version: GraphVersion::new(9)
             }
         );
+    }
+
+    #[test]
+    fn published_arena_mirrors_the_graph_and_is_shared_by_every_resolve() {
+        let reg = GraphRegistry::new();
+        let id = GraphId::new("g");
+        let first = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
+        reg.insert(id.clone(), first.clone());
+        reg.insert_version(id.clone(), GraphVersion::new(3), generators::path(4))
+            .unwrap();
+        let (v, latest) = reg.resolve_arena(&id, None).unwrap();
+        assert_eq!(v, GraphVersion::new(3));
+        assert_eq!(*latest, CsrGraph::from_graph(&generators::path(4)));
+        let (v, pinned) = reg.resolve_arena(&id, Some(GraphVersion::INITIAL)).unwrap();
+        assert_eq!(v, GraphVersion::INITIAL);
+        assert_eq!(*pinned, CsrGraph::from_graph(&first));
+        assert!(pinned.matches_graph(&reg.resolve_version(&id, v).unwrap()));
+        assert_eq!(pinned.num_components(), first.num_connected_components());
+        // Publishing built each arena once: every resolve shares it.
+        assert!(Arc::ptr_eq(
+            &latest,
+            &reg.resolve_arena(&id, None).unwrap().1
+        ));
+        assert!(Arc::ptr_eq(
+            &pinned,
+            &reg.resolve_arena(&id, Some(GraphVersion::INITIAL))
+                .unwrap()
+                .1
+        ));
+        // Refusals are the graph resolvers' refusals.
+        assert_eq!(
+            reg.resolve_arena(&id, Some(GraphVersion::new(9)))
+                .unwrap_err(),
+            ServeError::UnknownVersion {
+                graph: id,
+                version: GraphVersion::new(9)
+            }
+        );
+        assert!(matches!(
+            reg.resolve_arena(&GraphId::new("missing"), None),
+            Err(ServeError::UnknownGraph { .. })
+        ));
     }
 
     #[test]

@@ -26,9 +26,7 @@ use crate::error::ServeError;
 use crate::ledger::{BudgetLedger, TenantId};
 use crate::registry::{GraphId, GraphRegistry};
 use crate::stats::{RequestOutcome, ServeStats, StatsSnapshot};
-use ccdp_core::{
-    CacheStats, Estimator, EstimatorConfig, ExtensionCache, PrivateCcEstimator, Release,
-};
+use ccdp_core::{CacheStats, EstimatorConfig, ExtensionCache, PrivateCcEstimator, Release};
 use ccdp_exec::PhaseProfiler;
 use ccdp_graph::GraphVersion;
 use ccdp_obs::{
@@ -740,11 +738,11 @@ fn handle_request(
     let config = &shared.config;
     // A pinned version resolves exactly or fails typed; an unpinned request
     // binds to the latest snapshot *now*, and the bound version is what the
-    // cache is tagged with and what the response reports.
-    let (version, graph) = match job.request.version {
-        Some(v) => (v, registry.resolve_version(&job.request.graph, v)?),
-        None => registry.resolve_latest(&job.request.graph)?,
-    };
+    // cache is tagged with and what the response reports. What resolves is
+    // the arena built once at publish: with its fingerprint and component
+    // count memoized and the cache confirming a hit on it by pointer, a
+    // cache hit does no O(n + m) graph work.
+    let (version, arena) = registry.resolve_arena(&job.request.graph, job.request.version)?;
     // Reserve the whole request ε atomically *before* any computation: a
     // refused request consumes neither budget nor solver time. Spent budget
     // is never refunded on estimator failure — conservative accounting that
@@ -778,16 +776,18 @@ fn handle_request(
     }
     let estimator =
         PrivateCcEstimator::from_config(est_config).map_err(|e| ServeError::Estimator(e.into()))?;
-    // Deterministic per-request stream: the same (seed, request id) pair
-    // draws the same noise whichever worker runs it.
-    let mut rng = StdRng::seed_from_u64(
-        config
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(job.request_id),
-    );
-    let release = Estimator::estimate(&estimator, &graph, &mut rng)?;
+    let mut rng = request_rng(config.seed, job.request_id);
+    let release = estimator.estimate_shared(&arena, &mut rng)?;
     Ok((release, version))
+}
+
+/// Deterministic per-request stream: the same (seed, request id) pair draws
+/// the same noise whichever worker runs it.
+fn request_rng(seed: u64, request_id: u64) -> StdRng {
+    StdRng::seed_from_u64(
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(request_id),
+    )
 }
 
 #[cfg(test)]
@@ -1026,6 +1026,37 @@ mod tests {
             run(),
             "per-request seeding must make runs replayable"
         );
+    }
+
+    #[test]
+    fn registry_releases_are_bitwise_identical_to_direct_graph_releases() {
+        // Extends the Graph/CSR bit-identity invariant to the serving path:
+        // a release on the registry's published arena (a miss, then hits on
+        // the same `Arc`, latest and pinned) draws exactly the bits
+        // `PrivateCcEstimator::estimate(&graph)` draws from the same stream.
+        let (registry, ledger) = fleet();
+        let graph = registry.resolve(&GraphId::new("stars")).unwrap();
+        let server = Server::start(
+            ServeConfig::new().with_workers(2).with_seed(11),
+            registry,
+            ledger,
+        );
+        let direct = PrivateCcEstimator::new(0.5).unwrap();
+        for pinned in [None, None, Some(GraphVersion::INITIAL)] {
+            let mut request = ServeRequest::new("acme", "stars", 0.5);
+            if let Some(v) = pinned {
+                request = request.at_version(v);
+            }
+            let response = server.submit(request).unwrap().wait();
+            let expected = direct
+                .estimate(&graph, &mut request_rng(11, response.request_id))
+                .unwrap();
+            let served = response.result.unwrap();
+            assert_eq!(served.value().to_bits(), expected.value().to_bits());
+        }
+        let cache = server.cache_stats();
+        assert_eq!((cache.misses, cache.hits), (1, 2), "{cache:?}");
+        server.shutdown();
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 use crate::error::StreamError;
 use crate::stream::{GraphSnapshot, GraphStream};
-use ccdp_core::{Estimator, EstimatorConfig, ExtensionCache, PrivateCcEstimator};
+use ccdp_core::{EstimatorConfig, ExtensionCache, PrivateCcEstimator};
 use ccdp_graph::GraphVersion;
 use ccdp_obs::{AuditEvent, AuditJournal, AuditKind, Counter, MetricsRegistry};
 use ccdp_serve::{
@@ -425,9 +425,10 @@ impl ReleaseScheduler {
         // policy period.
         self.mark_released(&id, &snapshot);
 
-        // Estimate on the registry-resolved snapshot (not the local copy):
-        // what we release is provably what `(id, version)` names.
-        let graph = self.registry.resolve_version(&id, version)?;
+        // Estimate on the registry-resolved arena (not the local copy): what
+        // we release is provably what `(id, version)` names, and the arena is
+        // the one built at publish.
+        let (_, arena) = self.registry.resolve_arena(&id, Some(version))?;
         let mut est_config = EstimatorConfig::new(self.config.epsilon_per_release)
             .with_shared_family_cache(Arc::clone(&self.cache))
             .with_graph_tag(id.as_str(), version);
@@ -437,7 +438,8 @@ impl ReleaseScheduler {
         let estimator = PrivateCcEstimator::from_config(est_config)
             .map_err(|e| StreamError::Serve(ServeError::Estimator(e.into())))?;
         let mut rng = StdRng::seed_from_u64(self.release_seed(&id, version));
-        let release = Estimator::estimate(&estimator, &graph, &mut rng)
+        let release = estimator
+            .estimate_shared(&arena, &mut rng)
             .map_err(|e| StreamError::Serve(ServeError::Estimator(e)))?;
 
         let record = ReleaseRecord {

@@ -25,7 +25,7 @@
 //! `(id, version)` as a permanent name for one exact edge set.
 
 use crate::error::StreamError;
-use ccdp_graph::{components, CsrGraph, Graph, GraphVersion, UnionFind};
+use ccdp_graph::{components, Graph, GraphVersion, UnionFind};
 use ccdp_serve::GraphId;
 use std::sync::Arc;
 
@@ -79,7 +79,6 @@ pub struct GraphSnapshot {
     id: GraphId,
     version: GraphVersion,
     graph: Arc<Graph>,
-    csr: Arc<CsrGraph>,
     num_components: usize,
     time: u64,
     mutations_applied: u64,
@@ -99,14 +98,6 @@ impl GraphSnapshot {
     /// The frozen graph (shared, never mutated).
     pub fn graph(&self) -> &Arc<Graph> {
         &self.graph
-    }
-
-    /// The frozen graph's flat CSR arena, built once at the freeze point and
-    /// shared by every clone of the snapshot — consumers that iterate the
-    /// topology (re-estimation, diffing, export) read the arena instead of
-    /// deep-cloning adjacency lists.
-    pub fn csr(&self) -> &Arc<CsrGraph> {
-        &self.csr
     }
 
     /// Exact number of connected components at the freeze point.
@@ -343,7 +334,6 @@ impl GraphStream {
         GraphSnapshot {
             id: self.id.clone(),
             version,
-            csr: Arc::new(CsrGraph::from_graph(&self.graph)),
             graph: Arc::new(self.graph.clone()),
             num_components,
             time: self.clock,
@@ -493,21 +483,6 @@ mod tests {
         assert_eq!(snap1.num_components(), 2);
         assert_eq!(s.stats().snapshots, 2);
         assert_eq!(s.next_version(), GraphVersion::new(2));
-    }
-
-    #[test]
-    fn snapshot_csr_mirrors_the_frozen_graph_and_is_shared_by_clones() {
-        let mut s = GraphStream::new("g");
-        s.apply(&Mutation::insert(1, 0, 1)).unwrap();
-        s.apply(&Mutation::insert(2, 1, 2)).unwrap();
-        s.apply(&Mutation::insert(3, 3, 4)).unwrap();
-        let snap = s.snapshot();
-        assert!(snap.csr().matches_graph(snap.graph()));
-        assert_eq!(snap.csr().num_components(), snap.num_components());
-        // Publishing (cloning) a snapshot shares the arena, it never rebuilds.
-        let published = snap.clone();
-        assert!(Arc::ptr_eq(snap.csr(), published.csr()));
-        assert!(Arc::ptr_eq(snap.graph(), published.graph()));
     }
 
     #[test]

@@ -216,19 +216,21 @@ fn bench_thread_scaling(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
-    // Per-component polytope solving on a barely-supercritical ER graph:
-    // thousands of small tree/unicyclic pieces plus one giant component,
-    // Δ = 1 so every non-trivial piece takes the LP path. The partition is
-    // built once, as the family engine does for a whole grid.
+    // One grid sweep over a barely-supercritical ER graph: thousands of
+    // small tree/unicyclic pieces plus one giant component, solved at every
+    // Δ of {1, 2, 4, 8} on one fan-out. The partition is built once, as the
+    // family engine does for a whole grid.
+    let grid = [1.0, 2.0, 4.0, 8.0];
     for &n in &[20_000usize, 100_000] {
         let part = CsrGraph::from_graph(&supercritical_er(n, 13)).partition_components();
         for &threads in &[1usize, 2, 4, 8] {
-            group.bench_function(format!("solve_er_n{n}_t{threads}"), |b| {
+            group.bench_function(format!("solve_grid_er_n{n}_t{threads}"), |b| {
                 b.iter(|| {
-                    solve_partition(&part, 1.0, threads, &SolveOptions::default())
+                    solve_partition(&part, &grid, threads, &SolveOptions::default())
                         .unwrap()
-                        .solution
-                        .value
+                        .iter()
+                        .map(|s| s.solution.value)
+                        .sum::<f64>()
                 })
             });
         }

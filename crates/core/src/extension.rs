@@ -13,11 +13,20 @@
 //! produces a spanning Δ-forest we can skip the LP entirely and return `f_sf(G)`.
 //! This is exactly the case for the well-behaved graphs the paper's accuracy
 //! analysis targets; the LP is only exercised when Δ is below the graph's Δ*.
+//!
+//! Both `f_Δ` and the Lemma 1.8 construction split over connected components,
+//! so [`evaluate_family`] evaluates a whole grid of Δ values in one sweep over
+//! the component partition: it runs the anchor search only on the non-tree
+//! components whose maximum degree exceeds Δ, and solves every non-anchored
+//! Δ in one [`solve_partition`] fan-out. [`LipschitzExtension`] is the
+//! single-Δ, whole-graph reference it is tested against bit for bit.
 
 use crate::error::CoreError;
 use crate::polytope::{forest_polytope_max_with, PolytopeSolution, SolverBackend};
 use ccdp_exec::PhaseProfiler;
-use ccdp_graph::forest::{bounded_degree_spanning_forest, bounded_degree_spanning_forest_csr};
+use ccdp_graph::forest::{
+    bounded_degree_spanning_forest, component_bounded_degree_spanning_forest,
+};
 use ccdp_graph::{CsrGraph, Graph};
 use ccdp_lp::{solve_partition, SolveOptions};
 
@@ -134,20 +143,25 @@ impl LipschitzExtension {
 /// values — the loop of Algorithm 4 (steps 2–4) that feeds the Generalized
 /// Exponential Mechanism.
 ///
-/// The arena is partitioned into component-contiguous slices **once** and
-/// every grid point reuses the partition. Per Δ, decision for decision like
-/// [`LipschitzExtension::evaluate_detailed`]:
+/// `f_Δ` is a sum over connected components (Lemma 3.3) and so is the anchor
+/// test, so the whole grid is evaluated in **one sweep** over the arena's
+/// component partition, decision for decision like
+/// [`LipschitzExtension::evaluate_detailed`] on every Δ:
 ///
-/// * the spanning-forest fast path fires iff `Δ ≥ max_degree` or the Lemma 1.8
-///   construction finds a spanning Δ-forest (the CSR variant builds the
-///   identical forest), with one provable shortcut — if some *tree* component
-///   has a vertex of degree `> Δ`, no spanning Δ-forest exists (a spanning
-///   forest of a tree component is the component itself), so the search is
-///   skipped without being run;
-/// * otherwise the Δ-bounded forest polytope is maximized per component over
-///   the shared partition by [`solve_partition`] (micro closed forms and
-///   isomorphism-class dedup on, components on up to `threads` workers),
-///   merging values in component order.
+/// * **Anchor, per component.** The spanning-forest fast path fires iff
+///   `Δ ≥ max_degree` or the Lemma 1.8 construction finds a spanning
+///   Δ-forest of the whole graph, which it does iff it does on every
+///   component. A tree component has a spanning Δ-forest iff its maximum
+///   degree is ≤ Δ (its only spanning forest is itself), and on any
+///   component whose maximum degree is ≤ Δ the construction never repairs
+///   and succeeds; so the search runs only on the non-tree components whose
+///   maximum degree exceeds Δ, through
+///   [`component_bounded_degree_spanning_forest`].
+/// * **LP, one fan-out.** Every non-anchored Δ is solved by one
+///   [`solve_partition`] call over the shared partition (every component on
+///   the micro solver, identical small components solved once per class,
+///   every (class, Δ) pair on up to `threads` workers), merging values in
+///   component order per Δ.
 ///
 /// Values are clamped to be monotone non-decreasing in Δ, which they are
 /// mathematically (Lemma 3.3) but may fail to be by a hair numerically when
@@ -158,11 +172,11 @@ impl LipschitzExtension {
 /// never uses the maximizing point itself).
 ///
 /// With a [`PhaseProfiler`], time is attributed under stable phase names:
-/// `family/partition` (arena partitioning + tree precheck), `family/anchor`
-/// (fast-path checks including the Lemma 1.8 search) and `family/lp`
-/// (polytope solving over the partition), plus per-partition solve counts
-/// (component totals, closed forms, dedup hits, general fallbacks).
-/// Profiling never changes values.
+/// `family/partition` (arena partitioning + per-component degree scan),
+/// `family/anchor` (fast-path checks including the per-component Lemma 1.8
+/// searches) and `family/lp` (polytope solving over the partition), plus
+/// per-Δ solve counts (component totals, closed forms, dedup hits, general
+/// fallbacks). Profiling never changes values.
 ///
 /// Repeated evaluations of the same graph should go through
 /// [`ExtensionCache`](crate::cache::ExtensionCache), which wraps this
@@ -173,18 +187,17 @@ pub fn evaluate_family(
     threads: usize,
     profiler: Option<&PhaseProfiler>,
 ) -> Result<Vec<ExtensionEvaluation>, CoreError> {
-    let mut out = Vec::with_capacity(grid.len());
+    assert!(grid.iter().all(|&d| d >= 1), "delta must be at least 1");
     if arena.num_edges() == 0 {
-        for &delta in grid {
-            assert!(delta >= 1, "delta must be at least 1");
-            out.push(ExtensionEvaluation {
+        return Ok(grid
+            .iter()
+            .map(|&delta| ExtensionEvaluation {
                 value: 0.0,
                 delta,
                 path: EvaluationPath::SpanningForestFastPath,
                 lp: None,
-            });
-        }
-        return Ok(out);
+            })
+            .collect());
     }
     let partition_timer = profiler.map(|p| p.phase("family/partition"));
     let max_degree = arena.max_degree();
@@ -192,35 +205,63 @@ pub fn evaluate_family(
     // The partition's labelling filled the arena's component memo, so this
     // (and the release's true value after it) is a load, not a second pass.
     let fsf = arena.spanning_forest_size() as f64;
-    // Largest maximum degree over *tree* components: for Δ below it the
-    // spanning-Δ-forest search is unsatisfiable and gets skipped.
+    // Largest maximum degree over *tree* components (for Δ below it no
+    // spanning Δ-forest exists), and the non-tree components with their
+    // maximum degrees (the only ones the Lemma 1.8 search can fail on).
     let mut tree_max_degree = 0usize;
+    let mut cyclic: Vec<(usize, usize)> = Vec::new();
     for c in 0..part.num_components() {
         let view = part.component(c);
+        let local_max = (0..view.num_vertices())
+            .map(|v| view.degree(v))
+            .max()
+            .unwrap_or(0);
         if view.num_edges() + 1 == view.num_vertices() {
-            let local_max = (0..view.num_vertices())
-                .map(|v| view.degree(v))
-                .max()
-                .unwrap_or(0);
             tree_max_degree = tree_max_degree.max(local_max);
+        } else {
+            cyclic.push((c, local_max));
         }
     }
     drop(partition_timer);
-    let solve_options = SolveOptions {
-        // The family only feeds values into the GEM selection; skipping
-        // weight assembly saves one `f64` per edge per grid point.
-        want_weights: false,
-        ..SolveOptions::default()
+
+    let anchored: Vec<bool> = {
+        let _t = profiler.map(|p| p.phase("family/anchor"));
+        grid.iter()
+            .map(|&delta| {
+                delta >= max_degree
+                    || (delta >= tree_max_degree
+                        && cyclic
+                            .iter()
+                            .filter(|&&(_, local_max)| local_max > delta)
+                            .all(|&(c, _)| {
+                                component_bounded_degree_spanning_forest(&part, c, delta).is_some()
+                            }))
+            })
+            .collect()
     };
-    let mut running_max = 0.0f64;
-    for &delta in grid {
-        assert!(delta >= 1, "delta must be at least 1");
-        let anchored = {
-            let _t = profiler.map(|p| p.phase("family/anchor"));
-            delta >= max_degree
-                || (delta >= tree_max_degree
-                    && bounded_degree_spanning_forest_csr(arena, delta).is_some())
+    let lp_deltas: Vec<f64> = grid
+        .iter()
+        .zip(&anchored)
+        .filter(|&(_, &anchored)| !anchored)
+        .map(|(&delta, _)| delta as f64)
+        .collect();
+    let mut solved = if lp_deltas.is_empty() {
+        Vec::new()
+    } else {
+        let _t = profiler.map(|p| p.phase("family/lp"));
+        let solve_options = SolveOptions {
+            // The family only feeds values into the GEM selection; skipping
+            // weight assembly saves one `f64` per edge per grid point.
+            want_weights: false,
+            ..SolveOptions::default()
         };
+        solve_partition(&part, &lp_deltas, threads, &solve_options).map_err(CoreError::from)?
+    }
+    .into_iter();
+
+    let mut out = Vec::with_capacity(grid.len());
+    let mut running_max = 0.0f64;
+    for (&delta, &anchored) in grid.iter().zip(&anchored) {
         let mut eval = if anchored {
             ExtensionEvaluation {
                 value: fsf,
@@ -229,9 +270,9 @@ pub fn evaluate_family(
                 lp: None,
             }
         } else {
-            let _t = profiler.map(|p| p.phase("family/lp"));
-            let solved = solve_partition(&part, delta as f64, threads, &solve_options)
-                .map_err(CoreError::from)?;
+            let solved = solved
+                .next()
+                .expect("one partition solution per LP grid point");
             if let Some(p) = profiler {
                 let stats = solved.stats;
                 p.add_count("solve/components", stats.components as u64);
@@ -436,6 +477,28 @@ mod tests {
                 }
             }
         }
+        // On the n = 3000 graph every component, the multicyclic giant
+        // included, takes the micro path: nothing falls back to the general
+        // solver.
+        let big = CsrGraph::from_graph(graphs.last().expect("the ER graph"));
+        let part = big.partition_components();
+        let giant = (0..part.num_components())
+            .map(|c| part.component(c))
+            .max_by_key(|view| view.num_vertices())
+            .expect("non-empty graph");
+        assert!(giant.num_vertices() > 100 && giant.num_edges() > giant.num_vertices());
+        let profiler = PhaseProfiler::new();
+        evaluate_family(&big, &grid, 3, Some(&profiler)).unwrap();
+        let count = |name: &str| {
+            profiler
+                .report()
+                .into_iter()
+                .find(|r| r.name == name)
+                .map_or(0, |r| r.count)
+        };
+        assert!(count("solve/components") > 0);
+        assert!(count("solve/micro-reduced") > 0);
+        assert_eq!(count("solve/general-fallback"), 0);
     }
 
     #[test]

@@ -469,6 +469,13 @@ impl<'a> CsrComponent<'a> {
         self.arena.degree(self.start as usize + v)
     }
 
+    /// Whether local vertices `u` and `v` are adjacent (binary search).
+    #[inline]
+    pub fn has_edge(&self, u: usize, v: usize) -> bool {
+        self.arena
+            .has_edge(self.start as usize + u, self.start as usize + v)
+    }
+
     /// Iterator over the local-id neighbors of local vertex `v` (sorted).
     #[inline]
     pub fn neighbors(&self, v: usize) -> impl Iterator<Item = usize> + 'a {

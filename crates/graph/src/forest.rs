@@ -17,7 +17,7 @@
 //! * [`delta_star_exact`]: an exact branch-and-bound search intended for small
 //!   graphs, used by tests and the optimality experiments.
 
-use crate::csr::CsrGraph;
+use crate::csr::{ComponentPartition, CsrComponent, CsrGraph};
 use crate::graph::Graph;
 use crate::unionfind::UnionFind;
 
@@ -75,6 +75,26 @@ impl ForestHost for CsrGraph {
             .iter()
             .map(|&w| w as usize)
             .find(|&w| pred(w))
+    }
+}
+
+impl ForestHost for CsrComponent<'_> {
+    fn num_vertices(&self) -> usize {
+        CsrComponent::num_vertices(self)
+    }
+    fn degree(&self, v: usize) -> usize {
+        CsrComponent::degree(self, v)
+    }
+    fn has_edge(&self, u: usize, v: usize) -> bool {
+        CsrComponent::has_edge(self, u, v)
+    }
+    fn for_each_neighbor(&self, v: usize, f: &mut dyn FnMut(usize)) {
+        for w in self.neighbors(v) {
+            f(w);
+        }
+    }
+    fn first_neighbor_where(&self, v: usize, pred: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
+        self.neighbors(v).find(|&w| pred(w))
     }
 }
 
@@ -301,7 +321,7 @@ pub fn bounded_degree_spanning_forest(g: &Graph, delta: usize) -> Option<Spannin
 /// # Panics
 /// Panics if `caps.len() != g.num_vertices()`.
 pub fn capacity_bounded_spanning_forest(g: &Graph, caps: &[usize]) -> Option<SpanningForest> {
-    let result = capacity_bounded_forest_host(g, caps);
+    let result = capacity_bounded_forest_host(g, caps, g.num_vertices());
     if let Some(f) = &result {
         debug_assert!(
             f.is_spanning_forest_of(g),
@@ -318,7 +338,7 @@ pub fn capacity_bounded_spanning_forest_csr(
     g: &CsrGraph,
     caps: &[usize],
 ) -> Option<SpanningForest> {
-    capacity_bounded_forest_host(g, caps)
+    capacity_bounded_forest_host(g, caps, g.num_vertices())
 }
 
 /// [`bounded_degree_spanning_forest`] on the flat CSR arena.
@@ -330,9 +350,40 @@ pub fn bounded_degree_spanning_forest_csr(g: &CsrGraph, delta: usize) -> Option<
     capacity_bounded_spanning_forest_csr(g, &vec![delta; g.num_vertices()])
 }
 
+/// [`bounded_degree_spanning_forest_csr`] on component `c` of a partition,
+/// in the component's local ids.
+///
+/// The search on a whole arena succeeds iff it succeeds on every component
+/// of the arena's partition: its elimination order is a BFS from each
+/// component's smallest vertex over sorted rows, which the partition's
+/// relabelling (monotone within a component) preserves, and an insertion
+/// and its repairs only ever touch one component. The repair loop keeps the
+/// whole arena's vertex count as its safety bound, so the bound is as
+/// strong here as in the whole-arena search.
+///
+/// # Panics
+/// Panics if `delta == 0`.
+pub fn component_bounded_degree_spanning_forest(
+    part: &ComponentPartition,
+    c: usize,
+    delta: usize,
+) -> Option<SpanningForest> {
+    assert!(delta >= 1, "delta must be at least 1");
+    let view = part.component(c);
+    capacity_bounded_forest_host(
+        &view,
+        &vec![delta; view.num_vertices()],
+        part.arena().num_vertices(),
+    )
+}
+
+/// The shared insertion-with-local-repairs search. `repair_limit` bounds the
+/// repairs of one insertion (the host graph's vertex count for a whole graph,
+/// the whole arena's for one component of it).
 fn capacity_bounded_forest_host<H: ForestHost + ?Sized>(
     g: &H,
     caps: &[usize],
+    repair_limit: usize,
 ) -> Option<SpanningForest> {
     let n = g.num_vertices();
     assert_eq!(caps.len(), n, "capacity vector length mismatch");
@@ -365,13 +416,13 @@ fn capacity_bounded_forest_host<H: ForestHost + ?Sized>(
 
         // Local repair loop (Algorithm 3): only the most recently touched vertex can
         // exceed its bound, and the repaired vertices form a path, so at most n
-        // repairs can happen per insertion.
+        // repairs can happen per insertion (`repair_limit` ≥ n is the safety bound).
         let mut prev = v0;
         let mut cur = v1;
         let mut repairs = 0usize;
         while forest.degree(cur) > caps[cur] {
             repairs += 1;
-            if repairs > n {
+            if repairs > repair_limit {
                 return None;
             }
             // The forest-neighbors of `cur`, excluding `prev`.

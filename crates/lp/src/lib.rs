@@ -28,7 +28,6 @@ pub use combinatorial::CombinatorialSolver;
 pub use cutting_plane::violated_forest_constraints;
 pub use micro::{
     solve_partition, PartitionSolution, PartitionSolveStats, SolveOptions, DEDUP_MAX_VERTICES,
-    MICRO_TINY_VERTICES,
 };
 pub use problem::{LinearProgram, LpError, LpSolution};
 pub use simplex::IncrementalSimplex;

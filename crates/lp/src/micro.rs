@@ -1,57 +1,54 @@
-//! Micro-component fast paths and isomorphism-class solve dedup over a
-//! component-contiguous CSR partition.
+//! Micro-component solving and labeled-slice class dedup over a
+//! component-contiguous CSR partition, for a whole grid of Δ values.
 //!
 //! On the barely-supercritical workloads the scale tier targets, a graph with
 //! 10⁶ vertices decomposes into ~476k components that are overwhelmingly tiny
 //! trees and unicyclic graphs — exactly the structures for which the
-//! Δ-bounded forest-polytope maximum has a closed form. The general
-//! [`CombinatorialSolver`] already solves each of them quickly, but pays a
-//! fixed per-component toll (materializing an adjacency-list [`Graph`],
-//! half a dozen allocations, a `HashMap` for the remnant phase) that
-//! dominates once components are this small and this numerous.
+//! Δ-bounded forest-polytope maximum has a closed form — plus one multicyclic
+//! giant. The general [`CombinatorialSolver`] solves each of them exactly,
+//! but pays a fixed per-component toll (materializing an adjacency-list
+//! [`Graph`], half a dozen allocations, a `HashMap` for the remnant phase)
+//! that dominates once components are this small and this numerous, and
+//! copies the giant out of the arena on every call.
 //!
 //! This module removes that toll while keeping the results **bit-for-bit
 //! identical** to the general solver:
 //!
-//! * [`solve_partition`] — the driver: solves every component of a
-//!   [`ComponentPartition`] (sequentially or on a work-stealing fan-out,
-//!   merging in component order either way) with reusable scratch buffers.
-//! * **Micro solver** — for trees, unicyclic components and anything with at
-//!   most [`MICRO_TINY_VERTICES`] vertices, a CSR-native replica of the
-//!   general solver's reduction loop (same float operations in the same
-//!   order), with two provably-identical closed-form short-circuits:
-//!   a tree whose maximum degree is ≤ Δ gets all-ones weights (every leaf
-//!   peel charges exactly 1.0), and a remnant cycle whose floored caps are
-//!   all ≥ 2 keeps its first `k − 1` canonical edges (the capped greedy
-//!   accepts exactly those). Remnant pieces that fit neither case are
+//! * [`solve_partition`] — the driver: one sweep over a
+//!   [`ComponentPartition`] for every Δ of a grid. It classifies the
+//!   components once, solves every (class, Δ) pair on one work-stealing
+//!   fan-out, and merges each Δ's values in component order, so the result
+//!   is the same for every thread budget and for every grid the Δ appears in.
+//! * **Micro solver** — every component, of any size or cycle rank, takes a
+//!   CSR-native replica of the general solver's reduction loop (same float
+//!   operations in the same order), with two provably-identical closed-form
+//!   short-circuits: a tree whose maximum degree is ≤ Δ gets all-ones weights
+//!   (every leaf peel charges exactly 1.0), and a remnant cycle whose floored
+//!   caps are all ≥ 2 keeps its first `k − 1` canonical edges (the capped
+//!   greedy accepts exactly those). Remnant pieces that fit neither case are
 //!   materialized and sent through the *same* [`spanning_certificate`] /
 //!   column-generation tail as the general solver, so the weight vector —
 //!   and hence the value, summed in the same edge order — is identical by
 //!   construction.
-//! * **Solve dedup** — components with at most [`DEDUP_MAX_VERTICES`]
+//! * **Class dedup** — components with at most [`DEDUP_MAX_VERTICES`]
 //!   vertices are keyed by their exact labeled CSR slice (size, degree
-//!   sequence, neighbor lists) behind a hash; a hit must pass a full witness
-//!   comparison (the cache-layer `matches_graph` discipline) before its
-//!   stored solution is reused, so two components share a solve only when
-//!   they are *identical as labeled graphs* — a safe subset of isomorphism;
-//!   any hash collision fails the witness check and forces a solo solve. On
-//!   ER at p = 1.05/n the labeled-class count is a few hundred versus ~476k
-//!   components, so nearly every solve becomes a lookup.
+//!   sequence, neighbor lists); a hash map with full key equality is the
+//!   witness check, so two components share a class only when they are
+//!   *identical as labeled graphs* — a safe subset of isomorphism. Every
+//!   larger component is its own class. On ER at p = 1.05/n the labeled-class
+//!   count is a few hundred versus ~476k components, so nearly every solve
+//!   becomes a lookup.
 
 use crate::column_generation;
 use crate::combinatorial::{spanning_certificate, CombinatorialSolver, CAP_TOL};
 use crate::solver::{PolytopeError, PolytopeSolution};
 use ccdp_exec::{effective_parallelism, parallel_map};
 use ccdp_graph::{ComponentPartition, CsrComponent, Graph};
+use std::cmp::Reverse;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-/// Components with more vertices than this and more than `n` edges are not
-/// micro-eligible (trees and unicyclic components of any size always are).
-pub const MICRO_TINY_VERTICES: usize = 24;
-
-/// Components with at most this many vertices participate in solve dedup.
+/// Components with at most this many vertices participate in class dedup.
 pub const DEDUP_MAX_VERTICES: usize = 32;
 
 /// Knobs for [`solve_partition`]. Both fast paths default to on; turning
@@ -60,9 +57,10 @@ pub const DEDUP_MAX_VERTICES: usize = 32;
 /// identical labeled slices).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SolveOptions {
-    /// Enable the micro-component fast paths.
+    /// Solve with the micro solver rather than the general
+    /// [`CombinatorialSolver`] (the equivalence oracle).
     pub micro: bool,
-    /// Enable isomorphism-class (labeled-slice) solve dedup.
+    /// Enable labeled-slice class dedup.
     pub dedup: bool,
     /// Assemble per-edge weights in arena edge order. The family evaluation
     /// only needs values; skipping assembly saves one `f64` per edge per Δ.
@@ -79,7 +77,7 @@ impl Default for SolveOptions {
     }
 }
 
-/// Where each component's solution came from, aggregated over one
+/// Where each component's solution came from, for one Δ of a
 /// [`solve_partition`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PartitionSolveStats {
@@ -91,15 +89,15 @@ pub struct PartitionSolveStats {
     pub micro_reduced: usize,
     /// Components handed to the general [`CombinatorialSolver`].
     pub general_fallback: usize,
-    /// Distinct labeled classes inserted into the dedup table.
+    /// Distinct labeled classes among the dedup-eligible components.
     pub dedup_classes: usize,
-    /// Solves served from the dedup table.
+    /// Components served from another component's class solution.
     pub dedup_hits: usize,
 }
 
-/// Result of [`solve_partition`]: the merged polytope solution (weights in
-/// *arena* edge order when requested, empty otherwise) plus attribution
-/// counters.
+/// One Δ's result of [`solve_partition`]: the merged polytope solution
+/// (weights in *arena* edge order when requested, empty otherwise) plus
+/// attribution counters.
 #[derive(Clone, Debug)]
 pub struct PartitionSolution {
     /// Merged solution; `edge_weights` is indexed like the arena's canonical
@@ -143,17 +141,32 @@ impl CompSolution {
     }
 }
 
-/// Solves every component of a partition and merges values **in component
-/// order** — the exact order the sequential per-component driver uses — so
-/// the result is identical for every thread budget and for every
-/// [`SolveOptions`] combination.
+/// Solves every component of a partition at every Δ of `deltas` and returns
+/// one [`PartitionSolution`] per Δ, in `deltas` order.
+///
+/// One sweep serves the whole grid:
+///
+/// 1. **Classify once.** Every component with ≥ 2 vertices and ≥ 1 edge is
+///    assigned a class, sequentially: with dedup on, components of at most
+///    [`DEDUP_MAX_VERTICES`] vertices share a class iff their labeled slices
+///    are identical; every other component is its own class.
+/// 2. **One fan-out.** Every (class, Δ) pair is solved on one
+///    [`parallel_map`], Δ-major with the largest classes first, so one heavy
+///    component's Δ solves sit at evenly spread task indices and land on
+///    different workers.
+/// 3. **Merge per Δ** in component order — the exact order the sequential
+///    per-component driver uses.
+///
+/// Each (class, Δ) solve is a pure function of the class's labeled slice
+/// and Δ, so the result is identical for every thread budget, for every
+/// [`SolveOptions`] combination and for every grid a Δ appears in.
 pub fn solve_partition(
     part: &ComponentPartition,
-    delta: f64,
+    deltas: &[f64],
     threads: usize,
     opts: &SolveOptions,
-) -> Result<PartitionSolution, PolytopeError> {
-    if delta <= 0.0 || !delta.is_finite() {
+) -> Result<Vec<PartitionSolution>, PolytopeError> {
+    if let Some(&delta) = deltas.iter().find(|d| **d <= 0.0 || !d.is_finite()) {
         return Err(PolytopeError::InvalidDelta { delta });
     }
     let arena = part.arena();
@@ -173,17 +186,31 @@ pub fn solve_partition(
     }
     debug_assert_eq!(edge_cursor, num_edges);
 
-    let dedup = opts.dedup.then(DedupTable::new);
-    let scratch_pool: Mutex<Vec<MicroScratch>> = Mutex::new(Vec::new());
+    let classes = Classes::of(part, &eligible, opts.dedup);
+    let num_classes = classes.reps.len();
+    // Class ranks by descending size (stable): `by_size[r]` is the class
+    // solved at rank `r` of every Δ's block of tasks, `rank_of` inverts it.
+    let mut by_size: Vec<u32> = (0..num_classes as u32).collect();
+    by_size.sort_by_key(|&class| {
+        let view = part.component(eligible[classes.reps[class as usize]].0);
+        Reverse(view.num_vertices() + view.num_edges())
+    });
+    let mut rank_of = vec![0u32; num_classes];
+    for (rank, &class) in by_size.iter().enumerate() {
+        rank_of[class as usize] = rank as u32;
+    }
 
-    let run_one = |i: usize| -> Result<(Arc<CompSolution>, bool), PolytopeError> {
-        let view = part.component(eligible[i].0);
+    let scratch_pool: Mutex<Vec<MicroScratch>> = Mutex::new(Vec::new());
+    let run_one = |task: usize| -> Result<CompSolution, PolytopeError> {
+        let (d, rank) = (task / num_classes, task % num_classes);
+        let rep = classes.reps[by_size[rank] as usize];
+        let view = part.component(eligible[rep].0);
         let mut scratch = scratch_pool
             .lock()
             .expect("scratch pool lock")
             .pop()
             .unwrap_or_default();
-        let out = solve_component_view(&view, delta, opts.micro, dedup.as_ref(), &mut scratch);
+        let out = solve_component(&view, deltas[d], opts.micro, &mut scratch);
         scratch_pool
             .lock()
             .expect("scratch pool lock")
@@ -191,81 +218,57 @@ pub fn solve_partition(
         out
     };
 
-    let work = arena.num_vertices() + num_edges;
-    let eff = effective_parallelism(threads, work);
-    let results: Vec<Result<(Arc<CompSolution>, bool), PolytopeError>> = if eff >= 2 {
-        parallel_map(eff, eligible.len(), run_one)
+    let tasks = deltas.len() * num_classes;
+    let eff = effective_parallelism(threads, deltas.len() * (arena.num_vertices() + num_edges));
+    let solved: Vec<CompSolution> = if eff >= 2 {
+        parallel_map(eff, tasks, run_one)
     } else {
-        (0..eligible.len()).map(run_one).collect()
-    };
+        (0..tasks).map(run_one).collect()
+    }
+    .into_iter()
+    .collect::<Result<_, _>>()?;
 
-    let mut solution = PolytopeSolution::zero(if opts.want_weights { num_edges } else { 0 });
-    let mut stats = PartitionSolveStats {
-        components: eligible.len(),
-        ..PartitionSolveStats::default()
-    };
-    for (i, result) in results.into_iter().enumerate() {
-        let (sol, dedup_hit) = result?;
-        solution.value += sol.value;
-        solution.generated_cuts += sol.generated_cuts;
-        solution.lp_iterations += sol.lp_iterations;
-        solution.lp_solves += sol.lp_solves;
-        solution.lp_fallback_components += sol.lp_fallback_components;
-        if dedup_hit {
-            stats.dedup_hits += 1;
-        } else {
-            match sol.kind {
-                SolveKind::MicroClosedForm => stats.micro_closed_form += 1,
-                SolveKind::MicroReduced => stats.micro_reduced += 1,
-                SolveKind::General => stats.general_fallback += 1,
+    let mut out = Vec::with_capacity(deltas.len());
+    for block in (0..deltas.len()).map(|d| &solved[d * num_classes..(d + 1) * num_classes]) {
+        let mut solution = PolytopeSolution::zero(if opts.want_weights { num_edges } else { 0 });
+        let mut stats = PartitionSolveStats {
+            components: eligible.len(),
+            dedup_classes: classes.keyed,
+            ..PartitionSolveStats::default()
+        };
+        for (i, &(_, off)) in eligible.iter().enumerate() {
+            let class = classes.of[i] as usize;
+            let sol = &block[rank_of[class] as usize];
+            solution.value += sol.value;
+            solution.generated_cuts += sol.generated_cuts;
+            solution.lp_iterations += sol.lp_iterations;
+            solution.lp_solves += sol.lp_solves;
+            solution.lp_fallback_components += sol.lp_fallback_components;
+            if classes.reps[class] != i {
+                stats.dedup_hits += 1;
+            } else {
+                match sol.kind {
+                    SolveKind::MicroClosedForm => stats.micro_closed_form += 1,
+                    SolveKind::MicroReduced => stats.micro_reduced += 1,
+                    SolveKind::General => stats.general_fallback += 1,
+                }
+            }
+            if opts.want_weights {
+                solution.edge_weights[off..off + sol.weights.len()].copy_from_slice(&sol.weights);
             }
         }
-        if opts.want_weights {
-            let off = eligible[i].1;
-            solution.edge_weights[off..off + sol.weights.len()].copy_from_slice(&sol.weights);
-        }
+        out.push(PartitionSolution { solution, stats });
     }
-    if let Some(table) = dedup {
-        stats.dedup_classes = table.classes.load(Ordering::Relaxed);
-    }
-    Ok(PartitionSolution { solution, stats })
+    Ok(out)
 }
 
-fn solve_component_view(
-    view: &CsrComponent<'_>,
-    delta: f64,
-    micro: bool,
-    dedup: Option<&DedupTable>,
-    scratch: &mut MicroScratch,
-) -> Result<(Arc<CompSolution>, bool), PolytopeError> {
-    let n = view.num_vertices();
-    if let Some(table) = dedup.filter(|_| n <= DEDUP_MAX_VERTICES) {
-        scratch.key_buf.clear();
-        encode_labeled_slice(view, &mut scratch.key_buf);
-        let hash = fnv1a_64(&scratch.key_buf);
-        if let Some(hit) = table.lookup(hash, &scratch.key_buf) {
-            return Ok((hit, true));
-        }
-        let sol = Arc::new(solve_component_dispatch(view, delta, micro, scratch)?);
-        let key = scratch.key_buf.clone();
-        table.insert(hash, key, Arc::clone(&sol));
-        return Ok((sol, false));
-    }
-    Ok((
-        Arc::new(solve_component_dispatch(view, delta, micro, scratch)?),
-        false,
-    ))
-}
-
-fn solve_component_dispatch(
+fn solve_component(
     view: &CsrComponent<'_>,
     delta: f64,
     micro: bool,
     scratch: &mut MicroScratch,
 ) -> Result<CompSolution, PolytopeError> {
-    let n = view.num_vertices();
-    let m = view.num_edges();
-    if micro && (m <= n || n <= MICRO_TINY_VERTICES) {
+    if micro {
         micro_solve(view, delta, scratch)
     } else {
         let local = view.to_graph();
@@ -294,7 +297,6 @@ struct MicroScratch {
     work: Vec<u32>,
     label: Vec<u32>,
     stack: Vec<u32>,
-    key_buf: Vec<u32>,
 }
 
 fn micro_solve(
@@ -627,47 +629,49 @@ pub fn cycle_polytope_value(caps: &[usize]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Labeled-slice dedup.
+// Labeled-slice classes.
 // ---------------------------------------------------------------------------
 
-struct DedupEntry {
-    key: Vec<u32>,
-    sol: Arc<CompSolution>,
+/// The class assignment of one partition's eligible components.
+struct Classes {
+    /// Eligible-component index → class id.
+    of: Vec<u32>,
+    /// Class id → its representative, the first eligible component of the
+    /// class (the one whose solve every other member replays).
+    reps: Vec<usize>,
+    /// Number of classes keyed by a labeled slice (the dedup-eligible ones).
+    keyed: usize,
 }
 
-struct DedupTable {
-    map: Mutex<HashMap<u64, Vec<DedupEntry>>>,
-    classes: AtomicUsize,
-}
-
-impl DedupTable {
-    fn new() -> Self {
-        DedupTable {
-            map: Mutex::new(HashMap::new()),
-            classes: AtomicUsize::new(0),
+impl Classes {
+    /// Sequential, lock-free classification in component order.
+    fn of(part: &ComponentPartition, eligible: &[(usize, usize)], dedup: bool) -> Self {
+        let mut of = Vec::with_capacity(eligible.len());
+        let mut reps = Vec::new();
+        let mut table: HashMap<Vec<u32>, u32> = HashMap::new();
+        let mut key = Vec::new();
+        for (i, &(c, _)) in eligible.iter().enumerate() {
+            let view = part.component(c);
+            let class = reps.len() as u32;
+            if dedup && view.num_vertices() <= DEDUP_MAX_VERTICES {
+                key.clear();
+                encode_labeled_slice(&view, &mut key);
+                // Key equality is the witness check: a hash collision between
+                // different slices never merges their classes.
+                if let Some(&hit) = table.get(key.as_slice()) {
+                    of.push(hit);
+                    continue;
+                }
+                table.insert(key.clone(), class);
+            }
+            of.push(class);
+            reps.push(i);
         }
-    }
-
-    /// A hash hit counts only after the stored key matches the probe exactly
-    /// (witness check): colliding non-identical slices solve solo.
-    fn lookup(&self, hash: u64, key: &[u32]) -> Option<Arc<CompSolution>> {
-        let map = self.map.lock().expect("dedup lock");
-        map.get(&hash)?
-            .iter()
-            .find(|entry| entry.key == key)
-            .map(|entry| Arc::clone(&entry.sol))
-    }
-
-    fn insert(&self, hash: u64, key: Vec<u32>, sol: Arc<CompSolution>) {
-        let mut map = self.map.lock().expect("dedup lock");
-        let bucket = map.entry(hash).or_default();
-        // A racing worker may have inserted the same class meanwhile; keep
-        // the first (solutions are identical — pure function of the slice).
-        if bucket.iter().any(|entry| entry.key == key) {
-            return;
+        Classes {
+            of,
+            reps,
+            keyed: table.len(),
         }
-        bucket.push(DedupEntry { key, sol });
-        self.classes.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -687,17 +691,6 @@ fn encode_labeled_slice(view: &CsrComponent<'_>, out: &mut Vec<u32>) {
     }
 }
 
-fn fnv1a_64(words: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in words {
-        for byte in w.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,7 +701,7 @@ mod tests {
 
     fn partition_value(g: &Graph, delta: f64, opts: &SolveOptions) -> PartitionSolution {
         let part = CsrGraph::from_graph(g).partition_components();
-        solve_partition(&part, delta, 1, opts).unwrap()
+        solve_partition(&part, &[delta], 1, opts).unwrap().remove(0)
     }
 
     fn general_value(g: &Graph, delta: f64) -> PolytopeSolution {
@@ -834,31 +827,74 @@ mod tests {
         assert_eq!(got.stats.dedup_hits, 0);
     }
 
+    fn weight_bits(sol: &PartitionSolution) -> Vec<u64> {
+        sol.solution
+            .edge_weights
+            .iter()
+            .map(|w| w.to_bits())
+            .collect()
+    }
+
     #[test]
     fn partition_solve_is_thread_invariant() {
         let mut rng = StdRng::seed_from_u64(5);
         let g = generators::erdos_renyi(3000, 1.05 / 3000.0, &mut rng);
         let part = CsrGraph::from_graph(&g).partition_components();
-        let seq = solve_partition(&part, 1.0, 1, &SolveOptions::default()).unwrap();
+        let grid = [1.0, 2.0, 4.0];
+        let seq = solve_partition(&part, &grid, 1, &SolveOptions::default()).unwrap();
         for threads in [2, 4, 8] {
-            let par = solve_partition(&part, 1.0, threads, &SolveOptions::default()).unwrap();
-            assert_eq!(
-                seq.solution.value.to_bits(),
-                par.solution.value.to_bits(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                seq.solution
-                    .edge_weights
-                    .iter()
-                    .map(|w| w.to_bits())
-                    .collect::<Vec<_>>(),
-                par.solution
-                    .edge_weights
-                    .iter()
-                    .map(|w| w.to_bits())
-                    .collect::<Vec<_>>()
-            );
+            let par = solve_partition(&part, &grid, threads, &SolveOptions::default()).unwrap();
+            for (d, (s, p)) in seq.iter().zip(&par).enumerate() {
+                assert_eq!(
+                    s.solution.value.to_bits(),
+                    p.solution.value.to_bits(),
+                    "threads={threads} Δ={}",
+                    grid[d]
+                );
+                assert_eq!(weight_bits(s), weight_bits(p));
+                assert_eq!(s.stats, p.stats);
+            }
+        }
+    }
+
+    #[test]
+    fn grid_sweep_matches_single_delta_calls() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let g = generators::erdos_renyi(1500, 1.3 / 1500.0, &mut rng);
+        let part = CsrGraph::from_graph(&g).partition_components();
+        let grid = [4.0, 1.0, 2.0, 1.0];
+        let swept = solve_partition(&part, &grid, 3, &SolveOptions::default()).unwrap();
+        assert_eq!(swept.len(), grid.len());
+        for (&delta, got) in grid.iter().zip(&swept) {
+            let alone = solve_partition(&part, &[delta], 1, &SolveOptions::default())
+                .unwrap()
+                .remove(0);
+            assert_eq!(alone.solution.value.to_bits(), got.solution.value.to_bits());
+            assert_eq!(weight_bits(&alone), weight_bits(got));
+            assert_eq!(alone.stats, got.stats);
+        }
+        assert!(solve_partition(&part, &[], 2, &SolveOptions::default())
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn multicyclic_components_of_any_size_take_the_micro_path() {
+        // Barabási–Albert graphs are connected and multicyclic; at 40..120
+        // vertices they are far above the size at which the micro solver
+        // used to hand components to the general solver.
+        let mut rng = StdRng::seed_from_u64(12);
+        for n in [40usize, 80, 120] {
+            let g = generators::barabasi_albert(n, 2, &mut rng);
+            for delta in [1.0, 2.0, 3.0] {
+                let reference = general_value(&g, delta);
+                let got = partition_value(&g, delta, &SolveOptions::default());
+                assert_eq!(got.stats.general_fallback, 0, "n={n} Δ={delta}");
+                assert_eq!(got.stats.components, 1);
+                assert_eq!(reference.value.to_bits(), got.solution.value.to_bits());
+                let want: Vec<u64> = reference.edge_weights.iter().map(|w| w.to_bits()).collect();
+                assert_eq!(want, weight_bits(&got), "n={n} Δ={delta}");
+            }
         }
     }
 
@@ -866,18 +902,15 @@ mod tests {
     fn value_only_mode_matches_weighted_mode() {
         let mut rng = StdRng::seed_from_u64(6);
         let g = generators::erdos_renyi(200, 1.2 / 200.0, &mut rng);
-        let part = CsrGraph::from_graph(&g).partition_components();
-        let with = solve_partition(&part, 2.0, 1, &SolveOptions::default()).unwrap();
-        let without = solve_partition(
-            &part,
+        let with = partition_value(&g, 2.0, &SolveOptions::default());
+        let without = partition_value(
+            &g,
             2.0,
-            1,
             &SolveOptions {
                 want_weights: false,
                 ..SolveOptions::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(
             with.solution.value.to_bits(),
             without.solution.value.to_bits()
@@ -917,9 +950,11 @@ mod tests {
     #[test]
     fn invalid_delta_is_rejected() {
         let part = CsrGraph::from_graph(&generators::path(4)).partition_components();
-        assert!(matches!(
-            solve_partition(&part, 0.0, 1, &SolveOptions::default()),
-            Err(PolytopeError::InvalidDelta { .. })
-        ));
+        for grid in [&[0.0][..], &[1.0, f64::NAN]] {
+            assert!(matches!(
+                solve_partition(&part, grid, 1, &SolveOptions::default()),
+                Err(PolytopeError::InvalidDelta { .. })
+            ));
+        }
     }
 }

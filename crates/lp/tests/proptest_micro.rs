@@ -2,7 +2,11 @@
 //! family, every Δ in the small grid, every toggle combination and thread
 //! budget, `solve_partition` must return the exact bits of the general
 //! combinatorial path — micro closed forms and isomorphism-class dedup are
-//! pure work-savers, never value-changers.
+//! pure work-savers, never value-changers. Graphs reach 120 vertices, so
+//! multicyclic Barabási–Albert and geometric components far above 24
+//! vertices (the size up to which the micro solver once took multicyclic
+//! components) are covered, and a grid sweep must give every Δ the bits of
+//! a one-element call.
 
 use ccdp_graph::{generators, CsrGraph, Graph};
 use ccdp_lp::{solve_partition, SolveOptions};
@@ -49,7 +53,7 @@ proptest! {
     #[test]
     fn micro_and_dedup_match_general_bitwise(
         family in 0u8..5,
-        n in 4usize..60,
+        n in 4usize..=120,
         seed in 0u64..1u64 << 48,
         delta in 1u8..=4,
     ) {
@@ -58,10 +62,12 @@ proptest! {
         let part = arena.partition_components();
         let delta = delta as f64;
 
-        let base = solve_partition(&part, delta, 1, &options(false, false)).unwrap();
+        let base = solve_partition(&part, &[delta], 1, &options(false, false)).unwrap().remove(0);
         for (micro, dedup) in [(true, true), (true, false), (false, true)] {
             for threads in [1usize, 3] {
-                let fast = solve_partition(&part, delta, threads, &options(micro, dedup)).unwrap();
+                let fast = solve_partition(&part, &[delta], threads, &options(micro, dedup))
+                    .unwrap()
+                    .remove(0);
                 prop_assert_eq!(
                     base.solution.value.to_bits(),
                     fast.solution.value.to_bits(),
@@ -117,8 +123,12 @@ proptest! {
         let part = CsrGraph::from_graph(&g).partition_components();
         let delta = delta as f64;
 
-        let plain = solve_partition(&part, delta, 1, &options(true, false)).unwrap();
-        let deduped = solve_partition(&part, delta, 1, &options(true, true)).unwrap();
+        let plain = solve_partition(&part, &[delta], 1, &options(true, false))
+            .unwrap()
+            .remove(0);
+        let deduped = solve_partition(&part, &[delta], 1, &options(true, true))
+            .unwrap()
+            .remove(0);
         prop_assert_eq!(
             plain.solution.value.to_bits(),
             deduped.solution.value.to_bits()
@@ -136,5 +146,62 @@ proptest! {
         let stats = deduped.stats;
         prop_assert!(stats.dedup_classes + stats.dedup_hits <= stats.components);
         prop_assert!(stats.components == 0 || stats.dedup_classes >= 1);
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One grid sweep gives every Δ exactly the bits (value, per-edge
+    /// weights and attribution counters) of a one-element call, for every
+    /// thread budget. The graph is a disjoint union of 6 to 13 family
+    /// graphs (repeated small components for the class dedup to merge) and
+    /// one 1000-vertex random tree, so the fan-out has enough work to run on
+    /// every requested worker.
+    #[test]
+    fn grid_sweep_matches_one_element_calls(
+        parts in proptest::collection::vec((0u8..5, 4usize..=60), 6..14),
+        seed in 0u64..1u64 << 48,
+    ) {
+        let mut g = Graph::new(0);
+        for (i, &(family, n)) in parts.iter().chain([&(0, 1000)]).enumerate() {
+            let h = family_graph(family, n, seed.wrapping_add(i as u64 % 3));
+            let base = g.num_vertices();
+            for _ in 0..h.num_vertices() {
+                g.add_vertex();
+            }
+            for (u, v) in h.edges() {
+                g.add_edge(base + u, base + v);
+            }
+        }
+        let part = CsrGraph::from_graph(&g).partition_components();
+        let grid = [1.0, 2.0, 4.0, 3.0, 8.0];
+        let alone: Vec<_> = grid
+            .iter()
+            .map(|&delta| {
+                solve_partition(&part, &[delta], 1, &SolveOptions::default())
+                    .unwrap()
+                    .remove(0)
+            })
+            .collect();
+        for threads in [1usize, 2, 3] {
+            let swept = solve_partition(&part, &grid, threads, &SolveOptions::default()).unwrap();
+            prop_assert_eq!(swept.len(), grid.len());
+            for ((delta, want), got) in grid.iter().zip(&alone).zip(&swept) {
+                prop_assert_eq!(
+                    want.solution.value.to_bits(),
+                    got.solution.value.to_bits(),
+                    "value bits diverged: Δ={} threads={}",
+                    delta, threads
+                );
+                prop_assert_eq!(want.stats, got.stats);
+                let want_bits: Vec<u64> =
+                    want.solution.edge_weights.iter().map(|w| w.to_bits()).collect();
+                let got_bits: Vec<u64> =
+                    got.solution.edge_weights.iter().map(|w| w.to_bits()).collect();
+                prop_assert_eq!(want_bits, got_bits, "weights: Δ={} threads={}", delta, threads);
+            }
+        }
     }
 }

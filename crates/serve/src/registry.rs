@@ -20,9 +20,12 @@
 //! [`GraphVersion`]): a streaming layer publishes new versions as the graph
 //! mutates, requests resolve either a pinned `(id, version)` pair or the
 //! latest pointer, and stale versions can be expired without disturbing the
-//! frontier. Publishing the same `(id, version)` twice is a typed
-//! [`ServeError::VersionExists`] refusal — snapshots are immutable, so
-//! re-publishing could only mean two different graphs claiming one identity.
+//! frontier. Expired snapshots are split out under the shard lock but freed
+//! after it is released, so freeing their graphs and arenas — O(n + m) —
+//! never runs under a registry lock either. Publishing the same
+//! `(id, version)` twice is a typed [`ServeError::VersionExists`] refusal —
+//! snapshots are immutable, so re-publishing could only mean two different
+//! graphs claiming one identity.
 
 use crate::error::ServeError;
 use ccdp_graph::{io, CsrGraph, Graph, GraphVersion};
@@ -177,8 +180,9 @@ impl GraphRegistry {
         let version = next_version(history);
         let previous = history.last_key_value().map(|(_, p)| Arc::clone(&p.graph));
         history.insert(version, published);
-        enforce_retention(history, self.retention);
+        let expired = split_off_oldest(history, self.retention);
         drop(shard);
+        drop(expired);
         self.audit_publish(&id, version, "published as next version");
         previous
     }
@@ -219,8 +223,9 @@ impl GraphRegistry {
             }
         }
         history.insert(version, published);
-        enforce_retention(history, self.retention);
+        let expired = split_off_oldest(history, self.retention);
         drop(shard);
+        drop(expired);
         self.audit_publish(&id, version, "published at explicit version");
         Ok(graph)
     }
@@ -352,29 +357,22 @@ impl GraphRegistry {
         let Some((&latest, _)) = history.last_key_value() else {
             return 0;
         };
-        let cutoff = version.min(latest);
-        let kept = history.split_off(&cutoff);
-        let evicted = history.len();
-        *history = kept;
-        evicted
+        let kept = history.split_off(&version.min(latest));
+        let expired = std::mem::replace(history, kept);
+        drop(shard);
+        expired.len()
     }
 
     /// Keeps only the `keep` most recent snapshots of `id` (≥ 1), returning
     /// how many older ones were evicted.
     pub fn retain_latest(&self, id: &GraphId, keep: usize) -> usize {
-        let keep = keep.max(1);
         let mut shard = self.write(id);
         let Some(history) = shard.get_mut(id) else {
             return 0;
         };
-        if history.len() <= keep {
-            return 0;
-        }
-        let cutoff = *history.keys().nth_back(keep - 1).expect("len > keep");
-        let kept = history.split_off(&cutoff);
-        let evicted = history.len();
-        *history = kept;
-        evicted
+        let expired = split_off_oldest(history, keep.max(1));
+        drop(shard);
+        expired.len()
     }
 
     /// Removes and returns exactly one published snapshot, dropping the id
@@ -460,17 +458,17 @@ fn next_version(history: &History) -> GraphVersion {
         .unwrap_or(GraphVersion::INITIAL)
 }
 
-/// Expires the oldest versions beyond the registry's retention bound
-/// (0 = unlimited). Called on every publish, so histories can exceed the
+/// Splits the oldest versions beyond `keep` (0 = unlimited) off `history`
+/// and returns them, so the caller frees them after releasing the shard
+/// lock. Called on every publish, so histories can exceed the retention
 /// bound only between a publish and this sweep — never observably.
-fn enforce_retention(history: &mut History, retention: usize) {
-    if retention == 0 {
-        return;
+fn split_off_oldest(history: &mut History, keep: usize) -> History {
+    if keep == 0 || history.len() <= keep {
+        return History::new();
     }
-    while history.len() > retention {
-        let oldest = *history.keys().next().expect("len > retention > 0");
-        history.remove(&oldest);
-    }
+    let cutoff = *history.keys().nth_back(keep - 1).expect("len > keep");
+    let kept = history.split_off(&cutoff);
+    std::mem::replace(history, kept)
 }
 
 impl Default for GraphRegistry {
@@ -687,6 +685,40 @@ mod tests {
         assert_eq!(reg.evict_versions_below(&id, GraphVersion::new(100)), 1);
         assert_eq!(reg.versions(&id), vec![GraphVersion::new(4)]);
         assert_eq!(reg.latest_version(&id), Some(GraphVersion::new(4)));
+    }
+
+    #[test]
+    fn readers_keep_expired_snapshots_and_expiry_counts_are_exact() {
+        // Retention 3: every expiry path frees the registry's share of a
+        // snapshot, while a reader that resolved it keeps a valid `Arc`.
+        let reg = GraphRegistry::with_retention(4, 3);
+        let id = GraphId::new("g");
+        for n in 2..5 {
+            reg.insert(id.clone(), generators::path(n));
+        }
+        let v0 = GraphVersion::INITIAL;
+        let graph = reg.get_version(&id, v0).unwrap();
+        let (_, arena) = reg.resolve_arena(&id, Some(v0)).unwrap();
+
+        // Publish-time retention expires v0.
+        reg.insert(id.clone(), generators::path(5));
+        assert_eq!(reg.get_version(&id, v0), None);
+        assert_eq!(Arc::strong_count(&graph), 1);
+        assert_eq!(Arc::strong_count(&arena), 1);
+        assert_eq!(*graph, generators::path(2));
+        assert!(arena.matches_graph(&graph));
+
+        // Explicit expiry: counts are unchanged by freeing outside the lock.
+        let v1 = GraphVersion::new(1);
+        let (_, held) = reg.resolve_arena(&id, Some(v1)).unwrap();
+        assert_eq!(reg.evict_versions_below(&id, GraphVersion::new(2)), 1);
+        assert_eq!(Arc::strong_count(&held), 1);
+        assert!(held.matches_graph(&generators::path(3)));
+        assert_eq!(reg.evict_versions_below(&id, GraphVersion::new(2)), 0);
+        assert_eq!(reg.retain_latest(&id, 1), 1);
+        assert_eq!(reg.retain_latest(&id, 1), 0);
+        assert_eq!(reg.versions(&id), vec![GraphVersion::new(3)]);
+        assert_eq!(reg.num_versions(), 1);
     }
 
     #[test]

@@ -63,7 +63,7 @@
 //! * [`algorithm`] — Algorithm 1 (private spanning-forest size) and the derived
 //!   connected-components estimator, threading one
 //!   [`PrivacyBudget`](ccdp_dp::PrivacyBudget) accountant through both stages.
-//! * [`downsens_extension`] — the exponential-time Lemma A.1 extension used as an
+//! * [`downsens_extension`](mod@downsens_extension) — the exponential-time Lemma A.1 extension used as an
 //!   optimality comparator.
 //! * [`anchor`] — anchor-set membership checks (Lemma 1.9 / A.3).
 //! * [`baselines`] — non-private, edge-DP, naive node-DP and fixed-Δ baselines,

@@ -3,7 +3,7 @@
 //! This crate provides everything the paper's algorithm needs from a graph:
 //!
 //! * a simple undirected, unweighted [`Graph`] representation ([`graph`]),
-//! * connected components and spanning-forest size (`f_cc`, `f_sf`) ([`components`]),
+//! * connected components and spanning-forest size (`f_cc`, `f_sf`) ([`components`](mod@components)),
 //! * spanning forests, the local-repair procedure of Algorithm 3 and
 //!   degree-bounded spanning forests (Lemma 1.8) ([`forest`]),
 //! * the induced star number `s(G)` (Lemma 1.7) ([`stars`]),

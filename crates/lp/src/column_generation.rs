@@ -29,7 +29,7 @@
 //!
 //! Each engine also produces a valid bound at every step — the master value
 //! is a **lower** bound (its solution is a feasible point), a fresh
-//! relaxation solve an **upper** bound — so [`solve_component_with_caps`]
+//! relaxation solve an **upper** bound — so `solve_component_with_caps`
 //! interleaves the two, cost-balanced by pivots spent, and stops as soon as
 //! either engine terminates exactly or the bounds meet.
 

@@ -257,8 +257,8 @@ pub(crate) fn solve_component_with_caps(
 /// by `x`, most violated first, or an empty vector if `x` satisfies them all.
 ///
 /// A point whose support is acyclic and whose entries exceed 1 by at most
-/// the tolerance in total is accepted by [`forest_supported`] in one
-/// union-find pass; any other point goes to [`violated_by_closure`], one
+/// the tolerance in total is accepted by `forest_supported` in one
+/// union-find pass; any other point goes to `violated_by_closure`, one
 /// min-cut per root. `edges` must be `g.edge_vec()` and `x` the edge weights
 /// in the same order.
 pub fn violated_forest_constraints(

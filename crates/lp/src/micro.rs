@@ -26,7 +26,7 @@
 //!   (every leaf peel charges exactly 1.0), and a remnant cycle whose floored
 //!   caps are all ≥ 2 keeps its first `k − 1` canonical edges (the capped
 //!   greedy accepts exactly those). Remnant pieces that fit neither case are
-//!   materialized and sent through the *same* [`spanning_certificate`] /
+//!   materialized and sent through the *same* `spanning_certificate` /
 //!   column-generation tail as the general solver, so the weight vector —
 //!   and hence the value, summed in the same edge order — is identical by
 //!   construction.

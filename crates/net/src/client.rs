@@ -194,13 +194,6 @@ impl NetClient {
         self.get_json(&format!("/audit/{tenant}"))
     }
 
-    /// `GET /slo`: declared specs, every `(spec, tenant, window)` status,
-    /// and the full alert history, as parsed JSON. Evaluates server-side,
-    /// so pending breaches fire (and land in the journal) on this call.
-    pub fn slo(&mut self) -> Result<JsonValue, NetError> {
-        self.get_json("/slo")
-    }
-
     /// `GET /healthz`: typed liveness/readiness.
     pub fn health(&mut self) -> Result<HealthResponse, NetError> {
         let body = self.get_json("/healthz")?;

@@ -487,10 +487,9 @@ fn route(request: &Request, shared: &Shared) -> Reply {
         // render_metrics (not the raw registry) so ring-drop counters are
         // refreshed on every scrape.
         ("GET", "/metrics") => Ok(Reply::exposition(shared.server.render_metrics())),
-        ("GET", "/slo") => Ok(Reply::json(slo_body(shared))),
         ("GET", path) if path.starts_with("/trace/") => route_trace(path, shared).map(Reply::json),
         ("GET", path) if path.starts_with("/audit/") => route_audit(path, shared).map(Reply::json),
-        (_, path @ ("/estimate" | "/ingest" | "/stats" | "/healthz" | "/metrics" | "/slo")) => {
+        (_, path @ ("/estimate" | "/ingest" | "/stats" | "/healthz" | "/metrics")) => {
             Err(NetError::MethodNotAllowed {
                 method: request.method.clone(),
                 path: path.to_string(),
@@ -690,57 +689,6 @@ fn write_audit_event(w: &mut JsonWriter, event: &AuditEvent) {
         w.field_str("detail", &event.detail);
     }
     w.end();
-}
-
-/// `GET /slo` — evaluates every spec now (newly fired alerts land in the
-/// audit journal as a side effect, exactly as a scrape-driven alerting
-/// pipeline expects), then reports the declared specs, every
-/// `(spec, tenant, window)` status and the full alert history.
-fn slo_body(shared: &Shared) -> String {
-    let fired = shared.server.evaluate_slos();
-    let statuses = shared.server.slo_statuses();
-    let alerts = shared.server.slo().alerts();
-    let mut w = JsonWriter::object();
-    w.begin_array("specs");
-    for spec in shared.server.slo().specs() {
-        w.begin_element_object()
-            .field_str("name", &spec.name)
-            .field_str("objective", spec.objective.name())
-            .begin_array("windows_micros");
-        for window in &spec.windows_micros {
-            w.element_f64(*window as f64);
-        }
-        w.end().end();
-    }
-    w.end().field_u64("fired_now", fired.len() as u64);
-    w.begin_array("statuses");
-    for s in &statuses {
-        w.begin_element_object()
-            .field_str("spec", &s.spec)
-            .field_str("tenant", &s.tenant)
-            .field_str("objective", s.objective)
-            .field_u64("window_micros", s.window_micros)
-            .field_f64("measured", s.measured)
-            .field_f64("threshold", s.threshold)
-            .field_bool("breached", s.breached)
-            .field_u64("samples", s.samples)
-            .end();
-    }
-    w.end().begin_array("alerts");
-    for a in &alerts {
-        w.begin_element_object()
-            .field_str("spec", &a.spec)
-            .field_str("tenant", &a.tenant)
-            .field_str("objective", a.objective)
-            .field_u64("window_micros", a.window_micros)
-            .field_f64("measured", a.measured)
-            .field_f64("threshold", a.threshold)
-            .field_u64("at_micros", a.at_micros)
-            .field_str("message", &a.message)
-            .end();
-    }
-    w.end();
-    w.finish()
 }
 
 /// `POST /ingest` — `{"graph", "edges", "version"?}` publishes an edge-list
@@ -982,7 +930,7 @@ mod tests {
     }
 
     #[test]
-    fn audit_journal_and_slo_surfaces_round_trip() {
+    fn audit_journal_surfaces_round_trip() {
         let registry = Arc::new(GraphRegistry::new());
         registry.insert("stars", generators::planted_star_forest(10, 2, 3));
         let ledger = Arc::new(BudgetLedger::new());
@@ -991,16 +939,6 @@ mod tests {
             ServeConfig::new().with_workers(2).with_seed(7),
             registry,
             ledger,
-        ));
-        // A generous hourly horizon: any spend at all breaches burn 0.001,
-        // so the alert fires deterministically on the first /slo scrape.
-        serve.slo().add_spec(ccdp_obs::SloSpec::new(
-            "budget-burn",
-            ccdp_obs::SloObjective::BurnRate {
-                horizon_micros: 3_600_000_000,
-                max_burn: 0.001,
-            },
-            10_000_000,
         ));
         let net = NetServer::start(NetConfig::new(), Arc::clone(&serve)).unwrap();
         let mut client = NetClient::connect(net.local_addr());
@@ -1037,36 +975,21 @@ mod tests {
             .iter()
             .any(|e| kind(e).as_deref() == Some("budget_refusal")));
 
-        // The scrape evaluates: the burn breach fires and is visible both
-        // in the /slo alert history and as an slo_alert audit event.
-        let slo = client.slo().unwrap();
-        let alerts = match slo.get("alerts") {
-            Some(JsonValue::Array(alerts)) => alerts.clone(),
-            other => panic!("alerts must be an array, got {other:?}"),
-        };
-        assert!(
-            alerts.iter().any(|a| {
-                a.get("spec").and_then(JsonValue::as_str) == Some("budget-burn")
-                    && a.get("tenant").and_then(JsonValue::as_str) == Some("acme")
-            }),
-            "burn-rate alert must fire on the scrape: {alerts:?}"
-        );
-        let audit = client.audit("acme").unwrap();
-        let events = match audit.get("events") {
-            Some(JsonValue::Array(events)) => events.clone(),
-            other => panic!("events must be an array, got {other:?}"),
-        };
-        assert!(events
-            .iter()
-            .any(|e| kind(e).as_deref() == Some("slo_alert")));
-
         // Unknown tenants are a typed 404; wrong methods a typed 405.
         let err = client.audit("ghost").unwrap_err();
         assert!(
             matches!(&err, NetError::Api { status: 404, code, .. } if code == "unknown_tenant")
         );
-        let err = client.post_json("/slo", "{}").unwrap_err();
-        assert!(matches!(&err, NetError::Api { status: 405, .. }));
+        // No SLO surface: `/slo` is an unknown route for every method.
+        for err in [
+            client.get_json("/slo").unwrap_err(),
+            client.post_json("/slo", "{}").unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, NetError::Api { status: 404, code, .. } if code == "unknown_route"),
+                "{err:?}"
+            );
+        }
         let err = client.post_json("/audit/acme", "{}").unwrap_err();
         assert!(matches!(&err, NetError::Api { status: 405, .. }));
 

@@ -35,7 +35,7 @@
 //! serve tier's replay property tests).
 
 use crate::trace::TraceId;
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -60,8 +60,6 @@ pub enum AuditKind {
     CacheInvalidation,
     /// The serving pool began draining (shutdown).
     Drain,
-    /// An SLO objective breached and an alert fired.
-    SloAlert,
 }
 
 impl AuditKind {
@@ -75,7 +73,6 @@ impl AuditKind {
             AuditKind::SchedulerFire => "scheduler_fire",
             AuditKind::CacheInvalidation => "cache_invalidation",
             AuditKind::Drain => "drain",
-            AuditKind::SloAlert => "slo_alert",
         }
     }
 }
@@ -114,7 +111,7 @@ pub struct AuditEvent {
     pub epsilon_granted: f64,
     /// The request trace this decision belongs to, for cross-correlation.
     pub trace: Option<TraceId>,
-    /// Free-form human context (refusal reason, policy name, alert text).
+    /// Free-form human context (refusal reason, policy name).
     pub detail: String,
 }
 
@@ -293,10 +290,11 @@ impl AuditJournal {
         self.recorded().saturating_sub(self.slots.len() as u64)
     }
 
-    /// Attaches a JSONL file sink at `path` (truncating). Every
-    /// subsequently recorded event is appended as one JSON line.
+    /// Attaches a JSONL file sink at `path`, creating the file or
+    /// appending to it, so re-attaching keeps the lines already written.
+    /// Every subsequently recorded event is appended as one JSON line.
     pub fn set_sink_path(&self, path: &str) -> std::io::Result<()> {
-        let file = File::create(path)?;
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
         let mut sink = self.sink.lock().unwrap_or_else(|p| p.into_inner());
         *sink = Some(BufWriter::new(file));
         Ok(())
@@ -553,6 +551,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("ccdp_audit_sink_{}.jsonl", std::process::id()));
         let path = path.to_str().unwrap().to_string();
+        let _ = std::fs::remove_file(&path);
         let journal = AuditJournal::with_capacity(8);
         journal.set_sink_path(&path).expect("temp sink opens");
         for i in 0..20 {
@@ -565,5 +564,32 @@ mod tests {
         assert!(contents
             .lines()
             .all(|l| l.starts_with('{') && l.ends_with('}')));
+    }
+
+    #[test]
+    fn reattaching_the_sink_appends_to_the_existing_file() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("ccdp_audit_reattach_{}.jsonl", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        let _ = std::fs::remove_file(&path);
+        let journal = AuditJournal::with_capacity(8);
+        journal.set_sink_path(&path).expect("temp sink opens");
+        for i in 0..3 {
+            journal.record(charge("alpha", &format!("first{i}"), 0.1));
+        }
+        journal.close_sink();
+        journal.set_sink_path(&path).expect("temp sink reopens");
+        for i in 0..2 {
+            journal.record(charge("alpha", &format!("second{i}"), 0.1));
+        }
+        journal.close_sink();
+        let contents = std::fs::read_to_string(&path).expect("sink file readable");
+        let _ = std::fs::remove_file(&path);
+        let lines: Vec<&str> = contents.lines().collect();
+        assert_eq!(lines.len(), 5);
+        let stages = ["first0", "first1", "first2", "second0", "second1"];
+        for (line, stage) in lines.iter().zip(stages) {
+            assert!(line.contains(&format!("\"stage\":\"{stage}\"")), "{line}");
+        }
     }
 }

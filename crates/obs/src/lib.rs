@@ -24,10 +24,6 @@
 //!   [`AuditJournal`] ring (optional JSONL file sink), with
 //!   [`replay_tenant`] reconstructing a tenant's budget accountant
 //!   bit-for-bit from their events (`GET /audit/{tenant}`, `ccdp audit`).
-//! * [`slo`] — per-tenant SLOs: declarative [`SloSpec`]s (availability,
-//!   p99 latency, ε burn rate vs. quota horizon) evaluated over
-//!   multi-window rolling counters by an [`SloEngine`], firing
-//!   [`SloAlert`]s into the audit journal (`GET /slo`, `ccdp slo`).
 //!
 //! The layer is std-only and dependency-free so every crate in the
 //! workspace can sit on top of it, and its hot-path costs are explicit:
@@ -39,7 +35,6 @@
 
 pub mod audit;
 pub mod metrics;
-pub mod slo;
 pub mod trace;
 
 pub use audit::{replay_tenant, AuditEvent, AuditJournal, AuditKind, BudgetReplay};
@@ -47,7 +42,6 @@ pub use metrics::{
     bucket_percentile, parse_exposition, Counter, FloatCounter, Gauge, HistogramSnapshot,
     LogHistogram, MetricsRegistry, MetricsSnapshot, SeriesSnapshot, SeriesValue,
 };
-pub use slo::{SloAlert, SloEngine, SloObjective, SloObservation, SloSpec, SloStatus};
 pub use trace::{
     Span, SpanEvent, SpanKind, TraceCtx, TraceId, TraceIdGen, TraceSummary, TraceTree, Tracer,
 };

@@ -347,15 +347,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers an existing gauge handle under `name` (no labels); see
-    /// [`MetricsRegistry::adopt_counter`].
-    pub fn adopt_gauge(&self, name: &str, handle: &Gauge) -> Gauge {
-        match self.get_or_insert(name, &[], || Instrument::Gauge(handle.clone())) {
-            Instrument::Gauge(g) => g,
-            other => panic!("series `{name}` already registered as {other:?}, wanted gauge"),
-        }
-    }
-
     /// Get-or-create a histogram series (no labels).
     pub fn histogram(&self, name: &str) -> Arc<LogHistogram> {
         self.histogram_with(name, &[])

@@ -30,8 +30,8 @@ use ccdp_core::{CacheStats, EstimatorConfig, ExtensionCache, PrivateCcEstimator,
 use ccdp_exec::PhaseProfiler;
 use ccdp_graph::GraphVersion;
 use ccdp_obs::{
-    AuditEvent, AuditJournal, AuditKind, Counter, MetricsRegistry, SloAlert, SloEngine,
-    SloObservation, SloStatus, SpanKind, TraceCtx, TraceId, TraceIdGen, Tracer,
+    AuditEvent, AuditJournal, AuditKind, Counter, MetricsRegistry, SpanKind, TraceCtx, TraceId,
+    TraceIdGen, Tracer,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -259,7 +259,6 @@ struct WorkerShared {
     config: ServeConfig,
     metrics: Arc<MetricsRegistry>,
     tracer: Arc<Tracer>,
-    slo: Arc<SloEngine>,
 }
 
 /// A multi-tenant serving instance: shared graph catalog, shared budget
@@ -277,7 +276,6 @@ pub struct Server {
     tracer: Arc<Tracer>,
     trace_ids: TraceIdGen,
     journal: Arc<AuditJournal>,
-    slo: Arc<SloEngine>,
     trace_dropped: Counter,
     audit_dropped: Counter,
 }
@@ -301,18 +299,13 @@ impl Server {
         let tracer = Arc::new(Tracer::new());
         tracer.set_enabled(config.tracing);
         // The audit journal is shared by every decision point: the ledger
-        // (charges/refusals), the registry (publishes), the scheduler
-        // (fires/invalidations, via its server handle) and the SLO engine
-        // (alerts). One ring means one totally-ordered sequence.
+        // (charges/refusals), the registry (publishes) and the scheduler
+        // (fires/invalidations, via its server handle). One ring means one
+        // totally-ordered sequence.
         let journal = Arc::new(AuditJournal::new());
         journal.set_enabled(config.audit);
         ledger.set_journal(Arc::clone(&journal));
         registry.set_journal(Arc::clone(&journal));
-        let slo = Arc::new(SloEngine::new());
-        slo.set_journal(Arc::clone(&journal));
-        for account in ledger.snapshot() {
-            slo.set_quota(account.tenant.as_str(), account.quota_epsilon);
-        }
         // Ring-drop accounting is pull-based (the rings only know their own
         // head), surfaced as counters refreshed on every metrics render.
         let trace_dropped = metrics.counter("ccdp_obs_trace_dropped_total");
@@ -327,7 +320,6 @@ impl Server {
             config: config.clone(),
             metrics: Arc::clone(&metrics),
             tracer: Arc::clone(&tracer),
-            slo: Arc::clone(&slo),
         });
         let workers = (0..config.workers())
             .map(|_| {
@@ -350,7 +342,6 @@ impl Server {
             tracer,
             trace_ids,
             journal,
-            slo,
             trace_dropped,
             audit_dropped,
         }
@@ -372,36 +363,6 @@ impl Server {
     /// [`AuditJournal::set_sink_path`].
     pub fn journal(&self) -> &Arc<AuditJournal> {
         &self.journal
-    }
-
-    /// The server's per-tenant SLO engine (the `GET /slo` / `ccdp slo`
-    /// source). Add objectives with [`SloEngine::add_spec`]; the worker
-    /// pool feeds it one observation per finished request.
-    pub fn slo(&self) -> &Arc<SloEngine> {
-        &self.slo
-    }
-
-    /// Evaluates every SLO spec against every tenant *now*, returning the
-    /// alerts that newly fired (each also recorded into the audit
-    /// journal). Tenant ε quotas are synced from the ledger first so
-    /// burn-rate objectives see late registrations.
-    pub fn evaluate_slos(&self) -> Vec<SloAlert> {
-        self.sync_slo_quotas();
-        self.slo.evaluate_at(unix_micros())
-    }
-
-    /// The current health of every `(spec, tenant)` pair — breached or not
-    /// — without mutating alert state.
-    pub fn slo_statuses(&self) -> Vec<SloStatus> {
-        self.sync_slo_quotas();
-        self.slo.statuses_at(unix_micros())
-    }
-
-    fn sync_slo_quotas(&self) {
-        for account in self.ledger.snapshot() {
-            self.slo
-                .set_quota(account.tenant.as_str(), account.quota_epsilon);
-        }
     }
 
     /// Folds the observability rings' drop counts into their exported
@@ -579,14 +540,6 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// Wall-clock micros since the UNIX epoch (the audit/SLO time base).
-fn unix_micros() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0)
-}
-
 /// Pulls jobs until the queue closes. The mutex is held only for the `recv`
 /// itself, so workers hand off jobs one at a time but process in parallel.
 fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &WorkerShared) {
@@ -670,48 +623,6 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &WorkerShared) {
         };
         let latency = job.accepted.elapsed();
         shared.stats.on_done(latency, outcome);
-        // Feed the SLO engine one observation per finished request. A
-        // budget refusal is the service working as designed — it counts as
-        // an availability success, and only its latency is recorded. ε is
-        // observed whenever the charge went through, which includes
-        // estimator failures after the reservation (spent budget is never
-        // refunded, so the burn-rate window must see it too).
-        let now = unix_micros();
-        let tenant = job.request.tenant.as_str();
-        let latency_micros = latency.as_micros() as u64;
-        match &result {
-            Ok(_) => {
-                shared
-                    .slo
-                    .observe_at(tenant, now, SloObservation::Success { latency_micros });
-                shared.slo.observe_at(
-                    tenant,
-                    now,
-                    SloObservation::BudgetSpend {
-                        epsilon: job.request.epsilon,
-                    },
-                );
-            }
-            Err(ServeError::BudgetExhausted { .. }) => {
-                shared
-                    .slo
-                    .observe_at(tenant, now, SloObservation::Success { latency_micros });
-            }
-            Err(err) => {
-                shared
-                    .slo
-                    .observe_at(tenant, now, SloObservation::Failure { latency_micros });
-                if matches!(err, ServeError::Estimator(_)) {
-                    shared.slo.observe_at(
-                        tenant,
-                        now,
-                        SloObservation::BudgetSpend {
-                            epsilon: job.request.epsilon,
-                        },
-                    );
-                }
-            }
-        }
         let version = result.as_ref().ok().map(|(_, v)| *v);
         // A dropped PendingResponse just means nobody is listening; the
         // request was still served and accounted.
@@ -1309,42 +1220,6 @@ mod tests {
             .wait();
         assert!(ok.result.is_ok());
         assert_eq!(server.journal().recorded(), 0);
-        server.shutdown();
-    }
-
-    #[test]
-    fn burn_rate_alert_fires_and_lands_in_the_journal() {
-        let (registry, ledger) = fleet();
-        let server = Server::start(ServeConfig::new().with_workers(1), registry, ledger);
-        // Quota 10 over a 1-hour horizon allows ~2.8e-3 ε/s; spending 2 ε
-        // inside a 10-second window is a burn of ~72× — far past 1.0.
-        server.slo().add_spec(ccdp_obs::SloSpec::new(
-            "budget-burn",
-            ccdp_obs::SloObjective::BurnRate {
-                horizon_micros: 3_600_000_000,
-                max_burn: 1.0,
-            },
-            10_000_000,
-        ));
-        let ok = server
-            .submit(ServeRequest::new("acme", "stars", 2.0))
-            .unwrap()
-            .wait();
-        assert!(ok.result.is_ok());
-        let fired = server.evaluate_slos();
-        assert_eq!(fired.len(), 1, "{fired:?}");
-        assert_eq!(fired[0].tenant, "acme");
-        assert!(fired[0].measured > fired[0].threshold);
-        // The alert is itself an audit event, retrievable per tenant.
-        assert!(server
-            .journal()
-            .events_for_tenant("acme")
-            .iter()
-            .any(|e| e.kind == AuditKind::SloAlert));
-        // Statuses report the breach without re-firing.
-        let statuses = server.slo_statuses();
-        assert!(statuses.iter().any(|s| s.breached));
-        assert!(server.evaluate_slos().is_empty(), "alert must deduplicate");
         server.shutdown();
     }
 

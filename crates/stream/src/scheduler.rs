@@ -13,7 +13,7 @@
 //!    cache touched; the stream keeps mutating, the tenant just stops
 //!    getting releases),
 //! 2. freeze the stream into a versioned
-//!    [`GraphSnapshot`](crate::stream::GraphSnapshot) and publish it to
+//!    [`GraphSnapshot`] and publish it to
 //!    the shared version-aware [`GraphRegistry`] (a typed
 //!    [`VersionExists`](ccdp_serve::ServeError::VersionExists) refusal if the
 //!    version was somehow already taken — snapshots are never overwritten),

@@ -17,7 +17,6 @@
 //! ccdp top      [addr=..]
 //! ccdp trace    [addr=..] id=<hex trace id>
 //! ccdp audit    [addr=..] tenant=alpha [events=20]
-//! ccdp slo      [addr=..]
 //! ```
 //!
 //! `serve fleet=smoke` provisions a small fixed fleet (`fleet/g0`…`fleet/g7`,
@@ -54,7 +53,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str =
-    "usage: ccdp <serve|estimate|ingest|stats|health|top|trace|audit|slo> [KEY=VALUE]...\n\
+    "usage: ccdp <serve|estimate|ingest|stats|health|top|trace|audit> [KEY=VALUE]...\n\
   serve     start a listener (fleet=smoke provisions the smoke fleet;\n\
             tracing=on records per-request span traces)\n\
   estimate  one private release: tenant= graph= epsilon= [version=]\n\
@@ -66,8 +65,6 @@ const USAGE: &str =
   trace     render one request's span tree: id=<hex, from X-Ccdp-Trace>\n\
   audit     print a tenant's budget audit trail and the replay verdict:\n\
             tenant= [events=20 caps the event tail]\n\
-  slo       print the declared SLOs, every (spec, tenant, window) status\n\
-            and the fired-alert history (exit 2 when any triple breaches)\n\
   common    addr=127.0.0.1:8787";
 
 /// How a successful command ended (drives the exit code).
@@ -110,7 +107,6 @@ fn run(args: &[String]) -> Result<Outcome, CliError> {
         "top" => cmd_top(Args::parse(rest, &["addr"])?),
         "trace" => cmd_trace(Args::parse(rest, &["addr", "id"])?),
         "audit" => cmd_audit(Args::parse(rest, &["addr", "tenant", "events"])?),
-        "slo" => cmd_slo(Args::parse(rest, &["addr"])?),
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
     }
 }
@@ -150,35 +146,6 @@ fn cmd_serve(args: Args) -> Result<Outcome, CliError> {
         .with_seed(args.u64_or("seed", 0)?)
         .with_tracing(args.toggle_opt("tracing")?.unwrap_or(false));
     let server = Arc::new(Server::start(config, registry, ledger));
-    // The stock SLO set: five-nines-ish availability, a generous p99, and
-    // the SRE fast/slow burn-rate pair against a 1 h quota horizon.
-    for spec in [
-        ccdp::obs::SloSpec::new(
-            "availability",
-            ccdp::obs::SloObjective::Availability {
-                min_success_ratio: 0.99,
-            },
-            60_000_000,
-        ),
-        ccdp::obs::SloSpec::new(
-            "latency-p99",
-            ccdp::obs::SloObjective::LatencyP99 {
-                max_micros: 2_000_000,
-            },
-            60_000_000,
-        ),
-        ccdp::obs::SloSpec::new(
-            "budget-burn",
-            ccdp::obs::SloObjective::BurnRate {
-                horizon_micros: 3_600_000_000,
-                max_burn: 14.0,
-            },
-            60_000_000,
-        )
-        .with_window(10_000_000),
-    ] {
-        server.slo().add_spec(spec);
-    }
     let net_config = NetConfig::new()
         .with_addr(addr)
         .with_max_connections(args.u64_or("max_connections", 64)? as usize);
@@ -504,76 +471,6 @@ fn cmd_audit(args: Args) -> Result<Outcome, CliError> {
         println!("{line}");
     }
     Ok(Outcome::Done)
-}
-
-fn cmd_slo(args: Args) -> Result<Outcome, CliError> {
-    use ccdp::serve::json::JsonValue;
-    let mut service = OpsService::connect(args.str_or("addr", DEFAULT_ADDR))?;
-    let slo = service.client.slo()?;
-    let array = |key: &str| match slo.get(key) {
-        Some(JsonValue::Array(items)) => items.clone(),
-        _ => Vec::new(),
-    };
-
-    let specs = array("specs");
-    println!("specs ({}):", specs.len());
-    for spec in &specs {
-        let windows = match spec.get("windows_micros") {
-            Some(JsonValue::Array(w)) => w
-                .iter()
-                .filter_map(JsonValue::as_f64)
-                .map(|w| format!("{:.0}s", w / 1e6))
-                .collect::<Vec<_>>()
-                .join(","),
-            _ => String::new(),
-        };
-        println!(
-            "  {:<16} {:<14} windows={windows}",
-            spec.get("name").and_then(JsonValue::as_str).unwrap_or("?"),
-            spec.get("objective")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?"),
-        );
-    }
-
-    let statuses = array("statuses");
-    let mut breached = 0usize;
-    println!("statuses ({}):", statuses.len());
-    for s in &statuses {
-        let is_breach = s
-            .get("breached")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false);
-        breached += is_breach as usize;
-        println!(
-            "  {:<16} tenant={:<12} window={:>6.0}s measured={:>10.4} threshold={:>10.4} {}",
-            s.get("spec").and_then(JsonValue::as_str).unwrap_or("?"),
-            s.get("tenant").and_then(JsonValue::as_str).unwrap_or("?"),
-            s.get("window_micros")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0)
-                / 1e6,
-            s.get("measured").and_then(JsonValue::as_f64).unwrap_or(0.0),
-            s.get("threshold")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            if is_breach { "BREACHED" } else { "ok" },
-        );
-    }
-
-    let alerts = array("alerts");
-    println!("alerts fired ({}):", alerts.len());
-    for a in &alerts {
-        println!(
-            "  {}",
-            a.get("message").and_then(JsonValue::as_str).unwrap_or("?")
-        );
-    }
-    Ok(if breached > 0 {
-        Outcome::Degraded
-    } else {
-        Outcome::Done
-    })
 }
 
 // ---------------------------------------------------------------------------

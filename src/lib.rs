@@ -70,8 +70,7 @@ pub use ccdp_exec::{PhaseProfiler, PhaseReport};
 pub use ccdp_graph::{CsrGraph, Graph, GraphVersion};
 pub use ccdp_obs::{
     replay_tenant, AuditEvent, AuditJournal, AuditKind, BudgetReplay, MetricsRegistry,
-    MetricsSnapshot, SloAlert, SloEngine, SloObjective, SloObservation, SloSpec, SloStatus,
-    SpanKind, TraceCtx, TraceId, TraceTree, Tracer,
+    MetricsSnapshot, SpanKind, TraceCtx, TraceId, TraceTree, Tracer,
 };
 
 /// Everything an application needs in one import: the estimator API, the graph
@@ -98,8 +97,7 @@ pub mod prelude {
     pub use ccdp_net::{NetClient, NetConfig, NetError, NetServer, NetStatsSnapshot};
     pub use ccdp_obs::{
         replay_tenant, AuditEvent, AuditJournal, AuditKind, BudgetReplay, Counter, FloatCounter,
-        Gauge, MetricsRegistry, MetricsSnapshot, SloAlert, SloEngine, SloObjective, SloObservation,
-        SloSpec, SloStatus, SpanKind, TraceCtx, TraceId, TraceTree, Tracer,
+        Gauge, MetricsRegistry, MetricsSnapshot, SpanKind, TraceCtx, TraceId, TraceTree, Tracer,
     };
     pub use ccdp_serve::{
         BudgetLedger, GraphId, GraphRegistry, PendingResponse, ServeConfig, ServeError,

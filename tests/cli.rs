@@ -118,12 +118,14 @@ fn cli_drives_the_smoke_fleet_over_a_live_socket() {
         stderr(&unknown)
     );
 
-    let bench = ccdp(&["bench"]);
-    assert_eq!(bench.status.code(), Some(1));
-    assert!(
-        stderr(&bench).contains("unknown command `bench`"),
-        "{}",
-        stderr(&bench)
-    );
-    assert!(stderr(&bench).contains("usage: ccdp"), "{}", stderr(&bench));
+    for retired in ["bench", "slo"] {
+        let out = ccdp(&[retired]);
+        assert_eq!(out.status.code(), Some(1), "{retired}");
+        assert!(
+            stderr(&out).contains(&format!("unknown command `{retired}`")),
+            "{}",
+            stderr(&out)
+        );
+        assert!(stderr(&out).contains("usage: ccdp"), "{}", stderr(&out));
+    }
 }

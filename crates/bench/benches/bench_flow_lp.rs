@@ -6,7 +6,8 @@ use ccdp_graph::{
     bounded_degree_spanning_forest, bounded_degree_spanning_forest_csr, generators, CsrGraph, Graph,
 };
 use ccdp_lp::{
-    solve_partition, violated_forest_constraints, LinearProgram, SolveOptions, SolverBackend,
+    solve_partition, violated_forest_constraints, CombinatorialSolver, IncrementalSimplex,
+    SimplexSolver,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -117,21 +118,25 @@ fn bench_simplex(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     let mut rng = StdRng::seed_from_u64(2);
     for &(vars, cons) in &[(50usize, 100usize), (150, 300)] {
-        let mut lp = LinearProgram::new(vars, vec![1.0; vars]);
+        let mut rows: Vec<(Vec<(usize, f64)>, f64)> = Vec::with_capacity(cons);
         for _ in 0..cons {
-            let row: Vec<f64> = (0..vars)
-                .map(|_| {
-                    if rng.gen_bool(0.2) {
-                        rng.gen_range(0.0..1.0)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            lp.add_constraint_dense(row, rng.gen_range(1.0..5.0));
+            let mut terms = Vec::new();
+            for j in 0..vars {
+                if rng.gen_bool(0.2) {
+                    terms.push((j, rng.gen_range(0.0..1.0)));
+                }
+            }
+            rows.push((terms, rng.gen_range(1.0..5.0)));
         }
+        // A cold solve per iteration: a fresh tableau over the same rows.
         group.bench_function(format!("random_{vars}v_{cons}c"), |b| {
-            b.iter(|| lp.solve().map(|s| s.objective_value).unwrap_or(0.0))
+            b.iter(|| {
+                let mut lp = IncrementalSimplex::new(&vec![1.0; vars]);
+                for (terms, rhs) in &rows {
+                    lp.add_constraint(terms, *rhs).expect("non-negative rhs");
+                }
+                lp.solve().map(|s| s.objective_value).unwrap_or(0.0)
+            })
         });
     }
     group.finish();
@@ -142,23 +147,24 @@ fn bench_forest_polytope(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
-    // Both backends on a modest instance (the reference simplex backend is
+    // Both reference solvers on a modest instance (the simplex oracle is
     // only viable at this scale)…
     let mut rng = StdRng::seed_from_u64(3);
     let small = generators::erdos_renyi(40, 3.0 / 40.0, &mut rng);
-    for backend in [SolverBackend::Combinatorial, SolverBackend::Simplex] {
-        group.bench_function(format!("er40_d2_{}", backend.solver().name()), |b| {
-            b.iter(|| backend.solver().solve(&small, 2.0).unwrap().value)
-        });
-    }
-    // …and the default backend on the supercritical giant-component workload
-    // that motivated the solver layer (minutes with the old dense simplex).
+    group.bench_function("er40_d2_combinatorial-forest", |b| {
+        b.iter(|| CombinatorialSolver::new().solve(&small, 2.0).unwrap().value)
+    });
+    group.bench_function("er40_d2_simplex-cutting-planes", |b| {
+        b.iter(|| SimplexSolver::new().solve(&small, 2.0).unwrap().value)
+    });
+    // …and the combinatorial solver on the supercritical giant-component
+    // workload that motivated the solver layer (minutes with the old dense
+    // simplex).
     let giant = generators::erdos_renyi(300, 3.0 / 300.0, &mut rng);
     for delta in [2.0, 3.0] {
         group.bench_function(format!("er300_giant_d{delta}_combinatorial"), |b| {
             b.iter(|| {
-                SolverBackend::Combinatorial
-                    .solver()
+                CombinatorialSolver::new()
                     .solve(&giant, delta)
                     .unwrap()
                     .value
@@ -226,7 +232,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
         for &threads in &[1usize, 2, 4, 8] {
             group.bench_function(format!("solve_grid_er_n{n}_t{threads}"), |b| {
                 b.iter(|| {
-                    solve_partition(&part, &grid, threads, &SolveOptions::default())
+                    solve_partition(&part, &grid, threads, true)
                         .unwrap()
                         .iter()
                         .map(|s| s.solution.value)

@@ -3,7 +3,9 @@
 //! Algorithm 1, plus the effect of the spanning-forest fast path.
 
 use ccdp_bench::Table;
-use ccdp_core::{DiagnosticsAccess, LipschitzExtension, PrivateSpanningForestEstimator};
+use ccdp_core::{
+    forest_polytope_max, DiagnosticsAccess, LipschitzExtension, PrivateSpanningForestEstimator,
+};
 use ccdp_graph::generators;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,12 +26,8 @@ fn main() {
     for cliques in [5usize, 10, 20, 30] {
         let g = generators::caveman(cliques, 5);
         let start = Instant::now();
-        let eval = LipschitzExtension::new(1)
-            .without_fast_path()
-            .evaluate_detailed(&g)
-            .unwrap();
+        let lp = forest_polytope_max(&g, 1.0).unwrap();
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        let lp = eval.lp.expect("LP path");
         lp_table.add_row(vec![
             g.num_vertices().to_string(),
             g.num_edges().to_string(),
@@ -51,10 +49,7 @@ fn main() {
         let _ = LipschitzExtension::new(3).evaluate(&g).unwrap();
         let fast = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
-        let _ = LipschitzExtension::new(3)
-            .without_fast_path()
-            .evaluate(&g)
-            .unwrap();
+        let _ = forest_polytope_max(&g, 3.0).unwrap();
         let slow = t1.elapsed().as_secs_f64() * 1e3;
         fast_table.add_row(vec![
             g.num_vertices().to_string(),

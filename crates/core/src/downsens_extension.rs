@@ -27,11 +27,11 @@
 //! * validating Lemma 1.9 (`S*_{Δ-1} ⊆ S_Δ`) on enumerated small graphs,
 //! * serving as the comparator `f*` in the ℓ∞-optimality experiment (E7,
 //!   Theorem 1.11), since it is Δ-Lipschitz,
-//! * cross-checking the polytope-based extension on small instances.
+//! * cross-checking the polytope-based extension on small instances: with
+//!   `f = f_Δ` the McShane step is the identity (`f_Δ` is already
+//!   Δ-Lipschitz, Lemma 3.3), so any non-Lipschitz glitch in a polytope
+//!   solver's values shows up as a strict gap.
 
-use crate::error::CoreError;
-use crate::extension::LipschitzExtension;
-use crate::polytope::SolverBackend;
 use ccdp_graph::subgraph::{all_vertex_subsets, induced_subgraph};
 use ccdp_graph::Graph;
 
@@ -57,31 +57,6 @@ where
 /// The down-sensitivity-based extension of `f_sf` with parameter `delta`.
 pub fn downsens_extension_fsf(g: &Graph, delta: usize) -> f64 {
     downsens_extension(g, delta as f64, |h| h.spanning_forest_size() as f64)
-}
-
-/// The McShane step applied to the *polytope-based* extension `f_Δ` itself,
-/// evaluated through the selected [`PolytopeSolver`](crate::PolytopeSolver)
-/// backend: `min over induced H ⪯ G of f_Δ(H) + Δ · d(H, G)`.
-///
-/// Because `f_Δ` is already Δ-Lipschitz with respect to node distance
-/// (Lemma 3.3), this minimum is attained at `H = G` and the function equals
-/// `f_Δ(G)` exactly — which makes it a sharp exponential-time cross-check of
-/// a solver backend: any non-Lipschitz glitch in a backend's values shows up
-/// as a strict gap. Intended for graphs with at most ~15 vertices.
-pub fn downsens_extension_fdelta(
-    g: &Graph,
-    delta: usize,
-    backend: SolverBackend,
-) -> Result<f64, CoreError> {
-    let ext = LipschitzExtension::new(delta).with_backend(backend);
-    let n = g.num_vertices() as f64;
-    let mut best = f64::INFINITY;
-    for subset in all_vertex_subsets(g) {
-        let (h, _) = induced_subgraph(g, &subset);
-        let distance = n - subset.len() as f64;
-        best = best.min(ext.evaluate(&h)? + delta as f64 * distance);
-    }
-    Ok(best)
 }
 
 #[cfg(test)]
@@ -226,21 +201,31 @@ mod tests {
     #[test]
     fn mcshane_step_is_the_identity_on_fdelta_for_both_backends() {
         // f_Δ is Δ-Lipschitz, so min_H f_Δ(H) + Δ·d(H, G) = f_Δ(G) exactly;
-        // a strict gap would expose a non-Lipschitz backend bug.
+        // a strict gap would expose a non-Lipschitz solver bug.
+        fn combinatorial(h: &Graph, delta: f64) -> f64 {
+            crate::polytope::forest_polytope_max(h, delta)
+                .unwrap()
+                .value
+        }
+        fn simplex(h: &Graph, delta: f64) -> f64 {
+            ccdp_lp::SimplexSolver::new().solve(h, delta).unwrap().value
+        }
+        let solvers = [
+            ("combinatorial", combinatorial as fn(&Graph, f64) -> f64),
+            ("simplex", simplex),
+        ];
         let mut rng = StdRng::seed_from_u64(61);
         let approx5 = |a: f64, b: f64| (a - b).abs() < 1e-5;
         for _ in 0..3 {
             let g = generators::erdos_renyi(7, 0.4, &mut rng);
             for delta in 1..=3usize {
-                for backend in [SolverBackend::Combinatorial, SolverBackend::Simplex] {
-                    let direct = crate::extension::LipschitzExtension::new(delta)
-                        .with_backend(backend)
-                        .evaluate(&g)
-                        .unwrap();
-                    let mcshane = downsens_extension_fdelta(&g, delta, backend).unwrap();
+                let delta = delta as f64;
+                for (name, f_delta) in solvers {
+                    let direct = f_delta(&g, delta);
+                    let mcshane = downsens_extension(&g, delta, |h| f_delta(h, delta));
                     assert!(
                         approx5(direct, mcshane),
-                        "{backend:?} Δ={delta}: f_Δ={direct} vs McShane={mcshane}"
+                        "{name} Δ={delta}: f_Δ={direct} vs McShane={mcshane}"
                     );
                 }
             }

@@ -22,13 +22,13 @@
 //! single-Δ, whole-graph reference it is tested against bit for bit.
 
 use crate::error::CoreError;
-use crate::polytope::{forest_polytope_max_with, PolytopeSolution, SolverBackend};
+use crate::polytope::{forest_polytope_max, PolytopeSolution};
 use ccdp_exec::PhaseProfiler;
 use ccdp_graph::forest::{
     bounded_degree_spanning_forest, component_bounded_degree_spanning_forest,
 };
 use ccdp_graph::{CsrGraph, Graph};
-use ccdp_lp::{solve_partition, SolveOptions};
+use ccdp_lp::solve_partition;
 
 /// How `f_Δ(G)` was computed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,53 +54,28 @@ pub struct ExtensionEvaluation {
 
 /// The Lipschitz extension `f_Δ` for the size of the spanning forest.
 ///
-/// This is the single-Δ, adjacency-list evaluation with a selectable solver
-/// backend. The private estimators evaluate the whole grid through
-/// [`evaluate_family`] instead; this type is the reference it is tested
-/// against.
+/// This is the single-Δ, adjacency-list evaluation. The private estimators
+/// evaluate the whole grid through [`evaluate_family`] instead; this type is
+/// the reference it is tested against. To maximize the polytope without the
+/// fast path, call [`forest_polytope_max`] directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LipschitzExtension {
     delta: usize,
-    use_fast_path: bool,
-    backend: SolverBackend,
 }
 
 impl LipschitzExtension {
-    /// Creates the extension with Lipschitz parameter `delta ≥ 1`, evaluated
-    /// with the default (combinatorial) polytope backend.
+    /// Creates the extension with Lipschitz parameter `delta ≥ 1`.
     ///
     /// # Panics
     /// Panics if `delta == 0`.
     pub fn new(delta: usize) -> Self {
         assert!(delta >= 1, "delta must be at least 1");
-        LipschitzExtension {
-            delta,
-            use_fast_path: true,
-            backend: SolverBackend::default(),
-        }
-    }
-
-    /// Disables the spanning-forest fast path so that the polytope is always
-    /// maximized (used by tests and the runtime ablation experiment).
-    pub fn without_fast_path(mut self) -> Self {
-        self.use_fast_path = false;
-        self
-    }
-
-    /// Selects the polytope solver backend used on the non-anchored path.
-    pub fn with_backend(mut self, backend: SolverBackend) -> Self {
-        self.backend = backend;
-        self
+        LipschitzExtension { delta }
     }
 
     /// The Lipschitz parameter Δ.
     pub fn delta(&self) -> usize {
         self.delta
-    }
-
-    /// The polytope solver backend.
-    pub fn backend(&self) -> SolverBackend {
-        self.backend
     }
 
     /// Evaluates `f_Δ(G)` (this is `EvalLipschitzExtension` of Algorithm 2).
@@ -118,10 +93,7 @@ impl LipschitzExtension {
                 lp: None,
             });
         }
-        if self.use_fast_path
-            && (self.delta >= g.max_degree()
-                || bounded_degree_spanning_forest(g, self.delta).is_some())
-        {
+        if self.delta >= g.max_degree() || bounded_degree_spanning_forest(g, self.delta).is_some() {
             return Ok(ExtensionEvaluation {
                 value: g.spanning_forest_size() as f64,
                 delta: self.delta,
@@ -129,7 +101,7 @@ impl LipschitzExtension {
                 lp: None,
             });
         }
-        let lp = forest_polytope_max_with(g, self.delta as f64, self.backend)?;
+        let lp = forest_polytope_max(g, self.delta as f64)?;
         Ok(ExtensionEvaluation {
             value: lp.value,
             delta: self.delta,
@@ -175,8 +147,8 @@ impl LipschitzExtension {
 /// `family/partition` (arena partitioning + per-component degree scan),
 /// `family/anchor` (fast-path checks including the per-component Lemma 1.8
 /// searches) and `family/lp` (polytope solving over the partition), plus
-/// per-Δ solve counts (component totals, closed forms, dedup hits, general
-/// fallbacks). Profiling never changes values.
+/// per-Δ solve counts (component totals, closed forms, dedup hits).
+/// Profiling never changes values.
 ///
 /// Repeated evaluations of the same graph should go through
 /// [`ExtensionCache`](crate::cache::ExtensionCache), which wraps this
@@ -249,13 +221,9 @@ pub fn evaluate_family(
         Vec::new()
     } else {
         let _t = profiler.map(|p| p.phase("family/lp"));
-        let solve_options = SolveOptions {
-            // The family only feeds values into the GEM selection; skipping
-            // weight assembly saves one `f64` per edge per grid point.
-            want_weights: false,
-            ..SolveOptions::default()
-        };
-        solve_partition(&part, &lp_deltas, threads, &solve_options).map_err(CoreError::from)?
+        // The family only feeds values into the GEM selection, so it asks
+        // for no per-edge weights.
+        solve_partition(&part, &lp_deltas, threads, false).map_err(CoreError::from)?
     }
     .into_iter();
 
@@ -278,7 +246,6 @@ pub fn evaluate_family(
                 p.add_count("solve/components", stats.components as u64);
                 p.add_count("solve/micro-closed-form", stats.micro_closed_form as u64);
                 p.add_count("solve/micro-reduced", stats.micro_reduced as u64);
-                p.add_count("solve/general-fallback", stats.general_fallback as u64);
                 p.add_count("solve/dedup-classes", stats.dedup_classes as u64);
                 p.add_count("solve/dedup-hits", stats.dedup_hits as u64);
             }
@@ -372,10 +339,7 @@ mod tests {
                 let fast = LipschitzExtension::new(delta)
                     .evaluate_detailed(&g)
                     .unwrap();
-                let slow = LipschitzExtension::new(delta)
-                    .without_fast_path()
-                    .evaluate_detailed(&g)
-                    .unwrap();
+                let slow = forest_polytope_max(&g, delta as f64).unwrap();
                 assert!(
                     approx(fast.value, slow.value),
                     "fast {} vs lp {} at delta {delta}",
@@ -478,8 +442,8 @@ mod tests {
             }
         }
         // On the n = 3000 graph every component, the multicyclic giant
-        // included, takes the micro path: nothing falls back to the general
-        // solver.
+        // included, takes the micro path: each one is a closed form, a
+        // reduced micro solve or a dedup hit.
         let big = CsrGraph::from_graph(graphs.last().expect("the ER graph"));
         let part = big.partition_components();
         let giant = (0..part.num_components())
@@ -498,7 +462,12 @@ mod tests {
         };
         assert!(count("solve/components") > 0);
         assert!(count("solve/micro-reduced") > 0);
-        assert_eq!(count("solve/general-fallback"), 0);
+        assert_eq!(
+            count("solve/micro-closed-form")
+                + count("solve/micro-reduced")
+                + count("solve/dedup-hits"),
+            count("solve/components")
+        );
     }
 
     #[test]
@@ -519,22 +488,20 @@ mod tests {
 
     #[test]
     fn backends_agree_through_the_extension() {
-        // The solver backends are interchangeable behind the extension: same
-        // values on the LP path (the fast path never consults the solver).
+        // Both exact solvers give the extension's value: the one
+        // `forest_polytope_max` runs and the independent simplex oracle.
         let mut rng = StdRng::seed_from_u64(43);
         for _ in 0..4 {
             let g = generators::erdos_renyi(10, 0.35, &mut rng);
             for delta in 1..=3usize {
-                let comb = LipschitzExtension::new(delta)
-                    .without_fast_path()
-                    .evaluate(&g)
-                    .unwrap();
-                let simp = LipschitzExtension::new(delta)
-                    .without_fast_path()
-                    .with_backend(SolverBackend::Simplex)
-                    .evaluate(&g)
-                    .unwrap();
+                let ext = LipschitzExtension::new(delta).evaluate(&g).unwrap();
+                let comb = forest_polytope_max(&g, delta as f64).unwrap().value;
+                let simp = ccdp_lp::SimplexSolver::new()
+                    .solve(&g, delta as f64)
+                    .unwrap()
+                    .value;
                 assert!(approx(comb, simp), "Δ={delta}: {comb} vs {simp}");
+                assert!(approx(ext, simp), "Δ={delta}: {ext} vs {simp}");
             }
         }
     }

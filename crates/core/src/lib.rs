@@ -51,10 +51,9 @@
 //!   [`ConfigError`] validation.
 //! * [`error`] — [`CoreError`] (algorithm internals) and the unified
 //!   [`CcdpError`] returned by every estimator.
-//! * [`polytope`] — the Δ-bounded forest polytope (Definition 3.1) behind the
-//!   pluggable [`PolytopeSolver`] trait: a combinatorial backend (default) and
-//!   a warm-started cutting-plane simplex backend, selected by
-//!   [`SolverBackend`].
+//! * [`polytope`] — the Δ-bounded forest polytope (Definition 3.1):
+//!   [`forest_polytope_max`] maximizes it on an adjacency-list graph with
+//!   `ccdp_lp`'s exact combinatorial solver.
 //! * [`extension`] — the Lipschitz extension family `{f_Δ}` (Lemma 3.3) with the
 //!   spanning-forest fast path, evaluated over a partitioned CSR arena by
 //!   [`evaluate_family`].
@@ -89,13 +88,9 @@ pub use anchor::{in_anchor_set, in_optimal_monotone_anchor_set, smallest_anchor_
 pub use baselines::{EdgeDpBaseline, FixedDeltaBaseline, NaiveNodeDpBaseline, NonPrivateBaseline};
 pub use cache::{CacheStats, ExtensionCache, GraphTag};
 pub use config::{ConfigError, EstimatorConfig, ObsHandles};
-pub use downsens_extension::{
-    downsens_extension, downsens_extension_fdelta, downsens_extension_fsf,
-};
+pub use downsens_extension::{downsens_extension, downsens_extension_fsf};
 pub use error::{CcdpError, CoreError};
 pub use estimator::Estimator;
 pub use extension::{evaluate_family, EvaluationPath, ExtensionEvaluation, LipschitzExtension};
-pub use polytope::{
-    forest_polytope_max, forest_polytope_max_with, PolytopeSolution, PolytopeSolver, SolverBackend,
-};
+pub use polytope::{forest_polytope_max, PolytopeSolution};
 pub use release::{Diagnostics, DiagnosticsAccess, Privacy, Release};

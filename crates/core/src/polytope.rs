@@ -1,5 +1,5 @@
-//! The Δ-bounded forest polytope (Definition 3.1) — core-layer facade over
-//! the pluggable solver stack in `ccdp_lp`.
+//! The Δ-bounded forest polytope (Definition 3.1) — core-layer entry point
+//! to the solvers in `ccdp_lp`.
 //!
 //! For a graph `G = (V, E)` and a bound `Δ > 0`, the polytope `P_Δ(G) ⊆ R^E`
 //! consists of all `x ≥ 0` with
@@ -9,48 +9,51 @@
 //!
 //! and the Lipschitz extension is `f_Δ(G) = max_{x ∈ P_Δ(G)} x(E)`.
 //!
-//! The maximization itself lives behind the [`PolytopeSolver`] trait in
-//! `ccdp_lp` with two exact backends, selected by [`SolverBackend`]:
-//!
-//! * [`SolverBackend::Combinatorial`] (default) — certified combinatorial
-//!   reductions (fractional leaf peeling, capped Kruskal greedy, Lemma 1.8
-//!   local repair) with a warm-started cutting-plane fallback for the
-//!   irreducible fractional core;
-//! * [`SolverBackend::Simplex`] — pure cutting planes over the incremental
-//!   simplex with the min-cut separation oracle (Padberg–Wolsey).
+//! Any exact maximizer gives the same value, so there is no solver choice:
+//! [`forest_polytope_max`] runs `ccdp_lp`'s `CombinatorialSolver` —
+//! certified combinatorial reductions (fractional leaf peeling, capped
+//! Kruskal greedy, Lemma 1.8 local repair) with column generation for the
+//! irreducible fractional core — on an adjacency-list [`Graph`]. The
+//! estimators evaluate whole Δ grids on the CSR-native engine instead (see
+//! [`evaluate_family`](crate::evaluate_family)), which replicates this
+//! solver bit for bit.
 //!
 //! Everything is per-connected-component: the objective and all constraints
 //! decompose, which keeps the subproblems small.
 
 use crate::error::CoreError;
 use ccdp_graph::Graph;
-pub use ccdp_lp::{PolytopeSolution, PolytopeSolver, SolverBackend};
+use ccdp_lp::CombinatorialSolver;
+pub use ccdp_lp::PolytopeSolution;
 
-/// Maximizes `x(E)` over the Δ-bounded forest polytope of `g` with the
-/// default (combinatorial) backend.
+/// Maximizes `x(E)` over the Δ-bounded forest polytope of `g`.
 ///
 /// `delta` may be fractional (the polytope is defined for any `Δ > 0`),
 /// although the paper's algorithm only uses integer values.
 pub fn forest_polytope_max(g: &Graph, delta: f64) -> Result<PolytopeSolution, CoreError> {
-    forest_polytope_max_with(g, delta, SolverBackend::default())
-}
-
-/// Maximizes `x(E)` over the Δ-bounded forest polytope of `g` with an
-/// explicitly selected backend.
-pub fn forest_polytope_max_with(
-    g: &Graph,
-    delta: f64,
-    backend: SolverBackend,
-) -> Result<PolytopeSolution, CoreError> {
-    backend.solver().solve(g, delta).map_err(CoreError::from)
+    CombinatorialSolver::new()
+        .solve(g, delta)
+        .map_err(CoreError::from)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccdp_graph::generators;
+    use ccdp_lp::SimplexSolver;
 
-    const BACKENDS: [SolverBackend; 2] = [SolverBackend::Combinatorial, SolverBackend::Simplex];
+    type Solve = fn(&Graph, f64) -> Result<PolytopeSolution, CoreError>;
+
+    fn simplex(g: &Graph, delta: f64) -> Result<PolytopeSolution, CoreError> {
+        SimplexSolver::new()
+            .solve(g, delta)
+            .map_err(CoreError::from)
+    }
+
+    /// Both exact solvers: the one `forest_polytope_max` runs and the
+    /// independent simplex oracle.
+    const SOLVERS: [(&str, Solve); 2] =
+        [("combinatorial", forest_polytope_max), ("simplex", simplex)];
 
     fn approx(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-5
@@ -59,8 +62,8 @@ mod tests {
     #[test]
     fn empty_graph_has_value_zero() {
         let g = Graph::new(5);
-        for backend in BACKENDS {
-            let sol = forest_polytope_max_with(&g, 3.0, backend).unwrap();
+        for (_, solve) in SOLVERS {
+            let sol = solve(&g, 3.0).unwrap();
             assert!(approx(sol.value, 0.0));
         }
     }
@@ -68,27 +71,18 @@ mod tests {
     #[test]
     fn single_edge_value_is_min_of_one_and_delta() {
         let g = Graph::from_edges(2, &[(0, 1)]);
-        for backend in BACKENDS {
-            assert!(approx(
-                forest_polytope_max_with(&g, 1.0, backend).unwrap().value,
-                1.0
-            ));
-            assert!(approx(
-                forest_polytope_max_with(&g, 0.5, backend).unwrap().value,
-                0.5
-            ));
-            assert!(approx(
-                forest_polytope_max_with(&g, 4.0, backend).unwrap().value,
-                1.0
-            ));
+        for (_, solve) in SOLVERS {
+            assert!(approx(solve(&g, 1.0).unwrap().value, 1.0));
+            assert!(approx(solve(&g, 0.5).unwrap().value, 0.5));
+            assert!(approx(solve(&g, 4.0).unwrap().value, 1.0));
         }
     }
 
     #[test]
     fn triangle_with_large_delta_gives_spanning_tree_size() {
         let g = generators::cycle(3);
-        for backend in BACKENDS {
-            let sol = forest_polytope_max_with(&g, 2.0, backend).unwrap();
+        for (_, solve) in SOLVERS {
+            let sol = solve(&g, 2.0).unwrap();
             assert!(approx(sol.value, 2.0));
         }
     }
@@ -97,23 +91,17 @@ mod tests {
     fn star_value_is_capped_by_delta() {
         // K_{1,5}: the center's degree constraint caps the objective at Δ.
         let g = generators::star(5);
-        for backend in BACKENDS {
+        for (name, solve) in SOLVERS {
             for delta in [1.0, 2.0, 3.0, 4.0] {
-                let sol = forest_polytope_max_with(&g, delta, backend).unwrap();
+                let sol = solve(&g, delta).unwrap();
                 assert!(
                     approx(sol.value, delta),
-                    "star value {} != delta {delta} ({backend:?})",
+                    "star value {} != delta {delta} ({name})",
                     sol.value
                 );
             }
-            assert!(approx(
-                forest_polytope_max_with(&g, 5.0, backend).unwrap().value,
-                5.0
-            ));
-            assert!(approx(
-                forest_polytope_max_with(&g, 7.0, backend).unwrap().value,
-                5.0
-            ));
+            assert!(approx(solve(&g, 5.0).unwrap().value, 5.0));
+            assert!(approx(solve(&g, 7.0).unwrap().value, 5.0));
         }
     }
 
@@ -122,12 +110,12 @@ mod tests {
         // K_4 with Δ = 3: without forest constraints the degree bound would allow
         // x(E) = 6, but the spanning-tree bound caps it at 3.
         let g = generators::complete(4);
-        for backend in BACKENDS {
-            let sol = forest_polytope_max_with(&g, 3.0, backend).unwrap();
+        for (_, solve) in SOLVERS {
+            let sol = solve(&g, 3.0).unwrap();
             assert!(approx(sol.value, 3.0), "K4 value was {}", sol.value);
             // With Δ = 1 the answer is the fractional matching bound: each vertex
             // has degree weight ≤ 1, so x(E) ≤ 4/2 = 2.
-            let sol1 = forest_polytope_max_with(&g, 1.0, backend).unwrap();
+            let sol1 = solve(&g, 1.0).unwrap();
             assert!(
                 approx(sol1.value, 2.0),
                 "K4 with delta=1 was {}",
@@ -139,8 +127,8 @@ mod tests {
     #[test]
     fn two_components_decompose() {
         let g = generators::disjoint_union(&generators::cycle(3), &generators::star(3));
-        for backend in BACKENDS {
-            let sol = forest_polytope_max_with(&g, 2.0, backend).unwrap();
+        for (_, solve) in SOLVERS {
+            let sol = solve(&g, 2.0).unwrap();
             // Cycle contributes 2 (spanning tree), star contributes min(2, 3) = 2.
             assert!(approx(sol.value, 4.0));
         }
@@ -150,8 +138,8 @@ mod tests {
     fn edge_weights_are_a_feasible_point() {
         let g = generators::complete(5);
         let delta = 2.0;
-        for backend in BACKENDS {
-            let sol = forest_polytope_max_with(&g, delta, backend).unwrap();
+        for (_, solve) in SOLVERS {
+            let sol = solve(&g, delta).unwrap();
             let edges = g.edge_vec();
             // Degree constraints.
             for v in g.vertices() {
@@ -175,10 +163,10 @@ mod tests {
     #[test]
     fn value_is_monotone_in_delta() {
         let g = generators::caveman(3, 4);
-        for backend in BACKENDS {
+        for (_, solve) in SOLVERS {
             let mut prev = 0.0;
             for delta in [1.0, 2.0, 3.0, 4.0, 5.0] {
-                let v = forest_polytope_max_with(&g, delta, backend).unwrap().value;
+                let v = solve(&g, delta).unwrap().value;
                 assert!(v + 1e-9 >= prev, "not monotone at delta {delta}");
                 prev = v;
             }
@@ -204,7 +192,7 @@ mod tests {
         // K_4 with a pendant path: the whole-vertex-set constraint is loose
         // (|V| - 1 = 7), so the degree bounds alone would allow up to 6 units of
         // weight inside the clique; the returned point must nevertheless satisfy
-        // x(E[S]) ≤ |S| - 1 for every subset S — for both backends.
+        // x(E[S]) ≤ |S| - 1 for every subset S — for both solvers.
         let mut g = generators::complete(4);
         for _ in 0..4 {
             g.add_vertex();
@@ -213,8 +201,8 @@ mod tests {
         g.add_edge(4, 5);
         g.add_edge(5, 6);
         g.add_edge(6, 7);
-        for backend in BACKENDS {
-            let sol = forest_polytope_max_with(&g, 3.0, backend).unwrap();
+        for (_, solve) in SOLVERS {
+            let sol = solve(&g, 3.0).unwrap();
             assert!(
                 approx(sol.value, g.spanning_forest_size() as f64),
                 "value {}",
@@ -244,28 +232,15 @@ mod tests {
     #[test]
     fn invalid_delta_is_rejected() {
         let g = generators::path(3);
-        for backend in BACKENDS {
+        for (_, solve) in SOLVERS {
             assert!(matches!(
-                forest_polytope_max_with(&g, 0.0, backend),
+                solve(&g, 0.0),
                 Err(CoreError::InvalidParameter(_))
             ));
             assert!(matches!(
-                forest_polytope_max_with(&g, -1.0, backend),
+                solve(&g, -1.0),
                 Err(CoreError::InvalidParameter(_))
             ));
         }
-    }
-
-    #[test]
-    fn backend_selector_resolves_named_solvers() {
-        assert_eq!(
-            SolverBackend::Combinatorial.solver().name(),
-            "combinatorial-forest"
-        );
-        assert_eq!(
-            SolverBackend::Simplex.solver().name(),
-            "simplex-cutting-planes"
-        );
-        assert_eq!(SolverBackend::default(), SolverBackend::Combinatorial);
     }
 }

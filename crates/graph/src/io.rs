@@ -7,6 +7,12 @@
 use crate::csr::CsrGraph;
 use crate::graph::Graph;
 
+/// Largest vertex count an edge list may declare in its header or imply by
+/// an endpoint. Parsing sizes the graph from that count up front, so the cap
+/// keeps one malformed line naming vertex 10^12 from exhausting memory; the
+/// streaming tier uses the same cap for its vertex universe.
+pub const DEFAULT_MAX_VERTICES: usize = 1 << 24;
+
 /// Error produced when parsing an edge list.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ParseError {
@@ -16,6 +22,12 @@ pub enum ParseError {
     VertexOutOfRange {
         line_number: usize,
         vertex: usize,
+        num_vertices: usize,
+    },
+    /// The header declares, or an endpoint implies, more than
+    /// [`DEFAULT_MAX_VERTICES`] vertices.
+    TooManyVertices {
+        line_number: usize,
         num_vertices: usize,
     },
 }
@@ -37,6 +49,13 @@ impl std::fmt::Display for ParseError {
                 f,
                 "line {line_number}: vertex {vertex} out of range for {num_vertices} vertices"
             ),
+            ParseError::TooManyVertices {
+                line_number,
+                num_vertices,
+            } => write!(
+                f,
+                "line {line_number}: {num_vertices} vertices exceed the cap of {DEFAULT_MAX_VERTICES}"
+            ),
         }
     }
 }
@@ -55,61 +74,12 @@ pub fn to_edge_list(g: &Graph) -> String {
 
 /// Parses an edge list produced by [`to_edge_list`] or a plain `u v` list.
 ///
-/// If no `# n m` header is present, the vertex count is inferred as the maximum
-/// endpoint plus one.
+/// If no `# n m` header precedes the first edge, the vertex count is inferred
+/// as the maximum endpoint plus one. Either count must not exceed
+/// [`DEFAULT_MAX_VERTICES`].
 pub fn from_edge_list(text: &str) -> Result<Graph, ParseError> {
-    let mut declared_n: Option<usize> = None;
     let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut max_vertex = 0usize;
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            if declared_n.is_none() {
-                let mut parts = rest.split_whitespace();
-                if let (Some(n), Some(_m)) = (parts.next(), parts.next()) {
-                    if let Ok(n) = n.parse::<usize>() {
-                        declared_n = Some(n);
-                    }
-                }
-            }
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (u, v) = match (parts.next(), parts.next()) {
-            (Some(u), Some(v)) => (u, v),
-            _ => {
-                return Err(ParseError::MalformedLine {
-                    line_number: i + 1,
-                    content: line.to_string(),
-                })
-            }
-        };
-        let u: usize = u.parse().map_err(|_| ParseError::MalformedLine {
-            line_number: i + 1,
-            content: line.to_string(),
-        })?;
-        let v: usize = v.parse().map_err(|_| ParseError::MalformedLine {
-            line_number: i + 1,
-            content: line.to_string(),
-        })?;
-        if let Some(n) = declared_n {
-            for &x in &[u, v] {
-                if x >= n {
-                    return Err(ParseError::VertexOutOfRange {
-                        line_number: i + 1,
-                        vertex: x,
-                        num_vertices: n,
-                    });
-                }
-            }
-        }
-        max_vertex = max_vertex.max(u).max(v);
-        edges.push((u, v));
-    }
-    let n = declared_n.unwrap_or(if edges.is_empty() { 0 } else { max_vertex + 1 });
+    let n = scan(text, |u, v| edges.push((u, v)))?;
     Ok(Graph::from_edges(n, &edges))
 }
 
@@ -122,46 +92,10 @@ pub fn from_edge_list(text: &str) -> Result<Graph, ParseError> {
 /// passes. Peak memory is the arena plus one cursor per vertex, which is what
 /// makes 10⁷-scale edge lists loadable.
 pub fn from_edge_list_csr(text: &str) -> Result<CsrGraph, ParseError> {
-    let mut declared_n: Option<usize> = None;
-    let mut max_vertex = 0usize;
-    let mut any_edge = false;
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            if declared_n.is_none() {
-                let mut parts = rest.split_whitespace();
-                if let (Some(n), Some(_m)) = (parts.next(), parts.next()) {
-                    if let Ok(n) = n.parse::<usize>() {
-                        declared_n = Some(n);
-                    }
-                }
-            }
-            continue;
-        }
-        let (u, v) = parse_edge_line(line).ok_or_else(|| ParseError::MalformedLine {
-            line_number: i + 1,
-            content: line.to_string(),
-        })?;
-        if let Some(n) = declared_n {
-            for &x in &[u, v] {
-                if x >= n {
-                    return Err(ParseError::VertexOutOfRange {
-                        line_number: i + 1,
-                        vertex: x,
-                        num_vertices: n,
-                    });
-                }
-            }
-        }
-        max_vertex = max_vertex.max(u).max(v);
-        any_edge = true;
-    }
-    let n = declared_n.unwrap_or(if any_edge { max_vertex + 1 } else { 0 });
+    let n = scan(text, |_, _| {})?;
     Ok(CsrGraph::from_edge_stream(n, || {
-        // Every line was validated above, so the quiet re-parse is total.
+        // Every line was validated above, so the quiet re-parse is total and
+        // every id is below the cap, which fits in `u32`.
         text.lines().filter_map(|raw| {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -170,6 +104,64 @@ pub fn from_edge_list_csr(text: &str) -> Result<CsrGraph, ParseError> {
             parse_edge_line(line).map(|(u, v)| (u as u32, v as u32))
         })
     }))
+}
+
+/// The one validating pass of both parsers: checks every line, hands each
+/// edge to `on_edge` and returns the vertex count — the header's if one
+/// precedes the first edge, else the maximum endpoint plus one.
+fn scan(text: &str, mut on_edge: impl FnMut(usize, usize)) -> Result<usize, ParseError> {
+    let mut declared_n: Option<usize> = None;
+    let mut inferred_n = 0usize;
+    for (i, raw) in text.lines().enumerate() {
+        let line_number = i + 1;
+        let line = raw.trim();
+        if line.is_empty() {
+            continue;
+        }
+        if let Some(rest) = line.strip_prefix('#') {
+            // `inferred_n` stays 0 until the first edge, so only a header
+            // before it counts.
+            if declared_n.is_none() && inferred_n == 0 {
+                let mut parts = rest.split_whitespace();
+                if let (Some(n), Some(_m)) = (parts.next(), parts.next()) {
+                    if let Ok(n) = n.parse::<usize>() {
+                        if n > DEFAULT_MAX_VERTICES {
+                            return Err(ParseError::TooManyVertices {
+                                line_number,
+                                num_vertices: n,
+                            });
+                        }
+                        declared_n = Some(n);
+                    }
+                }
+            }
+            continue;
+        }
+        let (u, v) = parse_edge_line(line).ok_or_else(|| ParseError::MalformedLine {
+            line_number,
+            content: line.to_string(),
+        })?;
+        for x in [u, v] {
+            match declared_n {
+                Some(n) if x >= n => {
+                    return Err(ParseError::VertexOutOfRange {
+                        line_number,
+                        vertex: x,
+                        num_vertices: n,
+                    })
+                }
+                None if x >= DEFAULT_MAX_VERTICES => {
+                    return Err(ParseError::TooManyVertices {
+                        line_number,
+                        num_vertices: x.saturating_add(1),
+                    })
+                }
+                _ => inferred_n = inferred_n.max(x + 1),
+            }
+        }
+        on_edge(u, v);
+    }
+    Ok(declared_n.unwrap_or(inferred_n))
 }
 
 fn parse_edge_line(line: &str) -> Option<(usize, usize)> {
@@ -258,6 +250,47 @@ mod tests {
             from_edge_list_csr("# 3 1\n0 7\n"),
             Err(ParseError::VertexOutOfRange { vertex: 7, .. })
         ));
+    }
+
+    #[test]
+    fn oversized_vertex_counts_are_refused_by_both_parsers() {
+        let too_many =
+            |r: Result<usize, ParseError>| matches!(r, Err(ParseError::TooManyVertices { .. }));
+        let over = DEFAULT_MAX_VERTICES + 1;
+        for text in [
+            // Header form: the declared count alone is refused.
+            format!("# {over} 0\n"),
+            "# 100000000000 0\n".to_string(),
+            // Inferred form: one endpoint implies the count.
+            format!("0 {}\n", DEFAULT_MAX_VERTICES),
+            "0 99999999999999999\n".to_string(),
+            format!("0 1\n3 {}\n", usize::MAX),
+        ] {
+            assert!(
+                too_many(from_edge_list(&text).map(|g| g.num_vertices())),
+                "{text}"
+            );
+            assert!(
+                too_many(from_edge_list_csr(&text).map(|g| g.num_vertices())),
+                "{text}"
+            );
+        }
+        // The cap itself is allowed (checked through the header of an
+        // edgeless list, so no 2^24-vertex graph is built twice).
+        let at_cap = format!("# {DEFAULT_MAX_VERTICES} 0\n");
+        assert_eq!(scan(&at_cap, |_, _| {}).unwrap(), DEFAULT_MAX_VERTICES);
+        let last = format!("0 {}\n", DEFAULT_MAX_VERTICES - 1);
+        assert_eq!(scan(&last, |_, _| {}).unwrap(), DEFAULT_MAX_VERTICES);
+    }
+
+    #[test]
+    fn a_header_after_the_first_edge_is_a_comment() {
+        // Edges read before a late header were never range-checked against
+        // it, so it is not a header.
+        for text in ["0 9\n# 3 1\n", "0 9\n# 3 1\n1 2\n"] {
+            assert_eq!(from_edge_list(text).unwrap().num_vertices(), 10);
+            assert_eq!(from_edge_list_csr(text).unwrap().num_vertices(), 10);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Dantzig–Wolfe column generation for the Δ-bounded forest polytope, and
-//! the combined dual-bound engine used by the combinatorial backend.
+//! the combined dual-bound engine used by the combinatorial solver.
 //!
 //! The forest polytope is integral: it is exactly the convex hull of the
 //! indicator vectors of forests. Maximizing `x(E)` over it intersected with

@@ -1,11 +1,11 @@
-//! The combinatorial backend for the Δ-bounded forest polytope.
+//! The combinatorial reference solver for the Δ-bounded forest polytope.
 //!
 //! The degree-bounded forest LP inherits a lot of structure from the graphic
 //! matroid, and most of a real graph can be solved exactly *without an LP* by
 //! chaining certified combinatorial reductions. Each reduction either carries
 //! an exchange-argument proof (some optimal solution agrees with it) or a
 //! matching upper-bound certificate (the produced point attains a valid bound),
-//! so the backend as a whole returns the exact LP optimum:
+//! so the solver as a whole returns the exact LP optimum:
 //!
 //! 1. **Exhausted-vertex elimination.** A vertex whose residual capacity is 0
 //!    forces weight 0 on all its edges; delete it. (Certificate: the degree
@@ -40,7 +40,7 @@
 //! violate no forest constraint (`x(E[S]) ≤ x(E[S∖v]) + 1 ≤ |S| − 1`).
 
 use crate::column_generation;
-use crate::solver::{solve_per_component, PolytopeError, PolytopeSolution, PolytopeSolver};
+use crate::solver::{solve_per_component, PolytopeError, PolytopeSolution};
 use ccdp_graph::components::components;
 use ccdp_graph::forest::capacity_bounded_spanning_forest;
 use ccdp_graph::subgraph::induced_subgraph;
@@ -53,26 +53,30 @@ pub(crate) const CAP_TOL: f64 = 1e-9;
 
 /// Graph-algorithm-speed exact solver: certified combinatorial reductions
 /// with a column-generation fallback for the irreducible core.
+///
+/// The CSR-native engine ([`crate::solve_partition`]) replicates this
+/// reduction loop float operation for float operation, so this type is its
+/// bitwise oracle on every component.
 #[derive(Clone, Debug)]
 pub struct CombinatorialSolver {
     _private: (),
 }
 
 impl CombinatorialSolver {
-    /// The backend with default settings.
+    /// The solver with default settings.
     pub const fn new() -> Self {
         CombinatorialSolver { _private: () }
     }
 
+    /// Maximizes `x(E)` over `P_Δ(G)`. `delta` may be fractional — the
+    /// polytope is defined for any `Δ > 0` — although the paper's algorithm
+    /// only uses integer values.
+    pub fn solve(&self, g: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError> {
+        solve_per_component(g, delta, |local| self.solve_component(local, delta))
+    }
+
     /// Solves one connected component (local vertex indices, ≥ 1 edge).
-    ///
-    /// Crate-visible so the micro-component driver ([`crate::micro`]) can use
-    /// it as the general fallback and equivalence oracle.
-    pub(crate) fn solve_component(
-        &self,
-        g: &Graph,
-        delta: f64,
-    ) -> Result<PolytopeSolution, PolytopeError> {
+    fn solve_component(&self, g: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError> {
         let n = g.num_vertices();
         let edges = g.edge_vec();
         let m = edges.len();
@@ -196,16 +200,6 @@ impl Default for CombinatorialSolver {
     }
 }
 
-impl PolytopeSolver for CombinatorialSolver {
-    fn name(&self) -> &'static str {
-        "combinatorial-forest"
-    }
-
-    fn solve(&self, g: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError> {
-        solve_per_component(g, delta, |local| self.solve_component(local, delta))
-    }
-}
-
 /// Tries to certify that the optimum of a connected core piece is its rank
 /// bound `|V| − 1` by exhibiting a spanning forest whose every vertex degree
 /// fits the (floored) residual capacity. Returns the forest's edge list
@@ -221,8 +215,8 @@ impl PolytopeSolver for CombinatorialSolver {
 /// where the local-repair heuristic gives up even though a certificate
 /// exists.
 ///
-/// Shared by the general component solver and the micro-component fast paths,
-/// so both produce identical certificates on identical pieces.
+/// Shared by [`CombinatorialSolver`] and the CSR-native engine, so both
+/// produce identical certificates on identical pieces.
 pub(crate) fn spanning_certificate(piece: &Graph, caps: &[f64]) -> Option<Vec<(usize, usize)>> {
     let n = piece.num_vertices();
     let target = n - 1; // the piece is connected
@@ -272,7 +266,7 @@ const TINY_DP_NODE_BUDGET: usize = 200_000;
 /// a connected piece with ≤ [`TINY_DP_MAX_VERTICES`] vertices. Either returns
 /// a genuine certificate, proves none exists, or runs out of budget — in the
 /// latter two cases the caller falls back to the exact LP, so the overall
-/// backend stays exact.
+/// solver stays exact.
 fn tiny_exhaustive_certificate(piece: &Graph, icaps: &[usize]) -> Option<Vec<(usize, usize)>> {
     let n = piece.num_vertices();
     let edges = piece.edge_vec();
@@ -416,8 +410,8 @@ mod tests {
         // pendant path), so the whole thing is certified at f_sf = 5.
         assert!(approx(value(&g, 2.0), 5.0));
         // Δ = 1: pendant edges peel 5–4 at 1, then 3 has cap 0 … the exact
-        // value must match the reference backend; spot-check feasibility-level
-        // sanity here (cross-backend equality is proptested separately).
+        // value must match the simplex oracle; spot-check feasibility-level
+        // sanity here (cross-solver equality is proptested separately).
         let sol = CombinatorialSolver::new().solve(&g, 1.0).unwrap();
         assert!(sol.value <= 3.0 + 1e-9);
         assert!(sol.value >= 2.0 - 1e-9);
@@ -437,7 +431,7 @@ mod tests {
         let sol = CombinatorialSolver::new().solve(&g, 1.0).unwrap();
         // Fractional matching bound: vertex 2 is shared; optimum is 2.5
         // (e.g. one full edge in each triangle giving 2, plus a half cycle —
-        // exact value pinned by the cross-backend proptest; sanity bounds
+        // exact value pinned by the cross-solver proptest; sanity bounds
         // here).
         assert!(sol.value <= 2.5 + 1e-6);
         assert!(sol.value >= 2.0 - 1e-9);

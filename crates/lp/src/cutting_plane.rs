@@ -17,7 +17,7 @@
 //!   optimal basis and repaired with a few dual-simplex pivots instead of a
 //!   dense from-scratch re-solve (with refactorization containing drift).
 //! * **Per-vertex capacities.** The engine accepts heterogeneous degree caps
-//!   `x(δ(v)) ≤ cap_v`, which is what lets the combinatorial backend peel
+//!   `x(δ(v)) ≤ cap_v`, which is what lets the combinatorial solver peel
 //!   off the easy parts of a graph exactly and hand only the irreducible
 //!   core to the LP.
 //! * **Valid upper bounds while running.** Every fresh relaxation solve is a

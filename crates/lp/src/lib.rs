@@ -1,20 +1,24 @@
 //! Linear-programming and polytope-solving substrate.
 //!
 //! The paper evaluates its Lipschitz extensions by maximizing `x(E)` over the
-//! Δ-bounded forest polytope (Definition 3.1). This crate owns the whole
-//! solver stack for that problem, organized in three layers:
+//! Δ-bounded forest polytope (Definition 3.1). Any exact maximizer gives the
+//! same value, so this crate has one engine and two reference solvers that
+//! test it:
 //!
-//! * [`solver`] — the pluggable [`PolytopeSolver`] trait with two exact
-//!   backends: the default [`CombinatorialSolver`] (certified graph-algorithm
-//!   reductions, LP only for the irreducible fractional core) and the
-//!   reference [`SimplexSolver`] (no reductions; cutting planes paired with
-//!   the column-generation bound).
-//! * [`cutting_plane`] — constraint generation with the min-cut separation
-//!   oracle, per-vertex degree capacities and warm-started re-solves.
+//! * [`micro`] — the engine: [`solve_partition`] solves every component of
+//!   a CSR component partition for a whole grid of Δ values in one
+//!   work-stealing sweep, with closed forms for trees and cycles and
+//!   labeled-slice class dedup.
+//! * [`solver`] / [`combinatorial`] — the reference solvers on adjacency-list
+//!   graphs: [`CombinatorialSolver`] (the reduction loop the engine
+//!   replicates bit for bit) and [`SimplexSolver`] (the independent LP
+//!   oracle: cutting planes paired with the column-generation bound).
+//! * [`column_generation`] / [`cutting_plane`] — the exact LP tail for the
+//!   irreducible fractional core: Dantzig–Wolfe column generation over
+//!   forests, and constraint generation with the min-cut separation oracle.
 //! * [`simplex`] / [`problem`] — the LP substrate: an incremental tableau
 //!   simplex ([`IncrementalSimplex`]) whose basis survives across added cuts
-//!   (dual-simplex repair), with Bland's anti-cycling rule, plus the
-//!   container type [`LinearProgram`] for one-shot solves.
+//!   and columns (dual-simplex repair), with Bland's anti-cycling rule.
 
 pub mod column_generation;
 pub mod combinatorial;
@@ -26,9 +30,7 @@ pub mod solver;
 
 pub use combinatorial::CombinatorialSolver;
 pub use cutting_plane::violated_forest_constraints;
-pub use micro::{
-    solve_partition, PartitionSolution, PartitionSolveStats, SolveOptions, DEDUP_MAX_VERTICES,
-};
-pub use problem::{LinearProgram, LpError, LpSolution};
+pub use micro::{solve_partition, PartitionSolution, PartitionSolveStats, DEDUP_MAX_VERTICES};
+pub use problem::{LpError, LpSolution};
 pub use simplex::IncrementalSimplex;
-pub use solver::{PolytopeError, PolytopeSolution, PolytopeSolver, SimplexSolver, SolverBackend};
+pub use solver::{PolytopeError, PolytopeSolution, SimplexSolver};

@@ -5,14 +5,15 @@
 //! 10⁶ vertices decomposes into ~476k components that are overwhelmingly tiny
 //! trees and unicyclic graphs — exactly the structures for which the
 //! Δ-bounded forest-polytope maximum has a closed form — plus one multicyclic
-//! giant. The general [`CombinatorialSolver`] solves each of them exactly,
-//! but pays a fixed per-component toll (materializing an adjacency-list
-//! [`Graph`], half a dozen allocations, a `HashMap` for the remnant phase)
-//! that dominates once components are this small and this numerous, and
-//! copies the giant out of the arena on every call.
+//! giant. The reference [`CombinatorialSolver`](crate::CombinatorialSolver)
+//! solves each of them exactly, but pays a fixed per-component toll
+//! (materializing an adjacency-list [`Graph`], half a dozen allocations, a
+//! `HashMap` for the remnant phase) that dominates once components are this
+//! small and this numerous, and copies the giant out of the arena on every
+//! call.
 //!
-//! This module removes that toll while keeping the results **bit-for-bit
-//! identical** to the general solver:
+//! This module is the engine the estimators run. It removes that toll while
+//! keeping the results **bit-for-bit identical** to the reference solver:
 //!
 //! * [`solve_partition`] — the driver: one sweep over a
 //!   [`ComponentPartition`] for every Δ of a grid. It classifies the
@@ -20,14 +21,14 @@
 //!   fan-out, and merges each Δ's values in component order, so the result
 //!   is the same for every thread budget and for every grid the Δ appears in.
 //! * **Micro solver** — every component, of any size or cycle rank, takes a
-//!   CSR-native replica of the general solver's reduction loop (same float
+//!   CSR-native replica of the reference solver's reduction loop (same float
 //!   operations in the same order), with two provably-identical closed-form
 //!   short-circuits: a tree whose maximum degree is ≤ Δ gets all-ones weights
 //!   (every leaf peel charges exactly 1.0), and a remnant cycle whose floored
 //!   caps are all ≥ 2 keeps its first `k − 1` canonical edges (the capped
 //!   greedy accepts exactly those). Remnant pieces that fit neither case are
 //!   materialized and sent through the *same* `spanning_certificate` /
-//!   column-generation tail as the general solver, so the weight vector —
+//!   column-generation tail as the reference solver, so the weight vector —
 //!   and hence the value, summed in the same edge order — is identical by
 //!   construction.
 //! * **Class dedup** — components with at most [`DEDUP_MAX_VERTICES`]
@@ -40,7 +41,7 @@
 //!   becomes a lookup.
 
 use crate::column_generation;
-use crate::combinatorial::{spanning_certificate, CombinatorialSolver, CAP_TOL};
+use crate::combinatorial::{spanning_certificate, CAP_TOL};
 use crate::solver::{PolytopeError, PolytopeSolution};
 use ccdp_exec::{effective_parallelism, parallel_map};
 use ccdp_graph::{ComponentPartition, CsrComponent, Graph};
@@ -50,32 +51,6 @@ use std::sync::Mutex;
 
 /// Components with at most this many vertices participate in class dedup.
 pub const DEDUP_MAX_VERTICES: usize = 32;
-
-/// Knobs for [`solve_partition`]. Both fast paths default to on; turning
-/// either off changes cost only — never values (`micro` replicates the
-/// general solver bit-for-bit, `dedup` reuses solutions only across
-/// identical labeled slices).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SolveOptions {
-    /// Solve with the micro solver rather than the general
-    /// [`CombinatorialSolver`] (the equivalence oracle).
-    pub micro: bool,
-    /// Enable labeled-slice class dedup.
-    pub dedup: bool,
-    /// Assemble per-edge weights in arena edge order. The family evaluation
-    /// only needs values; skipping assembly saves one `f64` per edge per Δ.
-    pub want_weights: bool,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions {
-            micro: true,
-            dedup: true,
-            want_weights: true,
-        }
-    }
-}
 
 /// Where each component's solution came from, for one Δ of a
 /// [`solve_partition`] call.
@@ -87,8 +62,6 @@ pub struct PartitionSolveStats {
     pub micro_closed_form: usize,
     /// Micro solves whose remnant went through the shared certificate/LP tail.
     pub micro_reduced: usize,
-    /// Components handed to the general [`CombinatorialSolver`].
-    pub general_fallback: usize,
     /// Distinct labeled classes among the dedup-eligible components.
     pub dedup_classes: usize,
     /// Components served from another component's class solution.
@@ -101,8 +74,8 @@ pub struct PartitionSolveStats {
 #[derive(Clone, Debug)]
 pub struct PartitionSolution {
     /// Merged solution; `edge_weights` is indexed like the arena's canonical
-    /// edge order (component-contiguous) and empty when
-    /// [`SolveOptions::want_weights`] is off.
+    /// edge order (component-contiguous) and empty unless `want_weights` was
+    /// requested.
     pub solution: PolytopeSolution,
     /// Per-path attribution.
     pub stats: PartitionSolveStats,
@@ -112,7 +85,6 @@ pub struct PartitionSolution {
 enum SolveKind {
     MicroClosedForm,
     MicroReduced,
-    General,
 }
 
 /// One component's solution in local (component) edge order.
@@ -127,27 +99,13 @@ struct CompSolution {
     kind: SolveKind,
 }
 
-impl CompSolution {
-    fn from_general(sol: PolytopeSolution) -> Self {
-        CompSolution {
-            value: sol.value,
-            weights: sol.edge_weights,
-            generated_cuts: sol.generated_cuts,
-            lp_iterations: sol.lp_iterations,
-            lp_solves: sol.lp_solves,
-            lp_fallback_components: sol.lp_fallback_components,
-            kind: SolveKind::General,
-        }
-    }
-}
-
 /// Solves every component of a partition at every Δ of `deltas` and returns
 /// one [`PartitionSolution`] per Δ, in `deltas` order.
 ///
 /// One sweep serves the whole grid:
 ///
 /// 1. **Classify once.** Every component with ≥ 2 vertices and ≥ 1 edge is
-///    assigned a class, sequentially: with dedup on, components of at most
+///    assigned a class, sequentially: components of at most
 ///    [`DEDUP_MAX_VERTICES`] vertices share a class iff their labeled slices
 ///    are identical; every other component is its own class.
 /// 2. **One fan-out.** Every (class, Δ) pair is solved on one
@@ -158,13 +116,15 @@ impl CompSolution {
 ///    per-component driver uses.
 ///
 /// Each (class, Δ) solve is a pure function of the class's labeled slice
-/// and Δ, so the result is identical for every thread budget, for every
-/// [`SolveOptions`] combination and for every grid a Δ appears in.
+/// and Δ, so the result is identical for every thread budget and for every
+/// grid a Δ appears in. `want_weights` asks for per-edge weights in arena
+/// edge order; the family evaluation only needs values, and skipping the
+/// assembly saves one `f64` per edge per Δ.
 pub fn solve_partition(
     part: &ComponentPartition,
     deltas: &[f64],
     threads: usize,
-    opts: &SolveOptions,
+    want_weights: bool,
 ) -> Result<Vec<PartitionSolution>, PolytopeError> {
     if let Some(&delta) = deltas.iter().find(|d| **d <= 0.0 || !d.is_finite()) {
         return Err(PolytopeError::InvalidDelta { delta });
@@ -186,7 +146,7 @@ pub fn solve_partition(
     }
     debug_assert_eq!(edge_cursor, num_edges);
 
-    let classes = Classes::of(part, &eligible, opts.dedup);
+    let classes = Classes::of(part, &eligible);
     let num_classes = classes.reps.len();
     // Class ranks by descending size (stable): `by_size[r]` is the class
     // solved at rank `r` of every Δ's block of tasks, `rank_of` inverts it.
@@ -210,7 +170,7 @@ pub fn solve_partition(
             .expect("scratch pool lock")
             .pop()
             .unwrap_or_default();
-        let out = solve_component(&view, deltas[d], opts.micro, &mut scratch);
+        let out = micro_solve(&view, deltas[d], &mut scratch);
         scratch_pool
             .lock()
             .expect("scratch pool lock")
@@ -230,7 +190,7 @@ pub fn solve_partition(
 
     let mut out = Vec::with_capacity(deltas.len());
     for block in (0..deltas.len()).map(|d| &solved[d * num_classes..(d + 1) * num_classes]) {
-        let mut solution = PolytopeSolution::zero(if opts.want_weights { num_edges } else { 0 });
+        let mut solution = PolytopeSolution::zero(if want_weights { num_edges } else { 0 });
         let mut stats = PartitionSolveStats {
             components: eligible.len(),
             dedup_classes: classes.keyed,
@@ -250,32 +210,15 @@ pub fn solve_partition(
                 match sol.kind {
                     SolveKind::MicroClosedForm => stats.micro_closed_form += 1,
                     SolveKind::MicroReduced => stats.micro_reduced += 1,
-                    SolveKind::General => stats.general_fallback += 1,
                 }
             }
-            if opts.want_weights {
+            if want_weights {
                 solution.edge_weights[off..off + sol.weights.len()].copy_from_slice(&sol.weights);
             }
         }
         out.push(PartitionSolution { solution, stats });
     }
     Ok(out)
-}
-
-fn solve_component(
-    view: &CsrComponent<'_>,
-    delta: f64,
-    micro: bool,
-    scratch: &mut MicroScratch,
-) -> Result<CompSolution, PolytopeError> {
-    if micro {
-        micro_solve(view, delta, scratch)
-    } else {
-        let local = view.to_graph();
-        CombinatorialSolver::new()
-            .solve_component(&local, delta)
-            .map(CompSolution::from_general)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -308,7 +251,7 @@ fn micro_solve(
     let m = view.num_edges();
 
     // Closed form: a tree whose maximum degree fits Δ peels entirely at
-    // weight exactly 1.0 (every peel sees caps ≥ 1), so the general solver's
+    // weight exactly 1.0 (every peel sees caps ≥ 1), so the reference solver's
     // weight vector is all ones and its value the exact integer n − 1.
     if m == n - 1 {
         let max_deg = (0..n).map(|v| view.degree(v)).max().unwrap_or(0);
@@ -370,7 +313,7 @@ fn micro_solve(
     s.deg.extend((0..n).map(|v| view.degree(v) as u32));
     let mut weights = vec![0.0f64; m];
 
-    // --- Reductions 1 + 2, mirroring the general solver operation by
+    // --- Reductions 1 + 2, mirroring the reference solver operation by
     // operation (same work-stack order, same float arithmetic). ------------
     s.work.clear();
     s.work.extend(0..n as u32);
@@ -412,7 +355,7 @@ fn micro_solve(
     }
 
     // --- Remnant pieces, in the same order (by smallest vertex) and local
-    // labeling (ascending) the general solver's induced-subgraph path uses.
+    // labeling (ascending) the reference solver's induced-subgraph path uses.
     let mut generated_cuts = 0;
     let mut lp_iterations = 0;
     let mut lp_solves = 0;
@@ -494,7 +437,7 @@ fn solve_remnant_piece(
     // Closed form: a remnant cycle whose floored caps are all ≥ 2. The capped
     // greedy inside `spanning_certificate` accepts the first k − 1 canonical
     // edges (any proper subset of cycle edges is acyclic; no cap below 2 ever
-    // gates) and rejects the last, so the general solver's weights are 1.0
+    // gates) and rejects the last, so the reference solver's weights are 1.0
     // everywhere except the final canonical edge — written here directly.
     let is_cycle = piece
         .iter()
@@ -645,7 +588,7 @@ struct Classes {
 
 impl Classes {
     /// Sequential, lock-free classification in component order.
-    fn of(part: &ComponentPartition, eligible: &[(usize, usize)], dedup: bool) -> Self {
+    fn of(part: &ComponentPartition, eligible: &[(usize, usize)]) -> Self {
         let mut of = Vec::with_capacity(eligible.len());
         let mut reps = Vec::new();
         let mut table: HashMap<Vec<u32>, u32> = HashMap::new();
@@ -653,7 +596,7 @@ impl Classes {
         for (i, &(c, _)) in eligible.iter().enumerate() {
             let view = part.component(c);
             let class = reps.len() as u32;
-            if dedup && view.num_vertices() <= DEDUP_MAX_VERTICES {
+            if view.num_vertices() <= DEDUP_MAX_VERTICES {
                 key.clear();
                 encode_labeled_slice(&view, &mut key);
                 // Key equality is the witness check: a hash collision between
@@ -694,14 +637,16 @@ fn encode_labeled_slice(view: &CsrComponent<'_>, out: &mut Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::PolytopeSolver;
+    use crate::CombinatorialSolver;
     use ccdp_graph::{generators, CsrGraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn partition_value(g: &Graph, delta: f64, opts: &SolveOptions) -> PartitionSolution {
+    fn partition_value(g: &Graph, delta: f64, want_weights: bool) -> PartitionSolution {
         let part = CsrGraph::from_graph(g).partition_components();
-        solve_partition(&part, &[delta], 1, opts).unwrap().remove(0)
+        solve_partition(&part, &[delta], 1, want_weights)
+            .unwrap()
+            .remove(0)
     }
 
     fn general_value(g: &Graph, delta: f64) -> PolytopeSolution {
@@ -734,45 +679,26 @@ mod tests {
         for g in &graphs {
             for delta in [1.0, 2.0, 3.0, 4.0] {
                 let reference = general_value(g, delta);
-                for opts in [
-                    SolveOptions::default(),
-                    SolveOptions {
-                        micro: true,
-                        dedup: false,
-                        want_weights: true,
-                    },
-                    SolveOptions {
-                        micro: false,
-                        dedup: true,
-                        want_weights: true,
-                    },
-                    SolveOptions {
-                        micro: false,
-                        dedup: false,
-                        want_weights: true,
-                    },
-                ] {
-                    let got = partition_value(g, delta, &opts);
-                    assert_eq!(
-                        reference.value.to_bits(),
-                        got.solution.value.to_bits(),
-                        "value mismatch (delta={delta}, opts={opts:?})"
-                    );
-                    // The partition may permute edges across components, but
-                    // every component is solved with identical local labels,
-                    // so the weight vectors agree as multisets of bits.
-                    let mut want: Vec<u64> =
-                        reference.edge_weights.iter().map(|w| w.to_bits()).collect();
-                    let mut have: Vec<u64> = got
-                        .solution
-                        .edge_weights
-                        .iter()
-                        .map(|w| w.to_bits())
-                        .collect();
-                    want.sort_unstable();
-                    have.sort_unstable();
-                    assert_eq!(want, have, "weight multiset (delta={delta}, opts={opts:?})");
-                }
+                let got = partition_value(g, delta, true);
+                assert_eq!(
+                    reference.value.to_bits(),
+                    got.solution.value.to_bits(),
+                    "value mismatch (delta={delta})"
+                );
+                // The partition may permute edges across components, but
+                // every component is solved with identical local labels, so
+                // the weight vectors agree as multisets of bits.
+                let mut want: Vec<u64> =
+                    reference.edge_weights.iter().map(|w| w.to_bits()).collect();
+                let mut have: Vec<u64> = got
+                    .solution
+                    .edge_weights
+                    .iter()
+                    .map(|w| w.to_bits())
+                    .collect();
+                want.sort_unstable();
+                have.sort_unstable();
+                assert_eq!(want, have, "weight multiset (delta={delta})");
             }
         }
     }
@@ -784,7 +710,7 @@ mod tests {
             let g = generators::erdos_renyi(60, 1.4 / 60.0, &mut rng);
             for delta in [1.0, 2.0, 3.0] {
                 let reference = general_value(&g, delta);
-                let got = partition_value(&g, delta, &SolveOptions::default());
+                let got = partition_value(&g, delta, true);
                 assert_eq!(
                     reference.value.to_bits(),
                     got.solution.value.to_bits(),
@@ -805,7 +731,7 @@ mod tests {
             g.add_edge(b + 1, b + 2);
             g.add_edge(b, b + 2);
         }
-        let got = partition_value(&g, 1.0, &SolveOptions::default());
+        let got = partition_value(&g, 1.0, true);
         assert_eq!(got.stats.dedup_classes, 1);
         assert_eq!(got.stats.dedup_hits, 49);
         let reference = general_value(&g, 1.0);
@@ -822,7 +748,7 @@ mod tests {
         g.add_edge(0, 2);
         g.add_edge(3, 4);
         g.add_edge(4, 5);
-        let got = partition_value(&g, 2.0, &SolveOptions::default());
+        let got = partition_value(&g, 2.0, true);
         assert_eq!(got.stats.dedup_classes, 2);
         assert_eq!(got.stats.dedup_hits, 0);
     }
@@ -841,9 +767,9 @@ mod tests {
         let g = generators::erdos_renyi(3000, 1.05 / 3000.0, &mut rng);
         let part = CsrGraph::from_graph(&g).partition_components();
         let grid = [1.0, 2.0, 4.0];
-        let seq = solve_partition(&part, &grid, 1, &SolveOptions::default()).unwrap();
+        let seq = solve_partition(&part, &grid, 1, true).unwrap();
         for threads in [2, 4, 8] {
-            let par = solve_partition(&part, &grid, threads, &SolveOptions::default()).unwrap();
+            let par = solve_partition(&part, &grid, threads, true).unwrap();
             for (d, (s, p)) in seq.iter().zip(&par).enumerate() {
                 assert_eq!(
                     s.solution.value.to_bits(),
@@ -863,34 +789,34 @@ mod tests {
         let g = generators::erdos_renyi(1500, 1.3 / 1500.0, &mut rng);
         let part = CsrGraph::from_graph(&g).partition_components();
         let grid = [4.0, 1.0, 2.0, 1.0];
-        let swept = solve_partition(&part, &grid, 3, &SolveOptions::default()).unwrap();
+        let swept = solve_partition(&part, &grid, 3, true).unwrap();
         assert_eq!(swept.len(), grid.len());
         for (&delta, got) in grid.iter().zip(&swept) {
-            let alone = solve_partition(&part, &[delta], 1, &SolveOptions::default())
-                .unwrap()
-                .remove(0);
+            let alone = solve_partition(&part, &[delta], 1, true).unwrap().remove(0);
             assert_eq!(alone.solution.value.to_bits(), got.solution.value.to_bits());
             assert_eq!(weight_bits(&alone), weight_bits(got));
             assert_eq!(alone.stats, got.stats);
         }
-        assert!(solve_partition(&part, &[], 2, &SolveOptions::default())
-            .unwrap()
-            .is_empty());
+        assert!(solve_partition(&part, &[], 2, true).unwrap().is_empty());
     }
 
     #[test]
     fn multicyclic_components_of_any_size_take_the_micro_path() {
         // Barabási–Albert graphs are connected and multicyclic; at 40..120
         // vertices they are far above the size at which the micro solver
-        // used to hand components to the general solver.
+        // used to hand components to the reference solver.
         let mut rng = StdRng::seed_from_u64(12);
         for n in [40usize, 80, 120] {
             let g = generators::barabasi_albert(n, 2, &mut rng);
             for delta in [1.0, 2.0, 3.0] {
                 let reference = general_value(&g, delta);
-                let got = partition_value(&g, delta, &SolveOptions::default());
-                assert_eq!(got.stats.general_fallback, 0, "n={n} Δ={delta}");
+                let got = partition_value(&g, delta, true);
                 assert_eq!(got.stats.components, 1);
+                assert_eq!(
+                    got.stats.micro_closed_form + got.stats.micro_reduced,
+                    1,
+                    "n={n} Δ={delta}"
+                );
                 assert_eq!(reference.value.to_bits(), got.solution.value.to_bits());
                 let want: Vec<u64> = reference.edge_weights.iter().map(|w| w.to_bits()).collect();
                 assert_eq!(want, weight_bits(&got), "n={n} Δ={delta}");
@@ -902,15 +828,8 @@ mod tests {
     fn value_only_mode_matches_weighted_mode() {
         let mut rng = StdRng::seed_from_u64(6);
         let g = generators::erdos_renyi(200, 1.2 / 200.0, &mut rng);
-        let with = partition_value(&g, 2.0, &SolveOptions::default());
-        let without = partition_value(
-            &g,
-            2.0,
-            &SolveOptions {
-                want_weights: false,
-                ..SolveOptions::default()
-            },
-        );
+        let with = partition_value(&g, 2.0, true);
+        let without = partition_value(&g, 2.0, false);
         assert_eq!(
             with.solution.value.to_bits(),
             without.solution.value.to_bits()
@@ -926,9 +845,7 @@ mod tests {
             for delta in 1..=4usize {
                 let oracle = cycle_polytope_value(&vec![delta; k]);
                 let general = general_value(&g, delta as f64).value;
-                let micro = partition_value(&g, delta as f64, &SolveOptions::default())
-                    .solution
-                    .value;
+                let micro = partition_value(&g, delta as f64, true).solution.value;
                 assert!(
                     (general - oracle).abs() < 1e-6,
                     "general C_{k} Δ={delta}: {general} vs oracle {oracle}"
@@ -952,7 +869,7 @@ mod tests {
         let part = CsrGraph::from_graph(&generators::path(4)).partition_components();
         for grid in [&[0.0][..], &[1.0, f64::NAN]] {
             assert!(matches!(
-                solve_partition(&part, grid, 1, &SolveOptions::default()),
+                solve_partition(&part, grid, 1, true),
                 Err(PolytopeError::InvalidDelta { .. })
             ));
         }

@@ -1,6 +1,5 @@
-//! Problem container for `max cᵀx, Ax ≤ b, x ≥ 0` linear programs.
-
-use crate::simplex::IncrementalSimplex;
+//! Result and error types of the `max cᵀx, Ax ≤ b, x ≥ 0` linear programs
+//! solved by [`IncrementalSimplex`](crate::IncrementalSimplex).
 
 /// Errors reported by the solver.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,99 +49,35 @@ pub struct LpSolution {
     pub iterations: usize,
 }
 
-/// A linear program `max cᵀx` subject to `Ax ≤ b`, `x ≥ 0`, with `b ≥ 0`.
-///
-/// Constraints are stored sparsely (index/coefficient pairs); every call to
-/// [`LinearProgram::solve`] builds a fresh [`IncrementalSimplex`] tableau.
-/// Cutting-plane loops that want warm-started re-solves should drive an
-/// [`IncrementalSimplex`] directly instead.
-#[derive(Clone, Debug)]
-pub struct LinearProgram {
-    num_vars: usize,
-    objective: Vec<f64>,
-    rows: Vec<Vec<(usize, f64)>>,
-    rhs: Vec<f64>,
-}
-
-impl LinearProgram {
-    /// Creates a program with the given number of variables and objective vector.
-    ///
-    /// # Panics
-    /// Panics if the objective length does not match `num_vars`.
-    pub fn new(num_vars: usize, objective: Vec<f64>) -> Self {
-        assert_eq!(objective.len(), num_vars, "objective length mismatch");
-        LinearProgram {
-            num_vars,
-            objective,
-            rows: Vec::new(),
-            rhs: Vec::new(),
-        }
-    }
-
-    /// Number of structural variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Adds a dense constraint `coeffs · x ≤ rhs` (stored sparsely).
-    pub fn add_constraint_dense(&mut self, coeffs: Vec<f64>, rhs: f64) {
-        assert_eq!(coeffs.len(), self.num_vars, "constraint length mismatch");
-        let terms: Vec<(usize, f64)> = coeffs
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, v)| v != 0.0)
-            .collect();
-        self.rows.push(terms);
-        self.rhs.push(rhs);
-    }
-
-    /// Adds a sparse constraint `Σ coeff·x_idx ≤ rhs`. Repeated indices accumulate.
-    pub fn add_constraint_sparse(&mut self, terms: &[(usize, f64)], rhs: f64) {
-        for &(idx, _) in terms {
-            assert!(idx < self.num_vars, "variable index out of range");
-        }
-        self.rows.push(terms.to_vec());
-        self.rhs.push(rhs);
-    }
-
-    /// Solves the program with the (incremental tableau) simplex method.
-    pub fn solve(&self) -> Result<LpSolution, LpError> {
-        for (i, &b) in self.rhs.iter().enumerate() {
-            if b < 0.0 {
-                return Err(LpError::NegativeRhs { row: i });
-            }
-        }
-        let mut simplex = IncrementalSimplex::new(&self.objective);
-        for (terms, &rhs) in self.rows.iter().zip(&self.rhs) {
-            simplex.add_constraint(terms, rhs)?;
-        }
-        simplex.solve()
-    }
-
-    /// Evaluates `coeffs · x` for a candidate solution (helper for oracles/tests).
-    pub fn dot(coeffs: &[f64], x: &[f64]) -> f64 {
-        coeffs.iter().zip(x).map(|(a, b)| a * b).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IncrementalSimplex;
 
     fn approx(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-6
     }
 
+    /// Adds the dense row `coeffs · x ≤ rhs` (zeros dropped).
+    fn add_dense(lp: &mut IncrementalSimplex, coeffs: &[f64], rhs: f64) -> Result<(), LpError> {
+        let terms: Vec<(usize, f64)> = coeffs
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, v)| v != 0.0)
+            .collect();
+        lp.add_constraint(&terms, rhs)
+    }
+
+    fn dot(coeffs: &[f64], x: &[f64]) -> f64 {
+        coeffs.iter().zip(x).map(|(a, b)| a * b).sum()
+    }
+
     #[test]
     fn trivial_box_constraint() {
         // max x s.t. x ≤ 4.
-        let mut lp = LinearProgram::new(1, vec![1.0]);
-        lp.add_constraint_dense(vec![1.0], 4.0);
+        let mut lp = IncrementalSimplex::new(&[1.0]);
+        add_dense(&mut lp, &[1.0], 4.0).unwrap();
         let sol = lp.solve().unwrap();
         assert!(approx(sol.objective_value, 4.0));
         assert!(approx(sol.values[0], 4.0));
@@ -151,10 +86,10 @@ mod tests {
     #[test]
     fn two_variable_textbook_lp() {
         // max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18 -> optimum 36 at (2, 6).
-        let mut lp = LinearProgram::new(2, vec![3.0, 5.0]);
-        lp.add_constraint_dense(vec![1.0, 0.0], 4.0);
-        lp.add_constraint_dense(vec![0.0, 2.0], 12.0);
-        lp.add_constraint_dense(vec![3.0, 2.0], 18.0);
+        let mut lp = IncrementalSimplex::new(&[3.0, 5.0]);
+        add_dense(&mut lp, &[1.0, 0.0], 4.0).unwrap();
+        add_dense(&mut lp, &[0.0, 2.0], 12.0).unwrap();
+        add_dense(&mut lp, &[3.0, 2.0], 18.0).unwrap();
         let sol = lp.solve().unwrap();
         assert!(approx(sol.objective_value, 36.0));
         assert!(approx(sol.values[0], 2.0));
@@ -164,23 +99,23 @@ mod tests {
     #[test]
     fn unbounded_detection() {
         // max x + y with only x ≤ 1: y is unbounded.
-        let mut lp = LinearProgram::new(2, vec![1.0, 1.0]);
-        lp.add_constraint_dense(vec![1.0, 0.0], 1.0);
+        let mut lp = IncrementalSimplex::new(&[1.0, 1.0]);
+        add_dense(&mut lp, &[1.0, 0.0], 1.0).unwrap();
         assert_eq!(lp.solve().unwrap_err(), LpError::Unbounded);
     }
 
     #[test]
     fn no_constraints_zero_objective() {
         // max 0 with no constraints: optimum 0 at the origin.
-        let lp = LinearProgram::new(3, vec![0.0, 0.0, 0.0]);
+        let mut lp = IncrementalSimplex::new(&[0.0, 0.0, 0.0]);
         let sol = lp.solve().unwrap();
         assert!(approx(sol.objective_value, 0.0));
     }
 
     #[test]
     fn negative_objective_coefficients_stay_at_zero() {
-        let mut lp = LinearProgram::new(2, vec![-1.0, 2.0]);
-        lp.add_constraint_dense(vec![1.0, 1.0], 5.0);
+        let mut lp = IncrementalSimplex::new(&[-1.0, 2.0]);
+        add_dense(&mut lp, &[1.0, 1.0], 5.0).unwrap();
         let sol = lp.solve().unwrap();
         assert!(approx(sol.objective_value, 10.0));
         assert!(approx(sol.values[0], 0.0));
@@ -189,10 +124,9 @@ mod tests {
 
     #[test]
     fn negative_rhs_is_rejected() {
-        let mut lp = LinearProgram::new(1, vec![1.0]);
-        lp.add_constraint_dense(vec![1.0], -2.0);
+        let mut lp = IncrementalSimplex::new(&[1.0]);
         assert!(matches!(
-            lp.solve().unwrap_err(),
+            add_dense(&mut lp, &[1.0], -2.0).unwrap_err(),
             LpError::NegativeRhs { row: 0 }
         ));
     }
@@ -200,8 +134,9 @@ mod tests {
     #[test]
     fn sparse_constraints_accumulate() {
         // max x0 + x1 s.t. x0 + x1 ≤ 3 (given sparsely, with a repeated index).
-        let mut lp = LinearProgram::new(2, vec![1.0, 1.0]);
-        lp.add_constraint_sparse(&[(0, 0.5), (0, 0.5), (1, 1.0)], 3.0);
+        let mut lp = IncrementalSimplex::new(&[1.0, 1.0]);
+        lp.add_constraint(&[(0, 0.5), (0, 0.5), (1, 1.0)], 3.0)
+            .unwrap();
         let sol = lp.solve().unwrap();
         assert!(approx(sol.objective_value, 3.0));
     }
@@ -209,11 +144,11 @@ mod tests {
     #[test]
     fn incremental_cutting_planes_tighten_the_optimum() {
         // Start loose, add a cut, re-solve: the optimum must not increase.
-        let mut lp = LinearProgram::new(2, vec![1.0, 1.0]);
-        lp.add_constraint_dense(vec![1.0, 0.0], 10.0);
-        lp.add_constraint_dense(vec![0.0, 1.0], 10.0);
+        let mut lp = IncrementalSimplex::new(&[1.0, 1.0]);
+        add_dense(&mut lp, &[1.0, 0.0], 10.0).unwrap();
+        add_dense(&mut lp, &[0.0, 1.0], 10.0).unwrap();
         let first = lp.solve().unwrap().objective_value;
-        lp.add_constraint_dense(vec![1.0, 1.0], 8.0);
+        add_dense(&mut lp, &[1.0, 1.0], 8.0).unwrap();
         let second = lp.solve().unwrap().objective_value;
         assert!(approx(first, 20.0));
         assert!(approx(second, 8.0));
@@ -223,29 +158,30 @@ mod tests {
     #[test]
     fn degenerate_lp_terminates() {
         // Multiple redundant constraints through the same vertex.
-        let mut lp = LinearProgram::new(2, vec![1.0, 1.0]);
+        let mut lp = IncrementalSimplex::new(&[1.0, 1.0]);
         for _ in 0..6 {
-            lp.add_constraint_dense(vec![1.0, 1.0], 1.0);
+            add_dense(&mut lp, &[1.0, 1.0], 1.0).unwrap();
         }
-        lp.add_constraint_dense(vec![1.0, 0.0], 1.0);
-        lp.add_constraint_dense(vec![0.0, 1.0], 1.0);
+        add_dense(&mut lp, &[1.0, 0.0], 1.0).unwrap();
+        add_dense(&mut lp, &[0.0, 1.0], 1.0).unwrap();
         let sol = lp.solve().unwrap();
         assert!(approx(sol.objective_value, 1.0));
     }
 
     #[test]
     fn solution_is_feasible() {
-        let mut lp = LinearProgram::new(3, vec![2.0, 3.0, 1.0]);
-        lp.add_constraint_dense(vec![1.0, 1.0, 1.0], 10.0);
-        lp.add_constraint_dense(vec![2.0, 1.0, 0.0], 8.0);
-        lp.add_constraint_dense(vec![0.0, 1.0, 3.0], 9.0);
+        let rows = [
+            ([1.0, 1.0, 1.0], 10.0),
+            ([2.0, 1.0, 0.0], 8.0),
+            ([0.0, 1.0, 3.0], 9.0),
+        ];
+        let mut lp = IncrementalSimplex::new(&[2.0, 3.0, 1.0]);
+        for (row, rhs) in &rows {
+            add_dense(&mut lp, row, *rhs).unwrap();
+        }
         let sol = lp.solve().unwrap();
-        for (row, rhs) in [
-            (vec![1.0, 1.0, 1.0], 10.0),
-            (vec![2.0, 1.0, 0.0], 8.0),
-            (vec![0.0, 1.0, 3.0], 9.0),
-        ] {
-            assert!(LinearProgram::dot(&row, &sol.values) <= rhs + 1e-6);
+        for (row, rhs) in &rows {
+            assert!(dot(row, &sol.values) <= rhs + 1e-6);
         }
         for &v in &sol.values {
             assert!(v >= -1e-9);

@@ -663,22 +663,6 @@ impl IncrementalSimplex {
     }
 }
 
-/// Solves the LP given by objective `c`, constraint rows `a` and right-hand
-/// sides `b` from scratch (convenience wrapper over [`IncrementalSimplex`]).
-pub fn solve(c: &[f64], a: &[Vec<f64>], b: &[f64]) -> Result<LpSolution, LpError> {
-    let mut simplex = IncrementalSimplex::new(c);
-    for (row, &rhs) in a.iter().zip(b) {
-        let terms: Vec<(usize, f64)> = row
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v != 0.0)
-            .map(|(j, &v)| (j, v))
-            .collect();
-        simplex.add_constraint(&terms, rhs)?;
-    }
-    simplex.solve()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,29 +671,45 @@ mod tests {
         (a - b).abs() < 1e-6
     }
 
+    /// Solves the LP given by objective `c`, dense constraint rows `a` and
+    /// right-hand sides `b` on a fresh tableau (the cold-start reference).
+    fn cold_solve(c: &[f64], a: &[Vec<f64>], b: &[f64]) -> Result<LpSolution, LpError> {
+        let mut simplex = IncrementalSimplex::new(c);
+        for (row, &rhs) in a.iter().zip(b) {
+            let terms: Vec<(usize, f64)> = row
+                .iter()
+                .enumerate()
+                .filter(|(_, &v)| v != 0.0)
+                .map(|(j, &v)| (j, v))
+                .collect();
+            simplex.add_constraint(&terms, rhs)?;
+        }
+        simplex.solve()
+    }
+
     #[test]
     fn simple_maximization() {
         // max 2x + y s.t. x + y ≤ 4, x ≤ 2 -> 6 at (2, 2).
-        let sol = solve(&[2.0, 1.0], &[vec![1.0, 1.0], vec![1.0, 0.0]], &[4.0, 2.0]).unwrap();
+        let sol = cold_solve(&[2.0, 1.0], &[vec![1.0, 1.0], vec![1.0, 0.0]], &[4.0, 2.0]).unwrap();
         assert!(approx(sol.objective_value, 6.0));
     }
 
     #[test]
     fn all_zero_objective() {
-        let sol = solve(&[0.0, 0.0], &[vec![1.0, 1.0]], &[3.0]).unwrap();
+        let sol = cold_solve(&[0.0, 0.0], &[vec![1.0, 1.0]], &[3.0]).unwrap();
         assert!(approx(sol.objective_value, 0.0));
     }
 
     #[test]
     fn unbounded() {
-        let err = solve(&[1.0], &[], &[]).unwrap_err();
+        let err = cold_solve(&[1.0], &[], &[]).unwrap_err();
         assert_eq!(err, LpError::Unbounded);
     }
 
     #[test]
     fn binding_combination_of_constraints() {
         // max x + 2y + 3z s.t. x+y ≤ 1, y+z ≤ 1, x+z ≤ 1: optimum 3 at z=1.
-        let sol = solve(
+        let sol = cold_solve(
             &[1.0, 2.0, 3.0],
             &[
                 vec![1.0, 1.0, 0.0],
@@ -764,7 +764,7 @@ mod tests {
         inc.add_constraint(&[(0, 1.0), (1, 1.0), (2, 1.0)], 4.5)
             .unwrap();
         let second = inc.solve().unwrap();
-        let scratch = solve(
+        let scratch = cold_solve(
             &c,
             &[
                 vec![1.0, 1.0, 0.0],
@@ -802,7 +802,7 @@ mod tests {
             rows.push(vec![1.0; n]);
             rhs.push(bound);
             let incremental = inc.solve().unwrap();
-            let scratch = solve(&c, &rows, &rhs).unwrap();
+            let scratch = cold_solve(&c, &rows, &rhs).unwrap();
             assert!(
                 approx(incremental.objective_value, scratch.objective_value),
                 "round {k}: {} vs {}",
@@ -847,7 +847,7 @@ mod tests {
         assert!(approx(second.objective_value, 15.0));
         assert!(approx(second.values[2], 3.0));
         // Fresh reference with the column present from the start.
-        let scratch = solve(
+        let scratch = cold_solve(
             &[1.0, 2.0, 5.0],
             &[vec![1.0, 1.0, 1.0], vec![1.0, 0.0, 0.0]],
             &[3.0, 2.0],
@@ -901,7 +901,7 @@ mod tests {
             let rows: Vec<Vec<f64>> = (0..m)
                 .map(|i| cols.iter().map(|(_, col)| col[i]).collect())
                 .collect();
-            let scratch = solve(&c, &rows, &rhs).unwrap();
+            let scratch = cold_solve(&c, &rows, &rhs).unwrap();
             assert!(
                 (warm.objective_value - scratch.objective_value).abs() < 1e-6,
                 "case {case}: warm {} vs scratch {}",
@@ -1000,7 +1000,7 @@ mod tests {
             rows.push(cut);
             rhs.push(cut_rhs);
             let sol = inc.solve().unwrap();
-            let scratch = solve(&c, &rows, &rhs).unwrap();
+            let scratch = cold_solve(&c, &rows, &rhs).unwrap();
             assert!(
                 (sol.objective_value - scratch.objective_value).abs() < 1e-6,
                 "case {case}: incremental {} vs scratch {}",

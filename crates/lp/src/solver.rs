@@ -1,26 +1,24 @@
-//! The pluggable solver layer for the Δ-bounded forest polytope.
+//! The reference solvers for the Δ-bounded forest polytope.
 //!
 //! The paper's Lipschitz extension `f_Δ(G)` is the maximum of `x(E)` over the
 //! polytope `P_Δ(G)` (Definition 3.1): `x ≥ 0`, `x(E[S]) ≤ |S| − 1` for every
-//! vertex set `S`, and `x(δ(v)) ≤ Δ` for every vertex. Everything upstream
-//! (extension family, private estimators, benches) only needs *some* exact
-//! maximizer, so the choice of algorithm is abstracted behind the
-//! [`PolytopeSolver`] trait with two interchangeable backends:
+//! vertex set `S`, and `x(δ(v)) ≤ Δ` for every vertex. Any exact maximizer
+//! gives the same value, so the estimators run one engine — the CSR-native
+//! [`solve_partition`](crate::solve_partition) — and this module keeps two
+//! independent exact solvers on adjacency-list [`Graph`]s as its oracles:
 //!
-//! * [`CombinatorialSolver`] (the default) — graph-algorithm-speed solver
-//!   built from exact combinatorial reductions (fractional leaf peeling with
-//!   δ-capping, exhausted-vertex elimination, Kruskal-style capped greedy over
-//!   the graphic matroid, and the local-repair spanning-forest construction of
-//!   Lemma 1.8). Every reduction is justified by an exchange argument or a
-//!   matching upper-bound certificate, so the backend is exact; only the
-//!   irreducible fractional core of a component — typically a small remnant of
-//!   its 2-core — falls back to the cutting-plane engine.
-//! * [`SimplexSolver`] — the reference backend: one LP per connected
+//! * [`CombinatorialSolver`] — the reduction loop the engine replicates
+//!   (fractional leaf peeling with δ-capping, exhausted-vertex elimination,
+//!   Kruskal-style capped greedy over the graphic matroid, and the
+//!   local-repair spanning-forest construction of Lemma 1.8), with column
+//!   generation for the irreducible fractional core. It backs
+//!   `forest_polytope_max` and is the bitwise oracle of the engine.
+//! * [`SimplexSolver`] — the independent LP oracle: one LP per connected
 //!   component with no combinatorial reductions, cutting planes paired with
 //!   the column-generation lower bound (pure cutting planes available via
 //!   [`SimplexSolver::pure_cutting_planes`]).
 //!
-//! Both backends decompose per connected component (the objective and every
+//! Both decompose per connected component (the objective and every
 //! constraint of `P_Δ(G)` do) and return the same [`PolytopeSolution`].
 
 use crate::cutting_plane;
@@ -132,49 +130,6 @@ impl PolytopeSolution {
     }
 }
 
-/// An exact maximizer of `x(E)` over the Δ-bounded forest polytope `P_Δ(G)`.
-///
-/// Implementations must return the true LP optimum (all backends are exact;
-/// they differ in *how* they get there and how fast). The returned
-/// [`PolytopeSolution::edge_weights`] must be a feasible point of `P_Δ(G)`
-/// attaining [`PolytopeSolution::value`].
-pub trait PolytopeSolver: std::fmt::Debug + Send + Sync {
-    /// A short, stable backend name (used in logs and diagnostics).
-    fn name(&self) -> &'static str;
-
-    /// Maximizes `x(E)` over `P_Δ(G)`. `delta` may be fractional — the
-    /// polytope is defined for any `Δ > 0` — although the paper's algorithm
-    /// only uses integer values.
-    fn solve(&self, g: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError>;
-}
-
-/// Selects one of the built-in [`PolytopeSolver`] backends by name.
-///
-/// This is the value carried by estimator configurations: it is `Copy`,
-/// comparable and has a stable `Debug` form, while still resolving to a
-/// `&'static dyn PolytopeSolver` for dispatch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SolverBackend {
-    /// Combinatorial reductions with a cutting-plane fallback (the default).
-    #[default]
-    Combinatorial,
-    /// Pure warm-started cutting planes (the reference backend).
-    Simplex,
-}
-
-static COMBINATORIAL: CombinatorialSolver = CombinatorialSolver::new();
-static SIMPLEX: SimplexSolver = SimplexSolver::new();
-
-impl SolverBackend {
-    /// The backend instance this selector names.
-    pub fn solver(self) -> &'static dyn PolytopeSolver {
-        match self {
-            SolverBackend::Combinatorial => &COMBINATORIAL,
-            SolverBackend::Simplex => &SIMPLEX,
-        }
-    }
-}
-
 /// Shared driver: validates `delta`, splits `g` into connected components and
 /// folds per-component solutions (computed by `solve_component`) back into a
 /// whole-graph [`PolytopeSolution`].
@@ -212,12 +167,12 @@ where
     Ok(total)
 }
 
-/// The reference backend: cutting planes over the warm-started incremental
+/// The independent LP oracle: cutting planes over the warm-started incremental
 /// simplex, one LP per connected component (no combinatorial reductions).
 ///
 /// By default each component LP pairs the cutting-plane upper bound with the
 /// column-generation lower bound — the same combined engine the combinatorial
-/// backend uses on its irreducible cores — so the backend no longer stalls on
+/// solver uses on its irreducible cores — so the oracle does not stall on
 /// the rank-bound face of large supercritical cores. The historical
 /// pure-cutting-plane behavior remains available through
 /// [`SimplexSolver::pure_cutting_planes`] for cross-validating the cut engine
@@ -230,7 +185,7 @@ pub struct SimplexSolver {
 }
 
 impl SimplexSolver {
-    /// The backend with default limits and column-generation bound pairing.
+    /// The oracle with default limits and column-generation bound pairing.
     pub const fn new() -> Self {
         SimplexSolver {
             max_rounds: cutting_plane::MAX_ROUNDS,
@@ -250,33 +205,12 @@ impl SimplexSolver {
         }
     }
 
-    /// Whether this instance pairs cuts with column-generation bounds.
-    pub fn bound_pairing(&self) -> bool {
-        self.bound_pairing
-    }
-}
-
-impl Default for SimplexSolver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PolytopeSolver for SimplexSolver {
-    fn name(&self) -> &'static str {
-        if self.bound_pairing {
-            "simplex-cutting-planes"
-        } else {
-            "simplex-pure-cutting-planes"
-        }
-    }
-
-    fn solve(&self, g: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError> {
+    /// Maximizes `x(E)` over `P_Δ(G)`. `delta` may be fractional — the
+    /// polytope is defined for any `Δ > 0`.
+    pub fn solve(&self, g: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError> {
         solve_per_component(g, delta, |local| self.solve_local(local, delta))
     }
-}
 
-impl SimplexSolver {
     fn solve_local(&self, local: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError> {
         let caps = vec![delta; local.num_vertices()];
         if self.bound_pairing {
@@ -289,6 +223,12 @@ impl SimplexSolver {
                 self.max_cuts_per_round,
             )
         }
+    }
+}
+
+impl Default for SimplexSolver {
+    fn default() -> Self {
+        Self::new()
     }
 }
 

@@ -1,7 +1,27 @@
 //! Property-based tests for the simplex solver.
 
-use ccdp_lp::{LinearProgram, LpError};
+use ccdp_lp::{IncrementalSimplex, LpError, LpSolution};
 use proptest::prelude::*;
+
+/// Solves `max cᵀx` subject to the dense rows `row · x ≤ rhs`, `x ≥ 0`, on a
+/// fresh tableau.
+fn cold_solve(c: &[f64], rows: &[(Vec<f64>, f64)]) -> Result<LpSolution, LpError> {
+    let mut lp = IncrementalSimplex::new(c);
+    for (row, rhs) in rows {
+        let terms: Vec<(usize, f64)> = row
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, v)| v != 0.0)
+            .collect();
+        lp.add_constraint(&terms, *rhs)?;
+    }
+    lp.solve()
+}
+
+fn dot(coeffs: &[f64], x: &[f64]) -> f64 {
+    coeffs.iter().zip(x).map(|(a, b)| a * b).sum()
+}
 
 /// A random LP with non-negative constraint matrix and positive rhs (always
 /// feasible at the origin, bounded whenever every variable appears in some row
@@ -21,20 +41,17 @@ proptest! {
 
     #[test]
     fn solutions_are_feasible_and_nonnegative((c, a, b) in arb_lp()) {
-        let mut lp = LinearProgram::new(c.len(), c.clone());
-        for (row, &rhs) in a.iter().zip(&b) {
-            lp.add_constraint_dense(row.clone(), rhs);
-        }
-        match lp.solve() {
+        let rows: Vec<(Vec<f64>, f64)> = a.iter().cloned().zip(b.iter().copied()).collect();
+        match cold_solve(&c, &rows) {
             Ok(sol) => {
                 for (row, &rhs) in a.iter().zip(&b) {
-                    prop_assert!(LinearProgram::dot(row, &sol.values) <= rhs + 1e-6);
+                    prop_assert!(dot(row, &sol.values) <= rhs + 1e-6);
                 }
                 for &x in &sol.values {
                     prop_assert!(x >= -1e-9);
                 }
                 // Objective value is consistent with the reported point.
-                let recomputed = LinearProgram::dot(&c, &sol.values);
+                let recomputed = dot(&c, &sol.values);
                 prop_assert!((recomputed - sol.objective_value).abs() < 1e-6);
                 // The optimum is at least the value at the origin (0).
                 prop_assert!(sol.objective_value >= -1e-9 || c.iter().all(|&ci| ci <= 0.0));
@@ -55,18 +72,16 @@ proptest! {
     fn adding_a_constraint_never_improves_the_optimum((c, a, b) in arb_lp(), extra_rhs in 0.5f64..5.0) {
         // Build the base LP and make sure it is bounded by boxing every variable.
         let n = c.len();
-        let mut lp = LinearProgram::new(n, c.clone());
+        let mut rows: Vec<(Vec<f64>, f64)> = Vec::new();
         for j in 0..n {
             let mut row = vec![0.0; n];
             row[j] = 1.0;
-            lp.add_constraint_dense(row, 10.0);
+            rows.push((row, 10.0));
         }
-        for (row, &rhs) in a.iter().zip(&b) {
-            lp.add_constraint_dense(row.clone(), rhs);
-        }
-        let before = lp.solve().unwrap().objective_value;
-        lp.add_constraint_dense(vec![1.0; n], extra_rhs);
-        let after = lp.solve().unwrap().objective_value;
+        rows.extend(a.iter().cloned().zip(b.iter().copied()));
+        let before = cold_solve(&c, &rows).unwrap().objective_value;
+        rows.push((vec![1.0; n], extra_rhs));
+        let after = cold_solve(&c, &rows).unwrap().objective_value;
         prop_assert!(after <= before + 1e-6);
     }
 
@@ -75,16 +90,12 @@ proptest! {
         c in proptest::collection::vec(-2.0f64..3.0, 2),
         rows in proptest::collection::vec((0.0f64..2.0, 0.0f64..2.0, 0.5f64..4.0), 1..5),
     ) {
-        let mut lp = LinearProgram::new(2, c.clone());
         // Box constraints keep the LP bounded and make vertex enumeration easy.
-        lp.add_constraint_dense(vec![1.0, 0.0], 6.0);
-        lp.add_constraint_dense(vec![0.0, 1.0], 6.0);
         let mut all_rows = vec![(1.0, 0.0, 6.0), (0.0, 1.0, 6.0)];
-        for &(a0, a1, rhs) in &rows {
-            lp.add_constraint_dense(vec![a0, a1], rhs);
-            all_rows.push((a0, a1, rhs));
-        }
-        let sol = lp.solve().unwrap();
+        all_rows.extend(rows.iter().copied());
+        let dense: Vec<(Vec<f64>, f64)> =
+            all_rows.iter().map(|&(a0, a1, rhs)| (vec![a0, a1], rhs)).collect();
+        let sol = cold_solve(&c, &dense).unwrap();
 
         // Enumerate candidate vertices: intersections of constraint/axis pairs.
         let mut best = 0.0f64; // the origin

@@ -1,15 +1,16 @@
-//! Property tests for the micro-component fast paths: on every generator
-//! family, every Δ in the small grid, every toggle combination and thread
-//! budget, `solve_partition` must return the exact bits of the general
-//! combinatorial path — micro closed forms and isomorphism-class dedup are
-//! pure work-savers, never value-changers. Graphs reach 120 vertices, so
+//! Property tests for the micro-component engine: on every generator
+//! family, every Δ in the small grid and every thread budget,
+//! `solve_partition` must return the exact bits of the reference
+//! `CombinatorialSolver` run on each component — micro closed forms and
+//! labeled-slice class dedup are pure work-savers, never value-changers.
+//! Graphs reach 120 vertices, so
 //! multicyclic Barabási–Albert and geometric components far above 24
 //! vertices (the size up to which the micro solver once took multicyclic
 //! components) are covered, and a grid sweep must give every Δ the bits of
 //! a one-element call.
 
-use ccdp_graph::{generators, CsrGraph, Graph};
-use ccdp_lp::{solve_partition, SolveOptions};
+use ccdp_graph::{generators, ComponentPartition, CsrGraph, Graph};
+use ccdp_lp::{solve_partition, CombinatorialSolver};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,20 +37,30 @@ fn family_graph(family: u8, n: usize, seed: u64) -> Graph {
     }
 }
 
-fn options(micro: bool, dedup: bool) -> SolveOptions {
-    SolveOptions {
-        micro,
-        dedup,
-        want_weights: true,
+/// The bits `solve_partition` must reproduce: the reference solver on every
+/// component that has edges, weights concatenated and values summed in
+/// component order.
+fn oracle(part: &ComponentPartition, delta: f64) -> (f64, Vec<f64>) {
+    let mut value = 0.0;
+    let mut weights = Vec::new();
+    for c in 0..part.num_components() {
+        let local = part.component(c).to_graph();
+        if local.has_no_edges() {
+            continue;
+        }
+        let sol = CombinatorialSolver::new().solve(&local, delta).unwrap();
+        value += sol.value;
+        weights.extend(sol.edge_weights);
     }
+    (value, weights)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Micro + dedup vs the general path: identical value bits and identical
-    /// per-edge weight bits (arena order), for every family, Δ and thread
-    /// budget.
+    /// The engine vs the reference solver: identical value bits and
+    /// identical per-edge weight bits (arena order), for every family, Δ and
+    /// thread budget.
     #[test]
     fn micro_and_dedup_match_general_bitwise(
         family in 0u8..5,
@@ -62,45 +73,32 @@ proptest! {
         let part = arena.partition_components();
         let delta = delta as f64;
 
-        let base = solve_partition(&part, &[delta], 1, &options(false, false)).unwrap().remove(0);
-        for (micro, dedup) in [(true, true), (true, false), (false, true)] {
-            for threads in [1usize, 3] {
-                let fast = solve_partition(&part, &[delta], threads, &options(micro, dedup))
-                    .unwrap()
-                    .remove(0);
+        let (value, weights) = oracle(&part, delta);
+        for threads in [1usize, 3] {
+            let fast = solve_partition(&part, &[delta], threads, true).unwrap().remove(0);
+            prop_assert_eq!(
+                value.to_bits(),
+                fast.solution.value.to_bits(),
+                "value bits diverged: family={} threads={}",
+                family, threads
+            );
+            prop_assert_eq!(weights.len(), fast.solution.edge_weights.len());
+            for (i, (a, b)) in weights.iter().zip(&fast.solution.edge_weights).enumerate() {
                 prop_assert_eq!(
-                    base.solution.value.to_bits(),
-                    fast.solution.value.to_bits(),
-                    "value bits diverged: family={} micro={} dedup={} threads={}",
-                    family, micro, dedup, threads
+                    a.to_bits(),
+                    b.to_bits(),
+                    "weight bits diverged at edge {}: threads={}",
+                    i, threads
                 );
-                prop_assert_eq!(
-                    base.solution.edge_weights.len(),
-                    fast.solution.edge_weights.len()
-                );
-                for (i, (a, b)) in base
-                    .solution
-                    .edge_weights
-                    .iter()
-                    .zip(&fast.solution.edge_weights)
-                    .enumerate()
-                {
-                    prop_assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "weight bits diverged at edge {}: micro={} dedup={}",
-                        i, micro, dedup
-                    );
-                }
             }
         }
     }
 
     /// Dedup never pairs non-isomorphic components: a graph made of two
-    /// independently random components must release the same bits with and
-    /// without dedup — a false cache pairing would hand one component the
-    /// other's weights and break this immediately. The class/hit counters
-    /// must also stay consistent with the component count.
+    /// independently random components must release the reference solver's
+    /// bits — a false cache pairing would hand one component the other's
+    /// weights and break this immediately. The class/hit counters must also
+    /// stay consistent with the component count.
     #[test]
     fn dedup_separates_random_component_pairs(
         fam_a in 0u8..5,
@@ -123,29 +121,20 @@ proptest! {
         let part = CsrGraph::from_graph(&g).partition_components();
         let delta = delta as f64;
 
-        let plain = solve_partition(&part, &[delta], 1, &options(true, false))
-            .unwrap()
-            .remove(0);
-        let deduped = solve_partition(&part, &[delta], 1, &options(true, true))
-            .unwrap()
-            .remove(0);
-        prop_assert_eq!(
-            plain.solution.value.to_bits(),
-            deduped.solution.value.to_bits()
-        );
-        for (x, y) in plain
-            .solution
-            .edge_weights
-            .iter()
-            .zip(&deduped.solution.edge_weights)
-        {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
+        let (value, weights) = oracle(&part, delta);
+        for threads in [1usize, 3] {
+            let deduped = solve_partition(&part, &[delta], threads, true).unwrap().remove(0);
+            prop_assert_eq!(value.to_bits(), deduped.solution.value.to_bits());
+            prop_assert_eq!(weights.len(), deduped.solution.edge_weights.len());
+            for (x, y) in weights.iter().zip(&deduped.solution.edge_weights) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+            // Every dedup-eligible solve is either a new class or a hit;
+            // these components are all small enough to be eligible.
+            let stats = deduped.stats;
+            prop_assert!(stats.dedup_classes + stats.dedup_hits <= stats.components);
+            prop_assert!(stats.components == 0 || stats.dedup_classes >= 1);
         }
-        // Every dedup-eligible solve is either a new class or a hit; these
-        // components are all small enough to be eligible.
-        let stats = deduped.stats;
-        prop_assert!(stats.dedup_classes + stats.dedup_hits <= stats.components);
-        prop_assert!(stats.components == 0 || stats.dedup_classes >= 1);
     }
 
 }
@@ -180,13 +169,11 @@ proptest! {
         let alone: Vec<_> = grid
             .iter()
             .map(|&delta| {
-                solve_partition(&part, &[delta], 1, &SolveOptions::default())
-                    .unwrap()
-                    .remove(0)
+                solve_partition(&part, &[delta], 1, true).unwrap().remove(0)
             })
             .collect();
         for threads in [1usize, 2, 3] {
-            let swept = solve_partition(&part, &grid, threads, &SolveOptions::default()).unwrap();
+            let swept = solve_partition(&part, &grid, threads, true).unwrap();
             prop_assert_eq!(swept.len(), grid.len());
             for ((delta, want), got) in grid.iter().zip(&alone).zip(&swept) {
                 prop_assert_eq!(

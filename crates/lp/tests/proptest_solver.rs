@@ -1,10 +1,10 @@
-//! Cross-backend equivalence: the combinatorial solver and the pure
-//! cutting-plane simplex backend are both exact, so on any graph and any
+//! Cross-solver equivalence: the combinatorial solver and the cutting-plane
+//! simplex oracle are both exact, so on any graph and any
 //! `Δ > 0` they must agree on `max x(E)` over the Δ-bounded forest polytope
 //! (within LP tolerance), and both must return feasible optimal points.
 
 use ccdp_graph::Graph;
-use ccdp_lp::{violated_forest_constraints, CombinatorialSolver, PolytopeSolver, SimplexSolver};
+use ccdp_lp::{violated_forest_constraints, CombinatorialSolver, SimplexSolver};
 use proptest::prelude::*;
 
 /// A random graph encoded as (n, edge picks) so proptest can shrink it.
@@ -100,7 +100,7 @@ proptest! {
 
     #[test]
     fn bound_paired_simplex_matches_pure_cutting_planes(g in arb_graph(), delta in 1usize..5) {
-        // The reference backend's new default (cuts + column-generation
+        // The simplex oracle's default (cuts + column-generation
         // bounds) and its historical pure-cutting-plane mode are both exact,
         // so they must agree wherever the pure mode converges at all.
         let delta = delta as f64;
@@ -117,8 +117,8 @@ proptest! {
 
 /// The workload class pure cutting planes stall on: a dense supercritical
 /// core whose optimum sits on the massively symmetric rank-bound face. With
-/// bound pairing the reference backend must terminate (quickly) at the rank
-/// bound `n − 1` and agree with the combinatorial backend.
+/// bound pairing the simplex oracle must terminate (quickly) at the rank
+/// bound `n − 1` and agree with the combinatorial solver.
 #[test]
 fn bound_paired_simplex_handles_supercritical_cores() {
     use rand::rngs::StdRng;

@@ -5,7 +5,7 @@
 //! the same garbage stays healthy for the next well-formed client.
 
 use ccdp_net::http::{self, ReadOutcome};
-use ccdp_net::{NetClient, NetConfig, NetServer, WireLimits};
+use ccdp_net::{NetClient, NetConfig, NetError, NetServer, WireLimits};
 use ccdp_serve::{BudgetLedger, GraphRegistry, ServeConfig, Server};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -169,6 +169,31 @@ fn well_formed_but_wrong_requests_keep_the_connection() {
     let second = http::read_response(&mut reader, &limits).unwrap();
     assert_eq!(second.status, 404);
     assert!(second.body_str().unwrap().contains("unknown_route"));
+}
+
+/// A 17-byte edge list naming vertex 10^17, or a header declaring 10^11
+/// vertices, is a typed `400 ingest_failed` on both the latest and the
+/// pinned-version ingest path — never an allocation abort — and the next
+/// request on the same connection is served.
+#[test]
+fn oversized_edge_lists_are_refused_and_the_server_keeps_serving() {
+    let net = shared_server();
+    let mut client = NetClient::connect(net.local_addr());
+    for edges in ["0 99999999999999999", "# 100000000000 0"] {
+        for version in [None, Some(7)] {
+            match client.ingest("oversized", edges, version) {
+                Err(NetError::Api { status, code, .. }) => {
+                    assert_eq!((status, code.as_str()), (400, "ingest_failed"), "{edges:?}");
+                }
+                other => panic!("{edges:?} (version {version:?}) was not refused: {other:?}"),
+            }
+        }
+    }
+    let est = client.estimate("prop", "probe", 0.25, None);
+    assert!(
+        est.is_ok(),
+        "client refused after an oversized ingest: {est:?}"
+    );
 }
 
 /// `NetError` statuses quoted in the README mapping table are locked here.

@@ -397,10 +397,10 @@ impl GraphRegistry {
     /// Removes and returns the latest snapshot stored under `id`, dropping
     /// the whole version history.
     pub fn remove(&self, id: &GraphId) -> Option<Arc<Graph>> {
-        self.write(id)
-            .remove(id)
-            .and_then(|h| h.into_values().next_back())
-            .map(|p| p.graph)
+        // Take the history out and release the shard guard before the older
+        // versions' graphs and arenas are freed.
+        let history = self.write(id).remove(id)?;
+        history.into_values().next_back().map(|p| p.graph)
     }
 
     /// Number of catalog ids across all shards (not versions; see

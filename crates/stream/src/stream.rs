@@ -25,6 +25,7 @@
 //! `(id, version)` as a permanent name for one exact edge set.
 
 use crate::error::StreamError;
+use ccdp_graph::io::DEFAULT_MAX_VERTICES;
 use ccdp_graph::{components, Graph, GraphVersion, UnionFind};
 use ccdp_serve::GraphId;
 use std::sync::Arc;
@@ -134,11 +135,6 @@ pub struct StreamStats {
     /// Snapshots published.
     pub snapshots: u64,
 }
-
-/// Default cap on a stream's vertex universe: generous for this library's
-/// workloads, small enough that one malformed replay line cannot exhaust
-/// memory by naming vertex 10^12.
-pub const DEFAULT_MAX_VERTICES: usize = 1 << 24;
 
 /// One evolving graph fed by timestamped edge mutations.
 #[derive(Clone, Debug)]

@@ -63,7 +63,6 @@ pub use ccdp_core::{
     EdgeDpBaseline, ErrorStats, Estimator, EstimatorConfig, EvaluationPath, ExtensionCache,
     ExtensionEvaluation, FixedDeltaBaseline, LipschitzExtension, NaiveNodeDpBaseline,
     NonPrivateBaseline, Privacy, PrivateCcEstimator, PrivateSpanningForestEstimator, Release,
-    SolverBackend,
 };
 pub use ccdp_dp::{BudgetExceeded, PrivacyBudget};
 pub use ccdp_exec::{PhaseProfiler, PhaseReport};
@@ -82,11 +81,11 @@ pub mod prelude {
         smallest_anchor_delta,
     };
     pub use ccdp_core::{
-        evaluate_family, forest_polytope_max, forest_polytope_max_with, measure_errors, CacheStats,
-        CcdpError, ConfigError, CoreError, Diagnostics, DiagnosticsAccess, EdgeDpBaseline,
-        ErrorStats, Estimator, EstimatorConfig, EvaluationPath, ExtensionCache, FixedDeltaBaseline,
-        LipschitzExtension, NaiveNodeDpBaseline, NonPrivateBaseline, Privacy, PrivateCcEstimator,
-        PrivateSpanningForestEstimator, Release, SolverBackend,
+        evaluate_family, forest_polytope_max, measure_errors, CacheStats, CcdpError, ConfigError,
+        CoreError, Diagnostics, DiagnosticsAccess, EdgeDpBaseline, ErrorStats, Estimator,
+        EstimatorConfig, EvaluationPath, ExtensionCache, FixedDeltaBaseline, LipschitzExtension,
+        NaiveNodeDpBaseline, NonPrivateBaseline, Privacy, PrivateCcEstimator,
+        PrivateSpanningForestEstimator, Release,
     };
     pub use ccdp_dp::{BudgetExceeded, PrivacyBudget};
     pub use ccdp_exec::{PhaseProfiler, PhaseReport};

@@ -1,9 +1,10 @@
 //! Integration tests for the solver layer and the family cache through the
-//! public facade: backend selection via `LipschitzExtension::with_backend`,
-//! cache-correctness (cached and uncached `estimate()` agree exactly) and
-//! cache observability.
+//! public facade: the extension and the family engine against the
+//! independent simplex oracle, cache-correctness (cached and uncached
+//! `estimate()` agree exactly) and cache observability.
 
 use ccdp::prelude::*;
+use ccdp_lp::SimplexSolver;
 use std::sync::Arc;
 
 fn diagnostics(r: &Release) -> &Diagnostics {
@@ -57,25 +58,19 @@ fn shared_cache_serves_a_fleet() {
 
 #[test]
 fn backends_agree_through_the_lipschitz_extension() {
-    // Both exact backends give the same f_Δ behind the extension, and the
-    // family engine the estimators run agrees with them: same family values
-    // ⇒ identical releases, whichever exact backend computed them.
+    // The extension and the independent simplex oracle give the same f_Δ,
+    // and the family engine the estimators run agrees with them: same family
+    // values ⇒ identical releases, whichever exact solver computed them.
     let mut rng_gen = StdRng::seed_from_u64(9);
     let g = generators::erdos_renyi(80, 3.0 / 80.0, &mut rng_gen);
     let grid = [1usize, 2, 4, 8];
     let family = evaluate_family(&CsrGraph::from_graph(&g), &grid, 1, None).unwrap();
     for (&delta, eval) in grid.iter().zip(&family) {
-        let run = |backend: SolverBackend| {
-            LipschitzExtension::new(delta)
-                .with_backend(backend)
-                .evaluate(&g)
-                .unwrap()
-        };
-        let comb = run(SolverBackend::Combinatorial);
-        let simp = run(SolverBackend::Simplex);
+        let comb = LipschitzExtension::new(delta).evaluate(&g).unwrap();
+        let simp = SimplexSolver::new().solve(&g, delta as f64).unwrap().value;
         assert!(
             (comb - simp).abs() < 1e-6,
-            "backends disagreed at Δ={delta}: {comb} vs {simp}"
+            "solvers disagreed at Δ={delta}: {comb} vs {simp}"
         );
         assert!(
             (eval.value - simp).abs() < 1e-6,
@@ -89,7 +84,7 @@ fn backends_agree_through_the_lipschitz_extension() {
 fn direct_polytope_api_exposes_both_backends() {
     let g = generators::complete(6);
     let comb = forest_polytope_max(&g, 2.0).unwrap();
-    let simp = forest_polytope_max_with(&g, 2.0, SolverBackend::Simplex).unwrap();
+    let simp = SimplexSolver::new().solve(&g, 2.0).unwrap();
     assert!((comb.value - simp.value).abs() < 1e-6);
     assert!((comb.value - 5.0).abs() < 1e-5);
 }

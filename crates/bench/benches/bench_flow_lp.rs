@@ -192,13 +192,15 @@ fn bench_csr_vs_adjacency(c: &mut Criterion) {
         group.bench_function(format!("construct_csr_n{n}"), |b| {
             b.iter(|| CsrGraph::from_graph(&g).num_edges())
         });
-        // Whole-graph component labeling: pointer-chasing adjacency rows vs
-        // one contiguous arena sweep.
+        // Whole-graph components: a union-find pass over the adjacency
+        // rows vs one contiguous labeling sweep of the arena (its
+        // `num_components` is a memo load after the first call, so the
+        // labeling is what gets timed).
         group.bench_function(format!("components_adjacency_n{n}"), |b| {
             b.iter(|| g.num_connected_components())
         });
         group.bench_function(format!("components_csr_n{n}"), |b| {
-            b.iter(|| csr.num_components())
+            b.iter(|| csr.component_labels())
         });
     }
     // The Lemma 1.8 forest construction, both hosts (the hot inner loop of

@@ -647,4 +647,22 @@ mod tests {
             "ledger {ledger:?} must sum to ε"
         );
     }
+
+    #[test]
+    fn the_three_stage_split_fits_its_budget_at_every_scale() {
+        // Node count, GEM and Laplace draw ε·f, then half of the remainder
+        // twice; rounding must never push the lifetime total past the slack
+        // the accountant grants.
+        let g = generators::planted_star_forest(4, 2, 3);
+        for epsilon in [1e-3, 1.0, 1e6] {
+            let mut rng = StdRng::seed_from_u64(109);
+            let est = PrivateCcEstimator::new(epsilon).unwrap();
+            let r = est.estimate(&g, &mut rng).unwrap();
+            assert_eq!(
+                r.diagnostics(token()).budget_ledger.len(),
+                3,
+                "ε = {epsilon}"
+            );
+        }
+    }
 }

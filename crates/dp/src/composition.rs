@@ -55,7 +55,7 @@ impl PrivacyBudget {
     /// numerical slack).
     pub fn spend(&mut self, stage: &str, epsilon: f64) -> Result<f64, BudgetExceeded> {
         assert!(epsilon > 0.0, "stage epsilon must be positive");
-        if epsilon > self.remaining_epsilon() + 1e-12 {
+        if !self.admits(epsilon) {
             return Err(BudgetExceeded {
                 requested: epsilon,
                 remaining: self.remaining_epsilon(),
@@ -88,7 +88,16 @@ impl PrivacyBudget {
     /// Whether a spend of `epsilon` would be admitted right now (same
     /// numerical slack as [`PrivacyBudget::spend`]).
     pub fn can_spend(&self, epsilon: f64) -> bool {
-        epsilon > 0.0 && epsilon <= self.remaining_epsilon() + 1e-12
+        epsilon > 0.0 && self.admits(epsilon)
+    }
+
+    /// The admission rule of [`spend`](Self::spend) and
+    /// [`can_spend`](Self::can_spend): the lifetime total may exceed the
+    /// budget by at most `1e-12` of rounding slack. The slack is measured
+    /// against the running total, not the clamped remainder, so it is granted
+    /// once over the budget's life — an exhausted budget refuses even dust.
+    fn admits(&self, epsilon: f64) -> bool {
+        self.spent_total + epsilon <= self.total_epsilon + 1e-12
     }
 
     /// Total ε recorded for stages with the given name (0 if absent).
@@ -188,5 +197,17 @@ mod tests {
         assert!((b.utilization() - 0.625).abs() < 1e-12);
         assert!(b.can_spend(0.75));
         assert!(!b.can_spend(0.76));
+    }
+
+    #[test]
+    fn an_exhausted_budget_refuses_dust() {
+        let mut b = PrivacyBudget::new(1.0);
+        b.spend("all", 1.0).unwrap();
+        // The rounding slack is a lifetime allowance: at most one
+        // 1e-12-sized spend fits in it, never a stream of them.
+        let admitted = (0..1000).filter(|_| b.spend("dust", 1e-12).is_ok()).count();
+        assert!(admitted <= 1, "{admitted} dust spends admitted");
+        assert!(!b.can_spend(1e-12));
+        assert!(b.spent_epsilon() <= 1.0 + 1e-12);
     }
 }

@@ -1,25 +1,21 @@
 //! Hand-rolled, std-only execution layer for per-component solving.
 //!
-//! Two primitives, both built directly on `std::thread` (the build environment
-//! has no registry access, so no rayon/crossbeam):
+//! One primitive, built directly on `std::thread` (the build environment has
+//! no registry access, so no rayon/crossbeam): [`parallel_map`], a *scoped*
+//! work-stealing fork/join that maps a function over `0..len` on `t` threads
+//! and returns the results **in index order**. It borrows its closure (no
+//! `'static` bound, no `Arc`), splits the index range into per-worker deques,
+//! and lets idle workers steal from the back of busy ones, so skewed workloads
+//! (one giant component among thousands of tiny ones) still balance. Because
+//! results are assembled by index, the output is **identical for every thread
+//! count** — determinism is positional, not scheduling-dependent.
 //!
-//! * [`parallel_map`] — a *scoped* work-stealing fork/join: map a function over
-//!   `0..len` on `t` threads and return the results **in index order**. This is
-//!   the hot-path primitive: it borrows its closure (no `'static` bound, no
-//!   `Arc`), splits the index range into per-worker deques, and lets idle
-//!   workers steal from the back of busy ones, so skewed workloads (one giant
-//!   component among thousands of tiny ones) still balance. Because results
-//!   are assembled by index, the output is **identical for every thread
-//!   count** — determinism is positional, not scheduling-dependent.
-//! * [`WorkStealingPool`] — a persistent bounded pool for `'static` jobs, the
-//!   serve tier's worker-pool pattern (bounded injection, typed
-//!   [`PoolError::QueueFull`] backpressure, graceful drain, panic containment)
-//!   generalized with per-worker deques and stealing.
+//! Alongside it: [`effective_parallelism`], the work-size gate callers use to
+//! decide whether fanning out pays, and [`PhaseProfiler`], the per-phase
+//! wall-clock aggregator that attributes release cost.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
 /// Maps `f` over `0..len` using up to `threads` workers, returning results in
 /// index order.
@@ -107,232 +103,6 @@ where
         .into_iter()
         .map(|o| o.expect("every index computed exactly once"))
         .collect()
-}
-
-/// Typed refusals from [`WorkStealingPool::try_spawn`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolError {
-    /// The pool's bounded backlog is full; the caller should shed load or
-    /// retry later (same contract as the serve tier's queue).
-    QueueFull,
-    /// The pool is shutting down and accepts no new jobs.
-    ShuttingDown,
-}
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PoolError::QueueFull => write!(f, "pool queue is full"),
-            PoolError::ShuttingDown => write!(f, "pool is shutting down"),
-        }
-    }
-}
-
-impl std::error::Error for PoolError {}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolShared {
-    /// One deque per worker; submissions round-robin across them, idle
-    /// workers steal from the back of busy ones.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Jobs submitted but not yet finished (backlog + running).
-    pending: AtomicUsize,
-    /// Capacity bound on `pending`; `try_spawn` refuses beyond it.
-    capacity: usize,
-    shutdown: AtomicBool,
-    completed: AtomicUsize,
-    panicked: AtomicUsize,
-    steals: AtomicUsize,
-    /// Parked-worker rendezvous (timed waits make lost wakeups harmless).
-    idle: Mutex<()>,
-    idle_cv: Condvar,
-    /// Drain rendezvous: signaled whenever `pending` hits zero.
-    drained: Mutex<()>,
-    drained_cv: Condvar,
-}
-
-/// A persistent, bounded, work-stealing thread pool for `'static` jobs.
-///
-/// This generalizes the serving tier's fixed worker pool: submissions go to
-/// per-worker deques round-robin, idle workers steal, the backlog is bounded
-/// with a typed [`PoolError::QueueFull`] refusal, job panics are contained
-/// (counted, pool survives), and [`drain`](Self::drain) waits for quiescence.
-/// Dropping the pool shuts it down gracefully: already-queued jobs finish.
-pub struct WorkStealingPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    next_queue: AtomicUsize,
-}
-
-impl WorkStealingPool {
-    /// Spawns a pool with `threads` workers and a backlog bound of `capacity`
-    /// jobs (submitted-but-unfinished).
-    ///
-    /// # Panics
-    /// Panics if `threads == 0` or `capacity == 0`.
-    pub fn new(threads: usize, capacity: usize) -> Self {
-        assert!(threads >= 1, "pool needs at least one worker");
-        assert!(capacity >= 1, "pool needs a positive capacity");
-        let shared = Arc::new(PoolShared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            capacity,
-            shutdown: AtomicBool::new(false),
-            completed: AtomicUsize::new(0),
-            panicked: AtomicUsize::new(0),
-            steals: AtomicUsize::new(0),
-            idle: Mutex::new(()),
-            idle_cv: Condvar::new(),
-            drained: Mutex::new(()),
-            drained_cv: Condvar::new(),
-        });
-        let handles = (0..threads)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("ccdp-exec-{w}"))
-                    .spawn(move || worker_loop(w, &shared))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        WorkStealingPool {
-            shared,
-            handles,
-            next_queue: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn num_threads(&self) -> usize {
-        self.shared.queues.len()
-    }
-
-    /// Submits a job, refusing with a typed error when the backlog is at
-    /// capacity or the pool is shutting down.
-    pub fn try_spawn<F>(&self, job: F) -> Result<(), PoolError>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return Err(PoolError::ShuttingDown);
-        }
-        // Optimistic reserve of a backlog slot.
-        let mut cur = self.shared.pending.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.shared.capacity {
-                return Err(PoolError::QueueFull);
-            }
-            match self.shared.pending.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
-        let w = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
-        self.shared.queues[w]
-            .lock()
-            .expect("queue lock")
-            .push_back(Box::new(job));
-        self.shared.idle_cv.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until every submitted job has finished (backlog empty, nothing
-    /// running). New submissions during a drain extend it.
-    pub fn drain(&self) {
-        let mut guard = self.shared.drained.lock().expect("drain lock");
-        while self.shared.pending.load(Ordering::Acquire) != 0 {
-            let (g, _) = self
-                .shared
-                .drained_cv
-                .wait_timeout(guard, Duration::from_millis(20))
-                .expect("drain wait");
-            guard = g;
-        }
-    }
-
-    /// Jobs completed successfully since the pool started.
-    pub fn completed(&self) -> usize {
-        self.shared.completed.load(Ordering::Acquire)
-    }
-
-    /// Jobs whose closure panicked (contained, pool kept running).
-    pub fn panicked(&self) -> usize {
-        self.shared.panicked.load(Ordering::Acquire)
-    }
-
-    /// Jobs executed by a worker other than the one they were queued on.
-    pub fn steals(&self) -> usize {
-        self.shared.steals.load(Ordering::Acquire)
-    }
-
-    /// Graceful shutdown: already-queued jobs finish, then workers exit.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.idle_cv.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for WorkStealingPool {
-    fn drop(&mut self) {
-        if !self.handles.is_empty() {
-            self.shutdown_inner();
-        }
-    }
-}
-
-fn worker_loop(w: usize, shared: &PoolShared) {
-    let threads = shared.queues.len();
-    loop {
-        let mut job = shared.queues[w].lock().expect("queue lock").pop_front();
-        if job.is_none() {
-            for d in 1..threads {
-                let v = (w + d) % threads;
-                if let Some(j) = shared.queues[v].lock().expect("queue lock").pop_back() {
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
-                    job = Some(j);
-                    break;
-                }
-            }
-        }
-        match job {
-            Some(job) => {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                match outcome {
-                    Ok(()) => shared.completed.fetch_add(1, Ordering::AcqRel),
-                    Err(_) => shared.panicked.fetch_add(1, Ordering::AcqRel),
-                };
-                if shared.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let _g = shared.drained.lock().expect("drain lock");
-                    shared.drained_cv.notify_all();
-                }
-            }
-            None => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                let guard = shared.idle.lock().expect("idle lock");
-                // Timed wait: a wakeup lost between the queue scan and this
-                // park costs at most one timeout period, never a deadlock.
-                let _ = shared
-                    .idle_cv
-                    .wait_timeout(guard, Duration::from_millis(10))
-                    .expect("idle wait");
-            }
-        }
-    }
 }
 
 /// Minimum units of work (vertices + edges, or any comparable cost proxy) a
@@ -463,29 +233,6 @@ impl PhaseProfiler {
         }
     }
 
-    /// Snapshot of every slot in **stable name order** — the form to diff,
-    /// log, or assert on, independent of which phase happened to run first.
-    pub fn report_sorted(&self) -> Vec<PhaseReport> {
-        let mut report = self.report();
-        report.sort_by(|a, b| a.name.cmp(&b.name));
-        report
-    }
-
-    /// Folds another profiler's slots into this one (summing seconds,
-    /// invocations and counts per name). This is how per-thread or
-    /// per-request profilers aggregate without sharing a global mutex on the
-    /// hot path: each worker times into its own profiler, then merges once.
-    pub fn merge(&self, other: &PhaseProfiler) {
-        let theirs = other.report();
-        let mut slots = self.slots.lock().expect("profiler lock");
-        for r in theirs {
-            let slot = Self::slot(&mut slots, &r.name);
-            slot.seconds += r.seconds;
-            slot.invocations += r.invocations;
-            slot.count += r.count;
-        }
-    }
-
     /// Adds this profiler's timed slots into a metrics registry as the
     /// `ccdp_exec_phase_seconds_total` / `ccdp_exec_phase_invocations_total`
     /// series (one `phase` label per slot). Counts from
@@ -493,8 +240,8 @@ impl PhaseProfiler {
     /// statistics of the graph being solved (components, dedup classes), and
     /// a scrape of a shared registry must not reveal them. They stay in
     /// [`report`](Self::report). Counters are monotone, so call this once per
-    /// short-lived profiler (e.g. per request, after [`merge`](Self::merge)-ing
-    /// worker profilers) — not repeatedly on one long-lived aggregate.
+    /// short-lived profiler (e.g. per request) — not repeatedly on one
+    /// long-lived aggregate.
     pub fn publish(&self, registry: &ccdp_obs::MetricsRegistry) {
         self.visit(|name, seconds, invocations, _count| {
             if invocations > 0 {
@@ -540,7 +287,8 @@ impl Drop for PhaseTimer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn parallel_map_matches_sequential_for_every_thread_count() {
@@ -588,78 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_runs_all_jobs_and_drains() {
-        let pool = WorkStealingPool::new(4, 1024);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..500 {
-            let counter = Arc::clone(&counter);
-            pool.try_spawn(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            })
-            .expect("capacity is ample");
-        }
-        pool.drain();
-        assert_eq!(counter.load(Ordering::Relaxed), 500);
-        assert_eq!(pool.completed(), 500);
-        assert_eq!(pool.panicked(), 0);
-        pool.shutdown();
-    }
-
-    #[test]
-    fn pool_refuses_beyond_capacity() {
-        let pool = WorkStealingPool::new(1, 2);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        // Park the single worker so the backlog fills deterministically.
-        {
-            let gate = Arc::clone(&gate);
-            pool.try_spawn(move || {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            })
-            .unwrap();
-        }
-        // Wait until the worker has picked the blocker up, then fill the rest.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pool.try_spawn(|| {}).is_ok() {
-            assert!(std::time::Instant::now() < deadline, "backlog never filled");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(pool.try_spawn(|| {}), Err(PoolError::QueueFull));
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        pool.drain();
-        assert_eq!(pool.panicked(), 0);
-    }
-
-    #[test]
-    fn pool_contains_job_panics() {
-        let pool = WorkStealingPool::new(2, 64);
-        pool.try_spawn(|| panic!("contained")).unwrap();
-        pool.try_spawn(|| {}).unwrap();
-        pool.drain();
-        assert_eq!(pool.panicked(), 1);
-        assert_eq!(pool.completed(), 1);
-        // Pool still works after a panic.
-        let ok = Arc::new(AtomicBool::new(false));
-        let ok2 = Arc::clone(&ok);
-        pool.try_spawn(move || ok2.store(true, Ordering::Release))
-            .unwrap();
-        pool.drain();
-        assert!(ok.load(Ordering::Acquire));
-    }
-
-    #[test]
-    fn pool_rejects_after_shutdown_flag() {
-        let mut pool = WorkStealingPool::new(2, 8);
-        pool.shutdown_inner();
-        assert_eq!(pool.try_spawn(|| {}), Err(PoolError::ShuttingDown));
-    }
-
-    #[test]
     fn profiler_aggregates_scopes_and_counts() {
         let prof = PhaseProfiler::new();
         for _ in 0..3 {
@@ -684,33 +360,18 @@ mod tests {
     }
 
     #[test]
-    fn profiler_sorted_report_and_merge_aggregate_per_thread_profilers() {
-        // Three "worker" profilers with overlapping phases in different
-        // first-use orders; the merged sorted report must be deterministic.
-        let workers: Vec<PhaseProfiler> = (0..3).map(|_| PhaseProfiler::new()).collect();
-        workers[0].add_seconds("solve", 1.0);
-        workers[0].add_count("solve", 4);
-        workers[1].add_seconds("noise", 0.5);
-        workers[1].add_seconds("solve", 2.0);
-        workers[2].add_count("anchor", 7);
-        let total = PhaseProfiler::new();
-        for w in &workers {
-            total.merge(w);
-        }
-        let sorted = total.report_sorted();
-        let names: Vec<&str> = sorted.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, vec!["anchor", "noise", "solve"]);
-        let solve = &sorted[2];
-        assert_eq!(solve.invocations, 2);
-        assert_eq!(solve.count, 4);
-        assert!((solve.seconds - 3.0).abs() < 1e-9);
-        assert_eq!(sorted[0].count, 7);
-        assert_eq!(sorted[0].invocations, 0);
+    fn profiler_publishes_timed_totals_but_not_counts() {
+        let prof = PhaseProfiler::new();
+        prof.add_seconds("solve", 1.0);
+        prof.add_seconds("solve", 2.0);
+        prof.add_count("solve", 4);
+        prof.add_seconds("noise", 0.5);
+        prof.add_count("anchor", 7);
 
         // Publishing lands the timed totals in the registry under phase
         // labels; the counts stay in the report only.
         let registry = ccdp_obs::MetricsRegistry::new();
-        total.publish(&registry);
+        prof.publish(&registry);
         let snap = registry.snapshot();
         assert_eq!(snap.sum("ccdp_exec_phase_invocations_total"), 3.0);
         assert!((snap.sum("ccdp_exec_phase_seconds_total") - 3.5).abs() < 1e-9);
@@ -735,23 +396,5 @@ mod tests {
         assert_eq!(report.len(), 1);
         assert_eq!(report[0].invocations, 4);
         assert_eq!(report[0].count, 4);
-    }
-
-    #[test]
-    fn idle_workers_steal_queued_jobs() {
-        // Submissions round-robin over 4 queues but one worker is blocked;
-        // the others must steal its queued jobs for the drain to finish.
-        let pool = WorkStealingPool::new(4, 1024);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..200 {
-            let counter = Arc::clone(&counter);
-            pool.try_spawn(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_micros(100));
-            })
-            .unwrap();
-        }
-        pool.drain();
-        assert_eq!(counter.load(Ordering::Relaxed), 200);
     }
 }

@@ -28,7 +28,7 @@
 //! load.
 
 use crate::graph::Graph;
-use crate::unionfind::UnionFind32;
+use crate::unionfind::UnionFind;
 use std::sync::OnceLock;
 
 /// An immutable, flat CSR view of an undirected simple graph.
@@ -308,15 +308,15 @@ impl CsrGraph {
 
     /// Number of connected components. Memoized: the first call (or the
     /// first [`component_labels`](Self::component_labels)) runs one pass of
-    /// the compact `u32` union-find; later calls are a load.
+    /// the union-find; later calls are a load.
     pub fn num_components(&self) -> usize {
         *self.components.get_or_init(|| {
             let n = self.num_vertices();
-            let mut uf = UnionFind32::new(n);
+            let mut uf = UnionFind::new(n);
             for u in 0..n {
                 for &v in self.neighbors(u) {
                     if (v as usize) > u {
-                        uf.union(u as u32, v);
+                        uf.union(u, v as usize);
                     }
                 }
             }

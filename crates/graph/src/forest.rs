@@ -24,7 +24,7 @@ use crate::unionfind::UnionFind;
 /// The minimal graph interface the constructive forest machinery needs, so the
 /// same code runs on the adjacency-list [`Graph`] and the flat [`CsrGraph`]
 /// arena without duplicating the repair logic. Private by design: the public
-/// surface stays the concrete `*_csr` / `Graph` entry points.
+/// surface stays the concrete `Graph`, CSR and per-component entry points.
 trait ForestHost {
     fn num_vertices(&self) -> usize;
     fn degree(&self, v: usize) -> usize;
@@ -331,23 +331,15 @@ pub fn capacity_bounded_spanning_forest(g: &Graph, caps: &[usize]) -> Option<Spa
     result
 }
 
-/// [`capacity_bounded_spanning_forest`] on the flat CSR arena. Neighbor
+/// [`bounded_degree_spanning_forest`] on the flat CSR arena. Neighbor
 /// iteration order matches the adjacency path (both sorted), so on the same
 /// graph both entry points construct the identical forest.
-pub fn capacity_bounded_spanning_forest_csr(
-    g: &CsrGraph,
-    caps: &[usize],
-) -> Option<SpanningForest> {
-    capacity_bounded_forest_host(g, caps, g.num_vertices())
-}
-
-/// [`bounded_degree_spanning_forest`] on the flat CSR arena.
 ///
 /// # Panics
 /// Panics if `delta == 0`.
 pub fn bounded_degree_spanning_forest_csr(g: &CsrGraph, delta: usize) -> Option<SpanningForest> {
     assert!(delta >= 1, "delta must be at least 1");
-    capacity_bounded_spanning_forest_csr(g, &vec![delta; g.num_vertices()])
+    capacity_bounded_forest_host(g, &vec![delta; g.num_vertices()], g.num_vertices())
 }
 
 /// [`bounded_degree_spanning_forest_csr`] on component `c` of a partition,
@@ -743,11 +735,6 @@ mod tests {
                     let b = bounded_degree_spanning_forest_csr(&csr, delta);
                     assert_eq!(a, b, "n={n} p={p} delta={delta}");
                 }
-                let caps: Vec<usize> = (0..n).map(|v| 1 + v % 3).collect();
-                assert_eq!(
-                    capacity_bounded_spanning_forest(&g, &caps),
-                    capacity_bounded_spanning_forest_csr(&csr, &caps)
-                );
             }
         }
     }

@@ -315,31 +315,6 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Grap
     g
 }
 
-/// Stochastic block model with the given community sizes, within-community edge
-/// probability `p_in` and across-community probability `p_out`.
-pub fn stochastic_block_model<R: Rng + ?Sized>(
-    sizes: &[usize],
-    p_in: f64,
-    p_out: f64,
-    rng: &mut R,
-) -> Graph {
-    let n: usize = sizes.iter().sum();
-    let mut block = Vec::with_capacity(n);
-    for (b, &s) in sizes.iter().enumerate() {
-        block.extend(std::iter::repeat_n(b, s));
-    }
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            let p = if block[u] == block[v] { p_in } else { p_out };
-            if p > 0.0 && rng.gen_bool(p) {
-                g.add_edge(u, v);
-            }
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,15 +486,5 @@ mod tests {
             "expected a hub: max degree {} vs average {avg:.2}",
             g.max_degree()
         );
-    }
-
-    #[test]
-    fn sbm_block_density() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let g = stochastic_block_model(&[30, 30], 0.5, 0.01, &mut rng);
-        assert_eq!(g.num_vertices(), 60);
-        let within = g.edges().filter(|&(u, v)| (u < 30) == (v < 30)).count();
-        let across = g.num_edges() - within;
-        assert!(within > across, "within-block edges should dominate");
     }
 }

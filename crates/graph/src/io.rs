@@ -4,7 +4,6 @@
 //! header line `# n m`, followed by one `u v` pair per line. Lines starting with
 //! `#` (other than the header) and blank lines are ignored.
 
-use crate::csr::CsrGraph;
 use crate::graph::Graph;
 
 /// Largest vertex count an edge list may declare in its header or imply by
@@ -83,31 +82,8 @@ pub fn from_edge_list(text: &str) -> Result<Graph, ParseError> {
     Ok(Graph::from_edges(n, &edges))
 }
 
-/// Streaming counterpart of [`from_edge_list`]: parses the same format
-/// directly into a [`CsrGraph`] arena without materializing the adjacency-list
-/// [`Graph`] or an intermediate edge vector.
-///
-/// One validation pass checks every line and determines the vertex count, then
-/// [`CsrGraph::from_edge_stream`] re-reads the text for its two counting
-/// passes. Peak memory is the arena plus one cursor per vertex, which is what
-/// makes 10⁷-scale edge lists loadable.
-pub fn from_edge_list_csr(text: &str) -> Result<CsrGraph, ParseError> {
-    let n = scan(text, |_, _| {})?;
-    Ok(CsrGraph::from_edge_stream(n, || {
-        // Every line was validated above, so the quiet re-parse is total and
-        // every id is below the cap, which fits in `u32`.
-        text.lines().filter_map(|raw| {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                return None;
-            }
-            parse_edge_line(line).map(|(u, v)| (u as u32, v as u32))
-        })
-    }))
-}
-
-/// The one validating pass of both parsers: checks every line, hands each
-/// edge to `on_edge` and returns the vertex count — the header's if one
+/// The validating pass of the parser: checks every line, hands each edge to
+/// `on_edge` and returns the vertex count — the header's if one
 /// precedes the first edge, else the maximum endpoint plus one.
 fn scan(text: &str, mut on_edge: impl FnMut(usize, usize)) -> Result<usize, ParseError> {
     let mut declared_n: Option<usize> = None;
@@ -227,33 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn csr_parse_agrees_with_graph_parse() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let g = generators::erdos_renyi(60, 0.07, &mut rng);
-        let text = to_edge_list(&g);
-        let csr = from_edge_list_csr(&text).unwrap();
-        assert!(csr.matches_graph(&from_edge_list(&text).unwrap()));
-        // Headerless + comments + blanks.
-        let csr = from_edge_list_csr("# a note\n\n0 4\n1 2\n").unwrap();
-        assert!(csr.matches_graph(&from_edge_list("# a note\n\n0 4\n1 2\n").unwrap()));
-        assert_eq!(from_edge_list_csr("").unwrap().num_vertices(), 0);
-    }
-
-    #[test]
-    fn csr_parse_rejects_malformed_and_out_of_range_lines() {
-        assert!(matches!(
-            from_edge_list_csr("0 1\nnope\n"),
-            Err(ParseError::MalformedLine { line_number: 2, .. })
-        ));
-        assert!(matches!(
-            from_edge_list_csr("# 3 1\n0 7\n"),
-            Err(ParseError::VertexOutOfRange { vertex: 7, .. })
-        ));
-    }
-
-    #[test]
-    fn oversized_vertex_counts_are_refused_by_both_parsers() {
+    fn oversized_vertex_counts_are_refused() {
         let too_many =
             |r: Result<usize, ParseError>| matches!(r, Err(ParseError::TooManyVertices { .. }));
         let over = DEFAULT_MAX_VERTICES + 1;
@@ -268,10 +218,6 @@ mod tests {
         ] {
             assert!(
                 too_many(from_edge_list(&text).map(|g| g.num_vertices())),
-                "{text}"
-            );
-            assert!(
-                too_many(from_edge_list_csr(&text).map(|g| g.num_vertices())),
                 "{text}"
             );
         }
@@ -289,7 +235,6 @@ mod tests {
         // it, so it is not a header.
         for text in ["0 9\n# 3 1\n", "0 9\n# 3 1\n1 2\n"] {
             assert_eq!(from_edge_list(text).unwrap().num_vertices(), 10);
-            assert_eq!(from_edge_list_csr(text).unwrap().num_vertices(), 10);
         }
     }
 

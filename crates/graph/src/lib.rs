@@ -8,7 +8,7 @@
 //!   degree-bounded spanning forests (Lemma 1.8) ([`forest`]),
 //! * the induced star number `s(G)` (Lemma 1.7) ([`stars`]),
 //! * down-sensitivity of `f_sf` and `f_cc` ([`sensitivity`]),
-//! * induced subgraphs and node distance ([`subgraph`]),
+//! * induced subgraphs ([`subgraph`]),
 //! * random and structured graph generators used by the paper's analysis
 //!   ([`generators`]),
 //! * plain-text edge-list I/O ([`io`]).
@@ -25,7 +25,6 @@ pub mod io;
 pub mod sensitivity;
 pub mod stars;
 pub mod subgraph;
-pub mod traversal;
 pub mod unionfind;
 pub mod version;
 
@@ -38,5 +37,5 @@ pub use forest::{
 pub use graph::Graph;
 pub use sensitivity::{down_sensitivity_fcc, down_sensitivity_fsf};
 pub use stars::induced_star_number;
-pub use unionfind::{UnionFind, UnionFind32};
+pub use unionfind::UnionFind;
 pub use version::GraphVersion;

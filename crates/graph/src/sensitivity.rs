@@ -10,9 +10,8 @@
 //! as the fast path. Brute-force evaluation over all induced subgraph pairs is
 //! provided for validation on small graphs.
 
-use crate::csr::CsrGraph;
 use crate::graph::Graph;
-use crate::stars::{induced_star_number, induced_star_number_csr, StarNumber};
+use crate::stars::{induced_star_number, StarNumber};
 use crate::subgraph::{all_vertex_subsets, induced_subgraph};
 
 /// Down-sensitivity of `f_sf` at `g`, computed via Lemma 1.7 as the induced star
@@ -43,24 +42,6 @@ pub fn down_sensitivity_fcc(g: &Graph) -> usize {
         return 1;
     }
     let s = induced_star_number(g).value();
-    s.saturating_sub(1).max(1)
-}
-
-/// [`down_sensitivity_fsf`] on the flat CSR arena.
-pub fn down_sensitivity_fsf_csr(g: &CsrGraph) -> StarNumber {
-    induced_star_number_csr(g)
-}
-
-/// [`down_sensitivity_fcc`] on the flat CSR arena — same formula, same values.
-pub fn down_sensitivity_fcc_csr(g: &CsrGraph) -> usize {
-    let n = g.num_vertices();
-    if n == 0 {
-        return 0;
-    }
-    if n == 1 {
-        return 1;
-    }
-    let s = induced_star_number_csr(g).value();
     s.saturating_sub(1).max(1)
 }
 
@@ -157,17 +138,6 @@ mod tests {
                 "f_cc down-sensitivity mismatch on {:?}",
                 g.edge_vec()
             );
-        }
-    }
-
-    #[test]
-    fn csr_down_sensitivities_match_adjacency_path() {
-        let mut rng = StdRng::seed_from_u64(37);
-        for _ in 0..10 {
-            let g = generators::erdos_renyi(20, 0.2, &mut rng);
-            let csr = CsrGraph::from_graph(&g);
-            assert_eq!(down_sensitivity_fsf(&g), down_sensitivity_fsf_csr(&csr));
-            assert_eq!(down_sensitivity_fcc(&g), down_sensitivity_fcc_csr(&csr));
         }
     }
 

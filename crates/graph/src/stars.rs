@@ -12,7 +12,6 @@
 //! sparse workloads evaluated in the paper) and falls back to a greedy lower bound
 //! for larger neighborhoods, reporting which one was used.
 
-use crate::csr::CsrGraph;
 use crate::graph::Graph;
 
 /// Result of a star-number computation.
@@ -177,87 +176,6 @@ pub fn induced_star_number(g: &Graph) -> StarNumber {
     StarNumber { value, exact }
 }
 
-/// [`induced_star_at`] on the flat CSR arena: same branch-and-bound over the
-/// neighborhood, reading rows straight out of the arena.
-pub fn induced_star_at_csr(g: &CsrGraph, center: usize) -> StarNumber {
-    let nbrs = g.neighbors(center);
-    let k = nbrs.len();
-    if k == 0 {
-        return StarNumber {
-            value: 0,
-            exact: true,
-        };
-    }
-    let center = center as u32;
-    if k <= 128 {
-        let mut masks = vec![0u128; k];
-        let mut any_internal = false;
-        for (i, &u) in nbrs.iter().enumerate() {
-            for &w in g.neighbors(u as usize) {
-                if w != center {
-                    if let Ok(j) = nbrs.binary_search(&w) {
-                        masks[i] |= 1u128 << j;
-                        any_internal = true;
-                    }
-                }
-            }
-        }
-        if !any_internal {
-            return StarNumber {
-                value: k,
-                exact: true,
-            };
-        }
-        StarNumber {
-            value: max_independent_set_size(&masks),
-            exact: true,
-        }
-    } else {
-        let mut local_adj = vec![Vec::new(); k];
-        let mut any_internal = false;
-        for (i, &u) in nbrs.iter().enumerate() {
-            for &w in g.neighbors(u as usize) {
-                if w != center {
-                    if let Ok(j) = nbrs.binary_search(&w) {
-                        local_adj[i].push(j);
-                        any_internal = true;
-                    }
-                }
-            }
-        }
-        if !any_internal {
-            return StarNumber {
-                value: k,
-                exact: true,
-            };
-        }
-        StarNumber {
-            value: greedy_independent_set_size(&local_adj),
-            exact: false,
-        }
-    }
-}
-
-/// [`induced_star_number`] on the flat CSR arena — identical values and
-/// exactness flags (same center pruning, same per-neighborhood computation).
-pub fn induced_star_number_csr(g: &CsrGraph) -> StarNumber {
-    let mut value = 0;
-    let mut exact = true;
-    for v in 0..g.num_vertices() {
-        if g.degree(v) <= value {
-            continue;
-        }
-        let s = induced_star_at_csr(g, v);
-        if s.value() > value {
-            value = s.value();
-            exact = s.is_exact();
-        } else if !s.is_exact() {
-            exact = false;
-        }
-    }
-    StarNumber { value, exact }
-}
-
 /// Brute-force star number by checking all center/leaf subsets. Exponential; only
 /// for validation on tiny graphs (≤ 20 vertices).
 pub fn induced_star_number_brute_force(g: &Graph) -> usize {
@@ -374,21 +292,6 @@ mod tests {
                 "geometric graph had an induced {}-star",
                 s.value()
             );
-        }
-    }
-
-    #[test]
-    fn csr_star_number_matches_adjacency_path() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for _ in 0..15 {
-            let g = generators::erdos_renyi(25, 0.15, &mut rng);
-            let csr = CsrGraph::from_graph(&g);
-            let a = induced_star_number(&g);
-            let b = induced_star_number_csr(&csr);
-            assert_eq!(a, b);
-            for v in 0..g.num_vertices() {
-                assert_eq!(induced_star_at(&g, v), induced_star_at_csr(&csr, v));
-            }
         }
     }
 

@@ -1,10 +1,11 @@
-//! Induced subgraphs and node distance.
+//! Induced subgraphs.
 //!
 //! Node-differential privacy is defined over node-neighboring graphs
 //! (Definition 1.1): `G` and `G'` are neighbors if one is obtained from the other
 //! by removing a vertex and its adjacent edges. The node distance between a graph
 //! and an induced subgraph is simply the number of removed vertices, which is what
-//! the paper's Lipschitz extensions and the down-sensitivity use.
+//! the paper's Lipschitz extensions and the down-sensitivity use; this module
+//! builds those induced subgraphs.
 
 use crate::graph::Graph;
 
@@ -63,12 +64,6 @@ pub fn remove_vertex(g: &Graph, v: usize) -> (Graph, Vec<usize>) {
     induced_subgraph(g, &keep)
 }
 
-/// Node distance between `g` and the induced subgraph on `keep ⊆ V(g)`,
-/// i.e. the number of removed vertices.
-pub fn node_distance_to_induced(g: &Graph, keep: &[usize]) -> usize {
-    g.num_vertices() - keep.len()
-}
-
 /// Enumerates all induced subgraphs of `g` as vertex subsets (bitmask order).
 ///
 /// Intended for brute-force validation on small graphs only.
@@ -114,13 +109,6 @@ mod tests {
         assert_eq!(map, vec![1, 2, 3]);
         // vertices 2 and 3 map to new indices 1 and 2
         assert!(h.has_edge(1, 2));
-    }
-
-    #[test]
-    fn node_distance_counts_removed_vertices() {
-        let g = Graph::new(6);
-        assert_eq!(node_distance_to_induced(&g, &[0, 1, 2]), 3);
-        assert_eq!(node_distance_to_induced(&g, &[0, 1, 2, 3, 4, 5]), 0);
     }
 
     #[test]

@@ -1,18 +1,26 @@
 //! Disjoint-set (union-find) data structure with path compression and union by rank.
 
 /// Union-find over elements `0..n`.
+///
+/// Parents are stored as `u32` and ranks as `u8`, which halves the memory
+/// traffic of a `usize` parent array on the CSR hot path; the API stays in
+/// `usize`. The universe must fit in `u32` (the ingest cap is 2^24 vertices).
 #[derive(Clone, Debug)]
 pub struct UnionFind {
-    parent: Vec<usize>,
+    parent: Vec<u32>,
     rank: Vec<u8>,
     num_sets: usize,
 }
 
 impl UnionFind {
     /// Creates `n` singleton sets.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds `u32` indexing.
     pub fn new(n: usize) -> Self {
+        assert_fits_u32(n);
         UnionFind {
-            parent: (0..n).collect(),
+            parent: (0..n as u32).collect(),
             rank: vec![0; n],
             num_sets: n,
         }
@@ -35,9 +43,13 @@ impl UnionFind {
 
     /// Grows the universe to `n` elements, adding the new ones as singleton
     /// sets. A no-op when `n` is not larger than the current length.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds `u32` indexing.
     pub fn grow(&mut self, n: usize) {
+        assert_fits_u32(n);
         while self.parent.len() < n {
-            self.parent.push(self.parent.len());
+            self.parent.push(self.parent.len() as u32);
             self.rank.push(0);
             self.num_sets += 1;
         }
@@ -45,17 +57,17 @@ impl UnionFind {
 
     /// Representative of the set containing `x` (with path compression).
     pub fn find(&mut self, x: usize) -> usize {
-        let mut root = x;
-        while self.parent[root] != root {
-            root = self.parent[root];
+        let mut root = x as u32;
+        while self.parent[root as usize] != root {
+            root = self.parent[root as usize];
         }
-        let mut cur = x;
-        while self.parent[cur] != root {
-            let next = self.parent[cur];
-            self.parent[cur] = root;
+        let mut cur = x as u32;
+        while self.parent[cur as usize] != root {
+            let next = self.parent[cur as usize];
+            self.parent[cur as usize] = root;
             cur = next;
         }
-        root
+        root as usize
     }
 
     /// Merges the sets containing `x` and `y`. Returns `true` if they were distinct.
@@ -69,7 +81,7 @@ impl UnionFind {
         } else {
             (ry, rx)
         };
-        self.parent[lo] = hi;
+        self.parent[lo] = hi as u32;
         if self.rank[hi] == self.rank[lo] {
             self.rank[hi] += 1;
         }
@@ -83,82 +95,8 @@ impl UnionFind {
     }
 }
 
-/// Compact union-find over `u32` elements — half the memory traffic of
-/// [`UnionFind`] on the CSR hot path (parent array is `u32`, rank stays `u8`).
-#[derive(Clone, Debug)]
-pub struct UnionFind32 {
-    parent: Vec<u32>,
-    rank: Vec<u8>,
-    num_sets: usize,
-}
-
-impl UnionFind32 {
-    /// Creates `n` singleton sets.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds `u32` indexing.
-    pub fn new(n: usize) -> Self {
-        assert!(n < u32::MAX as usize, "UnionFind32 universe exceeds u32");
-        UnionFind32 {
-            parent: (0..n as u32).collect(),
-            rank: vec![0; n],
-            num_sets: n,
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Returns `true` if there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets currently maintained.
-    pub fn num_sets(&self) -> usize {
-        self.num_sets
-    }
-
-    /// Representative of the set containing `x` (with path compression).
-    pub fn find(&mut self, x: u32) -> u32 {
-        let mut root = x;
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
-        }
-        let mut cur = x;
-        while self.parent[cur as usize] != root {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = root;
-            cur = next;
-        }
-        root
-    }
-
-    /// Merges the sets containing `x` and `y`. Returns `true` if they were distinct.
-    pub fn union(&mut self, x: u32, y: u32) -> bool {
-        let (rx, ry) = (self.find(x), self.find(y));
-        if rx == ry {
-            return false;
-        }
-        let (hi, lo) = if self.rank[rx as usize] >= self.rank[ry as usize] {
-            (rx, ry)
-        } else {
-            (ry, rx)
-        };
-        self.parent[lo as usize] = hi;
-        if self.rank[hi as usize] == self.rank[lo as usize] {
-            self.rank[hi as usize] += 1;
-        }
-        self.num_sets -= 1;
-        true
-    }
-
-    /// Returns `true` if `x` and `y` are in the same set.
-    pub fn connected(&mut self, x: u32, y: u32) -> bool {
-        self.find(x) == self.find(y)
-    }
+fn assert_fits_u32(n: usize) {
+    assert!(n < u32::MAX as usize, "UnionFind universe exceeds u32");
 }
 
 #[cfg(test)]
@@ -232,30 +170,6 @@ mod tests {
         let r = uf.find(0);
         for i in 0..100 {
             assert_eq!(uf.find(i), r);
-        }
-    }
-
-    #[test]
-    fn compact_variant_matches_wide_variant() {
-        let mut wide = UnionFind::new(64);
-        let mut narrow = UnionFind32::new(64);
-        assert!(!narrow.is_empty());
-        assert_eq!(narrow.len(), 64);
-        // Deterministic pseudo-random union sequence.
-        let mut x = 0x243f_6a88u64;
-        for _ in 0..200 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let a = (x >> 33) as usize % 64;
-            let b = (x >> 12) as usize % 64;
-            assert_eq!(wide.union(a, b), narrow.union(a as u32, b as u32));
-            assert_eq!(wide.num_sets(), narrow.num_sets());
-        }
-        for a in 0..64 {
-            for b in 0..64 {
-                assert_eq!(wide.connected(a, b), narrow.connected(a as u32, b as u32));
-            }
         }
     }
 }

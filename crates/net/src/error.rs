@@ -158,6 +158,17 @@ impl NetError {
         }
     }
 
+    /// The human-readable `error.message` field of the JSON error body: the
+    /// `Display` text, except that an estimator failure is a fixed string.
+    /// Its inner error can carry a worker's panic payload or solver
+    /// internals, which the wire must not echo.
+    pub fn message(&self) -> String {
+        match self {
+            NetError::Serve(ServeError::Estimator(_)) => "estimator failed".to_string(),
+            _ => self.to_string(),
+        }
+    }
+
     /// The stable machine-readable code of this refusal (the `error.code`
     /// field of the JSON error body; documented in the README mapping
     /// table).

@@ -33,25 +33,24 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Configuration of a [`NetServer`].
+/// The socket read timeout of every connection: the keep-alive poll
+/// interval, which bounds how long an idle peer can delay a drain.
+const READ_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Configuration of a [`NetServer`]. Every connection parses under
+/// [`WireLimits::default`] and polls with a 500 ms read timeout.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     addr: String,
     max_connections: usize,
-    limits: WireLimits,
-    read_timeout: Duration,
 }
 
 impl NetConfig {
-    /// Defaults: an OS-assigned loopback port, 64 concurrent connections,
-    /// default wire limits, 500 ms read timeout (the keep-alive poll
-    /// interval, which bounds how long an idle peer can delay a drain).
+    /// Defaults: an OS-assigned loopback port, 64 concurrent connections.
     pub fn new() -> Self {
         NetConfig {
             addr: "127.0.0.1:0".to_string(),
             max_connections: 64,
-            limits: WireLimits::default(),
-            read_timeout: Duration::from_millis(500),
         }
     }
 
@@ -65,19 +64,6 @@ impl NetConfig {
     /// are answered `503 connection_cap`.
     pub fn with_max_connections(mut self, cap: usize) -> Self {
         self.max_connections = cap.max(1);
-        self
-    }
-
-    /// Wire parsing limits (head bytes, header count, body bytes).
-    pub fn with_limits(mut self, limits: WireLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// The socket read timeout (also the drain poll interval for idle
-    /// keep-alive connections); clamped to ≥ 10 ms.
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = timeout.max(Duration::from_millis(10));
         self
     }
 
@@ -347,10 +333,7 @@ fn refuse(mut stream: TcpStream, shared: &Shared, error: NetError) {
 
 /// The per-connection keep-alive loop: parse, route, answer, repeat.
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    if stream
-        .set_read_timeout(Some(shared.config.read_timeout))
-        .is_err()
-    {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
         return;
     }
     // Responses are single buffered frames; Nagle would only add latency.
@@ -360,9 +343,10 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
+    let limits = WireLimits::default();
     loop {
         let draining = shared.draining.load(Ordering::SeqCst);
-        let request = match http::read_request(&mut reader, &shared.config.limits) {
+        let request = match http::read_request(&mut reader, &limits) {
             Ok(ReadOutcome::Request(r)) => r,
             Ok(ReadOutcome::Closed) => return,
             Ok(ReadOutcome::Idle) => {
@@ -381,7 +365,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 shared.counters.requests.inc();
                 let status = e.http_status();
                 shared.count_response(status);
-                let body = json::error_body(e.code(), &e.to_string());
+                let body = json::error_body(e.code(), &e.message());
                 let _ = http::write_response(&mut writer, status, &body, true);
                 return;
             }
@@ -439,7 +423,7 @@ impl Reply {
     fn error(e: &NetError) -> Self {
         Reply {
             status: e.http_status(),
-            body: json::error_body(e.code(), &e.to_string()),
+            body: json::error_body(e.code(), &e.message()),
             content_type: "application/json",
             headers: Vec::new(),
         }
@@ -454,7 +438,7 @@ impl Reply {
                 let mut w = JsonWriter::object();
                 w.begin_object("error")
                     .field_str("code", e.code())
-                    .field_str("message", &e.to_string())
+                    .field_str("message", &e.message())
                     .field_str("trace", &id.to_string())
                     .end();
                 Reply {
@@ -836,6 +820,24 @@ mod tests {
             ledger,
         ));
         NetServer::start(NetConfig::new(), server).unwrap()
+    }
+
+    #[test]
+    fn estimator_failures_render_without_their_inner_text() {
+        // A worker copies a panic payload into the estimator error; the
+        // wire body must name the failure, never echo the payload.
+        let marker = "SECRET-PANIC-PAYLOAD";
+        let e = NetError::Serve(ccdp_serve::ServeError::Estimator(
+            ccdp_core::CcdpError::Algorithm(ccdp_core::CoreError::InvalidParameter(
+                marker.to_string(),
+            )),
+        ));
+        for reply in [Reply::error(&e), Reply::error_traced(&e, Some(TraceId(7)))] {
+            assert_eq!(reply.status, 500);
+            assert!(reply.body.contains("estimator_failed"), "{}", reply.body);
+            assert!(reply.body.contains("estimator failed"), "{}", reply.body);
+            assert!(!reply.body.contains(marker), "{}", reply.body);
+        }
     }
 
     #[test]

@@ -18,16 +18,14 @@
 //! multi-node budget replication: ship the events, fold them, and the
 //! replica's accountant *is* the primary's.
 //!
-//! Hot-path contract, in the spirit of [`crate::trace`]:
-//!
-//! * a **disabled** journal costs one relaxed load and a branch;
-//! * an **enabled** recording claims a sequence number with one
-//!   `fetch_add` and takes one uncontended per-slot mutex (events carry
-//!   heap strings, so slots cannot be seqlocked like span events);
-//!   writers only contend when the ring wraps onto a slot another writer
-//!   holds, and the journal never back-pressures the pipeline —
-//!   overwritten events are counted in [`AuditJournal::dropped`], not
-//!   waited for.
+//! The journal is always on: there is no switch that lets a budget
+//! decision go unrecorded. Hot-path contract: a recording claims a
+//! sequence number with one `fetch_add` and takes one uncontended
+//! per-slot mutex (events carry heap strings, so slots cannot be seqlocked
+//! like span events); writers only contend when the ring wraps onto a slot
+//! another writer holds, and the journal never back-pressures the
+//! pipeline — overwritten events are counted in [`AuditJournal::dropped`],
+//! not waited for.
 //!
 //! Per-tenant event order is the caller's responsibility: the budget
 //! ledger records under its per-tenant lock, so one tenant's events carry
@@ -37,7 +35,7 @@
 use crate::trace::TraceId;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Default journal capacity (events retained before wrap-around).
@@ -241,38 +239,25 @@ fn escape_json_into(s: &str, out: &mut String) {
 /// event, including ones the ring later overwrites, so the file is the
 /// complete history and the ring is the fast recent window.
 pub struct AuditJournal {
-    enabled: AtomicBool,
     head: AtomicU64,
     slots: Vec<Mutex<Option<AuditEvent>>>,
     sink: Mutex<Option<BufWriter<File>>>,
 }
 
 impl AuditJournal {
-    /// A journal with [`DEFAULT_AUDIT_CAPACITY`] slots, enabled.
+    /// A journal with [`DEFAULT_AUDIT_CAPACITY`] slots.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_AUDIT_CAPACITY)
     }
 
-    /// A journal retaining at most `capacity` events (min 8), enabled.
+    /// A journal retaining at most `capacity` events (min 8).
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(8);
         AuditJournal {
-            enabled: AtomicBool::new(true),
             head: AtomicU64::new(0),
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             sink: Mutex::new(None),
         }
-    }
-
-    /// Turns recording on or off. Off, [`record`](Self::record) is one
-    /// relaxed load and a branch.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the journal is currently recording.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// The ring capacity in events.
@@ -309,12 +294,8 @@ impl AuditJournal {
     }
 
     /// Records one event, assigning its sequence number and timestamp.
-    /// Returns the assigned sequence, or `None` when the journal is
-    /// disabled.
-    pub fn record(&self, mut event: AuditEvent) -> Option<u64> {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return None;
-        }
+    /// Returns the assigned sequence.
+    pub fn record(&self, mut event: AuditEvent) -> u64 {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         event.seq = seq;
         event.at_micros = std::time::SystemTime::now()
@@ -332,7 +313,7 @@ impl AuditJournal {
         }
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
         *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(event);
-        Some(seq)
+        seq
     }
 
     /// Every event currently retained in the ring, in sequence order.
@@ -368,7 +349,6 @@ impl Default for AuditJournal {
 impl std::fmt::Debug for AuditJournal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AuditJournal")
-            .field("enabled", &self.enabled())
             .field("capacity", &self.capacity())
             .field("recorded", &self.recorded())
             .field("dropped", &self.dropped())
@@ -460,9 +440,7 @@ mod tests {
     fn record_assigns_increasing_seqs_and_snapshot_sorts() {
         let journal = AuditJournal::with_capacity(16);
         for i in 0..5 {
-            let seq = journal
-                .record(charge("alpha", &format!("s{i}"), 0.1))
-                .expect("enabled journal records");
+            let seq = journal.record(charge("alpha", &format!("s{i}"), 0.1));
             assert_eq!(seq, i as u64);
         }
         let events = journal.snapshot();
@@ -470,15 +448,6 @@ mod tests {
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
         assert_eq!(journal.recorded(), 5);
         assert_eq!(journal.dropped(), 0);
-    }
-
-    #[test]
-    fn disabled_journal_records_nothing() {
-        let journal = AuditJournal::with_capacity(8);
-        journal.set_enabled(false);
-        assert_eq!(journal.record(charge("a", "s", 0.1)), None);
-        assert_eq!(journal.recorded(), 0);
-        assert!(journal.snapshot().is_empty());
     }
 
     #[test]

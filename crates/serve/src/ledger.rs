@@ -564,6 +564,22 @@ mod tests {
     }
 
     #[test]
+    fn an_exhausted_tenant_is_refused_dust_releases() {
+        let ledger = BudgetLedger::new();
+        ledger.register("acme", 1.0).unwrap();
+        let t = TenantId::new("acme");
+        ledger.try_spend(&t, "release", 1.0).unwrap();
+        // Each refused 1e-12 request would otherwise be one more release
+        // funded by the same rounding slack: composition must stay bounded.
+        let admitted = (0..1000)
+            .filter(|_| ledger.try_spend(&t, "release", 1e-12).is_ok())
+            .count();
+        assert!(admitted <= 1, "{admitted} dust releases admitted");
+        assert!(!ledger.can_spend(&t, 1e-12).unwrap());
+        assert!(ledger.account_view(&t).unwrap().spent_epsilon <= 1.0 + 1e-12);
+    }
+
+    #[test]
     fn malformed_epsilon_is_a_typed_refusal_not_a_panic() {
         let ledger = BudgetLedger::new();
         ledger.register("t", 1.0).unwrap();

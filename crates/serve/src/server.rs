@@ -26,6 +26,7 @@ use crate::error::ServeError;
 use crate::ledger::{BudgetLedger, TenantId};
 use crate::registry::{GraphId, GraphRegistry};
 use crate::stats::{RequestOutcome, ServeStats, StatsSnapshot};
+use ccdp_core::cache::DEFAULT_FAMILY_CACHE_CAPACITY;
 use ccdp_core::{CacheStats, EstimatorConfig, ExtensionCache, PrivateCcEstimator, Release};
 use ccdp_exec::PhaseProfiler;
 use ccdp_graph::GraphVersion;
@@ -43,29 +44,29 @@ use std::time::{Duration, Instant};
 
 /// Configuration of a [`Server`] (non-panicking builder; values are clamped
 /// to sane minimums at start).
+///
+/// Two things are deliberately not configurable: the shared family cache
+/// always holds [`DEFAULT_FAMILY_CACHE_CAPACITY`] entries, and the audit
+/// journal is always on, so no configuration lets a budget charge go
+/// unjournaled.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     workers: usize,
     queue_capacity: usize,
-    cache_capacity: usize,
     seed: u64,
     delta_max: Option<usize>,
     tracing: bool,
-    audit: bool,
 }
 
 impl ServeConfig {
-    /// Defaults: 4 workers, queue capacity 256, default cache capacity,
-    /// seed 0.
+    /// Defaults: 4 workers, queue capacity 256, seed 0, tracing off.
     pub fn new() -> Self {
         ServeConfig {
             workers: 4,
             queue_capacity: 256,
-            cache_capacity: ccdp_core::cache::DEFAULT_FAMILY_CACHE_CAPACITY,
             seed: 0,
             delta_max: None,
             tracing: false,
-            audit: true,
         }
     }
 
@@ -83,22 +84,6 @@ impl ServeConfig {
         self.tracing
     }
 
-    /// Enables or disables the privacy-budget audit journal (default on).
-    /// Off, every would-be event emission costs exactly one branch; on,
-    /// every budget decision (charge, refusal, registration, publish,
-    /// drain) lands as a typed [`AuditEvent`] in the server's
-    /// [`AuditJournal`] ring for `GET /audit/{tenant}` / `ccdp audit`
-    /// assembly and bit-for-bit ledger replay.
-    pub fn with_audit(mut self, audit: bool) -> Self {
-        self.audit = audit;
-        self
-    }
-
-    /// Whether the audit journal is enabled.
-    pub fn audit(&self) -> bool {
-        self.audit
-    }
-
     /// Number of worker threads (clamped to ≥ 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -109,12 +94,6 @@ impl ServeConfig {
     /// [`ServeError::QueueFull`].
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Capacity of the shared extension-family cache.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
         self
     }
 
@@ -291,7 +270,7 @@ impl Server {
         // so a single scrape covers serve, cache, budget and phase series.
         let metrics = Arc::new(MetricsRegistry::new());
         let cache = Arc::new(ExtensionCache::with_metrics(
-            config.cache_capacity.max(1),
+            DEFAULT_FAMILY_CACHE_CAPACITY,
             &metrics,
         ));
         let stats = Arc::new(ServeStats::with_metrics(&metrics));
@@ -303,7 +282,6 @@ impl Server {
         // (fires/invalidations, via its server handle). One ring means one
         // totally-ordered sequence.
         let journal = Arc::new(AuditJournal::new());
-        journal.set_enabled(config.audit);
         ledger.set_journal(Arc::clone(&journal));
         registry.set_journal(Arc::clone(&journal));
         // Ring-drop accounting is pull-based (the rings only know their own
@@ -358,8 +336,7 @@ impl Server {
     }
 
     /// The server's audit journal (the `GET /audit/{tenant}` / `ccdp audit`
-    /// source). Toggle at runtime with
-    /// [`AuditJournal::set_enabled`]; attach a JSONL file sink with
+    /// source); attach a JSONL file sink with
     /// [`AuditJournal::set_sink_path`].
     pub fn journal(&self) -> &Arc<AuditJournal> {
         &self.journal
@@ -1203,24 +1180,6 @@ mod tests {
             .snapshot()
             .iter()
             .any(|e| e.kind == AuditKind::Drain));
-    }
-
-    #[test]
-    fn audit_off_records_nothing() {
-        let (registry, ledger) = fleet();
-        let server = Server::start(
-            ServeConfig::new().with_workers(1).with_audit(false),
-            registry,
-            ledger,
-        );
-        assert!(!server.config().audit());
-        let ok = server
-            .submit(ServeRequest::new("acme", "stars", 1.0))
-            .unwrap()
-            .wait();
-        assert!(ok.result.is_ok());
-        assert_eq!(server.journal().recorded(), 0);
-        server.shutdown();
     }
 
     #[test]

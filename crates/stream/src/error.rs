@@ -19,24 +19,13 @@ pub enum StreamError {
         vertex: usize,
     },
     /// An insertion names a vertex at or beyond the stream's universe cap
-    /// (see `GraphStream::with_max_vertices`) — refused so one malformed
-    /// feed line cannot exhaust memory.
+    /// (`DEFAULT_MAX_VERTICES`, or the initial graph's size if larger) —
+    /// refused so one malformed feed line cannot exhaust memory.
     VertexOutOfRange {
         /// The offending vertex.
         vertex: usize,
         /// The stream's cap.
         max_vertices: usize,
-    },
-    /// The exact cross-check mode found the incremental component count
-    /// disagreeing with a from-scratch recomputation. This indicates a bug
-    /// in the incremental maintenance and poisons the stream.
-    CrossCheckFailed {
-        /// The from-scratch count.
-        expected: usize,
-        /// The incremental count.
-        got: usize,
-        /// The stream clock at the divergence.
-        time: u64,
     },
     /// The serving tier refused an operation (budget exhausted, version
     /// collision, unknown tenant, …).
@@ -61,14 +50,6 @@ impl std::fmt::Display for StreamError {
             } => write!(
                 f,
                 "vertex {vertex} is beyond the stream's universe cap of {max_vertices}"
-            ),
-            StreamError::CrossCheckFailed {
-                expected,
-                got,
-                time,
-            } => write!(
-                f,
-                "incremental component count {got} != from-scratch {expected} at time {time}"
             ),
             StreamError::Serve(e) => write!(f, "serving tier refused: {e}"),
         }
@@ -98,10 +79,9 @@ mod tests {
     fn display_names_the_offender() {
         let e = StreamError::TimestampRegression { last: 9, got: 4 };
         assert!(e.to_string().contains('9') && e.to_string().contains('4'));
-        let e = StreamError::CrossCheckFailed {
-            expected: 3,
-            got: 5,
-            time: 17,
+        let e = StreamError::VertexOutOfRange {
+            vertex: 17,
+            max_vertices: 16,
         };
         assert!(e.to_string().contains("17"));
         let e = StreamError::Serve(ServeError::ShuttingDown);

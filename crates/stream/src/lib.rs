@@ -7,9 +7,8 @@
 //!
 //! * [`stream`] — [`GraphStream`]: timestamped edge insertions/deletions
 //!   (single and batched), incremental component counts (union-find in
-//!   insert-only epochs, lazy epoch compaction + rebuild on deletions, an
-//!   exact from-scratch cross-check mode), and immutable versioned
-//!   [`GraphSnapshot`]s.
+//!   insert-only epochs, lazy epoch compaction + rebuild on deletions), and
+//!   immutable versioned [`GraphSnapshot`]s.
 //! * [`replay`] — plain-text mutation-list I/O in the style of
 //!   [`ccdp_graph::io`]: `t + u v` / `t - u v` lines, so feeds can be
 //!   archived and replayed.

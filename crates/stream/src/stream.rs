@@ -13,10 +13,11 @@
 //!   rebuilt from the current edge set at the next count query. Deletion
 //!   storms are absorbed by one rebuild (the rebuild is lazy), after which a
 //!   fresh insert-only epoch begins.
-//! * An optional **cross-check mode** recomputes the count from scratch
-//!   after every mutation and fails loudly
-//!   ([`StreamError::CrossCheckFailed`]) on any divergence — the
-//!   belt-and-braces setting for tests and canary deployments.
+//!
+//! Insertions are capped at [`DEFAULT_MAX_VERTICES`] (or the initial graph's
+//! size, if larger), so one malformed feed line cannot exhaust memory. The
+//! stream's tests check the incremental count against a from-scratch
+//! recomputation after every mutation.
 //!
 //! Calling [`GraphStream::snapshot`] freezes the current state into an
 //! immutable [`GraphSnapshot`] stamped with the stream's next
@@ -26,7 +27,7 @@
 
 use crate::error::StreamError;
 use ccdp_graph::io::DEFAULT_MAX_VERTICES;
-use ccdp_graph::{components, Graph, GraphVersion, UnionFind};
+use ccdp_graph::{Graph, GraphVersion, UnionFind};
 use ccdp_serve::GraphId;
 use std::sync::Arc;
 
@@ -147,8 +148,6 @@ pub struct GraphStream {
     dirty: bool,
     clock: u64,
     next_version: GraphVersion,
-    cross_check: bool,
-    max_vertices: usize,
     stats: StreamStats,
 }
 
@@ -165,7 +164,6 @@ impl GraphStream {
         for (u, v) in graph.edges() {
             uf.union(u, v);
         }
-        let max_vertices = DEFAULT_MAX_VERTICES.max(graph.num_vertices());
         GraphStream {
             id: id.into(),
             graph,
@@ -173,26 +171,8 @@ impl GraphStream {
             dirty: false,
             clock: 0,
             next_version: GraphVersion::INITIAL,
-            cross_check: false,
-            max_vertices,
             stats: StreamStats::default(),
         }
-    }
-
-    /// Enables or disables the exact from-scratch cross-check after every
-    /// mutation (expensive: O(n + m) per mutation; for tests and canaries).
-    pub fn with_cross_check(mut self, enabled: bool) -> Self {
-        self.cross_check = enabled;
-        self
-    }
-
-    /// Caps the vertex universe (default [`DEFAULT_MAX_VERTICES`], clamped
-    /// to at least the initial graph's size): a mutation naming a vertex at
-    /// or beyond the cap is a typed [`StreamError::VertexOutOfRange`]
-    /// refusal, so one malformed feed line cannot exhaust memory.
-    pub fn with_max_vertices(mut self, max: usize) -> Self {
-        self.max_vertices = max.max(self.graph.num_vertices());
-        self
     }
 
     /// The stream's catalog id.
@@ -223,8 +203,9 @@ impl GraphStream {
     /// Applies one mutation. Returns whether the graph changed (re-inserting
     /// a present edge or deleting an absent one is an accepted no-op).
     ///
-    /// Only *insertions* grow the vertex universe (up to the
-    /// [`with_max_vertices`](Self::with_max_vertices) cap): a deletion
+    /// Only *insertions* grow the vertex universe (up to the cap of
+    /// [`DEFAULT_MAX_VERTICES`], or the initial graph's size if larger): a
+    /// deletion
     /// naming unseen vertices cannot possibly remove an edge, so it is a
     /// plain no-op — a typoed delete line never inflates the component
     /// count.
@@ -232,10 +213,8 @@ impl GraphStream {
     /// # Errors
     /// [`StreamError::TimestampRegression`] if `m.time` is before the stream
     /// clock, [`StreamError::SelfLoop`] on `u == v`,
-    /// [`StreamError::VertexOutOfRange`] if an insertion names a vertex at
-    /// or beyond the cap, and [`StreamError::CrossCheckFailed`] if
-    /// cross-check mode detects a divergence (a bug, never an expected
-    /// outcome).
+    /// and [`StreamError::VertexOutOfRange`] if an insertion names a vertex
+    /// at or beyond the cap.
     pub fn apply(&mut self, m: &Mutation) -> Result<bool, StreamError> {
         if m.time < self.clock {
             return Err(StreamError::TimestampRegression {
@@ -247,10 +226,13 @@ impl GraphStream {
             return Err(StreamError::SelfLoop { vertex: m.u });
         }
         let top = m.u.max(m.v);
-        if m.op == EdgeOp::Insert && top >= self.max_vertices {
+        // Insertions never grow the universe past the cap, so the current
+        // size exceeds the default cap only when the initial graph did.
+        let max_vertices = DEFAULT_MAX_VERTICES.max(self.graph.num_vertices());
+        if m.op == EdgeOp::Insert && top >= max_vertices {
             return Err(StreamError::VertexOutOfRange {
                 vertex: top,
-                max_vertices: self.max_vertices,
+                max_vertices,
             });
         }
         self.clock = m.time;
@@ -282,17 +264,6 @@ impl GraphStream {
             }
         };
         self.stats.mutations_applied += 1;
-        if self.cross_check {
-            let expected = components::num_connected_components(&self.graph);
-            let got = self.num_components();
-            if got != expected {
-                return Err(StreamError::CrossCheckFailed {
-                    expected,
-                    got,
-                    time: self.clock,
-                });
-            }
-        }
         Ok(changed)
     }
 
@@ -423,14 +394,16 @@ mod tests {
 
     #[test]
     fn insertions_beyond_the_cap_are_typed_refusals() {
-        let mut s = GraphStream::new("g").with_max_vertices(10);
+        let mut s = GraphStream::new("g");
         s.apply(&Mutation::insert(1, 0, 9)).unwrap();
-        let err = s.apply(&Mutation::insert(2, 0, 10)).unwrap_err();
+        let err = s
+            .apply(&Mutation::insert(2, 0, DEFAULT_MAX_VERTICES))
+            .unwrap_err();
         assert_eq!(
             err,
             StreamError::VertexOutOfRange {
-                vertex: 10,
-                max_vertices: 10
+                vertex: DEFAULT_MAX_VERTICES,
+                max_vertices: DEFAULT_MAX_VERTICES
             }
         );
         // usize::MAX cannot overflow the growth arithmetic: it is refused
@@ -438,9 +411,8 @@ mod tests {
         let err = s.apply(&Mutation::insert(3, 0, usize::MAX)).unwrap_err();
         assert!(matches!(err, StreamError::VertexOutOfRange { .. }));
         assert_eq!(s.graph().num_vertices(), 10);
-        // The cap never truncates an initial graph.
-        let s = GraphStream::from_graph("h", Graph::new(20)).with_max_vertices(5);
-        assert_eq!(s.graph().num_vertices(), 20);
+        // Refused insertions are not counted as applied.
+        assert_eq!(s.stats().mutations_applied, 1);
     }
 
     #[test]
@@ -482,8 +454,8 @@ mod tests {
     }
 
     #[test]
-    fn cross_check_mode_agrees_on_a_mixed_workload() {
-        let mut s = GraphStream::new("g").with_cross_check(true);
+    fn incremental_count_matches_recount_on_a_mixed_workload() {
+        let mut s = GraphStream::new("g");
         let script = [
             Mutation::insert(1, 0, 1),
             Mutation::insert(2, 1, 2),
@@ -493,8 +465,14 @@ mod tests {
             Mutation::delete(6, 0, 1),
             Mutation::insert(7, 0, 4),
         ];
-        let changed = s.apply_batch(&script).unwrap();
-        assert_eq!(changed, script.len(), "every scripted mutation is real");
+        for m in &script {
+            assert!(s.apply(m).unwrap(), "every scripted mutation is real");
+            assert_eq!(
+                s.num_components(),
+                ccdp_graph::components::num_connected_components(s.graph()),
+                "divergence after {m:?}"
+            );
+        }
         // End state: {0, 2, 3, 4} connected via 2-3 and 0-4, {1} isolated.
         assert_eq!(s.num_components(), 2);
     }

@@ -54,13 +54,14 @@ proptest! {
     }
 
     #[test]
-    fn cross_check_mode_never_trips(
+    fn cross_check_never_trips(
         n in 2usize..10,
         raw_ops in vec(op_strategy(10), 1..80),
     ) {
-        // The stream's own canary must agree with itself on any workload:
-        // an error here is a bug in the incremental maintenance.
-        let mut stream = GraphStream::new("prop-canary").with_cross_check(true);
+        // The incremental count must agree with a from-scratch recount after
+        // every mutation: a divergence is a bug in the incremental
+        // maintenance.
+        let mut stream = GraphStream::new("prop-canary");
         for (t, &(u, v, del)) in raw_ops.iter().enumerate() {
             let (u, v) = (u % n, v % n);
             if u == v {
@@ -71,7 +72,13 @@ proptest! {
             } else {
                 Mutation::insert(t as u64 + 1, u, v)
             };
-            prop_assert!(stream.apply(&m).is_ok(), "cross-check tripped at op {}", t);
+            prop_assert!(stream.apply(&m).is_ok(), "mutation refused at op {}", t);
+            prop_assert_eq!(
+                stream.num_components(),
+                components::num_connected_components(stream.graph()),
+                "cross-check tripped at op {}",
+                t
+            );
         }
     }
 

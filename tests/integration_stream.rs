@@ -38,9 +38,17 @@ fn evolving_fleet_releases_match_their_snapshots() {
 
     let mut releases = Vec::new();
     for index in 0..spec.graphs {
-        let mut stream = spec.stream(index).with_cross_check(true);
+        let mut stream = spec.stream(index);
         for batch in spec.mutations(index).chunks(6) {
-            stream.apply_batch(batch).unwrap();
+            for m in batch {
+                stream.apply(m).unwrap();
+                // Cross-check the incremental count after every mutation.
+                assert_eq!(
+                    stream.num_components(),
+                    components::num_connected_components(stream.graph()),
+                    "incremental count diverged at {m:?}"
+                );
+            }
             if let Some(r) = scheduler.observe(&mut stream, &tenant).unwrap() {
                 // Verified at release time, before retention can expire the
                 // snapshot: the release names a resolvable version whose

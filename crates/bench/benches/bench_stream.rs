@@ -5,11 +5,10 @@
 //!   fast path, no rebuilds),
 //! * `mutation_throughput_mixed` — the CI mutation mix with real deletions
 //!   (epoch compaction + lazy rebuilds included),
-//! * `release_pipeline` — one full scheduler release: snapshot → publish →
-//!   invalidate → charge → estimate → log.
+//! * `release_pipeline` — one full scheduler release through a 1-worker
+//!   `Server`: snapshot → publish → submit → charge → estimate → invalidate.
 
-use ccdp_core::ExtensionCache;
-use ccdp_serve::{BudgetLedger, GraphRegistry, TenantId};
+use ccdp_serve::{BudgetLedger, GraphRegistry, ServeConfig, Server, TenantId};
 use ccdp_stream::{
     GraphStream, Mutation, MutationSpec, ReleasePolicy, ReleaseScheduler, SchedulerConfig,
 };
@@ -68,18 +67,19 @@ fn bench_release_pipeline(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
 
-    let registry = Arc::new(GraphRegistry::new());
     let ledger = Arc::new(BudgetLedger::new());
     ledger.register("bench", 1e9).unwrap();
     let tenant = TenantId::new("bench");
-    let cache = Arc::new(ExtensionCache::new(64));
-    let scheduler = ReleaseScheduler::new(
+    let server = Arc::new(Server::start(
+        ServeConfig::new().with_workers(1),
+        Arc::new(GraphRegistry::new()),
+        ledger,
+    ));
+    let scheduler = ReleaseScheduler::with_server(
         SchedulerConfig::new(ReleasePolicy::OnDemand)
             .with_epsilon(0.1)
             .with_retain_versions(4),
-        registry,
-        ledger,
-        cache,
+        server,
     );
     let spec = MutationSpec::ci_smoke();
     let mut stream = spec.stream(0);

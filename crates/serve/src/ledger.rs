@@ -11,15 +11,14 @@
 //!
 //! # Continual releases (the streaming tier)
 //!
-//! The `ccdp_stream` release scheduler charges this same ledger: every fired
-//! re-estimation of an evolving graph spends its ε here *before* the
-//! estimator runs, under the identical check-and-spend, with the ledger
-//! stage named `graph-id@version` so a tenant's account reads as a versioned
-//! audit trail of which snapshot each grant funded. Releases about
-//! *different versions of one graph* still compose sequentially against the
-//! tenant's single quota — node-DP composition is per tenant, not per
-//! snapshot — and an exhausted quota stops that tenant's releases (typed
-//! refusal) while ingestion and other tenants continue untouched.
+//! The `ccdp_stream` release scheduler charges this same ledger through the
+//! same path: every fired re-estimation of an evolving graph is one more
+//! [`Server`](crate::Server) request, whose worker spends its ε here *before*
+//! the estimator runs, with the ledger stage named by the graph id. Releases
+//! about *different versions of one graph* still compose sequentially
+//! against the tenant's single quota — node-DP composition is per tenant,
+//! not per snapshot — and an exhausted quota stops that tenant's releases
+//! (typed refusal) while ingestion and other tenants continue untouched.
 
 use crate::error::ServeError;
 use ccdp_dp::PrivacyBudget;
@@ -142,22 +141,17 @@ impl BudgetLedger {
     }
 
     /// Registers the ledger's counters in `registry` as the
-    /// `ccdp_dp_budget_*` island. The ledger is typically constructed before
-    /// any registry exists, so the counters start detached and are *adopted*
+    /// `ccdp_dp_budget_*` island, plus per-tenant labeled series: the
+    /// registry handle is kept so every current *and future* tenant gets
+    /// `ccdp_serve_budget_spent_total{tenant=...}` (granted ε) and
+    /// `ccdp_serve_budget_utilization_ppm{tenant=...}` (quota utilization in
+    /// parts-per-million). The ledger is typically constructed before any
+    /// registry exists, so the counters start detached and are *adopted*
     /// here — grants recorded before publication stay visible in the scrape.
-    pub fn publish_metrics(&self, registry: &MetricsRegistry) {
+    pub fn publish_metrics(&self, registry: &Arc<MetricsRegistry>) {
         registry.adopt_counter("ccdp_dp_budget_charges_total", &self.charges);
         registry.adopt_counter("ccdp_dp_budget_refusals_total", &self.refusals);
         registry.adopt_float_counter("ccdp_dp_budget_epsilon_spent_total", &self.epsilon_spent);
-    }
-
-    /// [`publish_metrics`](Self::publish_metrics), plus per-tenant labeled
-    /// series: keeps the registry handle so every current *and future*
-    /// tenant gets `ccdp_serve_budget_spent_total{tenant=...}` (granted ε)
-    /// and `ccdp_serve_budget_utilization_ppm{tenant=...}` (quota
-    /// utilization in parts-per-million).
-    pub fn publish_metrics_shared(&self, registry: &Arc<MetricsRegistry>) {
-        self.publish_metrics(registry);
         *self.metrics.write().unwrap_or_else(|p| p.into_inner()) = Some(Arc::clone(registry));
         for (tenant, entry) in self.read().iter() {
             Self::ensure_series(registry, tenant, entry);
@@ -193,11 +187,10 @@ impl BudgetLedger {
                     .detail("checkpoint: account predates journal"),
             );
             for (stage, granted) in budget.ledger() {
-                let (graph, version) = split_stage(stage);
                 journal.record(
                     AuditEvent::new(AuditKind::BudgetCharge)
                         .tenant(tenant.as_str())
-                        .graph(graph, version)
+                        .graph(stage, None)
                         .stage(stage.as_str())
                         .epsilon(*granted, *granted)
                         .detail("checkpoint: grant predates journal"),
@@ -345,11 +338,10 @@ impl BudgetLedger {
                         .set((budget.utilization() * 1e6) as i64);
                 }
                 if let Some(journal) = self.journal() {
-                    let (graph, version) = split_stage(stage);
                     journal.record(
                         AuditEvent::new(AuditKind::BudgetCharge)
                             .tenant(tenant.as_str())
-                            .graph(graph, version)
+                            .graph(stage, None)
                             .stage(stage)
                             .epsilon(epsilon, granted)
                             .trace(trace),
@@ -361,11 +353,10 @@ impl BudgetLedger {
                 self.refusals.inc();
                 entry.refusals.fetch_add(1, Ordering::Relaxed);
                 if let Some(journal) = self.journal() {
-                    let (graph, version) = split_stage(stage);
                     journal.record(
                         AuditEvent::new(AuditKind::BudgetRefusal)
                             .tenant(tenant.as_str())
-                            .graph(graph, version)
+                            .graph(stage, None)
                             .stage(stage)
                             .epsilon(epsilon, 0.0)
                             .trace(trace)
@@ -512,18 +503,6 @@ impl BudgetLedger {
     }
 }
 
-/// Splits a ledger stage into its graph coordinates: the streaming tier
-/// names stages `id@version`, the serving tier names them by graph id.
-fn split_stage(stage: &str) -> (&str, Option<u64>) {
-    match stage.rsplit_once('@') {
-        Some((graph, version)) => match version.parse() {
-            Ok(v) => (graph, Some(v)),
-            Err(_) => (stage, None),
-        },
-        None => (stage, None),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -626,7 +605,7 @@ mod tests {
         assert_eq!((ledger.charges(), ledger.refusals()), (2, 1));
         assert!((ledger.epsilon_spent() - 0.5).abs() < 1e-12);
         // Adoption into a registry preserves the pre-publication history.
-        let registry = MetricsRegistry::new();
+        let registry = Arc::new(MetricsRegistry::new());
         ledger.publish_metrics(&registry);
         let snap = registry.snapshot();
         assert_eq!(snap.value("ccdp_dp_budget_charges_total"), Some(2.0));
@@ -646,7 +625,7 @@ mod tests {
         ledger.register("acme", 1.0).unwrap();
         let t = TenantId::new("acme");
         ledger.try_spend(&t, "g0", 0.5).unwrap();
-        assert!(ledger.try_spend(&t, "g0@3", 0.75).is_err());
+        assert!(ledger.try_spend(&t, "g1", 0.75).is_err());
         // Malformed requests are not budget decisions: no events.
         let _ = ledger.try_spend(&t, "x", -1.0);
         let _ = ledger.try_spend(&TenantId::new("ghost"), "x", 0.1);
@@ -657,10 +636,7 @@ mod tests {
         assert_eq!(events[1].kind, AuditKind::BudgetCharge);
         assert_eq!((events[1].graph.as_str(), events[1].version), ("g0", None));
         assert_eq!(events[2].kind, AuditKind::BudgetRefusal);
-        assert_eq!(
-            (events[2].graph.as_str(), events[2].version),
-            ("g0", Some(3))
-        );
+        assert_eq!((events[2].graph.as_str(), events[2].version), ("g1", None));
         assert!(events[2].detail.contains("remaining"));
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
     }
@@ -700,7 +676,7 @@ mod tests {
             .try_spend(&TenantId::new("early"), "g", 0.25)
             .unwrap();
         let registry = Arc::new(MetricsRegistry::new());
-        ledger.publish_metrics_shared(&registry);
+        ledger.publish_metrics(&registry);
         // Pre-publication spends are backfilled into the labeled series.
         let snap = registry.snapshot();
         assert!((snap.sum("ccdp_serve_budget_spent_total") - 0.25).abs() < 1e-12);

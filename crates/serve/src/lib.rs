@@ -7,8 +7,8 @@
 //!
 //! * [`registry`] — the sharded, lock-striped, version-aware
 //!   [`GraphRegistry`]: a shared catalog of immutable `Arc<Graph>` snapshot
-//!   histories (insert/get by `(GraphId, GraphVersion)`, a latest pointer,
-//!   expiry of stale versions) with plain-text edge-list ingestion.
+//!   histories (insert/resolve by `(GraphId, GraphVersion)`, a latest
+//!   pointer, expiry of stale versions) with plain-text edge-list ingestion.
 //! * [`ledger`] — the per-tenant [`BudgetLedger`]: one
 //!   [`PrivacyBudget`](ccdp_dp::PrivacyBudget) accountant per tenant behind a
 //!   per-tenant lock, so no interleaving of concurrent requests can overdraw

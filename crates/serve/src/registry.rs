@@ -37,13 +37,12 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 pub use crate::ids::GraphId;
 
-/// Default number of lock stripes.
+/// Number of lock stripes.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Default number of snapshot versions retained per graph id. Publishing
-/// beyond it silently expires the oldest versions, so an update-style caller
-/// that republishes one id forever holds bounded memory; pass `0` to
-/// [`GraphRegistry::with_retention`] for unlimited histories.
+/// Number of snapshot versions retained per graph id. Publishing beyond it
+/// silently expires the oldest versions, so an update-style caller that
+/// republishes one id forever holds bounded memory.
 pub const DEFAULT_VERSION_RETENTION: usize = 8;
 
 /// One published snapshot: the graph and the CSR arena built from it.
@@ -74,34 +73,21 @@ type Shard = HashMap<GraphId, History>;
 #[derive(Debug)]
 pub struct GraphRegistry {
     shards: Vec<RwLock<Shard>>,
-    /// Per-id history bound enforced on publish (0 = unlimited).
-    retention: usize,
     /// Audit journal for `release_published` events (attached by the
     /// serving tier; `None` for a standalone catalog).
     journal: RwLock<Option<Arc<AuditJournal>>>,
 }
 
 impl GraphRegistry {
-    /// A registry with the default number of shards and version retention.
+    /// An empty registry striped across [`DEFAULT_SHARDS`] locks, keeping
+    /// at most [`DEFAULT_VERSION_RETENTION`] snapshot versions per id:
+    /// publishing past the bound expires the oldest versions, never the newly
+    /// published frontier.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// A registry striped across `shards` locks (≥ 1), with the default
-    /// version retention.
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_retention(shards, DEFAULT_VERSION_RETENTION)
-    }
-
-    /// A registry keeping at most `retention` snapshot versions per id
-    /// (0 = unlimited): publishing past the bound expires the oldest
-    /// versions, never the newly published frontier.
-    pub fn with_retention(shards: usize, retention: usize) -> Self {
         GraphRegistry {
-            shards: (0..shards.max(1))
+            shards: (0..DEFAULT_SHARDS)
                 .map(|_| RwLock::new(Shard::new()))
                 .collect(),
-            retention,
             journal: RwLock::new(None),
         }
     }
@@ -131,16 +117,6 @@ impl GraphRegistry {
         }
     }
 
-    /// The per-id version retention bound (0 = unlimited).
-    pub fn retention(&self) -> usize {
-        self.retention
-    }
-
-    /// Number of lock stripes.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, id: &GraphId) -> usize {
         let mut h = DefaultHasher::new();
         id.hash(&mut h);
@@ -163,10 +139,8 @@ impl GraphRegistry {
     /// latest ([`GraphVersion::INITIAL`] for a fresh id), returning the
     /// previously latest snapshot if this superseded one.
     ///
-    /// Prior versions are retained up to the registry's
-    /// [`retention`](GraphRegistry::retention) bound — republishing one id
-    /// forever holds bounded memory (see also
-    /// [`GraphRegistry::evict_versions_below`] and
+    /// Prior versions are retained up to [`DEFAULT_VERSION_RETENTION`] —
+    /// republishing one id forever holds bounded memory (see also
     /// [`GraphRegistry::retain_latest`] for explicit expiry).
     pub fn insert(
         &self,
@@ -180,7 +154,7 @@ impl GraphRegistry {
         let version = next_version(history);
         let previous = history.last_key_value().map(|(_, p)| Arc::clone(&p.graph));
         history.insert(version, published);
-        let expired = split_off_oldest(history, self.retention);
+        let expired = split_off_oldest(history, DEFAULT_VERSION_RETENTION);
         drop(shard);
         drop(expired);
         self.audit_publish(&id, version, "published as next version");
@@ -211,7 +185,7 @@ impl GraphRegistry {
         if history.contains_key(&version) {
             return Err(ServeError::VersionExists { graph: id, version });
         }
-        if self.retention > 0 && history.len() >= self.retention {
+        if history.len() >= DEFAULT_VERSION_RETENTION {
             if let Some((&oldest, _)) = history.first_key_value() {
                 if version < oldest {
                     return Err(ServeError::VersionExpired {
@@ -223,7 +197,7 @@ impl GraphRegistry {
             }
         }
         history.insert(version, published);
-        let expired = split_off_oldest(history, self.retention);
+        let expired = split_off_oldest(history, DEFAULT_VERSION_RETENTION);
         drop(shard);
         drop(expired);
         self.audit_publish(&id, version, "published at explicit version");
@@ -231,22 +205,13 @@ impl GraphRegistry {
     }
 
     /// Parses `text` as a plain-text edge list (see [`ccdp_graph::io`]) and
-    /// publishes the graph under `id` at [`GraphVersion::INITIAL`].
+    /// publishes the graph under the exact `(id, version)` pair.
     ///
     /// # Errors
-    /// [`ServeError::Ingest`] on a malformed edge list, and
-    /// [`ServeError::VersionExists`] when `id` already holds an initial
-    /// snapshot — re-ingesting an existing id is a typed refusal, never a
+    /// [`ServeError::Ingest`] on a malformed edge list, and the refusals of
+    /// [`insert_version`](Self::insert_version) — re-ingesting a published
+    /// `(id, version)` is a typed [`ServeError::VersionExists`], never a
     /// silent overwrite.
-    pub fn ingest_edge_list(
-        &self,
-        id: impl Into<GraphId>,
-        text: &str,
-    ) -> Result<Arc<Graph>, ServeError> {
-        self.ingest_edge_list_version(id, GraphVersion::INITIAL, text)
-    }
-
-    /// [`ingest_edge_list`](Self::ingest_edge_list) at an explicit version.
     pub fn ingest_edge_list_version(
         &self,
         id: impl Into<GraphId>,
@@ -255,16 +220,6 @@ impl GraphRegistry {
     ) -> Result<Arc<Graph>, ServeError> {
         let graph = io::from_edge_list(text)?;
         self.insert_version(id, version, graph)
-    }
-
-    /// The latest snapshot stored under `id`, if any.
-    pub fn get(&self, id: &GraphId) -> Option<Arc<Graph>> {
-        self.resolve(id).ok()
-    }
-
-    /// The snapshot stored under `(id, version)`, if any.
-    pub fn get_version(&self, id: &GraphId, version: GraphVersion) -> Option<Arc<Graph>> {
-        self.resolve_version(id, version).ok()
     }
 
     /// The latest published version of `id`, if any.
@@ -345,24 +300,6 @@ impl GraphRegistry {
         Ok((v, pick(published)))
     }
 
-    /// Expires every snapshot of `id` with a version strictly below
-    /// `version`, returning how many were evicted. The latest snapshot is
-    /// always kept, even if it falls below the cutoff — expiry prunes
-    /// history, it never unpublishes a graph.
-    pub fn evict_versions_below(&self, id: &GraphId, version: GraphVersion) -> usize {
-        let mut shard = self.write(id);
-        let Some(history) = shard.get_mut(id) else {
-            return 0;
-        };
-        let Some((&latest, _)) = history.last_key_value() else {
-            return 0;
-        };
-        let kept = history.split_off(&version.min(latest));
-        let expired = std::mem::replace(history, kept);
-        drop(shard);
-        expired.len()
-    }
-
     /// Keeps only the `keep` most recent snapshots of `id` (≥ 1), returning
     /// how many older ones were evicted.
     pub fn retain_latest(&self, id: &GraphId, keep: usize) -> usize {
@@ -380,10 +317,10 @@ impl GraphRegistry {
     ///
     /// Snapshots are normally immutable once published; this exists for the
     /// one caller with a legitimate claim — a publisher rolling back a
-    /// version *it just published* that was never served (e.g. the release
-    /// scheduler unwinding a publish after queue backpressure refused the
-    /// estimate). Concurrent readers that already resolved the snapshot keep
-    /// their `Arc` — removal unlists, it never invalidates.
+    /// version *it just published* that was never served (the release
+    /// scheduler unwinding a publish whose release was refused before its
+    /// budget charge). Concurrent readers that already resolved the snapshot
+    /// keep their `Arc` — removal unlists, it never invalidates.
     pub fn remove_version(&self, id: &GraphId, version: GraphVersion) -> Option<Arc<Graph>> {
         let mut shard = self.write(id);
         let history = shard.get_mut(id)?;
@@ -392,15 +329,6 @@ impl GraphRegistry {
             shard.remove(id);
         }
         removed.map(|p| p.graph)
-    }
-
-    /// Removes and returns the latest snapshot stored under `id`, dropping
-    /// the whole version history.
-    pub fn remove(&self, id: &GraphId) -> Option<Arc<Graph>> {
-        // Take the history out and release the shard guard before the older
-        // versions' graphs and arenas are freed.
-        let history = self.write(id).remove(id)?;
-        history.into_values().next_back().map(|p| p.graph)
     }
 
     /// Number of catalog ids across all shards (not versions; see
@@ -430,23 +358,6 @@ impl GraphRegistry {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// All graph ids, sorted (stable across shard layouts).
-    pub fn ids(&self) -> Vec<GraphId> {
-        let mut ids: Vec<GraphId> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .keys()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        ids.sort();
-        ids
-    }
 }
 
 /// The version `insert` publishes next: one past the latest, or the initial
@@ -458,12 +369,12 @@ fn next_version(history: &History) -> GraphVersion {
         .unwrap_or(GraphVersion::INITIAL)
 }
 
-/// Splits the oldest versions beyond `keep` (0 = unlimited) off `history`
-/// and returns them, so the caller frees them after releasing the shard
-/// lock. Called on every publish, so histories can exceed the retention
-/// bound only between a publish and this sweep — never observably.
+/// Splits the oldest versions beyond `keep` (≥ 1) off `history` and returns
+/// them, so the caller frees them after releasing the shard lock. Called on
+/// every publish, so histories can exceed the retention bound only between a
+/// publish and this sweep — never observably.
 fn split_off_oldest(history: &mut History, keep: usize) -> History {
-    if keep == 0 || history.len() <= keep {
+    if history.len() <= keep {
         return History::new();
     }
     let cutoff = *history.keys().nth_back(keep - 1).expect("len > keep");
@@ -483,19 +394,22 @@ mod tests {
     use ccdp_graph::generators;
 
     #[test]
-    fn insert_get_remove_round_trip() {
+    fn insert_resolve_remove_round_trip() {
         let reg = GraphRegistry::new();
         assert!(reg.is_empty());
         let g = generators::path(5);
+        let id = GraphId::new("p5");
         assert!(reg.insert("p5", g.clone()).is_none());
         assert_eq!(reg.len(), 1);
-        let got = reg.get(&GraphId::new("p5")).unwrap();
-        assert_eq!(*got, g);
+        assert_eq!(*reg.resolve(&id).unwrap(), g);
         // Superseding returns the previously latest snapshot.
         let old = reg.insert("p5", generators::star(3)).unwrap();
         assert_eq!(*old, g);
         assert_eq!(reg.len(), 1);
-        assert!(reg.remove(&GraphId::new("p5")).is_some());
+        // Removing the last version drops the id.
+        assert_eq!(*reg.remove_version(&id, GraphVersion::INITIAL).unwrap(), g);
+        assert!(reg.remove_version(&id, GraphVersion::new(1)).is_some());
+        assert!(reg.remove_version(&id, GraphVersion::new(1)).is_none());
         assert!(reg.is_empty());
     }
 
@@ -519,7 +433,7 @@ mod tests {
         assert_eq!(reg.len(), 1);
         // Pinned resolution sees every retained version.
         assert_eq!(
-            reg.get_version(&id, GraphVersion::INITIAL)
+            reg.resolve_version(&id, GraphVersion::INITIAL)
                 .unwrap()
                 .num_vertices(),
             2
@@ -548,7 +462,7 @@ mod tests {
         );
         // The original snapshot survived the refused re-publish.
         assert_eq!(
-            reg.get_version(&id, GraphVersion::new(5))
+            reg.resolve_version(&id, GraphVersion::new(5))
                 .unwrap()
                 .num_vertices(),
             3
@@ -629,80 +543,60 @@ mod tests {
     fn ingestion_parses_edge_lists_and_rejects_garbage() {
         let reg = GraphRegistry::new();
         let g = reg
-            .ingest_edge_list("tri", "# 3 3\n0 1\n1 2\n0 2\n")
+            .ingest_edge_list_version("tri", GraphVersion::INITIAL, "# 3 3\n0 1\n1 2\n0 2\n")
             .unwrap();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 3);
-        assert!(reg.get(&GraphId::new("tri")).is_some());
-        let err = reg.ingest_edge_list("bad", "0 1\nnope\n").unwrap_err();
+        assert!(reg.resolve(&GraphId::new("tri")).is_ok());
+        let err = reg
+            .ingest_edge_list_version("bad", GraphVersion::INITIAL, "0 1\nnope\n")
+            .unwrap_err();
         assert!(matches!(err, ServeError::Ingest(_)));
-        assert!(reg.get(&GraphId::new("bad")).is_none());
+        assert!(reg.resolve(&GraphId::new("bad")).is_err());
     }
 
     #[test]
     fn reingesting_an_existing_id_is_a_typed_refusal_not_an_overwrite() {
         // Regression: this used to silently overwrite the stored graph.
         let reg = GraphRegistry::new();
-        reg.ingest_edge_list("g", "# 3 2\n0 1\n1 2\n").unwrap();
-        let err = reg.ingest_edge_list("g", "# 2 1\n0 1\n").unwrap_err();
+        let v0 = GraphVersion::INITIAL;
+        reg.ingest_edge_list_version("g", v0, "# 3 2\n0 1\n1 2\n")
+            .unwrap();
+        let err = reg
+            .ingest_edge_list_version("g", v0, "# 2 1\n0 1\n")
+            .unwrap_err();
         assert_eq!(
             err,
             ServeError::VersionExists {
                 graph: GraphId::new("g"),
-                version: GraphVersion::INITIAL
+                version: v0
             }
         );
         // The original graph is untouched.
-        assert_eq!(reg.get(&GraphId::new("g")).unwrap().num_vertices(), 3);
+        assert_eq!(reg.resolve(&GraphId::new("g")).unwrap().num_vertices(), 3);
         assert_eq!(reg.num_versions(), 1);
         // Publishing the same id at a *new* version is fine.
         reg.ingest_edge_list_version("g", GraphVersion::new(1), "# 2 1\n0 1\n")
             .unwrap();
-        assert_eq!(reg.get(&GraphId::new("g")).unwrap().num_vertices(), 2);
-    }
-
-    #[test]
-    fn stale_versions_can_be_expired_without_unpublishing() {
-        let reg = GraphRegistry::new();
-        let id = GraphId::new("g");
-        for n in 2..7 {
-            reg.insert(id.clone(), generators::path(n));
-        }
-        assert_eq!(reg.num_versions(), 5);
-        // Expire everything below v3.
-        assert_eq!(reg.evict_versions_below(&id, GraphVersion::new(3)), 3);
-        assert_eq!(
-            reg.versions(&id),
-            vec![GraphVersion::new(3), GraphVersion::new(4)]
-        );
-        // An expired version is a typed UnknownVersion, the frontier remains.
-        assert!(matches!(
-            reg.resolve_version(&id, GraphVersion::INITIAL),
-            Err(ServeError::UnknownVersion { .. })
-        ));
-        assert!(reg.resolve(&id).is_ok());
-        // A cutoff past the latest still keeps the latest snapshot.
-        assert_eq!(reg.evict_versions_below(&id, GraphVersion::new(100)), 1);
-        assert_eq!(reg.versions(&id), vec![GraphVersion::new(4)]);
-        assert_eq!(reg.latest_version(&id), Some(GraphVersion::new(4)));
+        assert_eq!(reg.resolve(&GraphId::new("g")).unwrap().num_vertices(), 2);
     }
 
     #[test]
     fn readers_keep_expired_snapshots_and_expiry_counts_are_exact() {
-        // Retention 3: every expiry path frees the registry's share of a
-        // snapshot, while a reader that resolved it keeps a valid `Arc`.
-        let reg = GraphRegistry::with_retention(4, 3);
+        // Every expiry path frees the registry's share of a snapshot, while a
+        // reader that resolved it keeps a valid `Arc`.
+        let reg = GraphRegistry::new();
         let id = GraphId::new("g");
-        for n in 2..5 {
+        for n in 2..2 + DEFAULT_VERSION_RETENTION {
             reg.insert(id.clone(), generators::path(n));
         }
         let v0 = GraphVersion::INITIAL;
-        let graph = reg.get_version(&id, v0).unwrap();
+        let graph = reg.resolve_version(&id, v0).unwrap();
         let (_, arena) = reg.resolve_arena(&id, Some(v0)).unwrap();
 
         // Publish-time retention expires v0.
-        reg.insert(id.clone(), generators::path(5));
-        assert_eq!(reg.get_version(&id, v0), None);
+        reg.insert(id.clone(), generators::path(100));
+        assert!(reg.resolve_version(&id, v0).is_err());
         assert_eq!(Arc::strong_count(&graph), 1);
         assert_eq!(Arc::strong_count(&arena), 1);
         assert_eq!(*graph, generators::path(2));
@@ -711,18 +605,22 @@ mod tests {
         // Explicit expiry: counts are unchanged by freeing outside the lock.
         let v1 = GraphVersion::new(1);
         let (_, held) = reg.resolve_arena(&id, Some(v1)).unwrap();
-        assert_eq!(reg.evict_versions_below(&id, GraphVersion::new(2)), 1);
+        let keep = DEFAULT_VERSION_RETENTION - 1;
+        assert_eq!(reg.retain_latest(&id, keep), 1);
         assert_eq!(Arc::strong_count(&held), 1);
         assert!(held.matches_graph(&generators::path(3)));
-        assert_eq!(reg.evict_versions_below(&id, GraphVersion::new(2)), 0);
-        assert_eq!(reg.retain_latest(&id, 1), 1);
+        assert_eq!(reg.retain_latest(&id, keep), 0);
+        assert_eq!(reg.retain_latest(&id, 1), keep - 1);
         assert_eq!(reg.retain_latest(&id, 1), 0);
-        assert_eq!(reg.versions(&id), vec![GraphVersion::new(3)]);
+        assert_eq!(
+            reg.versions(&id),
+            vec![GraphVersion::new(DEFAULT_VERSION_RETENTION as u64)]
+        );
         assert_eq!(reg.num_versions(), 1);
     }
 
     #[test]
-    fn retain_latest_bounds_history_depth() {
+    fn retain_latest_bounds_history_depth_without_unpublishing() {
         let reg = GraphRegistry::new();
         let id = GraphId::new("g");
         for n in 2..10 {
@@ -737,6 +635,12 @@ mod tests {
                 GraphVersion::new(7)
             ]
         );
+        // An expired version is a typed UnknownVersion, the frontier remains.
+        assert!(matches!(
+            reg.resolve_version(&id, GraphVersion::INITIAL),
+            Err(ServeError::UnknownVersion { .. })
+        ));
+        assert!(reg.resolve(&id).is_ok());
         // Already within bound: nothing to do. keep=0 clamps to 1.
         assert_eq!(reg.retain_latest(&id, 3), 0);
         assert_eq!(reg.retain_latest(&id, 0), 2);
@@ -747,22 +651,8 @@ mod tests {
     }
 
     #[test]
-    fn ids_are_sorted_and_cover_all_shards() {
-        let reg = GraphRegistry::with_shards(4);
-        for i in 0..20 {
-            reg.insert(format!("g{i:02}"), generators::path(3));
-        }
-        let ids = reg.ids();
-        assert_eq!(ids.len(), 20);
-        let mut sorted = ids.clone();
-        sorted.sort();
-        assert_eq!(ids, sorted);
-        assert_eq!(reg.len(), 20);
-    }
-
-    #[test]
     fn shard_striping_distributes_graphs() {
-        let reg = GraphRegistry::with_shards(8);
+        let reg = GraphRegistry::new();
         for i in 0..64 {
             reg.insert(format!("graph-{i}"), generators::path(2));
         }
@@ -775,6 +665,7 @@ mod tests {
             .max()
             .unwrap();
         assert!(max_shard < 64);
+        assert_eq!(reg.len(), 64);
     }
 
     #[test]
@@ -808,21 +699,16 @@ mod tests {
         assert_eq!(reg.num_versions(), DEFAULT_VERSION_RETENTION);
         assert_eq!(reg.latest_version(&id), Some(GraphVersion::new(39)));
         assert_eq!(reg.resolve(&id).unwrap().num_vertices(), 41);
-        // Retention 0 = unlimited.
-        let reg = GraphRegistry::with_retention(4, 0);
-        for n in 2..42 {
-            reg.insert(id.clone(), generators::path(n));
-        }
-        assert_eq!(reg.num_versions(), 40);
     }
 
     #[test]
     fn backfills_behind_the_retention_window_are_refused_not_dropped() {
         // Regression: insert_version used to return Ok while enforce_retention
         // immediately expired the just-inserted backfill.
-        let reg = GraphRegistry::with_retention(4, 3);
+        let reg = GraphRegistry::new();
         let id = GraphId::new("g");
-        for v in 1..=3u64 {
+        let full = DEFAULT_VERSION_RETENTION as u64;
+        for v in 1..=full {
             reg.insert_version(id.clone(), GraphVersion::new(v), generators::path(3))
                 .unwrap();
         }
@@ -837,17 +723,18 @@ mod tests {
                 oldest_retained: GraphVersion::new(1),
             }
         );
-        assert_eq!(reg.num_versions(), 3);
+        assert_eq!(reg.num_versions(), DEFAULT_VERSION_RETENTION);
         // A backfill that fits inside the window (above the current oldest)
         // is accepted and resolvable; the oldest is expired to make room.
-        for v in [10u64, 11] {
+        for v in [full + 2, full + 3] {
             reg.insert_version(id.clone(), GraphVersion::new(v), generators::path(3))
                 .unwrap();
         }
-        let ok = reg.insert_version(id.clone(), GraphVersion::new(9), generators::path(3));
+        let backfill = GraphVersion::new(full + 1);
+        let ok = reg.insert_version(id.clone(), backfill, generators::path(3));
         assert!(ok.is_ok());
-        assert!(reg.get_version(&id, GraphVersion::new(9)).is_some());
-        assert_eq!(reg.num_versions(), 3);
+        assert!(reg.resolve_version(&id, backfill).is_ok());
+        assert_eq!(reg.num_versions(), DEFAULT_VERSION_RETENTION);
     }
 
     #[test]
@@ -875,8 +762,9 @@ mod tests {
     #[test]
     fn concurrent_version_publishers_never_collide() {
         // Four writers each publish 25 versions of ONE graph via `insert`;
-        // the histories must interleave without ever losing a snapshot.
-        let reg = Arc::new(GraphRegistry::with_retention(DEFAULT_SHARDS, 0));
+        // every publish must claim a distinct version, and retention must
+        // keep exactly the newest ones.
+        let reg = Arc::new(GraphRegistry::new());
         let writers: Vec<_> = (0..4)
             .map(|_| {
                 let reg = Arc::clone(&reg);
@@ -890,10 +778,13 @@ mod tests {
         for w in writers {
             w.join().unwrap();
         }
-        assert_eq!(reg.num_versions(), 100);
+        let id = GraphId::new("shared");
+        assert_eq!(reg.latest_version(&id), Some(GraphVersion::new(99)));
         assert_eq!(
-            reg.latest_version(&GraphId::new("shared")),
-            Some(GraphVersion::new(99))
+            reg.versions(&id),
+            (100 - DEFAULT_VERSION_RETENTION as u64..100)
+                .map(GraphVersion::new)
+                .collect::<Vec<_>>()
         );
     }
 }

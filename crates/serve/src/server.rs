@@ -274,7 +274,7 @@ impl Server {
             &metrics,
         ));
         let stats = Arc::new(ServeStats::with_metrics(&metrics));
-        ledger.publish_metrics_shared(&metrics);
+        ledger.publish_metrics(&metrics);
         let tracer = Arc::new(Tracer::new());
         tracer.set_enabled(config.tracing);
         // The audit journal is shared by every decision point: the ledger
@@ -1180,6 +1180,27 @@ mod tests {
             .snapshot()
             .iter()
             .any(|e| e.kind == AuditKind::Drain));
+    }
+
+    #[test]
+    fn audit_events_name_the_graph_id_verbatim() {
+        // Regression: graph ids are not validated, and a charge on `db@2`
+        // used to be journaled as graph `db` at version 2.
+        let (registry, ledger) = fleet();
+        registry.insert("db@2", generators::path(4));
+        let server = Server::start(ServeConfig::new().with_workers(1), registry, ledger);
+        let ok = server
+            .submit(ServeRequest::new("acme", "db@2", 0.5))
+            .unwrap()
+            .wait();
+        assert!(ok.result.is_ok());
+        let events = server.journal().events_for_tenant("acme");
+        let charge = events
+            .iter()
+            .find(|e| e.kind == AuditKind::BudgetCharge)
+            .expect("charge event");
+        assert_eq!((charge.graph.as_str(), charge.version), ("db@2", None));
+        server.shutdown();
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! so the instrument costs the same at the millionth request as at the
 //! first.
 //!
-//! Since the observability tier, the counters are [`ccdp_obs`] registry
-//! handles: built with [`ServeStats::with_metrics`], the same atomics back
+//! The counters are [`ccdp_obs`] registry handles: built with
+//! [`ServeStats::with_metrics`], the same atomics back
 //! both [`snapshot`](ServeStats::snapshot) (`GET /stats`) and the
 //! `ccdp_serve_*` series of the Prometheus exposition (`GET /metrics`), so
 //! the two surfaces can never disagree about a counter.
@@ -54,24 +54,9 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Fresh detached counters (not visible in any registry) with the clock
-    /// started now.
-    pub fn new() -> Self {
-        ServeStats {
-            started: Instant::now(),
-            received: Counter::detached(),
-            completed: Counter::detached(),
-            rejected_queue_full: Counter::detached(),
-            budget_refusals: Counter::detached(),
-            failed: Counter::detached(),
-            queue_depth: Gauge::detached(),
-            peak_queue_depth: Gauge::detached(),
-            latencies: Arc::new(LogHistogram::new()),
-        }
-    }
-
-    /// Counters registered into `registry` as the `ccdp_serve_*` series:
-    /// the snapshot and the Prometheus exposition share one set of atomics.
+    /// Counters registered into `registry` as the `ccdp_serve_*` series,
+    /// with the clock started now: the snapshot and the Prometheus
+    /// exposition share one set of atomics.
     pub fn with_metrics(registry: &MetricsRegistry) -> Self {
         ServeStats {
             started: Instant::now(),
@@ -168,12 +153,6 @@ impl ServeStats {
     }
 }
 
-impl Default for ServeStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// How one request ended (for counter purposes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum RequestOutcome {
@@ -232,7 +211,7 @@ mod tests {
 
     #[test]
     fn counters_track_the_request_lifecycle() {
-        let stats = ServeStats::new();
+        let stats = ServeStats::with_metrics(&MetricsRegistry::new());
         assert_eq!(stats.on_enqueue(), 1);
         assert_eq!(stats.on_enqueue(), 2);
         stats.on_dequeue();
@@ -279,7 +258,7 @@ mod tests {
 
     #[test]
     fn snapshot_percentiles_reflect_recorded_latencies() {
-        let stats = ServeStats::new();
+        let stats = ServeStats::with_metrics(&MetricsRegistry::new());
         for ms in [1u64, 2, 3, 4, 100] {
             stats.on_enqueue();
             stats.on_dequeue();
@@ -294,7 +273,7 @@ mod tests {
     #[test]
     fn histogram_recording_is_lock_free_under_contention() {
         // 8 threads hammer one histogram; every sample must be accounted for.
-        let stats = std::sync::Arc::new(ServeStats::new());
+        let stats = std::sync::Arc::new(ServeStats::with_metrics(&MetricsRegistry::new()));
         let handles: Vec<_> = (0..8)
             .map(|t| {
                 let stats = std::sync::Arc::clone(&stats);
@@ -326,7 +305,7 @@ mod tests {
         // tight loop while the main thread snapshots continuously. Any
         // snapshot observing `outcomes > received` would mean the acquire
         // fence ordering is broken.
-        let stats = std::sync::Arc::new(ServeStats::new());
+        let stats = std::sync::Arc::new(ServeStats::with_metrics(&MetricsRegistry::new()));
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let workers: Vec<_> = (0..4)
             .map(|w| {

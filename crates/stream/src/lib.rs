@@ -14,12 +14,11 @@
 //!   archived and replayed.
 //! * [`scheduler`] — [`ReleaseScheduler`]: fires DP re-estimation by
 //!   [`ReleasePolicy`] (every k mutations, on component drift, on demand),
-//!   publishes each snapshot into the shared version-aware
-//!   [`GraphRegistry`](ccdp_serve::GraphRegistry), bulk-invalidates
-//!   superseded versions from the shared
-//!   [`ExtensionCache`](ccdp_core::ExtensionCache), charges each release to
-//!   the owning tenant's [`BudgetLedger`](ccdp_serve::BudgetLedger) and
-//!   appends to a versioned release log.
+//!   publishes each snapshot into a [`Server`](ccdp_serve::Server)'s
+//!   version-aware [`GraphRegistry`](ccdp_serve::GraphRegistry), releases it
+//!   through the server's worker pool (charged to the owning tenant's
+//!   [`BudgetLedger`](ccdp_serve::BudgetLedger)) and bulk-invalidates
+//!   superseded versions from the server's family cache.
 //! * [`mutationgen`] — the deterministic [`MutationSpec`] workload
 //!   generator driving the evolving-fleet example and CI smoke job.
 //! * [`error`] — the typed [`StreamError`] failure surface.
@@ -30,22 +29,22 @@
 //! use ccdp_stream::{
 //!     GraphStream, Mutation, ReleasePolicy, ReleaseScheduler, SchedulerConfig,
 //! };
-//! use ccdp_core::ExtensionCache;
-//! use ccdp_serve::{BudgetLedger, GraphRegistry, TenantId};
+//! use ccdp_serve::{BudgetLedger, GraphRegistry, ServeConfig, Server, TenantId};
 //! use std::sync::Arc;
 //!
-//! // Shared serving infrastructure: versioned catalog, tenant quotas, cache.
-//! let registry = Arc::new(GraphRegistry::new());
+//! // Shared serving infrastructure: versioned catalog, tenant quotas, workers.
 //! let ledger = Arc::new(BudgetLedger::new());
 //! ledger.register("analytics-team", 5.0).unwrap();
-//! let cache = Arc::new(ExtensionCache::new(64));
+//! let server = Arc::new(Server::start(
+//!     ServeConfig::new().with_workers(2),
+//!     Arc::new(GraphRegistry::new()),
+//!     ledger,
+//! ));
 //!
 //! // A stream ingests mutations; the scheduler re-releases every 2 of them.
-//! let sched = ReleaseScheduler::new(
+//! let sched = ReleaseScheduler::with_server(
 //!     SchedulerConfig::new(ReleasePolicy::EveryKMutations(2)).with_epsilon(0.5),
-//!     registry,
-//!     ledger,
-//!     cache,
+//!     server,
 //! );
 //! let mut stream = GraphStream::new("social/live");
 //! let tenant = TenantId::new("analytics-team");

@@ -4,53 +4,49 @@
 //! *when* a fresh differentially private release is worth its ε. The
 //! [`ReleaseScheduler`] is that decision point: it watches streams through
 //! [`observe`](ReleaseScheduler::observe), fires by [`ReleasePolicy`] (every
-//! k mutations, on component-count drift, or on demand), and when it fires it
-//! runs the full serving pipeline on an immutable snapshot:
+//! k mutations, on component drift, or on demand), and when it fires it runs
+//! one more serving request — Algorithm 1 on an immutable snapshot, through
+//! the same [`Server`] worker pool as every wire request:
 //!
-//! 1. atomically charge the release ε to the owning tenant's
-//!    [`BudgetLedger`] account (an exhausted quota is a typed refusal that
-//!    changes *nothing* — no version burned, no snapshot published, no
-//!    cache touched; the stream keeps mutating, the tenant just stops
-//!    getting releases),
-//! 2. freeze the stream into a versioned
-//!    [`GraphSnapshot`] and publish it to
-//!    the shared version-aware [`GraphRegistry`] (a typed
-//!    [`VersionExists`](ccdp_serve::ServeError::VersionExists) refusal if the
-//!    version was somehow already taken — snapshots are never overwritten),
+//! 1. freeze the stream into a versioned [`GraphSnapshot`] and publish it to
+//!    the server's version-aware [`GraphRegistry`](ccdp_serve::GraphRegistry)
+//!    (a typed [`VersionExists`](ccdp_serve::ServeError::VersionExists)
+//!    refusal if the version was somehow already taken — snapshots are never
+//!    overwritten),
+//! 2. submit a request pinned to that exact `(id, version)` and wait for it:
+//!    the worker charges the tenant's
+//!    [`BudgetLedger`](ccdp_serve::BudgetLedger) account and estimates on the
+//!    registry-resolved arena, with cache lookups tagged by the same pair,
 //! 3. bulk-invalidate the superseded versions' extension families from the
-//!    shared [`ExtensionCache`] and expire stale registry snapshots beyond
-//!    the configured retention,
-//! 4. estimate on the *registry-resolved* snapshot — the graph served is
-//!    provably the one named by `(id, version)` — with cache lookups tagged
-//!    by that same pair, so no family computed for another version can ever
-//!    be replayed,
-//! 5. append a [`ReleaseRecord`] to the versioned release log.
+//!    server's family cache and expire stale registry snapshots beyond the
+//!    configured retention,
+//! 4. return the [`ReleaseRecord`].
 //!
 //! # Budget semantics
 //!
 //! Every fired release spends [`SchedulerConfig::epsilon_per_release`] from
-//! the tenant's quota *before* the snapshot is even frozen, under the
-//! ledger's atomic check-and-spend; the ledger stage name is `id@version`,
-//! so a tenant's account reads as a versioned audit trail. Spent ε is never
-//! refunded if estimation later fails — accounting only ever over-counts a
-//! tenant's exposure. Releases about *different snapshots of one graph*
-//! still compose sequentially against the same quota: node-DP composition
-//! is per tenant, not per version.
+//! the tenant's quota under the ledger's atomic check-and-spend, with the
+//! ledger stage named by the graph id. A refusal that comes before the
+//! charge — queue backpressure, an exhausted or unknown tenant, a malformed
+//! ε, an unresolvable snapshot — unpublishes the snapshot and leaves the
+//! policy where it was; only the stream's version number is burned
+//! (versions never recycle). Spent ε is never refunded if estimation later
+//! fails — accounting only ever over-counts a tenant's exposure. Releases
+//! about *different snapshots of one graph* still compose sequentially
+//! against the same quota: node-DP composition is per tenant, not per
+//! version.
+//!
+//! The noise seed and any Δmax override are the server's
+//! ([`ServeConfig`](ccdp_serve::ServeConfig)): a stream release draws from
+//! the same per-request RNG derivation as any other request.
 
 use crate::error::StreamError;
 use crate::stream::{GraphSnapshot, GraphStream};
-use ccdp_core::{EstimatorConfig, ExtensionCache, PrivateCcEstimator};
 use ccdp_graph::GraphVersion;
-use ccdp_obs::{AuditEvent, AuditJournal, AuditKind, Counter, MetricsRegistry};
-use ccdp_serve::{
-    BudgetLedger, GraphId, GraphRegistry, ServeError, ServeRequest, Server, TenantId,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::hash_map::DefaultHasher;
+use ccdp_obs::{AuditEvent, AuditKind, Counter};
+use ccdp_serve::{GraphId, ServeError, ServeRequest, Server, TenantId};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// When the scheduler fires a fresh release for a stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,29 +74,21 @@ pub struct SchedulerConfig {
     pub policy: ReleasePolicy,
     /// ε charged to the owning tenant per fired release.
     pub epsilon_per_release: f64,
-    /// Base seed of the per-release RNG derivation.
-    pub seed: u64,
-    /// Δmax override forwarded to the estimator, if any.
-    pub delta_max: Option<usize>,
     /// How many registry snapshots the *scheduler* actively retains per
     /// graph (0 = no scheduler-driven expiry). Older versions are expired
-    /// right after a new one is published. Note the registry enforces its
-    /// own bound on every publish
-    /// ([`DEFAULT_VERSION_RETENTION`](ccdp_serve::registry::DEFAULT_VERSION_RETENTION)
-    /// unless built with [`GraphRegistry::with_retention`]) — the *tighter*
-    /// of the two wins, so retaining more than the registry's bound requires
-    /// a registry configured to match.
+    /// right after a new one is released. The registry enforces its own
+    /// bound on every publish
+    /// ([`DEFAULT_VERSION_RETENTION`](ccdp_serve::registry::DEFAULT_VERSION_RETENTION));
+    /// the *tighter* of the two wins.
     pub retain_versions: usize,
 }
 
 impl SchedulerConfig {
-    /// A config with the given policy, ε = 0.5 per release, seed 0 and a 4-version registry retention.
+    /// A config with the given policy, ε = 0.5 per release and a 4-version registry retention.
     pub fn new(policy: ReleasePolicy) -> Self {
         SchedulerConfig {
             policy,
             epsilon_per_release: 0.5,
-            seed: 0,
-            delta_max: None,
             retain_versions: 4,
         }
     }
@@ -108,18 +96,6 @@ impl SchedulerConfig {
     /// Sets the ε charged per release.
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
         self.epsilon_per_release = epsilon;
-        self
-    }
-
-    /// Sets the RNG base seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the Δmax estimator override.
-    pub fn with_delta_max(mut self, delta_max: usize) -> Self {
-        self.delta_max = Some(delta_max);
         self
     }
 
@@ -155,7 +131,7 @@ impl ReleaseTrigger {
     }
 }
 
-/// One entry of the versioned release log.
+/// One fired release.
 #[derive(Clone, Debug)]
 pub struct ReleaseRecord {
     /// The graph released.
@@ -185,115 +161,35 @@ struct TriggerState {
     components_at_last: usize,
 }
 
-/// The continual-release engine over shared serving infrastructure.
+/// The continual-release engine over a serving [`Server`].
 pub struct ReleaseScheduler {
     config: SchedulerConfig,
-    registry: Arc<GraphRegistry>,
-    ledger: Arc<BudgetLedger>,
-    cache: Arc<ExtensionCache>,
-    /// When set, fired releases run through this worker pool instead of
-    /// estimating inline (see [`ReleaseScheduler::with_server`]).
-    server: Option<Arc<Server>>,
+    server: Arc<Server>,
     state: Mutex<HashMap<GraphId, TriggerState>>,
-    log: Mutex<Vec<ReleaseRecord>>,
-    /// Successful releases, as `ccdp_stream_releases_total` once published
-    /// into a [`MetricsRegistry`] (automatic under
-    /// [`ReleaseScheduler::with_server`]).
+    /// Successful releases: the server's `ccdp_stream_releases_total`.
     releases_total: Counter,
-    /// Audit journal for `scheduler_fire` / `cache_invalidation` events
-    /// (taken from the server under [`ReleaseScheduler::with_server`],
-    /// attachable via [`ReleaseScheduler::set_journal`] otherwise).
-    journal: RwLock<Option<Arc<AuditJournal>>>,
 }
 
 impl ReleaseScheduler {
-    /// A scheduler over the shared registry, ledger and family cache,
-    /// estimating inline on the calling thread.
-    pub fn new(
-        config: SchedulerConfig,
-        registry: Arc<GraphRegistry>,
-        ledger: Arc<BudgetLedger>,
-        cache: Arc<ExtensionCache>,
-    ) -> Self {
-        ReleaseScheduler {
-            config,
-            registry,
-            ledger,
-            cache,
-            server: None,
-            state: Mutex::new(HashMap::new()),
-            log: Mutex::new(Vec::new()),
-            releases_total: Counter::detached(),
-            journal: RwLock::new(None),
-        }
-    }
-
     /// A scheduler whose fired releases run through `server`'s worker pool:
     /// the published snapshot is estimated by the same workers, admitted by
     /// the same bounded queue and charged by the same ledger admission path
     /// as every wire request, and its extension family lands in the pool's
-    /// shared cache. Registry, ledger and cache are taken from the server,
-    /// so they are shared by construction.
+    /// shared cache. Registry, ledger, cache and audit journal are the
+    /// server's, so they are shared by construction.
     ///
-    /// Differences from the inline path, both typed and bounded:
-    ///
-    /// * Queue backpressure surfaces as
-    ///   [`ServeError::QueueFull`] — the release is refused, the
-    ///   just-published snapshot is unpublished, and *no budget is charged*
-    ///   (the charge lives inside the worker, past admission). The stream's
-    ///   version number is burned; versions never recycle.
-    /// * The ledger stage name is the graph id (the worker pool's hot-path
-    ///   naming), not the inline path's `id@version`.
+    /// Queue backpressure surfaces as [`ServeError::QueueFull`]: the release
+    /// is refused, the just-published snapshot is unpublished and no budget
+    /// is charged (the charge lives inside the worker, past admission). The
+    /// stream's version number is burned; versions never recycle.
     pub fn with_server(config: SchedulerConfig, server: Arc<Server>) -> Self {
-        let mut scheduler = ReleaseScheduler {
+        let releases_total = server.metrics().counter("ccdp_stream_releases_total");
+        ReleaseScheduler {
             config,
-            registry: Arc::clone(server.registry()),
-            ledger: Arc::clone(server.ledger()),
-            cache: Arc::clone(server.cache()),
-            releases_total: Counter::detached(),
-            journal: RwLock::new(Some(Arc::clone(server.journal()))),
-            server: Some(server),
+            server,
             state: Mutex::new(HashMap::new()),
-            log: Mutex::new(Vec::new()),
-        };
-        let metrics = Arc::clone(scheduler.server.as_ref().expect("just set").metrics());
-        scheduler.publish_metrics(&metrics);
-        scheduler
-    }
-
-    /// Attaches the audit journal scheduler decisions are recorded into.
-    /// [`ReleaseScheduler::with_server`] attaches the server's journal
-    /// automatically; the inline constructor leaves it to the caller.
-    pub fn set_journal(&self, journal: Arc<AuditJournal>) {
-        *self.journal.write().unwrap_or_else(|p| p.into_inner()) = Some(journal);
-    }
-
-    /// Records one event into the attached journal, if any.
-    fn audit(&self, event: AuditEvent) {
-        let guard = self.journal.read().unwrap_or_else(|p| p.into_inner());
-        if let Some(journal) = guard.as_ref() {
-            journal.record(event);
+            releases_total,
         }
-    }
-
-    /// Registers the scheduler's counters into `registry` (as
-    /// `ccdp_stream_releases_total`), carrying over any releases already
-    /// recorded. [`ReleaseScheduler::with_server`] does this automatically
-    /// against the server's registry; the inline constructor leaves it to
-    /// the caller, who owns the registry there.
-    pub fn publish_metrics(&mut self, registry: &MetricsRegistry) {
-        self.releases_total =
-            registry.adopt_counter("ccdp_stream_releases_total", &self.releases_total);
-    }
-
-    /// The configuration the scheduler fires with.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.config
-    }
-
-    /// The shared registry snapshots are published into.
-    pub fn registry(&self) -> &Arc<GraphRegistry> {
-        &self.registry
     }
 
     /// Checks the policy against `stream` and, if it fires, runs the full
@@ -344,191 +240,82 @@ impl ReleaseScheduler {
         self.release(stream, tenant, ReleaseTrigger::Demand)
     }
 
-    /// The versioned release log so far (clone; the log keeps growing).
-    pub fn log(&self) -> Vec<ReleaseRecord> {
-        self.lock_log().clone()
-    }
-
-    /// Number of releases fired so far.
+    /// Number of successful stream releases on this scheduler's server (the
+    /// `ccdp_stream_releases_total` counter, shared by every scheduler over
+    /// the same server).
     pub fn releases(&self) -> usize {
-        self.lock_log().len()
+        self.releases_total.get() as usize
     }
 
-    /// The full pipeline: charge → snapshot → publish → invalidate/expire →
-    /// estimate → record. The charge comes first so a refused release
-    /// changes nothing (see the module docs and the
-    /// `refused_releases_leave_all_shared_state_untouched` regression test).
+    /// The pipeline: snapshot → publish → submit → await → invalidate/expire
+    /// → record. Publication must precede submission (a worker can only serve
+    /// what the registry resolves), so a refusal before the worker's charge
+    /// rolls the publish back: it leaves no resolvable snapshot, no charge
+    /// and an unadvanced policy.
     fn release(
         &self,
         stream: &mut GraphStream,
         tenant: &TenantId,
         trigger: ReleaseTrigger,
     ) -> Result<ReleaseRecord, StreamError> {
-        if let Some(server) = self.server.as_ref().map(Arc::clone) {
-            return self.release_via_server(&server, stream, tenant, trigger);
-        }
-        // Charge the tenant *first*: a refused release must cost nothing and
-        // change nothing — no version burned, no snapshot published, no
-        // cache invalidated, no solver time. The version the snapshot will
-        // carry is known before freezing, so the ledger stage `id@version`
-        // still makes the account a versioned audit trail.
-        let id = stream.id().clone();
-        let version = stream.next_version();
-        let stage = format!("{id}@{version}");
-        // The fire *decision* is journaled before the charge: a refused
-        // release still shows up as "the policy fired here", followed by the
-        // ledger's own refusal event — the audit stream explains both what
-        // was attempted and why nothing changed.
-        self.audit(
-            AuditEvent::new(AuditKind::SchedulerFire)
-                .tenant(tenant.as_str())
-                .graph(id.as_str(), Some(version.value()))
-                .epsilon(self.config.epsilon_per_release, 0.0)
-                .detail(trigger.name()),
-        );
-        self.ledger
-            .try_spend(tenant, &stage, self.config.epsilon_per_release)?;
-
-        let snapshot = stream.snapshot();
-        debug_assert_eq!(snapshot.version(), version);
-
-        // Publish the immutable snapshot (shared, not copied); a version
-        // collision is a typed refusal (two streams claiming one catalog id,
-        // or a replayed feed).
-        self.registry
-            .insert_version(id.clone(), version, Arc::clone(snapshot.graph()))?;
-        // Superseded versions can never be served again: drop their cached
-        // families in bulk and expire their registry snapshots beyond the
-        // retention window.
-        let invalidated = self.cache.invalidate_versions_below(id.as_str(), version);
-        let mut expired = 0;
-        if self.config.retain_versions > 0 {
-            expired = self
-                .registry
-                .retain_latest(&id, self.config.retain_versions);
-        }
-        if invalidated > 0 || expired > 0 {
-            self.audit(
-                AuditEvent::new(AuditKind::CacheInvalidation)
-                    .tenant(tenant.as_str())
-                    .graph(id.as_str(), Some(version.value()))
-                    .detail(format!(
-                        "{invalidated} cached families invalidated, {expired} snapshots expired"
-                    )),
-            );
-        }
-
-        // Record the trigger state *before* estimating: the charge already
-        // happened, so a failing estimator must not leave the policy primed
-        // to re-fire on the very next observe() and drain the tenant's quota
-        // on a pathological graph — the damage is bounded to one charge per
-        // policy period.
-        self.mark_released(&id, &snapshot);
-
-        // Estimate on the registry-resolved arena (not the local copy): what
-        // we release is provably what `(id, version)` names, and the arena is
-        // the one built at publish.
-        let (_, arena) = self.registry.resolve_arena(&id, Some(version))?;
-        let mut est_config = EstimatorConfig::new(self.config.epsilon_per_release)
-            .with_shared_family_cache(Arc::clone(&self.cache))
-            .with_graph_tag(id.as_str(), version);
-        if let Some(delta_max) = self.config.delta_max {
-            est_config = est_config.with_delta_max(delta_max);
-        }
-        let estimator = PrivateCcEstimator::from_config(est_config)
-            .map_err(|e| StreamError::Serve(ServeError::Estimator(e.into())))?;
-        let mut rng = StdRng::seed_from_u64(self.release_seed(&id, version));
-        let release = estimator
-            .estimate_shared(&arena, &mut rng)
-            .map_err(|e| StreamError::Serve(ServeError::Estimator(e)))?;
-
-        let record = ReleaseRecord {
-            graph: id,
-            version,
-            tenant: tenant.clone(),
-            epsilon: self.config.epsilon_per_release,
-            value: release.value(),
-            true_components: snapshot.num_components(),
-            time: snapshot.time(),
-            mutations_applied: snapshot.mutations_applied(),
-            trigger,
-        };
-        self.lock_log().push(record.clone());
-        self.releases_total.inc();
-        Ok(record)
-    }
-
-    /// The worker-pool pipeline: snapshot → publish → submit → await →
-    /// invalidate/expire → record. Publication must precede submission (a
-    /// worker can only serve what the registry resolves), so refusals roll
-    /// the publish back instead of never making it — either way a refused
-    /// release leaves no resolvable snapshot and no charge (see
-    /// [`ReleaseScheduler::with_server`]).
-    fn release_via_server(
-        &self,
-        server: &Server,
-        stream: &mut GraphStream,
-        tenant: &TenantId,
-        trigger: ReleaseTrigger,
-    ) -> Result<ReleaseRecord, StreamError> {
+        let registry = self.server.registry();
         let id = stream.id().clone();
         let snapshot = stream.snapshot();
         let version = snapshot.version();
-        self.audit(
+        // The fire *decision* is journaled first: a refused release still
+        // shows up as "the policy fired here", followed by the refusal's own
+        // event — the audit stream explains both what was attempted and why
+        // nothing changed.
+        self.server.journal().record(
             AuditEvent::new(AuditKind::SchedulerFire)
                 .tenant(tenant.as_str())
                 .graph(id.as_str(), Some(version.value()))
                 .epsilon(self.config.epsilon_per_release, 0.0)
                 .detail(trigger.name()),
         );
-        self.registry
-            .insert_version(id.clone(), version, Arc::clone(snapshot.graph()))?;
+        registry.insert_version(id.clone(), version, Arc::clone(snapshot.graph()))?;
 
         // Pin the exact published version: the worker provably estimates the
         // snapshot this release names, never "latest at dequeue time".
         let request =
             ServeRequest::new(tenant.clone(), id.clone(), self.config.epsilon_per_release)
                 .at_version(version);
-        let pending = match server.submit(request) {
-            Ok(pending) => pending,
-            Err(refusal) => {
-                // Typed backpressure (QueueFull / ShuttingDown): nothing was
-                // enqueued and nothing charged — the worker-side ledger spend
-                // never ran. Unpublish the unfunded snapshot so shared state
-                // is as before; only the stream's version number is burned.
-                self.registry.remove_version(&id, version);
-                return Err(StreamError::Serve(refusal));
-            }
-        };
-        let response = pending.wait();
-        let release = match response.result {
+        let result = self
+            .server
+            .submit(request)
+            .and_then(|pending| pending.wait().result);
+        let release = match result {
             Ok(release) => release,
-            Err(refusal @ ServeError::BudgetExhausted { .. }) => {
-                // The worker's atomic check-and-spend refused: no charge
-                // landed, so the unfunded snapshot must not stay resolvable
-                // and the policy state must not advance.
-                self.registry.remove_version(&id, version);
-                return Err(StreamError::Serve(refusal));
-            }
-            Err(failure) => {
-                // The charge landed (failures past admission are never
-                // refunded — same conservative accounting as the inline
-                // path), so advance the policy state: a pathological graph
-                // drains at most one charge per policy period.
+            Err(failure @ ServeError::Estimator(_)) => {
+                // Only the estimator runs past the worker's charge, and spent
+                // ε is never refunded: advance the policy state, so a
+                // pathological graph drains at most one charge per policy
+                // period.
                 self.mark_released(&id, &snapshot);
-                return Err(StreamError::Serve(failure));
+                return Err(failure.into());
+            }
+            Err(refusal) => {
+                // Every other refusal comes before the charge: unpublish the
+                // unfunded snapshot so shared state is as before; only the
+                // stream's version number is burned.
+                registry.remove_version(&id, version);
+                return Err(refusal.into());
             }
         };
         self.mark_released(&id, &snapshot);
-        let invalidated = self.cache.invalidate_versions_below(id.as_str(), version);
-        let mut expired = 0;
-        if self.config.retain_versions > 0 {
-            expired = self
-                .registry
-                .retain_latest(&id, self.config.retain_versions);
-        }
+        // Superseded versions can never be served again: drop their cached
+        // families in bulk and expire their registry snapshots beyond the
+        // retention window.
+        let invalidated = self
+            .server
+            .cache()
+            .invalidate_versions_below(id.as_str(), version);
+        let expired = match self.config.retain_versions {
+            0 => 0,
+            keep => registry.retain_latest(&id, keep),
+        };
         if invalidated > 0 || expired > 0 {
-            self.audit(
+            self.server.journal().record(
                 AuditEvent::new(AuditKind::CacheInvalidation)
                     .tenant(tenant.as_str())
                     .graph(id.as_str(), Some(version.value()))
@@ -537,8 +324,8 @@ impl ReleaseScheduler {
                     )),
             );
         }
-
-        let record = ReleaseRecord {
+        self.releases_total.inc();
+        Ok(ReleaseRecord {
             graph: id,
             version,
             tenant: tenant.clone(),
@@ -548,10 +335,7 @@ impl ReleaseScheduler {
             time: snapshot.time(),
             mutations_applied: snapshot.mutations_applied(),
             trigger,
-        };
-        self.lock_log().push(record.clone());
-        self.releases_total.inc();
-        Ok(record)
+        })
     }
 
     /// Advances the per-stream policy state to `snapshot`.
@@ -565,24 +349,8 @@ impl ReleaseScheduler {
         );
     }
 
-    /// Deterministic per-release noise stream: the same (seed, graph,
-    /// version) triple draws the same noise on any run.
-    fn release_seed(&self, id: &GraphId, version: GraphVersion) -> u64 {
-        let mut h = DefaultHasher::new();
-        id.hash(&mut h);
-        self.config
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(h.finish())
-            .wrapping_add(version.value())
-    }
-
     fn lock_state(&self) -> MutexGuard<'_, HashMap<GraphId, TriggerState>> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn lock_log(&self) -> MutexGuard<'_, Vec<ReleaseRecord>> {
-        self.log.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -599,13 +367,17 @@ impl std::fmt::Debug for ReleaseScheduler {
 mod tests {
     use super::*;
     use crate::stream::Mutation;
+    use ccdp_serve::{BudgetLedger, GraphRegistry, ServeConfig};
 
-    fn infra() -> (Arc<GraphRegistry>, Arc<BudgetLedger>, Arc<ExtensionCache>) {
-        let registry = Arc::new(GraphRegistry::new());
+    /// A 2-worker server over a fresh registry, with tenant `acme` funded.
+    fn server() -> Arc<Server> {
         let ledger = Arc::new(BudgetLedger::new());
         ledger.register("acme", 100.0).unwrap();
-        let cache = Arc::new(ExtensionCache::new(64));
-        (registry, ledger, cache)
+        Arc::new(Server::start(
+            ServeConfig::new().with_workers(2),
+            Arc::new(GraphRegistry::new()),
+            ledger,
+        ))
     }
 
     fn grow_stream(id: &str, edges: usize) -> GraphStream {
@@ -618,19 +390,17 @@ mod tests {
 
     #[test]
     fn every_k_mutations_fires_baseline_then_periodically() {
-        let (registry, ledger, cache) = infra();
-        let sched = ReleaseScheduler::new(
+        let server = server();
+        let sched = ReleaseScheduler::with_server(
             SchedulerConfig::new(ReleasePolicy::EveryKMutations(4)).with_epsilon(0.5),
-            Arc::clone(&registry),
-            ledger,
-            cache,
+            Arc::clone(&server),
         );
         let tenant = TenantId::new("acme");
         let mut s = grow_stream("g", 2);
         // First observation: baseline release at v0.
-        let r = sched.observe(&mut s, &tenant).unwrap().unwrap();
-        assert_eq!(r.trigger, ReleaseTrigger::Baseline);
-        assert_eq!(r.version, GraphVersion::INITIAL);
+        let first = sched.observe(&mut s, &tenant).unwrap().unwrap();
+        assert_eq!(first.trigger, ReleaseTrigger::Baseline);
+        assert_eq!(first.version, GraphVersion::INITIAL);
         // Two more mutations: not yet.
         s.apply(&Mutation::insert(10, 3, 4)).unwrap();
         s.apply(&Mutation::insert(11, 4, 5)).unwrap();
@@ -638,26 +408,19 @@ mod tests {
         // Two more reach k = 4.
         s.apply(&Mutation::insert(12, 5, 6)).unwrap();
         s.apply(&Mutation::insert(13, 6, 7)).unwrap();
-        let r = sched.observe(&mut s, &tenant).unwrap().unwrap();
-        assert_eq!(r.trigger, ReleaseTrigger::Mutations);
-        assert_eq!(r.version, GraphVersion::new(1));
+        let second = sched.observe(&mut s, &tenant).unwrap().unwrap();
+        assert_eq!(second.trigger, ReleaseTrigger::Mutations);
+        assert_eq!(second.version, GraphVersion::new(1));
         assert_eq!(sched.releases(), 2);
-        // The log is versioned and ordered.
-        let log = sched.log();
-        assert_eq!(log[0].version, GraphVersion::INITIAL);
-        assert_eq!(log[1].version, GraphVersion::new(1));
         // Both snapshots live in the registry.
-        assert_eq!(registry.num_versions(), 2);
+        assert_eq!(server.registry().num_versions(), 2);
     }
 
     #[test]
     fn drift_policy_fires_on_component_change() {
-        let (registry, ledger, cache) = infra();
-        let sched = ReleaseScheduler::new(
+        let sched = ReleaseScheduler::with_server(
             SchedulerConfig::new(ReleasePolicy::OnComponentDrift { threshold: 2 }),
-            registry,
-            ledger,
-            cache,
+            server(),
         );
         let tenant = TenantId::new("acme");
         let mut s = grow_stream("g", 3); // path on 4 vertices, 1 component
@@ -677,13 +440,8 @@ mod tests {
 
     #[test]
     fn on_demand_only_fires_when_asked() {
-        let (registry, ledger, cache) = infra();
-        let sched = ReleaseScheduler::new(
-            SchedulerConfig::new(ReleasePolicy::OnDemand),
-            registry,
-            ledger,
-            cache,
-        );
+        let sched =
+            ReleaseScheduler::with_server(SchedulerConfig::new(ReleasePolicy::OnDemand), server());
         let tenant = TenantId::new("acme");
         let mut s = grow_stream("g", 5);
         assert!(sched.observe(&mut s, &tenant).unwrap().is_none());
@@ -694,13 +452,12 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_a_typed_refusal_and_spends_nothing_more() {
-        let (registry, ledger, cache) = infra();
+        let server = server();
+        let ledger = Arc::clone(server.ledger());
         ledger.register("poor", 0.6).unwrap();
-        let sched = ReleaseScheduler::new(
+        let sched = ReleaseScheduler::with_server(
             SchedulerConfig::new(ReleasePolicy::OnDemand).with_epsilon(0.5),
-            registry,
-            ledger.clone(),
-            cache,
+            server,
         );
         let tenant = TenantId::new("poor");
         let mut s = grow_stream("g", 4);
@@ -710,36 +467,35 @@ mod tests {
             err,
             StreamError::Serve(ServeError::BudgetExhausted { .. })
         ));
-        // The refusal charged nothing and logged nothing.
+        // The refusal charged nothing and counted no release.
         assert_eq!(sched.releases(), 1);
         let view = ledger.account_view(&tenant).unwrap();
         assert!((view.spent_epsilon - 0.5).abs() < 1e-12);
-        // The ledger audit trail names the snapshot.
+        // The ledger audit trail names the one funded release.
         assert_eq!(view.grants, 1);
     }
 
     #[test]
     fn refused_releases_leave_all_shared_state_untouched() {
-        // Regression: the budget check must come before any side effect. A
-        // refused release may not burn a stream version, publish an unfunded
-        // snapshot, invalidate cached families or expire registry history.
-        let (registry, ledger, cache) = infra();
+        // A refused release may not charge, leave an unfunded snapshot
+        // published, invalidate cached families, expire registry history or
+        // count as a release. (Its stream version number is burned.)
+        let server = server();
+        let ledger = Arc::clone(server.ledger());
         ledger.register("poor", 0.5).unwrap();
-        let sched = ReleaseScheduler::new(
+        let sched = ReleaseScheduler::with_server(
             SchedulerConfig::new(ReleasePolicy::OnDemand)
                 .with_epsilon(0.5)
                 .with_retain_versions(2),
-            Arc::clone(&registry),
-            ledger,
-            Arc::clone(&cache),
+            Arc::clone(&server),
         );
         let tenant = TenantId::new("poor");
         let mut s = grow_stream("g", 4);
         sched.release_now(&mut s, &tenant).unwrap();
         let id = GraphId::new("g");
-        let versions_before = registry.versions(&id);
-        let cache_before = cache.stats();
-        let next_before = s.next_version();
+        let versions_before = server.registry().versions(&id);
+        let cache_before = server.cache_stats();
+        let charges_before = ledger.charges();
         for _ in 0..3 {
             let err = sched.release_now(&mut s, &tenant).unwrap_err();
             assert!(matches!(
@@ -747,22 +503,109 @@ mod tests {
                 StreamError::Serve(ServeError::BudgetExhausted { .. })
             ));
         }
-        assert_eq!(s.next_version(), next_before, "no version may be burned");
-        assert_eq!(registry.versions(&id), versions_before);
-        assert_eq!(cache.stats(), cache_before);
-        assert_eq!(s.stats().snapshots, 1, "refusals never snapshot");
+        assert_eq!(ledger.charges(), charges_before, "refusals never charge");
+        assert_eq!(server.registry().versions(&id), versions_before);
+        assert_eq!(server.cache_stats(), cache_before);
+        assert_eq!(sched.releases(), 1);
+    }
+
+    #[test]
+    fn pre_charge_refusals_roll_the_release_back() {
+        // Regression: every refusal that comes before the worker's ledger
+        // charge (not only BudgetExhausted and queue backpressure) must
+        // unpublish the snapshot and leave the policy unadvanced — an
+        // unknown tenant used to keep an unfunded snapshot published and
+        // silence the next observe().
+        let cases: [(&str, &str, f64); 4] = [
+            ("queue_full", "acme", 0.5),
+            ("budget_exhausted", "poor", 0.5),
+            ("unknown_tenant", "ghost", 0.5),
+            ("invalid_epsilon", "acme", -1.0),
+        ];
+        for (case, tenant, epsilon) in cases {
+            // A slow graph occupies the lone worker long enough for the
+            // 1-slot queue to stay full behind it.
+            let registry = Arc::new(GraphRegistry::new());
+            registry.insert("slow", ccdp_graph::generators::caveman(6, 6));
+            let ledger = Arc::new(BudgetLedger::new());
+            ledger.register("filler", 1e6).unwrap();
+            ledger.register("acme", 100.0).unwrap();
+            ledger.register("poor", 0.1).unwrap();
+            let server = Arc::new(Server::start(
+                ServeConfig::new().with_workers(1).with_queue_capacity(1),
+                registry,
+                Arc::clone(&ledger),
+            ));
+            let sched = ReleaseScheduler::with_server(
+                SchedulerConfig::new(ReleasePolicy::EveryKMutations(2)).with_epsilon(epsilon),
+                Arc::clone(&server),
+            );
+            let tenant = TenantId::new(tenant);
+            let grants = || ledger.account_view(&tenant).map_or(0, |a| a.grants);
+            let mut fillers = Vec::new();
+            let mut refused = None;
+            // Only the queue-full case can lose a race (the lone worker may
+            // drain the queue first); each attempt uses a fresh stream.
+            for attempt in 0..20 {
+                let mut s = grow_stream(&format!("g{attempt}"), 2);
+                // Saturate the pool: submit filler work until the bounded
+                // queue pushes back.
+                if case == "queue_full" {
+                    loop {
+                        match server.submit(ServeRequest::new("filler", "slow", 0.001)) {
+                            Ok(p) => fillers.push(p),
+                            Err(ServeError::QueueFull { .. }) => break,
+                            Err(other) => panic!("unexpected filler refusal: {other:?}"),
+                        }
+                    }
+                }
+                let (grants_before, releases_before) = (grants(), sched.releases());
+                match sched.observe(&mut s, &tenant) {
+                    Err(StreamError::Serve(err)) => {
+                        refused = Some((s.id().clone(), err, grants_before, releases_before));
+                        break;
+                    }
+                    Ok(Some(_)) if case == "queue_full" => continue,
+                    other => panic!("{case}: expected a refusal, got {other:?}"),
+                }
+            }
+            let (id, err, grants_before, releases_before) =
+                refused.unwrap_or_else(|| panic!("{case}: never refused"));
+            let expected = match case {
+                "queue_full" => matches!(err, ServeError::QueueFull { capacity: 1 }),
+                "budget_exhausted" => matches!(err, ServeError::BudgetExhausted { .. }),
+                "unknown_tenant" => matches!(err, ServeError::UnknownTenant { .. }),
+                _ => matches!(err, ServeError::InvalidEpsilon { .. }),
+            };
+            assert!(expected, "{case}: unexpected refusal {err:?}");
+            assert_eq!(
+                grants(),
+                grants_before,
+                "{case}: a refusal must charge nothing"
+            );
+            assert!(
+                server
+                    .registry()
+                    .resolve_version(&id, GraphVersion::INITIAL)
+                    .is_err(),
+                "{case}: the refused snapshot must not stay resolvable"
+            );
+            assert!(
+                !sched.lock_state().contains_key(&id),
+                "{case}: a refusal must not advance the policy"
+            );
+            assert_eq!(sched.releases(), releases_before, "{case}");
+        }
     }
 
     #[test]
     fn superseded_versions_are_invalidated_and_expired() {
-        let (registry, ledger, cache) = infra();
-        let sched = ReleaseScheduler::new(
+        let server = server();
+        let sched = ReleaseScheduler::with_server(
             SchedulerConfig::new(ReleasePolicy::OnDemand)
                 .with_epsilon(0.25)
                 .with_retain_versions(2),
-            Arc::clone(&registry),
-            ledger,
-            Arc::clone(&cache),
+            Arc::clone(&server),
         );
         let tenant = TenantId::new("acme");
         let mut s = grow_stream("g", 3);
@@ -773,27 +616,22 @@ mod tests {
         }
         // Registry retains only the 2 newest versions.
         let id = GraphId::new("g");
-        assert_eq!(registry.versions(&id).len(), 2);
-        assert_eq!(registry.latest_version(&id), Some(GraphVersion::new(4)));
+        assert_eq!(server.registry().versions(&id).len(), 2);
+        assert_eq!(
+            server.registry().latest_version(&id),
+            Some(GraphVersion::new(4))
+        );
         // Every release evaluated its own version's family: 5 misses, no
         // cross-version replay, and superseded entries were invalidated.
-        let stats = cache.stats();
+        let stats = server.cache_stats();
         assert_eq!(stats.misses, 5);
         assert_eq!(stats.hits, 0);
         assert!(stats.invalidations >= 4, "{stats:?}");
     }
 
     #[test]
-    fn server_pool_releases_share_cache_ledger_and_log() {
-        use ccdp_serve::ServeConfig;
-        let registry = Arc::new(GraphRegistry::new());
-        let ledger = Arc::new(BudgetLedger::new());
-        ledger.register("acme", 100.0).unwrap();
-        let server = Arc::new(Server::start(
-            ServeConfig::new().with_workers(2).with_seed(5),
-            Arc::clone(&registry),
-            Arc::clone(&ledger),
-        ));
+    fn releases_share_the_servers_cache_ledger_and_stats() {
+        let server = server();
         let sched = ReleaseScheduler::with_server(
             SchedulerConfig::new(ReleasePolicy::EveryKMutations(3)).with_epsilon(0.5),
             Arc::clone(&server),
@@ -815,94 +653,31 @@ mod tests {
         let snap = server.stats();
         assert_eq!(snap.completed, 2);
         assert_eq!(server.cache_stats().misses, 2);
-        let view = ledger.account_view(&tenant).unwrap();
+        let view = server.ledger().account_view(&tenant).unwrap();
         assert!((view.spent_epsilon - 1.0).abs() < 1e-12);
         assert_eq!(sched.releases(), 2);
-        assert_eq!(registry.versions(&GraphId::new("g")).len(), 2);
-    }
-
-    #[test]
-    fn pool_backpressure_refuses_the_release_and_charges_nothing() {
-        // Regression (wire-era invariant): a scheduler release that meets a
-        // full worker queue must surface `QueueFull` as a typed refusal,
-        // charge no budget and leave no resolvable snapshot behind.
-        use ccdp_serve::ServeConfig;
-        let registry = Arc::new(GraphRegistry::new());
-        // A slow graph occupies the lone worker long enough for the 1-slot
-        // queue to stay full behind it.
-        registry.insert("slow", ccdp_graph::generators::caveman(6, 6));
-        let ledger = Arc::new(BudgetLedger::new());
-        ledger.register("filler", 1e6).unwrap();
-        ledger.register("acme", 100.0).unwrap();
-        let server = Arc::new(Server::start(
-            ServeConfig::new().with_workers(1).with_queue_capacity(1),
-            Arc::clone(&registry),
-            Arc::clone(&ledger),
-        ));
-        let sched = ReleaseScheduler::with_server(
-            SchedulerConfig::new(ReleasePolicy::OnDemand).with_epsilon(0.5),
-            Arc::clone(&server),
+        assert_eq!(server.registry().versions(&GraphId::new("g")).len(), 2);
+        assert_eq!(
+            server
+                .metrics()
+                .snapshot()
+                .value("ccdp_stream_releases_total"),
+            Some(2.0)
         );
-        let tenant = TenantId::new("acme");
-        let mut s = grow_stream("g", 4);
-        let id = GraphId::new("g");
-
-        let mut pending = Vec::new();
-        let mut refused = false;
-        for _ in 0..20 {
-            // Saturate the pool: keep submitting slow filler work until the
-            // bounded queue pushes back.
-            loop {
-                match server.submit(ccdp_serve::ServeRequest::new("filler", "slow", 0.001)) {
-                    Ok(p) => pending.push(p),
-                    Err(ServeError::QueueFull { .. }) => break,
-                    Err(other) => panic!("unexpected filler refusal: {other:?}"),
-                }
-            }
-            let spent_before = ledger.account_view(&tenant).unwrap().spent_epsilon;
-            let releases_before = sched.releases();
-            let refused_version = s.next_version();
-            match sched.release_now(&mut s, &tenant) {
-                Err(StreamError::Serve(ServeError::QueueFull { capacity })) => {
-                    assert_eq!(capacity, 1);
-                    let view = ledger.account_view(&tenant).unwrap();
-                    assert_eq!(
-                        view.spent_epsilon, spent_before,
-                        "a refused release must charge nothing"
-                    );
-                    // The refused snapshot was unpublished and not logged.
-                    assert!(registry.get_version(&id, refused_version).is_none());
-                    assert_eq!(sched.releases(), releases_before);
-                    refused = true;
-                    break;
-                }
-                // The lone worker won the race and drained the queue first;
-                // that release went through — re-saturate and try again.
-                Ok(r) => {
-                    assert_eq!(r.version, refused_version);
-                    continue;
-                }
-                Err(other) => panic!("unexpected release failure: {other:?}"),
-            }
-        }
-        assert!(refused, "a 1-slot queue never refused a release");
     }
 
     #[test]
     fn scheduler_decisions_land_in_the_audit_journal() {
-        let (registry, ledger, cache) = infra();
+        let server = server();
+        let ledger = Arc::clone(server.ledger());
         ledger.register("poor", 0.6).unwrap();
-        let journal = Arc::new(AuditJournal::new());
-        let sched = ReleaseScheduler::new(
+        let journal = Arc::clone(server.journal());
+        let sched = ReleaseScheduler::with_server(
             SchedulerConfig::new(ReleasePolicy::OnDemand)
                 .with_epsilon(0.5)
                 .with_retain_versions(1),
-            registry,
-            Arc::clone(&ledger),
-            cache,
+            server,
         );
-        sched.set_journal(Arc::clone(&journal));
-        ledger.set_journal(Arc::clone(&journal));
         let tenant = TenantId::new("poor");
         let mut s = grow_stream("g", 3);
         sched.release_now(&mut s, &tenant).unwrap();
@@ -925,24 +700,20 @@ mod tests {
             .unwrap();
         assert_eq!(fire.detail, "demand");
         assert_eq!((fire.graph.as_str(), fire.version), ("g", Some(0)));
-        // The inline stage name is `id@version`; replay still reconstructs
-        // the account exactly from the journal.
+        // Replay reconstructs both accounts exactly from the journal.
         assert_eq!(ledger.verify_replay(&journal), Ok(2));
     }
 
     #[test]
     fn superseding_releases_journal_their_invalidations() {
-        let (registry, ledger, cache) = infra();
-        let journal = Arc::new(AuditJournal::new());
-        let sched = ReleaseScheduler::new(
+        let server = server();
+        let journal = Arc::clone(server.journal());
+        let sched = ReleaseScheduler::with_server(
             SchedulerConfig::new(ReleasePolicy::OnDemand)
                 .with_epsilon(0.1)
                 .with_retain_versions(1),
-            registry,
-            ledger,
-            cache,
+            server,
         );
-        sched.set_journal(Arc::clone(&journal));
         let tenant = TenantId::new("acme");
         let mut s = grow_stream("g", 3);
         sched.release_now(&mut s, &tenant).unwrap();
@@ -961,12 +732,16 @@ mod tests {
     #[test]
     fn identical_seeds_replay_identical_release_values() {
         let run = || {
-            let (registry, ledger, cache) = infra();
-            let sched = ReleaseScheduler::new(
-                SchedulerConfig::new(ReleasePolicy::EveryKMutations(3)).with_seed(42),
-                registry,
+            let ledger = Arc::new(BudgetLedger::new());
+            ledger.register("acme", 100.0).unwrap();
+            let server = Arc::new(Server::start(
+                ServeConfig::new().with_workers(2).with_seed(42),
+                Arc::new(GraphRegistry::new()),
                 ledger,
-                cache,
+            ));
+            let sched = ReleaseScheduler::with_server(
+                SchedulerConfig::new(ReleasePolicy::EveryKMutations(3)),
+                server,
             );
             let tenant = TenantId::new("acme");
             let mut s = grow_stream("g", 2);
@@ -975,13 +750,23 @@ mod tests {
                 s.apply(&Mutation::insert(50 + i, 20 + i as usize, 21 + i as usize))
                     .unwrap();
                 if let Some(r) = sched.observe(&mut s, &tenant).unwrap() {
-                    values.push((r.version, r.value.to_bits()));
+                    values.push((r.version.value(), r.value.to_bits()));
                 }
             }
             values
         };
         let a = run();
-        assert!(!a.is_empty());
         assert_eq!(a, run(), "seeded schedulers must replay exactly");
+        // Pinned bits: the server's per-request RNG derivation (seed 42,
+        // request ids in submission order) fixes them, so a change here
+        // means the same stream now releases different values.
+        assert_eq!(
+            a,
+            vec![
+                (0, 0x4009_1f0c_b435_c498),
+                (1, 0x4039_7d90_eebe_f376),
+                (2, 0x4039_dab2_b086_b8b0),
+            ]
+        );
     }
 }

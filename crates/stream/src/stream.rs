@@ -22,7 +22,7 @@
 //! Calling [`GraphStream::snapshot`] freezes the current state into an
 //! immutable [`GraphSnapshot`] stamped with the stream's next
 //! [`GraphVersion`]; versions increase monotonically and are never reused,
-//! so downstream consumers (registry, cache, release log) can treat
+//! so downstream consumers (registry, cache, release records) can treat
 //! `(id, version)` as a permanent name for one exact edge set.
 
 use crate::error::StreamError;

@@ -10,7 +10,11 @@ fn facade_serves_a_multi_tenant_fleet() {
     let registry = Arc::new(GraphRegistry::new());
     // Ingest one graph from the wire format, build one programmatically.
     registry
-        .ingest_edge_list("wire", &io::to_edge_list(&generators::caveman(3, 4)))
+        .ingest_edge_list_version(
+            "wire",
+            GraphVersion::INITIAL,
+            &io::to_edge_list(&generators::caveman(3, 4)),
+        )
         .unwrap();
     registry.insert("gen", generators::planted_star_forest(8, 2, 2));
     assert_eq!(registry.len(), 2);

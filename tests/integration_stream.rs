@@ -7,12 +7,15 @@ use ccdp::prelude::*;
 use ccdp::stream::replay;
 use std::sync::Arc;
 
-fn infra(quota: f64) -> (Arc<GraphRegistry>, Arc<BudgetLedger>, Arc<ExtensionCache>) {
-    let registry = Arc::new(GraphRegistry::new());
+/// A 2-worker server over a fresh registry, with one tenant of `quota` ε.
+fn server(quota: f64) -> Arc<Server> {
     let ledger = Arc::new(BudgetLedger::new());
     ledger.register("tenant", quota).unwrap();
-    let cache = Arc::new(ExtensionCache::new(64));
-    (registry, ledger, cache)
+    Arc::new(Server::start(
+        ServeConfig::new().with_workers(2),
+        Arc::new(GraphRegistry::new()),
+        ledger,
+    ))
 }
 
 #[test]
@@ -25,14 +28,13 @@ fn evolving_fleet_releases_match_their_snapshots() {
         delete_fraction: 0.3,
         seed: 7,
     };
-    let (registry, ledger, cache) = infra(1e6);
-    let scheduler = ReleaseScheduler::new(
+    let server = server(1e6);
+    let registry = Arc::clone(server.registry());
+    let scheduler = ReleaseScheduler::with_server(
         SchedulerConfig::new(ReleasePolicy::EveryKMutations(12))
             .with_epsilon(0.5)
             .with_retain_versions(3),
-        Arc::clone(&registry),
-        Arc::clone(&ledger),
-        Arc::clone(&cache),
+        Arc::clone(&server),
     );
     let tenant = TenantId::new("tenant");
 
@@ -72,12 +74,12 @@ fn evolving_fleet_releases_match_their_snapshots() {
     }
     assert!(releases.len() >= spec.graphs * 4, "policy must keep firing");
     // No cross-version cache replay: one miss per release, no hits.
-    let stats = cache.stats();
+    let stats = server.cache_stats();
     assert_eq!(stats.misses, releases.len() as u64, "{stats:?}");
     assert_eq!(stats.hits, 0, "{stats:?}");
     assert!(stats.invalidations > 0, "{stats:?}");
     // Every release maps to exactly one ledger grant.
-    let grants: usize = ledger.snapshot().iter().map(|a| a.grants).sum();
+    let grants: usize = server.ledger().snapshot().iter().map(|a| a.grants).sum();
     assert_eq!(grants, releases.len());
 }
 
@@ -85,7 +87,9 @@ fn evolving_fleet_releases_match_their_snapshots() {
 fn server_serves_version_pinned_requests_from_published_snapshots() {
     // A stream publishes versions; a Server over the SAME registry answers
     // both pinned and latest requests about them.
-    let (registry, ledger, _cache) = infra(1e6);
+    let registry = Arc::new(GraphRegistry::new());
+    let ledger = Arc::new(BudgetLedger::new());
+    ledger.register("tenant", 1e6).unwrap();
     let mut stream = GraphStream::new("live/graph");
     stream.apply(&Mutation::insert(1, 0, 1)).unwrap();
     stream.apply(&Mutation::insert(2, 2, 3)).unwrap();
@@ -143,12 +147,11 @@ fn server_serves_version_pinned_requests_from_published_snapshots() {
 #[test]
 fn budget_exhaustion_stops_releases_not_ingestion() {
     // Quota funds exactly 2 releases at ε = 0.5.
-    let (registry, ledger, cache) = infra(1.0);
-    let scheduler = ReleaseScheduler::new(
+    let server = server(1.0);
+    let ledger = Arc::clone(server.ledger());
+    let scheduler = ReleaseScheduler::with_server(
         SchedulerConfig::new(ReleasePolicy::OnDemand).with_epsilon(0.5),
-        registry,
-        Arc::clone(&ledger),
-        cache,
+        server,
     );
     let tenant = TenantId::new("tenant");
     let mut stream = GraphStream::new("metered");

@@ -4,6 +4,8 @@
 //! evaluation described in EXPERIMENTS.md; the `bench_*` targets are Criterion
 //! micro-benchmarks for the performance-sensitive building blocks.
 
+#![forbid(unsafe_code)]
+
 pub mod report;
 
 pub use report::Table;

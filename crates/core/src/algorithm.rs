@@ -30,7 +30,6 @@ use crate::release::{Diagnostics, Privacy, Release};
 use ccdp_dp::composition::{BudgetExceeded, PrivacyBudget};
 use ccdp_dp::gem::{generalized_exponential_mechanism, power_of_two_grid, GemCandidate};
 use ccdp_dp::laplace::laplace_mechanism;
-use ccdp_dp::NoiseBatch;
 use ccdp_exec::PhaseProfiler;
 use ccdp_graph::{CsrGraph, Graph};
 use rand::{Rng, RngCore};
@@ -194,35 +193,22 @@ impl PrivateSpanningForestEstimator {
             })
             .collect();
 
-        // The release consumes a statically known amount of randomness: one
-        // word for the GEM draw, one for the Laplace release. Prefetch both
-        // into a batch and replay it — the samples are bit-for-bit what
-        // drawing from `rng` directly would produce, and the exhaustion
-        // check below pins the draw count against accounting drift.
-        let mut noise = NoiseBatch::prefetch(rng, 2);
+        // The release draws two words from `rng`: one for the GEM draw, one
+        // for the Laplace release (a test pins the count).
         if let Some(ctx) = &obs.trace {
             ctx.event_full(ccdp_obs::SpanKind::NoiseDraw, std::time::Duration::ZERO, 2);
         }
 
         // Step 1 of Algorithm 1: GEM with ε/2.
         let selection =
-            generalized_exponential_mechanism(&candidates, true_value, eps_gem, beta, &mut noise);
+            generalized_exponential_mechanism(&candidates, true_value, eps_gem, beta, rng);
         let selected_delta = grid[selection.index];
         let extension_value = selection.value;
 
         // Step 3: Laplace release with the remaining ε/2 and sensitivity Δ̂,
         // i.e. noise scale 2Δ̂/ε.
         let noise_scale = selected_delta as f64 / eps_release;
-        let value = laplace_mechanism(
-            extension_value,
-            selected_delta as f64,
-            eps_release,
-            &mut noise,
-        );
-        assert!(
-            noise.is_exhausted(),
-            "spanning-forest release must consume exactly its prefetched noise"
-        );
+        let value = laplace_mechanism(extension_value, selected_delta as f64, eps_release, rng);
 
         Ok(Release::new(
             value,
@@ -353,9 +339,9 @@ impl PrivateCcEstimator {
     /// with sensitivity 1, then hand everything that remains of the same
     /// accountant to the spanning-forest stage.
     ///
-    /// The single node-count noise word is prefetched like the
-    /// spanning-forest stage's, so a full release consumes exactly three
-    /// words from `rng` in a fixed order.
+    /// The node-count release draws one word from `rng` before the
+    /// spanning-forest stage's two, so a full release consumes exactly three
+    /// words in a fixed order.
     fn release<R: Rng + ?Sized>(
         &self,
         arena: ArenaRef<'_>,
@@ -365,17 +351,11 @@ impl PrivateCcEstimator {
         let epsilon = self.config.epsilon();
         let mut budget = PrivacyBudget::new(epsilon);
         let eps_count = budget.spend("node-count", epsilon * self.config.node_count_fraction())?;
-        let mut noise = NoiseBatch::prefetch(rng, 1);
         if let Some(ctx) = &self.config.obs().trace {
             ctx.event_full(ccdp_obs::SpanKind::NoiseDraw, std::time::Duration::ZERO, 1);
         }
-        let node_count_estimate = laplace_mechanism(
-            arena.get().num_vertices() as f64,
-            1.0,
-            eps_count,
-            &mut noise,
-        );
-        assert!(noise.is_exhausted());
+        let node_count_estimate =
+            laplace_mechanism(arena.get().num_vertices() as f64, 1.0, eps_count, rng);
 
         let sf_release = self
             .spanning_forest
@@ -663,6 +643,44 @@ mod tests {
                 3,
                 "ε = {epsilon}"
             );
+        }
+    }
+
+    /// Counts the words a release draws from the source generator.
+    struct CountingRng {
+        inner: StdRng,
+        words: usize,
+    }
+
+    impl RngCore for CountingRng {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    #[test]
+    fn releases_draw_a_fixed_number_of_noise_words() {
+        // GEM plus Laplace for the spanning forest; one more Laplace word for
+        // the node count. The count must not depend on the graph.
+        let graphs = [
+            Graph::new(0),
+            generators::path(1),
+            generators::planted_star_forest(20, 3, 5),
+            generators::erdos_renyi(300, 1.5 / 300.0, &mut StdRng::seed_from_u64(3)),
+        ];
+        let sf = PrivateSpanningForestEstimator::new(1.0).unwrap();
+        let cc = PrivateCcEstimator::new(1.0).unwrap();
+        for (i, g) in graphs.iter().enumerate() {
+            let mut rng = CountingRng {
+                inner: StdRng::seed_from_u64(i as u64),
+                words: 0,
+            };
+            sf.estimate(g, &mut rng).unwrap();
+            assert_eq!(rng.words, 2, "spanning-forest release on graph {i}");
+            rng.words = 0;
+            cc.estimate(g, &mut rng).unwrap();
+            assert_eq!(rng.words, 3, "connected-components release on graph {i}");
         }
     }
 }

@@ -15,7 +15,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Per-request observability handles threaded through an estimator run:
-/// an optional trace context (span events land in its ring buffer) and an
+/// an optional trace context (span events land in its tracer's store) and an
 /// optional phase profiler (solver phase timings land in its report).
 ///
 /// Both are pure observation — they never consume randomness or change a

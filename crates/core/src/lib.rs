@@ -69,6 +69,8 @@
 //!   all behind the same [`Estimator`] trait.
 //! * [`accuracy`] — the error-measurement harness shared by the experiments.
 
+#![forbid(unsafe_code)]
+
 pub mod accuracy;
 pub mod algorithm;
 pub mod anchor;

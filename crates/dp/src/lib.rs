@@ -9,20 +9,18 @@
 //! * [`gem`]: the Generalized Exponential Mechanism of Raskhodnikova–Smith
 //!   applied to threshold selection for a family of Lipschitz extensions
 //!   (Algorithm 4),
-//! * [`composition`]: sequential composition bookkeeping (Lemma 2.4),
-//! * [`batch`]: prefetched per-release noise batches that replay the source
-//!   generator's words bit-for-bit.
+//! * [`composition`]: sequential composition bookkeeping (Lemma 2.4).
 //!
 //! All mechanisms take an explicit `&mut impl Rng`, so experiments and tests are
 //! reproducible with seeded generators.
 
-pub mod batch;
+#![forbid(unsafe_code)]
+
 pub mod composition;
 pub mod exponential;
 pub mod gem;
 pub mod laplace;
 
-pub use batch::NoiseBatch;
 pub use composition::{BudgetExceeded, PrivacyBudget};
 pub use exponential::exponential_mechanism_min;
 pub use gem::{generalized_exponential_mechanism, GemCandidate, GemSelection};

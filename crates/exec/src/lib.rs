@@ -14,6 +14,8 @@
 //! decide whether fanning out pays, and [`PhaseProfiler`], the per-phase
 //! wall-clock aggregator that attributes release cost.
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -144,7 +146,7 @@ pub struct PhaseProfiler {
 
 #[derive(Debug, Clone)]
 struct PhaseSlot {
-    name: String,
+    name: &'static str,
     seconds: f64,
     invocations: u64,
     count: u64,
@@ -169,37 +171,38 @@ impl PhaseProfiler {
         Self::default()
     }
 
-    /// Starts a scoped timer for `name`; elapsed time is recorded on drop.
-    pub fn phase<'p>(&'p self, name: &str) -> PhaseTimer<'p> {
+    /// Starts a scoped timer for the phase `name`; elapsed time is recorded
+    /// on drop. Phase names are static, so timing a scope allocates nothing.
+    pub fn phase<'p>(&'p self, name: &'static str) -> PhaseTimer<'p> {
         PhaseTimer {
             profiler: self,
-            name: name.to_string(),
+            name,
             started: std::time::Instant::now(),
         }
     }
 
     /// Adds `n` to the unitless counter of `name` (creating the slot if new).
-    pub fn add_count(&self, name: &str, n: u64) {
+    pub fn add_count(&self, name: &'static str, n: u64) {
         let mut slots = self.slots.lock().expect("profiler lock");
         let slot = Self::slot(&mut slots, name);
         slot.count += n;
     }
 
-    fn add_seconds(&self, name: &str, seconds: f64) {
+    fn add_seconds(&self, name: &'static str, seconds: f64) {
         let mut slots = self.slots.lock().expect("profiler lock");
         let slot = Self::slot(&mut slots, name);
         slot.seconds += seconds;
         slot.invocations += 1;
     }
 
-    fn slot<'a>(slots: &'a mut Vec<PhaseSlot>, name: &str) -> &'a mut PhaseSlot {
+    fn slot<'a>(slots: &'a mut Vec<PhaseSlot>, name: &'static str) -> &'a mut PhaseSlot {
         // Linear scan keeps first-use registration order for reporting; the
         // slot count is the number of pipeline phases, i.e. tiny.
         if let Some(i) = slots.iter().position(|s| s.name == name) {
             return &mut slots[i];
         }
         slots.push(PhaseSlot {
-            name: name.to_string(),
+            name,
             seconds: 0.0,
             invocations: 0,
             count: 0,
@@ -214,7 +217,7 @@ impl PhaseProfiler {
             .expect("profiler lock")
             .iter()
             .map(|s| PhaseReport {
-                name: s.name.clone(),
+                name: s.name.to_string(),
                 seconds: s.seconds,
                 invocations: s.invocations,
                 count: s.count,
@@ -227,9 +230,9 @@ impl PhaseProfiler {
     /// whole walk, so keep `f` cheap — this exists for per-request boundaries
     /// (span emission) where [`report`](Self::report)'s per-slot `String`
     /// clones and `Vec` are measurable.
-    pub fn visit(&self, mut f: impl FnMut(&str, f64, u64, u64)) {
+    pub fn visit(&self, mut f: impl FnMut(&'static str, f64, u64, u64)) {
         for s in self.slots.lock().expect("profiler lock").iter() {
-            f(&s.name, s.seconds, s.invocations, s.count);
+            f(s.name, s.seconds, s.invocations, s.count);
         }
     }
 
@@ -273,14 +276,14 @@ impl PhaseProfiler {
 #[must_use = "the timer records on drop; binding it to `_` ends the scope immediately"]
 pub struct PhaseTimer<'p> {
     profiler: &'p PhaseProfiler,
-    name: String,
+    name: &'static str,
     started: std::time::Instant,
 }
 
 impl Drop for PhaseTimer<'_> {
     fn drop(&mut self) {
         self.profiler
-            .add_seconds(&self.name, self.started.elapsed().as_secs_f64());
+            .add_seconds(self.name, self.started.elapsed().as_secs_f64());
     }
 }
 

@@ -7,6 +7,8 @@
 //! * [`dinic`]: Dinic's maximum-flow algorithm on a capacitated directed graph,
 //! * [`closure`]: the maximum-weight closure reduction built on top of it.
 
+#![forbid(unsafe_code)]
+
 pub mod closure;
 pub mod dinic;
 

@@ -16,6 +16,8 @@
 //! Vertices are `usize` indices in `0..n`. Graphs are undirected, simple
 //! (no self-loops, no parallel edges) and unweighted, exactly as in the paper.
 
+#![forbid(unsafe_code)]
+
 pub mod components;
 pub mod csr;
 pub mod forest;

@@ -20,6 +20,8 @@
 //!   simplex ([`IncrementalSimplex`]) whose basis survives across added cuts
 //!   and columns (dual-simplex repair), with Bland's anti-cycling rule.
 
+#![forbid(unsafe_code)]
+
 pub mod column_generation;
 pub mod combinatorial;
 pub mod cutting_plane;

@@ -183,7 +183,7 @@ impl NetClient {
     }
 
     /// `GET /trace/{id}`: the assembled span tree of one traced request,
-    /// as parsed JSON (`404 unknown_trace` once the ring has wrapped).
+    /// as parsed JSON (`404 unknown_trace` once the trace is evicted).
     pub fn trace(&mut self, id: &str) -> Result<JsonValue, NetError> {
         self.get_json(&format!("/trace/{id}"))
     }

@@ -91,8 +91,8 @@ pub enum NetError {
         /// The offending path.
         path: String,
     },
-    /// `GET /trace/{id}` named a trace the span ring no longer (or never)
-    /// holds — ids expire as the bounded ring wraps.
+    /// `GET /trace/{id}` named a trace the span store no longer (or never)
+    /// holds — the bounded store evicts the oldest traces.
     UnknownTrace {
         /// The requested id, as received.
         id: String,
@@ -252,7 +252,7 @@ impl std::fmt::Display for NetError {
             NetError::BadField { field, detail } => write!(f, "field `{field}`: {detail}"),
             NetError::UnknownRoute { path } => write!(f, "no route for `{path}`"),
             NetError::UnknownTrace { id } => {
-                write!(f, "no trace `{id}` (ids expire as the span ring wraps)")
+                write!(f, "no trace `{id}` (old traces are evicted)")
             }
             NetError::ConnectionCap { limit } => {
                 write!(f, "connection cap of {limit} reached; retry later")

@@ -21,6 +21,7 @@
 //! * [`error`] — [`NetError`]: the typed failure surface and its HTTP
 //!   status/code mapping ([`serve_error_status`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

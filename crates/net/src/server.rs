@@ -468,7 +468,7 @@ fn route(request: &Request, shared: &Shared) -> Reply {
         ("POST", "/ingest") => route_ingest(request, shared).map(Reply::json),
         ("GET", "/stats") => Ok(Reply::json(stats_body(shared))),
         ("GET", "/healthz") => Ok(Reply::json(healthz_body(shared))),
-        // render_metrics (not the raw registry) so ring-drop counters are
+        // render_metrics (not the raw registry) so drop counters are
         // refreshed on every scrape.
         ("GET", "/metrics") => Ok(Reply::exposition(shared.server.render_metrics())),
         ("GET", path) if path.starts_with("/trace/") => route_trace(path, shared).map(Reply::json),
@@ -556,7 +556,7 @@ fn estimate_body(
 }
 
 /// `GET /trace/{id}` — the assembled span tree of one request, while the
-/// bounded ring still holds its events.
+/// bounded span store still holds its events.
 fn route_trace(path: &str, shared: &Shared) -> Result<String, NetError> {
     let raw = &path["/trace/".len()..];
     let id: TraceId = raw.parse().map_err(|()| NetError::BadField {

@@ -21,8 +21,8 @@
 //! The journal is always on: there is no switch that lets a budget
 //! decision go unrecorded. Hot-path contract: a recording claims a
 //! sequence number with one `fetch_add` and takes one uncontended
-//! per-slot mutex (events carry heap strings, so slots cannot be seqlocked
-//! like span events); writers only contend when the ring wraps onto a slot
+//! per-slot mutex (events carry heap strings, so slots cannot be
+//! seqlocked); writers only contend when the ring wraps onto a slot
 //! another writer holds, and the journal never back-pressures the
 //! pipeline — overwritten events are counted in [`AuditJournal::dropped`],
 //! not waited for.

@@ -17,8 +17,9 @@
 //!   (deterministic from a seeded [`TraceIdGen`] in tests) minted at the
 //!   serving boundary, threaded through the request path as a
 //!   [`TraceCtx`], emitting typed [`SpanKind`] events into the bounded
-//!   lock-free ring of a [`Tracer`], assembled on demand into a
-//!   [`TraceTree`] (`GET /trace/{id}`, `ccdp trace`).
+//!   per-trace store of a [`Tracer`] (one mutex over a map from trace id to
+//!   events), assembled on demand into a [`TraceTree`] (`GET /trace/{id}`,
+//!   `ccdp trace`).
 //! * [`audit`] — the privacy-budget audit journal: typed [`AuditEvent`]s
 //!   recorded at every budget decision point into a bounded
 //!   [`AuditJournal`] ring (optional JSONL file sink), with
@@ -27,10 +28,10 @@
 //!
 //! The layer is std-only and dependency-free so every crate in the
 //! workspace can sit on top of it, and its hot-path costs are explicit:
-//! one relaxed atomic per counter bump, one branch per span emission when
-//! tracing is off (and one branch per audit event when the journal is
-//! off).
+//! one relaxed atomic per counter bump and one branch per span emission
+//! when tracing is off.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

@@ -1,31 +1,31 @@
 //! Request-scoped tracing: 128-bit trace ids minted at the serving boundary,
-//! typed span events emitted into a bounded lock-free ring, and per-trace
+//! typed span events recorded into a bounded per-trace store, and per-trace
 //! assembly into a span tree.
 //!
-//! The hot-path contract is strict: with tracing disabled, every emission is
-//! **one branch** (a relaxed load of the enabled flag) and nothing else; with
-//! tracing enabled, an emission is one `fetch_add` to claim a slot plus a
-//! handful of relaxed stores stamped by a per-slot sequence word (a seqlock)
-//! and one store into the stripe's trace-id index,
-//! so writers never block each other or readers. The ring is striped per
-//! emitting thread (cacheline-aligned slots, thread-sticky stripes), so the
-//! lines a worker dirties stay in its own core's cache rather than bouncing
-//! between workers. The ring is bounded: old events are overwritten, dropped
-//! counts are observable, and assembly of an evicted trace simply comes back
-//! incomplete or absent — tracing is a diagnostic surface, never
-//! backpressure.
+//! With tracing disabled, every emission is **one branch** (a relaxed load of
+//! the enabled flag) and nothing else. With tracing enabled, an emission locks
+//! the store, stamps the event and appends it to its trace's event list, so
+//! each trace's events are held in emission order. Inside
+//! [`Tracer::batch`], a thread's emissions for the batched trace are stamped
+//! and held back instead, then appended under one lock when the batch ends:
+//! a serving worker takes the lock once per request.
 //!
-//! Reading one trace ([`Tracer::events`]) walks a dense per-slot index of
-//! trace ids (8 bytes per slot) rather than every slot's cacheline, and
-//! decodes and sorts only that trace's events, so a caller that reads back
-//! every traced request pays per read a small fraction of a full-ring
-//! decode.
+//! The store is bounded: past its capacity it evicts whole traces, oldest
+//! first, and counts their events as dropped. A trace still running when it
+//! is evicted resumes as a new entry that holds only its later events.
+//! Tracing is a diagnostic surface, never backpressure.
+//!
+//! Reading one trace ([`Tracer::events`]) is one map lookup and a copy of
+//! that trace's events.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A 128-bit request trace id, rendered as 32 lowercase hex digits (the
@@ -50,27 +50,22 @@ impl FromStr for TraceId {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Deterministic trace-id generator: a seed plus an atomic counter, so a
-/// seeded test mints the same id sequence every run while production servers
-/// seed from their config and stay collision-free across requests.
+/// Trace-id generator: a key plus an atomic counter. Each id is a hash of
+/// the key and the counter, so ids stay collision-free across requests and
+/// none of them gives away the key or the ids minted before or after it. A
+/// seeded test mints the same id sequence every run; a server keys its
+/// generator from a secret that nothing else uses.
 #[derive(Debug)]
 pub struct TraceIdGen {
-    seed: u64,
+    key: u64,
     counter: AtomicU64,
 }
 
 impl TraceIdGen {
-    /// A generator whose mint sequence is a pure function of `seed`.
-    pub fn new(seed: u64) -> Self {
+    /// A generator whose mint sequence is a pure function of `key`.
+    pub fn new(key: u64) -> Self {
         TraceIdGen {
-            seed,
+            key,
             counter: AtomicU64::new(0),
         }
     }
@@ -78,9 +73,12 @@ impl TraceIdGen {
     /// Mints the next id (never zero).
     pub fn mint(&self) -> TraceId {
         let c = self.counter.fetch_add(1, Ordering::Relaxed);
-        let hi = splitmix64(self.seed ^ splitmix64(c));
-        let lo = splitmix64(c.wrapping_mul(0xD131_0BA6_985F_F3A7) ^ self.seed.rotate_left(17));
-        let id = ((hi as u128) << 64) | lo as u128;
+        let word = |lane: u64| {
+            let mut h = DefaultHasher::new();
+            (self.key, c, lane).hash(&mut h);
+            h.finish()
+        };
+        let id = ((word(0) as u128) << 64) | word(1) as u128;
         TraceId(if id == 0 { 1 } else { id })
     }
 }
@@ -107,7 +105,7 @@ pub enum SpanKind {
     CacheCoalesced,
     /// One solver phase (named; `dur` = phase wall clock).
     Phase,
-    /// Release noise drawn (`aux` = words consumed from the prefetch batch).
+    /// Release noise drawn (`aux` = words drawn from the release's RNG).
     NoiseDraw,
     /// A release was produced (`dur` = worker handle time).
     Release,
@@ -116,41 +114,6 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    fn code(self) -> u64 {
-        match self {
-            SpanKind::Queued => 1,
-            SpanKind::QueueRefused => 2,
-            SpanKind::Dequeued => 3,
-            SpanKind::BudgetCharge => 4,
-            SpanKind::BudgetRefusal => 5,
-            SpanKind::CacheHit => 6,
-            SpanKind::CacheMiss => 7,
-            SpanKind::CacheCoalesced => 8,
-            SpanKind::Phase => 9,
-            SpanKind::NoiseDraw => 10,
-            SpanKind::Release => 11,
-            SpanKind::Failed => 12,
-        }
-    }
-
-    fn from_code(code: u64) -> Option<Self> {
-        Some(match code {
-            1 => SpanKind::Queued,
-            2 => SpanKind::QueueRefused,
-            3 => SpanKind::Dequeued,
-            4 => SpanKind::BudgetCharge,
-            5 => SpanKind::BudgetRefusal,
-            6 => SpanKind::CacheHit,
-            7 => SpanKind::CacheMiss,
-            8 => SpanKind::CacheCoalesced,
-            9 => SpanKind::Phase,
-            10 => SpanKind::NoiseDraw,
-            11 => SpanKind::Release,
-            12 => SpanKind::Failed,
-            _ => return None,
-        })
-    }
-
     /// The stable span name this event assembles into.
     pub fn span_name(self) -> &'static str {
         match self {
@@ -170,15 +133,15 @@ impl SpanKind {
     }
 }
 
-/// One decoded event from the ring.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One recorded span event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
     /// The trace this event belongs to.
     pub trace: TraceId,
     /// What happened.
     pub kind: SpanKind,
     /// Phase name for [`SpanKind::Phase`] events, empty otherwise.
-    pub name: String,
+    pub name: &'static str,
     /// Event time in microseconds since the tracer's epoch.
     pub at_micros: u64,
     /// Duration in nanoseconds (0 for instantaneous markers).
@@ -187,112 +150,90 @@ pub struct SpanEvent {
     pub aux: u64,
 }
 
-const SLOT_WORDS: usize = 6;
-
-/// One seqlocked ring slot: a stamp word plus the event fields. The stamp
-/// holds `2·idx+1` while a writer owns the slot and `2·idx+2` once the
-/// fields are complete, so readers detect both in-progress and reused slots.
-///
-/// Cacheline-aligned so an emission dirties exactly one slot line: the ring
-/// is larger than cache, so every write is a read-for-ownership miss, and an
-/// unaligned 56-byte slot would straddle two lines and pay that miss twice.
-/// (The stripe's id index adds one more line per eight emissions.)
-#[derive(Debug)]
-#[repr(align(64))]
-struct Slot {
-    stamp: AtomicU64,
-    words: [AtomicU64; SLOT_WORDS],
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            stamp: AtomicU64::new(0),
-            words: Default::default(),
-        }
-    }
-}
-
-/// Ring stripes (power of two). Each emitting thread is pinned to one
-/// stripe, so the cachelines a thread dirties stay in its own core's cache
-/// instead of bouncing between workers: with a single shared ring,
-/// consecutive slots are claimed by whichever worker emits next, and every
-/// emission pays a cross-core read-for-ownership miss on a line some other
-/// core wrote last.
-const STRIPES: usize = 8;
-
-/// One per-thread-group ring stripe: its own head and slot array. Aligned
-/// so neighboring stripes' heads never share a cacheline.
-#[repr(align(64))]
-#[derive(Debug)]
-struct Stripe {
-    head: AtomicU64,
-    slots: Box<[Slot]>,
-    /// `ids[i]` is the low word of the trace id last written to `slots[i]`:
-    /// a dense index that lets a per-trace read skip a slot after one
-    /// 8-byte load instead of pulling in the slot's whole cacheline. Only a
-    /// hint; the seqlocked slot words decide.
-    ids: Box<[AtomicU64]>,
-}
-
-/// Round-robin thread → stripe coloring, assigned on a thread's first
-/// emission and sticky for its lifetime. Process-global on purpose: stripe
-/// affinity is about which *core* owns which cachelines, not about which
-/// tracer is written.
-fn thread_stripe() -> usize {
-    use std::cell::Cell;
-    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    STRIPE.with(|c| {
-        let mut v = c.get();
-        if v == usize::MAX {
-            v = NEXT.fetch_add(1, Ordering::Relaxed) & (STRIPES - 1);
-            c.set(v);
-        }
-        v
-    })
-}
-
-/// Default ring capacity: 64Ki events (8Ki per stripe) ≈ a few thousand
-/// full request traces.
+/// Default store bound: 64Ki held events ≈ a few thousand full request
+/// traces.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
-/// The bounded lock-free span ring plus the phase-name interner.
+/// What the tracer holds: each trace's events in emission order, plus the
+/// traces oldest first, so eviction can drop whole traces.
+#[derive(Debug, Default)]
+struct Store {
+    traces: HashMap<TraceId, Vec<SpanEvent>>,
+    oldest_first: VecDeque<TraceId>,
+    /// The emptied buffer of the last evicted trace, which the next new
+    /// trace takes over: a full store records without allocating.
+    spare: Vec<SpanEvent>,
+    held: usize,
+    dropped: u64,
+}
+
+impl Store {
+    /// The held trace `id`, created empty (as the newest) if absent.
+    fn trace(&mut self, id: TraceId) -> &mut Vec<SpanEvent> {
+        let (oldest_first, spare) = (&mut self.oldest_first, &mut self.spare);
+        self.traces.entry(id).or_insert_with(|| {
+            oldest_first.push_back(id);
+            std::mem::take(spare)
+        })
+    }
+
+    /// Counts `added` new events, then evicts whole traces, oldest first,
+    /// until at most `capacity` events are held.
+    fn added(&mut self, added: usize, capacity: usize) {
+        self.held += added;
+        while self.held > capacity {
+            let Some(oldest) = self.oldest_first.pop_front() else {
+                break;
+            };
+            if let Some(mut evicted) = self.traces.remove(&oldest) {
+                self.held -= evicted.len();
+                self.dropped += evicted.len() as u64;
+                evicted.clear();
+                self.spare = evicted;
+            }
+        }
+    }
+}
+
+/// The events [`Tracer::batch`] holds back on this thread: the tracer and
+/// trace being batched, if any, and a buffer kept across batches.
+struct Batch {
+    open: Option<(*const Tracer, TraceId)>,
+    events: Vec<SpanEvent>,
+}
+
+thread_local! {
+    static BATCH: RefCell<Batch> = const {
+        RefCell::new(Batch {
+            open: None,
+            events: Vec::new(),
+        })
+    };
+}
+
+/// The bounded per-trace span store.
 #[derive(Debug)]
 pub struct Tracer {
     enabled: AtomicBool,
     epoch: Instant,
-    stripes: Box<[Stripe]>,
-    stripe_mask: u64,
-    names: RwLock<Vec<String>>,
-    name_ids: RwLock<HashMap<String, u32>>,
+    capacity: usize,
+    store: Mutex<Store>,
 }
 
 impl Tracer {
-    /// A tracer with the default ring capacity, enabled.
+    /// A tracer holding up to [`DEFAULT_TRACE_CAPACITY`] events, enabled.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_TRACE_CAPACITY)
     }
 
-    /// A tracer holding `capacity` events total, split evenly across the
-    /// stripes (per-stripe capacity rounded up to a power of two, min 8).
+    /// A tracer holding up to `capacity` events. Nothing is allocated until
+    /// an event is recorded.
     pub fn with_capacity(capacity: usize) -> Self {
-        let per_stripe = (capacity / STRIPES).max(8).next_power_of_two();
         Tracer {
             enabled: AtomicBool::new(true),
             epoch: Instant::now(),
-            stripes: (0..STRIPES)
-                .map(|_| Stripe {
-                    head: AtomicU64::new(0),
-                    slots: (0..per_stripe).map(|_| Slot::new()).collect(),
-                    ids: (0..per_stripe).map(|_| AtomicU64::new(0)).collect(),
-                })
-                .collect(),
-            stripe_mask: per_stripe as u64 - 1,
-            names: RwLock::new(Vec::new()),
-            name_ids: RwLock::new(HashMap::new()),
+            capacity,
+            store: Mutex::new(Store::default()),
         }
     }
 
@@ -303,58 +244,26 @@ impl Tracer {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns recording on or off (existing ring contents stay readable).
+    /// Turns recording on or off (held events stay readable).
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Microseconds since this tracer's epoch.
-    pub fn now_micros(&self) -> u64 {
-        self.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64
+    /// Locks the store. No update can panic halfway, so a store whose lock
+    /// was poisoned by a panicking emitter is still consistent.
+    fn lock(&self) -> MutexGuard<'_, Store> {
+        self.store.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Total events ever recorded (including since-overwritten ones).
+    /// Total events ever recorded (including since-evicted ones).
     pub fn recorded(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.head.load(Ordering::Relaxed))
-            .sum()
+        let store = self.lock();
+        store.held as u64 + store.dropped
     }
 
-    /// Events lost to ring wrap-around.
+    /// Events lost to eviction.
     pub fn dropped(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| {
-                s.head
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(s.slots.len() as u64)
-            })
-            .sum()
-    }
-
-    fn intern(&self, name: &str) -> u32 {
-        if let Some(&id) = self.name_ids.read().unwrap().get(name) {
-            return id;
-        }
-        let mut ids = self.name_ids.write().unwrap();
-        if let Some(&id) = ids.get(name) {
-            return id;
-        }
-        let mut names = self.names.write().unwrap();
-        let id = names.len() as u32;
-        names.push(name.to_string());
-        ids.insert(name.to_string(), id);
-        id
-    }
-
-    fn name_of(&self, id: u32) -> String {
-        self.names
-            .read()
-            .unwrap()
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_default()
+        self.lock().dropped
     }
 
     /// Emits an unnamed event. One branch when disabled.
@@ -363,149 +272,80 @@ impl Tracer {
         if !self.enabled() {
             return;
         }
-        self.write(trace, kind, u32::MAX, dur, aux);
+        self.record(trace, kind, "", dur, aux);
     }
 
     /// Emits a named [`SpanKind::Phase`] event. One branch when disabled.
     #[inline]
-    pub fn emit_phase(&self, trace: TraceId, name: &str, dur: Duration) {
+    pub fn emit_phase(&self, trace: TraceId, name: &'static str, dur: Duration) {
         if !self.enabled() {
             return;
         }
-        let name_id = self.intern(name);
-        self.write(trace, SpanKind::Phase, name_id, dur, 0);
+        self.record(trace, SpanKind::Phase, name, dur, 0);
     }
 
-    /// Interns `name` and returns the id [`emit_phase_id`](Self::emit_phase_id)
-    /// takes. Ids are stable for the tracer's lifetime, so an emission
-    /// boundary that replays the same few phase names per request can cache
-    /// them and skip the interner's lock on the hot path.
-    pub fn intern_name(&self, name: &str) -> u32 {
-        self.intern(name)
-    }
-
-    /// Emits a [`SpanKind::Phase`] event under a pre-interned name id. One
-    /// branch when disabled.
-    #[inline]
-    pub fn emit_phase_id(&self, trace: TraceId, name_id: u32, dur: Duration) {
-        if !self.enabled() {
-            return;
+    /// Runs `f` with this thread's emissions for `trace` held back, then
+    /// appends them to the trace under one lock, however `f` ends: a
+    /// request's worker takes the store's lock once, not once per event.
+    /// Emissions for other traces or tracers, and from other threads, are
+    /// recorded as usual; inside a batch for another trace, `f` just runs.
+    pub fn batch<R>(&self, trace: TraceId, f: impl FnOnce() -> R) -> R {
+        let key = (self as *const Tracer, trace);
+        if !self.enabled() || BATCH.with(|b| *b.borrow_mut().open.get_or_insert(key) != key) {
+            return f();
         }
-        self.write(trace, SpanKind::Phase, name_id, dur, 0);
-    }
-
-    fn write(&self, trace: TraceId, kind: SpanKind, name_id: u32, dur: Duration, aux: u64) {
-        // Stored in nanoseconds and truncated to micros at decode: `as_micros`
-        // is a u128 division, and this is the per-event hot path.
-        let at = self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let stripe = &self.stripes[thread_stripe()];
-        let idx = stripe.head.fetch_add(1, Ordering::Relaxed);
-        let pos = (idx & self.stripe_mask) as usize;
-        let slot = &stripe.slots[pos];
-        // Pull the *next* slot's line toward this core now, so its
-        // read-for-ownership miss overlaps with the request work between
-        // emissions instead of stalling the next emission. Stripes make the
-        // prefetch sound: the next slot of this stripe is written by this
-        // thread, not by whichever worker emits next process-wide.
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let next = &stripe.slots[((idx + 1) & self.stripe_mask) as usize];
-            _mm_prefetch(next as *const Slot as *const i8, _MM_HINT_T0);
-        }
-        // Seqlock write: odd stamp while the fields are torn, then the final
-        // even stamp published with release ordering.
-        slot.stamp.store(idx * 2 + 1, Ordering::Relaxed);
-        std::sync::atomic::fence(Ordering::Release);
-        slot.words[0].store(trace.0 as u64, Ordering::Relaxed);
-        slot.words[1].store((trace.0 >> 64) as u64, Ordering::Relaxed);
-        stripe.ids[pos].store(trace.0 as u64, Ordering::Relaxed);
-        slot.words[2].store(kind.code() | ((name_id as u64) << 8), Ordering::Relaxed);
-        slot.words[3].store(at, Ordering::Relaxed);
-        slot.words[4].store(
-            dur.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-        slot.words[5].store(aux, Ordering::Relaxed);
-        slot.stamp.store(idx * 2 + 2, Ordering::Release);
-    }
-
-    fn read_slot(&self, slot: &Slot) -> Option<(u64, [u64; SLOT_WORDS])> {
-        let s1 = slot.stamp.load(Ordering::Acquire);
-        if s1 == 0 || s1 % 2 == 1 {
-            return None;
-        }
-        let mut words = [0u64; SLOT_WORDS];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = slot.words[i].load(Ordering::Relaxed);
-        }
-        std::sync::atomic::fence(Ordering::Acquire);
-        let s2 = slot.stamp.load(Ordering::Relaxed);
-        if s1 != s2 {
-            return None;
-        }
-        Some((s1 / 2 - 1, words))
-    }
-
-    fn decode(&self, words: [u64; SLOT_WORDS]) -> Option<SpanEvent> {
-        let kind = SpanKind::from_code(words[2] & 0xFF)?;
-        let name_id = (words[2] >> 8) as u32;
-        Some(SpanEvent {
-            trace: TraceId((words[0] as u128) | ((words[1] as u128) << 64)),
-            kind,
-            name: if kind == SpanKind::Phase && name_id != u32::MAX {
-                self.name_of(name_id)
-            } else {
-                String::new()
-            },
-            at_micros: words[3] / 1000,
-            dur_nanos: words[4],
-            aux: words[5],
-        })
-    }
-
-    /// All currently-held events, in emission order.
-    fn scan(&self) -> Vec<SpanEvent> {
-        self.scan_where(None)
-    }
-
-    /// The currently-held events — of one trace, or all of them — in
-    /// emission order. With a trace, a slot whose [`Stripe::ids`] entry
-    /// differs is skipped before its seqlocked read, and only the matches
-    /// are decoded (no phase-name `String` for the rest) and sorted.
-    /// Stripe-local indices only order events within a stripe, so the
-    /// global order is the raw nanosecond timestamp, tie-broken by
-    /// (stripe, index) for determinism.
-    fn scan_where(&self, trace: Option<TraceId>) -> Vec<SpanEvent> {
-        let (lo, hi) = trace.map_or((0, 0), |t| (t.0 as u64, (t.0 >> 64) as u64));
-        let mut raw = Vec::new();
-        for (stripe_idx, stripe) in self.stripes.iter().enumerate() {
-            for (slot, id) in stripe.slots.iter().zip(stripe.ids.iter()) {
-                if trace.is_some() && id.load(Ordering::Relaxed) != lo {
-                    continue;
-                }
-                if let Some((idx, words)) = self.read_slot(slot) {
-                    if trace.is_none() || (words[0] == lo && words[1] == hi) {
-                        raw.push((words[3], stripe_idx, idx, words));
-                    }
-                }
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        BATCH.with(|b| {
+            let mut b = b.borrow_mut();
+            b.open = None;
+            let added = b.events.len();
+            if added > 0 {
+                let mut store = self.lock();
+                store.trace(trace).append(&mut b.events);
+                store.added(added, self.capacity);
             }
+        });
+        outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    /// Appends one event to its trace: to this thread's open batch for it if
+    /// there is one, else to the store, evicting whole traces, oldest first,
+    /// until it holds at most `capacity` events.
+    fn record(&self, trace: TraceId, kind: SpanKind, name: &'static str, dur: Duration, aux: u64) {
+        let event = || SpanEvent {
+            trace,
+            kind,
+            name,
+            at_micros: self.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64,
+            dur_nanos: dur.as_nanos().min(u64::MAX as u128) as u64,
+            aux,
+        };
+        let batched = BATCH
+            .try_with(|b| {
+                let mut b = b.borrow_mut();
+                let held = b.open == Some((self as *const Tracer, trace));
+                if held {
+                    b.events.push(event());
+                }
+                held
+            })
+            .unwrap_or(false);
+        if batched {
+            return;
         }
-        raw.sort_by_key(|&(at, stripe, idx, _)| (at, stripe, idx));
-        raw.into_iter()
-            .filter_map(|(_, _, _, words)| self.decode(words))
-            .collect()
+        let mut store = self.lock();
+        store.trace(trace).push(event());
+        store.added(1, self.capacity);
     }
 
-    /// The events of one trace, in emission order. Cost: one pass over the
-    /// dense id index (8 bytes per slot, not the slot's cacheline) plus a
-    /// seqlocked read, decode and sort of this trace's events only.
+    /// The events of one trace, in emission order. Cost: one map lookup and
+    /// a copy of this trace's events.
     pub fn events(&self, trace: TraceId) -> Vec<SpanEvent> {
-        self.scan_where(Some(trace))
+        self.lock().traces.get(&trace).cloned().unwrap_or_default()
     }
 
-    /// Assembles one trace's events into a span tree. `None` if the ring no
-    /// longer holds any event of this trace.
+    /// Assembles one trace's events into a span tree. `None` if the store
+    /// no longer holds this trace.
     pub fn assemble(&self, trace: TraceId) -> Option<TraceTree> {
         let events = self.events(trace);
         if events.is_empty() {
@@ -514,31 +354,34 @@ impl Tracer {
         Some(assemble_tree(trace, &events))
     }
 
-    /// The `n` slowest fully-finished traces currently in the ring (by
+    /// The `n` slowest fully-finished traces currently held (by
     /// first-event-to-last-event-end wall clock), slowest first.
     pub fn slowest(&self, n: usize) -> Vec<TraceSummary> {
-        let mut per_trace: HashMap<TraceId, (u64, u64, usize, bool)> = HashMap::new();
-        for ev in self.scan() {
-            let end = ev.at_micros * 1000 + ev.dur_nanos;
-            let entry = per_trace
-                .entry(ev.trace)
-                .or_insert((ev.at_micros, end, 0, false));
-            entry.0 = entry.0.min(ev.at_micros);
-            entry.1 = entry.1.max(end);
-            entry.2 += 1;
-            entry.3 |= matches!(
-                ev.kind,
-                SpanKind::Release | SpanKind::Failed | SpanKind::BudgetRefusal
-            );
-        }
-        let mut summaries: Vec<TraceSummary> = per_trace
-            .into_iter()
-            .filter(|(_, (_, _, _, finished))| *finished)
-            .map(|(id, (start, end, events, _))| TraceSummary {
-                id,
-                start_micros: start,
-                total_nanos: end.saturating_sub(start * 1000),
-                events,
+        let mut summaries: Vec<TraceSummary> = self
+            .lock()
+            .traces
+            .iter()
+            .filter(|(_, evs)| {
+                evs.iter().any(|ev| {
+                    matches!(
+                        ev.kind,
+                        SpanKind::Release | SpanKind::Failed | SpanKind::BudgetRefusal
+                    )
+                })
+            })
+            .map(|(&id, evs)| {
+                let start = evs.iter().map(|ev| ev.at_micros).min().unwrap_or(0);
+                let end = evs
+                    .iter()
+                    .map(|ev| ev.at_micros * 1000 + ev.dur_nanos)
+                    .max()
+                    .unwrap_or(0);
+                TraceSummary {
+                    id,
+                    start_micros: start,
+                    total_nanos: end.saturating_sub(start * 1000),
+                    events: evs.len(),
+                }
             })
             .collect();
         summaries.sort_by(|a, b| b.total_nanos.cmp(&a.total_nanos).then(a.id.cmp(&b.id)));
@@ -590,7 +433,7 @@ impl TraceCtx {
 
     /// Emits a named solver-phase span.
     #[inline]
-    pub fn phase(&self, name: &str, dur: Duration) {
+    pub fn phase(&self, name: &'static str, dur: Duration) {
         self.tracer.emit_phase(self.id, name, dur);
     }
 }
@@ -735,7 +578,7 @@ mod tests {
         ctx.event_full(SpanKind::NoiseDraw, Duration::from_micros(5), 2);
         ctx.event_timed(SpanKind::Release, Duration::from_millis(5));
 
-        let tree = tracer.assemble(id).expect("trace is in the ring");
+        let tree = tracer.assemble(id).expect("trace is in the store");
         let names = tree.span_names();
         assert_eq!(
             names,
@@ -794,10 +637,6 @@ mod tests {
 
     #[test]
     fn concurrent_emitters_never_corrupt_the_ring() {
-        // Stripes are assigned round-robin from a process-global counter, so
-        // concurrent tests can push any number of these 8 emitters onto one
-        // stripe. Size every stripe to hold all 8 × 128 events: no emitter
-        // can then overwrite another's whole trace.
         let tracer = Arc::new(Tracer::with_capacity(8 * 8 * 128));
         std::thread::scope(|s| {
             for t in 0..8u64 {
@@ -823,10 +662,10 @@ mod tests {
     }
 
     #[test]
-    fn events_of_one_trace_equal_the_filtered_full_scan() {
+    fn events_of_one_trace_are_what_its_thread_emitted() {
         // Interleave several traces from several threads (phases included,
-        // so names are decoded), then check the per-trace read against the
-        // full decode-and-sort it replaced.
+        // so names are recorded), then check each per-trace read against the
+        // sequence its thread emitted.
         let tracer = Arc::new(Tracer::with_capacity(8 * 4 * 96));
         std::thread::scope(|s| {
             for t in 0..4u128 {
@@ -841,17 +680,125 @@ mod tests {
                 });
             }
         });
-        let all = tracer.scan();
-        assert_eq!(all.len(), 4 * 8 * 3);
-        for id in (1..=32u128).map(TraceId).chain([TraceId(u128::MAX)]) {
-            let expected: Vec<SpanEvent> =
-                all.iter().filter(|ev| ev.trace == id).cloned().collect();
-            assert_eq!(tracer.events(id), expected, "trace {id}");
+        assert_eq!(tracer.recorded(), 4 * 8 * 3);
+        for id in 1..=32u128 {
+            let round = (id - 1) / 4;
+            let events = tracer.events(TraceId(id));
+            let got: Vec<(SpanKind, &str, u64, u64)> = events
+                .iter()
+                .map(|ev| (ev.kind, ev.name, ev.dur_nanos, ev.aux))
+                .collect();
+            assert_eq!(
+                got,
+                vec![
+                    (SpanKind::Queued, "", 0, round as u64),
+                    (SpanKind::Phase, "family/lp", 3_000, 0),
+                    (SpanKind::Release, "", 7_000, 0),
+                ],
+                "trace {id}"
+            );
+            assert!(events.iter().all(|ev| ev.trace == TraceId(id)));
+            assert!(events.windows(2).all(|w| w[0].at_micros <= w[1].at_micros));
         }
+        assert!(tracer.events(TraceId(u128::MAX)).is_empty());
         // Ids that share a low word but not a high word stay apart.
         tracer.emit(TraceId(1 | (1 << 64)), SpanKind::Queued, Duration::ZERO, 0);
         assert_eq!(tracer.events(TraceId(1)).len(), 3);
         assert_eq!(tracer.events(TraceId(1 | (1 << 64))).len(), 1);
+    }
+
+    #[test]
+    fn eviction_never_tears_a_trace() {
+        // Four threads emit 3-event traces in lockstep rounds until the store
+        // has wrapped many times. A round adds at most 12 events and the
+        // store holds 24, so eviction only ever takes finished traces.
+        const THREADS: u128 = 4;
+        const ROUNDS: u128 = 64;
+        let tracer = Arc::new(Tracer::with_capacity(24));
+        let barrier = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (tracer, barrier) = (Arc::clone(&tracer), &barrier);
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        let id = TraceId(round * THREADS + t + 1);
+                        for step in 0..3 {
+                            tracer.emit(id, SpanKind::Queued, Duration::ZERO, step);
+                        }
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+        assert_eq!(tracer.recorded(), (THREADS * ROUNDS * 3) as u64);
+        assert!(
+            tracer.dropped() >= 3 * 24,
+            "the store wrapped several times"
+        );
+        let mut held = 0;
+        for id in 1..=THREADS * ROUNDS {
+            let events = tracer.events(TraceId(id));
+            if events.is_empty() {
+                continue;
+            }
+            let steps: Vec<u64> = events.iter().map(|ev| ev.aux).collect();
+            assert_eq!(steps, vec![0, 1, 2], "trace {id} is whole and in order");
+            held += events.len() as u64;
+        }
+        assert!(held > 0 && held <= 24);
+        assert_eq!(tracer.recorded(), held + tracer.dropped());
+    }
+
+    #[test]
+    fn a_batch_appends_its_events_when_it_ends() {
+        let tracer = Tracer::new();
+        let (id, other) = (TraceId(1), TraceId(2));
+        tracer.emit(id, SpanKind::Queued, Duration::ZERO, 0);
+        let answer = tracer.batch(id, || {
+            tracer.emit(id, SpanKind::Dequeued, Duration::ZERO, 0);
+            tracer.emit_phase(id, "release/mechanisms", Duration::from_micros(2));
+            // Held back until the batch ends; other traces record at once.
+            assert_eq!(tracer.events(id).len(), 1);
+            tracer.emit(other, SpanKind::Queued, Duration::ZERO, 0);
+            assert_eq!(tracer.events(other).len(), 1);
+            // A nested batch just runs.
+            tracer.batch(other, || {
+                tracer.emit(id, SpanKind::Release, Duration::ZERO, 0)
+            });
+            42
+        });
+        assert_eq!(answer, 42);
+        let events = tracer.events(id);
+        let got: Vec<(SpanKind, &str)> = events.iter().map(|e| (e.kind, e.name)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (SpanKind::Queued, ""),
+                (SpanKind::Dequeued, ""),
+                (SpanKind::Phase, "release/mechanisms"),
+                (SpanKind::Release, ""),
+            ]
+        );
+        assert!(events.windows(2).all(|w| w[0].at_micros <= w[1].at_micros));
+        assert_eq!(tracer.recorded(), 5);
+
+        // A batch that unwinds still appends what it held.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tracer.batch(TraceId(3), || {
+                tracer.emit(TraceId(3), SpanKind::Dequeued, Duration::ZERO, 0);
+                panic!("request handler failed");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(tracer.events(TraceId(3)).len(), 1);
+
+        // A disabled tracer opens no batch and records nothing.
+        tracer.set_enabled(false);
+        tracer.batch(TraceId(4), || {
+            tracer.emit(TraceId(4), SpanKind::Queued, Duration::ZERO, 0)
+        });
+        tracer.set_enabled(true);
+        assert!(tracer.events(TraceId(4)).is_empty());
     }
 
     #[test]

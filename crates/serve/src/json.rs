@@ -360,21 +360,18 @@ impl std::error::Error for JsonParseError {}
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters after the document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -387,7 +384,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -424,7 +421,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, JsonParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -505,7 +502,8 @@ impl<'a> Parser<'a> {
                         Some(b'u') => {
                             self.pos += 1;
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos..self.pos + 4)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let hex = std::str::from_utf8(hex)
@@ -528,11 +526,9 @@ impl<'a> Parser<'a> {
                     return Err(self.err("raw control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so boundaries
-                    // are valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar: `pos` only ever advances by
+                    // ASCII bytes or whole scalars, so it is a char boundary.
+                    let ch = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -563,8 +559,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits and punctuation are ASCII");
+        // Digits and punctuation are ASCII, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .ok()
             .filter(|n| n.is_finite())

@@ -54,6 +54,8 @@
 //! assert_eq!(stats.completed, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod ids;
 pub mod json;

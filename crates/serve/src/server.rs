@@ -36,6 +36,8 @@ use ccdp_obs::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -73,7 +75,7 @@ impl ServeConfig {
     /// Enables request-scoped tracing (default off). Off, every would-be
     /// span emission costs exactly one branch; on, requests get a minted
     /// [`TraceId`] and their span events land in the server's [`Tracer`]
-    /// ring for `GET /trace/{id}` / `ccdp trace` assembly.
+    /// store for `GET /trace/{id}` / `ccdp trace` assembly.
     pub fn with_tracing(mut self, tracing: bool) -> Self {
         self.tracing = tracing;
         self
@@ -97,7 +99,10 @@ impl ServeConfig {
         self
     }
 
-    /// Base seed of the per-request RNG derivation.
+    /// Base seed of the per-request RNG derivation. Every release's noise is
+    /// a function of this seed and the sequential request id, so whoever
+    /// knows the seed can recompute the noise; trace ids are seeded
+    /// independently and do not reveal it.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -284,8 +289,9 @@ impl Server {
         let journal = Arc::new(AuditJournal::new());
         ledger.set_journal(Arc::clone(&journal));
         registry.set_journal(Arc::clone(&journal));
-        // Ring-drop accounting is pull-based (the rings only know their own
-        // head), surfaced as counters refreshed on every metrics render.
+        // Drop accounting is pull-based (the tracer and the journal keep
+        // their own counts), surfaced as counters refreshed on every metrics
+        // render.
         let trace_dropped = metrics.counter("ccdp_obs_trace_dropped_total");
         let audit_dropped = metrics.counter("ccdp_obs_audit_dropped_total");
         let (tx, rx) = sync_channel::<Job>(config.queue_capacity());
@@ -306,7 +312,9 @@ impl Server {
                 std::thread::spawn(move || worker_loop(&rx, &shared))
             })
             .collect();
-        let trace_ids = TraceIdGen::new(config.seed);
+        // Trace ids are public, so their generator is keyed from std's
+        // OS-seeded hasher keys, never from the noise seed.
+        let trace_ids = TraceIdGen::new(RandomState::new().build_hasher().finish());
         Server {
             registry,
             ledger,
@@ -330,7 +338,7 @@ impl Server {
         &self.metrics
     }
 
-    /// The server's span ring (the `GET /trace/{id}` / `ccdp top` source).
+    /// The server's span store (the `GET /trace/{id}` / `ccdp top` source).
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.tracer
     }
@@ -342,8 +350,8 @@ impl Server {
         &self.journal
     }
 
-    /// Folds the observability rings' drop counts into their exported
-    /// counters (`ccdp_obs_trace_dropped_total`,
+    /// Folds the span store's and the audit ring's drop counts into their
+    /// exported counters (`ccdp_obs_trace_dropped_total`,
     /// `ccdp_obs_audit_dropped_total`). Counters are monotone, so the fold
     /// is a delta-add against the last exported value.
     pub fn refresh_drop_counters(&self) {
@@ -359,7 +367,7 @@ impl Server {
         }
     }
 
-    /// Renders the Prometheus text exposition with ring-drop counters
+    /// Renders the Prometheus text exposition with drop counters
     /// refreshed first — the one call every scrape path (net tier, CLI)
     /// should use instead of rendering the registry directly.
     pub fn render_metrics(&self) -> String {
@@ -367,7 +375,7 @@ impl Server {
         self.metrics.render_prometheus()
     }
 
-    /// Mints the next trace id from the server's deterministic generator.
+    /// Mints the next trace id from the server's generator.
     /// Boundaries (the net tier) mint *before* submission so refusals carry
     /// an id too; [`Server::submit`] mints automatically otherwise.
     pub fn mint_trace(&self) -> TraceId {
@@ -520,11 +528,6 @@ impl std::fmt::Debug for Server {
 /// Pulls jobs until the queue closes. The mutex is held only for the `recv`
 /// itself, so workers hand off jobs one at a time but process in parallel.
 fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &WorkerShared) {
-    // Phase-name → interned span-name id, cached per worker: the same few
-    // phase names repeat every request, and skipping the tracer's interner
-    // lock keeps the traced hot path within its overhead budget.
-    let mut phase_name_ids: std::collections::HashMap<String, u32> =
-        std::collections::HashMap::new();
     loop {
         let job = {
             let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
@@ -535,64 +538,12 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &WorkerShared) {
             Err(_) => return, // queue closed and drained: graceful exit
         };
         shared.stats.on_dequeue();
-        // The worker emits through `shared.tracer` directly and materializes
-        // a TraceCtx only to hand the estimator config an owned handle: every
-        // tracer-Arc clone is a refcount bump on a line every worker shares.
-        let trace_id = job.request.trace;
-        if let Some(id) = trace_id {
-            shared
-                .tracer
-                .emit(id, SpanKind::Dequeued, job.accepted.elapsed(), 0);
-        }
-        // Every request gets a fresh profiler: its per-phase wall clock is
-        // published into the registry afterwards (fresh-then-publish keeps
-        // the `ccdp_exec_phase_*` series monotone) and, when traced, its
-        // phases become `phase/*` spans of this trace.
-        let profiler = Arc::new(PhaseProfiler::new());
-        let handle_started = Instant::now();
-        // Contain panics: a pathological request must cost its caller a typed
-        // error, never a worker (a shrinking pool would be a silent brownout).
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let trace = trace_id.map(|id| TraceCtx::new(id, Arc::clone(&shared.tracer)));
-            handle_request(&job, shared, trace, Arc::clone(&profiler))
-        }))
-        .unwrap_or_else(|panic| {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".to_string());
-            Err(ServeError::Estimator(ccdp_core::CcdpError::Algorithm(
-                ccdp_core::CoreError::InvalidParameter(msg),
-            )))
-        });
-        let handle_time = handle_started.elapsed();
-        profiler.publish(&shared.metrics);
-        if let Some(id) = trace_id {
-            // No-alloc walk: cloning and sorting the report per request is
-            // measurable against the 5% tracing budget.
-            profiler.visit(|name, seconds, _invocations, _count| {
-                let name_id = match phase_name_ids.get(name) {
-                    Some(&id) => id,
-                    None => {
-                        let id = shared.tracer.intern_name(name);
-                        phase_name_ids.insert(name.to_string(), id);
-                        id
-                    }
-                };
-                shared
-                    .tracer
-                    .emit_phase_id(id, name_id, Duration::from_secs_f64(seconds));
-            });
-            let kind = match &result {
-                Ok(_) => SpanKind::Release,
-                // The budget refusal span was already emitted at the ledger;
-                // the trace still terminates with a typed failure marker so
-                // `slowest`/assembly see a finished trace.
-                Err(_) => SpanKind::Failed,
-            };
-            shared.tracer.emit(id, kind, handle_time, 0);
-        }
+        // A traced request's events are held back and appended to its trace
+        // under one lock when the batch ends, before the reply goes out.
+        let result = match job.request.trace {
+            Some(id) => shared.tracer.batch(id, || run_job(&job, shared)),
+            None => run_job(&job, shared),
+        };
         let outcome = match &result {
             Ok(_) => RequestOutcome::Completed,
             Err(ServeError::BudgetExhausted { .. }) => RequestOutcome::BudgetRefused,
@@ -612,6 +563,63 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &WorkerShared) {
             latency,
         });
     }
+}
+
+/// Runs one dequeued job: emits its `dequeued` span, handles it with panics
+/// contained, publishes its phase timings and, when traced, emits its phases
+/// and its `release`/`failed` span.
+fn run_job(job: &Job, shared: &WorkerShared) -> Result<(Release, GraphVersion), ServeError> {
+    // The worker emits through `shared.tracer` directly and materializes
+    // a TraceCtx only to hand the estimator config an owned handle: every
+    // tracer-Arc clone is a refcount bump on a line every worker shares.
+    let trace_id = job.request.trace;
+    if let Some(id) = trace_id {
+        shared
+            .tracer
+            .emit(id, SpanKind::Dequeued, job.accepted.elapsed(), 0);
+    }
+    // Every request gets a fresh profiler: its per-phase wall clock is
+    // published into the registry afterwards (fresh-then-publish keeps
+    // the `ccdp_exec_phase_*` series monotone) and, when traced, its
+    // phases become `phase/*` spans of this trace.
+    let profiler = Arc::new(PhaseProfiler::new());
+    let handle_started = Instant::now();
+    // Contain panics: a pathological request must cost its caller a typed
+    // error, never a worker (a shrinking pool would be a silent brownout).
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let trace = trace_id.map(|id| TraceCtx::new(id, Arc::clone(&shared.tracer)));
+        handle_request(job, shared, trace, Arc::clone(&profiler))
+    }))
+    .unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "worker panicked".to_string());
+        Err(ServeError::Estimator(ccdp_core::CcdpError::Algorithm(
+            ccdp_core::CoreError::InvalidParameter(msg),
+        )))
+    });
+    let handle_time = handle_started.elapsed();
+    profiler.publish(&shared.metrics);
+    if let Some(id) = trace_id {
+        // Walk the profiler in place: cloning and sorting its report per
+        // request would add to every traced request.
+        profiler.visit(|name, seconds, _invocations, _count| {
+            shared
+                .tracer
+                .emit_phase(id, name, Duration::from_secs_f64(seconds));
+        });
+        let kind = match &result {
+            Ok(_) => SpanKind::Release,
+            // The budget refusal span was already emitted at the ledger;
+            // the trace still terminates with a typed failure marker so
+            // `slowest`/assembly see a finished trace.
+            Err(_) => SpanKind::Failed,
+        };
+        shared.tracer.emit(id, kind, handle_time, 0);
+    }
+    result
 }
 
 /// The per-request pipeline: resolve snapshot → reserve budget → estimate.
@@ -958,6 +966,59 @@ mod tests {
         assert!(response.result.is_ok());
         assert_eq!(response.trace, None);
         assert_eq!(server.tracer().recorded(), 0);
+        server.shutdown();
+    }
+
+    fn splitmix64(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    /// Inverts the splitmix mint `hi = splitmix64(seed ^ splitmix64(c))`:
+    /// the seed that would have minted `hi` as the `c`-th id's high word.
+    fn seed_behind(hi: u64, c: u64) -> u64 {
+        fn unshift(y: u64, s: u32) -> u64 {
+            (0..64 / s).fold(y, |x, _| y ^ (x >> s))
+        }
+        fn inverse(a: u64) -> u64 {
+            (0..6).fold(a, |x, _| {
+                x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)))
+            })
+        }
+        let x = unshift(hi, 31).wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+        let x = unshift(x, 27).wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+        let x = unshift(x, 30).wrapping_sub(0x9E37_79B9_7F4A_7C15);
+        x ^ splitmix64(c)
+    }
+
+    #[test]
+    fn trace_ids_do_not_reveal_the_noise_seed() {
+        const SEED: u64 = 0x5EED_CAFE_F00D_1234;
+        // The inversion recovers the seed from a splitmix-minted high word.
+        assert_eq!(seed_behind(splitmix64(SEED ^ splitmix64(0)), 0), SEED);
+
+        let (registry, ledger) = fleet();
+        let server = Server::start(
+            ServeConfig::new()
+                .with_workers(1)
+                .with_seed(SEED)
+                .with_tracing(true),
+            registry,
+            ledger,
+        );
+        let response = server
+            .submit(ServeRequest::new("acme", "stars", 0.5))
+            .unwrap()
+            .wait();
+        let id = response.trace.expect("tracing on must mint an id");
+        let hi = (id.0 >> 64) as u64;
+        for c in 0..64 {
+            assert_ne!(seed_behind(hi, c), SEED, "trace id gives the seed away");
+        }
+        // Nor is the generator keyed by the noise seed.
+        assert_ne!(id, TraceIdGen::new(SEED).mint());
         server.shutdown();
     }
 

@@ -57,6 +57,8 @@
 //! assert!(update.version > baseline.version);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod mutationgen;
 pub mod replay;

@@ -24,6 +24,8 @@
 //! something to address. Load is driven by the `perfbench/` benchmark, not by
 //! this CLI.
 
+#![forbid(unsafe_code)]
+
 use ccdp::graph::generators;
 use ccdp::net::client::resolve;
 use ccdp::net::{NetClient, NetConfig, NetError, NetServer};

@@ -48,6 +48,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 // The layer crates, re-exported whole for advanced use.
 pub use ccdp_core as core;
 pub use ccdp_dp as dp;

@@ -171,11 +171,6 @@ impl NetClient {
         })
     }
 
-    /// `GET /stats`: the server's full counter tree, as parsed JSON.
-    pub fn stats(&mut self) -> Result<JsonValue, NetError> {
-        self.get_json("/stats")
-    }
-
     /// `GET /metrics`: the Prometheus text exposition of every registered
     /// series, verbatim.
     pub fn metrics(&mut self) -> Result<String, NetError> {

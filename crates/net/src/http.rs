@@ -645,9 +645,9 @@ mod tests {
         assert_eq!(r.method, "POST");
         assert_eq!(r.body_str().unwrap(), r#"{"a":1}"#);
         let mut wire = Vec::new();
-        write_request(&mut wire, "GET", "/stats", None).unwrap();
+        write_request(&mut wire, "GET", "/metrics", None).unwrap();
         let r = parse_ok(&wire);
-        assert_eq!((r.method.as_str(), r.path()), ("GET", "/stats"));
+        assert_eq!((r.method.as_str(), r.path()), ("GET", "/metrics"));
     }
 
     #[test]

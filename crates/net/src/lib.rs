@@ -11,10 +11,11 @@
 //!
 //! * [`http`] — bounded HTTP/1.1 request/response framing ([`WireLimits`]).
 //! * [`server`] — [`NetServer`]: thread-per-connection accept loop with a
-//!   connection cap, routing `POST /estimate`, `POST /ingest`, `GET /stats`
-//!   and `GET /healthz` into the worker pool; queue backpressure surfaces as
-//!   `429`, budget exhaustion as `403`, drain as `503`. Shutdown completes
-//!   every in-flight request before the listener joins.
+//!   connection cap, routing `POST /estimate`, `POST /ingest`,
+//!   `GET /healthz`, `GET /metrics`, `GET /trace/{id}` and
+//!   `GET /audit/{tenant}` into the worker pool; queue backpressure surfaces
+//!   as `429`, budget exhaustion as `403`, drain as `503`. Shutdown
+//!   completes every in-flight request before the listener joins.
 //! * [`client`] — [`NetClient`]: blocking keep-alive client with typed
 //!   responses; non-2xx answers decode to [`NetError::Api`] with the
 //!   server's stable error code.
@@ -37,4 +38,4 @@ pub use ccdp_serve::json;
 pub use client::{EstimateResponse, HealthResponse, IngestResponse, NetClient};
 pub use error::{serve_error_status, NetError};
 pub use http::{Request, Response, WireLimits};
-pub use server::{NetConfig, NetServer, NetStatsSnapshot};
+pub use server::{NetConfig, NetServer};

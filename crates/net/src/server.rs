@@ -10,9 +10,12 @@
 //!   block this connection (only) until the release arrives; queue
 //!   backpressure surfaces as `429`, budget exhaustion as `403`,
 //! * `POST /ingest`  — publish an edge-list snapshot into the catalog,
-//! * `GET /stats`    — the pool, cache, catalog and wire counters,
 //! * `GET /healthz`  — liveness always, plus a `ready` verdict (pool
-//!   accepting, catalog non-empty, not draining).
+//!   accepting, catalog non-empty, not draining),
+//! * `GET /metrics`  — the Prometheus exposition of every counter: pool,
+//!   cache, catalog, budget, phases and the `ccdp_net_*` wire counters,
+//! * `GET /trace/{id}` and `GET /audit/{tenant}` — one request's span tree
+//!   and one tenant's audit trail.
 //!
 //! Shutdown drains: [`NetServer::shutdown`] flips the draining flag, wakes
 //! the accept loop with a self-connection, answers new connections (and idle
@@ -81,8 +84,7 @@ impl Default for NetConfig {
 
 /// Wire-tier counters. Each lives in the backing server's
 /// [`MetricsRegistry`] as a `ccdp_net_*` series, so `GET /metrics` exposes
-/// the wire island alongside serve/cache/budget/phase; [`NetStatsSnapshot`]
-/// reads the same handles.
+/// the wire island alongside serve/cache/budget/phase.
 #[derive(Debug)]
 struct NetCounters {
     accepted: Counter,
@@ -108,25 +110,6 @@ impl NetCounters {
     }
 }
 
-/// Point-in-time wire-tier counters.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NetStatsSnapshot {
-    /// Connections accepted and served.
-    pub accepted: u64,
-    /// Connections refused at the cap (`503 connection_cap`).
-    pub refused_cap: u64,
-    /// Connections refused while draining (`503 draining`).
-    pub refused_draining: u64,
-    /// Requests parsed off the wire (including ones answered with 4xx).
-    pub requests: u64,
-    /// `2xx` responses written.
-    pub responses_ok: u64,
-    /// `4xx` responses written.
-    pub responses_client_error: u64,
-    /// `5xx` responses written.
-    pub responses_server_error: u64,
-}
-
 struct Shared {
     server: Arc<Server>,
     config: NetConfig,
@@ -138,19 +121,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn snapshot(&self) -> NetStatsSnapshot {
-        let c = &self.counters;
-        NetStatsSnapshot {
-            accepted: c.accepted.get(),
-            refused_cap: c.refused_cap.get(),
-            refused_draining: c.refused_draining.get(),
-            requests: c.requests.get(),
-            responses_ok: c.responses_ok.get(),
-            responses_client_error: c.responses_client_error.get(),
-            responses_server_error: c.responses_server_error.get(),
-        }
-    }
-
     fn count_response(&self, status: u16) {
         let c = &self.counters;
         match status {
@@ -216,11 +186,6 @@ impl NetServer {
         &self.shared.server
     }
 
-    /// Point-in-time wire counters.
-    pub fn stats(&self) -> NetStatsSnapshot {
-        self.shared.snapshot()
-    }
-
     /// Whether shutdown has begun.
     pub fn is_draining(&self) -> bool {
         self.shared.draining.load(Ordering::SeqCst)
@@ -228,11 +193,11 @@ impl NetServer {
 
     /// Drains and stops the listener: new connections are answered
     /// `503 draining`, every in-flight request runs to completion, then the
-    /// accept loop joins. Returns the final wire counters. The backing
-    /// [`Server`] is *not* shut down — it belongs to the caller.
-    pub fn shutdown(mut self) -> NetStatsSnapshot {
+    /// accept loop joins. The backing [`Server`] is *not* shut down — it
+    /// belongs to the caller, and its [`metrics`](Server::metrics) keep the
+    /// final wire counters.
+    pub fn shutdown(mut self) {
         self.shutdown_in_place();
-        self.shared.snapshot()
     }
 
     fn shutdown_in_place(&mut self) {
@@ -271,7 +236,6 @@ impl std::fmt::Debug for NetServer {
         f.debug_struct("NetServer")
             .field("local_addr", &self.local_addr)
             .field("draining", &self.is_draining())
-            .field("stats", &self.shared.snapshot())
             .finish()
     }
 }
@@ -466,14 +430,13 @@ fn route(request: &Request, shared: &Shared) -> Reply {
     let result = match (request.method.as_str(), request.path()) {
         ("POST", "/estimate") => return route_estimate(request, shared),
         ("POST", "/ingest") => route_ingest(request, shared).map(Reply::json),
-        ("GET", "/stats") => Ok(Reply::json(stats_body(shared))),
         ("GET", "/healthz") => Ok(Reply::json(healthz_body(shared))),
-        // render_metrics (not the raw registry) so drop counters are
-        // refreshed on every scrape.
+        // render_metrics (not the raw registry) so the pulled series (drop
+        // counts, catalog sizes, uptime) are refreshed on every scrape.
         ("GET", "/metrics") => Ok(Reply::exposition(shared.server.render_metrics())),
         ("GET", path) if path.starts_with("/trace/") => route_trace(path, shared).map(Reply::json),
         ("GET", path) if path.starts_with("/audit/") => route_audit(path, shared).map(Reply::json),
-        (_, path @ ("/estimate" | "/ingest" | "/stats" | "/healthz" | "/metrics")) => {
+        (_, path @ ("/estimate" | "/ingest" | "/healthz" | "/metrics")) => {
             Err(NetError::MethodNotAllowed {
                 method: request.method.clone(),
                 path: path.to_string(),
@@ -612,7 +575,7 @@ fn route_audit(path: &str, shared: &Shared) -> Result<String, NetError> {
         });
     }
     let tenant = ccdp_serve::TenantId::new(raw);
-    let account = shared.server.ledger().audit_snapshot(&tenant)?;
+    let account = shared.server.ledger().account_view(&tenant)?;
     let journal = shared.server.journal();
     let events = journal.events_for_tenant(raw);
     let replay = replay_tenant(raw, &events);
@@ -620,18 +583,14 @@ fn route_audit(path: &str, shared: &Shared) -> Result<String, NetError> {
     // of this tenant's history; a wrapped ring reports `complete: false`
     // rather than a spurious mismatch.
     let complete = journal.dropped() == 0;
-    let matches = complete
-        && replay.quota_epsilon.to_bits() == account.quota_epsilon.to_bits()
-        && replay.spent_epsilon.to_bits() == account.spent_epsilon.to_bits()
-        && replay.charges == account.charges
-        && replay.refusals == account.refusals;
+    let matches = complete && account.check_replay(&replay).is_ok();
     let mut w = JsonWriter::object();
     w.field_str("tenant", raw)
         .begin_object("account")
         .field_f64("quota_epsilon", account.quota_epsilon)
         .field_f64("spent_epsilon", account.spent_epsilon)
         .field_f64_rounded("utilization", account.utilization, 6)
-        .field_u64("charges", account.charges)
+        .field_u64("charges", account.grants as u64)
         .field_u64("refusals", account.refusals)
         .end()
         .begin_object("replay")
@@ -723,48 +682,6 @@ fn route_ingest(request: &Request, shared: &Shared) -> Result<String, NetError> 
     Ok(w.finish())
 }
 
-/// `GET /stats` — worker pool, cache, catalog, ledger and wire counters.
-fn stats_body(shared: &Shared) -> String {
-    let serve = shared.server.stats();
-    let cache = shared.server.cache_stats();
-    let net = shared.snapshot();
-    let registry = shared.server.registry();
-    let mut w = JsonWriter::object();
-    w.begin_object("serve")
-        .field_u64("received", serve.received)
-        .field_u64("completed", serve.completed)
-        .field_u64("rejected_queue_full", serve.rejected_queue_full)
-        .field_u64("budget_refusals", serve.budget_refusals)
-        .field_u64("failed", serve.failed)
-        .field_u64("queue_depth", serve.queue_depth)
-        .field_u64("peak_queue_depth", serve.peak_queue_depth)
-        .field_f64_rounded("throughput_rps", serve.throughput_rps, 3)
-        .field_f64_rounded("p50_latency_ms", serve.p50_latency.as_secs_f64() * 1e3, 3)
-        .field_f64_rounded("p99_latency_ms", serve.p99_latency.as_secs_f64() * 1e3, 3)
-        .end()
-        .begin_object("cache")
-        .field_u64("hits", cache.hits)
-        .field_u64("misses", cache.misses)
-        .field_u64("coalesced", cache.coalesced)
-        .field_u64("evictions", cache.evictions)
-        .end()
-        .begin_object("catalog")
-        .field_u64("graphs", registry.len() as u64)
-        .field_u64("versions", registry.num_versions() as u64)
-        .field_u64("tenants", shared.server.ledger().tenants().len() as u64)
-        .end()
-        .begin_object("net")
-        .field_u64("accepted", net.accepted)
-        .field_u64("refused_cap", net.refused_cap)
-        .field_u64("refused_draining", net.refused_draining)
-        .field_u64("requests", net.requests)
-        .field_u64("responses_ok", net.responses_ok)
-        .field_u64("responses_client_error", net.responses_client_error)
-        .field_u64("responses_server_error", net.responses_server_error)
-        .end();
-    w.finish()
-}
-
 /// `GET /healthz` — liveness is answering at all; readiness is the worker
 /// pool accepting, the catalog non-empty and the listener not draining.
 fn healthz_body(shared: &Shared) -> String {
@@ -808,6 +725,15 @@ mod tests {
     use ccdp_graph::generators;
     use ccdp_serve::{BudgetLedger, GraphRegistry, ServeConfig};
 
+    /// Shuts `net` down and returns the final value of each series in
+    /// `names`, read from the backing server's registry.
+    fn shutdown_counts<const N: usize>(net: NetServer, names: [&str; N]) -> [u64; N] {
+        let metrics = Arc::clone(net.server().metrics());
+        net.shutdown();
+        let snap = metrics.snapshot();
+        names.map(|name| snap.value(name).unwrap_or(0.0) as u64)
+    }
+
     fn start_fleet() -> NetServer {
         let registry = Arc::new(GraphRegistry::new());
         registry.insert("stars", generators::planted_star_forest(10, 2, 3));
@@ -848,9 +774,11 @@ mod tests {
         assert!(est.value.is_finite());
         assert_eq!(est.graph, "stars");
         assert_eq!(est.version, Some(0));
-        let stats = net.shutdown();
-        assert_eq!(stats.responses_ok, 1);
-        assert_eq!(stats.requests, 1);
+        let [ok, requests] = shutdown_counts(
+            net,
+            ["ccdp_net_responses_ok_total", "ccdp_net_requests_total"],
+        );
+        assert_eq!((ok, requests), (1, 1));
     }
 
     #[test]
@@ -881,20 +809,20 @@ mod tests {
         let est = client.estimate("acme", "tri", 0.5, Some(1)).unwrap();
         assert_eq!(est.version, Some(1));
 
-        let stats = client.stats().unwrap();
-        assert_eq!(
-            stats
-                .get("catalog")
-                .and_then(|c| c.get("graphs"))
-                .and_then(JsonValue::as_u64),
-            Some(3)
+        // The catalog and serve counters are on `/metrics`; `/stats` is gone.
+        let metrics = client.metrics().unwrap();
+        assert!(
+            metrics.contains("\nccdp_serve_catalog_graphs 3\n"),
+            "{metrics}"
         );
-        assert_eq!(
-            stats
-                .get("serve")
-                .and_then(|s| s.get("completed"))
-                .and_then(JsonValue::as_u64),
-            Some(1)
+        assert!(
+            metrics.contains("\nccdp_serve_completed_total 1\n"),
+            "{metrics}"
+        );
+        let err = client.get_json("/stats").unwrap_err();
+        assert!(
+            matches!(&err, NetError::Api { status: 404, code, .. } if code == "unknown_route"),
+            "{err:?}"
         );
         net.shutdown();
     }
@@ -926,9 +854,15 @@ mod tests {
         assert!(
             matches!(&err, NetError::Api { status: 405, code, .. } if code == "method_not_allowed")
         );
-        let stats = net.shutdown();
-        assert_eq!(stats.responses_ok, 0);
-        assert!(stats.responses_client_error >= 5);
+        let [ok, client_errors] = shutdown_counts(
+            net,
+            [
+                "ccdp_net_responses_ok_total",
+                "ccdp_net_responses_client_error_total",
+            ],
+        );
+        assert_eq!(ok, 0);
+        assert!(client_errors >= 5);
     }
 
     #[test]
@@ -1058,18 +992,19 @@ mod tests {
             refused.is_some(),
             "cap of 1 never refused a second connection"
         );
-        let stats = net.shutdown();
-        assert!(stats.refused_cap >= 1);
+        let [refused_cap] = shutdown_counts(net, ["ccdp_net_connections_refused_cap_total"]);
+        assert!(refused_cap >= 1);
     }
 
     #[test]
     fn shutdown_drains_and_refuses_new_connections() {
         let net = start_fleet();
         let addr = net.local_addr();
-        let stats = net.shutdown();
+        let [refused_draining] =
+            shutdown_counts(net, ["ccdp_net_connections_refused_draining_total"]);
         // The shutdown wake is a real connection and gets the same typed
         // `503 draining` any client racing the drain would see.
-        assert_eq!(stats.refused_draining, 1);
+        assert_eq!(refused_draining, 1);
         // The port is released: a fresh bind either fails to connect or the
         // old listener is gone. Either way no new server answers.
         assert!(NetClient::connect(addr).health().is_err());

@@ -65,7 +65,8 @@ fn shutdown_mid_load_drops_nothing_in_flight() {
 
     // Let traffic build, then drain while requests are in flight.
     thread::sleep(Duration::from_millis(300));
-    let stats = net.shutdown();
+    net.shutdown();
+    let snap = server.metrics().snapshot();
     stop.store(true, Ordering::Relaxed);
 
     let mut client_ok = 0u64;
@@ -94,18 +95,21 @@ fn shutdown_mid_load_drops_nothing_in_flight() {
     assert!(client_ok > 0, "no traffic made it before the drain");
     // Every client that was still in its loop at shutdown hit the cutoff.
     assert!(refusals > 0, "the drain never refused a live client");
+    let responses_ok = snap.value("ccdp_net_responses_ok_total").unwrap() as u64;
     assert!(
-        stats.responses_ok >= client_ok,
-        "clients saw {client_ok} successes but the server only answered {}",
-        stats.responses_ok
+        responses_ok >= client_ok,
+        "clients saw {client_ok} successes but the server only answered {responses_ok}"
     );
     // And the pool behind it agrees end-to-end: completions cover every
     // wire-level success.
-    let pool = server.stats();
+    let completed = server
+        .metrics()
+        .snapshot()
+        .value("ccdp_serve_completed_total")
+        .unwrap() as u64;
     assert!(
-        pool.completed >= client_ok,
-        "worker pool completed {} < client successes {client_ok}",
-        pool.completed
+        completed >= client_ok,
+        "worker pool completed {completed} < client successes {client_ok}"
     );
 
     // The port is dead after shutdown returns.

@@ -278,7 +278,8 @@ fn metrics_exposition_covers_every_island() {
         );
     }
 
-    // Cross-island consistency: the wire island counted what /stats counts.
+    // Cross-island consistency: the serve, budget and cache islands agree
+    // on the four requests, and the catalog gauges count the fleet.
     let value = |name: &str| {
         series
             .iter()
@@ -292,6 +293,9 @@ fn metrics_exposition_covers_every_island() {
     assert_eq!(value("ccdp_dp_budget_refusals_total"), 1.0);
     assert!(value("ccdp_core_cache_misses_total") >= 2.0);
     assert!(value("ccdp_core_cache_hits_total") + value("ccdp_core_cache_coalesced_total") >= 1.0);
+    assert_eq!(value("ccdp_serve_catalog_graphs"), 2.0);
+    assert_eq!(value("ccdp_serve_catalog_versions"), 2.0);
+    assert_eq!(value("ccdp_serve_tenants"), 2.0);
     net.shutdown();
 }
 

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
@@ -49,6 +49,14 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raises the counter to `v` if it is below it: folds a monotone count
+    /// kept elsewhere into the counter. Idempotent, so concurrent folds of
+    /// the same count never add it twice.
+    #[inline]
+    pub fn raise_to(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// Current value (relaxed).
     #[inline]
     pub fn get(&self) -> u64 {
@@ -81,6 +89,13 @@ impl FloatCounter {
                 Err(seen) => cur = seen,
             }
         }
+    }
+
+    /// Raises the counter to `v` if it is below it (a monotone reading such
+    /// as an uptime). Idempotent like [`Counter::raise_to`]: non-negative
+    /// floats order like their bit patterns, so one `fetch_max` does it.
+    pub fn raise_to(&self, v: f64) {
+        self.0.fetch_max(v.max(0.0).to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.
@@ -364,16 +379,28 @@ impl MetricsRegistry {
 
     /// A stable (name-then-label sorted) point-in-time snapshot of every
     /// registered series.
+    ///
+    /// Racy by design (recorders are never paused), but one-sided coherent:
+    /// series are loaded in sorted order with an acquire fence between
+    /// loads. If a recorder bumps series `X`, then runs a release fence,
+    /// then bumps `Y`, and `Y` sorts before `X`, a snapshot that sees the
+    /// bump of `Y` sees the bump of `X` too. `ccdp_serve_requests_total`
+    /// sorts after every `ccdp_serve_*` outcome counter, so a snapshot never
+    /// shows more answered requests than accepted ones.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut series: Vec<SeriesSnapshot> = self
+        let mut handles: Vec<(SeriesKey, Instrument)> = self
             .series
             .read()
             .unwrap()
             .iter()
-            .map(|((name, labels), inst)| SeriesSnapshot {
-                name: name.clone(),
-                labels: labels.clone(),
-                value: match inst {
+            .map(|(key, inst)| (key.clone(), inst.clone()))
+            .collect();
+        handles.sort_by(|a, b| a.0.cmp(&b.0));
+        let series = handles
+            .into_iter()
+            .map(|((name, labels), inst)| {
+                fence(Ordering::Acquire);
+                let value = match inst {
                     Instrument::Counter(c) => SeriesValue::Counter(c.get()),
                     Instrument::Float(f) => SeriesValue::Float(f.get()),
                     Instrument::Gauge(g) => SeriesValue::Gauge(g.get()),
@@ -384,10 +411,14 @@ impl MetricsRegistry {
                         p90_seconds: h.quantile(0.90).as_secs_f64(),
                         p99_seconds: h.quantile(0.99).as_secs_f64(),
                     }),
-                },
+                };
+                SeriesSnapshot {
+                    name,
+                    labels,
+                    value,
+                }
             })
             .collect();
-        series.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         MetricsSnapshot { series }
     }
 
@@ -593,6 +624,13 @@ mod tests {
         g.raise_to(10);
         g.raise_to(7);
         assert_eq!(g.get(), 10);
+        a.raise_to(9);
+        a.raise_to(5);
+        assert_eq!(b.get(), 9);
+        let f = reg.float_counter("ccdp_test_uptime_seconds");
+        f.raise_to(2.5);
+        f.raise_to(1.0);
+        assert_eq!(f.get(), 2.5);
     }
 
     #[test]

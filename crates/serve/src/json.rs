@@ -1,8 +1,8 @@
 //! The one hand-rolled JSON codec of the whole stack.
 //!
-//! Every byte of JSON this repository emits — the wire tier's `/stats`,
-//! `/audit` and error bodies, the CLI's output — goes through [`JsonWriter`],
-//! and every byte it accepts comes back through [`parse`]. One module is the
+//! Every byte of JSON this repository emits — the wire tier's `/estimate`,
+//! `/ingest`, `/healthz`, `/trace`, `/audit` and error bodies — goes through
+//! [`JsonWriter`], and every byte it accepts comes back through [`parse`]. One module is the
 //! single source of truth for the wire format: escaping rules, number
 //! formatting and nesting cannot drift between the HTTP listener and the
 //! client.
@@ -290,53 +290,6 @@ impl JsonValue {
             JsonValue::Bool(b) => Some(*b),
             _ => None,
         }
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Number(n) => push_f64(out, *n),
-            JsonValue::String(s) => {
-                out.push('"');
-                escape_into(out, s);
-                out.push('"');
-            }
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Object(map) => {
-                out.push('{');
-                for (i, (key, value)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    escape_into(out, key);
-                    out.push_str("\":");
-                    value.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Serializes back to compact JSON (object keys in `BTreeMap` order, so the
-/// output is deterministic; non-finite numbers render as `null`, matching
-/// [`JsonWriter`]).
-impl std::fmt::Display for JsonValue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        f.write_str(&out)
     }
 }
 

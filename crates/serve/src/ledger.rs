@@ -23,7 +23,7 @@
 use crate::error::ServeError;
 use ccdp_dp::PrivacyBudget;
 use ccdp_obs::{
-    replay_tenant, AuditEvent, AuditJournal, AuditKind, Counter, FloatCounter, Gauge,
+    replay_tenant, AuditEvent, AuditJournal, AuditKind, BudgetReplay, Counter, FloatCounter, Gauge,
     MetricsRegistry, TraceId,
 };
 use std::collections::HashMap;
@@ -32,40 +32,76 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 pub use crate::ids::TenantId;
 
-/// Point-in-time view of one tenant's account.
+/// Point-in-time view of one tenant's account: everything the audit
+/// journal must be able to reconstruct (compared bit-for-bit by
+/// [`TenantAccount::check_replay`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TenantAccount {
     /// The tenant.
     pub tenant: TenantId,
     /// The tenant's total ε quota.
     pub quota_epsilon: f64,
-    /// ε spent so far.
+    /// ε spent so far (the accountant's exact running sum).
     pub spent_epsilon: f64,
     /// ε still available.
     pub remaining_epsilon: f64,
-    /// Number of granted spends.
-    pub grants: usize,
-}
-
-/// One tenant's full auditable state: everything the audit journal must
-/// be able to reconstruct (compared bit-for-bit by
-/// [`BudgetLedger::verify_replay`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct TenantAuditSnapshot {
-    /// The tenant.
-    pub tenant: TenantId,
-    /// The tenant's total ε quota.
-    pub quota_epsilon: f64,
-    /// ε spent so far (the accountant's exact running sum).
-    pub spent_epsilon: f64,
     /// Quota utilization in `[0, 1]` (the accountant's exact expression).
     pub utilization: f64,
-    /// Granted spends.
-    pub charges: u64,
+    /// Number of granted spends.
+    pub grants: usize,
     /// Refused spends (exhausted quota; malformed requests don't count).
     pub refusals: u64,
     /// One `(stage, ε)` entry per grant, in grant order.
     pub stages: Vec<(String, f64)>,
+}
+
+impl TenantAccount {
+    /// Checks that `replay` (the tenant's journal folded by
+    /// [`replay_tenant`]) reconstructs this account **bit-for-bit**: quota,
+    /// spent sum, utilization, grant and refusal counts and the per-stage
+    /// ledger. `Err` describes the first divergence.
+    pub fn check_replay(&self, replay: &BudgetReplay) -> Result<(), String> {
+        let tenant = &self.tenant;
+        if replay.quota_epsilon.to_bits() != self.quota_epsilon.to_bits() {
+            return Err(format!(
+                "tenant `{tenant}`: replayed quota {} != live {}",
+                replay.quota_epsilon, self.quota_epsilon
+            ));
+        }
+        if replay.spent_epsilon.to_bits() != self.spent_epsilon.to_bits() {
+            return Err(format!(
+                "tenant `{tenant}`: replayed spent {} != live {} (bitwise)",
+                replay.spent_epsilon, self.spent_epsilon
+            ));
+        }
+        if replay.utilization().to_bits() != self.utilization.to_bits() {
+            return Err(format!(
+                "tenant `{tenant}`: replayed utilization {} != live {}",
+                replay.utilization(),
+                self.utilization
+            ));
+        }
+        if replay.charges != self.grants as u64 || replay.refusals != self.refusals {
+            return Err(format!(
+                "tenant `{tenant}`: replayed charges/refusals {}/{} != live {}/{}",
+                replay.charges, replay.refusals, self.grants, self.refusals
+            ));
+        }
+        if replay.stages.len() != self.stages.len()
+            || replay
+                .stages
+                .iter()
+                .zip(self.stages.iter())
+                .any(|(a, b)| a.0 != b.0 || a.1.to_bits() != b.1.to_bits())
+        {
+            return Err(format!(
+                "tenant `{tenant}`: replayed stage ledger diverges from live ({} vs {} entries)",
+                replay.stages.len(),
+                self.stages.len()
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Per-tenant ledger state: the accountant, the refusal tally, and the
@@ -382,7 +418,8 @@ impl BudgetLedger {
         Ok(budget.can_spend(epsilon))
     }
 
-    /// Point-in-time account view for `tenant`.
+    /// Point-in-time account view for `tenant`, taken under the tenant's
+    /// lock: the live side of the replay-equality contract.
     pub fn account_view(&self, tenant: &TenantId) -> Result<TenantAccount, ServeError> {
         let entry = self.account(tenant)?;
         let budget = entry.budget.lock().unwrap_or_else(|p| p.into_inner());
@@ -391,31 +428,17 @@ impl BudgetLedger {
             quota_epsilon: budget.total_epsilon(),
             spent_epsilon: budget.spent_epsilon(),
             remaining_epsilon: budget.remaining_epsilon(),
-            grants: budget.num_stages(),
-        })
-    }
-
-    /// The full auditable state of `tenant`'s account: quota, exact spent
-    /// sum, utilization, grant/refusal tallies and the per-stage ledger —
-    /// the live side of the replay-equality contract.
-    pub fn audit_snapshot(&self, tenant: &TenantId) -> Result<TenantAuditSnapshot, ServeError> {
-        let entry = self.account(tenant)?;
-        let budget = entry.budget.lock().unwrap_or_else(|p| p.into_inner());
-        Ok(TenantAuditSnapshot {
-            tenant: tenant.clone(),
-            quota_epsilon: budget.total_epsilon(),
-            spent_epsilon: budget.spent_epsilon(),
             utilization: budget.utilization(),
-            charges: budget.num_stages() as u64,
+            grants: budget.num_stages(),
             refusals: entry.refusals.load(Ordering::Relaxed),
             stages: budget.ledger().to_vec(),
         })
     }
 
     /// Verifies that replaying every tenant's journal reconstructs their
-    /// live account **bit-for-bit** (spent sum, utilization, per-stage
-    /// spends, grant and refusal counts). Returns the number of tenants
-    /// verified, or a description of the first divergence.
+    /// live account bit-for-bit ([`TenantAccount::check_replay`]). Returns
+    /// the number of tenants verified, or a description of the first
+    /// divergence.
     ///
     /// Only sound while the journal has not wrapped past any of the
     /// ledger's events (`journal.dropped() == 0` for the ledger's lifetime,
@@ -424,48 +447,12 @@ impl BudgetLedger {
         let tenants = self.tenants();
         for tenant in &tenants {
             let live = self
-                .audit_snapshot(tenant)
+                .account_view(tenant)
                 .map_err(|e| format!("tenant `{tenant}` vanished mid-verify: {e}"))?;
-            let replay =
-                replay_tenant(tenant.as_str(), &journal.events_for_tenant(tenant.as_str()));
-            if replay.quota_epsilon.to_bits() != live.quota_epsilon.to_bits() {
-                return Err(format!(
-                    "tenant `{tenant}`: replayed quota {} != live {}",
-                    replay.quota_epsilon, live.quota_epsilon
-                ));
-            }
-            if replay.spent_epsilon.to_bits() != live.spent_epsilon.to_bits() {
-                return Err(format!(
-                    "tenant `{tenant}`: replayed spent {} != live {} (bitwise)",
-                    replay.spent_epsilon, live.spent_epsilon
-                ));
-            }
-            if replay.utilization().to_bits() != live.utilization.to_bits() {
-                return Err(format!(
-                    "tenant `{tenant}`: replayed utilization {} != live {}",
-                    replay.utilization(),
-                    live.utilization
-                ));
-            }
-            if replay.charges != live.charges || replay.refusals != live.refusals {
-                return Err(format!(
-                    "tenant `{tenant}`: replayed charges/refusals {}/{} != live {}/{}",
-                    replay.charges, replay.refusals, live.charges, live.refusals
-                ));
-            }
-            if replay.stages.len() != live.stages.len()
-                || replay
-                    .stages
-                    .iter()
-                    .zip(live.stages.iter())
-                    .any(|(a, b)| a.0 != b.0 || a.1.to_bits() != b.1.to_bits())
-            {
-                return Err(format!(
-                    "tenant `{tenant}`: replayed stage ledger diverges from live ({} vs {} entries)",
-                    replay.stages.len(),
-                    live.stages.len()
-                ));
-            }
+            live.check_replay(&replay_tenant(
+                tenant.as_str(),
+                &journal.events_for_tenant(tenant.as_str()),
+            ))?;
         }
         Ok(tenants.len())
     }
@@ -475,14 +462,6 @@ impl BudgetLedger {
         let mut out: Vec<TenantId> = self.read().keys().cloned().collect();
         out.sort();
         out
-    }
-
-    /// Point-in-time snapshot of every account, sorted by tenant.
-    pub fn snapshot(&self) -> Vec<TenantAccount> {
-        self.tenants()
-            .into_iter()
-            .filter_map(|t| self.account_view(&t).ok())
-            .collect()
     }
 
     fn account(&self, tenant: &TenantId) -> Result<Arc<TenantEntry>, ServeError> {
@@ -662,7 +641,7 @@ mod tests {
         assert_eq!(verified, 2);
         // And the replayed values really are the fold of the events.
         let replay = ccdp_obs::replay_tenant("a", &journal.events_for_tenant("a"));
-        let live = ledger.audit_snapshot(&a).unwrap();
+        let live = ledger.account_view(&a).unwrap();
         assert_eq!(replay.spent_epsilon.to_bits(), live.spent_epsilon.to_bits());
         assert_eq!(replay.refusals, 1);
         assert_eq!(live.stages.len(), 4);
@@ -706,7 +685,11 @@ mod tests {
         ledger.register("b", 1.0).unwrap();
         ledger.register("a", 2.0).unwrap();
         ledger.try_spend(&TenantId::new("a"), "s", 0.5).unwrap();
-        let snap = ledger.snapshot();
+        let snap: Vec<TenantAccount> = ledger
+            .tenants()
+            .iter()
+            .map(|t| ledger.account_view(t).unwrap())
+            .collect();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].tenant, TenantId::new("a"));
         assert!((snap[0].spent_epsilon - 0.5).abs() < 1e-12);

@@ -19,9 +19,9 @@
 //!   [`ExtensionCache`](ccdp_core::ExtensionCache), whose single-flight
 //!   table coalesces concurrent misses on the same (graph, grid) key into
 //!   one family evaluation.
-//! * [`stats`] — [`ServeStats`] / [`StatsSnapshot`]: throughput, queue
-//!   depth, refusal counters, and p50/p99 latency from a lock-free
-//!   log-spaced-bucket [`ccdp_obs::LogHistogram`].
+//! * [`stats`] — [`ServeStats`]: the recorder behind the `ccdp_serve_*`
+//!   series (counters, queue depth, a lock-free [`ccdp_obs::LogHistogram`]
+//!   of latencies); `GET /metrics` is the one surface that reads them.
 //! * [`json`] — the one hand-rolled JSON codec every tier emits and parses
 //!   with ([`JsonWriter`] / [`json::parse`]); the wire format has a single
 //!   source of truth.
@@ -50,8 +50,9 @@
 //!     .wait();
 //! let release = response.result.unwrap();
 //! assert!(release.value().is_finite());
-//! let stats = server.shutdown();
-//! assert_eq!(stats.completed, 1);
+//! let metrics = Arc::clone(server.metrics());
+//! server.shutdown();
+//! assert_eq!(metrics.snapshot().value("ccdp_serve_completed_total"), Some(1.0));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -68,7 +69,7 @@ pub use ccdp_dp::BudgetExceeded;
 pub use ccdp_graph::GraphVersion;
 pub use error::ServeError;
 pub use json::{JsonParseError, JsonValue, JsonWriter};
-pub use ledger::{BudgetLedger, TenantAccount, TenantAuditSnapshot, TenantId};
+pub use ledger::{BudgetLedger, TenantAccount, TenantId};
 pub use registry::{GraphId, GraphRegistry};
 pub use server::{PendingResponse, ServeConfig, ServeRequest, ServeResponse, Server};
-pub use stats::{ServeStats, StatsSnapshot};
+pub use stats::ServeStats;

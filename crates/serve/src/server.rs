@@ -25,14 +25,14 @@
 use crate::error::ServeError;
 use crate::ledger::{BudgetLedger, TenantId};
 use crate::registry::{GraphId, GraphRegistry};
-use crate::stats::{RequestOutcome, ServeStats, StatsSnapshot};
+use crate::stats::{RequestOutcome, ServeStats};
 use ccdp_core::cache::DEFAULT_FAMILY_CACHE_CAPACITY;
 use ccdp_core::{CacheStats, EstimatorConfig, ExtensionCache, PrivateCcEstimator, Release};
 use ccdp_exec::PhaseProfiler;
 use ccdp_graph::GraphVersion;
 use ccdp_obs::{
-    AuditEvent, AuditJournal, AuditKind, Counter, MetricsRegistry, SpanKind, TraceCtx, TraceId,
-    TraceIdGen, Tracer,
+    AuditEvent, AuditJournal, AuditKind, Counter, Gauge, MetricsRegistry, SpanKind, TraceCtx,
+    TraceId, TraceIdGen, Tracer,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -262,6 +262,9 @@ pub struct Server {
     journal: Arc<AuditJournal>,
     trace_dropped: Counter,
     audit_dropped: Counter,
+    catalog_graphs: Gauge,
+    catalog_versions: Gauge,
+    tenants: Gauge,
 }
 
 impl Server {
@@ -289,11 +292,14 @@ impl Server {
         let journal = Arc::new(AuditJournal::new());
         ledger.set_journal(Arc::clone(&journal));
         registry.set_journal(Arc::clone(&journal));
-        // Drop accounting is pull-based (the tracer and the journal keep
-        // their own counts), surfaced as counters refreshed on every metrics
-        // render.
+        // Drop accounting and the catalog sizes are pull-based (the tracer,
+        // the journal, the registry and the ledger keep their own counts),
+        // surfaced as series refreshed on every metrics render.
         let trace_dropped = metrics.counter("ccdp_obs_trace_dropped_total");
         let audit_dropped = metrics.counter("ccdp_obs_audit_dropped_total");
+        let catalog_graphs = metrics.gauge("ccdp_serve_catalog_graphs");
+        let catalog_versions = metrics.gauge("ccdp_serve_catalog_versions");
+        let tenants = metrics.gauge("ccdp_serve_tenants");
         let (tx, rx) = sync_channel::<Job>(config.queue_capacity());
         let rx = Arc::new(Mutex::new(rx));
         let shared = Arc::new(WorkerShared {
@@ -330,6 +336,9 @@ impl Server {
             journal,
             trace_dropped,
             audit_dropped,
+            catalog_graphs,
+            catalog_versions,
+            tenants,
         }
     }
 
@@ -350,28 +359,21 @@ impl Server {
         &self.journal
     }
 
-    /// Folds the span store's and the audit ring's drop counts into their
-    /// exported counters (`ccdp_obs_trace_dropped_total`,
-    /// `ccdp_obs_audit_dropped_total`). Counters are monotone, so the fold
-    /// is a delta-add against the last exported value.
-    pub fn refresh_drop_counters(&self) {
-        let dropped = self.tracer.dropped();
-        let exported = self.trace_dropped.get();
-        if dropped > exported {
-            self.trace_dropped.add(dropped - exported);
-        }
-        let dropped = self.journal.dropped();
-        let exported = self.audit_dropped.get();
-        if dropped > exported {
-            self.audit_dropped.add(dropped - exported);
-        }
-    }
-
-    /// Renders the Prometheus text exposition with drop counters
-    /// refreshed first — the one call every scrape path (net tier, CLI)
-    /// should use instead of rendering the registry directly.
+    /// Renders the Prometheus text exposition — the one call every scrape
+    /// path (net tier, CLI) should use instead of rendering the registry
+    /// directly. It first refreshes the pulled series: the span store's and
+    /// the audit ring's drop counts (`ccdp_obs_{trace,audit}_dropped_total`),
+    /// the catalog sizes (`ccdp_serve_catalog_{graphs,versions}`,
+    /// `ccdp_serve_tenants`) and `ccdp_serve_uptime_seconds`. Each refresh
+    /// is a `raise_to` or a `set`, so racing scrapes cannot over-count.
     pub fn render_metrics(&self) -> String {
-        self.refresh_drop_counters();
+        self.trace_dropped.raise_to(self.tracer.dropped());
+        self.audit_dropped.raise_to(self.journal.dropped());
+        self.catalog_graphs.set(self.registry.len() as i64);
+        self.catalog_versions
+            .set(self.registry.num_versions() as i64);
+        self.tenants.set(self.ledger.tenants().len() as i64);
+        self.stats.refresh_uptime();
         self.metrics.render_prometheus()
     }
 
@@ -478,16 +480,11 @@ impl Server {
         self.cache.stats()
     }
 
-    /// Live metrics.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
     /// Closes the queue, drains every accepted request and joins the
-    /// workers. Returns the final metrics snapshot.
-    pub fn shutdown(mut self) -> StatsSnapshot {
+    /// workers. The final counters stay readable through a clone of
+    /// [`metrics`](Server::metrics) taken before the call.
+    pub fn shutdown(mut self) {
         self.shutdown_in_place();
-        self.stats.snapshot()
     }
 
     fn shutdown_in_place(&mut self) {
@@ -520,7 +517,6 @@ impl std::fmt::Debug for Server {
             .field("config", &self.config)
             .field("graphs", &self.registry.len())
             .field("tenants", &self.ledger.tenants().len())
-            .field("stats", &self.stats.snapshot())
             .finish()
     }
 }
@@ -690,6 +686,15 @@ fn request_rng(seed: u64, request_id: u64) -> StdRng {
 mod tests {
     use super::*;
     use ccdp_graph::generators;
+    use std::sync::atomic::AtomicBool;
+
+    /// The value of the unlabeled series `name` in `metrics`.
+    fn series(metrics: &MetricsRegistry, name: &str) -> u64 {
+        metrics
+            .snapshot()
+            .value(name)
+            .unwrap_or_else(|| panic!("no series `{name}`")) as u64
+    }
 
     fn fleet() -> (Arc<GraphRegistry>, Arc<BudgetLedger>) {
         let registry = Arc::new(GraphRegistry::new());
@@ -710,9 +715,10 @@ mod tests {
         let response = pending.wait();
         let release = response.result.unwrap();
         assert!(release.value().is_finite());
-        let snap = server.shutdown();
-        assert_eq!(snap.completed, 1);
-        assert_eq!(snap.failed, 0);
+        let metrics = Arc::clone(server.metrics());
+        server.shutdown();
+        assert_eq!(series(&metrics, "ccdp_serve_completed_total"), 1);
+        assert_eq!(series(&metrics, "ccdp_serve_failed_total"), 0);
     }
 
     #[test]
@@ -729,8 +735,9 @@ mod tests {
             .unwrap()
             .wait();
         assert!(matches!(r.result, Err(ServeError::UnknownTenant { .. })));
-        let snap = server.shutdown();
-        assert_eq!(snap.failed, 2);
+        let metrics = Arc::clone(server.metrics());
+        server.shutdown();
+        assert_eq!(series(&metrics, "ccdp_serve_failed_total"), 2);
     }
 
     #[test]
@@ -754,9 +761,10 @@ mod tests {
             refused.result,
             Err(ServeError::BudgetExhausted { .. })
         ));
-        let snap = server.shutdown();
-        assert_eq!(snap.completed, 1);
-        assert_eq!(snap.budget_refusals, 1);
+        let metrics = Arc::clone(server.metrics());
+        server.shutdown();
+        assert_eq!(series(&metrics, "ccdp_serve_completed_total"), 1);
+        assert_eq!(series(&metrics, "ccdp_serve_budget_refusals_total"), 1);
         // The refused request spent nothing.
         let view = ledger.account_view(&TenantId::new("acme")).unwrap();
         assert!((view.spent_epsilon - 8.0).abs() < 1e-9);
@@ -791,9 +799,10 @@ mod tests {
         for p in pending {
             assert!(p.wait().result.is_ok());
         }
-        let snap = server.shutdown();
-        assert!(snap.rejected_queue_full > 0);
-        assert_eq!(snap.failed, 0);
+        let metrics = Arc::clone(server.metrics());
+        server.shutdown();
+        assert!(series(&metrics, "ccdp_serve_rejected_queue_full_total") > 0);
+        assert_eq!(series(&metrics, "ccdp_serve_failed_total"), 0);
     }
 
     #[test]
@@ -811,8 +820,13 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let snap = server.shutdown();
-        assert_eq!(snap.completed, 16, "graceful shutdown must drain the queue");
+        let metrics = Arc::clone(server.metrics());
+        server.shutdown();
+        assert_eq!(
+            series(&metrics, "ccdp_serve_completed_total"),
+            16,
+            "graceful shutdown must drain the queue"
+        );
         for p in pending {
             assert!(p.wait().result.is_ok());
         }
@@ -838,8 +852,16 @@ mod tests {
             .unwrap()
             .wait();
         assert!(ok.result.is_ok());
-        let snap = server.shutdown();
-        assert_eq!((snap.received, snap.completed, snap.failed), (1, 1, 0));
+        let metrics = Arc::clone(server.metrics());
+        server.shutdown();
+        assert_eq!(
+            (
+                series(&metrics, "ccdp_serve_requests_total"),
+                series(&metrics, "ccdp_serve_completed_total"),
+                series(&metrics, "ccdp_serve_failed_total"),
+            ),
+            (1, 1, 0)
+        );
     }
 
     #[test]
@@ -1114,16 +1136,9 @@ mod tests {
             assert!(p.wait().result.is_ok());
         }
         let snap = server.metrics().snapshot();
-        let stats = server.stats();
         let cache = server.cache_stats();
-        assert_eq!(
-            snap.value("ccdp_serve_requests_total"),
-            Some(stats.received as f64)
-        );
-        assert_eq!(
-            snap.value("ccdp_serve_completed_total"),
-            Some(stats.completed as f64)
-        );
+        assert_eq!(snap.value("ccdp_serve_requests_total"), Some(6.0));
+        assert_eq!(snap.value("ccdp_serve_completed_total"), Some(6.0));
         assert_eq!(
             snap.value("ccdp_core_cache_hits_total").unwrap()
                 + snap.value("ccdp_core_cache_coalesced_total").unwrap(),
@@ -1282,7 +1297,61 @@ mod tests {
             text.contains("ccdp_obs_audit_dropped_total 0"),
             "missing audit drop counter:\n{text}"
         );
+        // The catalog sizes are refreshed on the same scrape.
+        for line in [
+            "ccdp_serve_catalog_graphs 2",
+            "ccdp_serve_catalog_versions 2",
+            "ccdp_serve_tenants 1",
+        ] {
+            assert!(text.contains(line), "missing `{line}`:\n{text}");
+        }
         assert!(text.ends_with("# EOF\n"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn concurrent_scrapes_fold_drop_counts_exactly() {
+        // Scrapes race each other while both rings overflow; each exported
+        // drop counter must end at the ring's own count, never above it.
+        let (registry, ledger) = fleet();
+        let server = Server::start(
+            ServeConfig::new().with_workers(1).with_tracing(true),
+            registry,
+            ledger,
+        );
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        server.render_metrics();
+                    }
+                });
+            }
+            for _ in 0..50_000 {
+                server.journal().record(AuditEvent::new(AuditKind::Drain));
+                let id = server.mint_trace();
+                server
+                    .tracer()
+                    .emit(id, SpanKind::Queued, Duration::ZERO, 0);
+                server
+                    .tracer()
+                    .emit(id, SpanKind::Dequeued, Duration::ZERO, 0);
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        server.render_metrics();
+        let (journal_dropped, tracer_dropped) =
+            (server.journal().dropped(), server.tracer().dropped());
+        assert!(journal_dropped > 0 && tracer_dropped > 0);
+        assert_eq!(
+            series(server.metrics(), "ccdp_obs_audit_dropped_total"),
+            journal_dropped
+        );
+        assert_eq!(
+            series(server.metrics(), "ccdp_obs_trace_dropped_total"),
+            tracer_dropped
+        );
         server.shutdown();
     }
 }

@@ -94,9 +94,14 @@ fn racing_server_requests_share_one_evaluation_per_unique_key() {
         "two unique keys → two evaluations, all other requests coalesce or hit: {cache:?}"
     );
     assert_eq!(cache.hits + cache.coalesced, (clients - 2) as u64);
-    let snap = Arc::try_unwrap(server).unwrap().shutdown();
-    assert_eq!(snap.completed, clients as u64);
-    assert_eq!(snap.failed, 0);
+    let metrics = Arc::clone(server.metrics());
+    Arc::try_unwrap(server).unwrap().shutdown();
+    let snap = metrics.snapshot();
+    assert_eq!(
+        snap.value("ccdp_serve_completed_total"),
+        Some(clients as f64)
+    );
+    assert_eq!(snap.value("ccdp_serve_failed_total"), Some(0.0));
 }
 
 proptest! {

@@ -650,8 +650,8 @@ mod tests {
         assert_eq!(next.version, GraphVersion::new(1));
         // Both releases went through the pool: its stats counted them, its
         // cache holds their families, the shared ledger funded them.
-        let snap = server.stats();
-        assert_eq!(snap.completed, 2);
+        let snap = server.metrics().snapshot();
+        assert_eq!(snap.value("ccdp_serve_completed_total"), Some(2.0));
         assert_eq!(server.cache_stats().misses, 2);
         let view = server.ledger().account_view(&tenant).unwrap();
         assert!((view.spent_epsilon - 1.0).abs() < 1e-12);

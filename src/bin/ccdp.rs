@@ -12,7 +12,6 @@
 //!               [tracing=on|off]
 //! ccdp estimate [addr=..] tenant=alpha graph=fleet/g0 epsilon=0.25 [version=3]
 //! ccdp ingest   [addr=..] graph=g (file=edges.txt | edges='0 1\n1 2') [version=0]
-//! ccdp stats    [addr=..]
 //! ccdp health   [addr=..]
 //! ccdp top      [addr=..]
 //! ccdp trace    [addr=..] id=<hex trace id>
@@ -54,16 +53,14 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str =
-    "usage: ccdp <serve|estimate|ingest|stats|health|top|trace|audit> [KEY=VALUE]...\n\
+const USAGE: &str = "usage: ccdp <serve|estimate|ingest|health|top|trace|audit> [KEY=VALUE]...\n\
   serve     start a listener (fleet=smoke provisions the smoke fleet;\n\
             tracing=on records per-request span traces)\n\
   estimate  one private release: tenant= graph= epsilon= [version=]\n\
   ingest    publish an edge list: graph= file=|edges= [version=]\n\
-  stats     print the server's counter tree as JSON\n\
   health    readiness probe (exit 0 ready, 2 degraded)\n\
   top       scrape /metrics and print the fleet dashboard (headline\n\
-            counters plus the solver phase table)\n\
+            counters, catalog sizes, throughput and the solver phase table)\n\
   trace     render one request's span tree: id=<hex, from X-Ccdp-Trace>\n\
   audit     print a tenant's budget audit trail and the replay verdict:\n\
             tenant= [events=20 caps the event tail]\n\
@@ -104,7 +101,6 @@ fn run(args: &[String]) -> Result<Outcome, CliError> {
             rest,
             &["addr", "graph", "file", "edges", "version"],
         )?),
-        "stats" => cmd_stats(Args::parse(rest, &["addr"])?),
         "health" => cmd_health(Args::parse(rest, &["addr"])?),
         "top" => cmd_top(Args::parse(rest, &["addr"])?),
         "trace" => cmd_trace(Args::parse(rest, &["addr", "id"])?),
@@ -130,7 +126,7 @@ fn cmd_serve(args: Args) -> Result<Outcome, CliError> {
             println!(
                 "provisioned smoke fleet: {} graphs, {} tenants",
                 registry.len(),
-                ledger.snapshot().len()
+                ledger.tenants().len()
             );
         }
         "empty" => {}
@@ -158,10 +154,13 @@ fn cmd_serve(args: Args) -> Result<Outcome, CliError> {
 
     if duration_s > 0 {
         std::thread::sleep(Duration::from_secs(duration_s));
-        let stats = net.shutdown();
+        net.shutdown();
+        let metrics = server.metrics().snapshot();
+        let count = |name: &str| metrics.value(name).unwrap_or(0.0);
         println!(
             "drained after {duration_s}s: {} connections, {} requests",
-            stats.accepted, stats.requests
+            count("ccdp_net_connections_accepted_total"),
+            count("ccdp_net_requests_total")
         );
     } else {
         // Serve until the process is killed; the listener threads do the work.
@@ -254,18 +253,6 @@ fn cmd_ingest(args: Args) -> Result<Outcome, CliError> {
     Ok(Outcome::Done)
 }
 
-fn cmd_stats(args: Args) -> Result<Outcome, CliError> {
-    let mut service = OpsService::connect(args.str_or("addr", DEFAULT_ADDR))?;
-    // /stats is already the canonical JSON document; print it verbatim so
-    // the output pipes straight into tooling.
-    let raw = service.client.get_json("/stats").map(|v| v.to_string());
-    match raw {
-        Ok(json) => println!("{json}"),
-        Err(e) => return Err(e.into()),
-    }
-    Ok(Outcome::Done)
-}
-
 fn cmd_health(args: Args) -> Result<Outcome, CliError> {
     let mut service = OpsService::connect(args.str_or("addr", DEFAULT_ADDR))?;
     let health = service.client.health()?;
@@ -294,14 +281,22 @@ fn cmd_top(args: Args) -> Result<Outcome, CliError> {
             .sum()
     };
     println!("== ccdp top @ {addr} ==");
+    let completed = sum("ccdp_serve_completed_total");
+    let uptime = sum("ccdp_serve_uptime_seconds");
     println!(
-        "serve    requests={:.0} completed={:.0} failed={:.0} budget_refusals={:.0} queue_depth={:.0} (peak {:.0})",
+        "serve    requests={:.0} completed={completed:.0} failed={:.0} budget_refusals={:.0} queue_depth={:.0} (peak {:.0}) throughput={:.1}/s",
         sum("ccdp_serve_requests_total"),
-        sum("ccdp_serve_completed_total"),
         sum("ccdp_serve_failed_total"),
         sum("ccdp_serve_budget_refusals_total"),
         sum("ccdp_serve_queue_depth"),
         sum("ccdp_serve_queue_depth_peak"),
+        if uptime > 0.0 { completed / uptime } else { 0.0 },
+    );
+    println!(
+        "catalog  graphs={:.0} versions={:.0} tenants={:.0}",
+        sum("ccdp_serve_catalog_graphs"),
+        sum("ccdp_serve_catalog_versions"),
+        sum("ccdp_serve_tenants"),
     );
     let hits = sum("ccdp_core_cache_hits_total");
     let misses = sum("ccdp_core_cache_misses_total");

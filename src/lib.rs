@@ -95,14 +95,14 @@ pub mod prelude {
         components, forest, generators, io, sensitivity, stars, subgraph, CsrGraph, Graph,
         GraphVersion,
     };
-    pub use ccdp_net::{NetClient, NetConfig, NetError, NetServer, NetStatsSnapshot};
+    pub use ccdp_net::{NetClient, NetConfig, NetError, NetServer};
     pub use ccdp_obs::{
         replay_tenant, AuditEvent, AuditJournal, AuditKind, BudgetReplay, Counter, FloatCounter,
         Gauge, MetricsRegistry, MetricsSnapshot, SpanKind, TraceCtx, TraceId, TraceTree, Tracer,
     };
     pub use ccdp_serve::{
         BudgetLedger, GraphId, GraphRegistry, PendingResponse, ServeConfig, ServeError,
-        ServeRequest, ServeResponse, Server, StatsSnapshot, TenantAuditSnapshot, TenantId,
+        ServeRequest, ServeResponse, Server, TenantAccount, TenantId,
     };
     pub use ccdp_stream::{
         EdgeOp, GraphSnapshot, GraphStream, Mutation, MutationSpec, ReleasePolicy, ReleaseRecord,

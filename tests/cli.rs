@@ -118,7 +118,23 @@ fn cli_drives_the_smoke_fleet_over_a_live_socket() {
         stderr(&unknown)
     );
 
-    for retired in ["bench", "slo"] {
+    // `top` is the CLI's one view of the counters: exactly what the
+    // requests above imply (9 releases, 1 unknown-tenant failure).
+    let top = ccdp(&["top", &addr]);
+    assert!(top.status.success(), "{}", stderr(&top));
+    let text = stdout(&top);
+    let line = |prefix: &str| {
+        text.lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no `{prefix}` line in {text}"))
+    };
+    assert!(line("serve ").contains(" completed=9 failed=1 "), "{text}");
+    let catalog = line("catalog ");
+    assert!(catalog.contains(" graphs=8 "), "{text}");
+    assert!(catalog.ends_with(" tenants=4"), "{text}");
+    assert!(line("budget ").contains(" charges=9 "), "{text}");
+
+    for retired in ["bench", "slo", "stats"] {
         let out = ccdp(&[retired]);
         assert_eq!(out.status.code(), Some(1), "{retired}");
         assert!(

@@ -63,9 +63,11 @@ fn facade_serves_a_multi_tenant_fleet() {
     let cache = server.cache_stats();
     assert_eq!(cache.misses, 2, "{cache:?}");
 
-    let snap = server.shutdown();
-    assert_eq!(snap.completed, 7);
-    assert_eq!(snap.budget_refusals, 1);
+    let metrics = Arc::clone(server.metrics());
+    server.shutdown();
+    let snap = metrics.snapshot();
+    assert_eq!(snap.value("ccdp_serve_completed_total"), Some(7.0));
+    assert_eq!(snap.value("ccdp_serve_budget_refusals_total"), Some(1.0));
 
     // The ledger survives the server: accounts are inspectable afterwards.
     let team_a = ledger.account_view(&TenantId::new("teamA")).unwrap();

@@ -171,7 +171,53 @@ fn bench_forest_polytope(c: &mut Criterion) {
             })
         });
     }
+    // …and a chain-heavy core at Δ = 4, the shape of the n = 10^6 release's
+    // one LP piece: series contraction shrinks it before the LP tail.
+    let chains = chain_heavy_core(24, 4);
+    group.bench_function("chain_core_d4_combinatorial", |b| {
+        b.iter(|| {
+            CombinatorialSolver::new()
+                .solve(&chains, 4.0)
+                .unwrap()
+                .value
+        })
+    });
     group.finish();
+}
+
+/// A chain-heavy core shaped like the peeled giant of a barely-supercritical
+/// ER graph: a random connected core on `k` vertices with average degree 3
+/// (a random tree plus chords) whose edges are subdivided into chains of
+/// 20–49 degree-2 vertices, with three pendant leaves on ~6 % of all
+/// vertices so that, after peeling at Δ = 4, their capacity is 1 and binds.
+fn chain_heavy_core(k: usize, seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut core = Graph::new(k);
+    for v in 1..k {
+        core.add_edge(rng.gen_range(0..v), v);
+    }
+    while core.num_edges() < 3 * k / 2 {
+        core.add_edge(rng.gen_range(0..k), rng.gen_range(0..k));
+    }
+    let mut g = Graph::new(k);
+    for (a, b) in core.edges() {
+        let mut prev = a;
+        for _ in 0..rng.gen_range(20..50) {
+            let v = g.add_vertex();
+            g.add_edge(prev, v);
+            prev = v;
+        }
+        g.add_edge(prev, b);
+    }
+    for v in 0..g.num_vertices() {
+        if rng.gen_bool(0.06) {
+            for _ in 0..3 {
+                let leaf = g.add_vertex();
+                g.add_edge(v, leaf);
+            }
+        }
+    }
+    g
 }
 
 fn supercritical_er(n: usize, seed: u64) -> Graph {

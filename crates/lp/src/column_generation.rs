@@ -57,11 +57,16 @@ const CUTS_PER_ROUND: usize = 64;
 /// is quadratic in the piece, and so is its per-root separation oracle on
 /// supports with cycles (a forest-supported point is certified in one
 /// union-find pass), which is what capped the release pipeline at n = 10⁶.
-/// Column generation terminates exactly on its own via the pricing
-/// certificate; the pieces this large in practice (peeled 2-cores of
-/// supercritical ER giants) have few binding capacities, which keeps its
-/// master tiny.
-const CUT_ENGINE_MAX_WORK: usize = 4096;
+/// Column generation terminates on its own via the pricing certificate; the
+/// pieces this large in practice (peeled 2-cores of supercritical ER giants)
+/// have few binding capacities, which keeps its master tiny.
+///
+/// Series contraction brings the n = 10⁷ release's Δ = 4 piece to 3 763
+/// vertices and 4 029 edges (7 792 work units), which this bound admits:
+/// paired with cutting planes that piece solves in ≈ 1 s to a verified
+/// integral optimum. Alone, column generation took 3.5–4.7 s there and its
+/// warm master drifted to a point that breaks the degree caps.
+const CUT_ENGINE_MAX_WORK: usize = 8192;
 
 /// Stepwise column generation over forests for one connected component with
 /// per-vertex degree capacities.
@@ -380,7 +385,7 @@ mod tests {
         // optimum is integral: a spanning tree dropping one junction-incident
         // edge per triangle respects every cap, so the value is n − 1 — and
         // the pure column-generation path must certify it by pricing alone.
-        let chain = 2500usize;
+        let chain = 4500usize;
         let n = chain + 4;
         let mut edges: Vec<(usize, usize)> = (0..chain - 1).map(|i| (i, i + 1)).collect();
         // Triangle at the left end: {0, chain, chain+1}.

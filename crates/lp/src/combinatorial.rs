@@ -18,21 +18,42 @@
 //!    and weight can be shifted from another `u`-edge without loss. Peel `v`,
 //!    charge `u`'s capacity, repeat. On supercritical Erdős–Rényi graphs this
 //!    dissolves everything outside the 2-core.
-//! 3. **Kruskal-style capped greedy.** On a remaining core piece, grow a
-//!    forest over the graphic matroid taking any edge whose endpoints both
+//! 3. **Series contraction.** On a remaining core piece, call a vertex
+//!    *series* if it has degree 2 and a floored capacity of at least 2: its
+//!    degree constraint can never bind. Replace every maximal chain of
+//!    `t ≥ 2` series vertices between two distinct ends `a ≠ b` by one
+//!    capacity-2 vertex `w` joined to both ends, and add the constant
+//!    `t − 1` for the chain's internal edges. Exchange argument: write an
+//!    optimum as a convex combination of forests and add the internal edges
+//!    to each forest. A cycle this closes runs through the whole chain, so
+//!    dropping the end edge at `a` breaks it. No forest shrinks (the chain
+//!    was missing an internal edge), no end's degree grows, and every
+//!    series vertex keeps degree ≤ 2. So some optimum takes every internal
+//!    edge at 1, and mapping the chain to `a–w–b` is a bijection of the
+//!    remaining forests that preserves acyclicity and the ends' degrees.
+//!    The end edges keep their own weights, so a chain cannot contract to a
+//!    plain edge `a–b`. A chain closing on one end (`a = b`) would become a
+//!    parallel edge and stays as it is. At n = 10⁶ this shrinks the Δ = 4
+//!    core of the giant component from 1 328 to 209 vertices.
+//! 4. **Kruskal-style capped greedy.** Grow a forest over the graphic
+//!    matroid of the (contracted) piece taking any edge whose endpoints both
 //!    have ≥ 1 unit of residual (floored) capacity. If the forest spans the
 //!    piece, weight-1 edges attain the rank bound `x(E) ≤ |S| − 1` — optimal.
-//! 4. **Local-repair spanning forest (Lemma 1.8, capacity-generalized).**
+//! 5. **Local-repair spanning forest (Lemma 1.8, capacity-generalized).**
 //!    Where the plain greedy fails, the paper's local-repair construction —
 //!    generalized to per-vertex capacities as
 //!    [`capacity_bounded_spanning_forest`] — searches much harder for a
 //!    capacity-respecting spanning forest; any forest it returns is a
 //!    genuine optimality certificate.
-//! 5. **Column-generation fallback.** Whatever survives — the genuinely
+//! 6. **Column-generation fallback.** Whatever survives — the genuinely
 //!    fractional core of the instance — goes to exact Dantzig–Wolfe column
 //!    generation over forests (tiny master LPs priced by Kruskal's greedy;
 //!    see [`crate::column_generation`]), with the peeled capacities as
 //!    per-vertex bounds.
+//!
+//! Reductions 3–6 are one function, `solve_piece`, which the CSR-native
+//! engine calls too. Its weights come back expanded to the piece's own edges:
+//! chain-internal edges at 1, each end edge at the weight of its edge to `w`.
 //!
 //! The solution assembled from peeled edges and core solutions is feasible
 //! for the *original* polytope: peeled edges form a forest with per-edge
@@ -46,7 +67,6 @@ use ccdp_graph::forest::capacity_bounded_spanning_forest;
 use ccdp_graph::subgraph::induced_subgraph;
 use ccdp_graph::unionfind::UnionFind;
 use ccdp_graph::Graph;
-use std::collections::HashMap;
 
 /// Residual capacities at or below this are treated as exhausted.
 pub(crate) const CAP_TOL: f64 = 1e-9;
@@ -131,18 +151,8 @@ impl CombinatorialSolver {
 
         // Extract the surviving core and solve each of its pieces.
         let alive_vertices: Vec<usize> = (0..n).filter(|&v| alive[v]).collect();
-        let mut generated_cuts = 0;
-        let mut lp_iterations = 0;
-        let mut lp_solves = 0;
-        let mut lp_fallback_components = 0;
-
+        let mut lp = PolytopeSolution::zero(0);
         if !alive_vertices.is_empty() {
-            let edge_index: HashMap<(usize, usize), usize> = edges
-                .iter()
-                .copied()
-                .enumerate()
-                .map(|(i, e)| (e, i))
-                .collect();
             let (core, core_map) = induced_subgraph(g, &alive_vertices);
             for piece_vertices in components(&core) {
                 if piece_vertices.len() < 2 {
@@ -152,45 +162,21 @@ impl CombinatorialSolver {
                 if piece.has_no_edges() {
                     continue;
                 }
-                // Capacities and edge-index mapping in component coordinates.
                 let to_component = |local: usize| core_map[piece_map[local]];
                 let piece_caps: Vec<f64> = (0..piece.num_vertices())
                     .map(|local| caps[to_component(local)])
                     .collect();
-                let piece_edges = piece.edge_vec();
-                let component_edge = |&(a, b): &(usize, usize)| {
-                    let (ga, gb) = (to_component(a), to_component(b));
-                    let key = if ga < gb { (ga, gb) } else { (gb, ga) };
-                    edge_index[&key]
-                };
-
-                if let Some(forest_edges) = spanning_certificate(&piece, &piece_caps) {
-                    // Reductions 3 / 4 succeeded: the rank bound is attained.
-                    for &(a, b) in &forest_edges {
-                        let key = if a < b { (a, b) } else { (b, a) };
-                        weights[component_edge(&key)] = 1.0;
-                    }
-                } else {
-                    let sol = column_generation::solve_component_with_caps(&piece, &piece_caps)?;
-                    generated_cuts += sol.generated_cuts;
-                    lp_iterations += sol.lp_iterations;
-                    lp_solves += sol.lp_solves;
-                    lp_fallback_components += 1;
-                    for (local_edge, w) in piece_edges.iter().zip(sol.edge_weights) {
-                        weights[component_edge(local_edge)] = w;
-                    }
+                let sol = solve_piece(&piece, &piece_caps)?;
+                for ((a, b), &w) in piece.edges().zip(&sol.edge_weights) {
+                    weights[edge_position(&edges, to_component(a), to_component(b))] = w;
                 }
+                lp.add_lp_work(&sol);
             }
         }
 
-        Ok(PolytopeSolution {
-            value: weights.iter().sum(),
-            edge_weights: weights,
-            generated_cuts,
-            lp_iterations,
-            lp_solves,
-            lp_fallback_components,
-        })
+        lp.value = weights.iter().sum();
+        lp.edge_weights = weights;
+        Ok(lp)
     }
 }
 
@@ -198,6 +184,177 @@ impl Default for CombinatorialSolver {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Solves one connected core piece exactly with per-vertex capacities `caps`
+/// and returns its weights in `piece`'s canonical edge order
+/// ([`Graph::edge_vec`]).
+///
+/// Series contraction first (reduction 3), then on the contracted piece the
+/// spanning certificate (reductions 4 / 5), else column generation
+/// (reduction 6); the contracted weights are expanded back to `piece`.
+/// Shared by [`CombinatorialSolver`] and the CSR-native engine, so both
+/// produce identical weights on identical pieces.
+pub(crate) fn solve_piece(piece: &Graph, caps: &[f64]) -> Result<PolytopeSolution, PolytopeError> {
+    match SeriesContraction::of(piece, caps) {
+        Some(series) => Ok(series.expand(solve_contracted(&series.graph, &series.caps)?)),
+        None => solve_contracted(piece, caps),
+    }
+}
+
+/// The certificate / column-generation tail of [`solve_piece`].
+fn solve_contracted(piece: &Graph, caps: &[f64]) -> Result<PolytopeSolution, PolytopeError> {
+    let Some(forest) = spanning_certificate(piece, caps) else {
+        return column_generation::solve_component_with_caps(piece, caps);
+    };
+    // The rank bound is attained: the forest's edges at weight 1.
+    let edges = piece.edge_vec();
+    let mut sol = PolytopeSolution::zero(edges.len());
+    for &(a, b) in &forest {
+        sol.edge_weights[edge_position(&edges, a, b)] = 1.0;
+    }
+    sol.value = forest.len() as f64;
+    Ok(sol)
+}
+
+/// A core piece with every maximal chain of `t ≥ 2` series vertices between
+/// two distinct ends replaced by one capacity-2 vertex joined to both ends.
+struct SeriesContraction {
+    /// The contracted piece.
+    graph: Graph,
+    /// Its capacities: the piece's, and 2 at each chain vertex.
+    caps: Vec<f64>,
+    /// Per piece edge (canonical order): the contracted edge whose weight it
+    /// takes, or `None` for a chain-internal edge, which takes 1.
+    source: Vec<Option<usize>>,
+    /// Number of chain-internal edges, `Σ (t − 1)`.
+    internal_edges: usize,
+}
+
+impl SeriesContraction {
+    /// Contracts `piece`, or `None` when no chain qualifies. A chain that
+    /// closes on one end (a cycle through a single non-series vertex) stays,
+    /// since contracting it would make a parallel edge, as does a cycle of
+    /// series vertices only and any chain of one vertex.
+    fn of(piece: &Graph, caps: &[f64]) -> Option<Self> {
+        const NONE: usize = usize::MAX;
+        let n = piece.num_vertices();
+        // A series vertex has degree 2 and a floored capacity of at least 2,
+        // so its degree constraint can never bind.
+        let series = |v: usize| piece.degree(v) == 2 && (caps[v] + CAP_TOL).floor() >= 2.0;
+        // The next vertex along a chain entered from `prev`.
+        let step = |prev: usize, cur: usize| {
+            let nbrs = piece.neighbors(cur);
+            if nbrs[0] == prev {
+                nbrs[1]
+            } else {
+                nbrs[0]
+            }
+        };
+        let mut chain_of = vec![NONE; n];
+        let mut seen = vec![false; n];
+        let mut chains = 0usize;
+        let mut internal_edges = 0usize;
+        for v in 0..n {
+            if seen[v] || !series(v) {
+                continue;
+            }
+            // Walk both ways from `v` to the chain's ends.
+            let mut chain = vec![v];
+            let mut ends = [NONE; 2];
+            for (side, end) in ends.iter_mut().enumerate() {
+                let (mut prev, mut cur) = (v, piece.neighbors(v)[side]);
+                while cur != v && series(cur) {
+                    chain.push(cur);
+                    (prev, cur) = (cur, step(prev, cur));
+                }
+                if cur == v {
+                    break; // a cycle of series vertices only
+                }
+                *end = cur;
+            }
+            for &u in &chain {
+                seen[u] = true;
+            }
+            if chain.len() >= 2 && ends[1] != NONE && ends[0] != ends[1] {
+                for &u in &chain {
+                    chain_of[u] = chains;
+                }
+                chains += 1;
+                internal_edges += chain.len() - 1;
+            }
+        }
+        if chains == 0 {
+            return None;
+        }
+
+        // Relabel in ascending vertex order; a chain takes its smallest
+        // vertex's slot.
+        let mut new_id = vec![NONE; n];
+        let mut chain_id = vec![NONE; chains];
+        let mut new_caps = Vec::with_capacity(n - internal_edges);
+        for v in 0..n {
+            let c = chain_of[v];
+            if c == NONE {
+                new_id[v] = new_caps.len();
+                new_caps.push(caps[v]);
+            } else {
+                if chain_id[c] == NONE {
+                    chain_id[c] = new_caps.len();
+                    new_caps.push(2.0);
+                }
+                new_id[v] = chain_id[c];
+            }
+        }
+        let mapped: Vec<Option<(usize, usize)>> = piece
+            .edges()
+            .map(|(a, b)| {
+                let internal = chain_of[a] != NONE && chain_of[a] == chain_of[b];
+                let (a, b) = (new_id[a], new_id[b]);
+                (!internal).then_some((a.min(b), a.max(b)))
+            })
+            .collect();
+        // Sorted, the kept edges are the contracted graph's canonical order.
+        let mut kept: Vec<(usize, usize)> = mapped.iter().flatten().copied().collect();
+        kept.sort_unstable();
+        let graph = Graph::from_edges(new_caps.len(), &kept);
+        debug_assert_eq!(
+            graph.num_edges(),
+            kept.len(),
+            "contraction made a parallel edge"
+        );
+        let source = mapped
+            .iter()
+            .map(|e| e.map(|(a, b)| edge_position(&kept, a, b)))
+            .collect();
+        Some(SeriesContraction {
+            graph,
+            caps: new_caps,
+            source,
+            internal_edges,
+        })
+    }
+
+    /// Maps a solution of the contracted piece back to the piece: internal
+    /// edges at 1, every other edge at its contracted edge's weight (a
+    /// chain's two end edges at the chain vertex's two edge weights).
+    fn expand(&self, mut sol: PolytopeSolution) -> PolytopeSolution {
+        sol.edge_weights = self
+            .source
+            .iter()
+            .map(|e| e.map_or(1.0, |e| sol.edge_weights[e]))
+            .collect();
+        sol.value += self.internal_edges as f64;
+        sol
+    }
+}
+
+/// Position of the edge `{a, b}` in a canonical ([`Graph::edge_vec`], i.e.
+/// sorted) edge list that contains it.
+fn edge_position(edges: &[(usize, usize)], a: usize, b: usize) -> usize {
+    edges
+        .binary_search(&(a.min(b), a.max(b)))
+        .expect("edge present")
 }
 
 /// Tries to certify that the optimum of a connected core piece is its rank
@@ -214,10 +371,7 @@ impl Default for CombinatorialSolver {
 /// over edge subsets ([`tiny_exhaustive_certificate`]), which is decisive
 /// where the local-repair heuristic gives up even though a certificate
 /// exists.
-///
-/// Shared by [`CombinatorialSolver`] and the CSR-native engine, so both
-/// produce identical certificates on identical pieces.
-pub(crate) fn spanning_certificate(piece: &Graph, caps: &[f64]) -> Option<Vec<(usize, usize)>> {
+fn spanning_certificate(piece: &Graph, caps: &[f64]) -> Option<Vec<(usize, usize)>> {
     let n = piece.num_vertices();
     let target = n - 1; // the piece is connected
     let icaps: Vec<usize> = caps
@@ -460,6 +614,124 @@ mod tests {
                 }
                 assert!(approx(sol.edge_weights.iter().sum::<f64>(), sol.value));
             }
+        }
+    }
+
+    /// Joins `a` and `b` by a chain of `t` new vertices.
+    fn add_chain(g: &mut Graph, a: usize, b: usize, t: usize) {
+        let mut prev = a;
+        for _ in 0..t {
+            let v = g.add_vertex();
+            g.add_edge(prev, v);
+            prev = v;
+        }
+        g.add_edge(prev, b);
+    }
+
+    /// Capacity `core_cap` on the `K_4` vertices `0..4`, `chain_cap` on the
+    /// chain vertices added after them.
+    fn caps_of(piece: &Graph, core_cap: f64, chain_cap: f64) -> Vec<f64> {
+        piece
+            .vertices()
+            .map(|v| if v < 4 { core_cap } else { chain_cap })
+            .collect()
+    }
+
+    /// Checks that series contraction leaves `want_vertices` vertices, makes
+    /// no parallel edge, and that the piece solver's expanded point is
+    /// feasible and attains the uncontracted LP optimum.
+    fn check_contraction(piece: &Graph, caps: &[f64], want_vertices: usize) {
+        let contracted = SeriesContraction::of(piece, caps);
+        let vertices = contracted
+            .as_ref()
+            .map_or(piece.num_vertices(), |c| c.graph.num_vertices());
+        assert_eq!(vertices, want_vertices, "caps {caps:?}");
+        if let Some(c) = &contracted {
+            assert_eq!(c.graph.num_edges() + c.internal_edges, piece.num_edges());
+        }
+
+        let sol = solve_piece(piece, caps).unwrap();
+        let exact = column_generation::solve_component_with_caps(piece, caps).unwrap();
+        assert!(
+            approx(sol.value, exact.value),
+            "contracted {} vs exact {} (caps {caps:?})",
+            sol.value,
+            exact.value
+        );
+        let edges = piece.edge_vec();
+        assert_eq!(sol.edge_weights.len(), edges.len());
+        for &w in &sol.edge_weights {
+            assert!((-1e-9..=1.0 + 1e-9).contains(&w));
+        }
+        for v in piece.vertices() {
+            let load: f64 = edges
+                .iter()
+                .zip(&sol.edge_weights)
+                .filter(|(&(a, b), _)| a == v || b == v)
+                .map(|(_, &w)| w)
+                .sum();
+            assert!(load <= caps[v] + 1e-6, "degree cap violated at {v}");
+        }
+        assert!(crate::violated_forest_constraints(piece, &edges, &sol.edge_weights).is_empty());
+        assert!(approx(sol.edge_weights.iter().sum::<f64>(), sol.value));
+    }
+
+    #[test]
+    fn lollipop_chain_is_not_contracted() {
+        // A chain from vertex 0 back to itself would become a parallel
+        // edge; only the 1–2 chain contracts.
+        let mut g = generators::complete(4);
+        add_chain(&mut g, 0, 0, 3);
+        add_chain(&mut g, 1, 2, 2);
+        for core_cap in [1.0, 2.0, 4.0] {
+            check_contraction(&g, &caps_of(&g, core_cap, 4.0), 8);
+        }
+    }
+
+    #[test]
+    fn parallel_chains_contract_to_two_vertices() {
+        let mut g = generators::complete(4);
+        add_chain(&mut g, 0, 1, 2);
+        add_chain(&mut g, 0, 1, 3);
+        for core_cap in [1.0, 2.0, 4.0] {
+            check_contraction(&g, &caps_of(&g, core_cap, 2.0), 6);
+        }
+    }
+
+    #[test]
+    fn chain_beside_an_edge_contracts_to_a_triangle() {
+        let mut g = generators::complete(4);
+        add_chain(&mut g, 0, 1, 3);
+        for core_cap in [1.0, 2.0, 4.0] {
+            check_contraction(&g, &caps_of(&g, core_cap, 3.0), 5);
+        }
+    }
+
+    #[test]
+    fn binding_interior_vertex_splits_the_chain() {
+        // 0–4–5–6–7–8–1 with a binding cap at 6: the chains 4–5 and 7–8
+        // contract separately around it.
+        let mut g = generators::complete(4);
+        add_chain(&mut g, 0, 1, 5);
+        for core_cap in [1.0, 2.0, 4.0] {
+            let mut caps = caps_of(&g, core_cap, 2.0);
+            caps[6] = 1.5;
+            check_contraction(&g, &caps, 7);
+        }
+    }
+
+    #[test]
+    fn fractional_delta_contracts_only_non_binding_chains() {
+        let mut g = generators::complete(4);
+        add_chain(&mut g, 0, 1, 4);
+        add_chain(&mut g, 2, 3, 2);
+        // A floored cap of 2 keeps the chain vertices non-binding…
+        for delta in [2.0, 2.5, 3.7] {
+            check_contraction(&g, &caps_of(&g, delta, delta), 6);
+        }
+        // …and below 2 every one of them binds, so nothing contracts.
+        for delta in [0.6, 1.0, 1.5, 1.99] {
+            check_contraction(&g, &caps_of(&g, delta, delta), 10);
         }
     }
 }

@@ -16,6 +16,10 @@
 //! * [`column_generation`] / [`cutting_plane`] — the exact LP tail for the
 //!   irreducible fractional core: Dantzig–Wolfe column generation over
 //!   forests, and constraint generation with the min-cut separation oracle.
+//!   Both solvers reach it through one piece solver in [`combinatorial`],
+//!   which first series-contracts the piece: every chain of non-binding
+//!   degree-2 vertices between two distinct ends becomes one vertex, and
+//!   the weights are expanded back afterwards.
 //! * [`simplex`] / [`problem`] — the LP substrate: an incremental tableau
 //!   simplex ([`IncrementalSimplex`]) whose basis survives across added cuts
 //!   and columns (dual-simplex repair), with Bland's anti-cycling rule.

@@ -27,10 +27,10 @@
 //!   (every leaf peel charges exactly 1.0), and a remnant cycle whose floored
 //!   caps are all ≥ 2 keeps its first `k − 1` canonical edges (the capped
 //!   greedy accepts exactly those). Remnant pieces that fit neither case are
-//!   materialized and sent through the *same* `spanning_certificate` /
-//!   column-generation tail as the reference solver, so the weight vector —
-//!   and hence the value, summed in the same edge order — is identical by
-//!   construction.
+//!   materialized and sent through the *same* piece solver as the reference
+//!   solver (series contraction, then the spanning certificate, else column
+//!   generation), so the weight vector — and hence the value, summed in the
+//!   same edge order — is identical by construction.
 //! * **Class dedup** — components with at most [`DEDUP_MAX_VERTICES`]
 //!   vertices are keyed by their exact labeled CSR slice (size, degree
 //!   sequence, neighbor lists); a hash map with full key equality is the
@@ -40,8 +40,7 @@
 //!   count is a few hundred versus ~476k components, so nearly every solve
 //!   becomes a lookup.
 
-use crate::column_generation;
-use crate::combinatorial::{spanning_certificate, CAP_TOL};
+use crate::combinatorial::{solve_piece, CAP_TOL};
 use crate::solver::{PolytopeError, PolytopeSolution};
 use ccdp_exec::{effective_parallelism, parallel_map};
 use ccdp_graph::{ComponentPartition, CsrComponent, Graph};
@@ -356,10 +355,7 @@ fn micro_solve(
 
     // --- Remnant pieces, in the same order (by smallest vertex) and local
     // labeling (ascending) the reference solver's induced-subgraph path uses.
-    let mut generated_cuts = 0;
-    let mut lp_iterations = 0;
-    let mut lp_solves = 0;
-    let mut lp_fallback_components = 0;
+    let mut lp = PolytopeSolution::zero(0);
     let mut materialized_any = false;
 
     s.label.clear();
@@ -393,24 +389,19 @@ fn micro_solve(
             continue;
         }
         piece.sort_unstable();
-        materialized_any |= solve_remnant_piece(
-            s,
-            &piece,
-            &mut weights,
-            &mut generated_cuts,
-            &mut lp_iterations,
-            &mut lp_solves,
-            &mut lp_fallback_components,
-        )?;
+        if let Some(sol) = solve_remnant_piece(s, &piece, &mut weights)? {
+            lp.add_lp_work(&sol);
+            materialized_any = true;
+        }
     }
 
     Ok(CompSolution {
         value: weights.iter().sum(),
         weights,
-        generated_cuts,
-        lp_iterations,
-        lp_solves,
-        lp_fallback_components,
+        generated_cuts: lp.generated_cuts,
+        lp_iterations: lp.lp_iterations,
+        lp_solves: lp.lp_solves,
+        lp_fallback_components: lp.lp_fallback_components,
         kind: if materialized_any {
             SolveKind::MicroReduced
         } else {
@@ -420,23 +411,20 @@ fn micro_solve(
 }
 
 /// Solves one remnant piece (component-local vertex ids, sorted ascending),
-/// writing weights into the component's weight vector. Returns whether the
-/// piece had to be materialized as a `Graph` (vs the cycle closed form).
-#[allow(clippy::too_many_arguments)]
+/// writing weights into the component's weight vector. Returns the piece
+/// solver's solution (for its LP work counters) when the piece had to be
+/// materialized as a `Graph`, `None` for the cycle closed form.
 fn solve_remnant_piece(
     s: &mut MicroScratch,
     piece: &[u32],
     weights: &mut [f64],
-    generated_cuts: &mut usize,
-    lp_iterations: &mut usize,
-    lp_solves: &mut usize,
-    lp_fallback_components: &mut usize,
-) -> Result<bool, PolytopeError> {
+) -> Result<Option<PolytopeSolution>, PolytopeError> {
     let row = |off: &[u32], v: usize| (off[v] as usize, off[v + 1] as usize);
 
-    // Closed form: a remnant cycle whose floored caps are all ≥ 2. The capped
-    // greedy inside `spanning_certificate` accepts the first k − 1 canonical
-    // edges (any proper subset of cycle edges is acyclic; no cap below 2 ever
+    // Closed form: a remnant cycle whose floored caps are all ≥ 2. Series
+    // contraction leaves a cycle without ends as it is, and the capped greedy
+    // of the spanning certificate accepts the first k − 1 canonical edges
+    // (any proper subset of cycle edges is acyclic; no cap below 2 ever
     // gates) and rejects the last, so the reference solver's weights are 1.0
     // everywhere except the final canonical edge — written here directly.
     let is_cycle = piece
@@ -457,12 +445,11 @@ fn solve_remnant_piece(
         if let Some(e) = last_eid {
             weights[e] = 0.0;
         }
-        return Ok(false);
+        return Ok(None);
     }
 
     // General tail: materialize the piece with ascending local ids (the same
-    // labeling `induced_subgraph` produces) and run the shared certificate /
-    // column-generation chain.
+    // labeling `induced_subgraph` produces) and run the shared piece solver.
     let k = piece.len();
     // Reuse `stack` as the component-local → piece-local rank map.
     for (rank, &v) in piece.iter().enumerate() {
@@ -471,6 +458,7 @@ fn solve_remnant_piece(
         }
         s.stack[v as usize] = rank as u32;
     }
+    // Edges in the piece's canonical order, with their component edge ids.
     let mut piece_edges: Vec<(usize, usize)> = Vec::new();
     let mut piece_eids: Vec<u32> = Vec::new();
     for &u in piece {
@@ -488,28 +476,11 @@ fn solve_remnant_piece(
     }
     let local = Graph::from_edges(k, &piece_edges);
     let piece_caps: Vec<f64> = piece.iter().map(|&v| s.caps[v as usize]).collect();
-
-    if let Some(forest_edges) = spanning_certificate(&local, &piece_caps) {
-        let eid_of: HashMap<(usize, usize), u32> = piece_edges
-            .iter()
-            .copied()
-            .zip(piece_eids.iter().copied())
-            .collect();
-        for &(a, b) in &forest_edges {
-            let key = if a < b { (a, b) } else { (b, a) };
-            weights[eid_of[&key] as usize] = 1.0;
-        }
-    } else {
-        let sol = column_generation::solve_component_with_caps(&local, &piece_caps)?;
-        *generated_cuts += sol.generated_cuts;
-        *lp_iterations += sol.lp_iterations;
-        *lp_solves += sol.lp_solves;
-        *lp_fallback_components += 1;
-        for (&eid, w) in piece_eids.iter().zip(sol.edge_weights) {
-            weights[eid as usize] = w;
-        }
+    let sol = solve_piece(&local, &piece_caps)?;
+    for (&eid, &w) in piece_eids.iter().zip(&sol.edge_weights) {
+        weights[eid as usize] = w;
     }
-    Ok(true)
+    Ok(Some(sol))
 }
 
 // ---------------------------------------------------------------------------

@@ -108,6 +108,15 @@ impl PolytopeSolution {
         }
     }
 
+    /// Adds `other`'s LP work counters (cuts, pivots, solves, fallbacks) to
+    /// `self`'s.
+    pub(crate) fn add_lp_work(&mut self, other: &PolytopeSolution) {
+        self.generated_cuts += other.generated_cuts;
+        self.lp_iterations += other.lp_iterations;
+        self.lp_solves += other.lp_solves;
+        self.lp_fallback_components += other.lp_fallback_components;
+    }
+
     /// Folds a component-local solution into `self` using the component's
     /// local edge list and the local→global vertex map.
     fn absorb_component(
@@ -118,10 +127,7 @@ impl PolytopeSolution {
         edge_index: &std::collections::HashMap<(usize, usize), usize>,
     ) {
         self.value += sol.value;
-        self.generated_cuts += sol.generated_cuts;
-        self.lp_iterations += sol.lp_iterations;
-        self.lp_solves += sol.lp_solves;
-        self.lp_fallback_components += sol.lp_fallback_components;
+        self.add_lp_work(&sol);
         for ((lu, lv), w) in local.edge_vec().into_iter().zip(sol.edge_weights) {
             let (gu, gv) = (map[lu], map[lv]);
             let key = if gu < gv { (gu, gv) } else { (gv, gu) };

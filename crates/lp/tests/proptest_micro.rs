@@ -1,5 +1,7 @@
 //! Property tests for the micro-component engine: on every generator
-//! family, every Δ in the small grid and every thread budget,
+//! family (chain-subdivided multicyclic graphs included, so contracted
+//! remnant pieces are covered), every Δ in the small grid and every thread
+//! budget,
 //! `solve_partition` must return the exact bits of the reference
 //! `CombinatorialSolver` run on each component — micro closed forms and
 //! labeled-slice class dedup are pure work-savers, never value-changers.
@@ -25,6 +27,25 @@ fn random_tree(n: usize, rng: &mut StdRng) -> Graph {
     g
 }
 
+/// `g` with every edge replaced by a path through 0–4 new vertices: chains
+/// of degree-2 vertices for the piece solver's series contraction.
+fn subdivided(g: &Graph, rng: &mut StdRng) -> Graph {
+    let mut out = Graph::new(g.num_vertices());
+    for (a, b) in g.edges() {
+        let mut prev = a;
+        for _ in 0..rng.gen_range(0..5) {
+            let v = out.add_vertex();
+            out.add_edge(prev, v);
+            prev = v;
+        }
+        out.add_edge(prev, b);
+    }
+    out
+}
+
+/// Number of generator families `family_graph` knows.
+const FAMILIES: u8 = 6;
+
 /// One graph from the named family, deterministic in `seed`.
 fn family_graph(family: u8, n: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -33,7 +54,11 @@ fn family_graph(family: u8, n: usize, seed: u64) -> Graph {
         1 => generators::cycle(n.max(3)),
         2 => generators::erdos_renyi(n.max(2), 1.4 / n.max(2) as f64, &mut rng),
         3 => generators::barabasi_albert(n.max(4), 2, &mut rng),
-        _ => generators::random_geometric(n.max(2), 0.18, &mut rng),
+        4 => generators::random_geometric(n.max(2), 0.18, &mut rng),
+        _ => {
+            let core = generators::barabasi_albert((n / 3).max(4), 2, &mut rng);
+            subdivided(&core, &mut rng)
+        }
     }
 }
 
@@ -63,7 +88,7 @@ proptest! {
     /// thread budget.
     #[test]
     fn micro_and_dedup_match_general_bitwise(
-        family in 0u8..5,
+        family in 0u8..FAMILIES,
         n in 4usize..=120,
         seed in 0u64..1u64 << 48,
         delta in 1u8..=4,
@@ -101,8 +126,8 @@ proptest! {
     /// stay consistent with the component count.
     #[test]
     fn dedup_separates_random_component_pairs(
-        fam_a in 0u8..5,
-        fam_b in 0u8..5,
+        fam_a in 0u8..FAMILIES,
+        fam_b in 0u8..FAMILIES,
         na in 4usize..20,
         nb in 4usize..20,
         seed in 0u64..1u64 << 48,
@@ -150,7 +175,7 @@ proptest! {
     /// every requested worker.
     #[test]
     fn grid_sweep_matches_one_element_calls(
-        parts in proptest::collection::vec((0u8..5, 4usize..=60), 6..14),
+        parts in proptest::collection::vec((0u8..FAMILIES, 4usize..=60), 6..14),
         seed in 0u64..1u64 << 48,
     ) {
         let mut g = Graph::new(0);

@@ -31,6 +31,37 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
         })
 }
 
+/// `arb_graph()` with some edges subdivided 1–6 times: long chains of
+/// degree-2 vertices, the structure series contraction removes. Each pick
+/// `(i, t)` replaces edge `i mod m` (if still present) by a path through `t`
+/// new vertices.
+fn arb_subdivided_graph() -> impl Strategy<Value = Graph> {
+    (
+        arb_graph(),
+        proptest::collection::vec((0usize..70, 1usize..=6), 1..8),
+    )
+        .prop_map(|(mut g, picks)| {
+            let edges = g.edge_vec();
+            if edges.is_empty() {
+                return g;
+            }
+            for (i, t) in picks {
+                let (a, b) = edges[i % edges.len()];
+                if !g.remove_edge(a, b) {
+                    continue;
+                }
+                let mut prev = a;
+                for _ in 0..t {
+                    let v = g.add_vertex();
+                    g.add_edge(prev, v);
+                    prev = v;
+                }
+                g.add_edge(prev, b);
+            }
+            g
+        })
+}
+
 /// Asserts that `weights` is a feasible point of `P_Δ(g)` attaining `value`.
 fn assert_feasible_and_attains(g: &Graph, delta: f64, weights: &[f64], value: f64) {
     let edges = g.edge_vec();
@@ -83,6 +114,27 @@ proptest! {
             (comb.value - simp.value).abs() < 1e-5,
             "combinatorial {} vs simplex {} at fractional delta {delta}",
             comb.value, simp.value
+        );
+        assert_feasible_and_attains(&g, delta, &comb.edge_weights, comb.value);
+    }
+
+    #[test]
+    fn backends_agree_on_chain_subdivided_graphs(
+        g in arb_subdivided_graph(),
+        delta in 0.3f64..5.5,
+        integral in 0u8..2,
+    ) {
+        // Half the cases at an integer Δ, half at a fractional one.
+        let delta = if integral == 1 { delta.ceil() } else { delta };
+        // The combinatorial solver contracts the chains before its LP tail
+        // and expands the weights back; the simplex oracle solves the
+        // subdivided graph as it is.
+        let comb = CombinatorialSolver::new().solve(&g, delta).unwrap();
+        let simp = SimplexSolver::new().solve(&g, delta).unwrap();
+        prop_assert!(
+            (comb.value - simp.value).abs() < 1e-5,
+            "combinatorial {} vs simplex {} on {} vertices, delta {delta}",
+            comb.value, simp.value, g.num_vertices()
         );
         assert_feasible_and_attains(&g, delta, &comb.edge_weights, comb.value);
     }

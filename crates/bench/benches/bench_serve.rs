@@ -3,8 +3,8 @@
 //! Two slices of the serving stack:
 //! * `submit_roundtrip` — one request end-to-end through the worker pool on
 //!   a warm cache (the steady-state serving latency),
-//! * `coalesced_burst` — a burst of identical requests racing the
-//!   single-flight table.
+//! * `coalesced_burst` — a burst of identical requests racing for one
+//!   cache entry's once-cell.
 
 use ccdp_graph::generators;
 use ccdp_serve::{BudgetLedger, GraphRegistry, ServeConfig, ServeRequest, Server};

@@ -103,9 +103,15 @@ impl PrivateSpanningForestEstimator {
     /// point for graphs that never exist as an adjacency-list [`Graph`]. The
     /// release is bit-for-bit identical to [`Self::estimate`] on the
     /// equivalent `Graph` with the same RNG state.
-    pub fn estimate_csr<R: Rng + ?Sized>(
+    ///
+    /// `arena` is a `&CsrGraph` or a shared `&Arc<CsrGraph>` (see
+    /// [`ArenaRef`]). The release is the same either way; what differs is the
+    /// cost. A family-cache miss keeps a shared `Arc` as its witness instead
+    /// of copying the arena, and a hit on it is confirmed by pointer
+    /// equality, so a hit on an arena released before does no O(n + m) work.
+    pub fn estimate_csr<'a, R: Rng + ?Sized>(
         &self,
-        arena: &CsrGraph,
+        arena: impl Into<ArenaRef<'a>>,
         rng: &mut R,
     ) -> Result<Release, CcdpError> {
         let mut budget = PrivacyBudget::new(self.config.epsilon());
@@ -116,9 +122,9 @@ impl PrivateSpanningForestEstimator {
     /// family phases of [`evaluate_family`] (on a cache miss) plus
     /// `release/true-value` (the exact spanning-forest size fed to GEM) and
     /// `release/mechanisms` (GEM selection plus the Laplace release).
-    pub fn estimate_csr_profiled<R: Rng + ?Sized>(
+    pub fn estimate_csr_profiled<'a, R: Rng + ?Sized>(
         &self,
-        arena: &CsrGraph,
+        arena: impl Into<ArenaRef<'a>>,
         rng: &mut R,
         profiler: &PhaseProfiler,
     ) -> Result<Release, CcdpError> {
@@ -300,25 +306,12 @@ impl PrivateCcEstimator {
 
     /// Runs the estimator directly on a CSR arena — the large-scale twin of
     /// [`Self::estimate`], bit-for-bit identical on the equivalent `Graph`
-    /// with the same RNG state.
-    pub fn estimate_csr<R: Rng + ?Sized>(
+    /// with the same RNG state. Serving passes the registry's shared
+    /// `&Arc<CsrGraph>`, so a family-cache hit on it does no O(n + m) work
+    /// (see [`PrivateSpanningForestEstimator::estimate_csr`]).
+    pub fn estimate_csr<'a, R: Rng + ?Sized>(
         &self,
-        arena: &CsrGraph,
-        rng: &mut R,
-    ) -> Result<Release, CcdpError> {
-        self.release(arena.into(), rng, None)
-    }
-
-    /// Runs the estimator on a shared arena — the serving entry point. The
-    /// release is bit-for-bit [`Self::estimate_csr`] on the same arena; what
-    /// differs is the cost. A family-cache miss keeps this `Arc` as its
-    /// witness instead of copying the arena, and a hit on it is confirmed by
-    /// pointer equality. With the arena's fingerprint and component count
-    /// memoized, a hit on an arena that was released before does no
-    /// O(n + m) work.
-    pub fn estimate_shared<R: Rng + ?Sized>(
-        &self,
-        arena: &Arc<CsrGraph>,
+        arena: impl Into<ArenaRef<'a>>,
         rng: &mut R,
     ) -> Result<Release, CcdpError> {
         self.release(arena.into(), rng, None)
@@ -326,9 +319,9 @@ impl PrivateCcEstimator {
 
     /// [`Self::estimate_csr`] with per-phase wall-clock attribution recorded
     /// into `profiler` (see [`PrivateSpanningForestEstimator::estimate_csr_profiled`]).
-    pub fn estimate_csr_profiled<R: Rng + ?Sized>(
+    pub fn estimate_csr_profiled<'a, R: Rng + ?Sized>(
         &self,
-        arena: &CsrGraph,
+        arena: impl Into<ArenaRef<'a>>,
         rng: &mut R,
         profiler: &PhaseProfiler,
     ) -> Result<Release, CcdpError> {
@@ -468,7 +461,7 @@ mod tests {
                 .unwrap();
             assert_eq!(base.value().to_bits(), csr.value().to_bits());
             let shared = cc
-                .estimate_shared(&Arc::new(arena.clone()), &mut StdRng::seed_from_u64(10))
+                .estimate_csr(&Arc::new(arena.clone()), &mut StdRng::seed_from_u64(10))
                 .unwrap();
             assert_eq!(base.value().to_bits(), shared.value().to_bits());
         }

@@ -27,14 +27,20 @@
 //!   memory compare), so a fingerprint collision degrades to a safe miss,
 //!   never to a wrong answer.
 //!
-//! A flight leader keeps a shared arena's `Arc` as its witness; only a
-//! borrowed arena is copied, once per miss.
+//! The first caller of a key inserts its entry — the witness plus an empty
+//! [`OnceLock`] — before it evaluates, and keeps a shared arena's `Arc` as
+//! the witness; only a borrowed arena is copied, once per miss.
 //!
-//! Concurrent misses on the same key are **single-flighted**: the first
-//! caller evaluates while the others wait on an in-flight table and receive
-//! the same shared result, so a thundering herd of identical requests costs
-//! one family evaluation instead of one per thread. Hit/miss/coalesce/
-//! eviction counters are exposed for tests and capacity planning.
+//! Concurrent misses on the same key are **single-flighted** by that
+//! once-cell: every caller runs `get_or_init`, so one evaluates while the
+//! others wait and receive the same shared result, and a thundering herd of
+//! identical requests costs one family evaluation instead of one per thread.
+//! An error reaches everyone who waited on it and is then dropped, never
+//! stored; a panicking evaluation leaves the cell empty, so the next waiter
+//! evaluates instead of blocking forever. Because in-flight entries live in
+//! the map, invalidating a superseded version drops them too: their waiters
+//! still get the value, and nothing is stored. Hit/miss/coalesce/eviction
+//! counters are exposed for tests and capacity planning.
 //!
 //! The thread budget of an evaluation is deliberately **not** part of the
 //! key: family values are bit-for-bit identical for every budget, so an
@@ -46,7 +52,7 @@ use ccdp_exec::PhaseProfiler;
 use ccdp_graph::{CsrGraph, GraphVersion};
 use ccdp_obs::{Counter, Gauge, MetricsRegistry, SpanKind, TraceCtx};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Default number of (graph, grid) entries kept per cache.
@@ -58,10 +64,10 @@ pub const DEFAULT_FAMILY_CACHE_CAPACITY: usize = 64;
 /// streaming tier that names its graphs tags each evaluation with the
 /// snapshot it came from, which buys two things the edge list cannot:
 /// entries of superseded versions can be [invalidated in
-/// bulk](ExtensionCache::invalidate_graph), and a release served for version
-/// `v` can never replay a family cached under any other version — even if
-/// two versions happen to share an edge list, their cache entries stay
-/// distinct.
+/// bulk](ExtensionCache::invalidate_versions_below), and a release served for
+/// version `v` can never replay a family cached under any other version —
+/// even if two versions happen to share an edge list, their cache entries
+/// stay distinct.
 #[derive(Clone, Debug, Hash, PartialEq, Eq)]
 pub struct GraphTag {
     /// Catalog id of the graph.
@@ -89,11 +95,12 @@ impl std::fmt::Display for GraphTag {
 /// A request arena as the cache sees it.
 #[derive(Clone, Copy, Debug)]
 pub enum ArenaRef<'a> {
-    /// A caller-owned arena: a flight leader copies it into its witness.
+    /// A caller-owned arena: the caller that inserts an entry copies it into
+    /// the witness.
     Borrowed(&'a CsrGraph),
-    /// A shared arena (such as the one a registry published): a flight
-    /// leader keeps the `Arc` as its witness, and later lookups with the
-    /// same `Arc` are confirmed by pointer equality.
+    /// A shared arena (such as the one a registry published): the caller
+    /// that inserts an entry keeps the `Arc` as its witness, and later
+    /// lookups with the same `Arc` are confirmed by pointer equality.
     Shared(&'a Arc<CsrGraph>),
 }
 
@@ -106,7 +113,7 @@ impl<'a> ArenaRef<'a> {
         }
     }
 
-    /// The witness a flight leader stores: the shared `Arc`, or a copy of a
+    /// The witness a new entry stores: the shared `Arc`, or a copy of a
     /// borrowed arena.
     fn to_witness(self) -> Arc<CsrGraph> {
         match self {
@@ -147,80 +154,25 @@ struct CacheKey {
     tag: Option<GraphTag>,
 }
 
-/// One in-flight family evaluation that followers can wait on.
-struct Flight {
-    /// `None` while the leader is evaluating; the leader's result afterwards.
-    outcome: Mutex<Option<Result<Arc<Vec<ExtensionEvaluation>>, CoreError>>>,
-    done: Condvar,
-}
-
-impl Flight {
-    fn new() -> Self {
-        Flight {
-            outcome: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    /// Publishes the leader's result and wakes every waiting follower.
-    fn publish(&self, result: Result<Arc<Vec<ExtensionEvaluation>>, CoreError>) {
-        let mut slot = self
-            .outcome
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *slot = Some(result);
-        self.done.notify_all();
-    }
-
-    /// Blocks until the leader publishes, then returns a clone of its result.
-    fn wait(&self) -> Result<Arc<Vec<ExtensionEvaluation>>, CoreError> {
-        let mut slot = self
-            .outcome
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        while slot.is_none() {
-            slot = self
-                .done
-                .wait(slot)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        slot.as_ref().expect("published outcome").clone()
-    }
-}
-
-/// One stored evaluation with its recency stamp and structural witness.
-struct CacheEntry {
-    evals: Arc<Vec<ExtensionEvaluation>>,
-    /// The CSR arena the evaluation was computed from. A fingerprint hit is
-    /// served only after the request arena equals this witness,
-    /// so a colliding key can never replay another graph's family.
+/// One entry, in flight or done.
+struct Slot {
+    /// The CSR arena the family is computed from. A fingerprint hit is
+    /// served only after the request arena equals this witness, so a
+    /// colliding key can never replay another graph's family.
     witness: Arc<CsrGraph>,
-    /// Monotonic tick of the last hit (or the insert); the eviction victim
-    /// is the minimum. Hits are O(1); the scan cost lives on the rare
-    /// over-capacity insert instead.
-    last_used: u64,
-}
-
-/// One registered in-flight evaluation with the leader's witness arena.
-struct InFlightEntry {
-    flight: Arc<Flight>,
-    witness: Arc<CsrGraph>,
+    /// Empty while the family is being evaluated; `get_or_init` on it is the
+    /// single flight.
+    family: OnceLock<Result<Arc<Vec<ExtensionEvaluation>>, CoreError>>,
 }
 
 #[derive(Default)]
 struct CacheInner {
-    map: HashMap<CacheKey, CacheEntry>,
-    /// Monotonic recency clock, bumped per lookup/insert.
+    /// Every entry with the monotonic tick of its last lookup (or its
+    /// insert); the eviction victim is the minimum. Lookups are O(1); the
+    /// scan cost lives on the rare over-capacity insert instead.
+    map: HashMap<CacheKey, (Arc<Slot>, u64)>,
+    /// Monotonic recency clock, bumped per lookup.
     tick: u64,
-    /// Single-flight table of evaluations currently being computed.
-    in_flight: HashMap<CacheKey, InFlightEntry>,
-}
-
-impl CacheInner {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
 }
 
 /// Point-in-time cache counters.
@@ -228,7 +180,8 @@ impl CacheInner {
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to evaluate the family (one per in-flight leader).
+    /// Lookups that had to evaluate the family (one per inserted entry, plus
+    /// one per fingerprint collision evaluated on the side).
     pub misses: u64,
     /// Lookups that joined another caller's in-flight evaluation instead of
     /// racing it (single-flight coalescing).
@@ -236,10 +189,9 @@ pub struct CacheStats {
     /// Entries dropped to enforce the capacity bound.
     pub evictions: u64,
     /// Entries dropped by explicit invalidation
-    /// ([`invalidate_graph`](ExtensionCache::invalidate_graph) /
-    /// [`invalidate_versions_below`](ExtensionCache::invalidate_versions_below)).
+    /// ([`invalidate_versions_below`](ExtensionCache::invalidate_versions_below)).
     pub invalidations: u64,
-    /// Entries currently stored.
+    /// Entries currently stored, in-flight ones included.
     pub entries: usize,
 }
 
@@ -301,11 +253,6 @@ impl ExtensionCache {
         cache
     }
 
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -318,38 +265,21 @@ impl ExtensionCache {
         }
     }
 
-    /// Drops every stored entry (counters and in-flight evaluations are kept).
-    pub fn clear(&self) {
-        self.lock().map.clear();
-        self.entries_gauge.set(0);
-    }
-
-    /// Evicts every entry tagged with catalog id `graph_id`, whatever its
-    /// version; returns how many entries were dropped (also added to the
-    /// `invalidations` counter). Untagged entries are never touched.
-    ///
-    /// An in-flight evaluation of the graph is not interrupted: its result is
-    /// still delivered to the callers already waiting on it and may be
-    /// inserted after this call returns. Callers that retire a graph should
-    /// therefore invalidate *after* the last request for it has drained, or
-    /// simply stop issuing its tag.
-    pub fn invalidate_graph(&self, graph_id: &str) -> usize {
-        self.invalidate_where(|tag| tag.id == graph_id)
-    }
-
     /// Evicts every entry of `graph_id` with a version strictly below
     /// `version` (bulk invalidation of superseded snapshots); returns how
-    /// many entries were dropped.
+    /// many entries were dropped (also added to the `invalidations`
+    /// counter). Untagged entries and other ids are never touched.
+    ///
+    /// An in-flight evaluation of a dropped entry is not interrupted: its
+    /// result still reaches the callers waiting on it, but it is not stored.
     pub fn invalidate_versions_below(&self, graph_id: &str, version: GraphVersion) -> usize {
-        self.invalidate_where(|tag| tag.id == graph_id && tag.version < version)
-    }
-
-    fn invalidate_where(&self, victim: impl Fn(&GraphTag) -> bool) -> usize {
         let mut inner = self.lock();
         let before = inner.map.len();
-        inner
-            .map
-            .retain(|key, _| !key.tag.as_ref().is_some_and(&victim));
+        inner.map.retain(|key, _| {
+            !key.tag
+                .as_ref()
+                .is_some_and(|tag| tag.id == graph_id && tag.version < version)
+        });
         let dropped = before - inner.map.len();
         self.invalidations.add(dropped as u64);
         self.entries_gauge.set(inner.map.len() as i64);
@@ -363,13 +293,13 @@ impl ExtensionCache {
     ///
     /// A catalog [`GraphTag`] keys the entry by `(id, version)` *in addition
     /// to* the graph fingerprint, so evaluations of different snapshot
-    /// versions never answer for each other and can be invalidated per graph
-    /// or per version range. `threads` is the budget of the evaluation on a
-    /// miss; it never enters the key. The profiler records family phase
-    /// timings on a miss (leading or uncached evaluation), and the trace
-    /// context receives a `cache/hit`, `cache/miss` (timed over the
-    /// evaluation) or `cache/coalesced` (timed over the wait) span event.
-    /// Observation only — values, keys and counters are unchanged.
+    /// versions never answer for each other and can be invalidated per
+    /// version range. `threads` is the budget of the evaluation on a miss; it
+    /// never enters the key. The profiler records family phase timings in
+    /// whichever caller evaluates, and the trace context receives a
+    /// `cache/hit`, `cache/miss` (timed over the evaluation) or
+    /// `cache/coalesced` (timed over the wait) span event. Observation only —
+    /// values, keys and counters are unchanged.
     ///
     /// `arena` is a `&CsrGraph` or a `&Arc<CsrGraph>` (see [`ArenaRef`]);
     /// passing the `Arc` lets a miss keep it as the witness and lets every
@@ -393,189 +323,85 @@ impl ExtensionCache {
         };
 
         let started = trace.map(|_| Instant::now());
-        let action = {
+        // Decide the outcome under the lock: a set cell is a hit, an unset
+        // one a coalesced join, a fresh insert a miss.
+        let (slot, kind) = {
             let mut inner = self.lock();
-            let tick = inner.next_tick();
-            if let Some(entry) = inner.map.get_mut(&key) {
+            inner.tick += 1;
+            let tick = inner.tick;
+            match inner.map.get_mut(&key) {
                 // Confirm the fingerprint hit against the witness before
                 // serving it: a collision must degrade to a miss, never
                 // replay another graph's family.
-                if request.matches(&entry.witness) {
-                    entry.last_used = tick;
-                    self.hits.inc();
-                    if let Some(ctx) = trace {
-                        ctx.event(SpanKind::CacheHit);
+                Some((slot, last_used)) if request.matches(&slot.witness) => {
+                    *last_used = tick;
+                    if let Some(Ok(evals)) = slot.family.get() {
+                        self.hits.inc();
+                        if let Some(ctx) = trace {
+                            ctx.event(SpanKind::CacheHit);
+                        }
+                        return Ok(Arc::clone(evals));
                     }
-                    return Ok(Arc::clone(&entry.evals));
-                }
-            }
-            match inner.in_flight.get(&key) {
-                Some(in_flight) if request.matches(&in_flight.witness) => {
-                    // Someone else is already evaluating this exact graph:
-                    // join their flight instead of racing a duplicate
-                    // evaluation.
                     self.coalesced.inc();
-                    LookupAction::Join(Arc::clone(&in_flight.flight))
+                    (Some(Arc::clone(slot)), SpanKind::CacheCoalesced)
                 }
+                // Fingerprint collision with a different graph: evaluate on
+                // the side without touching the map.
                 Some(_) => {
-                    // Fingerprint collision with a different in-flight graph:
-                    // evaluate on the side without touching the cache.
-                    LookupAction::EvaluateUncached
+                    self.misses.inc();
+                    (None, SpanKind::CacheMiss)
                 }
                 None => {
-                    // Only a leader takes a witness: the shared `Arc` itself,
-                    // or one copy of a borrowed arena.
-                    let witness = request.to_witness();
-                    inner.in_flight.insert(
-                        key.clone(),
-                        InFlightEntry {
-                            flight: Arc::new(Flight::new()),
-                            witness: Arc::clone(&witness),
-                        },
-                    );
-                    LookupAction::Lead(witness)
+                    if inner.map.len() >= self.capacity {
+                        // Evict the least recently used entry; an in-flight
+                        // victim still answers the callers holding its slot.
+                        let victim = inner.map.iter().min_by_key(|(_, (_, used))| *used);
+                        if let Some(victim) = victim.map(|(k, _)| k.clone()) {
+                            inner.map.remove(&victim);
+                            self.evictions.inc();
+                        }
+                    }
+                    let slot = Arc::new(Slot {
+                        witness: request.to_witness(),
+                        family: OnceLock::new(),
+                    });
+                    inner.map.insert(key.clone(), (Arc::clone(&slot), tick));
+                    self.entries_gauge.set(inner.map.len() as i64);
+                    self.misses.inc();
+                    (Some(slot), SpanKind::CacheMiss)
                 }
             }
         };
-        match action {
-            LookupAction::Join(flight) => {
-                let result = flight.wait();
-                if let Some(ctx) = trace {
-                    ctx.event_timed(SpanKind::CacheCoalesced, started.expect("timed").elapsed());
-                }
-                result
-            }
-            LookupAction::EvaluateUncached => {
-                let result = evaluate_family(arena, grid, threads, profiler).map(Arc::new);
-                self.misses.inc();
-                if let Some(ctx) = trace {
-                    ctx.event_timed(SpanKind::CacheMiss, started.expect("timed").elapsed());
-                }
-                result
-            }
-            LookupAction::Lead(witness) => {
-                // We are the flight leader: evaluate outside the lock (family
-                // evaluation can take a while and lookups of other graphs
-                // must not serialize on it), then store, publish and wake the
-                // followers. The guard publishes an error if evaluation
-                // panics, so followers are never left waiting on a flight
-                // whose leader died.
-                let guard = FlightGuard {
-                    cache: self,
-                    key,
-                    witness,
-                    armed: true,
-                };
-                let result = evaluate_family(arena, grid, threads, profiler).map(Arc::new);
-                guard.finish(result.clone());
-                self.misses.inc();
-                if let Some(ctx) = trace {
-                    ctx.event_timed(SpanKind::CacheMiss, started.expect("timed").elapsed());
-                }
-                result
+        // Evaluate outside the lock: family evaluation can take a while and
+        // lookups of other graphs must not serialize on it.
+        let evaluate = || evaluate_family(arena, grid, threads, profiler).map(Arc::new);
+        let result = match &slot {
+            Some(slot) => slot.family.get_or_init(evaluate).clone(),
+            None => evaluate(),
+        };
+        if let (Some(slot), Err(_)) = (&slot, &result) {
+            // Errors are never stored: drop the slot unless a later insert
+            // already replaced it.
+            let mut inner = self.lock();
+            if inner
+                .map
+                .get(&key)
+                .is_some_and(|(s, _)| Arc::ptr_eq(s, slot))
+            {
+                inner.map.remove(&key);
+                self.entries_gauge.set(inner.map.len() as i64);
             }
         }
-    }
-
-    /// Removes the flight for `key` (returning it so the caller can publish),
-    /// and on success stores the result with LRU eviction.
-    fn complete_flight(
-        &self,
-        key: &CacheKey,
-        witness: &Arc<CsrGraph>,
-        result: &Result<Arc<Vec<ExtensionEvaluation>>, CoreError>,
-    ) -> Option<Arc<Flight>> {
-        let mut inner = self.lock();
-        let flight = inner.in_flight.remove(key).map(|e| e.flight);
-        if let Ok(evals) = result {
-            if !inner.map.contains_key(key) {
-                while inner.map.len() >= self.capacity {
-                    // Evict the least recently used entry. The scan is
-                    // O(entries) but runs only on over-capacity inserts —
-                    // the hit path stays O(1).
-                    let victim = inner
-                        .map
-                        .iter()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(k, _)| k.clone());
-                    match victim {
-                        Some(v) => {
-                            inner.map.remove(&v);
-                            self.evictions.inc();
-                        }
-                        None => break,
-                    }
-                }
-                let tick = inner.next_tick();
-                inner.map.insert(
-                    key.clone(),
-                    CacheEntry {
-                        evals: Arc::clone(evals),
-                        witness: Arc::clone(witness),
-                        last_used: tick,
-                    },
-                );
-            }
-            self.entries_gauge.set(inner.map.len() as i64);
+        if let Some(ctx) = trace {
+            ctx.event_timed(kind, started.expect("timed").elapsed());
         }
-        flight
+        result
     }
 
     fn lock(&self) -> MutexGuard<'_, CacheInner> {
         self.inner
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-/// What a cache lookup decided to do after consulting the stored entries and
-/// the in-flight table.
-enum LookupAction {
-    /// Wait on another caller's in-flight evaluation of the same graph.
-    Join(Arc<Flight>),
-    /// Lead a registered flight (carrying its witness): evaluate, store,
-    /// publish.
-    Lead(Arc<CsrGraph>),
-    /// Fingerprint collision with a different in-flight graph: evaluate on
-    /// the side without registering or storing anything.
-    EvaluateUncached,
-}
-
-/// Cleans up a leader's flight even on unwind: followers receive an error
-/// instead of blocking forever if the evaluation panicked.
-struct FlightGuard<'a> {
-    cache: &'a ExtensionCache,
-    key: CacheKey,
-    witness: Arc<CsrGraph>,
-    armed: bool,
-}
-
-impl FlightGuard<'_> {
-    fn finish(mut self, result: Result<Arc<Vec<ExtensionEvaluation>>, CoreError>) {
-        self.armed = false;
-        if let Some(flight) = self
-            .cache
-            .complete_flight(&self.key, &self.witness, &result)
-        {
-            flight.publish(result);
-        }
-    }
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let result = Err(CoreError::InvalidParameter(
-            "family evaluation panicked in another thread".to_string(),
-        ));
-        if let Some(flight) = self
-            .cache
-            .complete_flight(&self.key, &self.witness, &result)
-        {
-            flight.publish(result);
-        }
     }
 }
 
@@ -604,6 +430,7 @@ impl std::fmt::Debug for ExtensionCache {
 mod tests {
     use super::*;
     use ccdp_graph::{generators, Graph};
+    use rand::{rngs::StdRng, SeedableRng};
 
     /// An untagged sequential lookup of an adjacency-list graph.
     fn family(cache: &ExtensionCache, g: &Graph, grid: &[usize]) -> Arc<Vec<ExtensionEvaluation>> {
@@ -687,22 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_entries_but_keeps_counters() {
-        let cache = ExtensionCache::new(8);
-        let grid = [1usize, 2];
-        let g = generators::path(4);
-        family(&cache, &g, &grid);
-        family(&cache, &g, &grid);
-        cache.clear();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 0);
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        // A cleared cache re-evaluates.
-        family(&cache, &g, &grid);
-        assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
     fn cached_values_match_direct_evaluation() {
         let cache = ExtensionCache::default();
         let g = generators::complete(5);
@@ -753,30 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_graph_bulk_evicts_all_versions() {
-        let cache = ExtensionCache::new(16);
-        let g = generators::path(4);
-        let grid = [1usize, 2];
-        for v in 0..3 {
-            let tag = GraphTag::new("a", GraphVersion::new(v));
-            tagged(&cache, &g, &grid, Some(&tag));
-        }
-        let other = GraphTag::new("b", GraphVersion::INITIAL);
-        tagged(&cache, &g, &grid, Some(&other));
-        family(&cache, &g, &grid);
-        assert_eq!(cache.invalidate_graph("a"), 3);
-        let stats = cache.stats();
-        assert_eq!(stats.invalidations, 3);
-        // `b` and the untagged entry survive; capacity evictions were not
-        // involved.
-        assert_eq!((stats.entries, stats.evictions), (2, 0));
-        // The invalidated versions re-evaluate from scratch.
-        let tag = GraphTag::new("a", GraphVersion::new(2));
-        tagged(&cache, &g, &grid, Some(&tag));
-        assert_eq!(cache.stats().misses, 6);
-    }
-
-    #[test]
     fn invalidate_versions_below_keeps_the_frontier() {
         let cache = ExtensionCache::new(16);
         let g = generators::star(4);
@@ -785,15 +572,29 @@ mod tests {
             let tag = GraphTag::new("g", GraphVersion::new(v));
             tagged(&cache, &g, &grid, Some(&tag));
         }
+        // Another id's entry and an untagged entry of the same edge list.
+        let other = GraphTag::new("h", GraphVersion::INITIAL);
+        tagged(&cache, &g, &grid, Some(&other));
+        family(&cache, &g, &grid);
         assert_eq!(
             cache.invalidate_versions_below("g", GraphVersion::new(3)),
             3
         );
-        assert_eq!(cache.stats().entries, 1);
+        let stats = cache.stats();
+        // The frontier, `h` and the untagged entry survive; invalidations are
+        // counted apart from capacity evictions.
+        assert_eq!(
+            (stats.entries, stats.invalidations, stats.evictions),
+            (3, 3, 0)
+        );
         // The frontier version is still a hit.
         let tag = GraphTag::new("g", GraphVersion::new(3));
         tagged(&cache, &g, &grid, Some(&tag));
         assert_eq!(cache.stats().hits, 1);
+        // An invalidated version re-evaluates.
+        let tag = GraphTag::new("g", GraphVersion::new(1));
+        tagged(&cache, &g, &grid, Some(&tag));
+        assert_eq!(cache.stats().misses, stats.misses + 1);
     }
 
     #[test]
@@ -820,13 +621,15 @@ mod tests {
         let other_evals = Arc::new(evaluate_family(&other, &grid, 1, None).unwrap());
         {
             let mut inner = cache.lock();
-            let entry = inner
+            let (slot, _) = inner
                 .map
                 .values_mut()
-                .find(|e| Arc::ptr_eq(&e.witness, &arena))
+                .find(|(s, _)| Arc::ptr_eq(&s.witness, &arena))
                 .expect("the shared arena is the stored witness");
-            entry.witness = other;
-            entry.evals = other_evals;
+            *slot = Arc::new(Slot {
+                witness: other,
+                family: OnceLock::from(Ok(other_evals)),
+            });
         }
         // Neither the shared arena nor an equal copy is served the forged
         // family: each lookup degrades to a miss that evaluates this graph.
@@ -870,5 +673,90 @@ mod tests {
             threads as u64,
             "every lookup is a hit, a coalesced join or the one miss: {stats:?}"
         );
+    }
+
+    #[test]
+    fn invalidation_during_a_flight_stores_nothing() {
+        let n = 100_000;
+        let arena = Arc::new(CsrGraph::from_edge_stream(n, || {
+            generators::erdos_renyi_edges(n, 1.05 / n as f64, StdRng::seed_from_u64(5))
+        }));
+        let cache = Arc::new(ExtensionCache::new(8));
+        let grid = [1usize, 2, 4, 8];
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let (cache, arena, barrier) =
+                    (Arc::clone(&cache), Arc::clone(&arena), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    let tag = GraphTag::new("g", GraphVersion::INITIAL);
+                    cache
+                        .evaluate_family(&arena, &grid, Some(&tag), 1, None, None)
+                        .unwrap()
+                })
+            })
+            .collect();
+        // Invalidate the version while the follower waits on the leader.
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        while cache.stats().coalesced < 1 {
+            assert!(
+                Instant::now() < deadline,
+                "no follower joined: {:?}",
+                cache.stats()
+            );
+            std::thread::yield_now();
+        }
+        cache.invalidate_versions_below("g", GraphVersion::new(1));
+        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(Arc::ptr_eq(&results[0], &results[1]));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.invalidations), (0, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn a_panicking_leader_never_strands_its_followers() {
+        let cache = Arc::new(ExtensionCache::new(8));
+        let arena = Arc::new(CsrGraph::from_graph(&generators::caveman(4, 5)));
+        // `evaluate_family` asserts every Δ ≥ 1, so this grid panics inside
+        // the evaluation.
+        let bad_grid = [0usize, 1, 2];
+        let callers = 6;
+        let barrier = Arc::new(std::sync::Barrier::new(callers));
+        let (done, finished) = std::sync::mpsc::channel();
+        for _ in 0..callers {
+            let (cache, arena, barrier, done) = (
+                Arc::clone(&cache),
+                Arc::clone(&arena),
+                Arc::clone(&barrier),
+                done.clone(),
+            );
+            std::thread::spawn(move || {
+                barrier.wait();
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    cache.evaluate_family(&arena, &bad_grid, None, 1, None, None)
+                }));
+                done.send(matches!(outcome, Err(_) | Ok(Err(_)))).unwrap();
+            });
+        }
+        for _ in 0..callers {
+            let failed = finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a caller is stranded on a panicked flight");
+            assert!(failed, "a panicking evaluation cannot succeed");
+        }
+        // A valid grid on the same arena evaluates once, then hits.
+        let grid = [1usize, 2, 4];
+        let misses = cache.stats().misses;
+        let first = cache
+            .evaluate_family(&arena, &grid, None, 1, None, None)
+            .unwrap();
+        assert_eq!(cache.stats().misses, misses + 1);
+        let hits = cache.stats().hits;
+        let second = cache
+            .evaluate_family(&arena, &grid, None, 1, None, None)
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(cache.stats().hits, hits + 1);
     }
 }

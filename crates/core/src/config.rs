@@ -245,9 +245,9 @@ impl EstimatorConfig {
     /// Tags the estimator's cache lookups with the catalog identity of the
     /// graph snapshot it serves (`id` at `version`). Tagged entries never
     /// answer for another version of the same graph and can be invalidated in
-    /// bulk (see [`ExtensionCache::invalidate_graph`]). A data-independent
-    /// serving annotation: it changes which cache slot is used, never what is
-    /// computed.
+    /// bulk (see [`ExtensionCache::invalidate_versions_below`]). A
+    /// data-independent serving annotation: it changes which cache slot is
+    /// used, never what is computed.
     pub fn with_graph_tag(mut self, id: impl Into<String>, version: GraphVersion) -> Self {
         self.graph_tag = Some(GraphTag::new(id, version));
         self
@@ -258,11 +258,6 @@ impl EstimatorConfig {
         self.epsilon
     }
 
-    /// The β override, if any.
-    pub fn beta(&self) -> Option<f64> {
-        self.beta
-    }
-
     /// The Δmax override, if any.
     pub fn delta_max(&self) -> Option<usize> {
         self.delta_max
@@ -271,16 +266,6 @@ impl EstimatorConfig {
     /// The node-count budget fraction.
     pub fn node_count_fraction(&self) -> f64 {
         self.node_count_fraction
-    }
-
-    /// Whether the family cache is enabled.
-    pub fn family_caching(&self) -> bool {
-        self.family_cache_enabled
-    }
-
-    /// The shared family cache, if one was supplied.
-    pub fn shared_family_cache(&self) -> Option<&Arc<ExtensionCache>> {
-        self.shared_family_cache.as_ref()
     }
 
     /// The catalog tag cache lookups carry, if one was set.

@@ -16,8 +16,8 @@
 //! * [`server`] — the [`Server`]: a fixed worker pool over a bounded queue
 //!   with typed [`ServeError::QueueFull`] backpressure and graceful
 //!   drain-on-shutdown. All workers share one
-//!   [`ExtensionCache`](ccdp_core::ExtensionCache), whose single-flight
-//!   table coalesces concurrent misses on the same (graph, grid) key into
+//!   [`ExtensionCache`](ccdp_core::ExtensionCache), whose once-cell per
+//!   entry coalesces concurrent misses on the same (graph, grid) key into
 //!   one family evaluation.
 //! * [`stats`] — [`ServeStats`]: the recorder behind the `ccdp_serve_*`
 //!   series (counters, queue depth, a lock-free [`ccdp_obs::LogHistogram`]

@@ -11,7 +11,7 @@
 //!    [`BudgetLedger`] account (typed refusal if the quota can't fund it),
 //! 3. run the private estimator with the server's shared
 //!    [`ExtensionCache`] — concurrent requests for the same graph coalesce
-//!    into one family evaluation via the cache's single-flight table,
+//!    into one family evaluation on the cache entry's once-cell,
 //! 4. answer the caller through a per-request response channel.
 //!
 //! Shutdown is graceful: [`Server::shutdown`] closes the queue, lets the
@@ -669,7 +669,7 @@ fn handle_request(
     let estimator =
         PrivateCcEstimator::from_config(est_config).map_err(|e| ServeError::Estimator(e.into()))?;
     let mut rng = request_rng(config.seed, job.request_id);
-    let release = estimator.estimate_shared(&arena, &mut rng)?;
+    let release = estimator.estimate_csr(&arena, &mut rng)?;
     Ok((release, version))
 }
 

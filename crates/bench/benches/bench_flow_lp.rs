@@ -239,14 +239,14 @@ fn bench_csr_vs_adjacency(c: &mut Criterion) {
             b.iter(|| CsrGraph::from_graph(&g).num_edges())
         });
         // Whole-graph components: a union-find pass over the adjacency
-        // rows vs one contiguous labeling sweep of the arena (its
-        // `num_components` is a memo load after the first call, so the
-        // labeling is what gets timed).
+        // rows vs the fused partition of the arena (its `num_components` is
+        // a memo load after the first call, so the partition is what gets
+        // timed; it also relabels the arena into component order).
         group.bench_function(format!("components_adjacency_n{n}"), |b| {
             b.iter(|| g.num_connected_components())
         });
         group.bench_function(format!("components_csr_n{n}"), |b| {
-            b.iter(|| csr.component_labels())
+            b.iter(|| csr.partition_components().num_components())
         });
     }
     // The Lemma 1.8 forest construction, both hosts (the hot inner loop of

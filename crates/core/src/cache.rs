@@ -37,10 +37,12 @@
 //! identical requests costs one family evaluation instead of one per thread.
 //! An error reaches everyone who waited on it and is then dropped, never
 //! stored; a panicking evaluation leaves the cell empty, so the next waiter
-//! evaluates instead of blocking forever. Because in-flight entries live in
-//! the map, invalidating a superseded version drops them too: their waiters
-//! still get the value, and nothing is stored. Hit/miss/coalesce/eviction
-//! counters are exposed for tests and capacity planning.
+//! evaluates instead of blocking forever, and its entry leaves the map as the
+//! panic unwinds, so a later lookup is a plain miss. Because in-flight
+//! entries live in the map, invalidating a superseded version drops them
+//! too: their waiters still get the value, and nothing is stored.
+//! Hit/miss/coalesce/eviction counters are exposed for tests and capacity
+//! planning.
 //!
 //! The thread budget of an evaluation is deliberately **not** part of the
 //! key: family values are bit-for-bit identical for every budget, so an
@@ -375,23 +377,17 @@ impl ExtensionCache {
         // Evaluate outside the lock: family evaluation can take a while and
         // lookups of other graphs must not serialize on it.
         let evaluate = || evaluate_family(arena, grid, threads, profiler).map(Arc::new);
-        let result = match &slot {
-            Some(slot) => slot.family.get_or_init(evaluate).clone(),
+        let result = match slot {
+            Some(slot) => {
+                let guard = SlotGuard {
+                    cache: self,
+                    key: &key,
+                    slot,
+                };
+                guard.slot.family.get_or_init(evaluate).clone()
+            }
             None => evaluate(),
         };
-        if let (Some(slot), Err(_)) = (&slot, &result) {
-            // Errors are never stored: drop the slot unless a later insert
-            // already replaced it.
-            let mut inner = self.lock();
-            if inner
-                .map
-                .get(&key)
-                .is_some_and(|(s, _)| Arc::ptr_eq(s, slot))
-            {
-                inner.map.remove(&key);
-                self.entries_gauge.set(inner.map.len() as i64);
-            }
-        }
         if let Some(ctx) = trace {
             ctx.event_timed(kind, started.expect("timed").elapsed());
         }
@@ -402,6 +398,33 @@ impl ExtensionCache {
         self.inner
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
+
+/// Drops a slot from the map when the caller is done with it, unless its
+/// cell holds a family: errors are never stored, and since `Drop` also runs
+/// on unwind, neither is the empty cell a panicking evaluation leaves. Only
+/// the guarded slot itself is removed, never a later insert under its key.
+struct SlotGuard<'c> {
+    cache: &'c ExtensionCache,
+    key: &'c CacheKey,
+    slot: Arc<Slot>,
+}
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        if matches!(self.slot.family.get(), Some(Ok(_))) {
+            return;
+        }
+        let mut inner = self.cache.lock();
+        if inner
+            .map
+            .get(self.key)
+            .is_some_and(|(s, _)| Arc::ptr_eq(s, &self.slot))
+        {
+            inner.map.remove(self.key);
+            self.cache.entries_gauge.set(inner.map.len() as i64);
+        }
     }
 }
 
@@ -745,6 +768,18 @@ mod tests {
                 .expect("a caller is stranded on a panicked flight");
             assert!(failed, "a panicking evaluation cannot succeed");
         }
+        // No panicked slot stays behind, so the next lookup of the key is a
+        // miss with nothing in flight, not a coalesced join.
+        let after = cache.stats();
+        assert_eq!(after.entries, 0, "{after:?}");
+        let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.evaluate_family(&arena, &bad_grid, None, 1, None, None)
+        }));
+        assert!(matches!(again, Err(_) | Ok(Err(_))));
+        let last = cache.stats();
+        assert_eq!(last.misses, after.misses + 1, "{last:?}");
+        assert_eq!(last.coalesced, after.coalesced, "{last:?}");
+        assert_eq!(last.entries, 0, "{last:?}");
         // A valid grid on the same arena evaluates once, then hits.
         let grid = [1usize, 2, 4];
         let misses = cache.stats().misses;

@@ -130,10 +130,11 @@ impl LipschitzExtension {
 ///   maximum degree exceeds Δ, through
 ///   [`component_bounded_degree_spanning_forest`].
 /// * **LP, one fan-out.** Every non-anchored Δ is solved by one
-///   [`solve_partition`] call over the shared partition (every component on
-///   the micro solver, identical small components solved once per class,
-///   every (class, Δ) pair on up to `threads` workers), merging values in
-///   component order per Δ.
+///   [`solve_partition`] call over the shared partition on up to `threads`
+///   workers: every component on the micro solver, identical small
+///   components solved once per class, each heavy class in one task per Δ
+///   over one shared local copy, and the light classes in fixed-size chunks
+///   that each run the whole LP grid. Values merge in component order per Δ.
 ///
 /// Values are clamped to be monotone non-decreasing in Δ, which they are
 /// mathematically (Lemma 3.3) but may fail to be by a hair numerically when
@@ -144,7 +145,8 @@ impl LipschitzExtension {
 /// never uses the maximizing point itself).
 ///
 /// With a [`PhaseProfiler`], time is attributed under stable phase names:
-/// `family/partition` (arena partitioning + per-component degree scan),
+/// `family/partition` (the fused partition pass + per-component degree
+/// scan),
 /// `family/anchor` (fast-path checks including the per-component Lemma 1.8
 /// searches) and `family/lp` (polytope solving over the partition), plus
 /// per-Δ solve counts (component totals, closed forms, dedup hits).
@@ -174,8 +176,8 @@ pub fn evaluate_family(
     let partition_timer = profiler.map(|p| p.phase("family/partition"));
     let max_degree = arena.max_degree();
     let part = arena.partition_components();
-    // The partition's labelling filled the arena's component memo, so this
-    // (and the release's true value after it) is a load, not a second pass.
+    // The partition filled the arena's component memo, so this (and the
+    // release's true value after it) is a load, not a second pass.
     let fsf = arena.spanning_forest_size() as f64;
     // Largest maximum degree over *tree* components (for Δ below it no
     // spanning Δ-forest exists), and the non-tree components with their

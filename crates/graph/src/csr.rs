@@ -46,7 +46,7 @@ pub struct CsrGraph {
     /// Memo of [`CsrGraph::fingerprint`].
     fingerprint: OnceLock<u128>,
     /// Memo of [`CsrGraph::num_components`], also filled by
-    /// [`CsrGraph::component_labels`] (and so by `partition_components`).
+    /// [`CsrGraph::partition_components`].
     components: OnceLock<usize>,
 }
 
@@ -277,38 +277,9 @@ impl CsrGraph {
         })
     }
 
-    /// Labels every vertex with its connected component, numbered `0..k` in
-    /// order of smallest vertex — identical numbering to
-    /// [`connected_component_labels`](crate::components::connected_component_labels).
-    pub fn component_labels(&self) -> Vec<u32> {
-        let n = self.num_vertices();
-        let mut label = vec![u32::MAX; n];
-        let mut next = 0u32;
-        let mut stack: Vec<u32> = Vec::new();
-        for start in 0..n {
-            if label[start] != u32::MAX {
-                continue;
-            }
-            label[start] = next;
-            stack.push(start as u32);
-            while let Some(u) = stack.pop() {
-                for &v in self.neighbors(u as usize) {
-                    if label[v as usize] == u32::MAX {
-                        label[v as usize] = next;
-                        stack.push(v);
-                    }
-                }
-            }
-            next += 1;
-        }
-        // The labelling just counted the components: fill the memo for free.
-        let _ = self.components.set(next as usize);
-        label
-    }
-
     /// Number of connected components. Memoized: the first call (or the
-    /// first [`component_labels`](Self::component_labels)) runs one pass of
-    /// the union-find; later calls are a load.
+    /// first [`partition_components`](Self::partition_components)) runs one
+    /// pass; later calls are a load.
     pub fn num_components(&self) -> usize {
         *self.components.get_or_init(|| {
             let n = self.num_vertices();
@@ -329,64 +300,60 @@ impl CsrGraph {
         self.num_vertices() - self.num_components()
     }
 
-    /// Vertex sets of the components, ordered by smallest vertex, vertices
-    /// ascending within each — identical to
-    /// [`components`](crate::components::components) on the same graph.
-    pub fn components(&self) -> Vec<Vec<usize>> {
-        let labels = self.component_labels();
-        let k = labels.iter().copied().max().map_or(0, |m| m as usize + 1);
-        let mut comps = vec![Vec::new(); k];
-        for (v, &l) in labels.iter().enumerate() {
-            comps[l as usize].push(v);
-        }
-        comps
-    }
-
     /// Re-labels the graph so every connected component occupies a contiguous
-    /// vertex range of one shared arena. One O(n + m) pass; afterwards each
-    /// component's adjacency is a borrowed slice ([`CsrComponent`]) — no
-    /// per-component allocation.
+    /// vertex range of one shared arena: components ordered by smallest
+    /// vertex, vertices ascending within each (the local numbering
+    /// `induced_subgraph` would assign). Afterwards each component's adjacency
+    /// is a borrowed slice ([`CsrComponent`]) — no per-component allocation.
+    ///
+    /// One fused O(n + m) pass: from each unvisited vertex in ascending order
+    /// a traversal collects the component into `order`, sorts that slice,
+    /// numbers it and relabels its rows while they are still in cache. Fills
+    /// the component-count memo of both this arena and the relabeled one.
     pub fn partition_components(&self) -> ComponentPartition {
         let n = self.num_vertices();
-        let labels = self.component_labels();
-        let k = labels.iter().copied().max().map_or(0, |m| m as usize + 1);
-
-        // New order: vertices sorted by (component, old id). Since labels are
-        // assigned in order of smallest vertex, a counting pass in old-id
-        // order lands every component's vertices ascending — the same local
-        // numbering `induced_subgraph` would assign.
-        let mut comp_sizes = vec![0u32; k];
-        for &l in &labels {
-            comp_sizes[l as usize] += 1;
-        }
-        let mut comp_starts = vec![0u32; k + 1];
-        for c in 0..k {
-            comp_starts[c + 1] = comp_starts[c] + comp_sizes[c];
-        }
-        let mut order = vec![0u32; n]; // new position -> old vertex
-        let mut new_of = vec![0u32; n]; // old vertex -> new position
-        let mut cursor = comp_starts[..k].to_vec();
-        for (old, &l) in labels.iter().enumerate() {
-            let pos = cursor[l as usize];
-            cursor[l as usize] += 1;
-            order[pos as usize] = old as u32;
-            new_of[old] = pos;
-        }
-
+        let mut new_of = vec![u32::MAX; n]; // old vertex -> new position
+        let mut order: Vec<u32> = Vec::with_capacity(n); // new position -> old vertex
+        let mut comp_starts = vec![0u32];
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::with_capacity(self.targets.len());
         offsets.push(0u32);
-        for &old in &order {
-            // Old rows are sorted by old id; within one component the
-            // relabeling is monotone (ascending old ids -> ascending new
-            // positions), so the new row stays sorted without a sort.
-            for &w in self.neighbors(old as usize) {
-                targets.push(new_of[w as usize]);
+        for start in 0..n {
+            if new_of[start] != u32::MAX {
+                continue;
             }
-            offsets.push(targets.len() as u32);
+            // `order` doubles as the traversal queue; any value other than
+            // `u32::MAX` marks a vertex as collected.
+            let base = order.len();
+            new_of[start] = 0;
+            order.push(start as u32);
+            let mut head = base;
+            while head < order.len() {
+                for &w in self.neighbors(order[head] as usize) {
+                    if new_of[w as usize] == u32::MAX {
+                        new_of[w as usize] = 0;
+                        order.push(w);
+                    }
+                }
+                head += 1;
+            }
+            order[base..].sort_unstable();
+            for (pos, &old) in (base as u32..).zip(&order[base..]) {
+                new_of[old as usize] = pos;
+            }
+            // Within one component the relabeling is monotone (ascending old
+            // ids -> ascending new positions), so each row stays sorted.
+            for &old in &order[base..] {
+                let row = self.neighbors(old as usize);
+                targets.extend(row.iter().map(|&w| new_of[w as usize]));
+                offsets.push(targets.len() as u32);
+            }
+            comp_starts.push(order.len() as u32);
         }
 
         // Relabeling preserves the component count.
+        let k = comp_starts.len() - 1;
+        let _ = self.components.set(k);
         let arena = CsrGraph::from_parts(offsets, targets);
         let _ = arena.components.set(k);
         ComponentPartition {
@@ -566,9 +533,16 @@ mod tests {
                 csr.spanning_forest_size(),
                 components::spanning_forest_size(&g)
             );
-            assert_eq!(csr.components(), components::components(&g));
-            let labels: Vec<usize> = csr.component_labels().iter().map(|&l| l as usize).collect();
-            assert_eq!(labels, components::connected_component_labels(&g));
+            let part = csr.partition_components();
+            let comps: Vec<Vec<usize>> = (0..part.num_components())
+                .map(|c| {
+                    part.component_vertices(c)
+                        .iter()
+                        .map(|&v| v as usize)
+                        .collect()
+                })
+                .collect();
+            assert_eq!(comps, components::components(&g));
         }
     }
 
@@ -594,12 +568,11 @@ mod tests {
                 assert_eq!(arena.spanning_forest_size(), g.num_vertices() - truth);
                 assert_eq!(*arena, fresh);
             }
-            // Labelling and partitioning fill the memo with the same count
-            // a from-scratch union-find pass finds.
-            let labelled = CsrGraph::from_graph(&g);
-            labelled.component_labels();
-            assert_eq!(labelled.components.get(), Some(&truth));
-            let part = CsrGraph::from_graph(&g).partition_components();
+            // Partitioning fills both memos with the same count a
+            // from-scratch union-find pass finds.
+            let source = CsrGraph::from_graph(&g);
+            let part = source.partition_components();
+            assert_eq!(source.components.get(), Some(&truth));
             let relabeled = part.arena();
             assert_eq!(relabeled.components.get(), Some(&truth));
             let recount =
@@ -630,6 +603,91 @@ mod tests {
                 assert_eq!(view.num_edges(), expected.num_edges());
                 assert_eq!(view.to_graph(), expected, "component {c} adjacency");
             }
+        }
+    }
+
+    /// The partition the fused pass must reproduce, built the long way:
+    /// label every vertex, counting-sort the vertices by label, relabel
+    /// every row. Returns `(offsets, targets, comp_starts, order)`.
+    fn three_pass_partition(csr: &CsrGraph) -> [Vec<u32>; 4] {
+        let n = csr.num_vertices();
+        let mut label = vec![u32::MAX; n];
+        let mut k = 0u32;
+        for start in 0..n {
+            if label[start] != u32::MAX {
+                continue;
+            }
+            label[start] = k;
+            let mut stack = vec![start];
+            while let Some(u) = stack.pop() {
+                for &v in csr.neighbors(u) {
+                    if label[v as usize] == u32::MAX {
+                        label[v as usize] = k;
+                        stack.push(v as usize);
+                    }
+                }
+            }
+            k += 1;
+        }
+        let mut comp_starts = vec![0u32; k as usize + 1];
+        for &l in &label {
+            comp_starts[l as usize + 1] += 1;
+        }
+        for c in 0..k as usize {
+            comp_starts[c + 1] += comp_starts[c];
+        }
+        let mut cursor = comp_starts.clone();
+        let (mut order, mut new_of) = (vec![0u32; n], vec![0u32; n]);
+        for (old, &l) in label.iter().enumerate() {
+            let pos = cursor[l as usize];
+            cursor[l as usize] += 1;
+            order[pos as usize] = old as u32;
+            new_of[old] = pos;
+        }
+        let (mut offsets, mut targets) = (vec![0u32], Vec::new());
+        for &old in &order {
+            targets.extend(
+                csr.neighbors(old as usize)
+                    .iter()
+                    .map(|&w| new_of[w as usize]),
+            );
+            offsets.push(targets.len() as u32);
+        }
+        [offsets, targets, comp_starts, order]
+    }
+
+    #[test]
+    fn fused_partition_matches_the_three_pass_reference() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut graphs = sample_graphs();
+        graphs.extend([
+            Graph::new(1),
+            Graph::new(40),
+            generators::caveman(4, 5),
+            generators::grid(5, 6),
+            generators::barabasi_albert(300, 2, &mut rng),
+            generators::random_geometric(200, 0.08, &mut rng),
+            generators::erdos_renyi(2000, 1.05 / 2000.0, &mut rng),
+            generators::erdos_renyi(500, 4.0 / 500.0, &mut rng),
+        ]);
+        // Scrambled ids: a giant whose vertices are far from ascending in
+        // traversal order, plus isolated vertices interleaved with it.
+        let mut scrambled = Graph::new(60);
+        for i in 0..29 {
+            scrambled.add_edge((7 * i) % 59 + 1, (7 * (i + 1)) % 59 + 1);
+        }
+        graphs.push(scrambled);
+        for g in &graphs {
+            let csr = CsrGraph::from_graph(g);
+            let [offsets, targets, comp_starts, order] = three_pass_partition(&csr);
+            let part = csr.partition_components();
+            assert_eq!(part.arena().offsets, offsets);
+            assert_eq!(part.arena().targets, targets);
+            assert_eq!(part.comp_starts, comp_starts);
+            assert_eq!(part.order, order);
+            let k = comp_starts.len() - 1;
+            assert_eq!(csr.components.get(), Some(&k));
+            assert_eq!(part.arena().components.get(), Some(&k));
         }
     }
 

@@ -17,9 +17,10 @@
 //!
 //! * [`solve_partition`] — the driver: one sweep over a
 //!   [`ComponentPartition`] for every Δ of a grid. It classifies the
-//!   components once, solves every (class, Δ) pair on one work-stealing
-//!   fan-out, and merges each Δ's values in component order, so the result
-//!   is the same for every thread budget and for every grid the Δ appears in.
+//!   components once and fans out one task per (heavy class, Δ) pair plus
+//!   one task per fixed-size chunk of light classes for the whole grid, then
+//!   merges each Δ's values in component order, so the result is the same
+//!   for every thread budget and for every grid the Δ appears in.
 //! * **Micro solver** — every component, of any size or cycle rank, takes a
 //!   CSR-native replica of the reference solver's reduction loop (same float
 //!   operations in the same order), with two provably-identical closed-form
@@ -32,24 +33,30 @@
 //!   generation), so the weight vector — and hence the value, summed in the
 //!   same edge order — is identical by construction.
 //! * **Class dedup** — components with at most [`DEDUP_MAX_VERTICES`]
-//!   vertices are keyed by their exact labeled CSR slice (size, degree
-//!   sequence, neighbor lists); a hash map with full key equality is the
-//!   witness check, so two components share a class only when they are
-//!   *identical as labeled graphs* — a safe subset of isomorphism. Every
-//!   larger component is its own class. On ER at p = 1.05/n the labeled-class
-//!   count is a few hundred versus ~476k components, so nearly every solve
-//!   becomes a lookup.
+//!   vertices (the *light* ones) are classed by their exact labeled CSR slice
+//!   (size, degree sequence, neighbor lists): a 64-bit hash of the slice
+//!   picks the candidate class, and an in-place comparison against the
+//!   representative's slice is the witness, so two components share a class
+//!   only when they are *identical as labeled graphs* — a safe subset of
+//!   isomorphism. Every larger (*heavy*) component is its own class. On ER
+//!   at p = 1.05/n and n = 10⁶ there are ~15k labeled classes versus ~125k
+//!   components with an edge (~476k in all), so nearly every solve becomes
+//!   a lookup.
 
 use crate::combinatorial::{solve_piece, CAP_TOL};
 use crate::solver::{PolytopeError, PolytopeSolution};
 use ccdp_exec::{effective_parallelism, parallel_map};
 use ccdp_graph::{ComponentPartition, CsrComponent, Graph};
 use std::cmp::Reverse;
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Components with at most this many vertices participate in class dedup.
 pub const DEDUP_MAX_VERTICES: usize = 32;
+
+/// Light classes per task; one task solves its chunk at every Δ of the grid.
+const LIGHT_CHUNK: usize = 64;
 
 /// Where each component's solution came from, for one Δ of a
 /// [`solve_partition`] call.
@@ -80,22 +87,12 @@ pub struct PartitionSolution {
     pub stats: PartitionSolveStats,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SolveKind {
-    MicroClosedForm,
-    MicroReduced,
-}
-
-/// One component's solution in local (component) edge order.
-#[derive(Clone, Debug)]
+/// One component's solution, weights in local (component) edge order and
+/// empty unless the caller wants weights.
 struct CompSolution {
-    weights: Vec<f64>,
-    value: f64,
-    generated_cuts: usize,
-    lp_iterations: usize,
-    lp_solves: usize,
-    lp_fallback_components: usize,
-    kind: SolveKind,
+    sol: PolytopeSolution,
+    /// Whether a remnant piece went through the shared certificate/LP tail.
+    reduced: bool,
 }
 
 /// Solves every component of a partition at every Δ of `deltas` and returns
@@ -106,19 +103,23 @@ struct CompSolution {
 /// 1. **Classify once.** Every component with ≥ 2 vertices and ≥ 1 edge is
 ///    assigned a class, sequentially: components of at most
 ///    [`DEDUP_MAX_VERTICES`] vertices share a class iff their labeled slices
-///    are identical; every other component is its own class.
-/// 2. **One fan-out.** Every (class, Δ) pair is solved on one
-///    [`parallel_map`], Δ-major with the largest classes first, so one heavy
-///    component's Δ solves sit at evenly spread task indices and land on
-///    different workers.
+///    are identical; every other (heavy) component is its own class.
+/// 2. **One fan-out** on [`parallel_map`], in Δ-major blocks. Block `d`
+///    holds one task per heavy class at `deltas[d]`, largest first, then an
+///    even share of the light chunks (`LIGHT_CHUNK` consecutive light
+///    classes, solved at every Δ by one task with a task-owned scratch). A
+///    heavy class's local CSR copy does not depend on Δ: the first of its
+///    tasks to need it builds it, the others share it read-only. So the
+///    giant's Δ solves spread over workers, and light classes pay no
+///    per-(class, Δ) task overhead.
 /// 3. **Merge per Δ** in component order — the exact order the sequential
 ///    per-component driver uses.
 ///
 /// Each (class, Δ) solve is a pure function of the class's labeled slice
 /// and Δ, so the result is identical for every thread budget and for every
 /// grid a Δ appears in. `want_weights` asks for per-edge weights in arena
-/// edge order; the family evaluation only needs values, and skipping the
-/// assembly saves one `f64` per edge per Δ.
+/// edge order; the family evaluation only needs values, and without weights
+/// no solve returns a weight vector.
 pub fn solve_partition(
     part: &ComponentPartition,
     deltas: &[f64],
@@ -147,48 +148,63 @@ pub fn solve_partition(
 
     let classes = Classes::of(part, &eligible);
     let num_classes = classes.reps.len();
-    // Class ranks by descending size (stable): `by_size[r]` is the class
-    // solved at rank `r` of every Δ's block of tasks, `rank_of` inverts it.
+    let view_of = |class: u32| part.component(eligible[classes.reps[class as usize]].0);
+    // Class ranks, heavy classes first, each group by descending size
+    // (stable): `by_size[r]` is the class solved at rank `r`, `rank_of`
+    // inverts it.
+    let heavy = |class: u32| view_of(class).num_vertices() > DEDUP_MAX_VERTICES;
     let mut by_size: Vec<u32> = (0..num_classes as u32).collect();
     by_size.sort_by_key(|&class| {
-        let view = part.component(eligible[classes.reps[class as usize]].0);
-        Reverse(view.num_vertices() + view.num_edges())
+        let view = view_of(class);
+        Reverse((heavy(class), view.num_vertices() + view.num_edges()))
     });
     let mut rank_of = vec![0u32; num_classes];
     for (rank, &class) in by_size.iter().enumerate() {
         rank_of[class as usize] = rank as u32;
     }
+    let num_heavy = by_size.partition_point(|&class| heavy(class));
 
-    let scratch_pool: Mutex<Vec<MicroScratch>> = Mutex::new(Vec::new());
-    let run_one = |task: usize| -> Result<CompSolution, PolytopeError> {
-        let (d, rank) = (task / num_classes, task % num_classes);
-        let rep = classes.reps[by_size[rank] as usize];
-        let view = part.component(eligible[rep].0);
-        let mut scratch = scratch_pool
-            .lock()
-            .expect("scratch pool lock")
-            .pop()
-            .unwrap_or_default();
-        let out = micro_solve(&view, deltas[d], &mut scratch);
-        scratch_pool
-            .lock()
-            .expect("scratch pool lock")
-            .push(scratch);
-        out
+    // Tasks as (ranks, Δ indices), in the Δ-major blocks described above.
+    let grid = deltas.len();
+    let chunks = (num_classes - num_heavy).div_ceil(LIGHT_CHUNK);
+    let mut tasks: Vec<(Range<usize>, Range<usize>)> = Vec::new();
+    for d in 0..grid {
+        tasks.extend((0..num_heavy).map(|rank| (rank..rank + 1, d..d + 1)));
+        tasks.extend((d * chunks / grid..(d + 1) * chunks / grid).map(|chunk| {
+            let lo = num_heavy + chunk * LIGHT_CHUNK;
+            (lo..num_classes.min(lo + LIGHT_CHUNK), 0..grid)
+        }));
+    }
+    let heavy_csr: Vec<OnceLock<LocalCsr>> = (0..num_heavy).map(|_| OnceLock::new()).collect();
+    let run = |task: usize| -> Result<Vec<CompSolution>, PolytopeError> {
+        let (ranks, ds) = &tasks[task];
+        let mut s = MicroScratch::default();
+        let mut out = Vec::with_capacity(ranks.len() * ds.len());
+        for rank in ranks.clone() {
+            let view = view_of(by_size[rank]);
+            let light_csr = OnceLock::new();
+            let csr = heavy_csr.get(rank).unwrap_or(&light_csr);
+            for d in ds.clone() {
+                out.push(micro_solve(&view, csr, deltas[d], &mut s, want_weights)?);
+            }
+        }
+        Ok(out)
     };
 
-    let tasks = deltas.len() * num_classes;
-    let eff = effective_parallelism(threads, deltas.len() * (arena.num_vertices() + num_edges));
-    let solved: Vec<CompSolution> = if eff >= 2 {
-        parallel_map(eff, tasks, run_one)
-    } else {
-        (0..tasks).map(run_one).collect()
+    let eff = effective_parallelism(threads, grid * (arena.num_vertices() + num_edges));
+    // `table[d * num_classes + rank]` solves the class at `rank` at Δ `d`.
+    let mut table: Vec<Option<CompSolution>> = (0..num_classes * grid).map(|_| None).collect();
+    for ((ranks, ds), solved) in tasks.iter().zip(parallel_map(eff, tasks.len(), run)) {
+        let mut solved = solved?.into_iter();
+        for rank in ranks.clone() {
+            for d in ds.clone() {
+                table[d * num_classes + rank] = solved.next();
+            }
+        }
     }
-    .into_iter()
-    .collect::<Result<_, _>>()?;
 
-    let mut out = Vec::with_capacity(deltas.len());
-    for block in (0..deltas.len()).map(|d| &solved[d * num_classes..(d + 1) * num_classes]) {
+    let mut out = Vec::with_capacity(grid);
+    for d in 0..grid {
         let mut solution = PolytopeSolution::zero(if want_weights { num_edges } else { 0 });
         let mut stats = PartitionSolveStats {
             components: eligible.len(),
@@ -197,22 +213,21 @@ pub fn solve_partition(
         };
         for (i, &(_, off)) in eligible.iter().enumerate() {
             let class = classes.of[i] as usize;
-            let sol = &block[rank_of[class] as usize];
+            let CompSolution { sol, reduced } = table[d * num_classes + rank_of[class] as usize]
+                .as_ref()
+                .expect("every (class, Δ) pair is solved");
             solution.value += sol.value;
-            solution.generated_cuts += sol.generated_cuts;
-            solution.lp_iterations += sol.lp_iterations;
-            solution.lp_solves += sol.lp_solves;
-            solution.lp_fallback_components += sol.lp_fallback_components;
+            solution.add_lp_work(sol);
             if classes.reps[class] != i {
                 stats.dedup_hits += 1;
+            } else if *reduced {
+                stats.micro_reduced += 1;
             } else {
-                match sol.kind {
-                    SolveKind::MicroClosedForm => stats.micro_closed_form += 1,
-                    SolveKind::MicroReduced => stats.micro_reduced += 1,
-                }
+                stats.micro_closed_form += 1;
             }
             if want_weights {
-                solution.edge_weights[off..off + sol.weights.len()].copy_from_slice(&sol.weights);
+                let weights = &sol.edge_weights;
+                solution.edge_weights[off..off + weights.len()].copy_from_slice(weights);
             }
         }
         out.push(PartitionSolution { solution, stats });
@@ -224,14 +239,56 @@ pub fn solve_partition(
 // Micro solver: CSR-native replica of `CombinatorialSolver::solve_component`.
 // ---------------------------------------------------------------------------
 
-/// Reusable buffers for one micro solve; pooled across components so the hot
-/// loop performs no allocation for the (overwhelmingly common) tree and
-/// unicyclic cases.
+/// A component's local CSR copy with canonical edge ids: edge `e` is the
+/// `e`-th pair `(u, w)`, `u < w`, in row order. It does not depend on Δ.
+struct LocalCsr {
+    off: Vec<u32>,
+    nbr: Vec<u32>,
+    eid: Vec<u32>,
+}
+
+impl LocalCsr {
+    fn of(view: &CsrComponent<'_>) -> Self {
+        let n = view.num_vertices();
+        let mut csr = LocalCsr {
+            off: Vec::with_capacity(n + 1),
+            nbr: Vec::with_capacity(2 * view.num_edges()),
+            eid: vec![0; 2 * view.num_edges()],
+        };
+        csr.off.push(0);
+        for v in 0..n {
+            csr.nbr.extend(view.neighbors(v).map(|w| w as u32));
+            csr.off.push(csr.nbr.len() as u32);
+        }
+        let mut e = 0u32;
+        for u in 0..n {
+            for j in csr.row(u) {
+                let w = csr.nbr[j] as usize;
+                if w > u {
+                    let back = csr.row(w).start
+                        + csr.nbr[csr.row(w)]
+                            .binary_search(&(u as u32))
+                            .expect("reverse half-edge present");
+                    csr.eid[j] = e;
+                    csr.eid[back] = e;
+                    e += 1;
+                }
+            }
+        }
+        debug_assert_eq!(e as usize, view.num_edges());
+        csr
+    }
+
+    #[inline]
+    fn row(&self, v: usize) -> Range<usize> {
+        self.off[v] as usize..self.off[v + 1] as usize
+    }
+}
+
+/// Reusable Δ-dependent buffers of a micro solve, owned by one task so its
+/// (overwhelmingly common) tree and unicyclic solves perform no allocation.
 #[derive(Default)]
 struct MicroScratch {
-    adj_off: Vec<u32>,
-    adj_nbr: Vec<u32>,
-    adj_eid: Vec<u32>,
     caps: Vec<f64>,
     alive: Vec<bool>,
     edge_alive: Vec<bool>,
@@ -239,12 +296,16 @@ struct MicroScratch {
     work: Vec<u32>,
     label: Vec<u32>,
     stack: Vec<u32>,
+    piece: Vec<u32>,
+    weights: Vec<f64>,
 }
 
 fn micro_solve(
     view: &CsrComponent<'_>,
+    csr: &OnceLock<LocalCsr>,
     delta: f64,
     s: &mut MicroScratch,
+    want_weights: bool,
 ) -> Result<CompSolution, PolytopeError> {
     let n = view.num_vertices();
     let m = view.num_edges();
@@ -255,52 +316,14 @@ fn micro_solve(
     if m == n - 1 {
         let max_deg = (0..n).map(|v| view.degree(v)).max().unwrap_or(0);
         if delta >= max_deg as f64 {
-            return Ok(CompSolution {
-                weights: vec![1.0; m],
-                value: (n - 1) as f64,
-                generated_cuts: 0,
-                lp_iterations: 0,
-                lp_solves: 0,
-                lp_fallback_components: 0,
-                kind: SolveKind::MicroClosedForm,
-            });
+            let mut sol = PolytopeSolution::zero(0);
+            sol.value = (n - 1) as f64;
+            sol.edge_weights = vec![1.0; if want_weights { m } else { 0 }];
+            let reduced = false;
+            return Ok(CompSolution { sol, reduced });
         }
     }
-
-    // --- Scratch setup: local CSR copy with canonical edge ids. -----------
-    s.adj_off.clear();
-    s.adj_off.reserve(n + 1);
-    s.adj_off.push(0);
-    s.adj_nbr.clear();
-    s.adj_nbr.reserve(2 * m);
-    for v in 0..n {
-        for w in view.neighbors(v) {
-            s.adj_nbr.push(w as u32);
-        }
-        s.adj_off.push(s.adj_nbr.len() as u32);
-    }
-    s.adj_eid.clear();
-    s.adj_eid.resize(2 * m, 0);
-    let row = |off: &[u32], v: usize| (off[v] as usize, off[v + 1] as usize);
-    {
-        let mut e = 0u32;
-        for u in 0..n {
-            let (lo, hi) = row(&s.adj_off, u);
-            for j in lo..hi {
-                let w = s.adj_nbr[j] as usize;
-                if w > u {
-                    s.adj_eid[j] = e;
-                    let (wlo, whi) = row(&s.adj_off, w);
-                    let pos = s.adj_nbr[wlo..whi]
-                        .binary_search(&(u as u32))
-                        .expect("reverse half-edge present");
-                    s.adj_eid[wlo + pos] = e;
-                    e += 1;
-                }
-            }
-        }
-        debug_assert_eq!(e as usize, m);
-    }
+    let csr = csr.get_or_init(|| LocalCsr::of(view));
 
     s.caps.clear();
     s.caps.resize(n, delta);
@@ -310,7 +333,8 @@ fn micro_solve(
     s.edge_alive.resize(m, true);
     s.deg.clear();
     s.deg.extend((0..n).map(|v| view.degree(v) as u32));
-    let mut weights = vec![0.0f64; m];
+    s.weights.clear();
+    s.weights.resize(m, 0.0);
 
     // --- Reductions 1 + 2, mirroring the reference solver operation by
     // operation (same work-stack order, same float arithmetic). ------------
@@ -322,11 +346,10 @@ fn micro_solve(
             continue;
         }
         if s.caps[v] <= CAP_TOL {
-            let (lo, hi) = row(&s.adj_off, v);
-            for j in lo..hi {
-                let e = s.adj_eid[j] as usize;
+            for j in csr.row(v) {
+                let e = csr.eid[j] as usize;
                 if s.edge_alive[e] {
-                    let u = s.adj_nbr[j] as usize;
+                    let u = csr.nbr[j] as usize;
                     s.edge_alive[e] = false;
                     s.deg[u] -= 1;
                     s.deg[v] -= 1;
@@ -337,13 +360,13 @@ fn micro_solve(
         } else if s.deg[v] == 0 {
             s.alive[v] = false;
         } else if s.deg[v] == 1 {
-            let (lo, hi) = row(&s.adj_off, v);
-            let j = (lo..hi)
-                .find(|&j| s.edge_alive[s.adj_eid[j] as usize])
+            let j = csr
+                .row(v)
+                .find(|&j| s.edge_alive[csr.eid[j] as usize])
                 .expect("degree-1 vertex has an alive edge");
-            let (u, e) = (s.adj_nbr[j] as usize, s.adj_eid[j] as usize);
+            let (u, e) = (csr.nbr[j] as usize, csr.eid[j] as usize);
             let w = 1.0f64.min(s.caps[v]).min(s.caps[u]).max(0.0);
-            weights[e] = w;
+            s.weights[e] = w;
             s.caps[u] -= w;
             s.edge_alive[e] = false;
             s.deg[u] -= 1;
@@ -356,7 +379,7 @@ fn micro_solve(
     // --- Remnant pieces, in the same order (by smallest vertex) and local
     // labeling (ascending) the reference solver's induced-subgraph path uses.
     let mut lp = PolytopeSolution::zero(0);
-    let mut materialized_any = false;
+    let mut reduced = false;
 
     s.label.clear();
     s.label.resize(n, u32::MAX);
@@ -369,90 +392,79 @@ fn micro_solve(
         s.stack.clear();
         s.stack.push(start as u32);
         s.label[start] = next_label;
-        let mut piece: Vec<u32> = vec![start as u32];
+        s.piece.clear();
+        s.piece.push(start as u32);
         while let Some(v) = s.stack.pop() {
-            let (lo, hi) = row(&s.adj_off, v as usize);
-            for j in lo..hi {
-                if !s.edge_alive[s.adj_eid[j] as usize] {
+            for j in csr.row(v as usize) {
+                if !s.edge_alive[csr.eid[j] as usize] {
                     continue;
                 }
-                let w = s.adj_nbr[j];
+                let w = csr.nbr[j];
                 if s.label[w as usize] == u32::MAX {
                     s.label[w as usize] = next_label;
                     s.stack.push(w);
-                    piece.push(w);
+                    s.piece.push(w);
                 }
             }
         }
         next_label += 1;
-        if piece.len() < 2 {
+        if s.piece.len() < 2 {
             continue;
         }
-        piece.sort_unstable();
-        if let Some(sol) = solve_remnant_piece(s, &piece, &mut weights)? {
+        s.piece.sort_unstable();
+        if let Some(sol) = solve_remnant_piece(csr, s)? {
             lp.add_lp_work(&sol);
-            materialized_any = true;
+            reduced = true;
         }
     }
 
-    Ok(CompSolution {
-        value: weights.iter().sum(),
-        weights,
-        generated_cuts: lp.generated_cuts,
-        lp_iterations: lp.lp_iterations,
-        lp_solves: lp.lp_solves,
-        lp_fallback_components: lp.lp_fallback_components,
-        kind: if materialized_any {
-            SolveKind::MicroReduced
-        } else {
-            SolveKind::MicroClosedForm
-        },
-    })
+    lp.value = s.weights.iter().sum();
+    if want_weights {
+        lp.edge_weights = std::mem::take(&mut s.weights);
+    }
+    Ok(CompSolution { sol: lp, reduced })
 }
 
-/// Solves one remnant piece (component-local vertex ids, sorted ascending),
-/// writing weights into the component's weight vector. Returns the piece
-/// solver's solution (for its LP work counters) when the piece had to be
+/// Solves the remnant piece in `s.piece` (component-local vertex ids, sorted
+/// ascending), writing weights into `s.weights`. Returns the piece solver's
+/// solution (for its LP work counters) when the piece had to be
 /// materialized as a `Graph`, `None` for the cycle closed form.
 fn solve_remnant_piece(
+    csr: &LocalCsr,
     s: &mut MicroScratch,
-    piece: &[u32],
-    weights: &mut [f64],
 ) -> Result<Option<PolytopeSolution>, PolytopeError> {
-    let row = |off: &[u32], v: usize| (off[v] as usize, off[v + 1] as usize);
-
     // Closed form: a remnant cycle whose floored caps are all ≥ 2. Series
     // contraction leaves a cycle without ends as it is, and the capped greedy
     // of the spanning certificate accepts the first k − 1 canonical edges
     // (any proper subset of cycle edges is acyclic; no cap below 2 ever
     // gates) and rejects the last, so the reference solver's weights are 1.0
     // everywhere except the final canonical edge — written here directly.
-    let is_cycle = piece
+    let is_cycle = s
+        .piece
         .iter()
         .all(|&v| s.deg[v as usize] == 2 && (s.caps[v as usize] + CAP_TOL).floor() >= 2.0);
     if is_cycle {
         let mut last_eid = None;
-        for &u in piece {
-            let (lo, hi) = row(&s.adj_off, u as usize);
-            for j in lo..hi {
-                let e = s.adj_eid[j] as usize;
-                if s.edge_alive[e] && s.adj_nbr[j] > u {
-                    weights[e] = 1.0;
+        for &u in &s.piece {
+            for j in csr.row(u as usize) {
+                let e = csr.eid[j] as usize;
+                if s.edge_alive[e] && csr.nbr[j] > u {
+                    s.weights[e] = 1.0;
                     last_eid = Some(e);
                 }
             }
         }
         if let Some(e) = last_eid {
-            weights[e] = 0.0;
+            s.weights[e] = 0.0;
         }
         return Ok(None);
     }
 
     // General tail: materialize the piece with ascending local ids (the same
     // labeling `induced_subgraph` produces) and run the shared piece solver.
-    let k = piece.len();
+    let k = s.piece.len();
     // Reuse `stack` as the component-local → piece-local rank map.
-    for (rank, &v) in piece.iter().enumerate() {
+    for (rank, &v) in s.piece.iter().enumerate() {
         if s.stack.len() <= v as usize {
             s.stack.resize(v as usize + 1, 0);
         }
@@ -461,24 +473,23 @@ fn solve_remnant_piece(
     // Edges in the piece's canonical order, with their component edge ids.
     let mut piece_edges: Vec<(usize, usize)> = Vec::new();
     let mut piece_eids: Vec<u32> = Vec::new();
-    for &u in piece {
-        let (lo, hi) = row(&s.adj_off, u as usize);
-        for j in lo..hi {
-            let e = s.adj_eid[j] as usize;
-            if s.edge_alive[e] && s.adj_nbr[j] > u {
+    for &u in &s.piece {
+        for j in csr.row(u as usize) {
+            let e = csr.eid[j] as usize;
+            if s.edge_alive[e] && csr.nbr[j] > u {
                 piece_edges.push((
                     s.stack[u as usize] as usize,
-                    s.stack[s.adj_nbr[j] as usize] as usize,
+                    s.stack[csr.nbr[j] as usize] as usize,
                 ));
                 piece_eids.push(e as u32);
             }
         }
     }
     let local = Graph::from_edges(k, &piece_edges);
-    let piece_caps: Vec<f64> = piece.iter().map(|&v| s.caps[v as usize]).collect();
+    let piece_caps: Vec<f64> = s.piece.iter().map(|&v| s.caps[v as usize]).collect();
     let sol = solve_piece(&local, &piece_caps)?;
     for (&eid, &w) in piece_eids.iter().zip(&sol.edge_weights) {
-        weights[eid as usize] = w;
+        s.weights[eid as usize] = w;
     }
     Ok(Some(sol))
 }
@@ -561,22 +572,33 @@ impl Classes {
     /// Sequential, lock-free classification in component order.
     fn of(part: &ComponentPartition, eligible: &[(usize, usize)]) -> Self {
         let mut of = Vec::with_capacity(eligible.len());
-        let mut reps = Vec::new();
-        let mut table: HashMap<Vec<u32>, u32> = HashMap::new();
-        let mut key = Vec::new();
-        for (i, &(c, _)) in eligible.iter().enumerate() {
+        let mut reps: Vec<usize> = Vec::new();
+        // Slice hash → class. A key already taken by a different slice
+        // probes on to the next key, so a lookup follows its insert's path.
+        let mut table: HashMap<u64, u32> = HashMap::new();
+        'components: for (i, &(c, _)) in eligible.iter().enumerate() {
             let view = part.component(c);
             let class = reps.len() as u32;
             if view.num_vertices() <= DEDUP_MAX_VERTICES {
-                key.clear();
-                encode_labeled_slice(&view, &mut key);
-                // Key equality is the witness check: a hash collision between
-                // different slices never merges their classes.
-                if let Some(&hit) = table.get(key.as_slice()) {
-                    of.push(hit);
-                    continue;
+                let mut key = slice_hash(&view);
+                loop {
+                    match table.entry(key) {
+                        Entry::Vacant(slot) => {
+                            slot.insert(class);
+                            break;
+                        }
+                        // Slice equality is the witness: a hash collision
+                        // between different slices never merges classes.
+                        Entry::Occupied(hit) => {
+                            let rep = part.component(eligible[reps[*hit.get() as usize]].0);
+                            if same_labeled_slice(&view, &rep) {
+                                of.push(*hit.get());
+                                continue 'components;
+                            }
+                            key = key.wrapping_add(1);
+                        }
+                    }
                 }
-                table.insert(key.clone(), class);
             }
             of.push(class);
             reps.push(i);
@@ -589,20 +611,20 @@ impl Classes {
     }
 }
 
-/// Canonical encoding of a component's labeled CSR slice: vertex count,
-/// degree sequence, then the concatenated local neighbor rows. Two
-/// components encode equally iff they are identical as labeled graphs.
-fn encode_labeled_slice(view: &CsrComponent<'_>, out: &mut Vec<u32>) {
-    let n = view.num_vertices();
-    out.push(n as u32);
-    for v in 0..n {
-        out.push(view.degree(v) as u32);
-    }
-    for v in 0..n {
-        for w in view.neighbors(v) {
-            out.push(w as u32);
-        }
-    }
+/// 64-bit hash of a component's labeled CSR slice: vertex count, then every
+/// local neighbor row behind its degree.
+fn slice_hash(view: &CsrComponent<'_>) -> u64 {
+    let mix = |h: u64, x: usize| (h.rotate_left(5) ^ x as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    (0..view.num_vertices()).fold(mix(0, view.num_vertices()), |h, v| {
+        view.neighbors(v).fold(mix(h, view.degree(v)), mix)
+    })
+}
+
+/// `true` iff two components are identical as labeled graphs.
+fn same_labeled_slice(a: &CsrComponent<'_>, b: &CsrComponent<'_>) -> bool {
+    a.num_vertices() == b.num_vertices()
+        && (0..a.num_vertices())
+            .all(|v| a.degree(v) == b.degree(v) && a.neighbors(v).eq(b.neighbors(v)))
 }
 
 #[cfg(test)]
@@ -769,6 +791,78 @@ mod tests {
             assert_eq!(alone.stats, got.stats);
         }
         assert!(solve_partition(&part, &[], 2, true).unwrap().is_empty());
+    }
+
+    #[test]
+    fn light_chunks_and_shared_heavy_copies_match_one_element_calls_and_the_oracle() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(31);
+        // Heavy classes: two multicyclic components and a tree, each above
+        // the dedup bound, so each is its own class with one task per Δ.
+        let mut g = generators::disjoint_union(
+            &generators::barabasi_albert(45, 2, &mut rng),
+            &generators::barabasi_albert(80, 2, &mut rng),
+        );
+        g = generators::disjoint_union(&g, &generators::path(DEDUP_MAX_VERTICES + 6));
+        // Light classes: random trees with a few chords on 2..=32 vertices,
+        // enough distinct labeled slices for more than two light chunks;
+        // every fifth one is repeated, so dedup hits occur too.
+        for i in 0..400 {
+            let k = 2 + i % (DEDUP_MAX_VERTICES - 1);
+            let mut h = Graph::new(k);
+            for v in 1..k {
+                h.add_edge(rng.gen_range(0..v), v);
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                let (a, b) = (rng.gen_range(0..k), rng.gen_range(0..k));
+                if a != b && !h.has_edge(a, b) {
+                    h.add_edge(a, b);
+                }
+            }
+            g = generators::disjoint_union(&g, &h);
+            if i % 5 == 0 {
+                g = generators::disjoint_union(&g, &h);
+            }
+        }
+        let part = CsrGraph::from_graph(&g).partition_components();
+        let heavy = (0..part.num_components())
+            .filter(|&c| part.component(c).num_vertices() > DEDUP_MAX_VERTICES)
+            .count();
+        assert_eq!(heavy, 3);
+
+        let grid = [4.0, 1.0, 2.5, 1.0];
+        let alone: Vec<PartitionSolution> = grid
+            .iter()
+            .map(|&delta| solve_partition(&part, &[delta], 1, true).unwrap().remove(0))
+            .collect();
+        assert!(alone[0].stats.dedup_classes > 2 * LIGHT_CHUNK);
+        assert!(alone[0].stats.dedup_hits > 0);
+        for (&delta, one) in grid.iter().zip(&alone) {
+            // The per-component reference solver, summed in component order.
+            let (mut value, mut weights) = (0.0f64, Vec::new());
+            for c in 0..part.num_components() {
+                let local = part.component(c).to_graph();
+                if local.num_edges() > 0 {
+                    let sol = general_value(&local, delta);
+                    value += sol.value;
+                    weights.extend(sol.edge_weights.iter().map(|w| w.to_bits()));
+                }
+            }
+            assert_eq!(one.solution.value.to_bits(), value.to_bits(), "Δ={delta}");
+            assert_eq!(weight_bits(one), weights, "Δ={delta}");
+        }
+        for threads in [1, 2, 3] {
+            let swept = solve_partition(&part, &grid, threads, true).unwrap();
+            for ((&delta, got), one) in grid.iter().zip(&swept).zip(&alone) {
+                assert_eq!(
+                    got.solution.value.to_bits(),
+                    one.solution.value.to_bits(),
+                    "threads={threads} Δ={delta}"
+                );
+                assert_eq!(weight_bits(got), weight_bits(one));
+                assert_eq!(got.stats, one.stats);
+            }
+        }
     }
 
     #[test]

@@ -23,12 +23,13 @@
 
 use crate::error::CoreError;
 use crate::polytope::{forest_polytope_max, PolytopeSolution};
-use ccdp_exec::PhaseProfiler;
+use ccdp_exec::{effective_parallelism, PhaseProfiler};
 use ccdp_graph::forest::{
     bounded_degree_spanning_forest, component_bounded_degree_spanning_forest,
 };
 use ccdp_graph::{CsrGraph, Graph};
 use ccdp_lp::solve_partition;
+use std::cell::OnceCell;
 
 /// How `f_Δ(G)` was computed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,7 +129,12 @@ impl LipschitzExtension {
 ///   component whose maximum degree is ≤ Δ the construction never repairs
 ///   and succeeds; so the search runs only on the non-tree components whose
 ///   maximum degree exceeds Δ, through
-///   [`component_bounded_degree_spanning_forest`].
+///   [`component_bounded_degree_spanning_forest`]. Before any search for a
+///   Δ, a **bridge certificate** is checked: every spanning forest holds
+///   every bridge, so a component with a vertex of more than Δ bridges
+///   ([`CsrComponent::bridge_degrees`](ccdp_graph::CsrComponent::bridge_degrees),
+///   computed once per component) has no spanning Δ-forest, the search
+///   must fail, and it is skipped.
 /// * **LP, one fan-out.** Every non-anchored Δ is solved by one
 ///   [`solve_partition`] call over the shared partition on up to `threads`
 ///   workers: every component on the micro solver, identical small
@@ -144,11 +150,18 @@ impl LipschitzExtension {
 /// evaluations carry solver statistics but empty `edge_weights` (the family
 /// never uses the maximizing point itself).
 ///
+/// The partition is
+/// [`partition_components_with`](CsrGraph::partition_components_with) on
+/// `effective_parallelism(threads, n + m)` threads: its traversal and its
+/// relabelling overlap on two threads, and the per-component summaries it
+/// streams (vertex count, edge count, maximum degree) are all the anchor
+/// test reads, so there is no separate degree scan.
+///
 /// With a [`PhaseProfiler`], time is attributed under stable phase names:
-/// `family/partition` (the fused partition pass + per-component degree
-/// scan),
-/// `family/anchor` (fast-path checks including the per-component Lemma 1.8
-/// searches) and `family/lp` (polytope solving over the partition), plus
+/// `family/partition` (the two-stage partition and its summaries),
+/// `family/anchor` (fast-path checks including the bridge certificates and
+/// the per-component Lemma 1.8 searches) and `family/lp` (polytope solving
+/// over the partition), plus
 /// per-Δ solve counts (component totals, closed forms, dedup hits).
 /// Profiling never changes values.
 ///
@@ -174,42 +187,52 @@ pub fn evaluate_family(
             .collect());
     }
     let partition_timer = profiler.map(|p| p.phase("family/partition"));
-    let max_degree = arena.max_degree();
-    let part = arena.partition_components();
+    // The partition reports each component's summary as it relabels it:
+    // the graph's maximum degree, the largest maximum degree over *tree*
+    // components (for Δ below it no spanning Δ-forest exists), and the
+    // non-tree components with their maximum degrees (the only ones the
+    // Lemma 1.8 search can fail on).
+    let mut max_degree = 0usize;
+    let mut tree_max_degree = 0usize;
+    let mut cyclic: Vec<(usize, usize)> = Vec::new();
+    let work = arena.num_vertices() + arena.num_edges();
+    let part =
+        arena.partition_components_with(effective_parallelism(threads, work), |c, summary| {
+            max_degree = max_degree.max(summary.max_degree);
+            if summary.edges + 1 == summary.vertices {
+                tree_max_degree = tree_max_degree.max(summary.max_degree);
+            } else {
+                cyclic.push((c, summary.max_degree));
+            }
+        });
     // The partition filled the arena's component memo, so this (and the
     // release's true value after it) is a load, not a second pass.
     let fsf = arena.spanning_forest_size() as f64;
-    // Largest maximum degree over *tree* components (for Δ below it no
-    // spanning Δ-forest exists), and the non-tree components with their
-    // maximum degrees (the only ones the Lemma 1.8 search can fail on).
-    let mut tree_max_degree = 0usize;
-    let mut cyclic: Vec<(usize, usize)> = Vec::new();
-    for c in 0..part.num_components() {
-        let view = part.component(c);
-        let local_max = (0..view.num_vertices())
-            .map(|v| view.degree(v))
-            .max()
-            .unwrap_or(0);
-        if view.num_edges() + 1 == view.num_vertices() {
-            tree_max_degree = tree_max_degree.max(local_max);
-        } else {
-            cyclic.push((c, local_max));
-        }
-    }
     drop(partition_timer);
 
     let anchored: Vec<bool> = {
         let _t = profiler.map(|p| p.phase("family/anchor"));
+        // Each cyclic component's largest bridge count at one vertex,
+        // computed the first time a Δ needs it.
+        let bridge_max: Vec<OnceCell<usize>> = cyclic.iter().map(|_| OnceCell::new()).collect();
+        let bridge_max_of = |i: usize| {
+            *bridge_max[i].get_or_init(|| {
+                let bridges = part.component(cyclic[i].0).bridge_degrees();
+                bridges.into_iter().max().unwrap_or(0) as usize
+            })
+        };
         grid.iter()
             .map(|&delta| {
+                let over = || (0..cyclic.len()).filter(|&i| cyclic[i].1 > delta);
+                // Every spanning forest holds every bridge, so a vertex with
+                // more than Δ bridges means the search must fail: skip it.
                 delta >= max_degree
                     || (delta >= tree_max_degree
-                        && cyclic
-                            .iter()
-                            .filter(|&&(_, local_max)| local_max > delta)
-                            .all(|&(c, _)| {
-                                component_bounded_degree_spanning_forest(&part, c, delta).is_some()
-                            }))
+                        && over().all(|i| bridge_max_of(i) <= delta)
+                        && over().all(|i| {
+                            component_bounded_degree_spanning_forest(&part, cyclic[i].0, delta)
+                                .is_some()
+                        }))
             })
             .collect()
     };
@@ -470,6 +493,106 @@ mod tests {
                 + count("solve/dedup-hits"),
             count("solve/components")
         );
+    }
+
+    /// `copies` disjoint copies of a `len`-cycle whose vertex 0 carries
+    /// `leaves` pendant leaves: vertex 0 has `leaves` bridges and needs one
+    /// more forest edge to reach its cycle.
+    fn cycles_with_leaf_tufts(copies: usize, len: usize, leaves: usize) -> Graph {
+        let size = len + leaves;
+        let mut g = Graph::new(copies * size);
+        for k in 0..copies {
+            let base = k * size;
+            for i in 0..len {
+                g.add_edge(base + i, base + (i + 1) % len);
+            }
+            for leaf in len..size {
+                g.add_edge(base, base + leaf);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn bridge_certificate_keeps_the_family_bit_for_bit() {
+        let grid = [1usize, 2, 3, 4, 8];
+        // Vertex 0 of the tufted triangle has 3 bridges and degree 5. At
+        // Δ = 2 the certificate fires; at Δ = 3 it is silent and the search
+        // fails (vertex 0 needs a fourth forest edge); at Δ = 4 the search
+        // succeeds.
+        let tufted = cycles_with_leaf_tufts(1, 3, 3);
+        let view_bridges = |g: &Graph| {
+            let part = CsrGraph::from_graph(g).partition_components();
+            part.component(0)
+                .bridge_degrees()
+                .into_iter()
+                .max()
+                .unwrap_or(0) as usize
+        };
+        assert_eq!(view_bridges(&tufted), 3);
+        let paths: Vec<EvaluationPath> = reference_family(&tufted, &grid)
+            .iter()
+            .map(|e| e.path)
+            .collect();
+        use EvaluationPath::{LinearProgram as Lp, SpanningForestFastPath as Fast};
+        assert_eq!(paths, [Lp, Lp, Lp, Fast, Fast]);
+        // A triangle whose vertex 0 is joined by bridges to three more
+        // triangles: the bridges lie inside the 2-core, and the
+        // certificate fires at Δ = 2 and 3.
+        let mut hub = Graph::new(12);
+        for t in 0..4 {
+            let b = 3 * t;
+            hub.add_edge(b, b + 1);
+            hub.add_edge(b + 1, b + 2);
+            hub.add_edge(b + 2, b);
+            if t > 0 {
+                hub.add_edge(0, b);
+            }
+        }
+        assert_eq!(view_bridges(&hub), 3);
+        // Vertex 0 hangs two leaves and a K4 off three bridges: at Δ = 3
+        // it has exactly Δ bridges and the search succeeds, so a
+        // certificate firing at Δ bridges would change the path.
+        let mut exact = Graph::from_edges(7, &[(0, 1), (0, 2), (0, 3)]);
+        for u in 3..7 {
+            for v in u + 1..7 {
+                exact.add_edge(u, v);
+            }
+        }
+        assert_eq!(view_bridges(&exact), 3);
+        let paths: Vec<EvaluationPath> = reference_family(&exact, &grid)
+            .iter()
+            .map(|e| e.path)
+            .collect();
+        assert_eq!(paths, [Lp, Lp, Fast, Fast, Fast]);
+        let mut graphs = vec![tufted, hub, exact];
+        // Large enough (n + m ≥ 4096) that threads 3 runs the pipelined
+        // partition.
+        graphs.push(cycles_with_leaf_tufts(400, 3, 3));
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut tufted_er = generators::erdos_renyi(3000, 1.3 / 3000.0, &mut rng);
+        for _ in 0..4 {
+            let v = tufted_er.add_vertex();
+            tufted_er.add_edge(0, v);
+        }
+        graphs.push(tufted_er);
+        for (i, g) in graphs.iter().enumerate() {
+            let want = reference_family(g, &grid);
+            let arena = CsrGraph::from_graph(g);
+            for threads in [1usize, 3] {
+                let got = evaluate_family(&arena, &grid, threads, None).unwrap();
+                assert_eq!(want.len(), got.len());
+                for (w, e) in want.iter().zip(&got) {
+                    assert_eq!(
+                        w.value.to_bits(),
+                        e.value.to_bits(),
+                        "graph {i} Δ={} threads={threads}",
+                        w.delta
+                    );
+                    assert_eq!(w.path, e.path, "graph {i} Δ={}", w.delta);
+                }
+            }
+        }
     }
 
     #[test]

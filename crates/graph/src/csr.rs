@@ -29,7 +29,7 @@
 
 use crate::graph::Graph;
 use crate::unionfind::UnionFind;
-use std::sync::OnceLock;
+use std::sync::{mpsc, OnceLock};
 
 /// An immutable, flat CSR view of an undirected simple graph.
 ///
@@ -306,60 +306,194 @@ impl CsrGraph {
     /// `induced_subgraph` would assign). Afterwards each component's adjacency
     /// is a borrowed slice ([`CsrComponent`]) — no per-component allocation.
     ///
-    /// One fused O(n + m) pass: from each unvisited vertex in ascending order
-    /// a traversal collects the component into `order`, sorts that slice,
-    /// numbers it and relabels its rows while they are still in cache. Fills
-    /// the component-count memo of both this arena and the relabeled one.
+    /// Sequential; [`partition_components_with`](Self::partition_components_with)
+    /// is the same pass on a thread budget, and returns identical arrays.
     pub fn partition_components(&self) -> ComponentPartition {
+        self.partition_components_with(1, |_, _| {})
+    }
+
+    /// [`partition_components`](Self::partition_components) as two stages
+    /// that overlap on a thread budget, handing each component's
+    /// [`ComponentSummary`] to `visit` (component index first, in component
+    /// order) as soon as its rows are relabeled.
+    ///
+    /// * **Stage A** walks the vertices in ascending order over a visited
+    ///   bitset: from each unvisited vertex a traversal collects the
+    ///   component. Whole components go out in batches of about 4096
+    ///   vertices.
+    /// * **Stage B** sorts each component, numbers its vertices into
+    ///   `order`, relabels its rows while they are in cache (the numbering
+    ///   is monotone within a component, so each row stays sorted) and reads
+    ///   the summary off the rows it just wrote.
+    ///
+    /// With `threads ≥ 2`, stage A runs on one scoped thread and stage B on
+    /// the caller's, joined by a bounded channel that holds at most two
+    /// batches; with `threads ≤ 1` both run inline on the caller's thread.
+    /// Callers gate the budget on the work size (the family evaluation
+    /// passes `effective_parallelism(threads, n + m)`). The arrays, the
+    /// summaries and their order are the same either way, and a panic in
+    /// either stage propagates to the caller. Fills the component-count memo
+    /// of both this arena and the relabeled one.
+    pub fn partition_components_with(
+        &self,
+        threads: usize,
+        mut visit: impl FnMut(usize, ComponentSummary),
+    ) -> ComponentPartition {
+        let mut relabel = Relabel::new(self);
+        if threads < 2 {
+            self.collect_components(|mut batch| {
+                relabel.take(&mut batch, &mut visit);
+                true
+            });
+        } else {
+            std::thread::scope(|s| {
+                let (tx, rx) = mpsc::sync_channel::<Batch>(PARTITION_BATCHES_IN_FLIGHT);
+                // A send fails only when stage B has hung up (it panicked),
+                // and then stage A stops early.
+                let stage_a = s.spawn(move || self.collect_components(|b| tx.send(b).is_ok()));
+                for mut batch in rx {
+                    relabel.take(&mut batch, &mut visit);
+                }
+                if let Err(payload) = stage_a.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            });
+        }
+        relabel.finish()
+    }
+
+    /// Stage A of the partition: components in ascending order of their
+    /// smallest vertex, handed off in batches until `hand_off` returns
+    /// `false` or every vertex is collected.
+    fn collect_components(&self, mut hand_off: impl FnMut(Batch) -> bool) {
         let n = self.num_vertices();
-        let mut new_of = vec![u32::MAX; n]; // old vertex -> new position
-        let mut order: Vec<u32> = Vec::with_capacity(n); // new position -> old vertex
-        let mut comp_starts = vec![0u32];
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(self.targets.len());
-        offsets.push(0u32);
+        let mut visited = vec![0u64; n.div_ceil(64)];
+        let mut batch = Batch::default();
         for start in 0..n {
-            if new_of[start] != u32::MAX {
+            if visited[start / 64] & (1 << (start % 64)) != 0 {
                 continue;
             }
-            // `order` doubles as the traversal queue; any value other than
-            // `u32::MAX` marks a vertex as collected.
-            let base = order.len();
-            new_of[start] = 0;
-            order.push(start as u32);
+            visited[start / 64] |= 1 << (start % 64);
+            // The batch's vertex list doubles as the traversal queue.
+            let base = batch.vertices.len();
+            batch.vertices.push(start as u32);
             let mut head = base;
-            while head < order.len() {
-                for &w in self.neighbors(order[head] as usize) {
-                    if new_of[w as usize] == u32::MAX {
-                        new_of[w as usize] = 0;
-                        order.push(w);
+            while head < batch.vertices.len() {
+                for &w in self.neighbors(batch.vertices[head] as usize) {
+                    let (word, bit) = (w as usize / 64, 1 << (w % 64));
+                    if visited[word] & bit == 0 {
+                        visited[word] |= bit;
+                        batch.vertices.push(w);
                     }
                 }
                 head += 1;
             }
-            order[base..].sort_unstable();
-            for (pos, &old) in (base as u32..).zip(&order[base..]) {
-                new_of[old as usize] = pos;
+            batch.ends.push(batch.vertices.len() as u32);
+            if batch.vertices.len() >= PARTITION_BATCH && !hand_off(std::mem::take(&mut batch)) {
+                return;
             }
-            // Within one component the relabeling is monotone (ascending old
-            // ids -> ascending new positions), so each row stays sorted.
-            for &old in &order[base..] {
-                let row = self.neighbors(old as usize);
-                targets.extend(row.iter().map(|&w| new_of[w as usize]));
-                offsets.push(targets.len() as u32);
-            }
-            comp_starts.push(order.len() as u32);
         }
+        if !batch.ends.is_empty() {
+            hand_off(batch);
+        }
+    }
+}
 
+/// Vertices per hand-off batch of the partition's stages (a batch holds
+/// whole components, so one larger than this holds a batch alone).
+const PARTITION_BATCH: usize = 4096;
+
+/// Batches the partition's channel holds before stage A waits for stage B.
+const PARTITION_BATCHES_IN_FLIGHT: usize = 2;
+
+/// What stage B of [`CsrGraph::partition_components_with`] reports for each
+/// component.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ComponentSummary {
+    /// Number of vertices.
+    pub vertices: usize,
+    /// Number of edges.
+    pub edges: usize,
+    /// Maximum degree (0 for an isolated vertex).
+    pub max_degree: usize,
+}
+
+/// Stage A's hand-off: whole components, back to back, each in traversal
+/// order until stage B sorts it.
+#[derive(Default)]
+struct Batch {
+    vertices: Vec<u32>,
+    /// Exclusive end of each component in `vertices`.
+    ends: Vec<u32>,
+}
+
+/// Stage B's state: the partition's arrays as they grow.
+struct Relabel<'a> {
+    src: &'a CsrGraph,
+    /// Old vertex → new position (set one component at a time).
+    new_of: Vec<u32>,
+    /// New position → old vertex.
+    order: Vec<u32>,
+    comp_starts: Vec<u32>,
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl<'a> Relabel<'a> {
+    fn new(src: &'a CsrGraph) -> Self {
+        let n = src.num_vertices();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        Relabel {
+            src,
+            new_of: vec![0; n],
+            order: Vec::with_capacity(n),
+            comp_starts: vec![0],
+            offsets,
+            targets: Vec::with_capacity(src.targets.len()),
+        }
+    }
+
+    fn take(&mut self, batch: &mut Batch, visit: &mut impl FnMut(usize, ComponentSummary)) {
+        let mut lo = 0;
+        for &end in &batch.ends {
+            let comp = &mut batch.vertices[lo..end as usize];
+            comp.sort_unstable();
+            let comp = &*comp;
+            lo = end as usize;
+            for (pos, &old) in (self.order.len() as u32..).zip(comp) {
+                self.new_of[old as usize] = pos;
+            }
+            let first_target = self.targets.len();
+            let mut max_degree = 0;
+            for &old in comp {
+                let row = self.src.neighbors(old as usize);
+                max_degree = max_degree.max(row.len());
+                self.targets
+                    .extend(row.iter().map(|&w| self.new_of[w as usize]));
+                self.offsets.push(self.targets.len() as u32);
+            }
+            self.order.extend_from_slice(comp);
+            self.comp_starts.push(self.order.len() as u32);
+            let summary = ComponentSummary {
+                vertices: comp.len(),
+                edges: (self.targets.len() - first_target) / 2,
+                max_degree,
+            };
+            visit(self.comp_starts.len() - 2, summary);
+        }
+    }
+
+    fn finish(self) -> ComponentPartition {
         // Relabeling preserves the component count.
-        let k = comp_starts.len() - 1;
-        let _ = self.components.set(k);
-        let arena = CsrGraph::from_parts(offsets, targets);
+        let k = self.comp_starts.len() - 1;
+        let _ = self.src.components.set(k);
+        let arena = CsrGraph::from_parts(self.offsets, self.targets);
         let _ = arena.components.set(k);
         ComponentPartition {
             arena,
-            comp_starts,
-            order,
+            comp_starts: self.comp_starts,
+            order: self.order,
         }
     }
 }
@@ -453,6 +587,98 @@ impl<'a> CsrComponent<'a> {
             .map(move |&w| (w - start) as usize)
     }
 
+    /// Number of bridges at each local vertex: the incident edges whose
+    /// removal would disconnect their endpoints.
+    ///
+    /// Every spanning forest holds every bridge, so a vertex with more than
+    /// Δ bridges proves the component has no spanning Δ-forest. Two steps,
+    /// O(n + m) in all:
+    ///
+    /// 1. Peel the component to its 2-core. Every peeled edge hangs a tree
+    ///    off the rest, so it is a bridge. A leaf's one live neighbor is the
+    ///    XOR of its live neighbors, so peeling reads no rows, and it
+    ///    follows each new leaf at once.
+    /// 2. One iterative lowpoint DFS (Tarjan, 1974) over the 2-core alone
+    ///    finds the bridges between its cycles. On sparse random graphs the
+    ///    2-core is a small fraction of the component.
+    pub fn bridge_degrees(&self) -> Vec<u32> {
+        let n = self.len;
+        let row = |v: usize| {
+            self.arena
+                .neighbors(self.start as usize + v)
+                .iter()
+                .map(|&w| (w - self.start) as usize)
+        };
+        // Per vertex, side by side: live degree (0 once peeled), the XOR
+        // of its live neighbors (so a leaf's one live neighbor is a load,
+        // not a row scan) and its bridge count.
+        let mut peel: Vec<[u32; 3]> = (0..n)
+            .map(|v| {
+                [
+                    self.degree(v) as u32,
+                    row(v).fold(0, |x, w| x ^ w as u32),
+                    0,
+                ]
+            })
+            .collect();
+        for leaf in 0..n {
+            let mut v = leaf;
+            while peel[v][0] == 1 {
+                let u = peel[v][1] as usize;
+                peel[v][0] = 0;
+                peel[v][2] += 1;
+                peel[u][0] -= 1;
+                peel[u][1] ^= v as u32;
+                peel[u][2] += 1;
+                v = u;
+            }
+        }
+        let live = |v: usize| peel[v][0] > 0;
+        let mut bridges: Vec<u32> = peel.iter().map(|p| p[2]).collect();
+
+        // Preorder number (from 1; 0 = unvisited) and lowpoint per vertex.
+        let mut pre = vec![0u32; n];
+        let mut low = vec![0u32; n];
+        // DFS frames: (vertex, tree parent or `usize::MAX`, neighbors left).
+        let mut stack = Vec::new();
+        let mut clock = 0u32;
+        for root in 0..n {
+            if !live(root) || pre[root] != 0 {
+                continue;
+            }
+            clock += 1;
+            pre[root] = clock;
+            low[root] = clock;
+            stack.push((root, usize::MAX, row(root)));
+            while let Some((v, parent, rest)) = stack.last_mut() {
+                let (v, parent) = (*v, *parent);
+                match rest.next() {
+                    // Simple graph: the one edge back to the parent is the
+                    // tree edge itself.
+                    Some(w) if !live(w) || w == parent => {}
+                    Some(w) if pre[w] == 0 => {
+                        clock += 1;
+                        pre[w] = clock;
+                        low[w] = clock;
+                        stack.push((w, v, row(w)));
+                    }
+                    Some(w) => low[v] = low[v].min(pre[w]),
+                    None => {
+                        stack.pop();
+                        if parent != usize::MAX {
+                            low[parent] = low[parent].min(low[v]);
+                            if low[v] > pre[parent] {
+                                bridges[v] += 1;
+                                bridges[parent] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        bridges
+    }
+
     /// Materializes the component as an adjacency-list [`Graph`] with local
     /// ids, using exact-size sorted row copies (no binary-search insertion).
     /// This is what the polytope solver pieces consume.
@@ -486,7 +712,7 @@ mod tests {
     use crate::components;
     use crate::generators;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_graphs() -> Vec<Graph> {
         let mut rng = StdRng::seed_from_u64(7);
@@ -677,17 +903,146 @@ mod tests {
             scrambled.add_edge((7 * i) % 59 + 1, (7 * (i + 1)) % 59 + 1);
         }
         graphs.push(scrambled);
-        for g in &graphs {
+        // A scrambled giant cycle plus enough paths, edges and isolated
+        // vertices to fill at least three hand-off batches after it.
+        let n = 4 * PARTITION_BATCH + 2000;
+        let mut mixed = Graph::new(n);
+        let giant = 1500;
+        for i in 0..giant {
+            mixed.add_edge((37 * i) % giant, (37 * (i + 1)) % giant);
+        }
+        let mut v = giant;
+        while v + 3 < n {
+            match v % 4 {
+                0 => {
+                    mixed.add_edge(v, v + 2);
+                    mixed.add_edge(v + 2, v + 1);
+                }
+                1 => {
+                    mixed.add_edge(v, v + 1);
+                }
+                _ => {}
+            }
+            v += 3;
+        }
+        graphs.push(mixed);
+
+        for (i, g) in graphs.iter().enumerate() {
             let csr = CsrGraph::from_graph(g);
             let [offsets, targets, comp_starts, order] = three_pass_partition(&csr);
-            let part = csr.partition_components();
-            assert_eq!(part.arena().offsets, offsets);
-            assert_eq!(part.arena().targets, targets);
-            assert_eq!(part.comp_starts, comp_starts);
-            assert_eq!(part.order, order);
             let k = comp_starts.len() - 1;
-            assert_eq!(csr.components.get(), Some(&k));
-            assert_eq!(part.arena().components.get(), Some(&k));
+            if g.num_vertices() == n {
+                let mut batches = 0;
+                csr.collect_components(|_| {
+                    batches += 1;
+                    true
+                });
+                assert!(batches >= 3, "graph {i} spans {batches} batches");
+            }
+            for threads in 1..=3 {
+                // A fresh arena, so the partition (not an earlier call)
+                // fills its memo.
+                let csr = CsrGraph::from_graph(g);
+                let mut summaries = Vec::new();
+                let part = csr.partition_components_with(threads, |c, summary| {
+                    summaries.push((c, summary));
+                });
+                assert_eq!(part.arena().offsets, offsets, "graph {i} threads {threads}");
+                assert_eq!(part.arena().targets, targets, "graph {i} threads {threads}");
+                assert_eq!(part.comp_starts, comp_starts, "graph {i} threads {threads}");
+                assert_eq!(part.order, order, "graph {i} threads {threads}");
+                assert_eq!(csr.components.get(), Some(&k));
+                assert_eq!(part.arena().components.get(), Some(&k));
+                // One summary per component, in order, each equal to a
+                // direct scan of the component.
+                assert_eq!(summaries.len(), k);
+                for (expected_c, &(c, summary)) in summaries.iter().enumerate() {
+                    assert_eq!(c, expected_c);
+                    let view = part.component(c);
+                    let direct = ComponentSummary {
+                        vertices: view.num_vertices(),
+                        edges: view.num_edges(),
+                        max_degree: (0..view.num_vertices())
+                            .map(|v| view.degree(v))
+                            .max()
+                            .unwrap_or(0),
+                    };
+                    assert_eq!(summary, direct, "graph {i} component {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "visit refused")]
+    fn a_panic_in_the_relabel_stage_reaches_the_caller() {
+        let csr = CsrGraph::from_graph(&Graph::new(4 * PARTITION_BATCH));
+        csr.partition_components_with(2, |c, _| {
+            assert!(c < PARTITION_BATCH, "visit refused");
+        });
+    }
+
+    /// Per-vertex bridge counts by brute force: delete each edge and see
+    /// whether the component count rises.
+    fn brute_force_bridge_degrees(g: &Graph) -> Vec<u32> {
+        let components = g.num_connected_components();
+        let mut bridges = vec![0u32; g.num_vertices()];
+        for (u, v) in g.edge_vec() {
+            let mut cut = g.clone();
+            cut.remove_edge(u, v);
+            if cut.num_connected_components() > components {
+                bridges[u] += 1;
+                bridges[v] += 1;
+            }
+        }
+        bridges
+    }
+
+    #[test]
+    fn bridge_degrees_match_brute_force() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut graphs = sample_graphs();
+        for n in [12usize, 25, 40] {
+            for p in [1.2, 2.0, 3.0] {
+                graphs.push(generators::erdos_renyi(n, p / n as f64, &mut rng));
+            }
+            graphs.push(generators::barabasi_albert(n, 1, &mut rng));
+            graphs.push(generators::barabasi_albert(n, 2, &mut rng));
+        }
+        // Cycles with pendant trees hung off random cycle vertices.
+        for (len, extra) in [(3usize, 5usize), (6, 12), (10, 30)] {
+            let mut g = generators::cycle(len);
+            for _ in 0..extra {
+                let v = g.add_vertex();
+                g.add_edge(rng.gen_range(0..v), v);
+            }
+            graphs.push(g);
+        }
+        // Two triangles joined through a path: bridges inside the 2-core.
+        graphs.push(Graph::from_edges(
+            8,
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 0),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (5, 6),
+                (6, 7),
+                (7, 5),
+            ],
+        ));
+        for (i, g) in graphs.iter().enumerate() {
+            let part = CsrGraph::from_graph(g).partition_components();
+            let mut got = vec![0u32; g.num_vertices()];
+            for c in 0..part.num_components() {
+                let local = part.component(c).bridge_degrees();
+                for (&old, &b) in part.component_vertices(c).iter().zip(&local) {
+                    got[old as usize] = b;
+                }
+            }
+            assert_eq!(got, brute_force_bridge_degrees(g), "graph {i}");
         }
     }
 

@@ -31,7 +31,7 @@ pub mod unionfind;
 pub mod version;
 
 pub use components::{component_sizes, components, num_connected_components, spanning_forest_size};
-pub use csr::{ComponentPartition, CsrComponent, CsrGraph};
+pub use csr::{ComponentPartition, ComponentSummary, CsrComponent, CsrGraph};
 pub use forest::{
     bfs_spanning_forest, bounded_degree_spanning_forest, bounded_degree_spanning_forest_csr,
     SpanningForest,

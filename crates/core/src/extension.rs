@@ -139,8 +139,10 @@ impl LipschitzExtension {
 ///   [`solve_partition`] call over the shared partition on up to `threads`
 ///   workers: every component on the micro solver, identical small
 ///   components solved once per class, each heavy class in one task per Δ
-///   over one shared local copy, and the light classes in fixed-size chunks
-///   that each run the whole LP grid. Values merge in component order per Δ.
+///   over one shared local copy, with the small components' classification
+///   running beside those tasks, and the light classes in fixed-size chunks
+///   that each run the whole LP grid. Values land in one dense row per Δ,
+///   and each Δ's merge gathers from its row in component order.
 ///
 /// Values are clamped to be monotone non-decreasing in Δ, which they are
 /// mathematically (Lemma 3.3) but may fail to be by a hair numerically when

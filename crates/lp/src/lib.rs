@@ -7,7 +7,7 @@
 //!
 //! * [`micro`] — the engine: [`solve_partition`] solves every component of
 //!   a CSR component partition for a whole grid of Δ values in one
-//!   work-stealing sweep, with closed forms for trees and cycles and
+//!   parallel sweep, with closed forms for trees and cycles and
 //!   labeled-slice class dedup.
 //! * [`solver`] / [`combinatorial`] — the reference solvers on adjacency-list
 //!   graphs: [`CombinatorialSolver`] (the reduction loop the engine

@@ -16,11 +16,12 @@
 //! keeping the results **bit-for-bit identical** to the reference solver:
 //!
 //! * [`solve_partition`] — the driver: one sweep over a
-//!   [`ComponentPartition`] for every Δ of a grid. It classifies the
-//!   components once and fans out one task per (heavy class, Δ) pair plus
-//!   one task per fixed-size chunk of light classes for the whole grid, then
-//!   merges each Δ's values in component order, so the result is the same
-//!   for every thread budget and for every grid the Δ appears in.
+//!   [`ComponentPartition`] for every Δ of a grid. One fan-out classifies
+//!   the light components beside the heavy classes' (class, Δ) solves, then
+//!   solves the light classes in fixed-size chunks for the whole grid. The
+//!   results land in one dense value row per Δ, and each Δ's merge gathers
+//!   from its row in component order, so the result is the same for every
+//!   thread budget and for every grid the Δ appears in.
 //! * **Micro solver** — every component, of any size or cycle rank, takes a
 //!   CSR-native replica of the reference solver's reduction loop (same float
 //!   operations in the same order), with two provably-identical closed-form
@@ -50,6 +51,7 @@ use ccdp_graph::{ComponentPartition, CsrComponent, Graph};
 use std::cmp::Reverse;
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Components with at most this many vertices participate in class dedup.
@@ -98,22 +100,32 @@ struct CompSolution {
 /// Solves every component of a partition at every Δ of `deltas` and returns
 /// one [`PartitionSolution`] per Δ, in `deltas` order.
 ///
-/// One sweep serves the whole grid:
+/// Each eligible component (≥ 2 vertices, so ≥ 1 edge) belongs to one class,
+/// and each class has a *rank*, the index of its results. A *heavy*
+/// component (more than [`DEDUP_MAX_VERTICES`] vertices) is its own class,
+/// ranked in component order; the *light* ones share a class iff their
+/// labeled slices are identical, and their classes rank after the heavy
+/// ones, in order of first appearance. One sweep serves the whole grid:
 ///
-/// 1. **Classify once.** Every component with ≥ 2 vertices and ≥ 1 edge is
-///    assigned a class, sequentially: components of at most
-///    [`DEDUP_MAX_VERTICES`] vertices share a class iff their labeled slices
-///    are identical; every other (heavy) component is its own class.
-/// 2. **One fan-out** on [`parallel_map`], in Δ-major blocks. Block `d`
-///    holds one task per heavy class at `deltas[d]`, largest first, then an
-///    even share of the light chunks (`LIGHT_CHUNK` consecutive light
-///    classes, solved at every Δ by one task with a task-owned scratch). A
-///    heavy class's local CSR copy does not depend on Δ: the first of its
-///    tasks to need it builds it, the others share it read-only. So the
-///    giant's Δ solves spread over workers, and light classes pay no
-///    per-(class, Δ) task overhead.
-/// 3. **Merge per Δ** in component order — the exact order the sequential
-///    per-component driver uses.
+/// 1. **Find the heavy components**, from their vertex counts alone.
+/// 2. **One fan-out**: one [`parallel_map`] index per worker, each with its
+///    own `MicroScratch`, taking the next task off a shared cursor, so
+///    tasks start in list order and no phase waits for another to end. The
+///    first task classifies the light components; the next ones solve each
+///    heavy class at each Δ, largest class first, so the giant's Δ solves
+///    start at once and classification runs beside them. A heavy class's
+///    local CSR copy does not depend on Δ: the first of its tasks to need it
+///    builds it, the others share it read-only. The remaining tasks solve
+///    `LIGHT_CHUNK` consecutive light classes each, at every Δ; a worker
+///    that reaches them before classification ends waits for it.
+/// 3. **Dense tables.** Every (Δ, rank) value goes into one dense row per Δ,
+///    and with `want_weights` its weights into a table laid out alike. A
+///    solve whose remnant went through the LP tail adds its work counters
+///    to its Δ's total once per member of its class.
+/// 4. **Merge per Δ** on [`parallel_map`] over the grid: a gather through
+///    the component → rank array into the Δ's value row, summed in
+///    component order — the exact order of the reference solver's
+///    per-component loop.
 ///
 /// Each (class, Δ) solve is a pure function of the class's labeled slice
 /// and Δ, so the result is identical for every thread budget and for every
@@ -129,110 +141,142 @@ pub fn solve_partition(
     if let Some(&delta) = deltas.iter().find(|d| **d <= 0.0 || !d.is_finite()) {
         return Err(PolytopeError::InvalidDelta { delta });
     }
+    let grid = deltas.len();
+    if grid == 0 {
+        return Ok(Vec::new());
+    }
     let arena = part.arena();
     let num_edges = arena.num_edges();
 
-    // Eligible components plus their arena-edge offsets (components are
-    // edge-contiguous in the arena, so offsets are a running prefix sum).
-    let mut eligible: Vec<(usize, usize)> = Vec::new();
-    let mut edge_cursor = 0usize;
-    for c in 0..part.num_components() {
-        let view = part.component(c);
-        let m = view.num_edges();
-        if view.num_vertices() >= 2 && m > 0 {
-            eligible.push((c, edge_cursor));
-        }
-        edge_cursor += m;
-    }
-    debug_assert_eq!(edge_cursor, num_edges);
-
-    let classes = Classes::of(part, &eligible);
-    let num_classes = classes.reps.len();
-    let view_of = |class: u32| part.component(eligible[classes.reps[class as usize]].0);
-    // Class ranks, heavy classes first, each group by descending size
-    // (stable): `by_size[r]` is the class solved at rank `r`, `rank_of`
-    // inverts it.
-    let heavy = |class: u32| view_of(class).num_vertices() > DEDUP_MAX_VERTICES;
-    let mut by_size: Vec<u32> = (0..num_classes as u32).collect();
-    by_size.sort_by_key(|&class| {
-        let view = view_of(class);
-        Reverse((heavy(class), view.num_vertices() + view.num_edges()))
+    // Heavy components in component order (their ranks), and the order
+    // their tasks run in: by descending size, stable.
+    let heavy: Vec<usize> = (0..part.num_components())
+        .filter(|&c| part.component(c).num_vertices() > DEDUP_MAX_VERTICES)
+        .collect();
+    let num_heavy = heavy.len();
+    let mut heavy_order: Vec<usize> = (0..num_heavy).collect();
+    heavy_order.sort_by_key(|&rank| {
+        let view = part.component(heavy[rank]);
+        Reverse(view.num_vertices() + view.num_edges())
     });
-    let mut rank_of = vec![0u32; num_classes];
-    for (rank, &class) in by_size.iter().enumerate() {
-        rank_of[class as usize] = rank as u32;
-    }
-    let num_heavy = by_size.partition_point(|&class| heavy(class));
-
-    // Tasks as (ranks, Δ indices), in the Δ-major blocks described above.
-    let grid = deltas.len();
-    let chunks = (num_classes - num_heavy).div_ceil(LIGHT_CHUNK);
-    let mut tasks: Vec<(Range<usize>, Range<usize>)> = Vec::new();
-    for d in 0..grid {
-        tasks.extend((0..num_heavy).map(|rank| (rank..rank + 1, d..d + 1)));
-        tasks.extend((d * chunks / grid..(d + 1) * chunks / grid).map(|chunk| {
-            let lo = num_heavy + chunk * LIGHT_CHUNK;
-            (lo..num_classes.min(lo + LIGHT_CHUNK), 0..grid)
-        }));
-    }
     let heavy_csr: Vec<OnceLock<LocalCsr>> = (0..num_heavy).map(|_| OnceLock::new()).collect();
-    let run = |task: usize| -> Result<Vec<CompSolution>, PolytopeError> {
-        let (ranks, ds) = &tasks[task];
-        let mut s = MicroScratch::default();
-        let mut out = Vec::with_capacity(ranks.len() * ds.len());
-        for rank in ranks.clone() {
-            let view = view_of(by_size[rank]);
-            let light_csr = OnceLock::new();
-            let csr = heavy_csr.get(rank).unwrap_or(&light_csr);
-            for d in ds.clone() {
-                out.push(micro_solve(&view, csr, deltas[d], &mut s, want_weights)?);
-            }
+    let classified = OnceLock::new();
+    let classes = || classified.get_or_init(|| Classes::of(part, num_heavy));
+
+    // Task 0 classifies; tasks 1..=heavy_tasks are (heavy rank, Δ) cells;
+    // task `heavy_tasks + 1 + k` is light chunk `k` at every Δ. Returns the
+    // task's (ranks, Δ indices), `None` past the last light chunk.
+    let heavy_tasks = num_heavy * grid;
+    let cells = |task: usize| -> Option<(Range<usize>, Range<usize>)> {
+        if task <= heavy_tasks {
+            let (rank, d) = (heavy_order[(task - 1) / grid], (task - 1) % grid);
+            return Some((rank..rank + 1, d..d + 1));
         }
-        Ok(out)
+        let num_ranks = classes().num_ranks();
+        let lo = num_heavy + (task - heavy_tasks - 1) * LIGHT_CHUNK;
+        (lo < num_ranks).then(|| (lo..num_ranks.min(lo + LIGHT_CHUNK), 0..grid))
     };
-
+    let next_task = AtomicUsize::new(0);
+    let worker = |_| {
+        let mut s = MicroScratch::default();
+        let mut done = Vec::new();
+        loop {
+            let task = next_task.fetch_add(1, Ordering::Relaxed);
+            if task == 0 {
+                classes();
+                continue;
+            }
+            let Some((ranks, ds)) = cells(task) else {
+                break done;
+            };
+            let mut solve = || -> Result<Vec<CompSolution>, PolytopeError> {
+                let mut out = Vec::with_capacity(ranks.len() * ds.len());
+                for rank in ranks.clone() {
+                    let light_csr = OnceLock::new();
+                    let (view, csr) = match heavy.get(rank) {
+                        Some(&c) => (part.component(c), &heavy_csr[rank]),
+                        None => {
+                            let rep = classes().reps[rank - num_heavy];
+                            (part.component(rep as usize), &light_csr)
+                        }
+                    };
+                    for d in ds.clone() {
+                        out.push(micro_solve(&view, csr, deltas[d], &mut s, want_weights)?);
+                    }
+                }
+                Ok(out)
+            };
+            let solved = solve();
+            done.push((task, ranks, ds, solved));
+        }
+    };
     let eff = effective_parallelism(threads, grid * (arena.num_vertices() + num_edges));
-    // `table[d * num_classes + rank]` solves the class at `rank` at Δ `d`.
-    let mut table: Vec<Option<CompSolution>> = (0..num_classes * grid).map(|_| None).collect();
-    for ((ranks, ds), solved) in tasks.iter().zip(parallel_map(eff, tasks.len(), run)) {
+    let mut done: Vec<_> = parallel_map(eff, eff, worker)
+        .into_iter()
+        .flatten()
+        .collect();
+    // Task order, so the first error is the same for every thread budget.
+    done.sort_unstable_by_key(|&(task, ..)| task);
+
+    // `values[d * num_ranks + rank]` is the class at `rank` solved at Δ `d`;
+    // `weights`, filled only with `want_weights`, is laid out alike.
+    // `lp_work[d]` sums Δ `d`'s LP work counters over every eligible
+    // component: each member of a class repeats its LP work, as it would
+    // alone.
+    let classes = classes();
+    let num_ranks = classes.num_ranks();
+    let mut values = vec![0.0f64; grid * num_ranks];
+    let mut weights: Vec<Vec<f64>> = vec![Vec::new(); if want_weights { values.len() } else { 0 }];
+    let mut lp_work: Vec<PolytopeSolution> = (0..grid).map(|_| PolytopeSolution::zero(0)).collect();
+    let mut reduced = vec![0usize; grid];
+    for (_, ranks, ds, solved) in done {
         let mut solved = solved?.into_iter();
-        for rank in ranks.clone() {
+        for rank in ranks {
             for d in ds.clone() {
-                table[d * num_classes + rank] = solved.next();
+                let CompSolution { sol, reduced: r } = solved.next().expect("one solve per cell");
+                let cell = d * num_ranks + rank;
+                values[cell] = sol.value;
+                if r {
+                    reduced[d] += 1;
+                    for _ in 0..classes.uses[rank] {
+                        lp_work[d].add_lp_work(&sol);
+                    }
+                }
+                if want_weights {
+                    weights[cell] = sol.edge_weights;
+                }
             }
         }
     }
 
-    let mut out = Vec::with_capacity(grid);
-    for d in 0..grid {
+    let merge = |d: usize| {
+        let span = d * num_ranks..(d + 1) * num_ranks;
         let mut solution = PolytopeSolution::zero(if want_weights { num_edges } else { 0 });
-        let mut stats = PartitionSolveStats {
-            components: eligible.len(),
-            dedup_classes: classes.keyed,
-            ..PartitionSolveStats::default()
-        };
-        for (i, &(_, off)) in eligible.iter().enumerate() {
-            let class = classes.of[i] as usize;
-            let CompSolution { sol, reduced } = table[d * num_classes + rank_of[class] as usize]
-                .as_ref()
-                .expect("every (class, Δ) pair is solved");
-            solution.value += sol.value;
-            solution.add_lp_work(sol);
-            if classes.reps[class] != i {
-                stats.dedup_hits += 1;
-            } else if *reduced {
-                stats.micro_reduced += 1;
-            } else {
-                stats.micro_closed_form += 1;
-            }
-            if want_weights {
-                let weights = &sol.edge_weights;
-                solution.edge_weights[off..off + weights.len()].copy_from_slice(weights);
+        solution.add_lp_work(&lp_work[d]);
+        let row = &values[span.clone()];
+        for &rank in &classes.rank {
+            solution.value += row[rank as usize];
+        }
+        if want_weights {
+            // Eligible components own every edge, contiguously, in order.
+            let row = &weights[span];
+            let mut off = 0;
+            for &rank in &classes.rank {
+                let w = &row[rank as usize];
+                solution.edge_weights[off..off + w.len()].copy_from_slice(w);
+                off += w.len();
             }
         }
-        out.push(PartitionSolution { solution, stats });
-    }
-    Ok(out)
+        let stats = PartitionSolveStats {
+            components: classes.rank.len(),
+            micro_closed_form: num_ranks - reduced[d],
+            micro_reduced: reduced[d],
+            dedup_classes: classes.reps.len(),
+            dedup_hits: classes.rank.len() - num_ranks,
+        };
+        PartitionSolution { solution, stats }
+    };
+    Ok(parallel_map(eff, grid, merge))
 }
 
 // ---------------------------------------------------------------------------
@@ -285,7 +329,7 @@ impl LocalCsr {
     }
 }
 
-/// Reusable Δ-dependent buffers of a micro solve, owned by one task so its
+/// Reusable Δ-dependent buffers of a micro solve, owned by one worker so its
 /// (overwhelmingly common) tree and unicyclic solves perform no allocation.
 #[derive(Default)]
 struct MicroScratch {
@@ -557,57 +601,75 @@ pub fn cycle_polytope_value(caps: &[usize]) -> f64 {
 // Labeled-slice classes.
 // ---------------------------------------------------------------------------
 
-/// The class assignment of one partition's eligible components.
+/// The ranks of one partition's eligible components.
 struct Classes {
-    /// Eligible-component index → class id.
-    of: Vec<u32>,
-    /// Class id → its representative, the first eligible component of the
-    /// class (the one whose solve every other member replays).
-    reps: Vec<usize>,
-    /// Number of classes keyed by a labeled slice (the dedup-eligible ones).
-    keyed: usize,
+    /// Eligible component, in component order → its class's rank.
+    rank: Vec<u32>,
+    /// Light class → its representative component, the first of the class
+    /// (the one whose solve every other member replays).
+    reps: Vec<u32>,
+    /// Rank → number of eligible components of the class.
+    uses: Vec<u32>,
 }
 
 impl Classes {
-    /// Sequential, lock-free classification in component order.
-    fn of(part: &ComponentPartition, eligible: &[(usize, usize)]) -> Self {
-        let mut of = Vec::with_capacity(eligible.len());
-        let mut reps: Vec<usize> = Vec::new();
-        // Slice hash → class. A key already taken by a different slice
+    /// Sequential, lock-free classification in component order. The first
+    /// `num_heavy` ranks are the heavy components', in component order.
+    fn of(part: &ComponentPartition, num_heavy: usize) -> Self {
+        let mut classes = Classes {
+            rank: Vec::new(),
+            reps: Vec::new(),
+            uses: vec![1; num_heavy],
+        };
+        let mut heavy_seen = 0u32;
+        // Slice hash → light class. A key already taken by a different slice
         // probes on to the next key, so a lookup follows its insert's path.
         let mut table: HashMap<u64, u32> = HashMap::new();
-        'components: for (i, &(c, _)) in eligible.iter().enumerate() {
+        'components: for c in 0..part.num_components() {
             let view = part.component(c);
-            let class = reps.len() as u32;
-            if view.num_vertices() <= DEDUP_MAX_VERTICES {
-                let mut key = slice_hash(&view);
-                loop {
-                    match table.entry(key) {
-                        Entry::Vacant(slot) => {
-                            slot.insert(class);
-                            break;
+            // A component is connected: with ≥ 2 vertices it has an edge.
+            if view.num_vertices() < 2 {
+                continue;
+            }
+            if view.num_vertices() > DEDUP_MAX_VERTICES {
+                classes.rank.push(heavy_seen);
+                heavy_seen += 1;
+                continue;
+            }
+            let class = classes.reps.len() as u32;
+            let mut key = slice_hash(&view);
+            loop {
+                match table.entry(key) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(class);
+                        break;
+                    }
+                    // Slice equality is the witness: a hash collision
+                    // between different slices never merges classes.
+                    Entry::Occupied(hit) => {
+                        let hit = *hit.get();
+                        let rep = part.component(classes.reps[hit as usize] as usize);
+                        if same_labeled_slice(&view, &rep) {
+                            let rank = num_heavy + hit as usize;
+                            classes.rank.push(rank as u32);
+                            classes.uses[rank] += 1;
+                            continue 'components;
                         }
-                        // Slice equality is the witness: a hash collision
-                        // between different slices never merges classes.
-                        Entry::Occupied(hit) => {
-                            let rep = part.component(eligible[reps[*hit.get() as usize]].0);
-                            if same_labeled_slice(&view, &rep) {
-                                of.push(*hit.get());
-                                continue 'components;
-                            }
-                            key = key.wrapping_add(1);
-                        }
+                        key = key.wrapping_add(1);
                     }
                 }
             }
-            of.push(class);
-            reps.push(i);
+            classes.rank.push((num_heavy + class as usize) as u32);
+            classes.reps.push(c as u32);
+            classes.uses.push(1);
         }
-        Classes {
-            of,
-            reps,
-            keyed: table.len(),
-        }
+        debug_assert_eq!(heavy_seen as usize, num_heavy);
+        classes
+    }
+
+    /// Number of ranks: heavy components plus light classes.
+    fn num_ranks(&self) -> usize {
+        self.uses.len()
     }
 }
 
@@ -863,6 +925,154 @@ mod tests {
                 assert_eq!(got.stats, one.stats);
             }
         }
+    }
+
+    /// A random tree on `k` vertices with up to two chords.
+    fn chorded_tree(k: usize, rng: &mut StdRng) -> Graph {
+        use rand::Rng;
+        let mut h = Graph::new(k);
+        for v in 1..k {
+            h.add_edge(rng.gen_range(0..v), v);
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            let (a, b) = (rng.gen_range(0..k), rng.gen_range(0..k));
+            if a != b && !h.has_edge(a, b) {
+                h.add_edge(a, b);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn schedule_edge_shapes_match_one_element_calls_and_the_oracle() {
+        let mut rng = StdRng::seed_from_u64(47);
+        // Light classes only, more than one chunk of them, with repeats.
+        let mut no_heavy = Graph::new(0);
+        for i in 0..300 {
+            let h = chorded_tree(2 + i % (DEDUP_MAX_VERTICES - 1), &mut rng);
+            no_heavy = generators::disjoint_union(&no_heavy, &h);
+            if i % 4 == 0 {
+                no_heavy = generators::disjoint_union(&no_heavy, &h);
+            }
+        }
+        // Heavy classes only (trees, chorded trees and two multicyclic
+        // components), beside isolated vertices, which no class holds.
+        let mut no_light = generators::disjoint_union(
+            &generators::barabasi_albert(60, 2, &mut rng),
+            &generators::barabasi_albert(90, 2, &mut rng),
+        );
+        for i in 0..16 {
+            let h = chorded_tree(DEDUP_MAX_VERTICES + 1 + 25 * i, &mut rng);
+            no_light = generators::disjoint_union(&no_light, &h);
+        }
+        no_light = generators::disjoint_union(&no_light, &Graph::new(50));
+        // Both kinds, so light ranks follow heavy ones.
+        let mixed = generators::disjoint_union(&no_light, &no_heavy);
+        // No eligible component at all.
+        let isolated = Graph::new(7000);
+
+        let shapes = [
+            ("no heavy", no_heavy),
+            ("no light", no_light),
+            ("mixed", mixed),
+            ("isolated", isolated),
+        ];
+        for (name, g) in shapes {
+            let part = CsrGraph::from_graph(&g).partition_components();
+            // Every budget below really fans out, even on a one-Δ grid.
+            assert_eq!(
+                effective_parallelism(3, g.num_vertices() + g.num_edges()),
+                3
+            );
+            let heavy = (0..part.num_components())
+                .filter(|&c| part.component(c).num_vertices() > DEDUP_MAX_VERTICES)
+                .count();
+            for grid in [&[2.0][..], &[1.0, 3.0, 1.0, 1.0]] {
+                let alone = assert_sweeps_match_alone_and_oracle(&part, grid);
+                let stats = alone[0].stats;
+                match name {
+                    "no heavy" => {
+                        assert_eq!(heavy, 0);
+                        assert!(stats.dedup_classes > LIGHT_CHUNK && stats.dedup_hits > 0);
+                        // At Δ = 1 light classes with repeats take the LP
+                        // tail, so their LP work counts once per member.
+                        if grid[0] == 1.0 {
+                            assert!(stats.micro_reduced > 0 && alone[0].solution.lp_solves > 0);
+                        }
+                    }
+                    "no light" => {
+                        assert_eq!((heavy, stats.components), (18, 18));
+                        assert_eq!((stats.dedup_classes, stats.dedup_hits), (0, 0));
+                    }
+                    "mixed" => assert!(heavy == 18 && stats.dedup_hits > 0),
+                    _ => {
+                        assert_eq!(stats, PartitionSolveStats::default());
+                        assert_eq!(alone[0].solution.value.to_bits(), 0.0f64.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    fn lp_work(s: &PolytopeSolution) -> [usize; 4] {
+        [
+            s.generated_cuts,
+            s.lp_iterations,
+            s.lp_solves,
+            s.lp_fallback_components,
+        ]
+    }
+
+    /// Checks one-element calls at every Δ of `grid` against the
+    /// per-component reference solver, summed in component order, and every
+    /// sweep of `grid` (thread budgets 1–3, with and without weights)
+    /// against those calls. Returns the one-element results.
+    fn assert_sweeps_match_alone_and_oracle(
+        part: &ComponentPartition,
+        grid: &[f64],
+    ) -> Vec<PartitionSolution> {
+        let alone: Vec<PartitionSolution> = grid
+            .iter()
+            .map(|&delta| solve_partition(part, &[delta], 1, true).unwrap().remove(0))
+            .collect();
+        for (&delta, one) in grid.iter().zip(&alone) {
+            let (mut value, mut weights, mut components) = (0.0f64, Vec::new(), 0);
+            let mut work = PolytopeSolution::zero(0);
+            for c in 0..part.num_components() {
+                let local = part.component(c).to_graph();
+                if local.num_edges() > 0 {
+                    let sol = general_value(&local, delta);
+                    value += sol.value;
+                    weights.extend(sol.edge_weights.iter().map(|w| w.to_bits()));
+                    components += 1;
+                    work.add_lp_work(&sol);
+                }
+            }
+            assert_eq!(one.solution.value.to_bits(), value.to_bits(), "Δ={delta}");
+            assert_eq!(weight_bits(one), weights, "Δ={delta}");
+            assert_eq!(one.stats.components, components, "Δ={delta}");
+            assert_eq!(lp_work(&one.solution), lp_work(&work), "Δ={delta}");
+        }
+        for threads in [1, 2, 3] {
+            for want_weights in [true, false] {
+                let swept = solve_partition(part, grid, threads, want_weights).unwrap();
+                assert_eq!(swept.len(), grid.len());
+                for ((&delta, got), one) in grid.iter().zip(&swept).zip(&alone) {
+                    let at = format!("threads={threads} weights={want_weights} Δ={delta}");
+                    let value = got.solution.value.to_bits();
+                    assert_eq!(value, one.solution.value.to_bits(), "{at}");
+                    if want_weights {
+                        assert_eq!(weight_bits(got), weight_bits(one), "{at}");
+                    } else {
+                        assert!(got.solution.edge_weights.is_empty(), "{at}");
+                    }
+                    assert_eq!(got.stats, one.stats, "{at}");
+                    let work = lp_work(&got.solution);
+                    assert_eq!(work, lp_work(&one.solution), "{at}");
+                }
+            }
+        }
+        alone
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //! substrates.
 
 use ccdp_flow::{max_weight_closure, ClosureInstance, FlowNetwork};
-use ccdp_graph::{
-    bounded_degree_spanning_forest, bounded_degree_spanning_forest_csr, generators, CsrGraph, Graph,
-};
+use ccdp_graph::{bounded_degree_spanning_forest, generators, CsrGraph, Graph};
 use ccdp_lp::{
     solve_partition, violated_forest_constraints, CombinatorialSolver, IncrementalSimplex,
     SimplexSolver,
@@ -249,17 +247,11 @@ fn bench_csr_vs_adjacency(c: &mut Criterion) {
             b.iter(|| csr.partition_components().num_components())
         });
     }
-    // The Lemma 1.8 forest construction, both hosts (the hot inner loop of
-    // the extension fast path). 10^6 would dominate the run; 10^5 is where
-    // the layouts already separate.
+    // The Lemma 1.8 forest construction. 10^6 would dominate the run.
     for &n in &[10_000usize, 100_000] {
         let g = supercritical_er(n, 11);
-        let csr = CsrGraph::from_graph(&g);
         group.bench_function(format!("forest_adjacency_n{n}"), |b| {
             b.iter(|| bounded_degree_spanning_forest(&g, 2).map(|f| f.num_edges()))
-        });
-        group.bench_function(format!("forest_csr_n{n}"), |b| {
-            b.iter(|| bounded_degree_spanning_forest_csr(&csr, 2).map(|f| f.num_edges()))
         });
     }
     group.finish();

@@ -48,20 +48,10 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
-    /// β must lie strictly between 0 and 1.
-    InvalidBeta {
-        /// The rejected value.
-        value: f64,
-    },
     /// Δmax must be at least 1.
     InvalidDeltaMax {
         /// The rejected value.
         value: usize,
-    },
-    /// The node-count budget fraction must lie strictly between 0 and 1.
-    InvalidNodeCountFraction {
-        /// The rejected value.
-        value: f64,
     },
     /// A fixed Lipschitz parameter must be at least 1.
     InvalidDelta {
@@ -81,17 +71,8 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidEpsilon { value } => {
                 write!(f, "epsilon must be positive and finite, got {value}")
             }
-            ConfigError::InvalidBeta { value } => {
-                write!(f, "beta must lie strictly in (0, 1), got {value}")
-            }
             ConfigError::InvalidDeltaMax { value } => {
                 write!(f, "delta_max must be at least 1, got {value}")
-            }
-            ConfigError::InvalidNodeCountFraction { value } => {
-                write!(
-                    f,
-                    "node-count budget fraction must lie strictly in (0, 1), got {value}"
-                )
             }
             ConfigError::InvalidDelta { value } => {
                 write!(f, "delta must be at least 1, got {value}")
@@ -115,18 +96,16 @@ impl std::error::Error for ConfigError {}
 /// ```
 /// use ccdp_core::{ConfigError, EstimatorConfig};
 ///
-/// let ok = EstimatorConfig::new(1.0).with_beta(0.1).with_delta_max(64);
+/// let ok = EstimatorConfig::new(1.0).with_delta_max(64);
 /// assert!(ok.validate().is_ok());
 ///
-/// let bad = EstimatorConfig::new(1.0).with_beta(1.5);
-/// assert_eq!(bad.validate(), Err(ConfigError::InvalidBeta { value: 1.5 }));
+/// let bad = EstimatorConfig::new(1.0).with_delta_max(0);
+/// assert_eq!(bad.validate(), Err(ConfigError::InvalidDeltaMax { value: 0 }));
 /// ```
 #[derive(Clone, Debug)]
 pub struct EstimatorConfig {
     epsilon: f64,
-    beta: Option<f64>,
     delta_max: Option<usize>,
-    node_count_fraction: f64,
     family_cache_enabled: bool,
     shared_family_cache: Option<Arc<ExtensionCache>>,
     graph_tag: Option<GraphTag>,
@@ -142,9 +121,7 @@ impl PartialEq for EstimatorConfig {
             _ => false,
         };
         self.epsilon == other.epsilon
-            && self.beta == other.beta
             && self.delta_max == other.delta_max
-            && self.node_count_fraction == other.node_count_fraction
             && self.family_cache_enabled == other.family_cache_enabled
             && same_cache
             && self.graph_tag == other.graph_tag
@@ -153,7 +130,7 @@ impl PartialEq for EstimatorConfig {
 }
 
 impl EstimatorConfig {
-    /// Default share of ε spent on the node-count release by the
+    /// Share of ε spent on the node-count release by the
     /// connected-components estimator.
     pub const DEFAULT_NODE_COUNT_FRACTION: f64 = 0.1;
 
@@ -161,9 +138,7 @@ impl EstimatorConfig {
     pub fn new(epsilon: f64) -> Self {
         EstimatorConfig {
             epsilon,
-            beta: None,
             delta_max: None,
-            node_count_fraction: Self::DEFAULT_NODE_COUNT_FRACTION,
             family_cache_enabled: true,
             shared_family_cache: None,
             graph_tag: None,
@@ -203,25 +178,12 @@ impl EstimatorConfig {
         self
     }
 
-    /// Overrides the GEM failure probability β (default `1 / ln ln n`, clamped
-    /// to `(0.001, 0.5)`).
-    pub fn with_beta(mut self, beta: f64) -> Self {
-        self.beta = Some(beta);
-        self
-    }
-
     /// Overrides the largest Δ of the selection grid (default `|V(G)|`).
     ///
     /// This is a public, data-independent parameter; choosing it below the
     /// graph's Δ* degrades accuracy but never privacy.
     pub fn with_delta_max(mut self, delta_max: usize) -> Self {
         self.delta_max = Some(delta_max);
-        self
-    }
-
-    /// Sets the fraction of ε spent on the node-count release (in `(0, 1)`).
-    pub fn with_node_count_fraction(mut self, fraction: f64) -> Self {
-        self.node_count_fraction = fraction;
         self
     }
 
@@ -261,11 +223,6 @@ impl EstimatorConfig {
     /// The Δmax override, if any.
     pub fn delta_max(&self) -> Option<usize> {
         self.delta_max
-    }
-
-    /// The node-count budget fraction.
-    pub fn node_count_fraction(&self) -> f64 {
-        self.node_count_fraction
     }
 
     /// The catalog tag cache lookups carry, if one was set.
@@ -310,13 +267,11 @@ impl EstimatorConfig {
         )
     }
 
-    /// The β to use on an `n`-vertex graph: the override if set, otherwise the
-    /// paper's default `1 / ln ln n` clamped to `(0.001, 0.5)`.
+    /// The GEM failure probability β on an `n`-vertex graph: the paper's
+    /// `1 / ln ln n`, clamped to `(0.001, 0.5)`.
     pub fn resolved_beta(&self, n: usize) -> f64 {
-        self.beta.unwrap_or_else(|| {
-            let lnln = (n.max(3) as f64).ln().ln();
-            (1.0 / lnln).clamp(0.001, 0.5)
-        })
+        let lnln = (n.max(3) as f64).ln().ln();
+        (1.0 / lnln).clamp(0.001, 0.5)
     }
 
     /// Checks every field, returning the first violation as a typed error.
@@ -326,19 +281,10 @@ impl EstimatorConfig {
                 value: self.epsilon,
             });
         }
-        if let Some(beta) = self.beta {
-            if !(beta.is_finite() && beta > 0.0 && beta < 1.0) {
-                return Err(ConfigError::InvalidBeta { value: beta });
-            }
-        }
         if let Some(delta_max) = self.delta_max {
             if delta_max == 0 {
                 return Err(ConfigError::InvalidDeltaMax { value: delta_max });
             }
-        }
-        let f = self.node_count_fraction;
-        if !(f.is_finite() && f > 0.0 && f < 1.0) {
-            return Err(ConfigError::InvalidNodeCountFraction { value: f });
         }
         if let Some(threads) = self.threads {
             if threads == 0 {
@@ -370,20 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_beta_is_typed() {
-        for beta in [0.0, 1.0, -0.5, 2.0, f64::NAN] {
-            let err = EstimatorConfig::new(1.0)
-                .with_beta(beta)
-                .validate()
-                .unwrap_err();
-            assert!(
-                matches!(err, ConfigError::InvalidBeta { .. }),
-                "{beta} -> {err}"
-            );
-        }
-    }
-
-    #[test]
     fn invalid_delta_max_is_typed() {
         let err = EstimatorConfig::new(1.0)
             .with_delta_max(0)
@@ -393,35 +325,15 @@ mod tests {
     }
 
     #[test]
-    fn invalid_fraction_is_typed() {
-        for frac in [0.0, 1.0, -0.2, f64::NAN] {
-            let err = EstimatorConfig::new(1.0)
-                .with_node_count_fraction(frac)
-                .validate()
-                .unwrap_err();
-            assert!(
-                matches!(err, ConfigError::InvalidNodeCountFraction { .. }),
-                "{frac} -> {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn resolved_beta_uses_override_then_default() {
-        assert_eq!(
-            EstimatorConfig::new(1.0)
-                .with_beta(0.25)
-                .resolved_beta(1000),
-            0.25
-        );
+    fn resolved_beta_is_the_clamped_default() {
         let default = EstimatorConfig::new(1.0).resolved_beta(1000);
         assert!(default > 0.0 && default <= 0.5);
     }
 
     #[test]
     fn display_messages_name_the_offender() {
-        let msg = ConfigError::InvalidBeta { value: 3.0 }.to_string();
-        assert!(msg.contains("beta") && msg.contains('3'));
+        let msg = ConfigError::InvalidEpsilon { value: -3.0 }.to_string();
+        assert!(msg.contains("epsilon") && msg.contains('3'));
     }
 
     #[test]

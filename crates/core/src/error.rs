@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn sources_are_chained() {
         use std::error::Error;
-        let e: CcdpError = ConfigError::InvalidBeta { value: 2.0 }.into();
+        let e: CcdpError = ConfigError::InvalidDeltaMax { value: 0 }.into();
         assert!(e.source().is_some());
     }
 }

@@ -66,15 +66,6 @@ impl PrivacyBudget {
         Ok(epsilon)
     }
 
-    /// Consumes an equal share `total/k` of the *original* budget.
-    pub fn spend_fraction(&mut self, stage: &str, fraction: f64) -> Result<f64, BudgetExceeded> {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction must lie in (0, 1]"
-        );
-        self.spend(stage, self.total_epsilon * fraction)
-    }
-
     /// The per-stage ledger (stage name, ε).
     pub fn ledger(&self) -> &[(String, f64)] {
         &self.spent
@@ -85,28 +76,13 @@ impl PrivacyBudget {
         self.spent.len()
     }
 
-    /// Whether a spend of `epsilon` would be admitted right now (same
-    /// numerical slack as [`PrivacyBudget::spend`]).
-    pub fn can_spend(&self, epsilon: f64) -> bool {
-        epsilon > 0.0 && self.admits(epsilon)
-    }
-
-    /// The admission rule of [`spend`](Self::spend) and
-    /// [`can_spend`](Self::can_spend): the lifetime total may exceed the
-    /// budget by at most `1e-12` of rounding slack. The slack is measured
-    /// against the running total, not the clamped remainder, so it is granted
-    /// once over the budget's life — an exhausted budget refuses even dust.
+    /// The admission rule of [`spend`](Self::spend): the lifetime total may
+    /// exceed the budget by at most `1e-12` of rounding slack. The slack is
+    /// measured against the running total, not the clamped remainder, so it
+    /// is granted once over the budget's life — an exhausted budget refuses
+    /// even dust.
     fn admits(&self, epsilon: f64) -> bool {
         self.spent_total + epsilon <= self.total_epsilon + 1e-12
-    }
-
-    /// Total ε recorded for stages with the given name (0 if absent).
-    pub fn spent_for_stage(&self, stage: &str) -> f64 {
-        self.spent
-            .iter()
-            .filter(|(name, _)| name == stage)
-            .map(|(_, e)| e)
-            .sum()
     }
 
     /// Fraction of the total budget consumed so far, in `[0, 1]`.
@@ -158,15 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_spending_matches_algorithm_1_split() {
-        // Algorithm 1 splits ε into ε/2 for GEM and ε/2 for the Laplace release.
-        let mut b = PrivacyBudget::new(2.0);
-        assert_eq!(b.spend_fraction("gem", 0.5).unwrap(), 1.0);
-        assert_eq!(b.spend_fraction("laplace", 0.5).unwrap(), 1.0);
-        assert!(b.remaining_epsilon().abs() < 1e-12);
-    }
-
-    #[test]
     fn total_spent_is_sum_of_stages() {
         let mut b = PrivacyBudget::new(3.0);
         b.spend("a", 1.0).unwrap();
@@ -183,20 +150,28 @@ mod tests {
 
     #[test]
     fn accessors_report_the_ledger_state() {
+        // Whether a spend would be admitted, asked of a copy.
+        let admits = |b: &PrivacyBudget, epsilon: f64| b.clone().spend("probe", epsilon).is_ok();
+        let stage_total = |b: &PrivacyBudget, stage: &str| -> f64 {
+            b.ledger()
+                .iter()
+                .filter(|(name, _)| name == stage)
+                .map(|(_, e)| e)
+                .sum()
+        };
         let mut b = PrivacyBudget::new(2.0);
-        assert!(b.can_spend(2.0));
-        assert!(!b.can_spend(2.1));
-        assert!(!b.can_spend(0.0));
+        assert!(admits(&b, 2.0));
+        assert!(!admits(&b, 2.1));
         b.spend("gem", 0.5).unwrap();
         b.spend("laplace", 0.5).unwrap();
         b.spend("gem", 0.25).unwrap();
         assert_eq!(b.num_stages(), 3);
-        assert!((b.spent_for_stage("gem") - 0.75).abs() < 1e-12);
-        assert!((b.spent_for_stage("laplace") - 0.5).abs() < 1e-12);
-        assert_eq!(b.spent_for_stage("unknown"), 0.0);
+        assert!((stage_total(&b, "gem") - 0.75).abs() < 1e-12);
+        assert!((stage_total(&b, "laplace") - 0.5).abs() < 1e-12);
+        assert_eq!(stage_total(&b, "unknown"), 0.0);
         assert!((b.utilization() - 0.625).abs() < 1e-12);
-        assert!(b.can_spend(0.75));
-        assert!(!b.can_spend(0.76));
+        assert!(admits(&b, 0.75));
+        assert!(!admits(&b, 0.76));
     }
 
     #[test]
@@ -207,7 +182,7 @@ mod tests {
         // 1e-12-sized spend fits in it, never a stream of them.
         let admitted = (0..1000).filter(|_| b.spend("dust", 1e-12).is_ok()).count();
         assert!(admitted <= 1, "{admitted} dust spends admitted");
-        assert!(!b.can_spend(1e-12));
+        assert!(b.spend("dust", 1e-12).is_err());
         assert!(b.spent_epsilon() <= 1.0 + 1e-12);
     }
 }

@@ -17,14 +17,15 @@
 //! * [`delta_star_exact`]: an exact branch-and-bound search intended for small
 //!   graphs, used by tests and the optimality experiments.
 
-use crate::csr::{ComponentPartition, CsrComponent, CsrGraph};
+use crate::csr::{ComponentPartition, CsrComponent};
 use crate::graph::Graph;
 use crate::unionfind::UnionFind;
 
 /// The minimal graph interface the constructive forest machinery needs, so the
-/// same code runs on the adjacency-list [`Graph`] and the flat [`CsrGraph`]
-/// arena without duplicating the repair logic. Private by design: the public
-/// surface stays the concrete `Graph`, CSR and per-component entry points.
+/// same code runs on the adjacency-list [`Graph`] and on one component of a
+/// [`CsrGraph`](crate::CsrGraph) partition without duplicating the repair
+/// logic. Private by design: the public surface stays the concrete `Graph`
+/// and per-component entry points.
 trait ForestHost {
     fn num_vertices(&self) -> usize;
     fn degree(&self, v: usize) -> usize;
@@ -52,29 +53,6 @@ impl ForestHost for Graph {
     }
     fn first_neighbor_where(&self, v: usize, pred: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
         self.neighbors(v).iter().copied().find(|&w| pred(w))
-    }
-}
-
-impl ForestHost for CsrGraph {
-    fn num_vertices(&self) -> usize {
-        CsrGraph::num_vertices(self)
-    }
-    fn degree(&self, v: usize) -> usize {
-        CsrGraph::degree(self, v)
-    }
-    fn has_edge(&self, u: usize, v: usize) -> bool {
-        CsrGraph::has_edge(self, u, v)
-    }
-    fn for_each_neighbor(&self, v: usize, f: &mut dyn FnMut(usize)) {
-        for &w in self.neighbors(v) {
-            f(w as usize);
-        }
-    }
-    fn first_neighbor_where(&self, v: usize, pred: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
-        self.neighbors(v)
-            .iter()
-            .map(|&w| w as usize)
-            .find(|&w| pred(w))
     }
 }
 
@@ -331,22 +309,11 @@ pub fn capacity_bounded_spanning_forest(g: &Graph, caps: &[usize]) -> Option<Spa
     result
 }
 
-/// [`bounded_degree_spanning_forest`] on the flat CSR arena. Neighbor
-/// iteration order matches the adjacency path (both sorted), so on the same
-/// graph both entry points construct the identical forest.
-///
-/// # Panics
-/// Panics if `delta == 0`.
-pub fn bounded_degree_spanning_forest_csr(g: &CsrGraph, delta: usize) -> Option<SpanningForest> {
-    assert!(delta >= 1, "delta must be at least 1");
-    capacity_bounded_forest_host(g, &vec![delta; g.num_vertices()], g.num_vertices())
-}
-
-/// [`bounded_degree_spanning_forest_csr`] on component `c` of a partition,
+/// [`bounded_degree_spanning_forest`] on component `c` of a CSR partition,
 /// in the component's local ids.
 ///
-/// The search on a whole arena succeeds iff it succeeds on every component
-/// of the arena's partition: its elimination order is a BFS from each
+/// The search on a whole graph succeeds iff it succeeds on every component
+/// of its arena's partition: its elimination order is a BFS from each
 /// component's smallest vertex over sorted rows, which the partition's
 /// relabelling (monotone within a component) preserves, and an insertion
 /// and its repairs only ever touch one component. The repair loop keeps the
@@ -720,22 +687,6 @@ mod tests {
             assert!(ub >= exact, "upper bound {ub} below exact {exact}");
             // By Lemma 1.6 the bound from the constructive procedure is ≤ s(G)+1.
             assert!(ub <= induced_star_number(&g).value() + 1);
-        }
-    }
-
-    #[test]
-    fn csr_forest_matches_adjacency_forest() {
-        let mut rng = StdRng::seed_from_u64(23);
-        for n in [6, 12, 20] {
-            for p in [0.1, 0.25, 0.5] {
-                let g = generators::erdos_renyi(n, p, &mut rng);
-                let csr = CsrGraph::from_graph(&g);
-                for delta in 1..=4usize {
-                    let a = bounded_degree_spanning_forest(&g, delta);
-                    let b = bounded_degree_spanning_forest_csr(&csr, delta);
-                    assert_eq!(a, b, "n={n} p={p} delta={delta}");
-                }
-            }
         }
     }
 

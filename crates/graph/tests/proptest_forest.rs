@@ -1,13 +1,13 @@
-//! Property tests for the per-component Lemma 1.8 search: on a CSR arena,
-//! the whole-graph spanning-Δ-forest construction succeeds iff the
-//! construction succeeds on every component of the arena's partition. The
+//! Property tests for the per-component Lemma 1.8 search: the whole-graph
+//! spanning-Δ-forest construction succeeds iff the construction succeeds on
+//! every component of the graph's CSR partition. The
 //! graphs are disjoint unions of random trees, Erdős–Rényi graphs near the
 //! 1/n threshold, Barabási–Albert graphs, random geometric graphs and planted
 //! star forests, with their vertex ids shuffled so that components are not
 //! contiguous in the original labelling.
 
 use ccdp_graph::forest::{
-    bounded_degree_spanning_forest_csr, component_bounded_degree_spanning_forest,
+    bounded_degree_spanning_forest, component_bounded_degree_spanning_forest,
 };
 use ccdp_graph::{generators, CsrGraph, Graph};
 use proptest::prelude::*;
@@ -65,11 +65,10 @@ fn shuffled_union(parts: &[(u8, usize)], seed: u64) -> Graph {
     g
 }
 
-/// `(whole-arena search succeeds, every component's search succeeds)`.
+/// `(whole-graph search succeeds, every component's search succeeds)`.
 fn both_searches(g: &Graph, delta: usize) -> (bool, bool) {
-    let arena = CsrGraph::from_graph(g);
-    let whole = bounded_degree_spanning_forest_csr(&arena, delta).is_some();
-    let part = arena.partition_components();
+    let whole = bounded_degree_spanning_forest(g, delta).is_some();
+    let part = CsrGraph::from_graph(g).partition_components();
     let per_component = (0..part.num_components())
         .all(|c| component_bounded_degree_spanning_forest(&part, c, delta).is_some());
     (whole, per_component)

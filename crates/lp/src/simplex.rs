@@ -123,16 +123,6 @@ impl IncrementalSimplex {
         self.objective.len()
     }
 
-    /// Number of constraint rows added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Total simplex pivots (including bound flips) performed so far.
-    pub fn total_pivots(&self) -> usize {
-        self.total_pivots
-    }
-
     /// Whether the last [`IncrementalSimplex::solve`] ran on a freshly built
     /// tableau. Cutting-plane loops use this to insist that the final,
     /// convergence-deciding solve is free of accumulated warm-start drift.

@@ -657,21 +657,9 @@ fn route_ingest(request: &Request, shared: &Shared) -> Result<String, NetError> 
             let graph = Arc::new(
                 ccdp_graph::io::from_edge_list(edges).map_err(ccdp_serve::ServeError::Ingest)?,
             );
-            let gid = ccdp_serve::GraphId::new(id);
-            // Publish as latest-plus-one at an *explicit* version so a lost
-            // publish race is visible (VersionExists) and simply rebased,
-            // instead of insert-then-read-back guessing which publish won.
-            loop {
-                let next = registry
-                    .latest_version(&gid)
-                    .map(GraphVersion::next)
-                    .unwrap_or(GraphVersion::INITIAL);
-                match registry.insert_version(gid.clone(), next, Arc::clone(&graph)) {
-                    Ok(published) => break (next, published),
-                    Err(ccdp_serve::ServeError::VersionExists { .. }) => continue,
-                    Err(e) => return Err(e.into()),
-                }
-            }
+            // The registry picks latest-plus-one under its shard lock, so
+            // concurrent unpinned ingests never collide.
+            (registry.insert(id, Arc::clone(&graph)), graph)
         }
     };
     let mut w = JsonWriter::object();

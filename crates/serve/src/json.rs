@@ -144,22 +144,6 @@ impl JsonWriter {
         self
     }
 
-    /// Appends one string element to the open array.
-    pub fn element_str(&mut self, value: &str) -> &mut Self {
-        self.comma();
-        self.buf.push('"');
-        escape_into(&mut self.buf, value);
-        self.buf.push('"');
-        self
-    }
-
-    /// Appends one float element to the open array.
-    pub fn element_f64(&mut self, value: f64) -> &mut Self {
-        self.comma();
-        push_f64(&mut self.buf, value);
-        self
-    }
-
     /// Opens an object element inside the open array.
     pub fn begin_element_object(&mut self) -> &mut Self {
         self.comma();
@@ -536,7 +520,8 @@ mod tests {
         w.field_bool("ok", true);
         w.end();
         w.begin_array("xs");
-        w.element_f64(1.5).element_str("two");
+        w.begin_element_object().field_f64("x", 1.5).end();
+        w.begin_element_object().field_str("x", "two").end();
         w.end();
         let text = w.finish();
         let v = parse(&text).unwrap();
@@ -547,13 +532,13 @@ mod tests {
             v.get("inner").unwrap().get("ok").unwrap().as_bool(),
             Some(true)
         );
-        assert_eq!(
-            v.get("xs"),
-            Some(&JsonValue::Array(vec![
-                JsonValue::Number(1.5),
-                JsonValue::String("two".into())
-            ]))
-        );
+        let xs = match v.get("xs") {
+            Some(JsonValue::Array(xs)) => xs,
+            other => panic!("xs is not an array: {other:?}"),
+        };
+        assert_eq!(xs.len(), 2);
+        assert_eq!(xs[0].get("x"), Some(&JsonValue::Number(1.5)));
+        assert_eq!(xs[1].get("x"), Some(&JsonValue::String("two".into())));
     }
 
     #[test]
@@ -561,7 +546,7 @@ mod tests {
         let mut w = JsonWriter::object();
         w.begin_object("a");
         w.begin_array("b");
-        w.element_f64(1.0);
+        w.begin_element_object().field_f64("x", 1.0);
         let text = w.finish();
         assert!(parse(&text).is_ok(), "{text}");
     }

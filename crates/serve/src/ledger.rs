@@ -410,14 +410,6 @@ impl BudgetLedger {
         }
     }
 
-    /// Whether `tenant` could fund a spend of `epsilon` right now (advisory:
-    /// another request may win the budget between this check and a spend).
-    pub fn can_spend(&self, tenant: &TenantId, epsilon: f64) -> Result<bool, ServeError> {
-        let entry = self.account(tenant)?;
-        let budget = entry.budget.lock().unwrap_or_else(|p| p.into_inner());
-        Ok(budget.can_spend(epsilon))
-    }
-
     /// Point-in-time account view for `tenant`, taken under the tenant's
     /// lock: the live side of the replay-equality contract.
     pub fn account_view(&self, tenant: &TenantId) -> Result<TenantAccount, ServeError> {
@@ -502,7 +494,7 @@ mod tests {
         let ledger = BudgetLedger::new();
         ledger.register("acme", 1.0).unwrap();
         let t = TenantId::new("acme");
-        assert!(ledger.can_spend(&t, 1.0).unwrap());
+        assert_eq!(ledger.account_view(&t).unwrap().remaining_epsilon, 1.0);
         ledger.try_spend(&t, "release", 0.6).unwrap();
         let err = ledger.try_spend(&t, "release", 0.6).unwrap_err();
         match err {
@@ -533,7 +525,7 @@ mod tests {
             .filter(|_| ledger.try_spend(&t, "release", 1e-12).is_ok())
             .count();
         assert!(admitted <= 1, "{admitted} dust releases admitted");
-        assert!(!ledger.can_spend(&t, 1e-12).unwrap());
+        assert!(ledger.try_spend(&t, "release", 1e-12).is_err());
         assert!(ledger.account_view(&t).unwrap().spent_epsilon <= 1.0 + 1e-12);
     }
 

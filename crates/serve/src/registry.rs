@@ -136,29 +136,25 @@ impl GraphRegistry {
     }
 
     /// Publishes `graph` under `id` as the next version after the current
-    /// latest ([`GraphVersion::INITIAL`] for a fresh id), returning the
-    /// previously latest snapshot if this superseded one.
+    /// latest ([`GraphVersion::INITIAL`] for a fresh id) and returns that
+    /// version. The version is picked under the shard's write lock, so
+    /// concurrent publishers of one id never collide.
     ///
     /// Prior versions are retained up to [`DEFAULT_VERSION_RETENTION`] —
     /// republishing one id forever holds bounded memory (see also
     /// [`GraphRegistry::retain_latest`] for explicit expiry).
-    pub fn insert(
-        &self,
-        id: impl Into<GraphId>,
-        graph: impl Into<Arc<Graph>>,
-    ) -> Option<Arc<Graph>> {
+    pub fn insert(&self, id: impl Into<GraphId>, graph: impl Into<Arc<Graph>>) -> GraphVersion {
         let id = id.into();
         let published = Published::new(graph.into());
         let mut shard = self.write(&id);
         let history = shard.entry(id.clone()).or_default();
         let version = next_version(history);
-        let previous = history.last_key_value().map(|(_, p)| Arc::clone(&p.graph));
         history.insert(version, published);
         let expired = split_off_oldest(history, DEFAULT_VERSION_RETENTION);
         drop(shard);
         drop(expired);
         self.audit_publish(&id, version, "published as next version");
-        previous
+        version
     }
 
     /// Publishes `graph` under the exact `(id, version)` pair (takes a
@@ -238,34 +234,18 @@ impl GraphRegistry {
             .unwrap_or_default()
     }
 
-    /// Resolves the latest snapshot of `id` or reports the typed refusal a
-    /// request would get.
-    pub fn resolve(&self, id: &GraphId) -> Result<Arc<Graph>, ServeError> {
-        Ok(self.resolve_latest(id)?.1)
-    }
-
-    /// Resolves the latest snapshot of `id` together with its version.
+    /// Resolves the latest snapshot of `id` together with its version, or
+    /// reports the typed refusal a request would get.
     pub fn resolve_latest(&self, id: &GraphId) -> Result<(GraphVersion, Arc<Graph>), ServeError> {
         self.lookup(id, None, |p| Arc::clone(&p.graph))
-    }
-
-    /// Resolves the exact `(id, version)` snapshot, distinguishing an unknown
-    /// id ([`ServeError::UnknownGraph`]) from a known id whose requested
-    /// version is unpublished or expired ([`ServeError::UnknownVersion`]).
-    pub fn resolve_version(
-        &self,
-        id: &GraphId,
-        version: GraphVersion,
-    ) -> Result<Arc<Graph>, ServeError> {
-        Ok(self.lookup(id, Some(version), |p| Arc::clone(&p.graph))?.1)
     }
 
     /// Resolves the CSR arena published for `id` — at the pinned `version`,
     /// or the latest one — together with the version it belongs to. This is
     /// what a release runs on: the arena was built once at publish, and every
-    /// resolve of one snapshot returns the same `Arc`. Refusals are those of
-    /// [`resolve_latest`](Self::resolve_latest) and
-    /// [`resolve_version`](Self::resolve_version).
+    /// resolve of one snapshot returns the same `Arc`. An unknown id is
+    /// [`ServeError::UnknownGraph`]; a known id whose pinned version is
+    /// unpublished or expired is [`ServeError::UnknownVersion`].
     pub fn resolve_arena(
         &self,
         id: &GraphId,
@@ -399,11 +379,12 @@ mod tests {
         assert!(reg.is_empty());
         let g = generators::path(5);
         let id = GraphId::new("p5");
-        assert!(reg.insert("p5", g.clone()).is_none());
+        assert_eq!(reg.insert("p5", g.clone()), GraphVersion::INITIAL);
         assert_eq!(reg.len(), 1);
-        assert_eq!(*reg.resolve(&id).unwrap(), g);
-        // Superseding returns the previously latest snapshot.
-        let old = reg.insert("p5", generators::star(3)).unwrap();
+        let (_, old) = reg.resolve_latest(&id).unwrap();
+        assert_eq!(*old, g);
+        // Superseding publishes the next version; a resolved snapshot stays.
+        assert_eq!(reg.insert("p5", generators::star(3)), GraphVersion::new(1));
         assert_eq!(*old, g);
         assert_eq!(reg.len(), 1);
         // Removing the last version drops the id.
@@ -433,12 +414,12 @@ mod tests {
         assert_eq!(reg.len(), 1);
         // Pinned resolution sees every retained version.
         assert_eq!(
-            reg.resolve_version(&id, GraphVersion::INITIAL)
+            reg.resolve_arena(&id, Some(GraphVersion::INITIAL))
                 .unwrap()
+                .1
                 .num_vertices(),
             2
         );
-        assert_eq!(reg.resolve(&id).unwrap().num_vertices(), 4);
         let (v, g) = reg.resolve_latest(&id).unwrap();
         assert_eq!(v, GraphVersion::new(2));
         assert_eq!(g.num_vertices(), 4);
@@ -462,8 +443,9 @@ mod tests {
         );
         // The original snapshot survived the refused re-publish.
         assert_eq!(
-            reg.resolve_version(&id, GraphVersion::new(5))
+            reg.resolve_arena(&id, Some(GraphVersion::new(5)))
                 .unwrap()
+                .1
                 .num_vertices(),
             3
         );
@@ -472,7 +454,7 @@ mod tests {
     #[test]
     fn resolve_reports_typed_unknown_graph_and_version() {
         let reg = GraphRegistry::new();
-        let err = reg.resolve(&GraphId::new("missing")).unwrap_err();
+        let err = reg.resolve_latest(&GraphId::new("missing")).unwrap_err();
         assert_eq!(
             err,
             ServeError::UnknownGraph {
@@ -484,10 +466,12 @@ mod tests {
         let id = GraphId::new("g");
         reg.insert(id.clone(), generators::path(3));
         let err = reg
-            .resolve_version(&GraphId::new("missing"), GraphVersion::INITIAL)
+            .resolve_arena(&GraphId::new("missing"), Some(GraphVersion::INITIAL))
             .unwrap_err();
         assert!(matches!(err, ServeError::UnknownGraph { .. }));
-        let err = reg.resolve_version(&id, GraphVersion::new(9)).unwrap_err();
+        let err = reg
+            .resolve_arena(&id, Some(GraphVersion::new(9)))
+            .unwrap_err();
         assert_eq!(
             err,
             ServeError::UnknownVersion {
@@ -511,7 +495,7 @@ mod tests {
         let (v, pinned) = reg.resolve_arena(&id, Some(GraphVersion::INITIAL)).unwrap();
         assert_eq!(v, GraphVersion::INITIAL);
         assert_eq!(*pinned, CsrGraph::from_graph(&first));
-        assert!(pinned.matches_graph(&reg.resolve_version(&id, v).unwrap()));
+        assert!(pinned.matches_graph(&first));
         assert_eq!(pinned.num_components(), first.num_connected_components());
         // Publishing built each arena once: every resolve shares it.
         assert!(Arc::ptr_eq(
@@ -524,7 +508,7 @@ mod tests {
                 .unwrap()
                 .1
         ));
-        // Refusals are the graph resolvers' refusals.
+        // Refusals are typed like a latest resolve's.
         assert_eq!(
             reg.resolve_arena(&id, Some(GraphVersion::new(9)))
                 .unwrap_err(),
@@ -547,12 +531,12 @@ mod tests {
             .unwrap();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 3);
-        assert!(reg.resolve(&GraphId::new("tri")).is_ok());
+        assert!(reg.resolve_latest(&GraphId::new("tri")).is_ok());
         let err = reg
             .ingest_edge_list_version("bad", GraphVersion::INITIAL, "0 1\nnope\n")
             .unwrap_err();
         assert!(matches!(err, ServeError::Ingest(_)));
-        assert!(reg.resolve(&GraphId::new("bad")).is_err());
+        assert!(reg.resolve_latest(&GraphId::new("bad")).is_err());
     }
 
     #[test]
@@ -573,12 +557,24 @@ mod tests {
             }
         );
         // The original graph is untouched.
-        assert_eq!(reg.resolve(&GraphId::new("g")).unwrap().num_vertices(), 3);
+        assert_eq!(
+            reg.resolve_latest(&GraphId::new("g"))
+                .unwrap()
+                .1
+                .num_vertices(),
+            3
+        );
         assert_eq!(reg.num_versions(), 1);
         // Publishing the same id at a *new* version is fine.
         reg.ingest_edge_list_version("g", GraphVersion::new(1), "# 2 1\n0 1\n")
             .unwrap();
-        assert_eq!(reg.resolve(&GraphId::new("g")).unwrap().num_vertices(), 2);
+        assert_eq!(
+            reg.resolve_latest(&GraphId::new("g"))
+                .unwrap()
+                .1
+                .num_vertices(),
+            2
+        );
     }
 
     #[test]
@@ -587,16 +583,16 @@ mod tests {
         // reader that resolved it keeps a valid `Arc`.
         let reg = GraphRegistry::new();
         let id = GraphId::new("g");
-        for n in 2..2 + DEFAULT_VERSION_RETENTION {
+        let v0 = reg.insert(id.clone(), generators::path(2));
+        let (_, graph) = reg.resolve_latest(&id).unwrap();
+        for n in 3..2 + DEFAULT_VERSION_RETENTION {
             reg.insert(id.clone(), generators::path(n));
         }
-        let v0 = GraphVersion::INITIAL;
-        let graph = reg.resolve_version(&id, v0).unwrap();
         let (_, arena) = reg.resolve_arena(&id, Some(v0)).unwrap();
 
         // Publish-time retention expires v0.
         reg.insert(id.clone(), generators::path(100));
-        assert!(reg.resolve_version(&id, v0).is_err());
+        assert!(reg.resolve_arena(&id, Some(v0)).is_err());
         assert_eq!(Arc::strong_count(&graph), 1);
         assert_eq!(Arc::strong_count(&arena), 1);
         assert_eq!(*graph, generators::path(2));
@@ -637,10 +633,10 @@ mod tests {
         );
         // An expired version is a typed UnknownVersion, the frontier remains.
         assert!(matches!(
-            reg.resolve_version(&id, GraphVersion::INITIAL),
+            reg.resolve_arena(&id, Some(GraphVersion::INITIAL)),
             Err(ServeError::UnknownVersion { .. })
         ));
-        assert!(reg.resolve(&id).is_ok());
+        assert!(reg.resolve_latest(&id).is_ok());
         // Already within bound: nothing to do. keep=0 clamps to 1.
         assert_eq!(reg.retain_latest(&id, 3), 0);
         assert_eq!(reg.retain_latest(&id, 0), 2);
@@ -698,7 +694,7 @@ mod tests {
         }
         assert_eq!(reg.num_versions(), DEFAULT_VERSION_RETENTION);
         assert_eq!(reg.latest_version(&id), Some(GraphVersion::new(39)));
-        assert_eq!(reg.resolve(&id).unwrap().num_vertices(), 41);
+        assert_eq!(reg.resolve_latest(&id).unwrap().1.num_vertices(), 41);
     }
 
     #[test]
@@ -733,7 +729,7 @@ mod tests {
         let backfill = GraphVersion::new(full + 1);
         let ok = reg.insert_version(id.clone(), backfill, generators::path(3));
         assert!(ok.is_ok());
-        assert!(reg.resolve_version(&id, backfill).is_ok());
+        assert!(reg.resolve_arena(&id, Some(backfill)).is_ok());
         assert_eq!(reg.num_versions(), DEFAULT_VERSION_RETENTION);
     }
 
@@ -762,22 +758,26 @@ mod tests {
     #[test]
     fn concurrent_version_publishers_never_collide() {
         // Four writers each publish 25 versions of ONE graph via `insert`;
-        // every publish must claim a distinct version, and retention must
-        // keep exactly the newest ones.
+        // every publish must claim a distinct version (the returned versions
+        // are exactly 0..100), and retention must keep exactly the newest
+        // ones.
         let reg = Arc::new(GraphRegistry::new());
         let writers: Vec<_> = (0..4)
             .map(|_| {
                 let reg = Arc::clone(&reg);
                 std::thread::spawn(move || {
-                    for _ in 0..25 {
-                        reg.insert("shared", generators::path(3));
-                    }
+                    (0..25)
+                        .map(|_| reg.insert("shared", generators::path(3)))
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
-        for w in writers {
-            w.join().unwrap();
-        }
+        let mut claimed: Vec<GraphVersion> = writers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect();
+        claimed.sort();
+        assert_eq!(claimed, (0..100).map(GraphVersion::new).collect::<Vec<_>>());
         let id = GraphId::new("shared");
         assert_eq!(reg.latest_version(&id), Some(GraphVersion::new(99)));
         assert_eq!(

@@ -953,7 +953,7 @@ mod tests {
         // the same `Arc`, latest and pinned) draws exactly the bits
         // `PrivateCcEstimator::estimate(&graph)` draws from the same stream.
         let (registry, ledger) = fleet();
-        let graph = registry.resolve(&GraphId::new("stars")).unwrap();
+        let (_, graph) = registry.resolve_latest(&GraphId::new("stars")).unwrap();
         let server = Server::start(
             ServeConfig::new().with_workers(2).with_seed(11),
             registry,

@@ -9,11 +9,9 @@
 //!   (single and batched), incremental component counts (union-find in
 //!   insert-only epochs, lazy epoch compaction + rebuild on deletions), and
 //!   immutable versioned [`GraphSnapshot`]s.
-//! * [`replay`] — plain-text mutation-list I/O in the style of
-//!   [`ccdp_graph::io`]: `t + u v` / `t - u v` lines, so feeds can be
-//!   archived and replayed.
 //! * [`scheduler`] — [`ReleaseScheduler`]: fires DP re-estimation by
-//!   [`ReleasePolicy`] (every k mutations, on component drift, on demand),
+//!   [`ReleasePolicy`] (every k mutations or on demand — never on the
+//!   graph's contents),
 //!   publishes each snapshot into a [`Server`](ccdp_serve::Server)'s
 //!   version-aware [`GraphRegistry`](ccdp_serve::GraphRegistry), releases it
 //!   through the server's worker pool (charged to the owning tenant's
@@ -61,13 +59,11 @@
 
 pub mod error;
 pub mod mutationgen;
-pub mod replay;
 pub mod scheduler;
 pub mod stream;
 
 pub use error::StreamError;
 pub use mutationgen::MutationSpec;
-pub use replay::{from_mutation_list, to_mutation_list, ReplayParseError};
 pub use scheduler::{
     ReleasePolicy, ReleaseRecord, ReleaseScheduler, ReleaseTrigger, SchedulerConfig,
 };

@@ -4,9 +4,9 @@
 //! *when* a fresh differentially private release is worth its ε. The
 //! [`ReleaseScheduler`] is that decision point: it watches streams through
 //! [`observe`](ReleaseScheduler::observe), fires by [`ReleasePolicy`] (every
-//! k mutations, on component drift, or on demand), and when it fires it runs
-//! one more serving request — Algorithm 1 on an immutable snapshot, through
-//! the same [`Server`] worker pool as every wire request:
+//! k mutations or on demand), and when it fires it runs one more serving
+//! request — Algorithm 1 on an immutable snapshot, through the same
+//! [`Server`] worker pool as every wire request:
 //!
 //! 1. freeze the stream into a versioned [`GraphSnapshot`] and publish it to
 //!    the server's version-aware [`GraphRegistry`](ccdp_serve::GraphRegistry)
@@ -36,6 +36,14 @@
 //! against the same quota: node-DP composition is per tenant, not per
 //! version.
 //!
+//! # Fire decisions
+//!
+//! Whether a release fires reads only the stream's mutation count or the
+//! caller, never the graph. The fire pattern is visible (the audit journal's
+//! `scheduler_fire` events, the tenant's ledger charges,
+//! `ccdp_stream_releases_total`), so a trigger that tested the private graph
+//! would leak through it outside the ε accounting.
+//!
 //! The noise seed and any Δmax override are the server's
 //! ([`ServeConfig`](ccdp_serve::ServeConfig)): a stream release draws from
 //! the same per-request RNG derivation as any other request.
@@ -54,15 +62,6 @@ pub enum ReleasePolicy {
     /// After every `k` accepted mutations since the last release (`k ≥ 1`;
     /// the first observation of a stream always fires a baseline release).
     EveryKMutations(u64),
-    /// When the exact component count has drifted at least `threshold` away
-    /// from the count at the last release (the first observation fires).
-    /// The trigger reads only the stream's internal true count — the
-    /// *decision to release* is data-dependent, which is why the released
-    /// value itself still carries the full ε noise.
-    OnComponentDrift {
-        /// Minimum absolute drift that fires.
-        threshold: usize,
-    },
     /// Only [`ReleaseScheduler::release_now`] fires.
     OnDemand,
 }
@@ -74,10 +73,10 @@ pub struct SchedulerConfig {
     pub policy: ReleasePolicy,
     /// ε charged to the owning tenant per fired release.
     pub epsilon_per_release: f64,
-    /// How many registry snapshots the *scheduler* actively retains per
-    /// graph (0 = no scheduler-driven expiry). Older versions are expired
-    /// right after a new one is released. The registry enforces its own
-    /// bound on every publish
+    /// How many registry snapshots the *scheduler* retains per graph (at
+    /// least 1: 0 keeps only the newest). Older versions are expired right
+    /// after a new one is released. The registry enforces its own bound on
+    /// every publish
     /// ([`DEFAULT_VERSION_RETENTION`](ccdp_serve::registry::DEFAULT_VERSION_RETENTION));
     /// the *tighter* of the two wins.
     pub retain_versions: usize,
@@ -99,7 +98,7 @@ impl SchedulerConfig {
         self
     }
 
-    /// Sets the per-graph registry retention (0 = keep all versions).
+    /// Sets the per-graph registry retention (clamped to ≥ 1 when applied).
     pub fn with_retain_versions(mut self, retain: usize) -> Self {
         self.retain_versions = retain;
         self
@@ -113,8 +112,6 @@ pub enum ReleaseTrigger {
     Baseline,
     /// The mutation budget of [`ReleasePolicy::EveryKMutations`] elapsed.
     Mutations,
-    /// The drift threshold of [`ReleasePolicy::OnComponentDrift`] tripped.
-    Drift,
     /// [`ReleaseScheduler::release_now`] was called.
     Demand,
 }
@@ -125,7 +122,6 @@ impl ReleaseTrigger {
         match self {
             ReleaseTrigger::Baseline => "baseline",
             ReleaseTrigger::Mutations => "mutations",
-            ReleaseTrigger::Drift => "drift",
             ReleaseTrigger::Demand => "demand",
         }
     }
@@ -154,18 +150,12 @@ pub struct ReleaseRecord {
     pub trigger: ReleaseTrigger,
 }
 
-/// Per-stream trigger bookkeeping.
-#[derive(Clone, Copy, Debug)]
-struct TriggerState {
-    mutations_at_last: u64,
-    components_at_last: usize,
-}
-
 /// The continual-release engine over a serving [`Server`].
 pub struct ReleaseScheduler {
     config: SchedulerConfig,
     server: Arc<Server>,
-    state: Mutex<HashMap<GraphId, TriggerState>>,
+    /// Per stream: the mutation count at its last release.
+    state: Mutex<HashMap<GraphId, u64>>,
     /// Successful releases: the server's `ccdp_stream_releases_total`.
     releases_total: Counter,
 }
@@ -200,28 +190,18 @@ impl ReleaseScheduler {
         stream: &mut GraphStream,
         tenant: &TenantId,
     ) -> Result<Option<ReleaseRecord>, StreamError> {
-        // Copy the prior trigger state out before evaluating the policy:
-        // `num_components` can pay a post-deletion union-find rebuild, which
-        // must not run under the mutex shared by every stream's observe().
         let prior = self.lock_state().get(stream.id()).copied();
         let trigger = match (self.config.policy, prior) {
             // On-demand streams only release through `release_now`.
             (ReleasePolicy::OnDemand, _) => None,
             // The automatic policies fire a baseline on first sight.
             (_, None) => Some(ReleaseTrigger::Baseline),
-            (ReleasePolicy::EveryKMutations(k), Some(s)) => {
+            (ReleasePolicy::EveryKMutations(k), Some(at_last)) => {
                 // Saturating: a stream rebuilt under a previously seen id can
                 // report fewer mutations than the recorded state — that must
                 // read as "nothing elapsed", not an underflow.
-                let elapsed = stream
-                    .stats()
-                    .mutations_applied
-                    .saturating_sub(s.mutations_at_last);
+                let elapsed = stream.stats().mutations_applied.saturating_sub(at_last);
                 (elapsed >= k.max(1)).then_some(ReleaseTrigger::Mutations)
-            }
-            (ReleasePolicy::OnComponentDrift { threshold }, Some(s)) => {
-                let drift = stream.num_components().abs_diff(s.components_at_last);
-                (drift >= threshold.max(1)).then_some(ReleaseTrigger::Drift)
             }
         };
         match trigger {
@@ -310,10 +290,7 @@ impl ReleaseScheduler {
             .server
             .cache()
             .invalidate_versions_below(id.as_str(), version);
-        let expired = match self.config.retain_versions {
-            0 => 0,
-            keep => registry.retain_latest(&id, keep),
-        };
+        let expired = registry.retain_latest(&id, self.config.retain_versions);
         if invalidated > 0 || expired > 0 {
             self.server.journal().record(
                 AuditEvent::new(AuditKind::CacheInvalidation)
@@ -340,16 +317,11 @@ impl ReleaseScheduler {
 
     /// Advances the per-stream policy state to `snapshot`.
     fn mark_released(&self, id: &GraphId, snapshot: &GraphSnapshot) {
-        self.lock_state().insert(
-            id.clone(),
-            TriggerState {
-                mutations_at_last: snapshot.mutations_applied(),
-                components_at_last: snapshot.num_components(),
-            },
-        );
+        self.lock_state()
+            .insert(id.clone(), snapshot.mutations_applied());
     }
 
-    fn lock_state(&self) -> MutexGuard<'_, HashMap<GraphId, TriggerState>> {
+    fn lock_state(&self) -> MutexGuard<'_, HashMap<GraphId, u64>> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
@@ -414,28 +386,33 @@ mod tests {
         assert_eq!(sched.releases(), 2);
         // Both snapshots live in the registry.
         assert_eq!(server.registry().num_versions(), 2);
-    }
 
-    #[test]
-    fn drift_policy_fires_on_component_change() {
-        let sched = ReleaseScheduler::with_server(
-            SchedulerConfig::new(ReleasePolicy::OnComponentDrift { threshold: 2 }),
-            server(),
+        // The fire decision reads only the mutation count. A second stream,
+        // {0, 1, 2} and {3, 4}, takes four mutations that move its component
+        // count differently from the first stream's four (+1, 0, 0, 0): a
+        // merge (−1) and three edges inside a component (0). It fires at the
+        // same observations with the same triggers and versions.
+        let mut t = grow_stream("h", 2);
+        t.apply(&Mutation::insert(3, 3, 4)).unwrap();
+        assert_eq!(t.num_components(), 2);
+        let first = sched.observe(&mut t, &tenant).unwrap().unwrap();
+        assert_eq!(
+            (first.trigger, first.version),
+            (ReleaseTrigger::Baseline, GraphVersion::INITIAL)
         );
-        let tenant = TenantId::new("acme");
-        let mut s = grow_stream("g", 3); // path on 4 vertices, 1 component
-        let r = sched.observe(&mut s, &tenant).unwrap().unwrap();
-        assert_eq!(r.trigger, ReleaseTrigger::Baseline);
-        assert_eq!(r.true_components, 1);
-        // One extra component {4, 5} appears: drift 1 < 2.
-        s.apply(&Mutation::insert(10, 4, 5)).unwrap();
-        assert!(sched.observe(&mut s, &tenant).unwrap().is_none());
-        // Break the path twice: {0}, {1,2}, {3}, {4,5} — drift ≥ 2 fires.
-        s.apply(&Mutation::delete(11, 0, 1)).unwrap();
-        s.apply(&Mutation::delete(12, 2, 3)).unwrap();
-        let r = sched.observe(&mut s, &tenant).unwrap().unwrap();
-        assert_eq!(r.trigger, ReleaseTrigger::Drift);
-        assert_eq!(r.true_components, 4);
+        t.apply(&Mutation::insert(10, 2, 3)).unwrap();
+        t.apply(&Mutation::insert(11, 0, 2)).unwrap();
+        assert_eq!(t.num_components(), 1);
+        assert!(sched.observe(&mut t, &tenant).unwrap().is_none());
+        t.apply(&Mutation::insert(12, 1, 3)).unwrap();
+        t.apply(&Mutation::insert(13, 0, 4)).unwrap();
+        assert_eq!(t.num_components(), 1);
+        let second = sched.observe(&mut t, &tenant).unwrap().unwrap();
+        assert_eq!(
+            (second.trigger, second.version),
+            (ReleaseTrigger::Mutations, GraphVersion::new(1))
+        );
+        assert_eq!(sched.releases(), 4);
     }
 
     #[test]
@@ -586,7 +563,7 @@ mod tests {
             assert!(
                 server
                     .registry()
-                    .resolve_version(&id, GraphVersion::INITIAL)
+                    .resolve_arena(&id, Some(GraphVersion::INITIAL))
                     .is_err(),
                 "{case}: the refused snapshot must not stay resolvable"
             );
@@ -600,33 +577,36 @@ mod tests {
 
     #[test]
     fn superseded_versions_are_invalidated_and_expired() {
-        let server = server();
-        let sched = ReleaseScheduler::with_server(
-            SchedulerConfig::new(ReleasePolicy::OnDemand)
-                .with_epsilon(0.25)
-                .with_retain_versions(2),
-            Arc::clone(&server),
-        );
-        let tenant = TenantId::new("acme");
-        let mut s = grow_stream("g", 3);
-        for i in 0..5 {
-            sched.release_now(&mut s, &tenant).unwrap();
-            s.apply(&Mutation::insert(100 + i, 10 + i as usize, 11 + i as usize))
-                .unwrap();
+        // A retention of 0 clamps to 1: only the newest version stays.
+        for (retain, kept) in [(2, 2), (0, 1)] {
+            let server = server();
+            let sched = ReleaseScheduler::with_server(
+                SchedulerConfig::new(ReleasePolicy::OnDemand)
+                    .with_epsilon(0.25)
+                    .with_retain_versions(retain),
+                Arc::clone(&server),
+            );
+            let tenant = TenantId::new("acme");
+            let mut s = grow_stream("g", 3);
+            for i in 0..5 {
+                sched.release_now(&mut s, &tenant).unwrap();
+                s.apply(&Mutation::insert(100 + i, 10 + i as usize, 11 + i as usize))
+                    .unwrap();
+            }
+            // Registry retains only the `kept` newest versions.
+            let id = GraphId::new("g");
+            assert_eq!(server.registry().versions(&id).len(), kept, "{retain}");
+            assert_eq!(
+                server.registry().latest_version(&id),
+                Some(GraphVersion::new(4))
+            );
+            // Every release evaluated its own version's family: 5 misses, no
+            // cross-version replay, and superseded entries were invalidated.
+            let stats = server.cache_stats();
+            assert_eq!(stats.misses, 5);
+            assert_eq!(stats.hits, 0);
+            assert!(stats.invalidations >= 4, "{stats:?}");
         }
-        // Registry retains only the 2 newest versions.
-        let id = GraphId::new("g");
-        assert_eq!(server.registry().versions(&id).len(), 2);
-        assert_eq!(
-            server.registry().latest_version(&id),
-            Some(GraphVersion::new(4))
-        );
-        // Every release evaluated its own version's family: 5 misses, no
-        // cross-version replay, and superseded entries were invalidated.
-        let stats = server.cache_stats();
-        assert_eq!(stats.misses, 5);
-        assert_eq!(stats.hits, 0);
-        assert!(stats.invalidations >= 4, "{stats:?}");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! `ccdp` — the ops CLI of the networked serving stack.
 //!
-//! Thin subcommands over a service layer over the typed [`NetClient`]:
-//! the command layer only parses `KEY=VALUE` arguments and formats output,
-//! the service layer owns the client and the fleet lifecycle, and every
-//! failure is a typed [`CliError`] with a distinct exit code — never a
+//! Thin subcommands over the typed [`NetClient`]: each command parses its
+//! `KEY=VALUE` arguments, connects its own client and formats output, and
+//! every failure is a typed [`CliError`] with a distinct exit code — never a
 //! panic, never a stringly-typed guess.
 //!
 //! ```text
@@ -110,7 +109,7 @@ fn run(args: &[String]) -> Result<Outcome, CliError> {
 }
 
 // ---------------------------------------------------------------------------
-// Commands: parse keys, call the service, format output.
+// Commands: parse keys, call the server, format output.
 // ---------------------------------------------------------------------------
 
 fn cmd_serve(args: Args) -> Result<Outcome, CliError> {
@@ -207,8 +206,8 @@ fn provision_smoke_fleet(registry: &GraphRegistry, ledger: &BudgetLedger) {
 }
 
 fn cmd_estimate(args: Args) -> Result<Outcome, CliError> {
-    let mut service = OpsService::connect(args.str_or("addr", DEFAULT_ADDR))?;
-    let est = service.client.estimate(
+    let mut client = NetClient::connect(resolve(args.str_or("addr", DEFAULT_ADDR))?);
+    let est = client.estimate(
         args.require("tenant")?,
         args.require("graph")?,
         args.f64_req("epsilon")?,
@@ -242,10 +241,8 @@ fn cmd_ingest(args: Args) -> Result<Outcome, CliError> {
             ))
         }
     };
-    let mut service = OpsService::connect(args.str_or("addr", DEFAULT_ADDR))?;
-    let resp = service
-        .client
-        .ingest(args.require("graph")?, &edges, args.u64_opt("version")?)?;
+    let mut client = NetClient::connect(resolve(args.str_or("addr", DEFAULT_ADDR))?);
+    let resp = client.ingest(args.require("graph")?, &edges, args.u64_opt("version")?)?;
     println!(
         "published {}@v{}: {} vertices, {} edges",
         resp.graph, resp.version, resp.vertices, resp.edges
@@ -254,8 +251,8 @@ fn cmd_ingest(args: Args) -> Result<Outcome, CliError> {
 }
 
 fn cmd_health(args: Args) -> Result<Outcome, CliError> {
-    let mut service = OpsService::connect(args.str_or("addr", DEFAULT_ADDR))?;
-    let health = service.client.health()?;
+    let mut client = NetClient::connect(resolve(args.str_or("addr", DEFAULT_ADDR))?);
+    let health = client.health()?;
     println!(
         "{} (ready={}, accepting={}, draining={}, graphs={})",
         health.status, health.ready, health.accepting, health.draining, health.graphs
@@ -269,8 +266,8 @@ fn cmd_health(args: Args) -> Result<Outcome, CliError> {
 
 fn cmd_top(args: Args) -> Result<Outcome, CliError> {
     let addr = args.str_or("addr", DEFAULT_ADDR);
-    let mut service = OpsService::connect(addr)?;
-    let series = ccdp::obs::parse_exposition(&service.client.metrics()?);
+    let mut client = NetClient::connect(resolve(addr)?);
+    let series = ccdp::obs::parse_exposition(&client.metrics()?);
     // A series name in the exposition may carry labels (`name{k="v"}`);
     // headline numbers sum across them.
     let sum = |name: &str| -> f64 {
@@ -353,8 +350,8 @@ fn cmd_top(args: Args) -> Result<Outcome, CliError> {
 
 fn cmd_trace(args: Args) -> Result<Outcome, CliError> {
     let id = args.require("id")?;
-    let mut service = OpsService::connect(args.str_or("addr", DEFAULT_ADDR))?;
-    let tree = service.client.trace(id)?;
+    let mut client = NetClient::connect(resolve(args.str_or("addr", DEFAULT_ADDR))?);
+    let tree = client.trace(id)?;
     let total_ms = tree
         .get("total_nanos")
         .and_then(ccdp::serve::json::JsonValue::as_f64)
@@ -398,8 +395,8 @@ fn cmd_audit(args: Args) -> Result<Outcome, CliError> {
     use ccdp::serve::json::JsonValue;
     let tenant = args.require("tenant")?;
     let tail = args.u64_or("events", 20)? as usize;
-    let mut service = OpsService::connect(args.str_or("addr", DEFAULT_ADDR))?;
-    let audit = service.client.audit(tenant)?;
+    let mut client = NetClient::connect(resolve(args.str_or("addr", DEFAULT_ADDR))?);
+    let audit = client.audit(tenant)?;
 
     let f = |node: Option<&JsonValue>, key: &str| {
         node.and_then(|n| n.get(key))
@@ -468,23 +465,6 @@ fn cmd_audit(args: Args) -> Result<Outcome, CliError> {
         println!("{line}");
     }
     Ok(Outcome::Done)
-}
-
-// ---------------------------------------------------------------------------
-// Service layer: owns the typed client.
-// ---------------------------------------------------------------------------
-
-/// The connection a command operates through.
-struct OpsService {
-    client: NetClient,
-}
-
-impl OpsService {
-    fn connect(addr: &str) -> Result<Self, CliError> {
-        Ok(OpsService {
-            client: NetClient::connect(resolve(addr)?),
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------

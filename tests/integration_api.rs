@@ -95,26 +95,8 @@ proptest! {
     }
 
     #[test]
-    fn out_of_range_beta_yields_typed_error(beta in 1.0f64..100.0, below in -10.0f64..=0.0) {
-        for bad in [beta, below] {
-            let err = EstimatorConfig::new(1.0).with_beta(bad).validate().unwrap_err();
-            prop_assert_eq!(err, ConfigError::InvalidBeta { value: bad });
-        }
-    }
-
-    #[test]
-    fn bad_fraction_yields_typed_error(frac in 1.0f64..10.0) {
-        let config = EstimatorConfig::new(1.0).with_node_count_fraction(frac);
-        prop_assert_eq!(
-            config.validate().unwrap_err(),
-            ConfigError::InvalidNodeCountFraction { value: frac }
-        );
-        prop_assert!(PrivateCcEstimator::from_config(config).is_err());
-    }
-
-    #[test]
-    fn valid_configs_always_build(eps in 0.01f64..50.0, beta in 0.001f64..0.999, delta_max in 1usize..10_000) {
-        let config = EstimatorConfig::new(eps).with_beta(beta).with_delta_max(delta_max);
+    fn valid_configs_always_build(eps in 0.01f64..50.0, delta_max in 1usize..10_000) {
+        let config = EstimatorConfig::new(eps).with_delta_max(delta_max);
         prop_assert!(config.validate().is_ok());
         prop_assert!(PrivateCcEstimator::from_config(config.clone()).is_ok());
         prop_assert!(PrivateSpanningForestEstimator::from_config(config).is_ok());
@@ -155,10 +137,6 @@ fn degenerate_epsilons_are_rejected_without_panic() {
             "ε = {eps} must be rejected"
         );
     }
-    assert!(matches!(
-        EstimatorConfig::new(1.0).with_beta(f64::NAN).validate(),
-        Err(ConfigError::InvalidBeta { .. })
-    ));
     assert!(matches!(
         EstimatorConfig::new(1.0).with_delta_max(0).validate(),
         Err(ConfigError::InvalidDeltaMax { value: 0 })

@@ -4,7 +4,6 @@
 //! registry — all through the `ccdp` facade.
 
 use ccdp::prelude::*;
-use ccdp::stream::replay;
 use std::sync::Arc;
 
 /// A 2-worker server over a fresh registry, with one tenant of `quota` ε.
@@ -55,9 +54,9 @@ fn evolving_fleet_releases_match_their_snapshots() {
                 // Verified at release time, before retention can expire the
                 // snapshot: the release names a resolvable version whose
                 // from-scratch count matches the incremental one.
-                let snapshot = registry.resolve_version(&r.graph, r.version).unwrap();
+                let (_, snapshot) = registry.resolve_arena(&r.graph, Some(r.version)).unwrap();
                 assert_eq!(
-                    components::num_connected_components(snapshot.as_ref()),
+                    components::num_connected_components(&snapshot.to_graph()),
                     r.true_components,
                     "{}@{} diverged",
                     r.graph,
@@ -70,7 +69,7 @@ fn evolving_fleet_releases_match_their_snapshots() {
         // Retention keeps histories bounded without unpublishing.
         let id = GraphId::new(spec.graph_id(index));
         assert!(registry.versions(&id).len() <= 3);
-        assert!(registry.resolve(&id).is_ok());
+        assert!(registry.resolve_latest(&id).is_ok());
     }
     assert!(releases.len() >= spec.graphs * 4, "policy must keep firing");
     // No cross-version cache replay: one miss per release, no hits.
@@ -178,33 +177,4 @@ fn budget_exhaustion_stops_releases_not_ingestion() {
     let account = ledger.account_view(&tenant).unwrap();
     assert_eq!(account.grants, 2);
     assert!(account.remaining_epsilon < 1e-9);
-}
-
-#[test]
-fn archived_feeds_replay_into_identical_snapshots() {
-    // Serialize a feed, replay it into a second stream: identical graphs,
-    // identical counts, identical snapshot versions.
-    let spec = MutationSpec {
-        graphs: 1,
-        vertices: 16,
-        initial_avg_degree: 1.0,
-        mutations_per_graph: 50,
-        delete_fraction: 0.25,
-        seed: 3,
-    };
-    let script = spec.mutations(0);
-    let archived = replay::to_mutation_list(&script);
-    let replayed = replay::from_mutation_list(&archived).unwrap();
-    assert_eq!(script, replayed);
-
-    let mut live = spec.stream(0);
-    let mut restored = spec.stream(0);
-    live.apply_batch(&script).unwrap();
-    restored.apply_batch(&replayed).unwrap();
-    assert_eq!(live.graph(), restored.graph());
-    assert_eq!(live.num_components(), restored.num_components());
-    let (a, b) = (live.snapshot(), restored.snapshot());
-    assert_eq!(a.version(), b.version());
-    assert_eq!(a.num_components(), b.num_components());
-    assert_eq!(a.graph(), b.graph());
 }

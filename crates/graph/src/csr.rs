@@ -688,10 +688,10 @@ impl<'a> CsrComponent<'a> {
     }
 }
 
-/// FNV-1a offset basis folded with the vertex count, so graphs differing only
-/// in trailing isolated vertices fingerprint differently even with equal
-/// arrays... (they don't have equal arrays — `offsets` length differs — but
-/// seeding with n keeps the property obvious).
+/// FNV-1a offset basis folded with the vertex count. Graphs that differ only
+/// in trailing isolated vertices already hash different `offsets` arrays
+/// (one entry per vertex); seeding with n makes that separation explicit
+/// rather than a side effect of the array length.
 fn fingerprint_seed(n: usize) -> u128 {
     fnv1a_128(0x6c62_272e_07bb_0142_62b8_2175_6295_c58d, n as u32)
 }

@@ -3,7 +3,13 @@
 //! The format is the one used by most public graph repositories: an optional
 //! header line `# n m`, followed by one `u v` pair per line. Lines starting with
 //! `#` (other than the header) and blank lines are ignored.
+//!
+//! [`from_edge_list`] parses into an adjacency-list [`Graph`];
+//! [`from_edge_list_csr`] parses the same text straight into a [`CsrGraph`]
+//! arena, building no adjacency lists. Both run one validating pass,
+//! accept and refuse the same inputs, and agree on every accepted one.
 
+use crate::csr::CsrGraph;
 use crate::graph::Graph;
 
 /// Largest vertex count an edge list may declare in its header or imply by
@@ -80,6 +86,22 @@ pub fn from_edge_list(text: &str) -> Result<Graph, ParseError> {
     let mut edges: Vec<(usize, usize)> = Vec::new();
     let n = scan(text, |u, v| edges.push((u, v)))?;
     Ok(Graph::from_edges(n, &edges))
+}
+
+/// Parses the same text as [`from_edge_list`] straight into a CSR arena:
+/// one validating pass collects the edges, self-loops skipped, and
+/// [`CsrGraph::from_edge_stream`] lays them out, collapsing duplicate and
+/// reversed pairs. The result equals `CsrGraph::from_graph` of
+/// [`from_edge_list`]'s graph, and a refusal is the same [`ParseError`].
+pub fn from_edge_list_csr(text: &str) -> Result<CsrGraph, ParseError> {
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    // The vertex cap (2^24) keeps every endpoint within `u32`.
+    let n = scan(text, |u, v| {
+        if u != v {
+            edges.push((u as u32, v as u32));
+        }
+    })?;
+    Ok(CsrGraph::from_edge_stream(n, || edges.iter().copied()))
 }
 
 /// The validating pass of the parser: checks every line, hands each edge to
@@ -236,6 +258,50 @@ mod tests {
         for text in ["0 9\n# 3 1\n", "0 9\n# 3 1\n1 2\n"] {
             assert_eq!(from_edge_list(text).unwrap().num_vertices(), 10);
         }
+    }
+
+    #[test]
+    fn csr_parser_agrees_with_the_graph_parser() {
+        let accepted = [
+            // Header, comments, blank lines, duplicate and reversed pairs,
+            // self-loops, and trailing isolated vertices the header declares.
+            "# 8 6\n# comment\n\n0 1\n1 0\n0 1\n2 2\n  3 4  \n\n4 3\n",
+            // No header: the count is the largest endpoint plus one.
+            "5 2\n2 5\n1 1\n# late comment\n0 3\n",
+            // Only self-loops and isolated vertices.
+            "# 4 2\n1 1\n3 3\n",
+            // A header after the first edge is a comment.
+            "0 9\n# 3 1\n1 2\n",
+            "",
+            "# 0 0\n",
+        ];
+        for text in accepted {
+            let graph = from_edge_list(text).unwrap();
+            let arena = from_edge_list_csr(text).unwrap();
+            assert_eq!(arena, CsrGraph::from_graph(&graph), "{text:?}");
+        }
+        let isolated = from_edge_list_csr("# 8 1\n0 1\n").unwrap();
+        assert_eq!((isolated.num_vertices(), isolated.num_edges()), (8, 1));
+        let refused = [
+            "0 1\n\nnot-an-edge\n",
+            "# 3 1\n0 1\n1 7\n",
+            "# 3 1\n2 2\n0 3\n",
+            "0 1\n1\n",
+            &format!("0 1\n1 {DEFAULT_MAX_VERTICES}\n"),
+            &format!("# {} 0\n", DEFAULT_MAX_VERTICES + 1),
+        ];
+        for text in refused {
+            let err = from_edge_list(text).unwrap_err();
+            assert_eq!(from_edge_list_csr(text).unwrap_err(), err, "{text:?}");
+        }
+        assert!(matches!(
+            from_edge_list_csr("# 3 1\n2 2\n0 3\n"),
+            Err(ParseError::VertexOutOfRange {
+                line_number: 3,
+                vertex: 3,
+                ..
+            })
+        ));
     }
 
     #[test]

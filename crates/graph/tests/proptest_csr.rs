@@ -1,9 +1,11 @@
 //! Property-based tests for the CSR arena: `CsrGraph` must be a lossless,
 //! structurally faithful view of `Graph` for every graph the generators can
 //! produce, and the component partition must slice the arena exactly the way
-//! induced subgraphs would.
+//! induced subgraphs would. The edge-list parser that builds the arena
+//! directly must agree with the `Graph` parser on every input.
 
 use ccdp_graph::generators;
+use ccdp_graph::io::{from_edge_list, from_edge_list_csr};
 use ccdp_graph::subgraph::induced_subgraph;
 use ccdp_graph::{CsrGraph, Graph};
 use proptest::prelude::*;
@@ -48,6 +50,38 @@ fn arb_generated_graph() -> impl Strategy<Value = Graph> {
             _ => generators::random_geometric(n, 0.4, &mut rng),
         }
     })
+}
+
+/// Strategy: edge-list text mixing edges (duplicate, reversed and
+/// self-loop pairs included), comments, blank lines, malformed lines and an
+/// optional `# n m` header that may be too small for the endpoints.
+fn arb_edge_list() -> impl Strategy<Value = String> {
+    let line = (0u8..10, 0usize..12, 0usize..12);
+    (
+        any::<bool>(),
+        0usize..16,
+        proptest::collection::vec(line, 0..40),
+    )
+        .prop_map(|(header, n, lines)| {
+            let mut text = String::new();
+            if header {
+                text.push_str(&format!("# {n} {}\n", lines.len()));
+            }
+            for (kind, u, v) in lines {
+                let line = match kind {
+                    0..=5 => format!("{u} {v}"),
+                    6 => format!("{u} {u}"),
+                    7 => "# a comment".to_string(),
+                    8 => "   ".to_string(),
+                    // Rare, so most drawn lists are accepted.
+                    _ if u == 0 => format!("{u} x{v}"),
+                    _ => format!("{v}\t{u}  "),
+                };
+                text.push_str(&line);
+                text.push('\n');
+            }
+            text
+        })
 }
 
 fn assert_csr_round_trips(g: &Graph) {
@@ -122,5 +156,13 @@ proptest! {
             prop_assert_eq!(local.edge_vec(), induced.edge_vec());
         }
         prop_assert_eq!(seen, g.num_vertices());
+    }
+
+    #[test]
+    fn csr_parser_matches_the_graph_parser(text in arb_edge_list()) {
+        // Accepted: the same arena `from_graph` builds. Refused: the same
+        // error, line number included.
+        let expected = from_edge_list(&text).map(|g| CsrGraph::from_graph(&g));
+        prop_assert_eq!(from_edge_list_csr(&text), expected, "{}", text);
     }
 }

@@ -634,8 +634,9 @@ fn write_audit_event(w: &mut JsonWriter, event: &AuditEvent) {
     w.end();
 }
 
-/// `POST /ingest` — `{"graph", "edges", "version"?}` publishes an edge-list
-/// snapshot: at the explicit version when pinned, else as latest-plus-one.
+/// `POST /ingest` — `{"graph", "edges", "version"?}` parses the edge list
+/// straight into a CSR arena and publishes it: at the explicit version when
+/// pinned, else as latest-plus-one.
 fn route_ingest(request: &Request, shared: &Shared) -> Result<String, NetError> {
     let body = parse_body(request)?;
     let id = require_str(&body, "graph")?;
@@ -655,7 +656,8 @@ fn route_ingest(request: &Request, shared: &Shared) -> Result<String, NetError> 
         }
         None => {
             let graph = Arc::new(
-                ccdp_graph::io::from_edge_list(edges).map_err(ccdp_serve::ServeError::Ingest)?,
+                ccdp_graph::io::from_edge_list_csr(edges)
+                    .map_err(ccdp_serve::ServeError::Ingest)?,
             );
             // The registry picks latest-plus-one under its shard lock, so
             // concurrent unpinned ingests never collide.

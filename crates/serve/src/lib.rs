@@ -6,9 +6,10 @@
 //! hand-roll around [`PrivateCcEstimator`](ccdp_core::PrivateCcEstimator):
 //!
 //! * [`registry`] — the sharded, lock-striped, version-aware
-//!   [`GraphRegistry`]: a shared catalog of immutable `Arc<Graph>` snapshot
-//!   histories (insert/resolve by `(GraphId, GraphVersion)`, a latest
-//!   pointer, expiry of stale versions) with plain-text edge-list ingestion.
+//!   [`GraphRegistry`]: a shared catalog of immutable snapshot histories,
+//!   each snapshot one `Arc<CsrGraph>` arena (insert/resolve by
+//!   `(GraphId, GraphVersion)`, a latest pointer, expiry of stale versions)
+//!   with plain-text edge-list ingestion straight into CSR.
 //! * [`ledger`] — the per-tenant [`BudgetLedger`]: one
 //!   [`PrivacyBudget`](ccdp_dp::PrivacyBudget) accountant per tenant behind a
 //!   per-tenant lock, so no interleaving of concurrent requests can overdraw

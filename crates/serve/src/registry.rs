@@ -8,9 +8,11 @@
 //! lock, and graphs are handed out as `Arc`s so requests share storage with
 //! the registry instead of cloning edge lists.
 //!
-//! Every published snapshot holds its `Arc<Graph>` and the one
-//! `Arc<CsrGraph>` arena built from it at publish — before the shard lock is
-//! taken, so no O(n + m) work ever runs under a registry lock. Requests
+//! Every published snapshot is one `Arc<CsrGraph>` arena and nothing else.
+//! A publish takes anything that converts through [`IntoArena`]: an arena
+//! already shared by its builder (a stream snapshot, an ingested edge list)
+//! is stored as is, and a `Graph` is converted once, before the shard lock
+//! is taken, so no O(n + m) work ever runs under a registry lock. Requests
 //! resolve the arena ([`GraphRegistry::resolve_arena`]) and release on it:
 //! the arena memoizes its fingerprint and component count, and the family
 //! cache confirms a hit on it by pointer equality, so a cache hit on a
@@ -21,11 +23,10 @@
 //! mutates, requests resolve either a pinned `(id, version)` pair or the
 //! latest pointer, and stale versions can be expired without disturbing the
 //! frontier. Expired snapshots are split out under the shard lock but freed
-//! after it is released, so freeing their graphs and arenas — O(n + m) —
-//! never runs under a registry lock either. Publishing the same
-//! `(id, version)` twice is a typed [`ServeError::VersionExists`] refusal —
-//! snapshots are immutable, so re-publishing could only mean two different
-//! graphs claiming one identity.
+//! after it is released, so freeing their arenas never runs under a registry
+//! lock either. Publishing the same `(id, version)` twice is a typed
+//! [`ServeError::VersionExists`] refusal — snapshots are immutable, so
+//! re-publishing could only mean two different graphs claiming one identity.
 
 use crate::error::ServeError;
 use ccdp_graph::{io, CsrGraph, Graph, GraphVersion};
@@ -45,31 +46,43 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// republishes one id forever holds bounded memory.
 pub const DEFAULT_VERSION_RETENTION: usize = 8;
 
-/// One published snapshot: the graph and the CSR arena built from it.
-#[derive(Debug)]
-struct Published {
-    graph: Arc<Graph>,
-    arena: Arc<CsrGraph>,
+/// What a publish accepts: a shared CSR arena, or an adjacency-list graph,
+/// owned or shared. The one conversion point of [`GraphRegistry::insert`] and
+/// [`GraphRegistry::insert_version`]; the registry calls it before taking a
+/// shard lock.
+pub trait IntoArena {
+    /// The arena the registry stores: a shared arena as is, anything else
+    /// built once with [`CsrGraph::from_graph`] (O(n + m)).
+    fn into_arena(self) -> Arc<CsrGraph>;
 }
 
-impl Published {
-    /// Builds the snapshot's arena — O(n + m), so callers run it before
-    /// taking a shard lock.
-    fn new(graph: Arc<Graph>) -> Self {
-        let arena = Arc::new(CsrGraph::from_graph(&graph));
-        Published { graph, arena }
+impl IntoArena for Arc<CsrGraph> {
+    fn into_arena(self) -> Arc<CsrGraph> {
+        self
+    }
+}
+
+impl IntoArena for Graph {
+    fn into_arena(self) -> Arc<CsrGraph> {
+        Arc::new(CsrGraph::from_graph(&self))
+    }
+}
+
+impl IntoArena for Arc<Graph> {
+    fn into_arena(self) -> Arc<CsrGraph> {
+        Arc::new(CsrGraph::from_graph(&self))
     }
 }
 
 /// The version history of one catalog id. The `BTreeMap` keeps versions
 /// ordered, so the latest pointer is the last key and range expiry is a
 /// split.
-type History = BTreeMap<GraphVersion, Published>;
+type History = BTreeMap<GraphVersion, Arc<CsrGraph>>;
 
 type Shard = HashMap<GraphId, History>;
 
 /// A sharded map from [`GraphId`] to a version history of published
-/// snapshots, each an `Arc<Graph>` plus its `Arc<CsrGraph>` arena.
+/// snapshots, each one `Arc<CsrGraph>` arena.
 #[derive(Debug)]
 pub struct GraphRegistry {
     shards: Vec<RwLock<Shard>>,
@@ -143,13 +156,13 @@ impl GraphRegistry {
     /// Prior versions are retained up to [`DEFAULT_VERSION_RETENTION`] —
     /// republishing one id forever holds bounded memory (see also
     /// [`GraphRegistry::retain_latest`] for explicit expiry).
-    pub fn insert(&self, id: impl Into<GraphId>, graph: impl Into<Arc<Graph>>) -> GraphVersion {
+    pub fn insert(&self, id: impl Into<GraphId>, graph: impl IntoArena) -> GraphVersion {
         let id = id.into();
-        let published = Published::new(graph.into());
+        let arena = graph.into_arena();
         let mut shard = self.write(&id);
         let history = shard.entry(id.clone()).or_default();
         let version = next_version(history);
-        history.insert(version, published);
+        history.insert(version, arena);
         let expired = split_off_oldest(history, DEFAULT_VERSION_RETENTION);
         drop(shard);
         drop(expired);
@@ -157,9 +170,9 @@ impl GraphRegistry {
         version
     }
 
-    /// Publishes `graph` under the exact `(id, version)` pair (takes a
-    /// `Graph` or an `Arc<Graph>` — an already-shared snapshot is published
-    /// without copying).
+    /// Publishes `graph` under the exact `(id, version)` pair and returns
+    /// the stored arena (see [`IntoArena`]: an already-shared arena is
+    /// published without copying).
     ///
     /// # Errors
     /// [`ServeError::VersionExists`] if that snapshot is already published
@@ -171,11 +184,10 @@ impl GraphRegistry {
         &self,
         id: impl Into<GraphId>,
         version: GraphVersion,
-        graph: impl Into<Arc<Graph>>,
-    ) -> Result<Arc<Graph>, ServeError> {
+        graph: impl IntoArena,
+    ) -> Result<Arc<CsrGraph>, ServeError> {
         let id = id.into();
-        let published = Published::new(graph.into());
-        let graph = Arc::clone(&published.graph);
+        let arena = graph.into_arena();
         let mut shard = self.write(&id);
         let history = shard.entry(id.clone()).or_default();
         if history.contains_key(&version) {
@@ -192,16 +204,17 @@ impl GraphRegistry {
                 }
             }
         }
-        history.insert(version, published);
+        history.insert(version, Arc::clone(&arena));
         let expired = split_off_oldest(history, DEFAULT_VERSION_RETENTION);
         drop(shard);
         drop(expired);
         self.audit_publish(&id, version, "published at explicit version");
-        Ok(graph)
+        Ok(arena)
     }
 
-    /// Parses `text` as a plain-text edge list (see [`ccdp_graph::io`]) and
-    /// publishes the graph under the exact `(id, version)` pair.
+    /// Parses `text` as a plain-text edge list straight into a CSR arena
+    /// (see [`io::from_edge_list_csr`]) and publishes it under the exact
+    /// `(id, version)` pair.
     ///
     /// # Errors
     /// [`ServeError::Ingest`] on a malformed edge list, and the refusals of
@@ -213,9 +226,9 @@ impl GraphRegistry {
         id: impl Into<GraphId>,
         version: GraphVersion,
         text: &str,
-    ) -> Result<Arc<Graph>, ServeError> {
-        let graph = io::from_edge_list(text)?;
-        self.insert_version(id, version, graph)
+    ) -> Result<Arc<CsrGraph>, ServeError> {
+        let arena = io::from_edge_list_csr(text)?;
+        self.insert_version(id, version, Arc::new(arena))
     }
 
     /// The latest published version of `id`, if any.
@@ -235,9 +248,13 @@ impl GraphRegistry {
     }
 
     /// Resolves the latest snapshot of `id` together with its version, or
-    /// reports the typed refusal a request would get.
+    /// reports the typed refusal a request would get. The registry stores
+    /// only arenas, so each call builds a fresh adjacency-list `Graph` from
+    /// the arena (O(n + m), outside the shard lock); requests resolve the
+    /// arena itself with [`resolve_arena`](Self::resolve_arena).
     pub fn resolve_latest(&self, id: &GraphId) -> Result<(GraphVersion, Arc<Graph>), ServeError> {
-        self.lookup(id, None, |p| Arc::clone(&p.graph))
+        let (version, arena) = self.resolve_arena(id, None)?;
+        Ok((version, Arc::new(arena.to_graph())))
     }
 
     /// Resolves the CSR arena published for `id` — at the pinned `version`,
@@ -251,17 +268,6 @@ impl GraphRegistry {
         id: &GraphId,
         version: Option<GraphVersion>,
     ) -> Result<(GraphVersion, Arc<CsrGraph>), ServeError> {
-        self.lookup(id, version, |p| Arc::clone(&p.arena))
-    }
-
-    /// The one read path: finds the pinned or latest snapshot of `id` under
-    /// the shard's read lock and hands `pick` of it out.
-    fn lookup<T>(
-        &self,
-        id: &GraphId,
-        version: Option<GraphVersion>,
-        pick: impl FnOnce(&Published) -> T,
-    ) -> Result<(GraphVersion, T), ServeError> {
         let shard = self.read(id);
         let history = shard
             .get(id)
@@ -270,14 +276,14 @@ impl GraphRegistry {
             Some(v) => history.get_key_value(&v),
             None => history.last_key_value(),
         };
-        let (&v, published) = found.ok_or_else(|| match version {
+        let (&v, arena) = found.ok_or_else(|| match version {
             Some(version) => ServeError::UnknownVersion {
                 graph: id.clone(),
                 version,
             },
             None => ServeError::UnknownGraph { graph: id.clone() },
         })?;
-        Ok((v, pick(published)))
+        Ok((v, Arc::clone(arena)))
     }
 
     /// Keeps only the `keep` most recent snapshots of `id` (≥ 1), returning
@@ -301,14 +307,14 @@ impl GraphRegistry {
     /// scheduler unwinding a publish whose release was refused before its
     /// budget charge). Concurrent readers that already resolved the snapshot
     /// keep their `Arc` — removal unlists, it never invalidates.
-    pub fn remove_version(&self, id: &GraphId, version: GraphVersion) -> Option<Arc<Graph>> {
+    pub fn remove_version(&self, id: &GraphId, version: GraphVersion) -> Option<Arc<CsrGraph>> {
         let mut shard = self.write(id);
         let history = shard.get_mut(id)?;
         let removed = history.remove(&version);
         if history.is_empty() {
             shard.remove(id);
         }
-        removed.map(|p| p.graph)
+        removed
     }
 
     /// Number of catalog ids across all shards (not versions; see
@@ -388,7 +394,10 @@ mod tests {
         assert_eq!(*old, g);
         assert_eq!(reg.len(), 1);
         // Removing the last version drops the id.
-        assert_eq!(*reg.remove_version(&id, GraphVersion::INITIAL).unwrap(), g);
+        assert_eq!(
+            *reg.remove_version(&id, GraphVersion::INITIAL).unwrap(),
+            CsrGraph::from_graph(&g)
+        );
         assert!(reg.remove_version(&id, GraphVersion::new(1)).is_some());
         assert!(reg.remove_version(&id, GraphVersion::new(1)).is_none());
         assert!(reg.is_empty());
@@ -524,6 +533,36 @@ mod tests {
     }
 
     #[test]
+    fn every_publish_input_converts_to_the_same_arena() {
+        // A shared arena is stored as is; a `Graph` and an `Arc<Graph>` both
+        // store the arena `from_graph` builds.
+        let reg = GraphRegistry::new();
+        let g = generators::caveman(3, 4);
+        let expected = CsrGraph::from_graph(&g);
+        let shared = Arc::new(expected.clone());
+        let stored = reg
+            .insert_version("g", GraphVersion::new(0), Arc::clone(&shared))
+            .unwrap();
+        assert!(Arc::ptr_eq(&stored, &shared));
+        let stored = reg
+            .insert_version("g", GraphVersion::new(1), g.clone())
+            .unwrap();
+        assert_eq!(*stored, expected);
+        reg.insert("g", Arc::new(g.clone()));
+        let id = GraphId::new("g");
+        for v in 0..3 {
+            let (_, arena) = reg.resolve_arena(&id, Some(GraphVersion::new(v))).unwrap();
+            assert_eq!(*arena, expected, "version {v}");
+        }
+        // The one `Graph` view left is built from the arena on demand.
+        let (v, graph) = reg.resolve_latest(&id).unwrap();
+        assert_eq!((v, &*graph), (GraphVersion::new(2), &g));
+        // Removal hands the arena back.
+        let removed = reg.remove_version(&id, GraphVersion::new(0)).unwrap();
+        assert!(Arc::ptr_eq(&removed, &shared));
+    }
+
+    #[test]
     fn ingestion_parses_edge_lists_and_rejects_garbage() {
         let reg = GraphRegistry::new();
         let g = reg
@@ -584,19 +623,19 @@ mod tests {
         let reg = GraphRegistry::new();
         let id = GraphId::new("g");
         let v0 = reg.insert(id.clone(), generators::path(2));
-        let (_, graph) = reg.resolve_latest(&id).unwrap();
+        let (_, latest) = reg.resolve_arena(&id, None).unwrap();
         for n in 3..2 + DEFAULT_VERSION_RETENTION {
             reg.insert(id.clone(), generators::path(n));
         }
         let (_, arena) = reg.resolve_arena(&id, Some(v0)).unwrap();
+        assert!(Arc::ptr_eq(&latest, &arena));
+        drop(latest);
 
         // Publish-time retention expires v0.
         reg.insert(id.clone(), generators::path(100));
         assert!(reg.resolve_arena(&id, Some(v0)).is_err());
-        assert_eq!(Arc::strong_count(&graph), 1);
         assert_eq!(Arc::strong_count(&arena), 1);
-        assert_eq!(*graph, generators::path(2));
-        assert!(arena.matches_graph(&graph));
+        assert!(arena.matches_graph(&generators::path(2)));
 
         // Explicit expiry: counts are unchanged by freeing outside the lock.
         let v1 = GraphVersion::new(1);

@@ -8,7 +8,8 @@
 //! * [`stream`] — [`GraphStream`]: timestamped edge insertions/deletions
 //!   (single and batched), incremental component counts (union-find in
 //!   insert-only epochs, lazy epoch compaction + rebuild on deletions), and
-//!   immutable versioned [`GraphSnapshot`]s.
+//!   immutable versioned [`GraphSnapshot`]s, each one CSR arena the
+//!   registry publishes as is.
 //! * [`scheduler`] — [`ReleaseScheduler`]: fires DP re-estimation by
 //!   [`ReleasePolicy`] (every k mutations or on demand — never on the
 //!   graph's contents),

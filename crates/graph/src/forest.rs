@@ -17,15 +17,14 @@
 //! * [`delta_star_exact`]: an exact branch-and-bound search intended for small
 //!   graphs, used by tests and the optimality experiments.
 
-use crate::csr::{ComponentPartition, CsrComponent};
+use crate::csr::{ComponentPartition, CsrComponent, CsrGraph};
 use crate::graph::Graph;
 use crate::unionfind::UnionFind;
 
 /// The minimal graph interface the constructive forest machinery needs, so the
-/// same code runs on the adjacency-list [`Graph`] and on one component of a
-/// [`CsrGraph`](crate::CsrGraph) partition without duplicating the repair
-/// logic. Private by design: the public surface stays the concrete `Graph`
-/// and per-component entry points.
+/// same code runs on the adjacency-list [`Graph`], the flat [`CsrGraph`] and
+/// one component of a CSR partition without duplicating the repair logic.
+/// Private by design: the public surface stays the concrete entry points.
 trait ForestHost {
     fn num_vertices(&self) -> usize;
     fn degree(&self, v: usize) -> usize;
@@ -53,6 +52,29 @@ impl ForestHost for Graph {
     }
     fn first_neighbor_where(&self, v: usize, pred: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
         self.neighbors(v).iter().copied().find(|&w| pred(w))
+    }
+}
+
+impl ForestHost for CsrGraph {
+    fn num_vertices(&self) -> usize {
+        CsrGraph::num_vertices(self)
+    }
+    fn degree(&self, v: usize) -> usize {
+        CsrGraph::degree(self, v)
+    }
+    fn has_edge(&self, u: usize, v: usize) -> bool {
+        CsrGraph::has_edge(self, u, v)
+    }
+    fn for_each_neighbor(&self, v: usize, f: &mut dyn FnMut(usize)) {
+        for &w in self.neighbors(v) {
+            f(w as usize);
+        }
+    }
+    fn first_neighbor_where(&self, v: usize, pred: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
+        self.neighbors(v)
+            .iter()
+            .map(|&w| w as usize)
+            .find(|&w| pred(w))
     }
 }
 
@@ -280,12 +302,14 @@ fn elimination_order<H: ForestHost + ?Sized>(g: &H) -> Vec<(usize, bool)> {
 /// Panics if `delta == 0`.
 pub fn bounded_degree_spanning_forest(g: &Graph, delta: usize) -> Option<SpanningForest> {
     assert!(delta >= 1, "delta must be at least 1");
-    capacity_bounded_spanning_forest(g, &vec![delta; g.num_vertices()])
+    capacity_bounded_forest_host(g, &vec![delta; g.num_vertices()], g.num_vertices())
 }
 
-/// Heterogeneous-capacity generalization of [`bounded_degree_spanning_forest`]:
-/// looks for a spanning forest in which every vertex `v` has degree at most
-/// `caps[v]`, by the same insertion-with-local-repairs procedure.
+/// Heterogeneous-capacity generalization of [`bounded_degree_spanning_forest`]
+/// on a CSR graph: looks for a spanning forest in which every vertex `v` has
+/// degree at most `caps[v]`, by the same insertion-with-local-repairs
+/// procedure. Both rows are sorted, so on the same graph and uniform
+/// capacities it builds the same forest as the adjacency-list search.
 ///
 /// With uniform capacities this is exactly the constructive proof of
 /// Lemma 1.8 (guaranteed to succeed when `G` has no induced Δ-star). With
@@ -298,15 +322,8 @@ pub fn bounded_degree_spanning_forest(g: &Graph, delta: usize) -> Option<Spannin
 ///
 /// # Panics
 /// Panics if `caps.len() != g.num_vertices()`.
-pub fn capacity_bounded_spanning_forest(g: &Graph, caps: &[usize]) -> Option<SpanningForest> {
-    let result = capacity_bounded_forest_host(g, caps, g.num_vertices());
-    if let Some(f) = &result {
-        debug_assert!(
-            f.is_spanning_forest_of(g),
-            "local repair must preserve the spanning forest"
-        );
-    }
-    result
+pub fn capacity_bounded_spanning_forest(g: &CsrGraph, caps: &[usize]) -> Option<SpanningForest> {
+    capacity_bounded_forest_host(g, caps, g.num_vertices())
 }
 
 /// [`bounded_degree_spanning_forest`] on component `c` of a CSR partition,
@@ -659,6 +676,25 @@ mod tests {
                     .expect("Lemma 1.8: no induced Δ-star implies spanning Δ-forest");
                 assert!(f.is_spanning_forest_of(&g));
                 assert!(f.max_degree() <= delta.max(1));
+            }
+        }
+    }
+
+    #[test]
+    fn csr_forest_matches_adjacency_forest() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for n in [6, 12, 20] {
+            for p in [0.1, 0.25, 0.5] {
+                let g = generators::erdos_renyi(n, p, &mut rng);
+                let csr = CsrGraph::from_graph(&g);
+                for delta in 1..=4usize {
+                    let a = bounded_degree_spanning_forest(&g, delta);
+                    let b = capacity_bounded_spanning_forest(&csr, &vec![delta; n]);
+                    assert_eq!(a, b, "n={n} p={p} delta={delta}");
+                    if let Some(f) = b {
+                        assert!(f.is_spanning_forest_of(&g));
+                    }
+                }
             }
         }
     }

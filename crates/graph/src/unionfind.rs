@@ -18,7 +18,7 @@ impl UnionFind {
     /// # Panics
     /// Panics if `n` exceeds `u32` indexing.
     pub fn new(n: usize) -> Self {
-        assert_fits_u32(n);
+        assert!(n < u32::MAX as usize, "UnionFind universe exceeds u32");
         UnionFind {
             parent: (0..n as u32).collect(),
             rank: vec![0; n],
@@ -39,20 +39,6 @@ impl UnionFind {
     /// Number of disjoint sets currently maintained.
     pub fn num_sets(&self) -> usize {
         self.num_sets
-    }
-
-    /// Grows the universe to `n` elements, adding the new ones as singleton
-    /// sets. A no-op when `n` is not larger than the current length.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds `u32` indexing.
-    pub fn grow(&mut self, n: usize) {
-        assert_fits_u32(n);
-        while self.parent.len() < n {
-            self.parent.push(self.parent.len() as u32);
-            self.rank.push(0);
-            self.num_sets += 1;
-        }
     }
 
     /// Representative of the set containing `x` (with path compression).
@@ -93,10 +79,6 @@ impl UnionFind {
     pub fn connected(&mut self, x: usize, y: usize) -> bool {
         self.find(x) == self.find(y)
     }
-}
-
-fn assert_fits_u32(n: usize) {
-    assert!(n < u32::MAX as usize, "UnionFind universe exceeds u32");
 }
 
 #[cfg(test)]
@@ -142,22 +124,6 @@ mod tests {
         let uf = UnionFind::new(0);
         assert!(uf.is_empty());
         assert_eq!(uf.num_sets(), 0);
-    }
-
-    #[test]
-    fn grow_adds_singletons() {
-        let mut uf = UnionFind::new(2);
-        uf.union(0, 1);
-        uf.grow(5);
-        assert_eq!(uf.len(), 5);
-        assert_eq!(uf.num_sets(), 4);
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(1, 4));
-        uf.union(2, 4);
-        assert_eq!(uf.num_sets(), 3);
-        // Shrinking requests are no-ops.
-        uf.grow(3);
-        assert_eq!(uf.len(), 5);
     }
 
     #[test]

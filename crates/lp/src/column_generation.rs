@@ -37,7 +37,6 @@ use crate::cutting_plane::CuttingPlaneState;
 use crate::simplex::IncrementalSimplex;
 use crate::solver::{PolytopeError, PolytopeSolution};
 use ccdp_graph::unionfind::UnionFind;
-use ccdp_graph::Graph;
 
 /// A generated forest prices positive only above this threshold; on
 /// termination the master value is within this of the true optimum.
@@ -48,9 +47,6 @@ const GAP_TOL: f64 = 1e-6;
 
 /// Hard bound on combined engine steps (a stall backstop far above need).
 const MAX_STEPS: usize = 6000;
-
-/// Per-round cut budget of the embedded cutting-plane engine.
-const CUTS_PER_ROUND: usize = 64;
 
 /// Pieces with more than this many vertices + edges run column generation
 /// alone: the cutting-plane engine's dense tableau (one variable per edge)
@@ -70,9 +66,9 @@ const CUT_ENGINE_MAX_WORK: usize = 8192;
 
 /// Stepwise column generation over forests for one connected component with
 /// per-vertex degree capacities.
-struct ColumnGenState {
-    edges: Vec<(usize, usize)>,
-    caps: Vec<f64>,
+struct ColumnGenState<'a> {
+    edges: &'a [(usize, usize)],
+    caps: &'a [f64],
     /// Master row index of each vertex, or `usize::MAX` for vertices whose
     /// capacity constraint is redundant (`cap_v ≥ deg_v`): every column is a
     /// forest, so `Σ_F λ_F deg_F(v) ≤ deg_v` holds for any convex
@@ -109,12 +105,17 @@ struct ColumnGenState {
     stuck: bool,
 }
 
-impl ColumnGenState {
-    fn new(g: &Graph, caps: &[f64]) -> Self {
-        let mut row_of_vertex = vec![usize::MAX; g.num_vertices()];
+impl<'a> ColumnGenState<'a> {
+    fn new(n: usize, edges: &'a [(usize, usize)], caps: &'a [f64]) -> Self {
+        let mut degree = vec![0usize; n];
+        for &(a, b) in edges {
+            degree[a] += 1;
+            degree[b] += 1;
+        }
+        let mut row_of_vertex = vec![usize::MAX; n];
         let mut rows = 0usize;
         for (v, slot) in row_of_vertex.iter_mut().enumerate() {
-            if caps[v] < g.degree(v) as f64 {
+            if caps[v] < degree[v] as f64 {
                 *slot = rows;
                 rows += 1;
             }
@@ -134,8 +135,8 @@ impl ColumnGenState {
             .add_constraint(&[], 1.0)
             .expect("convexity rhs is positive");
         ColumnGenState {
-            edges: g.edge_vec(),
-            caps: caps.to_vec(),
+            edges,
+            caps,
             row_of_vertex,
             rows,
             columns: Vec::new(),
@@ -143,7 +144,7 @@ impl ColumnGenState {
             master,
             lower_bound: 0.0,
             upper_bound: f64::INFINITY,
-            best_point: vec![0.0; g.num_edges()],
+            best_point: vec![0.0; edges.len()],
             lp_iterations: 0,
             lp_solves: 0,
             priced_out: false,
@@ -272,23 +273,25 @@ impl ColumnGenState {
     }
 }
 
-/// Exactly solves one connected component with per-vertex degree capacities
-/// by interleaving column generation (lower bounds) and cutting planes
-/// (upper bounds), cost-balanced by pivots spent. Terminates when either
-/// engine finishes exactly or when the bounds meet within [`GAP_TOL`].
+/// Exactly solves one connected component — `n` vertices and its canonical
+/// edge list (pairs `(u, v)` with `u < v`, sorted), which is also the order
+/// of the returned weights — with per-vertex degree capacities by
+/// interleaving column generation (lower bounds) and cutting planes (upper
+/// bounds), cost-balanced by pivots spent. Terminates when either engine
+/// finishes exactly or when the bounds meet within [`GAP_TOL`].
 pub(crate) fn solve_component_with_caps(
-    g: &Graph,
+    n: usize,
+    edges: &[(usize, usize)],
     caps: &[f64],
 ) -> Result<PolytopeSolution, PolytopeError> {
-    let n = g.num_vertices();
     debug_assert_eq!(caps.len(), n);
-    let mut cg = ColumnGenState::new(g, caps);
+    let mut cg = ColumnGenState::new(n, edges, caps);
     // Above the work threshold the cutting-plane engine is not constructed
     // at all: its dense edge-variable tableau and per-root separation oracle
     // are quadratic in the piece. Column generation terminates exactly on
     // its own (pricing certificate), just without the early bound pairing.
-    let mut cp = if n + g.num_edges() <= CUT_ENGINE_MAX_WORK {
-        Some(CuttingPlaneState::new(g, caps, CUTS_PER_ROUND)?)
+    let mut cp = if n + edges.len() <= CUT_ENGINE_MAX_WORK {
+        Some(CuttingPlaneState::new(n, edges, caps)?)
     } else {
         None
     };
@@ -302,7 +305,7 @@ pub(crate) fn solve_component_with_caps(
         if step_cg {
             cg.step()?;
         } else if let Some(cp) = cp.as_mut() {
-            match cp.step(g) {
+            match cp.step() {
                 Ok(()) => {}
                 Err(PolytopeError::Lp(crate::problem::LpError::Stalled { .. })) => {
                     // The cutting-plane engine drowned numerically; column
@@ -348,11 +351,13 @@ pub(crate) fn solve_component_with_caps(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccdp_graph::generators;
+    use ccdp_graph::{generators, Graph};
 
     fn value(g: &Graph, delta: f64) -> f64 {
         let caps = vec![delta; g.num_vertices()];
-        solve_component_with_caps(g, &caps).unwrap().value
+        solve_component_with_caps(g.num_vertices(), &g.edge_vec(), &caps)
+            .unwrap()
+            .value
     }
 
     fn approx(a: f64, b: f64) -> bool {
@@ -374,7 +379,7 @@ mod tests {
     fn heterogeneous_caps() {
         // Path a–b–c with cap 0.5 at b: optimum 0.5.
         let g = generators::path(3);
-        let sol = solve_component_with_caps(&g, &[1.0, 0.5, 1.0]).unwrap();
+        let sol = solve_component_with_caps(3, &g.edge_vec(), &[1.0, 0.5, 1.0]).unwrap();
         assert!(approx(sol.value, 0.5), "value {}", sol.value);
     }
 
@@ -396,9 +401,9 @@ mod tests {
         edges.push((chain - 1, chain + 2));
         edges.push((chain - 1, chain + 3));
         edges.push((chain + 2, chain + 3));
-        let g = Graph::from_edges(n, &edges);
-        assert!(g.num_vertices() + g.num_edges() > CUT_ENGINE_MAX_WORK);
-        let sol = solve_component_with_caps(&g, &vec![2.0; n]).unwrap();
+        edges.sort_unstable();
+        assert!(n + edges.len() > CUT_ENGINE_MAX_WORK);
+        let sol = solve_component_with_caps(n, &edges, &vec![2.0; n]).unwrap();
         assert!(
             approx(sol.value, (n - 1) as f64),
             "value {} vs {}",
@@ -410,8 +415,8 @@ mod tests {
     #[test]
     fn returned_point_is_feasible_and_attains_the_value() {
         let g = generators::complete(5);
-        let sol = solve_component_with_caps(&g, &[2.0; 5]).unwrap();
         let edges = g.edge_vec();
+        let sol = solve_component_with_caps(5, &edges, &[2.0; 5]).unwrap();
         for &w in &sol.edge_weights {
             assert!((-1e-9..=1.0 + 1e-9).contains(&w));
         }

@@ -52,8 +52,11 @@
 //!    per-vertex bounds.
 //!
 //! Reductions 3–6 are one function, `solve_piece`, which the CSR-native
-//! engine calls too. Its weights come back expanded to the piece's own edges:
-//! chain-internal edges at 1, each end edge at the weight of its edge to `w`.
+//! engine calls too. It takes the piece as a [`CsrGraph`] with local ids, and
+//! its weights come back expanded to the piece's own edges: chain-internal
+//! edges at 1, each end edge at the weight of its edge to `w`. The reduction
+//! loop (1 and 2) reads each component as a vertex count and an edge list,
+//! so the adjacency-list graph is read only at the solver's entry point.
 //!
 //! The solution assembled from peeled edges and core solutions is feasible
 //! for the *original* polytope: peeled edges form a forest with per-edge
@@ -62,16 +65,14 @@
 
 use crate::column_generation;
 use crate::solver::{solve_per_component, PolytopeError, PolytopeSolution};
-use ccdp_graph::components::components;
 use ccdp_graph::forest::capacity_bounded_spanning_forest;
-use ccdp_graph::subgraph::induced_subgraph;
 use ccdp_graph::unionfind::UnionFind;
-use ccdp_graph::Graph;
+use ccdp_graph::{CsrGraph, Graph};
 
 /// Residual capacities at or below this are treated as exhausted.
 pub(crate) const CAP_TOL: f64 = 1e-9;
 
-/// Graph-algorithm-speed exact solver: certified combinatorial reductions
+/// Exact solver at graph-algorithm speed: certified combinatorial reductions
 /// with a column-generation fallback for the irreducible core.
 ///
 /// The CSR-native engine ([`crate::solve_partition`]) replicates this
@@ -92,13 +93,17 @@ impl CombinatorialSolver {
     /// polytope is defined for any `Δ > 0` — although the paper's algorithm
     /// only uses integer values.
     pub fn solve(&self, g: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError> {
-        solve_per_component(g, delta, |local| self.solve_component(local, delta))
+        solve_per_component(g, delta, |n, edges| self.solve_component(n, edges, delta))
     }
 
-    /// Solves one connected component (local vertex indices, ≥ 1 edge).
-    fn solve_component(&self, g: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError> {
-        let n = g.num_vertices();
-        let edges = g.edge_vec();
+    /// Solves one connected component: `n` vertices (local ids) and its
+    /// canonical edge list, at least one edge.
+    fn solve_component(
+        &self,
+        n: usize,
+        edges: &[(usize, usize)],
+        delta: f64,
+    ) -> Result<PolytopeSolution, PolytopeError> {
         let m = edges.len();
 
         // Adjacency as (neighbor, edge index) pairs.
@@ -149,29 +154,52 @@ impl CombinatorialSolver {
             }
         }
 
-        // Extract the surviving core and solve each of its pieces.
-        let alive_vertices: Vec<usize> = (0..n).filter(|&v| alive[v]).collect();
+        // Solve each piece of the surviving core (the alive vertices; every
+        // dead edge has a dead end, so the alive edges are exactly the
+        // edges among them), in order of smallest vertex, with local ids
+        // ascending. `adj[v]` is sorted by neighbor, so walking the piece's
+        // vertices in order lists its edges in canonical order.
         let mut lp = PolytopeSolution::zero(0);
-        if !alive_vertices.is_empty() {
-            let (core, core_map) = induced_subgraph(g, &alive_vertices);
-            for piece_vertices in components(&core) {
-                if piece_vertices.len() < 2 {
-                    continue;
-                }
-                let (piece, piece_map) = induced_subgraph(&core, &piece_vertices);
-                if piece.has_no_edges() {
-                    continue;
-                }
-                let to_component = |local: usize| core_map[piece_map[local]];
-                let piece_caps: Vec<f64> = (0..piece.num_vertices())
-                    .map(|local| caps[to_component(local)])
-                    .collect();
-                let sol = solve_piece(&piece, &piece_caps)?;
-                for ((a, b), &w) in piece.edges().zip(&sol.edge_weights) {
-                    weights[edge_position(&edges, to_component(a), to_component(b))] = w;
-                }
-                lp.add_lp_work(&sol);
+        let mut local = vec![usize::MAX; n];
+        for start in 0..n {
+            if !alive[start] || local[start] != usize::MAX {
+                continue;
             }
+            let mut piece = vec![start];
+            local[start] = 0;
+            let mut next = 0;
+            while let Some(&v) = piece.get(next) {
+                next += 1;
+                for &(u, e) in &adj[v] {
+                    if edge_alive[e] && local[u] == usize::MAX {
+                        local[u] = 0;
+                        piece.push(u);
+                    }
+                }
+            }
+            if piece.len() < 2 {
+                continue;
+            }
+            piece.sort_unstable();
+            for (id, &v) in piece.iter().enumerate() {
+                local[v] = id;
+            }
+            let mut piece_edges = Vec::new();
+            let mut positions = Vec::new();
+            for &v in &piece {
+                for &(u, e) in &adj[v] {
+                    if edge_alive[e] && u > v {
+                        piece_edges.push((local[v], local[u]));
+                        positions.push(e);
+                    }
+                }
+            }
+            let piece_caps: Vec<f64> = piece.iter().map(|&v| caps[v]).collect();
+            let sol = solve_piece(&csr_piece(piece.len(), &piece_edges), &piece_caps)?;
+            for (&e, &w) in positions.iter().zip(&sol.edge_weights) {
+                weights[e] = w;
+            }
+            lp.add_lp_work(&sol);
         }
 
         lp.value = weights.iter().sum();
@@ -186,16 +214,26 @@ impl Default for CombinatorialSolver {
     }
 }
 
+/// A piece with `n` vertices and the canonical edge list `edges` (pairs
+/// `(u, v)` with `u < v`, sorted), as a [`CsrGraph`] whose
+/// [`edges`](CsrGraph::edges) come back in the same order.
+pub(crate) fn csr_piece(n: usize, edges: &[(usize, usize)]) -> CsrGraph {
+    CsrGraph::from_edge_stream(n, || edges.iter().map(|&(a, b)| (a as u32, b as u32)))
+}
+
 /// Solves one connected core piece exactly with per-vertex capacities `caps`
 /// and returns its weights in `piece`'s canonical edge order
-/// ([`Graph::edge_vec`]).
+/// ([`CsrGraph::edges`]).
 ///
 /// Series contraction first (reduction 3), then on the contracted piece the
 /// spanning certificate (reductions 4 / 5), else column generation
 /// (reduction 6); the contracted weights are expanded back to `piece`.
 /// Shared by [`CombinatorialSolver`] and the CSR-native engine, so both
 /// produce identical weights on identical pieces.
-pub(crate) fn solve_piece(piece: &Graph, caps: &[f64]) -> Result<PolytopeSolution, PolytopeError> {
+pub(crate) fn solve_piece(
+    piece: &CsrGraph,
+    caps: &[f64],
+) -> Result<PolytopeSolution, PolytopeError> {
     match SeriesContraction::of(piece, caps) {
         Some(series) => Ok(series.expand(solve_contracted(&series.graph, &series.caps)?)),
         None => solve_contracted(piece, caps),
@@ -203,12 +241,12 @@ pub(crate) fn solve_piece(piece: &Graph, caps: &[f64]) -> Result<PolytopeSolutio
 }
 
 /// The certificate / column-generation tail of [`solve_piece`].
-fn solve_contracted(piece: &Graph, caps: &[f64]) -> Result<PolytopeSolution, PolytopeError> {
+fn solve_contracted(piece: &CsrGraph, caps: &[f64]) -> Result<PolytopeSolution, PolytopeError> {
+    let edges: Vec<(usize, usize)> = piece.edges().collect();
     let Some(forest) = spanning_certificate(piece, caps) else {
-        return column_generation::solve_component_with_caps(piece, caps);
+        return column_generation::solve_component_with_caps(piece.num_vertices(), &edges, caps);
     };
     // The rank bound is attained: the forest's edges at weight 1.
-    let edges = piece.edge_vec();
     let mut sol = PolytopeSolution::zero(edges.len());
     for &(a, b) in &forest {
         sol.edge_weights[edge_position(&edges, a, b)] = 1.0;
@@ -221,7 +259,7 @@ fn solve_contracted(piece: &Graph, caps: &[f64]) -> Result<PolytopeSolution, Pol
 /// two distinct ends replaced by one capacity-2 vertex joined to both ends.
 struct SeriesContraction {
     /// The contracted piece.
-    graph: Graph,
+    graph: CsrGraph,
     /// Its capacities: the piece's, and 2 at each chain vertex.
     caps: Vec<f64>,
     /// Per piece edge (canonical order): the contracted edge whose weight it
@@ -236,7 +274,7 @@ impl SeriesContraction {
     /// closes on one end (a cycle through a single non-series vertex) stays,
     /// since contracting it would make a parallel edge, as does a cycle of
     /// series vertices only and any chain of one vertex.
-    fn of(piece: &Graph, caps: &[f64]) -> Option<Self> {
+    fn of(piece: &CsrGraph, caps: &[f64]) -> Option<Self> {
         const NONE: usize = usize::MAX;
         let n = piece.num_vertices();
         // A series vertex has degree 2 and a floored capacity of at least 2,
@@ -245,10 +283,10 @@ impl SeriesContraction {
         // The next vertex along a chain entered from `prev`.
         let step = |prev: usize, cur: usize| {
             let nbrs = piece.neighbors(cur);
-            if nbrs[0] == prev {
-                nbrs[1]
+            if nbrs[0] as usize == prev {
+                nbrs[1] as usize
             } else {
-                nbrs[0]
+                nbrs[0] as usize
             }
         };
         let mut chain_of = vec![NONE; n];
@@ -263,7 +301,7 @@ impl SeriesContraction {
             let mut chain = vec![v];
             let mut ends = [NONE; 2];
             for (side, end) in ends.iter_mut().enumerate() {
-                let (mut prev, mut cur) = (v, piece.neighbors(v)[side]);
+                let (mut prev, mut cur) = (v, piece.neighbors(v)[side] as usize);
                 while cur != v && series(cur) {
                     chain.push(cur);
                     (prev, cur) = (cur, step(prev, cur));
@@ -317,7 +355,7 @@ impl SeriesContraction {
         // Sorted, the kept edges are the contracted graph's canonical order.
         let mut kept: Vec<(usize, usize)> = mapped.iter().flatten().copied().collect();
         kept.sort_unstable();
-        let graph = Graph::from_edges(new_caps.len(), &kept);
+        let graph = csr_piece(new_caps.len(), &kept);
         debug_assert_eq!(
             graph.num_edges(),
             kept.len(),
@@ -349,9 +387,9 @@ impl SeriesContraction {
     }
 }
 
-/// Position of the edge `{a, b}` in a canonical ([`Graph::edge_vec`], i.e.
-/// sorted) edge list that contains it.
-fn edge_position(edges: &[(usize, usize)], a: usize, b: usize) -> usize {
+/// Position of the edge `{a, b}` in a canonical (sorted) edge list that
+/// contains it.
+pub(crate) fn edge_position(edges: &[(usize, usize)], a: usize, b: usize) -> usize {
     edges
         .binary_search(&(a.min(b), a.max(b)))
         .expect("edge present")
@@ -371,7 +409,7 @@ fn edge_position(edges: &[(usize, usize)], a: usize, b: usize) -> usize {
 /// over edge subsets ([`tiny_exhaustive_certificate`]), which is decisive
 /// where the local-repair heuristic gives up even though a certificate
 /// exists.
-fn spanning_certificate(piece: &Graph, caps: &[f64]) -> Option<Vec<(usize, usize)>> {
+fn spanning_certificate(piece: &CsrGraph, caps: &[f64]) -> Option<Vec<(usize, usize)>> {
     let n = piece.num_vertices();
     let target = n - 1; // the piece is connected
     let icaps: Vec<usize> = caps
@@ -421,13 +459,12 @@ const TINY_DP_NODE_BUDGET: usize = 200_000;
 /// a genuine certificate, proves none exists, or runs out of budget — in the
 /// latter two cases the caller falls back to the exact LP, so the overall
 /// solver stays exact.
-fn tiny_exhaustive_certificate(piece: &Graph, icaps: &[usize]) -> Option<Vec<(usize, usize)>> {
+fn tiny_exhaustive_certificate(piece: &CsrGraph, icaps: &[usize]) -> Option<Vec<(usize, usize)>> {
     let n = piece.num_vertices();
-    let edges = piece.edge_vec();
-    let m = edges.len();
-    if n > TINY_DP_MAX_VERTICES || m > TINY_DP_MAX_EDGES {
+    if n > TINY_DP_MAX_VERTICES || piece.num_edges() > TINY_DP_MAX_EDGES {
         return None;
     }
+    let edges: Vec<(usize, usize)> = piece.edges().collect();
     let target = n - 1;
 
     struct Search<'a> {
@@ -641,7 +678,9 @@ mod tests {
     /// no parallel edge, and that the piece solver's expanded point is
     /// feasible and attains the uncontracted LP optimum.
     fn check_contraction(piece: &Graph, caps: &[f64], want_vertices: usize) {
-        let contracted = SeriesContraction::of(piece, caps);
+        let edges = piece.edge_vec();
+        let csr = CsrGraph::from_graph(piece);
+        let contracted = SeriesContraction::of(&csr, caps);
         let vertices = contracted
             .as_ref()
             .map_or(piece.num_vertices(), |c| c.graph.num_vertices());
@@ -650,15 +689,16 @@ mod tests {
             assert_eq!(c.graph.num_edges() + c.internal_edges, piece.num_edges());
         }
 
-        let sol = solve_piece(piece, caps).unwrap();
-        let exact = column_generation::solve_component_with_caps(piece, caps).unwrap();
+        let sol = solve_piece(&csr, caps).unwrap();
+        let exact =
+            column_generation::solve_component_with_caps(piece.num_vertices(), &edges, caps)
+                .unwrap();
         assert!(
             approx(sol.value, exact.value),
             "contracted {} vs exact {} (caps {caps:?})",
             sol.value,
             exact.value
         );
-        let edges = piece.edge_vec();
         assert_eq!(sol.edge_weights.len(), edges.len());
         for &w in &sol.edge_weights {
             assert!((-1e-9..=1.0 + 1e-9).contains(&w));
@@ -672,7 +712,12 @@ mod tests {
                 .sum();
             assert!(load <= caps[v] + 1e-6, "degree cap violated at {v}");
         }
-        assert!(crate::violated_forest_constraints(piece, &edges, &sol.edge_weights).is_empty());
+        assert!(crate::violated_forest_constraints(
+            piece.num_vertices(),
+            &edges,
+            &sol.edge_weights
+        )
+        .is_empty());
         assert!(approx(sol.edge_weights.iter().sum::<f64>(), sol.value));
     }
 

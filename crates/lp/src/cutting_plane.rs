@@ -10,6 +10,10 @@
 //! with one min-cut per root (Padberg–Wolsey's observation that this family
 //! of constraints admits a polynomial separation oracle).
 //!
+//! The engine reads only what the LP is made of: a piece's vertex count and
+//! its canonical edge list (pairs `(u, v)` with `u < v`, sorted), which is
+//! also the variable order of every returned point.
+//!
 //! Four engine properties matter to its users:
 //!
 //! * **Warm starts.** One [`IncrementalSimplex`] lives for the whole
@@ -37,17 +41,14 @@ use crate::simplex::IncrementalSimplex;
 use crate::solver::{PolytopeError, PolytopeSolution};
 use ccdp_flow::{max_weight_closure, ClosureInstance};
 use ccdp_graph::unionfind::UnionFind;
-use ccdp_graph::Graph;
 
 /// Tolerance for constraint violation in the separation oracle.
 const VIOLATION_TOL: f64 = 1e-6;
-/// Safety bound on cutting-plane rounds per component.
-pub(crate) const MAX_ROUNDS: usize = 400;
 /// Most-violated cuts admitted per round. With warm-started re-solves an
 /// added row costs only a few dual pivots, so (unlike the old from-scratch
 /// dense solver, where 5 was the measured sweet spot) a larger budget pays
 /// for itself by saving whole separation rounds.
-pub(crate) const MAX_CUTS_PER_ROUND: usize = 64;
+const MAX_CUTS_PER_ROUND: usize = 64;
 
 /// Stepwise cutting-plane solver for one connected component with per-vertex
 /// degree capacities (`caps[v]` is the right-hand side of `x(δ(v)) ≤ cap_v`).
@@ -60,12 +61,12 @@ pub(crate) const MAX_CUTS_PER_ROUND: usize = 64;
 /// [`CuttingPlaneState::upper_bound`] — which is what lets the combined
 /// core-piece driver pair this engine with the column-generation lower bound
 /// and stop when the two meet.
-pub(crate) struct CuttingPlaneState {
-    edges: Vec<(usize, usize)>,
+pub(crate) struct CuttingPlaneState<'a> {
+    num_vertices: usize,
+    edges: &'a [(usize, usize)],
     simplex: IncrementalSimplex,
     seen_cuts: std::collections::HashSet<Vec<usize>>,
     refactorized_in_a_row: usize,
-    max_cuts_per_round: usize,
     /// Best proven upper bound (from fresh relaxation solves only).
     upper_bound: f64,
     generated_cuts: usize,
@@ -74,15 +75,13 @@ pub(crate) struct CuttingPlaneState {
     finished: Option<PolytopeSolution>,
 }
 
-impl CuttingPlaneState {
+impl<'a> CuttingPlaneState<'a> {
     pub(crate) fn new(
-        g: &Graph,
+        n: usize,
+        edges: &'a [(usize, usize)],
         caps: &[f64],
-        max_cuts_per_round: usize,
     ) -> Result<Self, PolytopeError> {
-        let n = g.num_vertices();
         debug_assert_eq!(caps.len(), n);
-        let edges = g.edge_vec();
         let m = edges.len();
 
         // Per-edge bounds (the |S| = 2 forest constraints, tightened by the
@@ -114,11 +113,11 @@ impl CuttingPlaneState {
             (n - 1) as f64,
         )?;
         Ok(CuttingPlaneState {
+            num_vertices: n,
             edges,
             simplex,
             seen_cuts: std::collections::HashSet::new(),
             refactorized_in_a_row: 0,
-            max_cuts_per_round,
             upper_bound: f64::INFINITY,
             generated_cuts: 0,
             lp_iterations: 0,
@@ -153,7 +152,7 @@ impl CuttingPlaneState {
     }
 
     /// One LP (re-)solve plus one separation round.
-    pub(crate) fn step(&mut self, g: &Graph) -> Result<(), PolytopeError> {
+    pub(crate) fn step(&mut self) -> Result<(), PolytopeError> {
         let sol = self.simplex.solve()?;
         self.lp_iterations += sol.iterations;
         self.lp_solves += 1;
@@ -164,12 +163,13 @@ impl CuttingPlaneState {
             self.upper_bound = self.upper_bound.min(sol.objective_value);
         }
 
-        let mut violated = violated_forest_constraints(g, &self.edges, &sol.values);
+        let n = self.num_vertices;
+        let mut violated = violated_forest_constraints(n, self.edges, &sol.values);
         // Near-integral optima of the relaxation are unions of paths and
         // *cycles* (degree-feasible, rank-valued, forest-infeasible); cutting
         // their support cycles directly is far more surgical than the
         // closure sets, so feed those cuts in first.
-        let cycles = support_cycle_cuts(g, &self.edges, &sol.values);
+        let cycles = support_cycle_cuts(n, self.edges, &sol.values);
         if !cycles.is_empty() {
             violated.splice(0..0, cycles);
         }
@@ -195,7 +195,7 @@ impl CuttingPlaneState {
         }
         let mut added = 0usize;
         for set in violated {
-            if added == self.max_cuts_per_round {
+            if added == MAX_CUTS_PER_ROUND {
                 break;
             }
             if self.seen_cuts.insert(set.clone()) {
@@ -234,24 +234,6 @@ impl CuttingPlaneState {
     }
 }
 
-/// Runs the cutting-plane loop to completion (the reference
-/// [`SimplexSolver`](crate::SimplexSolver) path).
-pub(crate) fn solve_component_with_caps(
-    g: &Graph,
-    caps: &[f64],
-    max_rounds: usize,
-    max_cuts_per_round: usize,
-) -> Result<PolytopeSolution, PolytopeError> {
-    let mut state = CuttingPlaneState::new(g, caps, max_cuts_per_round)?;
-    for _ in 0..max_rounds {
-        state.step(g)?;
-        if let Some(sol) = state.take_finished() {
-            return Ok(sol);
-        }
-    }
-    Err(PolytopeError::SeparationDidNotConverge { rounds: max_rounds })
-}
-
 /// Separation oracle for the forest constraints: returns vertex sets `S`
 /// (each sorted ascending) whose constraint `x(E[S]) ≤ |S| − 1` is violated
 /// by `x`, most violated first, or an empty vector if `x` satisfies them all.
@@ -259,18 +241,19 @@ pub(crate) fn solve_component_with_caps(
 /// A point whose support is acyclic and whose entries exceed 1 by at most
 /// the tolerance in total is accepted by `forest_supported` in one
 /// union-find pass; any other point goes to `violated_by_closure`, one
-/// min-cut per root. `edges` must be `g.edge_vec()` and `x` the edge weights
-/// in the same order.
+/// min-cut per root. The graph is `n` vertices and the canonical edge list
+/// `edges` (pairs `(u, v)` with `u < v`, sorted); `x` holds the edge
+/// weights in the same order.
 pub fn violated_forest_constraints(
-    g: &Graph,
+    n: usize,
     edges: &[(usize, usize)],
     x: &[f64],
 ) -> Vec<Vec<usize>> {
     debug_assert_eq!(x.len(), edges.len());
-    if forest_supported(g.num_vertices(), edges, x) {
+    if forest_supported(n, edges, x) {
         return Vec::new();
     }
-    violated_by_closure(g, edges, x)
+    violated_by_closure(n, edges, x)
 }
 
 /// Certificate that `x` violates no forest constraint: the support (edges
@@ -298,12 +281,16 @@ fn forest_supported(n: usize, edges: &[(usize, usize)], x: &[f64]) -> bool {
 /// maximum-weight-closure instance whose optimum is
 /// `max_{S ∋ r} [x(E[S]) − |S| + 1]`; a positive optimum certifies a
 /// violation and the optimal closure yields the violating set.
-fn violated_by_closure(g: &Graph, edges: &[(usize, usize)], x: &[f64]) -> Vec<Vec<usize>> {
-    let n = g.num_vertices();
+fn violated_by_closure(n: usize, edges: &[(usize, usize)], x: &[f64]) -> Vec<Vec<usize>> {
+    let mut has_edge = vec![false; n];
+    for &(a, b) in edges {
+        has_edge[a] = true;
+        has_edge[b] = true;
+    }
     let mut best_per_root: Vec<(f64, Vec<usize>)> = Vec::new();
 
-    for root in 0..n {
-        if g.degree(root) == 0 {
+    for (root, &incident) in has_edge.iter().enumerate() {
+        if !incident {
             continue;
         }
         let mut inst = ClosureInstance::new();
@@ -406,8 +393,7 @@ fn minimalize_violated_set(
 /// ≥ 1 − tol) and returns their vertex sets: every such cycle `C` violates
 /// its forest constraint by ≈ 1, and these cuts dispatch the cycle-heavy
 /// integral optima of the relaxation wholesale.
-fn support_cycle_cuts(g: &Graph, edges: &[(usize, usize)], x: &[f64]) -> Vec<Vec<usize>> {
-    let n = g.num_vertices();
+fn support_cycle_cuts(n: usize, edges: &[(usize, usize)], x: &[f64]) -> Vec<Vec<usize>> {
     let support: Vec<usize> = (0..edges.len())
         .filter(|&i| x[i] >= 1.0 - VIOLATION_TOL)
         .collect();
@@ -467,10 +453,42 @@ fn support_cycle_cuts(g: &Graph, edges: &[(usize, usize)], x: &[f64]) -> Vec<Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccdp_graph::generators;
+    use crate::solver::solve_per_component;
+    use crate::SimplexSolver;
+    use ccdp_graph::{generators, Graph};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Safety bound on cutting-plane rounds per component.
+    const MAX_ROUNDS: usize = 400;
+
+    /// Runs the cutting-plane loop alone to completion on one connected
+    /// component.
+    fn solve_component_with_caps(
+        n: usize,
+        edges: &[(usize, usize)],
+        caps: &[f64],
+    ) -> Result<PolytopeSolution, PolytopeError> {
+        let mut state = CuttingPlaneState::new(n, edges, caps)?;
+        for _ in 0..MAX_ROUNDS {
+            state.step()?;
+            if let Some(sol) = state.take_finished() {
+                return Ok(sol);
+            }
+        }
+        Err(PolytopeError::SeparationDidNotConverge { rounds: MAX_ROUNDS })
+    }
+
+    /// The simplex oracle without its column-generation bound: cutting
+    /// planes alone on every component. Viable on small and medium
+    /// instances; it can stall on the rank-bound face of large
+    /// supercritical cores.
+    fn pure_cutting_planes(g: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError> {
+        solve_per_component(g, delta, |n, edges| {
+            solve_component_with_caps(n, edges, &vec![delta; n])
+        })
+    }
 
     #[test]
     fn separation_oracle_finds_a_violated_clique_constraint() {
@@ -479,7 +497,7 @@ mod tests {
         let g = generators::complete(4);
         let edges = g.edge_vec();
         let x = vec![1.0; edges.len()];
-        let violated = violated_forest_constraints(&g, &edges, &x);
+        let violated = violated_forest_constraints(4, &edges, &x);
         assert!(!violated.is_empty());
         let set = &violated[0];
         let inside: f64 = edges
@@ -500,7 +518,7 @@ mod tests {
             .iter()
             .map(|&(a, _)| if a == 0 { 1.0 } else { 0.0 })
             .collect();
-        assert!(violated_forest_constraints(&g, &edges, &x).is_empty());
+        assert!(violated_forest_constraints(4, &edges, &x).is_empty());
     }
 
     #[test]
@@ -510,15 +528,14 @@ mod tests {
         // edge individually may use b up to its cap: x_ab + x_bc ≤ 0.5 at b,
         // and each edge is also bounded by min(1, caps). Optimum 0.5.
         let g = generators::path(3);
-        let sol = solve_component_with_caps(&g, &[1.0, 0.5, 1.0], MAX_ROUNDS, MAX_CUTS_PER_ROUND)
-            .unwrap();
+        let sol = solve_component_with_caps(3, &g.edge_vec(), &[1.0, 0.5, 1.0]).unwrap();
         assert!((sol.value - 0.5).abs() < 1e-6, "value {}", sol.value);
     }
 
     #[test]
     fn uniform_caps_match_expected_triangle_value() {
         let g = generators::cycle(3);
-        let sol = solve_component_with_caps(&g, &[1.0; 3], MAX_ROUNDS, MAX_CUTS_PER_ROUND).unwrap();
+        let sol = solve_component_with_caps(3, &g.edge_vec(), &[1.0; 3]).unwrap();
         assert!((sol.value - 1.5).abs() < 1e-6, "value {}", sol.value);
     }
 
@@ -587,9 +604,68 @@ mod tests {
                 prop_assert!(forest_supported(g.num_vertices(), &edges, &x));
             }
             prop_assert_eq!(
-                violated_forest_constraints(&g, &edges, &x),
-                violated_by_closure(&g, &edges, &x)
+                violated_forest_constraints(g.num_vertices(), &edges, &x),
+                violated_by_closure(g.num_vertices(), &edges, &x)
             );
+        }
+    }
+
+    /// A random graph on fewer than 12 vertices, encoded as (n, edge picks)
+    /// so proptest can shrink it.
+    fn arb_graph() -> impl Strategy<Value = Graph> {
+        (
+            2usize..12,
+            proptest::collection::vec(0.0f64..1.0, 0..70),
+            0.05f64..0.6,
+        )
+            .prop_map(|(n, picks, p)| {
+                let mut g = Graph::new(n);
+                let pairs = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
+                for ((u, v), &pick) in pairs.zip(&picks) {
+                    if pick < p {
+                        g.add_edge(u, v);
+                    }
+                }
+                g
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn bound_paired_simplex_matches_pure_cutting_planes(g in arb_graph(), delta in 1usize..5) {
+            // The simplex oracle (cuts + column-generation bounds) and cutting
+            // planes alone are both exact, so they must agree wherever the
+            // pure loop converges at all.
+            let delta = delta as f64;
+            let paired = SimplexSolver::new().solve(&g, delta).unwrap();
+            let pure = pure_cutting_planes(&g, delta).unwrap();
+            prop_assert!(
+                (paired.value - pure.value).abs() < 1e-5,
+                "paired {} vs pure {} at delta {delta}",
+                paired.value, pure.value
+            );
+            // The paired point is feasible and attains its value.
+            let edges = g.edge_vec();
+            for &w in &paired.edge_weights {
+                prop_assert!((-1e-6..=1.0 + 1e-6).contains(&w), "weight {} out of box", w);
+            }
+            for v in g.vertices() {
+                let load: f64 = edges
+                    .iter()
+                    .zip(&paired.edge_weights)
+                    .filter(|(&(a, b), _)| a == v || b == v)
+                    .map(|(_, &w)| w)
+                    .sum();
+                prop_assert!(load <= delta + 1e-5, "degree cap violated at {}: {}", v, load);
+            }
+            prop_assert!(
+                violated_forest_constraints(g.num_vertices(), &edges, &paired.edge_weights)
+                    .is_empty()
+            );
+            let total: f64 = paired.edge_weights.iter().sum();
+            prop_assert!((total - paired.value).abs() < 1e-5);
         }
     }
 }

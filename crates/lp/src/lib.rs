@@ -12,12 +12,16 @@
 //! * [`solver`] / [`combinatorial`] — the reference solvers on adjacency-list
 //!   graphs: [`CombinatorialSolver`] (the reduction loop the engine
 //!   replicates bit for bit) and [`SimplexSolver`] (the independent LP
-//!   oracle: cutting planes paired with the column-generation bound).
+//!   oracle: cutting planes paired with the column-generation bound). The
+//!   adjacency-list graph stops at their entry points: each component goes
+//!   on as a vertex count and a canonical edge list.
 //! * [`column_generation`] / [`cutting_plane`] — the exact LP tail for the
 //!   irreducible fractional core: Dantzig–Wolfe column generation over
 //!   forests, and constraint generation with the min-cut separation oracle.
-//!   Both solvers reach it through one piece solver in [`combinatorial`],
-//!   which first series-contracts the piece: every chain of non-binding
+//!   Both read a piece's vertex count and canonical edge list only. The
+//!   engine and [`CombinatorialSolver`] reach them through one piece solver
+//!   in [`combinatorial`], which takes the piece as a small `CsrGraph` with
+//!   local ids and first series-contracts it: every chain of non-binding
 //!   degree-2 vertices between two distinct ends becomes one vertex, and
 //!   the weights are expanded back afterwards.
 //! * [`simplex`] / [`problem`] — the LP substrate: an incremental tableau

@@ -7,10 +7,9 @@
 //! Δ-bounded forest-polytope maximum has a closed form — plus one multicyclic
 //! giant. The reference [`CombinatorialSolver`](crate::CombinatorialSolver)
 //! solves each of them exactly, but pays a fixed per-component toll
-//! (materializing an adjacency-list [`Graph`], half a dozen allocations, a
-//! `HashMap` for the remnant phase) that dominates once components are this
-//! small and this numerous, and copies the giant out of the arena on every
-//! call.
+//! (an induced adjacency-list copy, its edge list and half a dozen
+//! allocations) that dominates once components are this small and this
+//! numerous, and copies the giant out of the arena on every call.
 //!
 //! This module is the engine the estimators run. It removes that toll while
 //! keeping the results **bit-for-bit identical** to the reference solver:
@@ -29,8 +28,9 @@
 //!   (every leaf peel charges exactly 1.0), and a remnant cycle whose floored
 //!   caps are all ≥ 2 keeps its first `k − 1` canonical edges (the capped
 //!   greedy accepts exactly those). Remnant pieces that fit neither case are
-//!   materialized and sent through the *same* piece solver as the reference
-//!   solver (series contraction, then the spanning certificate, else column
+//!   copied into a small [`CsrGraph`](ccdp_graph::CsrGraph) with local ids
+//!   and sent through the *same* piece solver as the reference solver
+//!   (series contraction, then the spanning certificate, else column
 //!   generation), so the weight vector — and hence the value, summed in the
 //!   same edge order — is identical by construction.
 //! * **Class dedup** — components with at most [`DEDUP_MAX_VERTICES`]
@@ -44,10 +44,10 @@
 //!   components with an edge (~476k in all), so nearly every solve becomes
 //!   a lookup.
 
-use crate::combinatorial::{solve_piece, CAP_TOL};
+use crate::combinatorial::{csr_piece, solve_piece, CAP_TOL};
 use crate::solver::{PolytopeError, PolytopeSolution};
 use ccdp_exec::{effective_parallelism, parallel_map};
-use ccdp_graph::{ComponentPartition, CsrComponent, Graph};
+use ccdp_graph::{ComponentPartition, CsrComponent};
 use std::cmp::Reverse;
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
@@ -421,7 +421,7 @@ fn micro_solve(
     }
 
     // --- Remnant pieces, in the same order (by smallest vertex) and local
-    // labeling (ascending) the reference solver's induced-subgraph path uses.
+    // labeling (ascending) the reference solver uses.
     let mut lp = PolytopeSolution::zero(0);
     let mut reduced = false;
 
@@ -472,7 +472,7 @@ fn micro_solve(
 /// Solves the remnant piece in `s.piece` (component-local vertex ids, sorted
 /// ascending), writing weights into `s.weights`. Returns the piece solver's
 /// solution (for its LP work counters) when the piece had to be
-/// materialized as a `Graph`, `None` for the cycle closed form.
+/// copied out as a CSR piece, `None` for the cycle closed form.
 fn solve_remnant_piece(
     csr: &LocalCsr,
     s: &mut MicroScratch,
@@ -504,8 +504,8 @@ fn solve_remnant_piece(
         return Ok(None);
     }
 
-    // General tail: materialize the piece with ascending local ids (the same
-    // labeling `induced_subgraph` produces) and run the shared piece solver.
+    // General tail: copy the piece out with ascending local ids (the
+    // reference solver's labeling) and run the shared piece solver.
     let k = s.piece.len();
     // Reuse `stack` as the component-local → piece-local rank map.
     for (rank, &v) in s.piece.iter().enumerate() {
@@ -529,7 +529,7 @@ fn solve_remnant_piece(
             }
         }
     }
-    let local = Graph::from_edges(k, &piece_edges);
+    let local = csr_piece(k, &piece_edges);
     let piece_caps: Vec<f64> = s.piece.iter().map(|&v| s.caps[v as usize]).collect();
     let sol = solve_piece(&local, &piece_caps)?;
     for (&eid, &w) in piece_eids.iter().zip(&sol.edge_weights) {
@@ -693,7 +693,7 @@ fn same_labeled_slice(a: &CsrComponent<'_>, b: &CsrComponent<'_>) -> bool {
 mod tests {
     use super::*;
     use crate::CombinatorialSolver;
-    use ccdp_graph::{generators, CsrGraph};
+    use ccdp_graph::{generators, CsrGraph, Graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

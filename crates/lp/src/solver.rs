@@ -5,7 +5,7 @@
 //! vertex set `S`, and `x(δ(v)) ≤ Δ` for every vertex. Any exact maximizer
 //! gives the same value, so the estimators run one engine — the CSR-native
 //! [`solve_partition`](crate::solve_partition) — and this module keeps two
-//! independent exact solvers on adjacency-list [`Graph`]s as its oracles:
+//! independent exact solvers on adjacency-list graphs as its oracles:
 //!
 //! * [`CombinatorialSolver`] — the reduction loop the engine replicates
 //!   (fractional leaf peeling with δ-capping, exhausted-vertex elimination,
@@ -15,13 +15,15 @@
 //!   `forest_polytope_max` and is the bitwise oracle of the engine.
 //! * [`SimplexSolver`] — the independent LP oracle: one LP per connected
 //!   component with no combinatorial reductions, cutting planes paired with
-//!   the column-generation lower bound (pure cutting planes available via
-//!   [`SimplexSolver::pure_cutting_planes`]).
+//!   the column-generation lower bound.
 //!
 //! Both decompose per connected component (the objective and every
 //! constraint of `P_Δ(G)` do) and return the same [`PolytopeSolution`].
+//! The graph stops at that split: each component reaches its solver as a
+//! vertex count and a canonical edge list.
 
-use crate::cutting_plane;
+use crate::column_generation;
+use crate::combinatorial::edge_position;
 use crate::problem::LpError;
 use ccdp_graph::components::components;
 use ccdp_graph::subgraph::induced_subgraph;
@@ -81,7 +83,8 @@ impl From<LpError> for PolytopeError {
 pub struct PolytopeSolution {
     /// The optimum `f_Δ(G)`.
     pub value: f64,
-    /// Optimal edge weights, indexed like [`Graph::edge_vec`].
+    /// Optimal edge weights, in the graph's canonical edge order (pairs
+    /// `(u, v)` with `u < v`, sorted).
     pub edge_weights: Vec<f64>,
     /// Number of violated forest constraints that had to be generated.
     pub generated_cuts: usize,
@@ -116,48 +119,24 @@ impl PolytopeSolution {
         self.lp_solves += other.lp_solves;
         self.lp_fallback_components += other.lp_fallback_components;
     }
-
-    /// Folds a component-local solution into `self` using the component's
-    /// local edge list and the local→global vertex map.
-    fn absorb_component(
-        &mut self,
-        local: &Graph,
-        map: &[usize],
-        sol: PolytopeSolution,
-        edge_index: &std::collections::HashMap<(usize, usize), usize>,
-    ) {
-        self.value += sol.value;
-        self.add_lp_work(&sol);
-        for ((lu, lv), w) in local.edge_vec().into_iter().zip(sol.edge_weights) {
-            let (gu, gv) = (map[lu], map[lv]);
-            let key = if gu < gv { (gu, gv) } else { (gv, gu) };
-            self.edge_weights[edge_index[&key]] = w;
-        }
-    }
 }
 
 /// Shared driver: validates `delta`, splits `g` into connected components and
-/// folds per-component solutions (computed by `solve_component`) back into a
-/// whole-graph [`PolytopeSolution`].
+/// folds per-component solutions back into a whole-graph
+/// [`PolytopeSolution`]. `solve_component` gets each component with at
+/// least one edge as its vertex count and canonical edge list (local ids).
 pub(crate) fn solve_per_component<F>(
     g: &Graph,
     delta: f64,
     mut solve_component: F,
 ) -> Result<PolytopeSolution, PolytopeError>
 where
-    F: FnMut(&Graph) -> Result<PolytopeSolution, PolytopeError>,
+    F: FnMut(usize, &[(usize, usize)]) -> Result<PolytopeSolution, PolytopeError>,
 {
     if delta <= 0.0 || !delta.is_finite() {
         return Err(PolytopeError::InvalidDelta { delta });
     }
     let all_edges = g.edge_vec();
-    let edge_index: std::collections::HashMap<(usize, usize), usize> = all_edges
-        .iter()
-        .copied()
-        .enumerate()
-        .map(|(i, e)| (e, i))
-        .collect();
-
     let mut total = PolytopeSolution::zero(all_edges.len());
     for comp in components(g) {
         if comp.len() < 2 {
@@ -167,8 +146,13 @@ where
         if local.has_no_edges() {
             continue;
         }
-        let sol = solve_component(&local)?;
-        total.absorb_component(&local, &map, sol, &edge_index);
+        let local_edges = local.edge_vec();
+        let sol = solve_component(local.num_vertices(), &local_edges)?;
+        total.value += sol.value;
+        total.add_lp_work(&sol);
+        for (&(a, b), w) in local_edges.iter().zip(sol.edge_weights) {
+            total.edge_weights[edge_position(&all_edges, map[a], map[b])] = w;
+        }
     }
     Ok(total)
 }
@@ -176,59 +160,27 @@ where
 /// The independent LP oracle: cutting planes over the warm-started incremental
 /// simplex, one LP per connected component (no combinatorial reductions).
 ///
-/// By default each component LP pairs the cutting-plane upper bound with the
-/// column-generation lower bound — the same combined engine the combinatorial
-/// solver uses on its irreducible cores — so the oracle does not stall on
-/// the rank-bound face of large supercritical cores. The historical
-/// pure-cutting-plane behavior remains available through
-/// [`SimplexSolver::pure_cutting_planes`] for cross-validating the cut engine
-/// in isolation.
+/// Each component LP pairs the cutting-plane upper bound with the
+/// column-generation lower bound — the same combined engine the piece solver
+/// uses on its irreducible cores — so the oracle does not stall on the
+/// rank-bound face of large supercritical cores.
 #[derive(Clone, Debug)]
 pub struct SimplexSolver {
-    max_rounds: usize,
-    max_cuts_per_round: usize,
-    bound_pairing: bool,
+    _private: (),
 }
 
 impl SimplexSolver {
-    /// The oracle with default limits and column-generation bound pairing.
+    /// The oracle.
     pub const fn new() -> Self {
-        SimplexSolver {
-            max_rounds: cutting_plane::MAX_ROUNDS,
-            max_cuts_per_round: cutting_plane::MAX_CUTS_PER_ROUND,
-            bound_pairing: true,
-        }
-    }
-
-    /// The historical reference behavior: cutting planes only, no
-    /// column-generation lower bound. Viable on small and medium instances;
-    /// can stall on the rank-bound face of large supercritical cores.
-    pub const fn pure_cutting_planes() -> Self {
-        SimplexSolver {
-            max_rounds: cutting_plane::MAX_ROUNDS,
-            max_cuts_per_round: cutting_plane::MAX_CUTS_PER_ROUND,
-            bound_pairing: false,
-        }
+        SimplexSolver { _private: () }
     }
 
     /// Maximizes `x(E)` over `P_Δ(G)`. `delta` may be fractional — the
     /// polytope is defined for any `Δ > 0`.
     pub fn solve(&self, g: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError> {
-        solve_per_component(g, delta, |local| self.solve_local(local, delta))
-    }
-
-    fn solve_local(&self, local: &Graph, delta: f64) -> Result<PolytopeSolution, PolytopeError> {
-        let caps = vec![delta; local.num_vertices()];
-        if self.bound_pairing {
-            crate::column_generation::solve_component_with_caps(local, &caps)
-        } else {
-            cutting_plane::solve_component_with_caps(
-                local,
-                &caps,
-                self.max_rounds,
-                self.max_cuts_per_round,
-            )
-        }
+        solve_per_component(g, delta, |n, edges| {
+            column_generation::solve_component_with_caps(n, edges, &vec![delta; n])
+        })
     }
 }
 

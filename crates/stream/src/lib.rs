@@ -6,10 +6,9 @@
 //! layer that closes that gap:
 //!
 //! * [`stream`] — [`GraphStream`]: timestamped edge insertions/deletions
-//!   (single and batched), incremental component counts (union-find in
-//!   insert-only epochs, lazy epoch compaction + rebuild on deletions), and
-//!   immutable versioned [`GraphSnapshot`]s, each one CSR arena the
-//!   registry publishes as is.
+//!   (single and batched) and immutable versioned [`GraphSnapshot`]s, each
+//!   one CSR arena the registry publishes as is; a snapshot's true
+//!   component count is the arena's memoized count.
 //! * [`scheduler`] — [`ReleaseScheduler`]: fires DP re-estimation by
 //!   [`ReleasePolicy`] (every k mutations or on demand — never on the
 //!   graph's contents),

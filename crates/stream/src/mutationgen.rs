@@ -11,7 +11,7 @@
 //!
 //! Deletion mutations are drawn against a mirror of the evolving edge set,
 //! so a scripted delete always removes a *present* edge (the interesting
-//! case — it ends an insert-only epoch and may split a component); no-op
+//! case — it may split a component); no-op
 //! mutations arise only from scripted duplicate insertions.
 
 use crate::stream::{GraphStream, Mutation};
@@ -156,9 +156,9 @@ mod tests {
                     assert!(had_edge && changed, "scripted delete must be real");
                 }
             }
-            // End-state sanity: the incremental count matches from scratch.
+            // End-state sanity: the arena's count matches from scratch.
             let expected = components::num_connected_components(stream.graph());
-            assert_eq!(stream.num_components(), expected);
+            assert_eq!(stream.snapshot().num_components(), expected);
         }
     }
 }

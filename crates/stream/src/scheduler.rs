@@ -412,7 +412,7 @@ mod tests {
         // same observations with the same triggers and versions.
         let mut t = grow_stream("h", 2);
         t.apply(&Mutation::insert(3, 3, 4)).unwrap();
-        assert_eq!(t.num_components(), 2);
+        assert_eq!(t.graph().num_connected_components(), 2);
         let first = sched.observe(&mut t, &tenant).unwrap().unwrap();
         assert_eq!(
             (first.trigger, first.version),
@@ -420,11 +420,11 @@ mod tests {
         );
         t.apply(&Mutation::insert(10, 2, 3)).unwrap();
         t.apply(&Mutation::insert(11, 0, 2)).unwrap();
-        assert_eq!(t.num_components(), 1);
+        assert_eq!(t.graph().num_connected_components(), 1);
         assert!(sched.observe(&mut t, &tenant).unwrap().is_none());
         t.apply(&Mutation::insert(12, 1, 3)).unwrap();
         t.apply(&Mutation::insert(13, 0, 4)).unwrap();
-        assert_eq!(t.num_components(), 1);
+        assert_eq!(t.graph().num_connected_components(), 1);
         let second = sched.observe(&mut t, &tenant).unwrap().unwrap();
         assert_eq!(
             (second.trigger, second.version),
@@ -542,9 +542,8 @@ mod tests {
 
     #[test]
     fn true_components_follow_deletions_that_split_a_component() {
-        // The record's count is read off the released arena, not the
-        // stream's union-find: deletions that split the path must show in
-        // the next release's count without any union-find rebuild.
+        // The record's count is read off the released arena: deletions
+        // that split the path must show in the next release's count.
         let sched = ReleaseScheduler::with_server(
             SchedulerConfig::new(ReleasePolicy::OnDemand).with_epsilon(0.25),
             server(),

@@ -1,23 +1,13 @@
-//! Timestamped edge-mutation ingestion with incremental component counts
-//! and immutable versioned snapshots.
+//! Timestamped edge-mutation ingestion and immutable versioned snapshots.
 //!
 //! A [`GraphStream`] owns one evolving graph and consumes a time-ordered
 //! feed of [`Mutation`]s (edge insertions and deletions, single or batched).
-//! It maintains the number of connected components *incrementally*:
-//!
-//! * **Insert-only epochs** are handled by a [`UnionFind`] — each accepted
-//!   insertion is one `union`, so a growth phase costs near-constant time
-//!   per edge and never re-reads the graph.
-//! * **Deletions** end the epoch: union-find cannot split sets, so the
-//!   stream marks the structure dirty and *compacts* — the union-find is
-//!   rebuilt from the current edge set at the next count query. Deletion
-//!   storms are absorbed by one rebuild (the rebuild is lazy), after which a
-//!   fresh insert-only epoch begins.
+//! Applying a mutation touches only the adjacency rows of its two
+//! endpoints; the stream keeps no component structure. A snapshot's true
+//! component count comes from its arena (see below).
 //!
 //! Insertions are capped at [`DEFAULT_MAX_VERTICES`] (or the initial graph's
-//! size, if larger), so one malformed feed line cannot exhaust memory. The
-//! stream's tests check the incremental count against a from-scratch
-//! recomputation after every mutation.
+//! size, if larger), so one malformed feed line cannot exhaust memory.
 //!
 //! Calling [`GraphStream::snapshot`] freezes the current state into an
 //! immutable [`GraphSnapshot`] stamped with the stream's next
@@ -30,7 +20,7 @@
 
 use crate::error::StreamError;
 use ccdp_graph::io::DEFAULT_MAX_VERTICES;
-use ccdp_graph::{CsrGraph, Graph, GraphVersion, UnionFind};
+use ccdp_graph::{CsrGraph, Graph, GraphVersion};
 use ccdp_serve::GraphId;
 use std::sync::Arc;
 
@@ -134,7 +124,9 @@ pub struct StreamStats {
     pub edges_inserted: u64,
     /// Deletions that changed the graph.
     pub edges_deleted: u64,
-    /// Union-find rebuilds (epoch compactions) forced by deletions.
+    /// Component-structure rebuilds. The stream keeps no component
+    /// structure, so this always reads 0; it stays because the benchmark's
+    /// stream workload reports it.
     pub rebuilds: u64,
     /// Snapshots published.
     pub snapshots: u64,
@@ -145,10 +137,6 @@ pub struct StreamStats {
 pub struct GraphStream {
     id: GraphId,
     graph: Graph,
-    uf: UnionFind,
-    /// Set by deletions: the union-find no longer reflects the edge set and
-    /// must be rebuilt before the next count is read.
-    dirty: bool,
     clock: u64,
     next_version: GraphVersion,
     stats: StreamStats,
@@ -163,15 +151,9 @@ impl GraphStream {
     /// A stream starting from an existing graph (version numbering starts at
     /// [`GraphVersion::INITIAL`] with the first snapshot).
     pub fn from_graph(id: impl Into<GraphId>, graph: Graph) -> Self {
-        let mut uf = UnionFind::new(graph.num_vertices());
-        for (u, v) in graph.edges() {
-            uf.union(u, v);
-        }
         GraphStream {
             id: id.into(),
             graph,
-            uf,
-            dirty: false,
             clock: 0,
             next_version: GraphVersion::INITIAL,
             stats: StreamStats::default(),
@@ -245,10 +227,6 @@ impl GraphStream {
                 let changed = self.graph.add_edge(m.u, m.v);
                 if changed {
                     self.stats.edges_inserted += 1;
-                    if !self.dirty {
-                        // Insert-only epoch: one union keeps the count exact.
-                        self.uf.union(m.u, m.v);
-                    }
                 }
                 changed
             }
@@ -258,10 +236,6 @@ impl GraphStream {
                 let changed = self.graph.remove_edge(m.u, m.v);
                 if changed {
                     self.stats.edges_deleted += 1;
-                    // Union-find cannot split: end the epoch. The rebuild is
-                    // deferred to the next count query, so a storm of
-                    // deletions compacts into one rebuild.
-                    self.dirty = true;
                 }
                 changed
             }
@@ -281,17 +255,6 @@ impl GraphStream {
             }
         }
         Ok(changed)
-    }
-
-    /// The current number of connected components (isolated vertices count).
-    ///
-    /// Incremental: free in insert-only epochs; after deletions the first
-    /// call pays one union-find rebuild (epoch compaction).
-    pub fn num_components(&mut self) -> usize {
-        if self.dirty {
-            self.rebuild();
-        }
-        self.uf.num_sets()
     }
 
     /// Freezes the current state into an immutable snapshot and advances the
@@ -314,17 +277,6 @@ impl GraphStream {
         while self.graph.num_vertices() < n {
             self.graph.add_vertex();
         }
-        self.uf.grow(n);
-    }
-
-    fn rebuild(&mut self) {
-        let mut uf = UnionFind::new(self.graph.num_vertices());
-        for (u, v) in self.graph.edges() {
-            uf.union(u, v);
-        }
-        self.uf = uf;
-        self.dirty = false;
-        self.stats.rebuilds += 1;
     }
 }
 
@@ -332,45 +284,50 @@ impl GraphStream {
 mod tests {
     use super::*;
 
+    /// The stream graph's component count, recounted.
+    fn components(s: &GraphStream) -> usize {
+        s.graph().num_connected_components()
+    }
+
     #[test]
-    fn insert_only_epoch_counts_without_rebuilds() {
+    fn insertions_merge_components_without_rebuilds() {
         let mut s = GraphStream::new("g");
         s.apply(&Mutation::insert(1, 0, 1)).unwrap();
         s.apply(&Mutation::insert(2, 2, 3)).unwrap();
-        assert_eq!(s.num_components(), 2);
+        assert_eq!(components(&s), 2);
         s.apply(&Mutation::insert(3, 1, 2)).unwrap();
-        assert_eq!(s.num_components(), 1);
+        assert_eq!(components(&s), 1);
         // Re-inserting is an accepted no-op.
         assert!(!s.apply(&Mutation::insert(4, 0, 1)).unwrap());
         let stats = s.stats();
         assert_eq!(stats.mutations_applied, 4);
         assert_eq!(stats.edges_inserted, 3);
-        assert_eq!(stats.rebuilds, 0, "insert-only epochs never rebuild");
+        assert_eq!(stats.rebuilds, 0, "the stream never rebuilds");
     }
 
     #[test]
-    fn deletions_compact_lazily_into_one_rebuild() {
+    fn deletions_split_components_without_rebuilds() {
         let mut s = GraphStream::from_graph("g", Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]));
-        assert_eq!(s.num_components(), 2);
-        // A deletion storm: three deletes, zero rebuilds until the count is
-        // read.
+        assert_eq!(components(&s), 2);
+        // A deletion storm: three deletes, no rebuild before or after the
+        // count is read.
         s.apply(&Mutation::delete(1, 0, 1)).unwrap();
         s.apply(&Mutation::delete(1, 1, 2)).unwrap();
         s.apply(&Mutation::delete(1, 3, 4)).unwrap();
         assert_eq!(s.stats().rebuilds, 0);
-        assert_eq!(s.num_components(), 5);
-        assert_eq!(s.stats().rebuilds, 1, "the storm compacts into one rebuild");
-        // A fresh insert-only epoch is again rebuild-free.
+        assert_eq!(components(&s), 5);
+        assert_eq!(s.stats().rebuilds, 0, "the stream never rebuilds");
+        // Insertions after the storm merge again.
         s.apply(&Mutation::insert(2, 0, 4)).unwrap();
-        assert_eq!(s.num_components(), 4);
-        assert_eq!(s.stats().rebuilds, 1);
+        assert_eq!(components(&s), 4);
+        assert_eq!(s.stats().rebuilds, 0);
     }
 
     #[test]
     fn deleting_a_cycle_edge_keeps_components() {
         let mut s = GraphStream::from_graph("g", Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]));
         s.apply(&Mutation::delete(1, 0, 1)).unwrap();
-        assert_eq!(s.num_components(), 1, "cycle edge removal cannot split");
+        assert_eq!(components(&s), 1, "cycle edge removal cannot split");
         // Deleting an absent edge is an accepted no-op.
         assert!(!s.apply(&Mutation::delete(2, 0, 1)).unwrap());
     }
@@ -381,7 +338,7 @@ mod tests {
         s.apply(&Mutation::insert(1, 7, 2)).unwrap();
         assert_eq!(s.graph().num_vertices(), 8);
         // 6 isolated vertices + the {2,7} component.
-        assert_eq!(s.num_components(), 7);
+        assert_eq!(components(&s), 7);
     }
 
     #[test]
@@ -391,7 +348,7 @@ mod tests {
         let mut s = GraphStream::from_graph("g", Graph::from_edges(2, &[(0, 1)]));
         assert!(!s.apply(&Mutation::delete(1, 0, 999)).unwrap());
         assert_eq!(s.graph().num_vertices(), 2);
-        assert_eq!(s.num_components(), 1);
+        assert_eq!(components(&s), 1);
     }
 
     #[test]
@@ -456,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_count_matches_recount_on_a_mixed_workload() {
+    fn snapshot_counts_match_recount_on_a_mixed_workload() {
         let mut s = GraphStream::new("g");
         let script = [
             Mutation::insert(1, 0, 1),
@@ -470,13 +427,13 @@ mod tests {
         for m in &script {
             assert!(s.apply(m).unwrap(), "every scripted mutation is real");
             assert_eq!(
-                s.num_components(),
+                s.snapshot().num_components(),
                 ccdp_graph::components::num_connected_components(s.graph()),
                 "divergence after {m:?}"
             );
         }
         // End state: {0, 2, 3, 4} connected via 2-3 and 0-4, {1} isolated.
-        assert_eq!(s.num_components(), 2);
+        assert_eq!(components(&s), 2);
     }
 
     #[test]

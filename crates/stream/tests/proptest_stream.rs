@@ -1,8 +1,8 @@
-//! Property: the incremental component count a [`GraphStream`] maintains is
-//! *always* equal to `ccdp_graph::components` recomputing from scratch —
-//! across arbitrary interleavings of insertions and deletions, at every
-//! step, whatever epoch compactions happen underneath — and every snapshot
-//! is the exact arena of the graph it froze, with that graph's exact count.
+//! Property: across arbitrary interleavings of insertions and deletions, at
+//! every step, the CSR arena of a [`GraphStream`]'s graph counts exactly the
+//! components `ccdp_graph::components` recounts from its adjacency lists,
+//! and every snapshot is the exact arena of the graph it froze, with that
+//! graph's exact count.
 
 use ccdp_graph::{components, CsrGraph, Graph};
 use ccdp_stream::{GraphStream, Mutation};
@@ -25,7 +25,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn incremental_counts_always_match_recomputation(
+    fn arena_counts_always_match_recomputation(
         n in 2usize..14,
         raw_ops in vec(op_strategy(14), 1..120),
     ) {
@@ -45,7 +45,7 @@ proptest! {
             stream.apply(&m).unwrap();
             let expected = components::num_connected_components(stream.graph());
             prop_assert_eq!(
-                stream.num_components(),
+                CsrGraph::from_graph(stream.graph()).num_components(),
                 expected,
                 "divergence after op {} ({:?})",
                 t,
@@ -59,9 +59,9 @@ proptest! {
         n in 2usize..10,
         raw_ops in vec(op_strategy(10), 1..80),
     ) {
-        // The incremental count must agree with a from-scratch recount after
-        // every mutation: a divergence is a bug in the incremental
-        // maintenance.
+        // A snapshot's count must agree with a from-scratch recount after
+        // every mutation: a divergence is a bug in the arena build or its
+        // count.
         let mut stream = GraphStream::new("prop-canary");
         for (t, &(u, v, del)) in raw_ops.iter().enumerate() {
             let (u, v) = (u % n, v % n);
@@ -75,7 +75,7 @@ proptest! {
             };
             prop_assert!(stream.apply(&m).is_ok(), "mutation refused at op {}", t);
             prop_assert_eq!(
-                stream.num_components(),
+                stream.snapshot().num_components(),
                 components::num_connected_components(stream.graph()),
                 "cross-check tripped at op {}",
                 t

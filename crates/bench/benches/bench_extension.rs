@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for EvalLipschitzExtension (Algorithm 2): the
 //! spanning-forest fast path and the constraint-generation LP path.
 
-use ccdp_core::{forest_polytope_max, LipschitzExtension};
+use ccdp_core::LipschitzExtension;
 use ccdp_graph::generators;
+use ccdp_lp::CombinatorialSolver;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,7 +34,7 @@ fn bench_lp_path(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("caveman_delta_1", g.num_vertices()),
             &g,
-            |b, g| b.iter(|| forest_polytope_max(g, 1.0).unwrap().value),
+            |b, g| b.iter(|| CombinatorialSolver::new().solve(g, 1.0).unwrap().value),
         );
     }
     group.finish();

@@ -3,10 +3,9 @@
 //! Algorithm 1, plus the effect of the spanning-forest fast path.
 
 use ccdp_bench::Table;
-use ccdp_core::{
-    forest_polytope_max, DiagnosticsAccess, LipschitzExtension, PrivateSpanningForestEstimator,
-};
+use ccdp_core::{DiagnosticsAccess, LipschitzExtension, PrivateSpanningForestEstimator};
 use ccdp_graph::generators;
+use ccdp_lp::CombinatorialSolver;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -26,7 +25,7 @@ fn main() {
     for cliques in [5usize, 10, 20, 30] {
         let g = generators::caveman(cliques, 5);
         let start = Instant::now();
-        let lp = forest_polytope_max(&g, 1.0).unwrap();
+        let lp = CombinatorialSolver::new().solve(&g, 1.0).unwrap();
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
         lp_table.add_row(vec![
             g.num_vertices().to_string(),
@@ -49,7 +48,7 @@ fn main() {
         let _ = LipschitzExtension::new(3).evaluate(&g).unwrap();
         let fast = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
-        let _ = forest_polytope_max(&g, 3.0).unwrap();
+        let _ = CombinatorialSolver::new().solve(&g, 3.0).unwrap();
         let slow = t1.elapsed().as_secs_f64() * 1e3;
         fast_table.add_row(vec![
             g.num_vertices().to_string(),

@@ -9,9 +9,9 @@
 //! tests.
 
 use crate::error::CoreError;
-use crate::extension::LipschitzExtension;
+use crate::extension::{evaluate_family, LipschitzExtension};
 use ccdp_graph::sensitivity::down_sensitivity_fsf;
-use ccdp_graph::Graph;
+use ccdp_graph::{CsrGraph, Graph};
 
 /// Tolerance used when comparing the LP value against the integer `f_sf`.
 const TOL: f64 = 1e-6;
@@ -32,18 +32,19 @@ pub fn in_optimal_monotone_anchor_set(g: &Graph, delta: usize) -> bool {
 /// The smallest Δ for which `g` is in the anchor set `S_Δ` of our extension.
 ///
 /// This equals the smallest Δ such that `g` has a spanning Δ-forest (Lemma 3.3 /
-/// Theorem 1.11), i.e. Δ*. The search walks Δ upward from 1; the LP is only
-/// solved for values below the constructive upper bound.
+/// Theorem 1.11), i.e. Δ*. One [`evaluate_family`] sweep covers the grid
+/// `1..=max_degree`; the answer is its first point within tolerance of
+/// `f_sf`. The family's running-max clamp cannot move that point: a clamped
+/// value reaches `f_sf` only after an earlier point already has.
 pub fn smallest_anchor_delta(g: &Graph) -> Result<usize, CoreError> {
-    if g.has_no_edges() {
-        return Ok(1);
-    }
-    for delta in 1..=g.max_degree().max(1) {
-        if in_anchor_set(g, delta)? {
-            return Ok(delta);
-        }
-    }
-    Ok(g.max_degree().max(1))
+    let grid: Vec<usize> = (1..=g.max_degree().max(1)).collect();
+    let fsf = g.spanning_forest_size() as f64;
+    let family = evaluate_family(&CsrGraph::from_graph(g), &grid, 1, None)?;
+    Ok(grid
+        .iter()
+        .zip(&family)
+        .find(|(_, eval)| (eval.value - fsf).abs() <= TOL)
+        .map_or(grid.len(), |(&delta, _)| delta))
 }
 
 #[cfg(test)]

@@ -546,7 +546,6 @@ mod tests {
         assert_eq!(cached.len(), direct.len());
         for (c, d) in cached.iter().zip(&direct) {
             assert!((c.value - d.value).abs() < 1e-12);
-            assert_eq!(c.delta, d.delta);
             assert_eq!(c.path, d.path);
         }
     }

@@ -169,7 +169,7 @@ impl EstimatorConfig {
     /// Sets the thread budget for per-release parallel solving (default:
     /// the machine's available parallelism). `1` runs today's sequential path;
     /// any other value fans the independent family/component subproblems out
-    /// over a scoped work-stealing map. A data-independent execution knob: the
+    /// over a scoped parallel map. A data-independent execution knob: the
     /// release is **bit-for-bit identical for every thread budget** (results
     /// merge in deterministic order), so this affects wall-clock only, never
     /// privacy or accuracy.

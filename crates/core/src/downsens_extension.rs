@@ -203,7 +203,8 @@ mod tests {
         // f_Δ is Δ-Lipschitz, so min_H f_Δ(H) + Δ·d(H, G) = f_Δ(G) exactly;
         // a strict gap would expose a non-Lipschitz solver bug.
         fn combinatorial(h: &Graph, delta: f64) -> f64 {
-            crate::polytope::forest_polytope_max(h, delta)
+            ccdp_lp::CombinatorialSolver::new()
+                .solve(h, delta)
                 .unwrap()
                 .value
         }

@@ -18,15 +18,12 @@
 //! so [`evaluate_family`] evaluates a whole grid of Δ values in one sweep over
 //! the component partition: it runs the anchor search only on the non-tree
 //! components whose maximum degree exceeds Δ, and solves every non-anchored
-//! Δ in one [`solve_partition`] fan-out. [`LipschitzExtension`] is the
-//! single-Δ, whole-graph reference it is tested against bit for bit.
+//! Δ in one [`solve_partition`] fan-out. It is the only evaluator of `f_Δ`:
+//! [`LipschitzExtension`] is its one-point grid.
 
 use crate::error::CoreError;
-use crate::polytope::{forest_polytope_max, PolytopeSolution};
 use ccdp_exec::{effective_parallelism, PhaseProfiler};
-use ccdp_graph::forest::{
-    bounded_degree_spanning_forest, component_bounded_degree_spanning_forest,
-};
+use ccdp_graph::forest::component_bounded_degree_spanning_forest;
 use ccdp_graph::{CsrGraph, Graph};
 use ccdp_lp::solve_partition;
 use std::cell::OnceCell;
@@ -40,25 +37,21 @@ pub enum EvaluationPath {
     LinearProgram,
 }
 
-/// Detailed result of evaluating `f_Δ(G)`.
+/// One grid point of [`evaluate_family`]: `f_Δ(G)` and how it was obtained.
+/// Its Δ is the grid entry at the same index.
 #[derive(Clone, Debug)]
 pub struct ExtensionEvaluation {
     /// The value `f_Δ(G)`.
     pub value: f64,
-    /// The Lipschitz parameter Δ used.
-    pub delta: usize,
     /// Which evaluation path was taken.
     pub path: EvaluationPath,
-    /// LP details (present only when the LP path was taken).
-    pub lp: Option<PolytopeSolution>,
 }
 
-/// The Lipschitz extension `f_Δ` for the size of the spanning forest.
+/// The Lipschitz extension `f_Δ` for the size of the spanning forest, at one Δ.
 ///
-/// This is the single-Δ, adjacency-list evaluation. The private estimators
-/// evaluate the whole grid through [`evaluate_family`] instead; this type is
-/// the reference it is tested against. To maximize the polytope without the
-/// fast path, call [`forest_polytope_max`] directly.
+/// [`evaluate`](Self::evaluate) is the one-point family: [`evaluate_family`]
+/// on the graph's CSR arena with the grid `[Δ]`, on one thread. The private
+/// estimators evaluate their whole grid through [`evaluate_family`] at once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LipschitzExtension {
     delta: usize,
@@ -81,34 +74,8 @@ impl LipschitzExtension {
 
     /// Evaluates `f_Δ(G)` (this is `EvalLipschitzExtension` of Algorithm 2).
     pub fn evaluate(&self, g: &Graph) -> Result<f64, CoreError> {
-        Ok(self.evaluate_detailed(g)?.value)
-    }
-
-    /// Evaluates `f_Δ(G)` and reports how the value was obtained.
-    pub fn evaluate_detailed(&self, g: &Graph) -> Result<ExtensionEvaluation, CoreError> {
-        if g.has_no_edges() {
-            return Ok(ExtensionEvaluation {
-                value: 0.0,
-                delta: self.delta,
-                path: EvaluationPath::SpanningForestFastPath,
-                lp: None,
-            });
-        }
-        if self.delta >= g.max_degree() || bounded_degree_spanning_forest(g, self.delta).is_some() {
-            return Ok(ExtensionEvaluation {
-                value: g.spanning_forest_size() as f64,
-                delta: self.delta,
-                path: EvaluationPath::SpanningForestFastPath,
-                lp: None,
-            });
-        }
-        let lp = forest_polytope_max(g, self.delta as f64)?;
-        Ok(ExtensionEvaluation {
-            value: lp.value,
-            delta: self.delta,
-            path: EvaluationPath::LinearProgram,
-            lp: Some(lp),
-        })
+        let family = evaluate_family(&CsrGraph::from_graph(g), &[self.delta], 1, None)?;
+        Ok(family[0].value)
     }
 }
 
@@ -118,8 +85,7 @@ impl LipschitzExtension {
 ///
 /// `f_Δ` is a sum over connected components (Lemma 3.3) and so is the anchor
 /// test, so the whole grid is evaluated in **one sweep** over the arena's
-/// component partition, decision for decision like
-/// [`LipschitzExtension::evaluate_detailed`] on every Δ:
+/// component partition:
 ///
 /// * **Anchor, per component.** The spanning-forest fast path fires iff
 ///   `Δ ≥ max_degree` or the Lemma 1.8 construction finds a spanning
@@ -147,10 +113,10 @@ impl LipschitzExtension {
 /// Values are clamped to be monotone non-decreasing in Δ, which they are
 /// mathematically (Lemma 3.3) but may fail to be by a hair numerically when
 /// different Δ values take different evaluation paths. The result is
-/// bit-for-bit identical for every thread budget and to the per-Δ
-/// [`LipschitzExtension`] reference on the equivalent [`Graph`]. LP
-/// evaluations carry solver statistics but empty `edge_weights` (the family
-/// never uses the maximizing point itself).
+/// bit-for-bit identical for every thread budget, and the tests pin it bit
+/// for bit to a per-Δ reference on the equivalent adjacency-list [`Graph`]:
+/// the whole-graph Lemma 1.8 construction, then `ccdp_lp`'s combinatorial
+/// oracle.
 ///
 /// The partition is
 /// [`partition_components_with`](CsrGraph::partition_components_with) on
@@ -180,11 +146,9 @@ pub fn evaluate_family(
     if arena.num_edges() == 0 {
         return Ok(grid
             .iter()
-            .map(|&delta| ExtensionEvaluation {
+            .map(|_| ExtensionEvaluation {
                 value: 0.0,
-                delta,
                 path: EvaluationPath::SpanningForestFastPath,
-                lp: None,
             })
             .collect());
     }
@@ -256,13 +220,11 @@ pub fn evaluate_family(
 
     let mut out = Vec::with_capacity(grid.len());
     let mut running_max = 0.0f64;
-    for (&delta, &anchored) in grid.iter().zip(&anchored) {
+    for &anchored in &anchored {
         let mut eval = if anchored {
             ExtensionEvaluation {
                 value: fsf,
-                delta,
                 path: EvaluationPath::SpanningForestFastPath,
-                lp: None,
             }
         } else {
             let solved = solved
@@ -278,9 +240,7 @@ pub fn evaluate_family(
             }
             ExtensionEvaluation {
                 value: solved.solution.value,
-                delta,
                 path: EvaluationPath::LinearProgram,
-                lp: Some(solved.solution),
             }
         };
         running_max = running_max.max(eval.value);
@@ -293,8 +253,10 @@ pub fn evaluate_family(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccdp_graph::forest::bounded_degree_spanning_forest;
     use ccdp_graph::generators;
     use ccdp_graph::subgraph::remove_vertex;
+    use ccdp_lp::CombinatorialSolver;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -363,14 +325,11 @@ mod tests {
         for _ in 0..5 {
             let g = generators::erdos_renyi(9, 0.3, &mut rng);
             for delta in 2..=4usize {
-                let fast = LipschitzExtension::new(delta)
-                    .evaluate_detailed(&g)
-                    .unwrap();
-                let slow = forest_polytope_max(&g, delta as f64).unwrap();
+                let fast = LipschitzExtension::new(delta).evaluate(&g).unwrap();
+                let slow = CombinatorialSolver::new().solve(&g, delta as f64).unwrap();
                 assert!(
-                    approx(fast.value, slow.value),
-                    "fast {} vs lp {} at delta {delta}",
-                    fast.value,
+                    approx(fast, slow.value),
+                    "fast {fast} vs lp {} at delta {delta}",
                     slow.value
                 );
             }
@@ -397,6 +356,65 @@ mod tests {
                 }
             }
         }
+        // Inputs that reach the engine paths ER(9, 0.35) does not: four
+        // identical light cyclic components (one dedup class), a heavy
+        // piece that series contraction and the LP tail solve, and stars
+        // whose centre degree is a grid point or one below it.
+        let mut graphs = vec![
+            cycles_with_leaf_tufts(4, 4, 3),
+            ladder_with_hub_chains(10, 6),
+        ];
+        for k in 3..=5 {
+            graphs.push(generators::star((1 << k) - 1));
+            graphs.push(generators::star(1 << k));
+        }
+        let grid = ccdp_dp::gem::power_of_two_grid(64);
+        for (i, g) in graphs.iter().enumerate() {
+            for threads in [1usize, 2] {
+                let family =
+                    |h: &Graph| evaluate_family(&CsrGraph::from_graph(h), &grid, threads, None);
+                let base = family(g).unwrap();
+                for v in g.vertices() {
+                    let (h, _) = remove_vertex(g, v);
+                    let neighbour = family(&h).unwrap();
+                    for ((b, e), &delta) in base.iter().zip(&neighbour).zip(&grid) {
+                        assert!(
+                            (b.value - e.value).abs() <= delta as f64 + 1e-6,
+                            "graph {i} v={v} threads={threads}: \
+                             |f_Δ(G) - f_Δ(G-v)| = {} > Δ = {delta}",
+                            (b.value - e.value).abs()
+                        );
+                    }
+                }
+            }
+        }
+        // The heavy piece is not anchored at Δ = 2, so it reaches the LP.
+        let heavy = CsrGraph::from_graph(&ladder_with_hub_chains(10, 6));
+        let family = evaluate_family(&heavy, &[2], 1, None).unwrap();
+        assert_eq!(family[0].path, EvaluationPath::LinearProgram);
+    }
+
+    /// Two `l`-cycles joined by rungs, hubs `a`, `b` joined by `k` chains of
+    /// two degree-2 vertices each, and `a` joined to vertex 0. At Δ = 2 and
+    /// 3 the chains need more hub edges than the hubs' caps allow, so the
+    /// piece goes to the LP, where series contraction folds each chain into
+    /// one vertex.
+    fn ladder_with_hub_chains(l: usize, k: usize) -> Graph {
+        let mut g = Graph::new(2 * l + 2 + 2 * k);
+        for i in 0..l {
+            g.add_edge(i, (i + 1) % l);
+            g.add_edge(l + i, l + (i + 1) % l);
+            g.add_edge(i, l + i);
+        }
+        let (a, b) = (2 * l, 2 * l + 1);
+        for j in 0..k {
+            let s = 2 * l + 2 + 2 * j;
+            g.add_edge(a, s);
+            g.add_edge(s, s + 1);
+            g.add_edge(s + 1, b);
+        }
+        g.add_edge(a, 0);
+        g
     }
 
     #[test]
@@ -412,13 +430,35 @@ mod tests {
         assert!(approx(evals[3].value, g.spanning_forest_size() as f64));
     }
 
-    /// The per-Δ reference: [`LipschitzExtension::evaluate_detailed`] on the
-    /// adjacency list plus the running-max clamp, in grid order.
+    /// The per-Δ reference on the adjacency list, in grid order: the fast
+    /// path when `Δ ≥ max_degree` or the whole-graph Lemma 1.8 construction
+    /// finds a spanning Δ-forest, else `CombinatorialSolver`; then the
+    /// running-max clamp.
     fn reference_family(g: &Graph, grid: &[usize]) -> Vec<ExtensionEvaluation> {
         let mut running_max = 0.0f64;
         grid.iter()
             .map(|&delta| {
-                let mut eval = LipschitzExtension::new(delta).evaluate_detailed(g).unwrap();
+                let mut eval = if g.has_no_edges() {
+                    ExtensionEvaluation {
+                        value: 0.0,
+                        path: EvaluationPath::SpanningForestFastPath,
+                    }
+                } else if delta >= g.max_degree()
+                    || bounded_degree_spanning_forest(g, delta).is_some()
+                {
+                    ExtensionEvaluation {
+                        value: g.spanning_forest_size() as f64,
+                        path: EvaluationPath::SpanningForestFastPath,
+                    }
+                } else {
+                    ExtensionEvaluation {
+                        value: CombinatorialSolver::new()
+                            .solve(g, delta as f64)
+                            .unwrap()
+                            .value,
+                        path: EvaluationPath::LinearProgram,
+                    }
+                };
                 running_max = running_max.max(eval.value);
                 eval.value = running_max;
                 eval
@@ -456,15 +496,13 @@ mod tests {
             for threads in [1usize, 3] {
                 let got = evaluate_family(&arena, &grid, threads, None).unwrap();
                 assert_eq!(want.len(), got.len());
-                for (w, e) in want.iter().zip(&got) {
+                for ((w, e), delta) in want.iter().zip(&got).zip(grid) {
                     assert_eq!(
                         w.value.to_bits(),
                         e.value.to_bits(),
-                        "graph {i} Δ={} threads={threads}",
-                        w.delta
+                        "graph {i} Δ={delta} threads={threads}"
                     );
-                    assert_eq!(w.path, e.path, "graph {i} Δ={}", w.delta);
-                    assert_eq!(w.delta, e.delta);
+                    assert_eq!(w.path, e.path, "graph {i} Δ={delta}");
                 }
             }
         }
@@ -584,14 +622,13 @@ mod tests {
             for threads in [1usize, 3] {
                 let got = evaluate_family(&arena, &grid, threads, None).unwrap();
                 assert_eq!(want.len(), got.len());
-                for (w, e) in want.iter().zip(&got) {
+                for ((w, e), delta) in want.iter().zip(&got).zip(grid) {
                     assert_eq!(
                         w.value.to_bits(),
                         e.value.to_bits(),
-                        "graph {i} Δ={} threads={threads}",
-                        w.delta
+                        "graph {i} Δ={delta} threads={threads}"
                     );
-                    assert_eq!(w.path, e.path, "graph {i} Δ={}", w.delta);
+                    assert_eq!(w.path, e.path, "graph {i} Δ={delta}");
                 }
             }
         }
@@ -599,12 +636,10 @@ mod tests {
 
     #[test]
     fn evaluation_path_is_reported() {
-        let star = generators::star(5);
-        let fast = LipschitzExtension::new(5).evaluate_detailed(&star).unwrap();
-        assert_eq!(fast.path, EvaluationPath::SpanningForestFastPath);
-        let lp = LipschitzExtension::new(2).evaluate_detailed(&star).unwrap();
-        assert_eq!(lp.path, EvaluationPath::LinearProgram);
-        assert!(lp.lp.is_some());
+        let star = CsrGraph::from_graph(&generators::star(5));
+        let family = evaluate_family(&star, &[2, 5], 1, None).unwrap();
+        assert_eq!(family[1].path, EvaluationPath::SpanningForestFastPath);
+        assert_eq!(family[0].path, EvaluationPath::LinearProgram);
     }
 
     #[test]
@@ -615,14 +650,17 @@ mod tests {
 
     #[test]
     fn backends_agree_through_the_extension() {
-        // Both exact solvers give the extension's value: the one
-        // `forest_polytope_max` runs and the independent simplex oracle.
+        // Both exact solvers give the extension's value: the engine's
+        // bitwise oracle and the independent simplex oracle.
         let mut rng = StdRng::seed_from_u64(43);
         for _ in 0..4 {
             let g = generators::erdos_renyi(10, 0.35, &mut rng);
             for delta in 1..=3usize {
                 let ext = LipschitzExtension::new(delta).evaluate(&g).unwrap();
-                let comb = forest_polytope_max(&g, delta as f64).unwrap().value;
+                let comb = CombinatorialSolver::new()
+                    .solve(&g, delta as f64)
+                    .unwrap()
+                    .value;
                 let simp = ccdp_lp::SimplexSolver::new()
                     .solve(&g, delta as f64)
                     .unwrap()

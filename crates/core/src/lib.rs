@@ -51,12 +51,11 @@
 //!   [`ConfigError`] validation.
 //! * [`error`] — [`CoreError`] (algorithm internals) and the unified
 //!   [`CcdpError`] returned by every estimator.
-//! * [`polytope`] — the Δ-bounded forest polytope (Definition 3.1):
-//!   [`forest_polytope_max`] maximizes it on an adjacency-list graph with
-//!   `ccdp_lp`'s exact combinatorial solver.
-//! * [`extension`] — the Lipschitz extension family `{f_Δ}` (Lemma 3.3) with the
-//!   spanning-forest fast path, evaluated over a partitioned CSR arena by
-//!   [`evaluate_family`].
+//! * [`extension`] — the Lipschitz extension family `{f_Δ}` (Lemma 3.3), the
+//!   maximum of `x(E)` over the Δ-bounded forest polytope (Definition 3.1),
+//!   with the spanning-forest fast path. [`evaluate_family`] evaluates it
+//!   over a partitioned CSR arena and is its only evaluator:
+//!   [`LipschitzExtension`] is its one-point grid.
 //! * [`cache`] — the graph-keyed [`ExtensionCache`] that makes repeated
 //!   `estimate()` calls on the same graph ~20× cheaper.
 //! * [`algorithm`] — Algorithm 1 (private spanning-forest size) and the derived
@@ -81,7 +80,6 @@ pub mod downsens_extension;
 pub mod error;
 pub mod estimator;
 pub mod extension;
-pub mod polytope;
 pub mod release;
 
 pub use accuracy::{measure_errors, ErrorStats};
@@ -94,5 +92,4 @@ pub use downsens_extension::{downsens_extension, downsens_extension_fsf};
 pub use error::{CcdpError, CoreError};
 pub use estimator::Estimator;
 pub use extension::{evaluate_family, EvaluationPath, ExtensionEvaluation, LipschitzExtension};
-pub use polytope::{forest_polytope_max, PolytopeSolution};
 pub use release::{Diagnostics, DiagnosticsAccess, Privacy, Release};

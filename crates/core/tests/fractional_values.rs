@@ -3,8 +3,9 @@
 //! form. These pin down the LP + separation-oracle pipeline beyond the anchored
 //! cases (where f_Δ = f_sf).
 
-use ccdp_core::{forest_polytope_max, LipschitzExtension};
+use ccdp_core::LipschitzExtension;
 use ccdp_graph::{generators, Graph};
+use ccdp_lp::CombinatorialSolver;
 
 fn approx(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-5
@@ -87,7 +88,7 @@ fn values_decompose_over_components() {
 #[test]
 fn lp_details_are_consistent_on_the_lp_path() {
     let g = generators::complete(6);
-    let sol = forest_polytope_max(&g, 1.0).unwrap();
+    let sol = CombinatorialSolver::new().solve(&g, 1.0).unwrap();
     assert!(sol.lp_solves >= 1);
     assert!(approx(sol.edge_weights.iter().sum::<f64>(), sol.value));
     assert_eq!(sol.edge_weights.len(), g.num_edges());

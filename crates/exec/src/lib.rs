@@ -2,13 +2,13 @@
 //!
 //! One primitive, built directly on `std::thread` (the build environment has
 //! no registry access, so no rayon/crossbeam): [`parallel_map`], a *scoped*
-//! work-stealing fork/join that maps a function over `0..len` on `t` threads
-//! and returns the results **in index order**. It borrows its closure (no
-//! `'static` bound, no `Arc`), splits the index range into per-worker deques,
-//! and lets idle workers steal from the back of busy ones, so skewed workloads
-//! (one giant component among thousands of tiny ones) still balance. Because
-//! results are assembled by index, the output is **identical for every thread
-//! count** — determinism is positional, not scheduling-dependent.
+//! fork/join that maps a function over `0..len` on `t` threads and returns
+//! the results **in index order**. It borrows its closure (no `'static`
+//! bound, no `Arc`), and its workers take indices one at a time from one
+//! shared atomic cursor, so skewed workloads (one giant component among
+//! thousands of tiny ones) still balance. Because results are assembled by
+//! index, the output is **identical for every thread count** — determinism
+//! is positional, not scheduling-dependent.
 //!
 //! Alongside it: [`effective_parallelism`], the work-size gate callers use to
 //! decide whether fanning out pays, and [`PhaseProfiler`], the per-phase
@@ -16,7 +16,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Maps `f` over `0..len` using up to `threads` workers, returning results in
@@ -26,10 +26,9 @@ use std::sync::Mutex;
 /// count or the scheduling — `parallel_map(1, …)` and `parallel_map(8, …)`
 /// return identical vectors whenever `f` is a pure function of its index.
 ///
-/// Scheduling: the index range is pre-split into contiguous per-worker deques;
-/// a worker exhausting its own deque steals single indices from the back of
-/// other workers' deques (round-robin victim scan). Locks are held only for
-/// queue pops, never while `f` runs.
+/// Scheduling: each worker takes the next index from one shared atomic
+/// cursor until the range is exhausted, so an idle worker always picks up
+/// the next unstarted index. No lock is taken.
 ///
 /// `threads` is clamped to `[1, len]`; with one thread (or `len <= 1`) the map
 /// runs inline on the caller's stack with zero thread overhead.
@@ -46,42 +45,20 @@ where
         return (0..len).map(f).collect();
     }
 
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| {
-            let lo = w * len / threads;
-            let hi = (w + 1) * len / threads;
-            Mutex::new((lo..hi).collect())
-        })
-        .collect();
-    let queues = &queues;
-    let f = &f;
-
+    let cursor = AtomicUsize::new(0);
+    let (cursor, f) = (&cursor, &f);
     let buffers: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
-            .map(|w| {
+            .map(|_| {
                 s.spawn(move || {
-                    let mut out: Vec<(usize, T)> = Vec::new();
+                    let mut out = Vec::new();
                     loop {
-                        // Own deque first (front: preserves locality), then
-                        // steal from the back of a victim's deque.
-                        let mut task = queues[w].lock().expect("queue lock").pop_front();
-                        if task.is_none() {
-                            for d in 1..threads {
-                                let v = (w + d) % threads;
-                                if let Some(t) = queues[v].lock().expect("queue lock").pop_back() {
-                                    task = Some(t);
-                                    break;
-                                }
-                            }
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= len {
+                            break out;
                         }
-                        match task {
-                            // No task anywhere: since indices are never
-                            // re-enqueued, empty-everywhere means done.
-                            None => break,
-                            Some(i) => out.push((i, f(i))),
-                        }
+                        out.push((i, f(i)));
                     }
-                    out
                 })
             })
             .collect();
@@ -95,11 +72,9 @@ where
     });
 
     let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
-    for buf in buffers {
-        for (i, val) in buf {
-            debug_assert!(slots[i].is_none(), "index {i} computed twice");
-            slots[i] = Some(val);
-        }
+    for (i, val) in buffers.into_iter().flatten() {
+        debug_assert!(slots[i].is_none(), "index {i} computed twice");
+        slots[i] = Some(val);
     }
     slots
         .into_iter()

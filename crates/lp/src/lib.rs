@@ -10,11 +10,12 @@
 //!   parallel sweep, with closed forms for trees and cycles and
 //!   labeled-slice class dedup.
 //! * [`solver`] / [`combinatorial`] — the reference solvers on adjacency-list
-//!   graphs: [`CombinatorialSolver`] (the reduction loop the engine
-//!   replicates bit for bit) and [`SimplexSolver`] (the independent LP
-//!   oracle: cutting planes paired with the column-generation bound). The
-//!   adjacency-list graph stops at their entry points: each component goes
-//!   on as a vertex count and a canonical edge list.
+//!   graphs, which only tests and benchmarks call: [`CombinatorialSolver`]
+//!   (the reduction loop the engine replicates bit for bit) and
+//!   [`SimplexSolver`] (the independent LP oracle: cutting planes paired
+//!   with the column-generation bound). The adjacency-list graph stops at
+//!   their entry points: each component goes on as a vertex count and a
+//!   canonical edge list.
 //! * [`column_generation`] / [`cutting_plane`] — the exact LP tail for the
 //!   irreducible fractional core: Dantzig–Wolfe column generation over
 //!   forests, and constraint generation with the min-cut separation oracle.

@@ -33,6 +33,7 @@
 //! serve tier's replay property tests).
 
 use crate::trace::TraceId;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -212,9 +213,11 @@ impl AuditEvent {
     }
 }
 
-/// Escapes `s` as JSON string content into `out` (quotes, backslashes,
-/// control characters).
-fn escape_json_into(s: &str, out: &mut String) {
+/// Escapes `s` as JSON string content into `out`: quotes, backslashes, the
+/// common short escapes, and other control characters as `\uXXXX`. The one
+/// JSON string escaper of the stack: the journal's JSONL lines and the
+/// serving tier's `JsonWriter` both call it.
+pub fn escape_json_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -223,7 +226,7 @@ fn escape_json_into(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

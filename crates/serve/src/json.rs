@@ -5,7 +5,8 @@
 //! [`JsonWriter`], and every byte it accepts comes back through [`parse`]. One module is the
 //! single source of truth for the wire format: escaping rules, number
 //! formatting and nesting cannot drift between the HTTP listener and the
-//! client.
+//! client. Strings are escaped by [`escape_json_into`], which the audit
+//! journal's JSONL lines share.
 //!
 //! The build environment has no registry access (see `crates/compat/`), so
 //! this is a deliberate, minimal, dependency-free implementation rather than
@@ -14,6 +15,7 @@
 //! (JSON has no NaN), and the parser enforces a nesting-depth cap so
 //! adversarial input cannot blow the stack.
 
+use ccdp_obs::audit::escape_json_into;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -78,7 +80,7 @@ impl JsonWriter {
     fn key(&mut self, name: &str) {
         self.comma();
         self.buf.push('"');
-        escape_into(&mut self.buf, name);
+        escape_json_into(name, &mut self.buf);
         self.buf.push_str("\":");
     }
 
@@ -86,7 +88,7 @@ impl JsonWriter {
     pub fn field_str(&mut self, name: &str, value: &str) -> &mut Self {
         self.key(name);
         self.buf.push('"');
-        escape_into(&mut self.buf, value);
+        escape_json_into(value, &mut self.buf);
         self.buf.push('"');
         self
     }
@@ -178,24 +180,6 @@ fn push_f64(buf: &mut String, value: f64) {
         let _ = write!(buf, "{value}");
     } else {
         buf.push_str("null");
-    }
-}
-
-/// Appends `s` to `out` with JSON string escaping (`"`, `\`, control
-/// characters as `\uXXXX`, and the common short escapes).
-pub fn escape_into(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

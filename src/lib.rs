@@ -83,9 +83,9 @@ pub mod prelude {
         smallest_anchor_delta,
     };
     pub use ccdp_core::{
-        evaluate_family, forest_polytope_max, measure_errors, CacheStats, CcdpError, ConfigError,
-        CoreError, Diagnostics, DiagnosticsAccess, EdgeDpBaseline, ErrorStats, Estimator,
-        EstimatorConfig, EvaluationPath, ExtensionCache, FixedDeltaBaseline, LipschitzExtension,
+        evaluate_family, measure_errors, CacheStats, CcdpError, ConfigError, CoreError,
+        Diagnostics, DiagnosticsAccess, EdgeDpBaseline, ErrorStats, Estimator, EstimatorConfig,
+        EvaluationPath, ExtensionCache, FixedDeltaBaseline, LipschitzExtension,
         NaiveNodeDpBaseline, NonPrivateBaseline, Privacy, PrivateCcEstimator,
         PrivateSpanningForestEstimator, Release,
     };

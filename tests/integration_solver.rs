@@ -4,7 +4,7 @@
 //! `estimate()` agree exactly) and cache observability.
 
 use ccdp::prelude::*;
-use ccdp_lp::SimplexSolver;
+use ccdp_lp::{CombinatorialSolver, SimplexSolver};
 use std::sync::Arc;
 
 fn diagnostics(r: &Release) -> &Diagnostics {
@@ -83,7 +83,7 @@ fn backends_agree_through_the_lipschitz_extension() {
 #[test]
 fn direct_polytope_api_exposes_both_backends() {
     let g = generators::complete(6);
-    let comb = forest_polytope_max(&g, 2.0).unwrap();
+    let comb = CombinatorialSolver::new().solve(&g, 2.0).unwrap();
     let simp = SimplexSolver::new().solve(&g, 2.0).unwrap();
     assert!((comb.value - simp.value).abs() < 1e-6);
     assert!((comb.value - 5.0).abs() < 1e-5);

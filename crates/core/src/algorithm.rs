@@ -177,7 +177,13 @@ impl PrivateSpanningForestEstimator {
                 profiler,
                 obs.trace.as_ref(),
             )?,
-            None => Arc::new(evaluate_family(arena.get(), &grid, threads, profiler)?),
+            None => Arc::new(evaluate_family(
+                arena.get(),
+                &grid,
+                threads,
+                profiler,
+                None,
+            )?),
         };
         // A memo read: the family evaluation's partition (on a miss) or an
         // earlier release of this arena (on a hit) already counted the

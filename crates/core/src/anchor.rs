@@ -39,7 +39,7 @@ pub fn in_optimal_monotone_anchor_set(g: &Graph, delta: usize) -> bool {
 pub fn smallest_anchor_delta(g: &Graph) -> Result<usize, CoreError> {
     let grid: Vec<usize> = (1..=g.max_degree().max(1)).collect();
     let fsf = g.spanning_forest_size() as f64;
-    let family = evaluate_family(&CsrGraph::from_graph(g), &grid, 1, None)?;
+    let family = evaluate_family(&CsrGraph::from_graph(g), &grid, 1, None, None)?;
     Ok(grid
         .iter()
         .zip(&family)

@@ -10,22 +10,25 @@
 //! baseline comparisons — therefore pays the family cost once and replays it
 //! from this cache afterwards (~20× cheaper repeated estimates).
 //!
-//! The cache is keyed by a 128-bit fingerprint of the graph's CSR arena
-//! (plus vertex count and grid), bounded in size with LRU eviction
-//! (hits refresh an entry's recency), and safe to share across estimators and
-//! threads. The fingerprint is memoized on the arena
-//! ([`CsrGraph::fingerprint`]), so only the first lookup of an arena hashes
-//! it. Every entry keeps the [`CsrGraph`] it was computed from as a
-//! *witness*, and a fingerprint hit is confirmed against it before it is
-//! served:
+//! A lookup tagged with the snapshot it serves ([`GraphTag`]: graph id and
+//! version) is keyed by that tag and the grid; no graph hashing happens on
+//! that path. Only an untagged lookup is keyed by a 128-bit fingerprint of
+//! the graph's CSR arena (plus vertex count and grid); the fingerprint is
+//! memoized on the arena ([`CsrGraph::fingerprint`]), so only the first
+//! untagged lookup of an arena hashes it. The cache is bounded in size with
+//! LRU eviction (hits refresh an entry's recency), and safe to share across
+//! estimators and threads. Every entry keeps the [`CsrGraph`] it was
+//! computed from as a *witness*, and a key hit is confirmed against it
+//! before it is served:
 //!
 //! * a request for the *same allocation* as the witness — the arena a
 //!   serving registry published, passed as [`ArenaRef::Shared`] — is
 //!   confirmed by pointer equality, so a hit on a published graph does no
 //!   O(n + m) work;
 //! * any other arena is compared with the witness (two flat `u32` arrays, a
-//!   memory compare), so a fingerprint collision degrades to a safe miss,
-//!   never to a wrong answer.
+//!   memory compare), so a fingerprint collision, or one tag used for two
+//!   different graphs, degrades to a safe miss evaluated on the side, never
+//!   to a wrong answer.
 //!
 //! The first caller of a key inserts its entry — the witness plus an empty
 //! [`OnceLock`] — before it evaluates, and keeps a shared arena's `Arc` as
@@ -47,11 +50,20 @@
 //! The thread budget of an evaluation is deliberately **not** part of the
 //! key: family values are bit-for-bit identical for every budget, so an
 //! entry computed with 8 workers answers a sequential request and vice versa.
+//!
+//! Versions of one graph mostly share their components, so the cache also
+//! carries solved classes across them: once it has evaluated a second
+//! version of a graph id, it keeps one [`ClassMemo`] for that id, passes it
+//! to the evaluation of each tagged miss on the id and replaces it with that
+//! evaluation's classes. A graph served at one version keeps none, untagged
+//! lookups never use one, and the memo leaves with the id's last entry. The
+//! memo changes only how much work a miss does, never its values.
 
 use crate::error::CoreError;
 use crate::extension::{evaluate_family, ExtensionEvaluation};
 use ccdp_exec::PhaseProfiler;
 use ccdp_graph::{CsrGraph, GraphVersion};
+use ccdp_lp::ClassMemo;
 use ccdp_obs::{Counter, Gauge, MetricsRegistry, SpanKind, TraceCtx};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -62,14 +74,16 @@ pub const DEFAULT_FAMILY_CACHE_CAPACITY: usize = 64;
 
 /// Catalog identity of a graph snapshot: which graph, at which version.
 ///
-/// Untagged evaluations are keyed by the exact edge list alone. A serving or
+/// Untagged evaluations are keyed by the arena's fingerprint. A serving or
 /// streaming tier that names its graphs tags each evaluation with the
-/// snapshot it came from, which buys two things the edge list cannot:
-/// entries of superseded versions can be [invalidated in
+/// snapshot it came from, and the tag replaces the fingerprint in the key,
+/// which buys three things: a new snapshot is never hashed, entries of
+/// superseded versions can be [invalidated in
 /// bulk](ExtensionCache::invalidate_versions_below), and a release served for
 /// version `v` can never replay a family cached under any other version —
 /// even if two versions happen to share an edge list, their cache entries
-/// stay distinct.
+/// stay distinct. The witness still confirms every tagged hit, so a tag
+/// reused for a different graph is a miss, never a replay.
 #[derive(Clone, Debug, Hash, PartialEq, Eq)]
 pub struct GraphTag {
     /// Catalog id of the graph.
@@ -144,23 +158,52 @@ impl<'a> From<&'a Arc<CsrGraph>> for ArenaRef<'a> {
     }
 }
 
-/// Identity of one family evaluation: graph fingerprint plus grid and
-/// optional catalog tag. The fingerprint is confirmed against the stored
-/// witness arena before a hit is served (collisions become safe misses).
+/// Identity of one family evaluation: the snapshot tag plus the grid, or
+/// for an untagged lookup the arena's vertex count and fingerprint plus the
+/// grid. A key hit is confirmed against the stored witness arena before it
+/// is served.
 #[derive(Clone, Debug, Hash, PartialEq, Eq)]
-struct CacheKey {
-    num_vertices: usize,
-    fingerprint: u128,
-    grid: Vec<usize>,
-    /// Catalog identity, when the caller serves versioned snapshots.
-    tag: Option<GraphTag>,
+enum CacheKey {
+    Tagged {
+        tag: GraphTag,
+        grid: Vec<usize>,
+    },
+    Untagged {
+        num_vertices: usize,
+        fingerprint: u128,
+        grid: Vec<usize>,
+    },
+}
+
+impl CacheKey {
+    fn of(arena: &CsrGraph, grid: &[usize], tag: Option<&GraphTag>) -> Self {
+        let grid = grid.to_vec();
+        match tag {
+            Some(tag) => CacheKey::Tagged {
+                tag: tag.clone(),
+                grid,
+            },
+            None => CacheKey::Untagged {
+                num_vertices: arena.num_vertices(),
+                fingerprint: arena.fingerprint(),
+                grid,
+            },
+        }
+    }
+
+    fn tag(&self) -> Option<&GraphTag> {
+        match self {
+            CacheKey::Tagged { tag, .. } => Some(tag),
+            CacheKey::Untagged { .. } => None,
+        }
+    }
 }
 
 /// One entry, in flight or done.
 struct Slot {
-    /// The CSR arena the family is computed from. A fingerprint hit is
-    /// served only after the request arena equals this witness, so a
-    /// colliding key can never replay another graph's family.
+    /// The CSR arena the family is computed from. A key hit is served only
+    /// after the request arena equals this witness, so a colliding key can
+    /// never replay another graph's family.
     witness: Arc<CsrGraph>,
     /// Empty while the family is being evaluated; `get_or_init` on it is the
     /// single flight.
@@ -175,6 +218,40 @@ struct CacheInner {
     map: HashMap<CacheKey, (Arc<Slot>, u64)>,
     /// Monotonic recency clock, bumped per lookup.
     tick: u64,
+    /// Graph id → the classes of the id's most recent tagged evaluation,
+    /// for ids evaluated at two versions or more that still have an entry.
+    /// Taken out while an evaluation reads it.
+    memos: HashMap<String, ClassMemo>,
+}
+
+impl CacheInner {
+    /// `true` if an entry of graph `id` is stored, at any version or grid.
+    fn holds(&self, id: &str) -> bool {
+        self.map
+            .keys()
+            .any(|key| key.tag().is_some_and(|tag| tag.id == id))
+    }
+
+    /// The memo a tagged miss on `tag` evaluates with: the id's memo, taken
+    /// out of the map, or a fresh one once another version of the id is
+    /// stored; `None` for an id seen at this version only.
+    fn take_memo(&mut self, tag: &GraphTag) -> Option<ClassMemo> {
+        if let Some(memo) = self.memos.remove(&tag.id) {
+            return Some(memo);
+        }
+        let other_version = self.map.keys().any(|key| {
+            key.tag()
+                .is_some_and(|t| t.id == tag.id && t.version != tag.version)
+        });
+        other_version.then(ClassMemo::default)
+    }
+
+    /// Drops `id`'s memo once no entry of the id is left.
+    fn drop_orphan_memo(&mut self, id: &str) {
+        if !self.holds(id) {
+            self.memos.remove(id);
+        }
+    }
 }
 
 /// Point-in-time cache counters.
@@ -183,7 +260,8 @@ pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that had to evaluate the family (one per inserted entry, plus
-    /// one per fingerprint collision evaluated on the side).
+    /// one per key hit whose witness is a different graph, evaluated on the
+    /// side).
     pub misses: u64,
     /// Lookups that joined another caller's in-flight evaluation instead of
     /// racing it (single-flight coalescing).
@@ -278,10 +356,10 @@ impl ExtensionCache {
         let mut inner = self.lock();
         let before = inner.map.len();
         inner.map.retain(|key, _| {
-            !key.tag
-                .as_ref()
+            !key.tag()
                 .is_some_and(|tag| tag.id == graph_id && tag.version < version)
         });
+        inner.drop_orphan_memo(graph_id);
         let dropped = before - inner.map.len();
         self.invalidations.add(dropped as u64);
         self.entries_gauge.set(inner.map.len() as i64);
@@ -293,10 +371,12 @@ impl ExtensionCache {
     /// in-flight evaluation when another thread is already computing this
     /// exact key.
     ///
-    /// A catalog [`GraphTag`] keys the entry by `(id, version)` *in addition
-    /// to* the graph fingerprint, so evaluations of different snapshot
-    /// versions never answer for each other and can be invalidated per
-    /// version range. `threads` is the budget of the evaluation on a miss; it
+    /// A catalog [`GraphTag`] keys the entry by `(id, version)` *instead of*
+    /// the graph fingerprint, so a new snapshot is never hashed, evaluations
+    /// of different snapshot versions never answer for each other, and they
+    /// can be invalidated per version range. A tagged miss on an id the
+    /// cache holds at another version evaluates with the id's
+    /// [`ClassMemo`]. `threads` is the budget of the evaluation on a miss; it
     /// never enters the key. The profiler records family phase timings in
     /// whichever caller evaluates, and the trace context receives a
     /// `cache/hit`, `cache/miss` (timed over the evaluation) or
@@ -317,24 +397,19 @@ impl ExtensionCache {
     ) -> Result<Arc<Vec<ExtensionEvaluation>>, CoreError> {
         let request = arena.into();
         let arena = request.get();
-        let key = CacheKey {
-            num_vertices: arena.num_vertices(),
-            fingerprint: arena.fingerprint(),
-            grid: grid.to_vec(),
-            tag: tag.cloned(),
-        };
+        let key = CacheKey::of(arena, grid, tag);
 
         let started = trace.map(|_| Instant::now());
         // Decide the outcome under the lock: a set cell is a hit, an unset
         // one a coalesced join, a fresh insert a miss.
-        let (slot, kind) = {
+        let (slot, kind, memo) = {
             let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
             match inner.map.get_mut(&key) {
-                // Confirm the fingerprint hit against the witness before
-                // serving it: a collision must degrade to a miss, never
-                // replay another graph's family.
+                // Confirm the key hit against the witness before serving it:
+                // a collision must degrade to a miss, never replay another
+                // graph's family.
                 Some((slot, last_used)) if request.matches(&slot.witness) => {
                     *last_used = tick;
                     if let Some(Ok(evals)) = slot.family.get() {
@@ -345,21 +420,24 @@ impl ExtensionCache {
                         return Ok(Arc::clone(evals));
                     }
                     self.coalesced.inc();
-                    (Some(Arc::clone(slot)), SpanKind::CacheCoalesced)
+                    (Some(Arc::clone(slot)), SpanKind::CacheCoalesced, None)
                 }
-                // Fingerprint collision with a different graph: evaluate on
-                // the side without touching the map.
+                // The key names a different graph (a fingerprint collision,
+                // or one tag on two graphs): evaluate on the side without
+                // touching the map.
                 Some(_) => {
                     self.misses.inc();
-                    (None, SpanKind::CacheMiss)
+                    (None, SpanKind::CacheMiss, None)
                 }
                 None => {
+                    let mut victim = None;
                     if inner.map.len() >= self.capacity {
                         // Evict the least recently used entry; an in-flight
                         // victim still answers the callers holding its slot.
-                        let victim = inner.map.iter().min_by_key(|(_, (_, used))| *used);
-                        if let Some(victim) = victim.map(|(k, _)| k.clone()) {
-                            inner.map.remove(&victim);
+                        let lru = inner.map.iter().min_by_key(|(_, (_, used))| *used);
+                        victim = lru.map(|(k, _)| k.clone());
+                        if let Some(victim) = &victim {
+                            inner.map.remove(victim);
                             self.evictions.inc();
                         }
                     }
@@ -368,15 +446,30 @@ impl ExtensionCache {
                         family: OnceLock::new(),
                     });
                     inner.map.insert(key.clone(), (Arc::clone(&slot), tick));
+                    if let Some(id) = victim.as_ref().and_then(CacheKey::tag) {
+                        inner.drop_orphan_memo(&id.id);
+                    }
+                    let memo = tag.and_then(|tag| inner.take_memo(tag));
                     self.entries_gauge.set(inner.map.len() as i64);
                     self.misses.inc();
-                    (Some(slot), SpanKind::CacheMiss)
+                    (Some(slot), SpanKind::CacheMiss, memo)
                 }
             }
         };
         // Evaluate outside the lock: family evaluation can take a while and
-        // lookups of other graphs must not serialize on it.
-        let evaluate = || evaluate_family(arena, grid, threads, profiler).map(Arc::new);
+        // lookups of other graphs must not serialize on it. A memo goes back
+        // after a successful evaluation, while its id still has an entry.
+        let evaluate = || {
+            let mut memo = memo;
+            let result = evaluate_family(arena, grid, threads, profiler, memo.as_mut());
+            if let (Ok(_), Some(memo), Some(tag)) = (&result, memo, tag) {
+                let mut inner = self.lock();
+                if inner.holds(&tag.id) {
+                    inner.memos.insert(tag.id.clone(), memo);
+                }
+            }
+            result.map(Arc::new)
+        };
         let result = match slot {
             Some(slot) => {
                 let guard = SlotGuard {
@@ -423,6 +516,9 @@ impl Drop for SlotGuard<'_> {
             .is_some_and(|(s, _)| Arc::ptr_eq(s, &self.slot))
         {
             inner.map.remove(self.key);
+            if let Some(tag) = self.key.tag() {
+                inner.drop_orphan_memo(&tag.id);
+            }
             self.cache.entries_gauge.set(inner.map.len() as i64);
         }
     }
@@ -542,7 +638,7 @@ mod tests {
         let g = generators::complete(5);
         let grid = [1usize, 2, 4];
         let cached = family(&cache, &g, &grid);
-        let direct = evaluate_family(&CsrGraph::from_graph(&g), &grid, 1, None).unwrap();
+        let direct = evaluate_family(&CsrGraph::from_graph(&g), &grid, 1, None, None).unwrap();
         assert_eq!(cached.len(), direct.len());
         for (c, d) in cached.iter().zip(&direct) {
             assert!((c.value - d.value).abs() < 1e-12);
@@ -640,7 +736,7 @@ mod tests {
         // Forge a fingerprint collision: the entry under this key now claims
         // another graph as its witness, with that graph's family.
         let other = Arc::new(CsrGraph::from_graph(&generators::path(12)));
-        let other_evals = Arc::new(evaluate_family(&other, &grid, 1, None).unwrap());
+        let other_evals = Arc::new(evaluate_family(&other, &grid, 1, None, None).unwrap());
         {
             let mut inner = cache.lock();
             let (slot, _) = inner
@@ -668,33 +764,146 @@ mod tests {
 
     #[test]
     fn racing_threads_coalesce_to_one_evaluation() {
-        let cache = Arc::new(ExtensionCache::new(8));
-        let g = generators::caveman(4, 5);
-        let grid = [1usize, 2, 4, 8, 16];
-        let threads = 8;
-        let barrier = Arc::new(std::sync::Barrier::new(threads));
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                let g = g.clone();
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    family(&cache, &g, &grid)
+        // Untagged lookups share a fingerprint key, tagged ones a tag key.
+        for tag in [None, Some(GraphTag::new("fleet/g0", GraphVersion::new(2)))] {
+            let cache = Arc::new(ExtensionCache::new(8));
+            let g = generators::caveman(4, 5);
+            let grid = [1usize, 2, 4, 8, 16];
+            let threads = 8;
+            let barrier = Arc::new(std::sync::Barrier::new(threads));
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    let cache = Arc::clone(&cache);
+                    let g = g.clone();
+                    let barrier = Arc::clone(&barrier);
+                    let tag = tag.clone();
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        tagged(&cache, &g, &grid, tag.as_ref())
+                    })
                 })
-            })
-            .collect();
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for r in &results[1..] {
-            assert!((r[0].value - results[0][0].value).abs() < 1e-12);
+                .collect();
+            let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            for r in &results[1..] {
+                assert!((r[0].value - results[0][0].value).abs() < 1e-12);
+            }
+            let stats = cache.stats();
+            assert_eq!(stats.misses, 1, "exactly one leader must have evaluated");
+            assert_eq!(
+                stats.hits + stats.coalesced + stats.misses,
+                threads as u64,
+                "every lookup is a hit, a coalesced join or the one miss: {stats:?}"
+            );
         }
+    }
+
+    #[test]
+    fn one_tag_on_two_graphs_misses_and_never_replays() {
+        let cache = ExtensionCache::new(8);
+        let grid = [1usize, 2, 4];
+        let tag = GraphTag::new("fleet/g0", GraphVersion::INITIAL);
+        let a = generators::caveman(3, 4);
+        let b = generators::star(12);
+        let first = tagged(&cache, &a, &grid, Some(&tag));
+        // Same tag, different arena: a miss evaluated on the side, which
+        // returns this graph's family and stores nothing.
+        let other = tagged(&cache, &b, &grid, Some(&tag));
+        let direct = evaluate_family(&CsrGraph::from_graph(&b), &grid, 1, None, None).unwrap();
+        let bits = |e: &[ExtensionEvaluation]| -> Vec<u64> {
+            e.iter().map(|x| x.value.to_bits()).collect()
+        };
+        assert_eq!(bits(&other), bits(&direct));
+        assert_ne!(bits(&other), bits(&first));
         let stats = cache.stats();
-        assert_eq!(stats.misses, 1, "exactly one leader must have evaluated");
-        assert_eq!(
-            stats.hits + stats.coalesced + stats.misses,
-            threads as u64,
-            "every lookup is a hit, a coalesced join or the one miss: {stats:?}"
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 1));
+        // The stored entry still answers its own graph.
+        let again = tagged(&cache, &a, &grid, Some(&tag));
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn a_borrowed_graph_hits_the_entry_a_shared_arena_inserted_under_its_tag() {
+        let cache = ExtensionCache::new(8);
+        let grid = [1usize, 2, 4, 8];
+        let g = generators::caveman(3, 4);
+        let tag = GraphTag::new("fleet/g1", GraphVersion::new(3));
+        let arena = Arc::new(CsrGraph::from_graph(&g));
+        let first = cache
+            .evaluate_family(&arena, &grid, Some(&tag), 1, None, None)
+            .unwrap();
+        // An estimate of the `Graph` builds its own arena and borrows it.
+        let probe = tagged(&cache, &g, &grid, Some(&tag));
+        assert!(Arc::ptr_eq(&first, &probe));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn class_memo_starts_at_a_second_version_and_leaves_with_the_last_entry() {
+        let cache = ExtensionCache::new(8);
+        let grid = [1usize, 2, 4, 8];
+        let memos = |cache: &ExtensionCache| -> Vec<(String, usize)> {
+            let inner = cache.lock();
+            let mut memos: Vec<_> = inner
+                .memos
+                .iter()
+                .map(|(id, m)| (id.clone(), m.len()))
+                .collect();
+            memos.sort();
+            memos
+        };
+        // Version `v` is the last plus one larger clique: K3, …, K(3 + v),
+        // each its own class, so the memo serves every earlier clique.
+        let mut versions = vec![generators::complete(3)];
+        for k in 4..7 {
+            let last = versions.last().expect("non-empty");
+            versions.push(generators::disjoint_union(last, &generators::complete(k)));
+        }
+        let tag = |v: u64| GraphTag::new("g", GraphVersion::new(v));
+        let check = |family: &[ExtensionEvaluation], g: &Graph| {
+            let cold = evaluate_family(&CsrGraph::from_graph(g), &grid, 1, None, None).unwrap();
+            for (a, b) in family.iter().zip(&cold) {
+                assert_eq!(a.value.to_bits(), b.value.to_bits());
+                assert_eq!(a.path, b.path);
+            }
+        };
+        // One version, or a graph served at one version: no memo.
+        check(
+            &tagged(&cache, &versions[0], &grid, Some(&tag(0))),
+            &versions[0],
         );
+        tagged(
+            &cache,
+            &versions[1],
+            &grid,
+            Some(&GraphTag::new("h", GraphVersion::INITIAL)),
+        );
+        family(&cache, &versions[2], &grid);
+        assert!(memos(&cache).is_empty());
+        // The second version starts one; it holds that version's classes
+        // (one per clique) and no earlier ones.
+        for (v, g) in versions.iter().enumerate().skip(1) {
+            check(&tagged(&cache, g, &grid, Some(&tag(v as u64))), g);
+            assert_eq!(memos(&cache), [("g".to_string(), v + 1)]);
+            assert_eq!(
+                cache.invalidate_versions_below("g", GraphVersion::new(v as u64)),
+                1
+            );
+            assert_eq!(memos(&cache).len(), 1);
+        }
+        // The memo leaves with the id's last entry.
+        cache.invalidate_versions_below("g", GraphVersion::new(4));
+        assert!(memos(&cache).is_empty());
+        // Eviction drops it too.
+        let small = ExtensionCache::new(2);
+        tagged(&small, &versions[0], &grid, Some(&tag(0)));
+        tagged(&small, &versions[1], &grid, Some(&tag(1)));
+        assert_eq!(memos(&small).len(), 1);
+        family(&small, &versions[2], &grid);
+        family(&small, &versions[3], &grid);
+        assert!(memos(&small).is_empty());
+        assert_eq!(small.stats().evictions, 2);
     }
 
     #[test]

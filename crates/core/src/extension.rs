@@ -25,7 +25,7 @@ use crate::error::CoreError;
 use ccdp_exec::{effective_parallelism, PhaseProfiler};
 use ccdp_graph::forest::component_bounded_degree_spanning_forest;
 use ccdp_graph::{CsrGraph, Graph};
-use ccdp_lp::solve_partition;
+use ccdp_lp::{solve_partition, solve_partition_with_memo, ClassMemo};
 use std::cell::OnceCell;
 
 /// How `f_Δ(G)` was computed.
@@ -74,7 +74,7 @@ impl LipschitzExtension {
 
     /// Evaluates `f_Δ(G)` (this is `EvalLipschitzExtension` of Algorithm 2).
     pub fn evaluate(&self, g: &Graph) -> Result<f64, CoreError> {
-        let family = evaluate_family(&CsrGraph::from_graph(g), &[self.delta], 1, None)?;
+        let family = evaluate_family(&CsrGraph::from_graph(g), &[self.delta], 1, None, None)?;
         Ok(family[0].value)
     }
 }
@@ -133,14 +133,24 @@ impl LipschitzExtension {
 /// per-Δ solve counts (component totals, closed forms, dedup hits).
 /// Profiling never changes values.
 ///
+/// A [`ClassMemo`] carries solved classes from one version of a graph to
+/// the next: with `Some(memo)` the LP sweep is
+/// [`solve_partition_with_memo`], so every class whose labeled slice the
+/// memo holds takes the stored result for each Δ it needs, and on success
+/// the memo holds this evaluation's classes (unchanged when no Δ reached
+/// the LP). The values are those of the evaluation without a memo, bit for
+/// bit.
+///
 /// Repeated evaluations of the same graph should go through
 /// [`ExtensionCache`](crate::cache::ExtensionCache), which wraps this
-/// function with a graph-keyed memo.
+/// function with a graph-keyed memo and keeps one [`ClassMemo`] per graph
+/// it has seen at two versions or more.
 pub fn evaluate_family(
     arena: &CsrGraph,
     grid: &[usize],
     threads: usize,
     profiler: Option<&PhaseProfiler>,
+    memo: Option<&mut ClassMemo>,
 ) -> Result<Vec<ExtensionEvaluation>, CoreError> {
     assert!(grid.iter().all(|&d| d >= 1), "delta must be at least 1");
     if arena.num_edges() == 0 {
@@ -214,7 +224,11 @@ pub fn evaluate_family(
         let _t = profiler.map(|p| p.phase("family/lp"));
         // The family only feeds values into the GEM selection, so it asks
         // for no per-edge weights.
-        solve_partition(&part, &lp_deltas, threads, false).map_err(CoreError::from)?
+        match memo {
+            Some(memo) => solve_partition_with_memo(&part, &lp_deltas, threads, memo),
+            None => solve_partition(&part, &lp_deltas, threads, false),
+        }
+        .map_err(CoreError::from)?
     }
     .into_iter();
 
@@ -371,8 +385,9 @@ mod tests {
         let grid = ccdp_dp::gem::power_of_two_grid(64);
         for (i, g) in graphs.iter().enumerate() {
             for threads in [1usize, 2] {
-                let family =
-                    |h: &Graph| evaluate_family(&CsrGraph::from_graph(h), &grid, threads, None);
+                let family = |h: &Graph| {
+                    evaluate_family(&CsrGraph::from_graph(h), &grid, threads, None, None)
+                };
                 let base = family(g).unwrap();
                 for v in g.vertices() {
                     let (h, _) = remove_vertex(g, v);
@@ -390,7 +405,7 @@ mod tests {
         }
         // The heavy piece is not anchored at Δ = 2, so it reaches the LP.
         let heavy = CsrGraph::from_graph(&ladder_with_hub_chains(10, 6));
-        let family = evaluate_family(&heavy, &[2], 1, None).unwrap();
+        let family = evaluate_family(&heavy, &[2], 1, None, None).unwrap();
         assert_eq!(family[0].path, EvaluationPath::LinearProgram);
     }
 
@@ -421,7 +436,7 @@ mod tests {
     fn family_evaluation_is_monotone() {
         let g = generators::caveman(3, 4);
         let grid = [1usize, 2, 4, 8];
-        let evals = evaluate_family(&CsrGraph::from_graph(&g), &grid, 1, None).unwrap();
+        let evals = evaluate_family(&CsrGraph::from_graph(&g), &grid, 1, None, None).unwrap();
         assert_eq!(evals.len(), 4);
         for w in evals.windows(2) {
             assert!(w[0].value <= w[1].value + 1e-9);
@@ -494,7 +509,7 @@ mod tests {
             let want = reference_family(g, &grid);
             let arena = CsrGraph::from_graph(g);
             for threads in [1usize, 3] {
-                let got = evaluate_family(&arena, &grid, threads, None).unwrap();
+                let got = evaluate_family(&arena, &grid, threads, None, None).unwrap();
                 assert_eq!(want.len(), got.len());
                 for ((w, e), delta) in want.iter().zip(&got).zip(grid) {
                     assert_eq!(
@@ -517,7 +532,7 @@ mod tests {
             .expect("non-empty graph");
         assert!(giant.num_vertices() > 100 && giant.num_edges() > giant.num_vertices());
         let profiler = PhaseProfiler::new();
-        evaluate_family(&big, &grid, 3, Some(&profiler)).unwrap();
+        evaluate_family(&big, &grid, 3, Some(&profiler), None).unwrap();
         let count = |name: &str| {
             profiler
                 .report()
@@ -620,7 +635,7 @@ mod tests {
             let want = reference_family(g, &grid);
             let arena = CsrGraph::from_graph(g);
             for threads in [1usize, 3] {
-                let got = evaluate_family(&arena, &grid, threads, None).unwrap();
+                let got = evaluate_family(&arena, &grid, threads, None, None).unwrap();
                 assert_eq!(want.len(), got.len());
                 for ((w, e), delta) in want.iter().zip(&got).zip(grid) {
                     assert_eq!(
@@ -637,7 +652,7 @@ mod tests {
     #[test]
     fn evaluation_path_is_reported() {
         let star = CsrGraph::from_graph(&generators::star(5));
-        let family = evaluate_family(&star, &[2, 5], 1, None).unwrap();
+        let family = evaluate_family(&star, &[2, 5], 1, None, None).unwrap();
         assert_eq!(family[1].path, EvaluationPath::SpanningForestFastPath);
         assert_eq!(family[0].path, EvaluationPath::LinearProgram);
     }

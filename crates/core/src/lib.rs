@@ -87,6 +87,7 @@ pub use algorithm::{PrivateCcEstimator, PrivateSpanningForestEstimator};
 pub use anchor::{in_anchor_set, in_optimal_monotone_anchor_set, smallest_anchor_delta};
 pub use baselines::{EdgeDpBaseline, FixedDeltaBaseline, NaiveNodeDpBaseline, NonPrivateBaseline};
 pub use cache::{CacheStats, ExtensionCache, GraphTag};
+pub use ccdp_lp::ClassMemo;
 pub use config::{ConfigError, EstimatorConfig, ObsHandles};
 pub use downsens_extension::{downsens_extension, downsens_extension_fsf};
 pub use error::{CcdpError, CoreError};

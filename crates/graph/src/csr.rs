@@ -260,10 +260,12 @@ impl CsrGraph {
     }
 
     /// A 128-bit structural fingerprint (FNV-1a over the offset and target
-    /// arrays), streamed with zero allocation. Used by cache keys: two equal
-    /// graphs always fingerprint equally; collisions between distinct graphs
-    /// are guarded by a full arena-equality witness check. Memoized: only the
-    /// first call on an arena hashes it.
+    /// arrays), streamed with zero allocation. The family cache keys its
+    /// *untagged* lookups by it (a lookup tagged with a catalog snapshot is
+    /// keyed by the tag, so served and streamed snapshots are never hashed):
+    /// two equal graphs always fingerprint equally; collisions between
+    /// distinct graphs are guarded by a full arena-equality witness check.
+    /// Memoized: only the first call on an arena hashes it.
     pub fn fingerprint(&self) -> u128 {
         *self.fingerprint.get_or_init(|| {
             let mut h = fingerprint_seed(self.num_vertices());

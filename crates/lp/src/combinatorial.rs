@@ -199,7 +199,7 @@ impl CombinatorialSolver {
             for (&e, &w) in positions.iter().zip(&sol.edge_weights) {
                 weights[e] = w;
             }
-            lp.add_lp_work(&sol);
+            lp.add_lp_work(&sol, 1);
         }
 
         lp.value = weights.iter().sum();

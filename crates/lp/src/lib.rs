@@ -8,7 +8,8 @@
 //! * [`micro`] — the engine: [`solve_partition`] solves every component of
 //!   a CSR component partition for a whole grid of Δ values in one
 //!   parallel sweep, with closed forms for trees and cycles and
-//!   labeled-slice class dedup.
+//!   labeled-slice class dedup; [`solve_partition_with_memo`] also reuses
+//!   the classes a graph's previous version solved ([`ClassMemo`]).
 //! * [`solver`] / [`combinatorial`] — the reference solvers on adjacency-list
 //!   graphs, which only tests and benchmarks call: [`CombinatorialSolver`]
 //!   (the reduction loop the engine replicates bit for bit) and
@@ -41,7 +42,10 @@ pub mod solver;
 
 pub use combinatorial::CombinatorialSolver;
 pub use cutting_plane::violated_forest_constraints;
-pub use micro::{solve_partition, PartitionSolution, PartitionSolveStats, DEDUP_MAX_VERTICES};
+pub use micro::{
+    solve_partition, solve_partition_with_memo, ClassMemo, PartitionSolution, PartitionSolveStats,
+    DEDUP_MAX_VERTICES,
+};
 pub use problem::{LpError, LpSolution};
 pub use simplex::IncrementalSimplex;
 pub use solver::{PolytopeError, PolytopeSolution, SimplexSolver};

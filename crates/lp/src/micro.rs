@@ -43,6 +43,13 @@
 //!   at p = 1.05/n and n = 10⁶ there are ~15k labeled classes versus ~125k
 //!   components with an edge (~476k in all), so nearly every solve becomes
 //!   a lookup.
+//! * **Class memo across versions** — [`solve_partition_with_memo`] reads
+//!   the [`ClassMemo`] of a graph's previous version: a class (light class
+//!   or heavy component, of any size) whose labeled slice the memo holds
+//!   takes the stored value, `reduced` flag and LP work counters of each Δ
+//!   the memo has, again with slice equality as the witness. The memo then
+//!   holds this version's classes. A stream's versions share most of their
+//!   components, so most of a release's solves become lookups.
 
 use crate::combinatorial::{csr_piece, solve_piece, CAP_TOL};
 use crate::solver::{PolytopeError, PolytopeSolution};
@@ -97,6 +104,126 @@ struct CompSolution {
     reduced: bool,
 }
 
+/// The classes one [`solve_partition_with_memo`] call solved, kept for the
+/// call on the graph's next version.
+///
+/// A class — a light class or a heavy component — is stored as a copy of its
+/// labeled slice and, for each Δ of the call that recorded it, the class's
+/// value, whether a remnant went through the LP tail, and its LP work
+/// counters. Classes are found by slice hash and confirmed by slice
+/// equality, so a hash collision never serves another slice's result. A
+/// call replaces the whole memo with its own classes, so the memo never
+/// holds more than one call's classes.
+#[derive(Debug, Default)]
+pub struct ClassMemo {
+    /// Slice hash → class. A key already taken by a different slice probes
+    /// on to the next key, so a lookup follows its insert's path.
+    table: HashMap<u64, u32>,
+    /// Class `i`'s labeled slice (see [`push_slice_words`]) is
+    /// `words[ends[i - 1]..ends[i]]`, from 0 for the first class.
+    ends: Vec<usize>,
+    words: Vec<u32>,
+    /// The Δ grid of the recording call.
+    deltas: Vec<f64>,
+    /// Class `i` solved at `deltas[d]` is `solved[i * deltas.len() + d]`.
+    solved: Vec<Solved>,
+}
+
+/// One (class, Δ) solve as a [`ClassMemo`] keeps it: the value, whether a
+/// remnant went through the LP tail, and the LP work counters.
+#[derive(Clone, Copy, Debug, Default)]
+struct Solved {
+    value: f64,
+    reduced: bool,
+    /// Cuts, pivots, LP solves and fallbacks, as in [`PolytopeSolution`].
+    work: [usize; 4],
+}
+
+impl Solved {
+    fn of(comp: &CompSolution) -> Self {
+        let sol = &comp.sol;
+        Solved {
+            value: sol.value,
+            reduced: comp.reduced,
+            work: [
+                sol.generated_cuts,
+                sol.lp_iterations,
+                sol.lp_solves,
+                sol.lp_fallback_components,
+            ],
+        }
+    }
+
+    /// The solve it records, without weights.
+    fn replay(self) -> CompSolution {
+        let mut sol = PolytopeSolution::zero(0);
+        sol.value = self.value;
+        [
+            sol.generated_cuts,
+            sol.lp_iterations,
+            sol.lp_solves,
+            sol.lp_fallback_components,
+        ] = self.work;
+        CompSolution {
+            sol,
+            reduced: self.reduced,
+        }
+    }
+}
+
+impl ClassMemo {
+    /// Number of classes stored.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` if no class is stored.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Class `i`'s labeled slice.
+    fn slice(&self, i: u32) -> &[u32] {
+        let i = i as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.words[start..self.ends[i]]
+    }
+
+    /// The class whose slice is `view`'s, given `view`'s slice hash.
+    fn find(&self, hash: u64, view: &CsrComponent<'_>) -> Option<u32> {
+        let mut key = hash;
+        loop {
+            let &at = self.table.get(&key)?;
+            if slice_is(view, self.slice(at)) {
+                return Some(at);
+            }
+            key = key.wrapping_add(1);
+        }
+    }
+
+    /// Makes class `i` findable under `hash`, unless a class with the same
+    /// slice already is (two heavy components can be identical, and the
+    /// first one answers for both).
+    fn index(&mut self, i: u32, hash: u64) {
+        let mut key = hash;
+        loop {
+            match self.table.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
+                    return;
+                }
+                Entry::Occupied(hit) => {
+                    let at = *hit.get();
+                    if self.slice(at) == self.slice(i) {
+                        return;
+                    }
+                    key = key.wrapping_add(1);
+                }
+            }
+        }
+    }
+}
+
 /// Solves every component of a partition at every Δ of `deltas` and returns
 /// one [`PartitionSolution`] per Δ, in `deltas` order.
 ///
@@ -121,7 +248,7 @@ struct CompSolution {
 /// 3. **Dense tables.** Every (Δ, rank) value goes into one dense row per Δ,
 ///    and with `want_weights` its weights into a table laid out alike. A
 ///    solve whose remnant went through the LP tail adds its work counters
-///    to its Δ's total once per member of its class.
+///    to its Δ's total, scaled by the number of members of its class.
 /// 4. **Merge per Δ** on [`parallel_map`] over the grid: a gather through
 ///    the component → rank array into the Δ's value row, summed in
 ///    component order — the exact order of the reference solver's
@@ -132,11 +259,45 @@ struct CompSolution {
 /// grid a Δ appears in. `want_weights` asks for per-edge weights in arena
 /// edge order; the family evaluation only needs values, and without weights
 /// no solve returns a weight vector.
+///
+/// [`solve_partition_with_memo`] is the same sweep for a graph solved
+/// version after version: it also reads and replaces a [`ClassMemo`].
 pub fn solve_partition(
     part: &ComponentPartition,
     deltas: &[f64],
     threads: usize,
     want_weights: bool,
+) -> Result<Vec<PartitionSolution>, PolytopeError> {
+    solve_classes(part, deltas, threads, want_weights, None)
+}
+
+/// [`solve_partition`] without weights, for one version of a graph that is
+/// solved version after version: a class whose labeled slice `memo` holds
+/// takes the stored result for each Δ the memo has, and only the other
+/// (class, Δ) cells are solved. On success `memo` is replaced by this
+/// call's classes, ready for the next version; on an error it is left as it
+/// was.
+///
+/// Values are still merged through the component → rank array in component
+/// order, and a stored result is the result of the same pure (slice, Δ)
+/// solve, so the values, the [`PartitionSolveStats`] and the LP work
+/// counters are those of [`solve_partition`] by construction.
+pub fn solve_partition_with_memo(
+    part: &ComponentPartition,
+    deltas: &[f64],
+    threads: usize,
+    memo: &mut ClassMemo,
+) -> Result<Vec<PartitionSolution>, PolytopeError> {
+    solve_classes(part, deltas, threads, false, Some(memo))
+}
+
+/// The sweep behind [`solve_partition`] and [`solve_partition_with_memo`].
+fn solve_classes(
+    part: &ComponentPartition,
+    deltas: &[f64],
+    threads: usize,
+    want_weights: bool,
+    memo: Option<&mut ClassMemo>,
 ) -> Result<Vec<PartitionSolution>, PolytopeError> {
     if let Some(&delta) = deltas.iter().find(|d| **d <= 0.0 || !d.is_finite()) {
         return Err(PolytopeError::InvalidDelta { delta });
@@ -147,30 +308,74 @@ pub fn solve_partition(
     }
     let arena = part.arena();
     let num_edges = arena.num_edges();
+    let prev = memo.as_deref();
+    // Each Δ's index in the memo's grid, if the memo has the Δ.
+    let prev_d: Vec<Option<usize>> = match prev {
+        Some(memo) => deltas
+            .iter()
+            .map(|d| memo.deltas.iter().position(|m| m.to_bits() == d.to_bits()))
+            .collect(),
+        None => Vec::new(),
+    };
+    // Class `at` of the memo solved at Δ `d`, if the memo has it.
+    let stored = |at: Option<u32>, d: usize| {
+        let memo = prev?;
+        let cell = at? as usize * memo.deltas.len() + prev_d[d]?;
+        Some(memo.solved[cell].replay())
+    };
 
-    // Heavy components in component order (their ranks), and the order
-    // their tasks run in: by descending size, stable.
+    // Heavy components in component order (their ranks). With a memo, each
+    // one's slice hash and memo class.
     let heavy: Vec<usize> = (0..part.num_components())
         .filter(|&c| part.component(c).num_vertices() > DEDUP_MAX_VERTICES)
         .collect();
     let num_heavy = heavy.len();
+    let heavy_found: Vec<(u64, Option<u32>)> = match prev {
+        Some(memo) => heavy
+            .iter()
+            .map(|&c| {
+                let view = part.component(c);
+                let hash = slice_hash(&view);
+                (hash, memo.find(hash, &view))
+            })
+            .collect(),
+        None => Vec::new(),
+    };
+    // The heavy tasks, by descending class size, stable: one per Δ, or one
+    // for the whole grid when the memo holds the class at every Δ.
     let mut heavy_order: Vec<usize> = (0..num_heavy).collect();
     heavy_order.sort_by_key(|&rank| {
         let view = part.component(heavy[rank]);
         Reverse(view.num_vertices() + view.num_edges())
     });
+    let mut heavy_cells: Vec<(usize, Range<usize>)> = Vec::with_capacity(num_heavy * grid);
+    for rank in heavy_order {
+        let at = heavy_found.get(rank).and_then(|&(_, at)| at);
+        if (0..grid).all(|d| stored(at, d).is_some()) {
+            heavy_cells.push((rank, 0..grid));
+        } else {
+            heavy_cells.extend((0..grid).map(|d| (rank, d..d + 1)));
+        }
+    }
     let heavy_csr: Vec<OnceLock<LocalCsr>> = (0..num_heavy).map(|_| OnceLock::new()).collect();
     let classified = OnceLock::new();
-    let classes = || classified.get_or_init(|| Classes::of(part, num_heavy));
+    let keep_hashes = prev.is_some();
+    let classes = || classified.get_or_init(|| Classes::of(part, num_heavy, keep_hashes));
+    // The component a rank's solves read: the heavy component itself, or
+    // the light class's representative.
+    let class_view = |rank: usize| match heavy.get(rank) {
+        Some(&c) => part.component(c),
+        None => part.component(classes().reps[rank - num_heavy] as usize),
+    };
 
-    // Task 0 classifies; tasks 1..=heavy_tasks are (heavy rank, Δ) cells;
-    // task `heavy_tasks + 1 + k` is light chunk `k` at every Δ. Returns the
+    // Task 0 classifies; tasks 1..=heavy_tasks are the heavy cells; task
+    // `heavy_tasks + 1 + k` is light chunk `k` at every Δ. Returns the
     // task's (ranks, Δ indices), `None` past the last light chunk.
-    let heavy_tasks = num_heavy * grid;
+    let heavy_tasks = heavy_cells.len();
     let cells = |task: usize| -> Option<(Range<usize>, Range<usize>)> {
         if task <= heavy_tasks {
-            let (rank, d) = (heavy_order[(task - 1) / grid], (task - 1) % grid);
-            return Some((rank..rank + 1, d..d + 1));
+            let (rank, ds) = heavy_cells[task - 1].clone();
+            return Some((rank..rank + 1, ds));
         }
         let num_ranks = classes().num_ranks();
         let lo = num_heavy + (task - heavy_tasks - 1) * LIGHT_CHUNK;
@@ -189,25 +394,33 @@ pub fn solve_partition(
             let Some((ranks, ds)) = cells(task) else {
                 break done;
             };
+            // With a memo, each rank's memo class.
+            let mut found = Vec::new();
             let mut solve = || -> Result<Vec<CompSolution>, PolytopeError> {
                 let mut out = Vec::with_capacity(ranks.len() * ds.len());
                 for rank in ranks.clone() {
+                    let view = class_view(rank);
                     let light_csr = OnceLock::new();
-                    let (view, csr) = match heavy.get(rank) {
-                        Some(&c) => (part.component(c), &heavy_csr[rank]),
-                        None => {
-                            let rep = classes().reps[rank - num_heavy];
-                            (part.component(rep as usize), &light_csr)
-                        }
+                    let csr = heavy_csr.get(rank).unwrap_or(&light_csr);
+                    let at = match heavy_found.get(rank) {
+                        Some(&(_, at)) => at,
+                        None => prev
+                            .and_then(|memo| memo.find(classes().hashes[rank - num_heavy], &view)),
                     };
+                    if prev.is_some() {
+                        found.push(at);
+                    }
                     for d in ds.clone() {
-                        out.push(micro_solve(&view, csr, deltas[d], &mut s, want_weights)?);
+                        out.push(match stored(at, d) {
+                            Some(sol) => sol,
+                            None => micro_solve(&view, csr, deltas[d], &mut s, want_weights)?,
+                        });
                     }
                 }
                 Ok(out)
             };
             let solved = solve();
-            done.push((task, ranks, ds, solved));
+            done.push((task, ranks, ds, solved, found));
         }
     };
     let eff = effective_parallelism(threads, grid * (arena.num_vertices() + num_edges));
@@ -217,42 +430,86 @@ pub fn solve_partition(
         .collect();
     // Task order, so the first error is the same for every thread budget.
     done.sort_unstable_by_key(|&(task, ..)| task);
+    let done = done
+        .into_iter()
+        .map(|(_, ranks, ds, solved, found)| Ok((ranks, ds, solved?, found)))
+        .collect::<Result<Vec<_>, PolytopeError>>()?;
 
     // `values[d * num_ranks + rank]` is the class at `rank` solved at Δ `d`;
     // `weights`, filled only with `want_weights`, is laid out alike.
     // `lp_work[d]` sums Δ `d`'s LP work counters over every eligible
     // component: each member of a class repeats its LP work, as it would
-    // alone.
+    // alone. With a memo, `record[rank * grid + d]` is the same cell as the
+    // next memo keeps it, and `found[rank]` is the rank's class in the
+    // current memo.
     let classes = classes();
     let num_ranks = classes.num_ranks();
     let mut values = vec![0.0f64; grid * num_ranks];
     let mut weights: Vec<Vec<f64>> = vec![Vec::new(); if want_weights { values.len() } else { 0 }];
     let mut lp_work: Vec<PolytopeSolution> = (0..grid).map(|_| PolytopeSolution::zero(0)).collect();
     let mut reduced = vec![0usize; grid];
-    for (_, ranks, ds, solved) in done {
-        let mut solved = solved?.into_iter();
+    let (mut record, mut found) = (Vec::new(), Vec::new());
+    if memo.is_some() {
+        record = vec![Solved::default(); num_ranks * grid];
+        found = vec![None; num_ranks];
+    }
+    for (ranks, ds, solved, at) in done {
+        if !found.is_empty() {
+            found[ranks.clone()].copy_from_slice(&at);
+        }
+        let mut solved = solved.into_iter();
         for rank in ranks {
             for d in ds.clone() {
-                let CompSolution { sol, reduced: r } = solved.next().expect("one solve per cell");
+                let comp = solved.next().expect("one solve per cell");
                 let cell = d * num_ranks + rank;
-                values[cell] = sol.value;
-                if r {
+                values[cell] = comp.sol.value;
+                if comp.reduced {
                     reduced[d] += 1;
-                    for _ in 0..classes.uses[rank] {
-                        lp_work[d].add_lp_work(&sol);
-                    }
+                    lp_work[d].add_lp_work(&comp.sol, classes.uses[rank] as usize);
+                }
+                if let Some(slot) = record.get_mut(rank * grid + d) {
+                    *slot = Solved::of(&comp);
                 }
                 if want_weights {
-                    weights[cell] = sol.edge_weights;
+                    weights[cell] = comp.sol.edge_weights;
                 }
             }
+        }
+    }
+    // This call's classes become the memo, in rank order. A class the memo
+    // held copies its slice from there, a new one from the arena.
+    if let Some(memo) = memo {
+        let size = |rank| {
+            let view = class_view(rank);
+            view.num_vertices() + 2 * view.num_edges()
+        };
+        let mut words = Vec::with_capacity((0..num_ranks).map(size).sum());
+        let mut ends = Vec::with_capacity(num_ranks);
+        for (rank, &at) in found.iter().enumerate() {
+            match at {
+                Some(at) => words.extend_from_slice(memo.slice(at)),
+                None => push_slice_words(&mut words, &class_view(rank)),
+            }
+            ends.push(words.len());
+        }
+        memo.words = words;
+        memo.ends = ends;
+        memo.deltas = deltas.to_vec();
+        memo.solved = record;
+        memo.table.clear();
+        for rank in 0..num_ranks {
+            let hash = match heavy_found.get(rank) {
+                Some(&(hash, _)) => hash,
+                None => classes.hashes[rank - num_heavy],
+            };
+            memo.index(rank as u32, hash);
         }
     }
 
     let merge = |d: usize| {
         let span = d * num_ranks..(d + 1) * num_ranks;
         let mut solution = PolytopeSolution::zero(if want_weights { num_edges } else { 0 });
-        solution.add_lp_work(&lp_work[d]);
+        solution.add_lp_work(&lp_work[d], 1);
         let row = &values[span.clone()];
         for &rank in &classes.rank {
             solution.value += row[rank as usize];
@@ -457,7 +714,7 @@ fn micro_solve(
         }
         s.piece.sort_unstable();
         if let Some(sol) = solve_remnant_piece(csr, s)? {
-            lp.add_lp_work(&sol);
+            lp.add_lp_work(&sol, 1);
             reduced = true;
         }
     }
@@ -610,16 +867,20 @@ struct Classes {
     reps: Vec<u32>,
     /// Rank → number of eligible components of the class.
     uses: Vec<u32>,
+    /// Light class → the slice hash of its members, kept only for a memo.
+    hashes: Vec<u64>,
 }
 
 impl Classes {
     /// Sequential, lock-free classification in component order. The first
     /// `num_heavy` ranks are the heavy components', in component order.
-    fn of(part: &ComponentPartition, num_heavy: usize) -> Self {
+    /// `keep_hashes` keeps each light class's slice hash.
+    fn of(part: &ComponentPartition, num_heavy: usize, keep_hashes: bool) -> Self {
         let mut classes = Classes {
             rank: Vec::new(),
             reps: Vec::new(),
             uses: vec![1; num_heavy],
+            hashes: Vec::new(),
         };
         let mut heavy_seen = 0u32;
         // Slice hash → light class. A key already taken by a different slice
@@ -637,7 +898,8 @@ impl Classes {
                 continue;
             }
             let class = classes.reps.len() as u32;
-            let mut key = slice_hash(&view);
+            let hash = slice_hash(&view);
+            let mut key = hash;
             loop {
                 match table.entry(key) {
                     Entry::Vacant(slot) => {
@@ -662,6 +924,9 @@ impl Classes {
             classes.rank.push((num_heavy + class as usize) as u32);
             classes.reps.push(c as u32);
             classes.uses.push(1);
+            if keep_hashes {
+                classes.hashes.push(hash);
+            }
         }
         debug_assert_eq!(heavy_seen as usize, num_heavy);
         classes
@@ -680,6 +945,33 @@ fn slice_hash(view: &CsrComponent<'_>) -> u64 {
     (0..view.num_vertices()).fold(mix(0, view.num_vertices()), |h, v| {
         view.neighbors(v).fold(mix(h, view.degree(v)), mix)
     })
+}
+
+/// Appends a copy of a component's labeled slice to `words`: each local
+/// vertex's degree, then its neighbor row. The degrees delimit the rows, so
+/// two copies are equal iff the components are identical as labeled graphs.
+fn push_slice_words(words: &mut Vec<u32>, view: &CsrComponent<'_>) {
+    for v in 0..view.num_vertices() {
+        words.push(view.degree(v) as u32);
+        words.extend(view.neighbors(v).map(|w| w as u32));
+    }
+}
+
+/// `true` iff `words` is a copy of `view`'s labeled slice
+/// ([`push_slice_words`]).
+fn slice_is(view: &CsrComponent<'_>, words: &[u32]) -> bool {
+    let mut at = 0;
+    for v in 0..view.num_vertices() {
+        let degree = view.degree(v);
+        let row = words.get(at + 1..at + 1 + degree);
+        if words.get(at) != Some(&(degree as u32))
+            || !row.is_some_and(|row| row.iter().map(|&w| w as usize).eq(view.neighbors(v)))
+        {
+            return false;
+        }
+        at += 1 + degree;
+    }
+    at == words.len()
 }
 
 /// `true` iff two components are identical as labeled graphs.
@@ -1045,7 +1337,7 @@ mod tests {
                     value += sol.value;
                     weights.extend(sol.edge_weights.iter().map(|w| w.to_bits()));
                     components += 1;
-                    work.add_lp_work(&sol);
+                    work.add_lp_work(&sol, 1);
                 }
             }
             assert_eq!(one.solution.value.to_bits(), value.to_bits(), "Δ={delta}");
@@ -1137,6 +1429,37 @@ mod tests {
         assert_eq!(cycle_polytope_value(&[1, 1, 1, 1]), 2.0);
         assert_eq!(cycle_polytope_value(&[2, 2, 2, 2]), 3.0);
         assert_eq!(cycle_polytope_value(&[1, 1, 1, 1, 1]), 2.5);
+    }
+
+    #[test]
+    fn memo_hits_are_confirmed_against_the_stored_slice() {
+        let grid = [1.0, 2.0];
+        // Version 0: a path on 3 vertices and a triangle, whose values at
+        // Δ = 1 differ (1.0 and 1.5).
+        let mut v0 = generators::path(3);
+        v0 = generators::disjoint_union(&v0, &generators::cycle(3));
+        let part0 = CsrGraph::from_graph(&v0).partition_components();
+        let mut memo = ClassMemo::default();
+        solve_partition_with_memo(&part0, &grid, 1, &mut memo).unwrap();
+        assert_eq!(memo.len(), 2);
+        // Forge a slice-hash collision: the triangle's hash now leads to the
+        // path's class.
+        let path = part0.component(0);
+        let path_class = memo.find(slice_hash(&path), &path).expect("stored");
+        let tri = part0.component(1);
+        memo.table.clear();
+        memo.table.insert(slice_hash(&tri), path_class);
+        // Version 1 is the triangle alone: the lookup reaches the path's
+        // class, the slice compare rejects it, and the triangle is solved.
+        let part1 = CsrGraph::from_graph(&generators::cycle(3)).partition_components();
+        let cold = solve_partition(&part1, &grid, 1, false).unwrap();
+        let warm = solve_partition_with_memo(&part1, &grid, 1, &mut memo).unwrap();
+        for (c, w) in cold.iter().zip(&warm) {
+            assert_eq!(c.solution.value.to_bits(), w.solution.value.to_bits());
+            assert_eq!(c.stats, w.stats);
+        }
+        assert_eq!(warm[0].solution.value, 1.5);
+        assert_eq!(memo.len(), 1);
     }
 
     #[test]

@@ -112,13 +112,13 @@ impl PolytopeSolution {
         }
     }
 
-    /// Adds `other`'s LP work counters (cuts, pivots, solves, fallbacks) to
-    /// `self`'s.
-    pub(crate) fn add_lp_work(&mut self, other: &PolytopeSolution) {
-        self.generated_cuts += other.generated_cuts;
-        self.lp_iterations += other.lp_iterations;
-        self.lp_solves += other.lp_solves;
-        self.lp_fallback_components += other.lp_fallback_components;
+    /// Adds `times` × `other`'s LP work counters (cuts, pivots, solves,
+    /// fallbacks) to `self`'s.
+    pub(crate) fn add_lp_work(&mut self, other: &PolytopeSolution, times: usize) {
+        self.generated_cuts += times * other.generated_cuts;
+        self.lp_iterations += times * other.lp_iterations;
+        self.lp_solves += times * other.lp_solves;
+        self.lp_fallback_components += times * other.lp_fallback_components;
     }
 }
 
@@ -150,7 +150,7 @@ where
         let local_edges = local.edge_vec();
         let sol = solve_component(local.num_vertices(), &local_edges)?;
         total.value += sol.value;
-        total.add_lp_work(&sol);
+        total.add_lp_work(&sol, 1);
         for (&(a, b), w) in local_edges.iter().zip(sol.edge_weights) {
             total.edge_weights[edge_position(&all_edges, map[a], map[b])] = w;
         }

@@ -9,10 +9,11 @@
 //! multicyclic Barabási–Albert and geometric components far above 24
 //! vertices (the size up to which the micro solver once took multicyclic
 //! components) are covered, and a grid sweep must give every Δ the bits of
-//! a one-element call.
+//! a one-element call. Across random edit sequences, a solve that reads the
+//! previous version's class memo must give the bits of a cold solve.
 
 use ccdp_graph::{generators, ComponentPartition, CsrGraph, Graph};
-use ccdp_lp::{solve_partition, CombinatorialSolver};
+use ccdp_lp::{solve_partition, solve_partition_with_memo, ClassMemo, CombinatorialSolver};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -213,6 +214,82 @@ proptest! {
                 let got_bits: Vec<u64> =
                     got.solution.edge_weights.iter().map(|w| w.to_bits()).collect();
                 prop_assert_eq!(want_bits, got_bits, "weights: Δ={} threads={}", delta, threads);
+            }
+        }
+    }
+}
+
+/// One random edit: remove a random present edge, or join a random pair of
+/// vertices (usually two components).
+fn edit(g: &mut Graph, rng: &mut StdRng) {
+    let n = g.num_vertices();
+    let edges: Vec<(usize, usize)> = g.edges().collect();
+    if rng.gen_bool(0.5) && !edges.is_empty() {
+        let (u, v) = edges[rng.gen_range(0..edges.len())];
+        g.remove_edge(u, v);
+    } else {
+        let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if u != v {
+            g.add_edge(u, v);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A version solved with the previous version's [`ClassMemo`] gives
+    /// the bits of a cold solve: values, attribution counters and LP work
+    /// counters, for every thread budget. The graph is a disjoint union of
+    /// family graphs, each twice (so light classes repeat), and a
+    /// 400-vertex random tree (a heavy class); every version applies a few
+    /// random edits, and the grid changes from one version to the next, so
+    /// memo hits, partial hits (a Δ the memo lacks) and misses all occur.
+    #[test]
+    fn class_memo_replays_cold_solves_across_random_edits(
+        parts in proptest::collection::vec((0u8..FAMILIES, 4usize..=40), 3..8),
+        edits in proptest::collection::vec(1usize..6, 3..7),
+        seed in 0u64..1u64 << 48,
+    ) {
+        let mut g = Graph::new(0);
+        for (i, &(family, n)) in parts.iter().chain([&(0, 400)]).enumerate() {
+            let h = family_graph(family, n, seed.wrapping_add(i as u64));
+            g = generators::disjoint_union(&g, &h);
+            if n < 400 {
+                g = generators::disjoint_union(&g, &h);
+            }
+        }
+        let grids: [&[f64]; 3] = [&[1.0, 2.0, 4.0], &[2.0, 1.0, 3.0], &[4.0, 1.0]];
+        let mut memos: Vec<ClassMemo> = (0..3).map(|_| ClassMemo::default()).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (version, &count) in edits.iter().enumerate() {
+            if version > 0 {
+                for _ in 0..count {
+                    edit(&mut g, &mut rng);
+                }
+            }
+            let part = CsrGraph::from_graph(&g).partition_components();
+            let grid = grids[version % grids.len()];
+            let cold = solve_partition(&part, grid, 1, false).unwrap();
+            for (threads, memo) in (1usize..=3).zip(&mut memos) {
+                let warm = solve_partition_with_memo(&part, grid, threads, memo).unwrap();
+                prop_assert_eq!(warm.len(), grid.len());
+                for ((delta, want), got) in grid.iter().zip(&cold).zip(&warm) {
+                    let at = format!("version={version} Δ={delta} threads={threads}");
+                    prop_assert_eq!(
+                        want.solution.value.to_bits(),
+                        got.solution.value.to_bits(),
+                        "value bits: {}", at
+                    );
+                    prop_assert_eq!(want.stats, got.stats, "stats: {}", at);
+                    let work = |s: &ccdp_lp::PolytopeSolution| {
+                        [s.generated_cuts, s.lp_iterations, s.lp_solves, s.lp_fallback_components]
+                    };
+                    prop_assert_eq!(work(&want.solution), work(&got.solution), "LP work: {}", at);
+                }
+                // The memo holds this version's classes and nothing else.
+                let stats = cold[0].stats;
+                prop_assert_eq!(memo.len(), stats.components - stats.dedup_hits);
             }
         }
     }

@@ -64,7 +64,7 @@ fn backends_agree_through_the_lipschitz_extension() {
     let mut rng_gen = StdRng::seed_from_u64(9);
     let g = generators::erdos_renyi(80, 3.0 / 80.0, &mut rng_gen);
     let grid = [1usize, 2, 4, 8];
-    let family = evaluate_family(&CsrGraph::from_graph(&g), &grid, 1, None).unwrap();
+    let family = evaluate_family(&CsrGraph::from_graph(&g), &grid, 1, None, None).unwrap();
     for (&delta, eval) in grid.iter().zip(&family) {
         let comb = LipschitzExtension::new(delta).evaluate(&g).unwrap();
         let simp = SimplexSolver::new().solve(&g, delta as f64).unwrap().value;

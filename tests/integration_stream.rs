@@ -178,3 +178,81 @@ fn budget_exhaustion_stops_releases_not_ingestion() {
     assert_eq!(account.grants, 2);
     assert!(account.remaining_epsilon < 1e-9);
 }
+
+#[test]
+fn stream_releases_through_the_class_memo_match_cold_families() {
+    // A stream over a barely-supercritical graph: a giant, many small trees
+    // and unicyclic components, most of which survive each release's edits,
+    // so from the second release on every miss reads the class memo.
+    let n = 3000;
+    let mut rng = StdRng::seed_from_u64(41);
+    let base = generators::erdos_renyi(n, 1.3 / n as f64, &mut rng);
+    let server = Arc::new(Server::start(
+        ServeConfig::new().with_workers(2).with_delta_max(64),
+        Arc::new(GraphRegistry::new()),
+        {
+            let ledger = Arc::new(BudgetLedger::new());
+            ledger.register("tenant", 1e6).unwrap();
+            ledger
+        },
+    ));
+    let scheduler = ReleaseScheduler::with_server(
+        SchedulerConfig::new(ReleasePolicy::EveryKMutations(24))
+            .with_epsilon(0.5)
+            .with_retain_versions(2),
+        Arc::clone(&server),
+    );
+    let tenant = TenantId::new("tenant");
+    let mut stream = GraphStream::from_graph("memo/er", base);
+    let grid = ccdp::dp::gem::power_of_two_grid(64);
+    let mut releases = 0;
+    let mut t = 0;
+    while releases < 10 {
+        // Delete a random present edge or join a random pair.
+        let g = stream.graph();
+        let edges: Vec<(usize, usize)> = g.edges().collect();
+        t += 1;
+        let m = if rng.gen_bool(0.5) {
+            let (u, v) = edges[rng.gen_range(0..edges.len())];
+            Mutation::delete(t, u, v)
+        } else {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u == v || g.has_edge(u, v) {
+                continue;
+            }
+            Mutation::insert(t, u, v)
+        };
+        stream.apply(&m).unwrap();
+        let Some(r) = scheduler.observe(&mut stream, &tenant).unwrap() else {
+            continue;
+        };
+        releases += 1;
+        // The family the release used is the cached entry of its version:
+        // a hit, bit for bit the family a cold evaluation of the snapshot
+        // gives.
+        let (_, arena) = server
+            .registry()
+            .resolve_arena(&r.graph, Some(r.version))
+            .unwrap();
+        let tag = ccdp::core::GraphTag::new(r.graph.as_str(), r.version);
+        let hits = server.cache_stats().hits;
+        let served = server
+            .cache()
+            .evaluate_family(&arena, &grid, Some(&tag), 1, None, None)
+            .unwrap();
+        assert_eq!(server.cache_stats().hits, hits + 1, "release {releases}");
+        let cold = evaluate_family(&arena, &grid, 1, None, None).unwrap();
+        assert_eq!(served.len(), cold.len());
+        for ((s, c), delta) in served.iter().zip(&cold).zip(&grid) {
+            assert_eq!(
+                s.value.to_bits(),
+                c.value.to_bits(),
+                "release {releases} Δ={delta}"
+            );
+            assert_eq!(s.path, c.path, "release {releases} Δ={delta}");
+        }
+        assert!(cold[0].path == EvaluationPath::LinearProgram);
+    }
+    // Still one miss per release.
+    assert_eq!(server.cache_stats().misses, releases as u64);
+}

@@ -24,9 +24,10 @@
 use crate::error::CoreError;
 use ccdp_exec::{effective_parallelism, PhaseProfiler};
 use ccdp_graph::forest::component_bounded_degree_spanning_forest;
-use ccdp_graph::{CsrGraph, Graph};
+use ccdp_graph::{ComponentSummary, CsrGraph, Graph};
 use ccdp_lp::{solve_partition, solve_partition_with_memo, ClassMemo};
 use std::cell::OnceCell;
+use std::sync::Arc;
 
 /// How `f_Δ(G)` was computed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,15 +119,22 @@ impl LipschitzExtension {
 /// the whole-graph Lemma 1.8 construction, then `ccdp_lp`'s combinatorial
 /// oracle.
 ///
-/// The partition is
+/// The partition is the arena's
+/// [attached partition](CsrGraph::attached_partition) when it has one (a
+/// stream snapshot's, which the stream patched from the previous
+/// snapshot's), and otherwise
 /// [`partition_components_with`](CsrGraph::partition_components_with) on
 /// `effective_parallelism(threads, n + m)` threads: its traversal and its
 /// relabelling overlap on two threads, and the per-component summaries it
 /// streams (vertex count, edge count, maximum degree) are all the anchor
-/// test reads, so there is no separate degree scan.
+/// test reads, so there is no separate degree scan. An attached partition
+/// equals that one array for array and reports the same summaries
+/// ([`ComponentPartition::summary`](ccdp_graph::ComponentPartition::summary)),
+/// so the values do not depend on which one the evaluation used.
 ///
 /// With a [`PhaseProfiler`], time is attributed under stable phase names:
-/// `family/partition` (the two-stage partition and its summaries),
+/// `family/partition` (the two-stage partition and its summaries, or the
+/// attached partition's summaries),
 /// `family/anchor` (fast-path checks including the bridge certificates and
 /// the per-component Lemma 1.8 searches) and `family/lp` (polytope solving
 /// over the partition), plus
@@ -138,8 +146,10 @@ impl LipschitzExtension {
 /// [`solve_partition_with_memo`], so every class whose labeled slice the
 /// memo holds takes the stored result for each Δ it needs, and on success
 /// the memo holds this evaluation's classes (unchanged when no Δ reached
-/// the LP). The values are those of the evaluation without a memo, bit for
-/// bit.
+/// the LP). When the attached partition was patched from the partition the
+/// memo was taken from, a component the patch copied finds its memo class
+/// through its carried index, without hashing. The values are those of the
+/// evaluation without a memo, bit for bit.
 ///
 /// Repeated evaluations of the same graph should go through
 /// [`ExtensionCache`](crate::cache::ExtensionCache), which wraps this
@@ -171,16 +181,27 @@ pub fn evaluate_family(
     let mut max_degree = 0usize;
     let mut tree_max_degree = 0usize;
     let mut cyclic: Vec<(usize, usize)> = Vec::new();
-    let work = arena.num_vertices() + arena.num_edges();
-    let part =
-        arena.partition_components_with(effective_parallelism(threads, work), |c, summary| {
-            max_degree = max_degree.max(summary.max_degree);
-            if summary.edges + 1 == summary.vertices {
-                tree_max_degree = tree_max_degree.max(summary.max_degree);
-            } else {
-                cyclic.push((c, summary.max_degree));
+    let mut fold = |c, summary: ComponentSummary| {
+        max_degree = max_degree.max(summary.max_degree);
+        if summary.edges + 1 == summary.vertices {
+            tree_max_degree = tree_max_degree.max(summary.max_degree);
+        } else {
+            cyclic.push((c, summary.max_degree));
+        }
+    };
+    let part = match arena.attached_partition() {
+        Some(part) => {
+            for c in 0..part.num_components() {
+                fold(c, part.summary(c));
             }
-        });
+            part
+        }
+        None => {
+            let work = arena.num_vertices() + arena.num_edges();
+            let threads = effective_parallelism(threads, work);
+            Arc::new(arena.partition_components_with(threads, fold))
+        }
+    };
     // The partition filled the arena's component memo, so this (and the
     // release's true value after it) is a load, not a second pass.
     let fsf = arena.spanning_forest_size() as f64;

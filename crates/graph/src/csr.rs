@@ -26,10 +26,21 @@
 //! [`CsrGraph::num_components`] — are memoized: the first call pays one
 //! O(n + m) pass, every later call on the same arena (or a clone of it) is a
 //! load.
+//!
+//! An arena built together with its partition ([`CsrGraph::partitioned`],
+//! or [`CsrGraph::patched`] from the arena of an earlier state of the same
+//! graph) has that partition *attached*: [`CsrGraph::attached_partition`]
+//! hands it out for as long as the builder holds it, so the family
+//! evaluation does not partition the arena again.
+
+mod patch;
+
+pub use patch::PatchScratch;
 
 use crate::graph::Graph;
 use crate::unionfind::UnionFind;
-use std::sync::{mpsc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, OnceLock, Weak};
 
 /// An immutable, flat CSR view of an undirected simple graph.
 ///
@@ -38,7 +49,8 @@ use std::sync::{mpsc, OnceLock};
 /// sorted ascending, mirroring [`Graph`]'s invariant, so `has_edge` stays a
 /// binary search and row-wise comparisons against a [`Graph`] are linear.
 ///
-/// Equality compares the two arrays only; the memos never affect it.
+/// Equality compares the two arrays only; the memos and the attached
+/// partition never affect it.
 #[derive(Clone, Debug)]
 pub struct CsrGraph {
     offsets: Vec<u32>,
@@ -48,6 +60,10 @@ pub struct CsrGraph {
     /// Memo of [`CsrGraph::num_components`], also filled by
     /// [`CsrGraph::partition_components`].
     components: OnceLock<usize>,
+    /// The partition built with the arena, held weakly: it lives as long as
+    /// its builder (a stream, until its next snapshot) holds it, so older
+    /// retained arenas keep no partition. Empty for every other arena.
+    partition: Weak<ComponentPartition>,
 }
 
 impl PartialEq for CsrGraph {
@@ -66,7 +82,34 @@ impl CsrGraph {
             targets,
             fingerprint: OnceLock::new(),
             components: OnceLock::new(),
+            partition: Weak::new(),
         }
+    }
+
+    /// [`from_graph`](Self::from_graph) plus
+    /// [`partition_components_with`](Self::partition_components_with) on
+    /// `threads`, with the partition attached to the arena (see
+    /// [`attached_partition`](Self::attached_partition)). The caller holds
+    /// the returned `Arc`; the arena only refers to it.
+    pub fn partitioned(g: &Graph, threads: usize) -> (Self, Arc<ComponentPartition>) {
+        let mut arena = CsrGraph::from_graph(g);
+        let mut max_degrees = Vec::new();
+        let mut part = arena.partition_components_with(threads, |_, summary| {
+            max_degrees.push(summary.max_degree as u32);
+        });
+        part.max_degrees = max_degrees;
+        let part = Arc::new(part);
+        arena.partition = Arc::downgrade(&part);
+        (arena, part)
+    }
+
+    /// The partition built together with this arena
+    /// ([`partitioned`](Self::partitioned), [`patched`](Self::patched)),
+    /// while its builder still holds it: equal, array for array, to
+    /// [`partition_components`](Self::partition_components). `None` for an
+    /// arena built any other way, and once the builder has dropped it.
+    pub fn attached_partition(&self) -> Option<Arc<ComponentPartition>> {
+        self.partition.upgrade()
     }
 
     /// Builds the flat arena from an adjacency-list graph in O(n + m).
@@ -496,12 +539,43 @@ impl<'a> Relabel<'a> {
             arena,
             comp_starts: self.comp_starts,
             order: self.order,
+            max_degrees: Vec::new(),
+            id: PartitionId::fresh(),
+            carried: None,
         }
     }
 }
 
+/// Names one built [`ComponentPartition`]: every partition gets a fresh id
+/// when it is built (clones share it), and no id is ever reused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct PartitionId(u64);
+
+impl PartitionId {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        PartitionId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// What a patched partition carried over from the partition it was patched
+/// from.
+#[derive(Clone, Debug)]
+struct Carried {
+    from: PartitionId,
+    /// Component → its index in `from`, or [`NOT_CARRIED`] for a relabeled
+    /// component.
+    index: Vec<u32>,
+}
+
+/// The carried index of a component [`CsrGraph::patched`] relabeled.
+pub const NOT_CARRIED: u32 = u32::MAX;
+
 /// A component-contiguous relabeling of a [`CsrGraph`]: one shared arena plus
 /// the ranges and the permutation needed to map results back to original ids.
+///
+/// Equality compares the arrays only; the partition's id and what it
+/// carried never affect it.
 #[derive(Clone, Debug)]
 pub struct ComponentPartition {
     arena: CsrGraph,
@@ -509,12 +583,72 @@ pub struct ComponentPartition {
     comp_starts: Vec<u32>,
     /// New position → original vertex id.
     order: Vec<u32>,
+    /// Component → its maximum degree, kept by the partitions built with an
+    /// arena ([`CsrGraph::partitioned`], [`CsrGraph::patched`]); empty
+    /// otherwise.
+    max_degrees: Vec<u32>,
+    id: PartitionId,
+    /// Set on a partition [`CsrGraph::patched`] built.
+    carried: Option<Carried>,
 }
+
+impl PartialEq for ComponentPartition {
+    fn eq(&self, other: &Self) -> bool {
+        self.arena == other.arena
+            && self.comp_starts == other.comp_starts
+            && self.order == other.order
+    }
+}
+
+impl Eq for ComponentPartition {}
 
 impl ComponentPartition {
     /// Number of components.
     pub fn num_components(&self) -> usize {
         self.comp_starts.len() - 1
+    }
+
+    /// This partition's id.
+    pub fn id(&self) -> PartitionId {
+        self.id
+    }
+
+    /// If this partition was [patched](CsrGraph::patched) from the
+    /// partition `from`: for each component, its index in `from`, where its
+    /// labeled slice is the same, or [`NOT_CARRIED`] for a component the
+    /// patch relabeled. `None` for any other `from`, and for a partition
+    /// built from scratch.
+    pub fn carried_from(&self, from: PartitionId) -> Option<&[u32]> {
+        self.carried
+            .as_ref()
+            .filter(|carried| carried.from == from)
+            .map(|carried| &carried.index[..])
+    }
+
+    /// Component `c`'s summary: the same [`ComponentSummary`] the
+    /// partition pass reports for it. O(1) on a partition built with its
+    /// arena, which keeps each component's maximum degree; otherwise the
+    /// maximum degree is read off the component's rows.
+    pub fn summary(&self, c: usize) -> ComponentSummary {
+        let view = self.component(c);
+        let max_degree = match self.max_degrees.get(c) {
+            Some(&d) => d as usize,
+            None => (0..view.num_vertices())
+                .map(|v| view.degree(v))
+                .max()
+                .unwrap_or(0),
+        };
+        ComponentSummary {
+            vertices: view.num_vertices(),
+            edges: view.num_edges(),
+            max_degree,
+        }
+    }
+
+    /// The smallest original vertex of component `c` (components are
+    /// ordered by it).
+    fn first_vertex(&self, c: usize) -> u32 {
+        self.order[self.comp_starts[c] as usize]
     }
 
     /// The shared relabeled arena.

@@ -31,7 +31,10 @@ pub mod unionfind;
 pub mod version;
 
 pub use components::{component_sizes, components, num_connected_components, spanning_forest_size};
-pub use csr::{ComponentPartition, ComponentSummary, CsrComponent, CsrGraph};
+pub use csr::{
+    ComponentPartition, ComponentSummary, CsrComponent, CsrGraph, PartitionId, PatchScratch,
+    NOT_CARRIED,
+};
 pub use forest::{bfs_spanning_forest, bounded_degree_spanning_forest, SpanningForest};
 pub use graph::Graph;
 pub use sensitivity::{down_sensitivity_fcc, down_sensitivity_fsf};

@@ -49,12 +49,16 @@
 //!   takes the stored value, `reduced` flag and LP work counters of each Δ
 //!   the memo has, again with slice equality as the witness. The memo then
 //!   holds this version's classes. A stream's versions share most of their
-//!   components, so most of a release's solves become lookups.
+//!   components, so most of a release's solves become lookups. When the
+//!   partition was patched from the very partition the memo was taken from
+//!   ([`ComponentPartition::carried_from`]), a component the patch copied
+//!   finds its memo class through its carried index, with no hash and no
+//!   slice compare.
 
 use crate::combinatorial::{csr_piece, solve_piece, CAP_TOL};
 use crate::solver::{PolytopeError, PolytopeSolution};
 use ccdp_exec::{effective_parallelism, parallel_map};
-use ccdp_graph::{ComponentPartition, CsrComponent};
+use ccdp_graph::{ComponentPartition, CsrComponent, PartitionId};
 use std::cmp::Reverse;
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
@@ -114,11 +118,25 @@ struct CompSolution {
 /// equality, so a hash collision never serves another slice's result. A
 /// call replaces the whole memo with its own classes, so the memo never
 /// holds more than one call's classes.
+///
+/// The memo also records which partition it was taken from and the class of
+/// each of that partition's components. A call on a partition patched from
+/// exactly that one ([`ComponentPartition::carried_from`]) reads a copied
+/// component's class through the component's carried index, with no hash
+/// and no compare; every other component, and every component of a call on
+/// any other partition, takes the hash and the witness.
 #[derive(Debug, Default)]
 pub struct ClassMemo {
     /// Slice hash → class. A key already taken by a different slice probes
     /// on to the next key, so a lookup follows its insert's path.
     table: HashMap<u64, u32>,
+    /// Class `i`'s slice hash.
+    hashes: Vec<u64>,
+    /// The partition of the recording call.
+    partition: Option<PartitionId>,
+    /// That partition's component → its class, [`NO_CLASS`] for an isolated
+    /// vertex.
+    comp_classes: Vec<u32>,
     /// Class `i`'s labeled slice (see [`push_slice_words`]) is
     /// `words[ends[i - 1]..ends[i]]`, from 0 for the first class.
     ends: Vec<usize>,
@@ -128,6 +146,9 @@ pub struct ClassMemo {
     /// Class `i` solved at `deltas[d]` is `solved[i * deltas.len() + d]`.
     solved: Vec<Solved>,
 }
+
+/// The class of a component that belongs to none (an isolated vertex).
+const NO_CLASS: u32 = u32::MAX;
 
 /// One (class, Δ) solve as a [`ClassMemo`] keeps it: the value, whether a
 /// remnant went through the LP tail, and the LP work counters.
@@ -187,6 +208,12 @@ impl ClassMemo {
         let i = i as usize;
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
         &self.words[start..self.ends[i]]
+    }
+
+    /// The class of component `from` of the recording call's partition.
+    fn class_of(&self, from: u32) -> Option<u32> {
+        let class = *self.comp_classes.get(from as usize)?;
+        (class != NO_CLASS).then_some(class)
     }
 
     /// The class whose slice is `view`'s, given `view`'s slice hash.
@@ -309,6 +336,11 @@ fn solve_classes(
     let arena = part.arena();
     let num_edges = arena.num_edges();
     let prev = memo.as_deref();
+    // Component → its memo class, known without a lookup: the class of its
+    // carried index, when the memo is taken from the partition this one was
+    // patched from and the patch copied the component.
+    let carried = prev.and_then(|memo| part.carried_from(memo.partition?));
+    let carried_class = |c: usize| prev?.class_of(carried?[c]);
     // Each Δ's index in the memo's grid, if the memo has the Δ.
     let prev_d: Vec<Option<usize>> = match prev {
         Some(memo) => deltas
@@ -333,10 +365,13 @@ fn solve_classes(
     let heavy_found: Vec<(u64, Option<u32>)> = match prev {
         Some(memo) => heavy
             .iter()
-            .map(|&c| {
-                let view = part.component(c);
-                let hash = slice_hash(&view);
-                (hash, memo.find(hash, &view))
+            .map(|&c| match carried_class(c) {
+                Some(at) => (memo.hashes[at as usize], Some(at)),
+                None => {
+                    let view = part.component(c);
+                    let hash = slice_hash(&view);
+                    (hash, memo.find(hash, &view))
+                }
             })
             .collect(),
         None => Vec::new(),
@@ -359,18 +394,72 @@ fn solve_classes(
     }
     let heavy_csr: Vec<OnceLock<LocalCsr>> = (0..num_heavy).map(|_| OnceLock::new()).collect();
     let classified = OnceLock::new();
-    let keep_hashes = prev.is_some();
-    let classes = || classified.get_or_init(|| Classes::of(part, num_heavy, keep_hashes));
+    let classes = || classified.get_or_init(|| Classes::of(part, num_heavy, prev, carried_class));
     // The component a rank's solves read: the heavy component itself, or
     // the light class's representative.
     let class_view = |rank: usize| match heavy.get(rank) {
         Some(&c) => part.component(c),
         None => part.component(classes().reps[rank - num_heavy] as usize),
     };
+    // With a memo, a rank's class in it.
+    let memo_class = |rank: usize| {
+        prev?;
+        match heavy_found.get(rank) {
+            Some(&(_, at)) => at,
+            None => classes().found[rank - num_heavy],
+        }
+    };
+    // With a memo, the next memo: this call's classes, in rank order, with
+    // every solve but the results. A class the memo held copies its slice
+    // from there, a new one from the arena. It needs the classes only, so
+    // task 0 builds it beside the solves.
+    let next_memo = OnceLock::new();
+    let build_next_memo = |old: &ClassMemo| {
+        let classes = classes();
+        let num_ranks = classes.num_ranks();
+        let size = |rank| {
+            let view = class_view(rank);
+            view.num_vertices() + 2 * view.num_edges()
+        };
+        let mut words = Vec::with_capacity((0..num_ranks).map(size).sum());
+        let mut ends = Vec::with_capacity(num_ranks);
+        for rank in 0..num_ranks {
+            match memo_class(rank) {
+                Some(at) => words.extend_from_slice(old.slice(at)),
+                None => push_slice_words(&mut words, &class_view(rank)),
+            }
+            ends.push(words.len());
+        }
+        let mut eligible = classes.rank.iter();
+        let mut next = ClassMemo {
+            table: HashMap::with_capacity(num_ranks),
+            hashes: heavy_found
+                .iter()
+                .map(|&(hash, _)| hash)
+                .chain(classes.hashes.iter().copied())
+                .collect(),
+            partition: Some(part.id()),
+            comp_classes: (0..part.num_components())
+                .map(|c| match part.component(c).num_vertices() {
+                    0 | 1 => NO_CLASS,
+                    _ => *eligible.next().expect("one rank per eligible component"),
+                })
+                .collect(),
+            ends,
+            words,
+            deltas: deltas.to_vec(),
+            solved: Vec::new(),
+        };
+        for rank in 0..num_ranks {
+            next.index(rank as u32, next.hashes[rank]);
+        }
+        next
+    };
 
-    // Task 0 classifies; tasks 1..=heavy_tasks are the heavy cells; task
-    // `heavy_tasks + 1 + k` is light chunk `k` at every Δ. Returns the
-    // task's (ranks, Δ indices), `None` past the last light chunk.
+    // Task 0 classifies (and with a memo builds the next one); tasks
+    // 1..=heavy_tasks are the heavy cells; task `heavy_tasks + 1 + k` is
+    // light chunk `k` at every Δ. Returns the task's (ranks, Δ indices),
+    // `None` past the last light chunk.
     let heavy_tasks = heavy_cells.len();
     let cells = |task: usize| -> Option<(Range<usize>, Range<usize>)> {
         if task <= heavy_tasks {
@@ -389,27 +478,21 @@ fn solve_classes(
             let task = next_task.fetch_add(1, Ordering::Relaxed);
             if task == 0 {
                 classes();
+                if let Some(old) = prev {
+                    let _ = next_memo.set(build_next_memo(old));
+                }
                 continue;
             }
             let Some((ranks, ds)) = cells(task) else {
                 break done;
             };
-            // With a memo, each rank's memo class.
-            let mut found = Vec::new();
             let mut solve = || -> Result<Vec<CompSolution>, PolytopeError> {
                 let mut out = Vec::with_capacity(ranks.len() * ds.len());
                 for rank in ranks.clone() {
                     let view = class_view(rank);
                     let light_csr = OnceLock::new();
                     let csr = heavy_csr.get(rank).unwrap_or(&light_csr);
-                    let at = match heavy_found.get(rank) {
-                        Some(&(_, at)) => at,
-                        None => prev
-                            .and_then(|memo| memo.find(classes().hashes[rank - num_heavy], &view)),
-                    };
-                    if prev.is_some() {
-                        found.push(at);
-                    }
+                    let at = memo_class(rank);
                     for d in ds.clone() {
                         out.push(match stored(at, d) {
                             Some(sol) => sol,
@@ -420,7 +503,7 @@ fn solve_classes(
                 Ok(out)
             };
             let solved = solve();
-            done.push((task, ranks, ds, solved, found));
+            done.push((task, ranks, ds, solved));
         }
     };
     let eff = effective_parallelism(threads, grid * (arena.num_vertices() + num_edges));
@@ -432,7 +515,7 @@ fn solve_classes(
     done.sort_unstable_by_key(|&(task, ..)| task);
     let done = done
         .into_iter()
-        .map(|(_, ranks, ds, solved, found)| Ok((ranks, ds, solved?, found)))
+        .map(|(_, ranks, ds, solved)| Ok((ranks, ds, solved?)))
         .collect::<Result<Vec<_>, PolytopeError>>()?;
 
     // `values[d * num_ranks + rank]` is the class at `rank` solved at Δ `d`;
@@ -440,23 +523,18 @@ fn solve_classes(
     // `lp_work[d]` sums Δ `d`'s LP work counters over every eligible
     // component: each member of a class repeats its LP work, as it would
     // alone. With a memo, `record[rank * grid + d]` is the same cell as the
-    // next memo keeps it, and `found[rank]` is the rank's class in the
-    // current memo.
+    // next memo keeps it.
     let classes = classes();
     let num_ranks = classes.num_ranks();
     let mut values = vec![0.0f64; grid * num_ranks];
     let mut weights: Vec<Vec<f64>> = vec![Vec::new(); if want_weights { values.len() } else { 0 }];
     let mut lp_work: Vec<PolytopeSolution> = (0..grid).map(|_| PolytopeSolution::zero(0)).collect();
     let mut reduced = vec![0usize; grid];
-    let (mut record, mut found) = (Vec::new(), Vec::new());
+    let mut record = Vec::new();
     if memo.is_some() {
         record = vec![Solved::default(); num_ranks * grid];
-        found = vec![None; num_ranks];
     }
-    for (ranks, ds, solved, at) in done {
-        if !found.is_empty() {
-            found[ranks.clone()].copy_from_slice(&at);
-        }
+    for (ranks, ds, solved) in done {
         let mut solved = solved.into_iter();
         for rank in ranks {
             for d in ds.clone() {
@@ -476,34 +554,9 @@ fn solve_classes(
             }
         }
     }
-    // This call's classes become the memo, in rank order. A class the memo
-    // held copies its slice from there, a new one from the arena.
-    if let Some(memo) = memo {
-        let size = |rank| {
-            let view = class_view(rank);
-            view.num_vertices() + 2 * view.num_edges()
-        };
-        let mut words = Vec::with_capacity((0..num_ranks).map(size).sum());
-        let mut ends = Vec::with_capacity(num_ranks);
-        for (rank, &at) in found.iter().enumerate() {
-            match at {
-                Some(at) => words.extend_from_slice(memo.slice(at)),
-                None => push_slice_words(&mut words, &class_view(rank)),
-            }
-            ends.push(words.len());
-        }
-        memo.words = words;
-        memo.ends = ends;
-        memo.deltas = deltas.to_vec();
-        memo.solved = record;
-        memo.table.clear();
-        for rank in 0..num_ranks {
-            let hash = match heavy_found.get(rank) {
-                Some(&(hash, _)) => hash,
-                None => classes.hashes[rank - num_heavy],
-            };
-            memo.index(rank as u32, hash);
-        }
+    if let (Some(memo), Some(mut next)) = (memo, next_memo.into_inner()) {
+        next.solved = record;
+        *memo = next;
     }
 
     let merge = |d: usize| {
@@ -867,25 +920,41 @@ struct Classes {
     reps: Vec<u32>,
     /// Rank → number of eligible components of the class.
     uses: Vec<u32>,
-    /// Light class → the slice hash of its members, kept only for a memo.
+    /// Light class → the slice hash of its members, kept only with a memo.
     hashes: Vec<u64>,
+    /// Light class → its class in the memo, kept only with a memo.
+    found: Vec<Option<u32>>,
 }
 
 impl Classes {
     /// Sequential, lock-free classification in component order. The first
     /// `num_heavy` ranks are the heavy components', in component order.
-    /// `keep_hashes` keeps each light class's slice hash.
-    fn of(part: &ComponentPartition, num_heavy: usize, keep_hashes: bool) -> Self {
+    ///
+    /// With a `memo`, each light class keeps its slice hash and its memo
+    /// class. A component whose memo class `carried` knows joins the class
+    /// already made for that memo class, or makes it under the memo's hash,
+    /// with no hash and no compare; every other component is hashed and
+    /// confirmed against its class's representative slice, and a class it
+    /// makes is looked up in the memo.
+    fn of(
+        part: &ComponentPartition,
+        num_heavy: usize,
+        memo: Option<&ClassMemo>,
+        carried: impl Fn(usize) -> Option<u32>,
+    ) -> Self {
         let mut classes = Classes {
             rank: Vec::new(),
             reps: Vec::new(),
             uses: vec![1; num_heavy],
             hashes: Vec::new(),
+            found: Vec::new(),
         };
         let mut heavy_seen = 0u32;
         // Slice hash → light class. A key already taken by a different slice
         // probes on to the next key, so a lookup follows its insert's path.
         let mut table: HashMap<u64, u32> = HashMap::new();
+        // Memo class → the light class made for it, [`NO_CLASS`] before.
+        let mut of_memo = vec![NO_CLASS; memo.map_or(0, ClassMemo::len)];
         'components: for c in 0..part.num_components() {
             let view = part.component(c);
             // A component is connected: with ≥ 2 vertices it has an edge.
@@ -897,8 +966,17 @@ impl Classes {
                 heavy_seen += 1;
                 continue;
             }
+            let at = carried(c);
+            let joined = at.map_or(NO_CLASS, |at| of_memo[at as usize]);
+            if joined != NO_CLASS {
+                classes.join(num_heavy + joined as usize);
+                continue;
+            }
             let class = classes.reps.len() as u32;
-            let hash = slice_hash(&view);
+            let hash = match (at, memo) {
+                (Some(at), Some(memo)) => memo.hashes[at as usize],
+                _ => slice_hash(&view),
+            };
             let mut key = hash;
             loop {
                 match table.entry(key) {
@@ -912,9 +990,7 @@ impl Classes {
                         let hit = *hit.get();
                         let rep = part.component(classes.reps[hit as usize] as usize);
                         if same_labeled_slice(&view, &rep) {
-                            let rank = num_heavy + hit as usize;
-                            classes.rank.push(rank as u32);
-                            classes.uses[rank] += 1;
+                            classes.join(num_heavy + hit as usize);
                             continue 'components;
                         }
                         key = key.wrapping_add(1);
@@ -924,12 +1000,23 @@ impl Classes {
             classes.rank.push((num_heavy + class as usize) as u32);
             classes.reps.push(c as u32);
             classes.uses.push(1);
-            if keep_hashes {
+            if let Some(memo) = memo {
+                let at = at.or_else(|| memo.find(hash, &view));
+                if let Some(at) = at {
+                    of_memo[at as usize] = class;
+                }
                 classes.hashes.push(hash);
+                classes.found.push(at);
             }
         }
         debug_assert_eq!(heavy_seen as usize, num_heavy);
         classes
+    }
+
+    /// Adds the next eligible component to the class at `rank`.
+    fn join(&mut self, rank: usize) {
+        self.rank.push(rank as u32);
+        self.uses[rank] += 1;
     }
 
     /// Number of ranks: heavy components plus light classes.

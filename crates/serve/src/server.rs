@@ -20,7 +20,9 @@
 //! Randomness is deterministic per request: worker threads derive a
 //! [`StdRng`] from the server seed and the request id, so a seeded server
 //! replays identical releases for an identical request schedule regardless
-//! of thread interleaving.
+//! of thread interleaving. A server configured without a seed draws its base
+//! seed from OS entropy, so nobody can recompute its noise from the request
+//! order.
 
 use crate::error::ServeError;
 use crate::ledger::{BudgetLedger, TenantId};
@@ -61,12 +63,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: 4 workers, queue capacity 256, seed 0, tracing off.
+    /// Defaults: 4 workers, queue capacity 256, a base seed drawn from OS
+    /// entropy (see [`with_seed`](Self::with_seed)), tracing off.
     pub fn new() -> Self {
         ServeConfig {
             workers: 4,
             queue_capacity: 256,
-            seed: 0,
+            seed: entropy_seed(),
             delta_max: None,
             tracing: false,
         }
@@ -102,7 +105,8 @@ impl ServeConfig {
     /// Base seed of the per-request RNG derivation. Every release's noise is
     /// a function of this seed and the sequential request id, so whoever
     /// knows the seed can recompute the noise; trace ids are seeded
-    /// independently and do not reveal it.
+    /// independently and do not reveal it. This is the replay path: without
+    /// it the seed comes from OS entropy and no two servers share one.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -673,6 +677,15 @@ fn handle_request(
     Ok((release, version))
 }
 
+/// A base seed from OS entropy: std seeds its hasher keys from the
+/// operating system, and each `RandomState` differs from the last. The label
+/// keeps this draw apart from the trace-id generator's.
+fn entropy_seed() -> u64 {
+    let mut hasher = RandomState::new().build_hasher();
+    hasher.write(b"ccdp serve base noise seed");
+    hasher.finish()
+}
+
 /// Deterministic per-request stream: the same (seed, request id) pair draws
 /// the same noise whichever worker runs it.
 fn request_rng(seed: u64, request_id: u64) -> StdRng {
@@ -910,6 +923,25 @@ mod tests {
         let cache = server.cache_stats();
         assert_eq!(cache.misses, 2, "{cache:?}");
         server.shutdown();
+    }
+
+    #[test]
+    fn unseeded_configs_draw_distinct_base_seeds() {
+        // Without `with_seed`, the base seed is an OS-entropy draw, not a
+        // constant anyone could recompute the noise from.
+        let seeds: Vec<u64> = (0..4).map(|_| ServeConfig::new().seed).collect();
+        for (i, a) in seeds.iter().enumerate() {
+            assert_ne!(*a, 0);
+            for b in &seeds[i + 1..] {
+                assert_ne!(a, b, "two unseeded configs share a seed");
+            }
+        }
+        // Across threads too: each thread's hasher keys are drawn anew.
+        let other = std::thread::spawn(|| ServeConfig::new().seed)
+            .join()
+            .unwrap();
+        assert!(!seeds.contains(&other));
+        assert_eq!(ServeConfig::new().with_seed(9).seed, 9);
     }
 
     #[test]

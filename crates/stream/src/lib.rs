@@ -7,8 +7,9 @@
 //!
 //! * [`stream`] — [`GraphStream`]: timestamped edge insertions/deletions
 //!   (single and batched) and immutable versioned [`GraphSnapshot`]s, each
-//!   one CSR arena the registry publishes as is; a snapshot's true
-//!   component count is the arena's memoized count.
+//!   one CSR arena the registry publishes as is, with its component
+//!   partition attached and patched from the previous snapshot's; a
+//!   snapshot's true component count is the arena's memoized count.
 //! * [`scheduler`] — [`ReleaseScheduler`]: fires DP re-estimation by
 //!   [`ReleasePolicy`] (every k mutations or on demand — never on the
 //!   graph's contents),

@@ -3,8 +3,7 @@
 //! A [`GraphStream`] owns one evolving graph and consumes a time-ordered
 //! feed of [`Mutation`]s (edge insertions and deletions, single or batched).
 //! Applying a mutation touches only the adjacency rows of its two
-//! endpoints; the stream keeps no component structure. A snapshot's true
-//! component count comes from its arena (see below).
+//! endpoints, and the stream records those two vertices as *touched*.
 //!
 //! Insertions are capped at [`DEFAULT_MAX_VERTICES`] (or the initial graph's
 //! size, if larger), so one malformed feed line cannot exhaust memory.
@@ -14,13 +13,19 @@
 //! [`GraphVersion`]; versions increase monotonically and are never reused,
 //! so downstream consumers (registry, cache, release records) can treat
 //! `(id, version)` as a permanent name for one exact edge set. A snapshot is
-//! one [`CsrGraph`] arena, built in one pass over the live graph: the
-//! registry publishes that `Arc` as is, and the release that runs on it
-//! fills the arena's component memo, which the snapshot's count reads.
+//! one [`CsrGraph`] arena with its [`ComponentPartition`] attached, and the
+//! registry publishes that `Arc` as is. The first snapshot builds both from
+//! the live graph. Every later one patches them from the previous
+//! snapshot's ([`CsrGraph::patched`]): untouched rows and components are
+//! copied, and only the components that hold a touched vertex (or a vertex
+//! the universe grew by) are relabeled. The partition fills the snapshot's
+//! component count, and the release on the snapshot reads it instead of
+//! partitioning the arena again. The stream holds the latest partition
+//! until its next snapshot; an older snapshot's arena keeps none.
 
 use crate::error::StreamError;
 use ccdp_graph::io::DEFAULT_MAX_VERTICES;
-use ccdp_graph::{CsrGraph, Graph, GraphVersion};
+use ccdp_graph::{ComponentPartition, CsrGraph, Graph, GraphVersion, PatchScratch};
 use ccdp_serve::GraphId;
 use std::sync::Arc;
 
@@ -97,9 +102,9 @@ impl GraphSnapshot {
     /// Exact number of connected components at the freeze point.
     ///
     /// This is the *true* (non-private) count, read from the arena's
-    /// component memo: a release on the arena has already filled it, and
-    /// otherwise the first call pays one O(n + m) pass. It exists for
-    /// validation and must never be released to a tenant as-is.
+    /// component memo, which the snapshot's partition filled when the
+    /// stream built it. It exists for validation and must never be released
+    /// to a tenant as-is.
     pub fn num_components(&self) -> usize {
         self.graph.num_components()
     }
@@ -124,9 +129,9 @@ pub struct StreamStats {
     pub edges_inserted: u64,
     /// Deletions that changed the graph.
     pub edges_deleted: u64,
-    /// Component-structure rebuilds. The stream keeps no component
-    /// structure, so this always reads 0; it stays because the benchmark's
-    /// stream workload reports it.
+    /// Snapshots after the first whose partition was built from scratch
+    /// instead of patched: more mutations than vertices between two
+    /// snapshots make the stream drop its touched set.
     pub rebuilds: u64,
     /// Snapshots published.
     pub snapshots: u64,
@@ -140,6 +145,14 @@ pub struct GraphStream {
     clock: u64,
     next_version: GraphVersion,
     stats: StreamStats,
+    /// The last snapshot's arena and partition, which the next snapshot is
+    /// patched from; `None` before the first snapshot and after the touched
+    /// set was dropped.
+    last: Option<(Arc<CsrGraph>, Arc<ComponentPartition>)>,
+    /// Endpoints below the last snapshot's vertex count of the mutations
+    /// that changed the graph since, in arrival order, with repeats.
+    touched: Vec<u32>,
+    scratch: PatchScratch,
 }
 
 impl GraphStream {
@@ -157,6 +170,9 @@ impl GraphStream {
             clock: 0,
             next_version: GraphVersion::INITIAL,
             stats: StreamStats::default(),
+            last: None,
+            touched: Vec::new(),
+            scratch: PatchScratch::default(),
         }
     }
 
@@ -241,7 +257,28 @@ impl GraphStream {
             }
         };
         self.stats.mutations_applied += 1;
+        if changed {
+            self.touch(m.u, m.v);
+        }
         Ok(changed)
+    }
+
+    /// Records the endpoints of a mutation that changed the graph. Vertices
+    /// the last snapshot lacks need no record: the next patch relabels every
+    /// added vertex. Past one record per vertex the set stops paying, and
+    /// the next snapshot is built from scratch.
+    fn touch(&mut self, u: usize, v: usize) {
+        let Some((last, _)) = &self.last else {
+            return;
+        };
+        let n = last.num_vertices();
+        if self.touched.len() >= n.max(64) {
+            self.last = None;
+            self.touched = Vec::new();
+            return;
+        }
+        self.touched
+            .extend([u, v].into_iter().filter(|&x| x < n).map(|x| x as u32));
     }
 
     /// Applies a batch in order; returns how many mutations changed the
@@ -258,16 +295,44 @@ impl GraphStream {
     }
 
     /// Freezes the current state into an immutable snapshot and advances the
-    /// stream's version counter. The snapshot's arena is built in one
-    /// O(n + m) pass over the live graph; nothing else is copied or counted.
+    /// stream's version counter. The snapshot's arena carries its partition
+    /// (see the module docs): the first snapshot builds both in O(n + m);
+    /// every later one copies what the mutations since the last snapshot
+    /// left untouched and relabels only the components they touched, and
+    /// allocates a constant number of times.
     pub fn snapshot(&mut self) -> GraphSnapshot {
         let version = self.next_version;
         self.next_version = version.next();
+        if self.last.is_none() && self.stats.snapshots > 0 {
+            self.stats.rebuilds += 1;
+        }
         self.stats.snapshots += 1;
+        let (arena, part) = match &self.last {
+            Some((last, last_part)) => {
+                self.touched.sort_unstable();
+                self.touched.dedup();
+                CsrGraph::patched(
+                    &self.graph,
+                    last,
+                    last_part,
+                    &self.touched,
+                    &mut self.scratch,
+                )
+            }
+            None => {
+                // The partition's two stages overlap on two threads.
+                let (arena, part) = CsrGraph::partitioned(&self.graph, 2);
+                self.scratch.index(&part);
+                (arena, part)
+            }
+        };
+        self.touched.clear();
+        let graph = Arc::new(arena);
+        self.last = Some((Arc::clone(&graph), part));
         GraphSnapshot {
             id: self.id.clone(),
             version,
-            graph: Arc::new(CsrGraph::from_graph(&self.graph)),
+            graph,
             time: self.clock,
             mutations_applied: self.stats.mutations_applied,
         }

@@ -2,9 +2,9 @@
 //! every step, the CSR arena of a [`GraphStream`]'s graph counts exactly the
 //! components `ccdp_graph::components` recounts from its adjacency lists,
 //! and every snapshot is the exact arena of the graph it froze, with that
-//! graph's exact count.
+//! graph's exact count and, attached, that arena's exact partition.
 
-use ccdp_graph::{components, CsrGraph, Graph};
+use ccdp_graph::{components, CsrGraph, Graph, NOT_CARRIED};
 use ccdp_stream::{GraphStream, Mutation};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -150,4 +150,107 @@ proptest! {
             }
         }
     }
+
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn patched_snapshots_match_cold_partitions(
+        n0 in 1usize..24,
+        seed_edges in vec((0usize..24, 0usize..24), 0..30),
+        batches in vec(vec((0u8..6, 0usize..UNIVERSE, 0usize..UNIVERSE), 0..8), 1..12),
+    ) {
+        // Batches of edits between snapshots: inserts that merge components
+        // (and grow the universe when an endpoint is new), deletes of
+        // present edges that split them, an insert and a delete of the same
+        // edge (touched vertices, often isolated, whose components do not
+        // change), no-ops, and empty batches. Every snapshot after the first
+        // is patched from the one before. Its arena must be the live graph's,
+        // its partition must equal a cold partition of that arena, summaries
+        // included, and every component it carried must have the labeled
+        // slice of the component it names in the previous partition.
+        let seed: Vec<(usize, usize)> = seed_edges
+            .into_iter()
+            .map(|(u, v)| (u % n0, v % n0))
+            .filter(|(u, v)| u != v)
+            .collect();
+        let mut stream = GraphStream::from_graph("prop-patch", Graph::from_edges(n0, &seed));
+        let mut prev = None;
+        let mut t = 0;
+        for (b, batch) in batches.iter().enumerate() {
+            for &(kind, u, v) in batch {
+                t += 1;
+                let g = stream.graph();
+                let n = g.num_vertices();
+                let edges: Vec<(usize, usize)> = g.edges().collect();
+                let ops = match kind {
+                    0 | 1 if u != v => vec![Mutation::insert(t, u, v)],
+                    2 | 3 if !edges.is_empty() => {
+                        let (a, b) = edges[(u * UNIVERSE + v) % edges.len()];
+                        vec![Mutation::delete(t, a, b)]
+                    }
+                    4 if u % n != v % n && !g.has_edge(u % n, v % n) => vec![
+                        Mutation::insert(t, u % n, v % n),
+                        Mutation::delete(t, u % n, v % n),
+                    ],
+                    _ if u % n != v % n => {
+                        // A no-op: re-insert a present edge or delete an
+                        // absent one.
+                        let (a, b) = (u % n, v % n);
+                        if g.has_edge(a, b) {
+                            vec![Mutation::insert(t, a, b)]
+                        } else {
+                            vec![Mutation::delete(t, a, b)]
+                        }
+                    }
+                    _ => Vec::new(),
+                };
+                for m in ops {
+                    stream.apply(&m).unwrap();
+                }
+            }
+            let snap = stream.snapshot();
+            let arena = snap.graph();
+            let cold_arena = CsrGraph::from_graph(stream.graph());
+            prop_assert_eq!(&**arena, &cold_arena, "batch {} arena", b);
+            let part = arena.attached_partition().expect("the stream holds it");
+            let mut summaries = Vec::new();
+            let cold = cold_arena.partition_components_with(1, |_, s| summaries.push(s));
+            prop_assert_eq!(&*part, &cold, "batch {} partition", b);
+            for (c, &summary) in summaries.iter().enumerate() {
+                prop_assert_eq!(part.summary(c), summary, "batch {} summary {}", b, c);
+            }
+            prop_assert_eq!(snap.num_components(), cold.num_components());
+            prop_assert_eq!(
+                snap.num_components(),
+                components::num_connected_components(stream.graph())
+            );
+            if let Some(prev) = prev.replace(std::sync::Arc::clone(&part)) {
+                let carried = part.carried_from(prev.id()).expect("patched from the last one");
+                prop_assert_eq!(carried.len(), part.num_components());
+                for (c, &from) in carried.iter().enumerate() {
+                    if from == NOT_CARRIED {
+                        continue;
+                    }
+                    let from = from as usize;
+                    prop_assert_eq!(
+                        part.component(c).to_graph(),
+                        prev.component(from).to_graph(),
+                        "batch {} component {} carried from {}", b, c, from
+                    );
+                    prop_assert_eq!(
+                        part.component_vertices(c),
+                        prev.component_vertices(from)
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(stream.stats().rebuilds, 0);
+    }
+}
+
+/// Vertex ids the patched-partition property draws from; inserts beyond the
+/// base graph grow the universe up to it.
+const UNIVERSE: usize = 48;

@@ -1,12 +1,14 @@
 //! Allocation guard for a stream snapshot published into a registry at
 //! n = 10^5.
 //!
-//! A snapshot is one CSR arena built in one pass over the live graph, and
-//! the registry stores that `Arc` as is. So freezing and publishing a stream
-//! must make a small constant number of heap allocations: the arena's two
-//! arrays, its `Arc` and a few registry entries. Cloning the adjacency-list
-//! graph instead costs one allocation per row; this test pins the constant
-//! with a counting global allocator so that cannot come back silently.
+//! A snapshot is one CSR arena with its partition attached, both patched
+//! from the previous snapshot's, and the registry stores that `Arc` as is.
+//! So freezing and publishing a stream must make a small constant number of
+//! heap allocations: the arena's and the partition's arrays, their `Arc`s
+//! and a few registry entries, never one per component or touched vertex.
+//! Cloning the adjacency-list graph instead costs one allocation per row;
+//! this test pins the constant with a counting global allocator so that
+//! cannot come back silently.
 //!
 //! This file deliberately holds a single `#[test]`: the counter is global,
 //! and a sibling test running concurrently would pollute the measurement.
@@ -76,8 +78,10 @@ fn a_published_snapshot_allocates_a_constant_number_of_times() {
             .unwrap();
         snapshot
     });
-    // Today exactly 4: the arena's two arrays, its `Arc` and the published
-    // id. The slack absorbs allocator or std drift, far below the 10^5 row
+    // Today exactly 13: the arena's two arrays and its `Arc`, the patched
+    // partition's six arrays and its `Arc`, the published id, and the two
+    // patch buffers sized by the touched set on the stream's first patch.
+    // The slack absorbs allocator or std drift, far below the 10^5 row
     // allocations of a `Graph` clone.
     assert!(
         allocs <= 16,
@@ -89,4 +93,7 @@ fn a_published_snapshot_allocates_a_constant_number_of_times() {
         .unwrap();
     assert!(Arc::ptr_eq(&arena, snapshot.graph()));
     assert_eq!(*arena, CsrGraph::from_graph(stream.graph()));
+    // Its attached partition is the one a cold partition pass builds.
+    let attached = arena.attached_partition().expect("the stream holds it");
+    assert_eq!(*attached, arena.partition_components());
 }

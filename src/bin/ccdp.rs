@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! ccdp serve    [addr=127.0.0.1:8787] [fleet=smoke|empty] [workers=4]
-//!               [queue=256] [seed=0] [max_connections=64] [duration_s=0]
+//!               [queue=256] [seed=N] [max_connections=64] [duration_s=0]
 //!               [tracing=on|off]
 //! ccdp estimate [addr=..] tenant=alpha graph=fleet/g0 epsilon=0.25 [version=3]
 //! ccdp ingest   [addr=..] graph=g (file=edges.txt | edges='0 1\n1 2') [version=0]
@@ -137,11 +137,14 @@ fn cmd_serve(args: Args) -> Result<Outcome, CliError> {
         }
     }
 
-    let config = ServeConfig::new()
+    let mut config = ServeConfig::new()
         .with_workers(args.u64_or("workers", 4)? as usize)
         .with_queue_capacity(args.u64_or("queue", 256)? as usize)
-        .with_seed(args.u64_or("seed", 0)?)
         .with_tracing(args.toggle_opt("tracing")?.unwrap_or(false));
+    // Without `seed=` the base seed comes from OS entropy; `seed=N` replays.
+    if let Some(seed) = args.u64_opt("seed")? {
+        config = config.with_seed(seed);
+    }
     let server = Arc::new(Server::start(config, registry, ledger));
     let net_config = NetConfig::new()
         .with_addr(addr)

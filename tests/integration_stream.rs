@@ -256,3 +256,108 @@ fn stream_releases_through_the_class_memo_match_cold_families() {
     // Still one miss per release.
     assert_eq!(server.cache_stats().misses, releases as u64);
 }
+
+/// The family a stream release used (its version's cache entry, served as a
+/// hit) against a cold evaluation of the same edges on an arena with no
+/// attached partition, bit for bit.
+fn assert_release_matches_cold(server: &Server, r: &ReleaseRecord, grid: &[usize], at: &str) {
+    let (_, arena) = server
+        .registry()
+        .resolve_arena(&r.graph, Some(r.version))
+        .unwrap();
+    let tag = ccdp::core::GraphTag::new(r.graph.as_str(), r.version);
+    let hits = server.cache_stats().hits;
+    let served = server
+        .cache()
+        .evaluate_family(&arena, grid, Some(&tag), 1, None, None)
+        .unwrap();
+    assert_eq!(
+        server.cache_stats().hits,
+        hits + 1,
+        "{at}: not the release's entry"
+    );
+    let fresh = CsrGraph::from_graph(&arena.to_graph());
+    assert!(fresh.attached_partition().is_none());
+    let cold = evaluate_family(&fresh, grid, 1, None, None).unwrap();
+    assert_eq!(served.len(), cold.len());
+    for ((s, c), delta) in served.iter().zip(&cold).zip(grid) {
+        assert_eq!(s.value.to_bits(), c.value.to_bits(), "{at} Δ={delta}");
+        assert_eq!(s.path, c.path, "{at} Δ={delta}");
+    }
+    assert_eq!(cold[0].path, EvaluationPath::LinearProgram, "{at}");
+}
+
+#[test]
+fn releases_the_class_carry_does_not_apply_to_match_cold_families() {
+    // Paths of irregular lengths, so most neighbouring components differ in
+    // their Δ = 1 value: a class read through another partition's component
+    // numbering would change the family. Each step below merges two early
+    // components, which renumbers every later one.
+    let mut g = Graph::new(0);
+    for i in 0..150 {
+        g = generators::disjoint_union(&g, &generators::path(2 + (i * i + 3 * i) % 9));
+    }
+    let ledger = Arc::new(BudgetLedger::new());
+    ledger.register("tenant", 1e6).unwrap();
+    // Less than one release's ε: every release it asks for is refused.
+    ledger.register("broke", 0.1).unwrap();
+    let server = Arc::new(Server::start(
+        ServeConfig::new().with_workers(2).with_delta_max(64),
+        Arc::new(GraphRegistry::new()),
+        ledger,
+    ));
+    let scheduler = ReleaseScheduler::with_server(
+        SchedulerConfig::new(ReleasePolicy::OnDemand).with_epsilon(0.5),
+        Arc::clone(&server),
+    );
+    let (tenant, broke) = (TenantId::new("tenant"), TenantId::new("broke"));
+    let grid = ccdp::dp::gem::power_of_two_grid(64);
+    let mut stream = GraphStream::from_graph("carry/paths", g);
+    // Joins the component of vertex `u` to the one after it.
+    let mut t = 0;
+    let mut join = |stream: &mut GraphStream, u: usize| {
+        t += 1;
+        stream.apply(&Mutation::insert(t, u, u + 12)).unwrap();
+    };
+
+    // Versions 0 and 1 are released; from version 1 on the cache keeps the
+    // id's class memo, taken from version 1's partition.
+    scheduler.release_now(&mut stream, &tenant).unwrap();
+    join(&mut stream, 0);
+    let r = scheduler.release_now(&mut stream, &tenant).unwrap();
+    assert_release_matches_cold(&server, &r, &grid, "version 1");
+
+    // Version 2 is refused before its family is evaluated, so the memo
+    // stays at version 1 while version 3 is patched from version 2: the
+    // carry does not apply, and every class takes the hash and the witness.
+    join(&mut stream, 1);
+    let refused = scheduler.release_now(&mut stream, &broke).unwrap_err();
+    assert!(matches!(
+        refused,
+        StreamError::Serve(ServeError::BudgetExhausted { .. })
+    ));
+    join(&mut stream, 2);
+    let r = scheduler.release_now(&mut stream, &tenant).unwrap();
+    assert_release_matches_cold(&server, &r, &grid, "after a refused release");
+
+    // A probe snapshot of a clone, as the benchmark's traced run takes one,
+    // patches the clone's copy of the stream state and leaves the stream's
+    // own untouched.
+    join(&mut stream, 3);
+    let mut probe = stream.clone();
+    let probed = probe.snapshot();
+    assert_eq!(probed.version(), stream.next_version());
+    let r = scheduler.release_now(&mut stream, &tenant).unwrap();
+    assert_eq!(
+        **probed.graph(),
+        *server
+            .registry()
+            .resolve_arena(&r.graph, Some(r.version))
+            .unwrap()
+            .1
+    );
+    assert_release_matches_cold(&server, &r, &grid, "after a cloned probe");
+    join(&mut stream, 4);
+    let r = scheduler.release_now(&mut stream, &tenant).unwrap();
+    assert_release_matches_cold(&server, &r, &grid, "after the probe");
+}

@@ -91,7 +91,16 @@ impl CsrGraph {
     /// `threads`, with the partition attached to the arena (see
     /// [`attached_partition`](Self::attached_partition)). The caller holds
     /// the returned `Arc`; the arena only refers to it.
+    ///
+    /// A graph of at most one hand-off batch of vertices partitions on the
+    /// caller's thread: its stage A hands off a single batch, so a second
+    /// thread would overlap nothing and only add its spawn.
     pub fn partitioned(g: &Graph, threads: usize) -> (Self, Arc<ComponentPartition>) {
+        let threads = if g.num_vertices() > PARTITION_BATCH {
+            threads
+        } else {
+            1
+        };
         let mut arena = CsrGraph::from_graph(g);
         let mut max_degrees = Vec::new();
         let mut part = arena.partition_components_with(threads, |_, summary| {

@@ -16,16 +16,10 @@ use std::sync::Arc;
 /// `new_of` of a vertex no relabeled component holds.
 const UNSEEN: u32 = u32::MAX;
 
-/// What [`CsrGraph::patched`] keeps from one patch to the next: an index of
-/// the partition the next patch starts from, and buffers, so a patch
-/// allocates only its outputs (plus a buffer that has to grow).
+/// The buffers [`CsrGraph::patched`] keeps from one patch to the next, so
+/// a patch allocates only its outputs (plus a buffer that has to grow).
 #[derive(Clone, Debug, Default)]
 pub struct PatchScratch {
-    /// The partition `firsts` describes.
-    indexed: Option<PartitionId>,
-    /// Bit `v` is set iff vertex `v` is the smallest of its component in
-    /// `indexed`.
-    firsts: Vec<u64>,
     /// Vertex → its position in the patched partition, for the vertices of
     /// relabeled components while a patch runs; [`UNSEEN`] everywhere
     /// between patches.
@@ -33,52 +27,9 @@ pub struct PatchScratch {
     /// The relabeled components' vertices, component after component, each
     /// sorted.
     queue: Vec<u32>,
-    /// One bit per vertex, all clear between uses: sorts a large component.
-    marks: Vec<u64>,
     /// Each relabeled component: its smallest vertex and its range in
     /// `queue`.
     comps: Vec<(u32, u32, u32)>,
-    /// The earlier partition's components that the relabeled ones replace,
-    /// ascending.
-    replaced: Vec<u32>,
-}
-
-impl PatchScratch {
-    /// Indexes `part`, the partition the next patch starts from, unless the
-    /// index already describes it: one bit per vertex, set once per
-    /// component, after which each patch keeps the index up to date at the
-    /// cost of the components it relabels. It also sizes the per-vertex
-    /// buffers of the next patch.
-    pub fn index(&mut self, part: &ComponentPartition) {
-        if self.indexed == Some(part.id) {
-            return;
-        }
-        let n = part.arena.num_vertices();
-        if self.new_of.len() < n {
-            self.new_of.resize(n, UNSEEN);
-        }
-        self.queue.reserve(n);
-        self.marks.resize(n.div_ceil(64), 0);
-        self.firsts.clear();
-        self.firsts.resize(n.div_ceil(64), 0);
-        for c in 0..part.num_components() {
-            set_bit(&mut self.firsts, part.first_vertex(c), true);
-        }
-        self.indexed = Some(part.id);
-    }
-}
-
-fn bit(bits: &[u64], v: u32) -> bool {
-    bits[v as usize / 64] & (1 << (v % 64)) != 0
-}
-
-fn set_bit(bits: &mut [u64], v: u32, on: bool) {
-    let (word, mask) = (v as usize / 64, 1u64 << (v % 64));
-    if on {
-        bits[word] |= mask;
-    } else {
-        bits[word] &= !mask;
-    }
 }
 
 impl CsrGraph {
@@ -100,16 +51,21 @@ impl CsrGraph {
     /// component-count memos are filled. The caller holds the returned
     /// `Arc`; the arena only refers to it.
     ///
-    /// The work is one copy of the arrays plus a traversal of the relabeled
-    /// components, and it allocates the outputs only (`scratch` keeps the
-    /// rest from one call to the next).
+    /// The work is one copy of the arrays, a traversal and sort of the
+    /// relabeled components, and one read per earlier component (was its
+    /// smallest vertex relabeled?). It allocates the outputs only
+    /// (`scratch` keeps the rest from one call to the next).
     ///
     /// # Panics
     /// Panics if `g` has fewer vertices than `prev`, if `prev_part` is not
     /// a partition of an arena of `prev`'s size, if `touched` is not
-    /// ascending or names a vertex `prev` lacks, if the graph is too large
-    /// for `u32` indexing, or if the copied rows do not add up to `g`'s edge
-    /// count (a changed row was not listed).
+    /// ascending or names a vertex `prev` lacks, or if the graph is too
+    /// large for `u32` indexing. It also panics where an unlisted changed
+    /// row shows in a count: if the rows do not add up to `g`'s edge count,
+    /// or if the relabeled vertices below `prev`'s vertex count are not
+    /// exactly those of the components they replace. An unlisted row whose
+    /// length did not change can pass both counts, and then the arena keeps
+    /// its old neighbours: listing every changed row is the caller's part.
     pub fn patched(
         g: &Graph,
         prev: &CsrGraph,
@@ -188,32 +144,23 @@ fn patch_partition(
     touched: &[u32],
     s: &mut PatchScratch,
 ) -> ComponentPartition {
-    s.index(prev);
     let PatchScratch {
-        indexed,
-        firsts,
         new_of,
         queue,
-        marks,
         comps,
-        replaced,
     } = s;
     let (n0, n) = (prev.arena.num_vertices(), arena.num_vertices());
     if new_of.len() < n {
         new_of.resize(n, UNSEEN);
     }
     // One allocation each at most: `queue` holds at most every vertex, and
-    // each relabeled or replaced component holds a touched or added vertex.
+    // each relabeled component holds a touched or added vertex.
     queue.reserve(n);
-    marks.resize(n.div_ceil(64), 0);
     comps.reserve(touched.len() + (n - n0));
-    replaced.reserve(touched.len());
 
     // 1. The relabeled components: a traversal of the new arena from every
     //    touched and every added vertex. Until positions are assigned,
-    //    `new_of` 0 marks a vertex as reached. A component of more than
-    //    n / 256 vertices (a giant) is sorted by one scan of a bit per
-    //    vertex, which is cheaper than a comparison sort there.
+    //    `new_of` 0 marks a vertex as reached.
     for root in touched.iter().map(|&t| t as usize).chain(n0..n) {
         if new_of[root] != UNSEEN {
             continue;
@@ -231,100 +178,64 @@ fn patch_partition(
             }
             head += 1;
         }
-        if queue.len() - lo > n / 256 {
-            for &v in &queue[lo..] {
-                set_bit(marks, v, true);
-            }
-            let mut at = lo;
-            for (w, word) in marks.iter_mut().enumerate() {
-                while *word != 0 {
-                    queue[at] = (64 * w) as u32 + word.trailing_zeros();
-                    *word &= *word - 1;
-                    at += 1;
-                }
-            }
-        } else {
-            queue[lo..].sort_unstable();
-        }
+        queue[lo..].sort_unstable();
         comps.push((queue[lo], lo as u32, queue.len() as u32));
     }
     comps.sort_unstable();
 
-    // 2. The earlier components they replace. A vertex that lies on no
-    //    changed row keeps its path to the nearest touched vertex, so the
-    //    relabeled vertices below `n0` are exactly the vertices of the
-    //    earlier components that hold a touched vertex: those whose
-    //    smallest vertex is relabeled, which the index marks.
+    // 2. Merge the copied and the relabeled components by smallest vertex.
+    //    A vertex that lies on no changed row keeps its path to the nearest
+    //    touched vertex, so the relabeled vertices below `n0` are exactly
+    //    the vertices of the earlier components that hold a touched vertex:
+    //    those whose smallest vertex is relabeled. The merge skips them.
     let k0 = prev.num_components();
-    let first = |c: usize| prev.first_vertex(c);
-    let mut below = 0;
+    let bound = k0 + comps.len();
+    let mut out = Patched {
+        offsets: Vec::with_capacity(n + 1),
+        targets: Vec::with_capacity(arena.targets.len()),
+        comp_starts: Vec::with_capacity(bound + 1),
+        order: Vec::with_capacity(n),
+        max_degrees: Vec::with_capacity(bound),
+        carried: Vec::with_capacity(bound),
+    };
+    out.offsets.push(0);
+    out.comp_starts.push(0);
+    let mut relabeled = comps.iter().peekable();
+    let mut run = 0;
     let mut replaced_vertices = 0;
-    for &v in queue.iter().filter(|&&v| (v as usize) < n0) {
-        below += 1;
-        if bit(firsts, v) {
-            let c = seek(0, k0, v, first);
-            replaced.push(c as u32);
+    for c in 0..k0 {
+        let first = prev.first_vertex(c);
+        let replaced = new_of[first as usize] != UNSEEN;
+        if !replaced && relabeled.peek().is_none_or(|&&(min, ..)| min >= first) {
+            continue;
+        }
+        out.copy_run(prev, run, c);
+        while let Some(&(_, lo, hi)) = relabeled.next_if(|&&(min, ..)| min < first) {
+            out.relabel(arena, &queue[lo as usize..hi as usize], new_of);
+        }
+        run = c;
+        if replaced {
             replaced_vertices += prev.component_vertices(c).len();
+            run += 1;
         }
     }
+    out.copy_run(prev, run, k0);
+    for &(_, lo, hi) in relabeled {
+        out.relabel(arena, &queue[lo as usize..hi as usize], new_of);
+    }
+    let below = queue.iter().filter(|&&v| (v as usize) < n0).count();
     assert_eq!(
         below, replaced_vertices,
         "a row that changed was not listed as touched"
     );
-    replaced.sort_unstable();
+    let k = out.carried.len();
+    debug_assert_eq!(out.order.len(), n);
 
-    // 3. Merge the copied and the relabeled components by smallest vertex.
-    let k = k0 - replaced.len() + comps.len();
-    let mut out = Patched {
-        offsets: Vec::with_capacity(n + 1),
-        targets: Vec::with_capacity(arena.targets.len()),
-        comp_starts: Vec::with_capacity(k + 1),
-        order: Vec::with_capacity(n),
-        max_degrees: Vec::with_capacity(k),
-        carried: Vec::with_capacity(k),
-    };
-    out.offsets.push(0);
-    out.comp_starts.push(0);
-    let mut next_old = 0;
-    let mut skip = replaced.iter().map(|&c| c as usize).peekable();
-    let mut copy_old = |out: &mut Patched, from: usize, to: usize| {
-        let mut c = from;
-        while c < to {
-            if skip.next_if_eq(&c).is_some() {
-                c += 1;
-                continue;
-            }
-            let end = skip.peek().map_or(to, |&r| r.min(to));
-            out.copy_run(prev, c, end);
-            c = end;
-        }
-    };
-    for &(min, lo, hi) in comps.iter() {
-        let at = seek(next_old, k0, min, first);
-        copy_old(&mut out, next_old, at);
-        out.relabel(arena, &queue[lo as usize..hi as usize], new_of);
-        next_old = at;
-    }
-    copy_old(&mut out, next_old, k0);
-    debug_assert_eq!((out.order.len(), out.carried.len()), (n, k));
-
-    // The index now describes the patched partition: only the replaced and
-    // the relabeled components' smallest vertices change.
-    let id = PartitionId::fresh();
-    firsts.resize(n.div_ceil(64), 0);
-    for &c in replaced.iter() {
-        set_bit(firsts, first(c as usize), false);
-    }
-    for &(min, ..) in comps.iter() {
-        set_bit(firsts, min, true);
-    }
     for &v in queue.iter() {
         new_of[v as usize] = UNSEEN;
     }
-    *indexed = Some(id);
     queue.clear();
     comps.clear();
-    replaced.clear();
 
     let arena = CsrGraph::from_parts(out.offsets, out.targets);
     let _ = arena.components.set(k);
@@ -333,34 +244,12 @@ fn patch_partition(
         comp_starts: out.comp_starts,
         order: out.order,
         max_degrees: out.max_degrees,
-        id,
+        id: PartitionId::fresh(),
         carried: Some(Carried {
             from: prev.id,
             index: out.carried,
         }),
     }
-}
-
-/// The first component `c ≥ from` (or `k`) whose smallest vertex is at
-/// least `v`: a galloping search, so a walk over ascending `v` costs the
-/// logarithm of each step, not of `k`.
-fn seek(from: usize, k: usize, v: u32, first: impl Fn(usize) -> u32) -> usize {
-    let (mut lo, mut hi, mut step) = (from, from, 1);
-    while hi < k && first(hi) < v {
-        lo = hi + 1;
-        hi += step;
-        step *= 2;
-    }
-    let mut hi = hi.min(k);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if first(mid) < v {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 /// The patched partition's arrays as they grow.
@@ -466,12 +355,8 @@ mod tests {
         for c in 0..cold.num_components() {
             assert_eq!(part.summary(c), cold.summary(c), "component {c}");
         }
-        // The scratch indexes the patched partition, as a fresh index would.
+        // The scratch is ready for the next patch.
         assert!(new_of_is_clear(scratch));
-        let mut fresh = PatchScratch::default();
-        fresh.index(&part);
-        assert_eq!(scratch.indexed, Some(part.id()));
-        assert_eq!(scratch.firsts, fresh.firsts);
     }
 
     fn new_of_is_clear(s: &PatchScratch) -> bool {
@@ -483,8 +368,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut scratch = PatchScratch::default();
         for round in 0..60 {
-            // Small graphs sort every relabeled component by its mark bits,
-            // larger ones only the components above n / 256 vertices.
+            // Graphs of a few thousand vertices, and graphs so small that a
+            // relabeled component is often most of the graph.
             let n = match round % 3 {
                 0 => rng.gen_range(300..3000),
                 _ => rng.gen_range(1..120),

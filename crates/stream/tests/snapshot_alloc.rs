@@ -78,9 +78,9 @@ fn a_published_snapshot_allocates_a_constant_number_of_times() {
             .unwrap();
         snapshot
     });
-    // Today exactly 13: the arena's two arrays and its `Arc`, the patched
-    // partition's six arrays and its `Arc`, the published id, and the two
-    // patch buffers sized by the touched set on the stream's first patch.
+    // Today exactly 14: the arena's two arrays and its `Arc`, the patched
+    // partition's six arrays and its `Arc`, the published id, and the three
+    // patch buffers the stream's first patch sizes.
     // The slack absorbs allocator or std drift, far below the 10^5 row
     // allocations of a `Graph` clone.
     assert!(

@@ -54,7 +54,7 @@
 //! Versions of one graph mostly share their components, so the cache also
 //! carries solved classes across them: once it has evaluated a second
 //! version of a graph id, it keeps one [`ClassMemo`] for that id, passes it
-//! to the evaluation of each tagged miss on the id and replaces it with that
+//! to the evaluation of each tagged miss on the id, which brings it to that
 //! evaluation's classes. A graph served at one version keeps none, untagged
 //! lookups never use one, and the memo leaves with the id's last entry. The
 //! memo changes only how much work a miss does, never its values.

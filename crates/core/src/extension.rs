@@ -24,7 +24,7 @@
 use crate::error::CoreError;
 use ccdp_exec::{effective_parallelism, PhaseProfiler};
 use ccdp_graph::forest::component_bounded_degree_spanning_forest;
-use ccdp_graph::{ComponentSummary, CsrGraph, Graph};
+use ccdp_graph::{CsrGraph, Graph};
 use ccdp_lp::{solve_partition, solve_partition_with_memo, ClassMemo};
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -105,11 +105,12 @@ impl LipschitzExtension {
 /// * **LP, one fan-out.** Every non-anchored Δ is solved by one
 ///   [`solve_partition`] call over the shared partition on up to `threads`
 ///   workers: every component on the micro solver, identical small
-///   components solved once per class, each heavy class in one task per Δ
-///   over one shared local copy, with the small components' classification
-///   running beside those tasks, and the light classes in fixed-size chunks
-///   that each run the whole LP grid. Values land in one dense row per Δ,
-///   and each Δ's merge gathers from its row in component order.
+///   components solved once per class, each large heavy class in one task
+///   per Δ (a small one in one task for the grid), with the small
+///   components' classification running beside those tasks, and the light
+///   classes in fixed-size chunks that each run the whole LP grid. Values
+///   land in one dense row per Δ, and each Δ's merge gathers from its row
+///   in component order.
 ///
 /// Values are clamped to be monotone non-decreasing in Δ, which they are
 /// mathematically (Lemma 3.3) but may fail to be by a hair numerically when
@@ -125,16 +126,19 @@ impl LipschitzExtension {
 /// snapshot's), and otherwise
 /// [`partition_components_with`](CsrGraph::partition_components_with) on
 /// `effective_parallelism(threads, n + m)` threads: its traversal and its
-/// relabelling overlap on two threads, and the per-component summaries it
-/// streams (vertex count, edge count, maximum degree) are all the anchor
-/// test reads, so there is no separate degree scan. An attached partition
-/// equals that one array for array and reports the same summaries
-/// ([`ComponentPartition::summary`](ccdp_graph::ComponentPartition::summary)),
-/// so the values do not depend on which one the evaluation used.
+/// relabelling overlap on two threads. Either way the partition keeps what
+/// the anchor test reads as it is built — the cyclic components with their
+/// maximum degrees, and the tree components' degree counts
+/// ([`ComponentPartition::cyclic_components`](ccdp_graph::ComponentPartition::cyclic_components),
+/// [`tree_max_degree`](ccdp_graph::ComponentPartition::tree_max_degree)) —
+/// and a patch carries them over its copied runs, so the evaluation makes
+/// no pass over the components for them. An attached partition equals a
+/// cold one array for array, those lists included, so the values do not
+/// depend on which one the evaluation used.
 ///
 /// With a [`PhaseProfiler`], time is attributed under stable phase names:
-/// `family/partition` (the two-stage partition and its summaries, or the
-/// attached partition's summaries),
+/// `family/partition` (the two-stage partition, or reading the attached
+/// one),
 /// `family/anchor` (fast-path checks including the bridge certificates and
 /// the per-component Lemma 1.8 searches) and `family/lp` (polytope solving
 /// over the partition), plus
@@ -147,9 +151,11 @@ impl LipschitzExtension {
 /// memo holds takes the stored result for each Δ it needs, and on success
 /// the memo holds this evaluation's classes (unchanged when no Δ reached
 /// the LP). When the attached partition was patched from the partition the
-/// memo was taken from, a component the patch copied finds its memo class
-/// through its carried index, without hashing. The values are those of the
-/// evaluation without a memo, bit for bit.
+/// memo last saw, the copied components keep their classes by bulk copies
+/// and only the relabeled ones are hashed and compared, and the counters
+/// come from the memo's running tallies: the only passes over every
+/// component left are the patch's copies and the merge of each Δ's values.
+/// The values are those of the evaluation without a memo, bit for bit.
 ///
 /// Repeated evaluations of the same graph should go through
 /// [`ExtensionCache`](crate::cache::ExtensionCache), which wraps this
@@ -173,35 +179,19 @@ pub fn evaluate_family(
             .collect());
     }
     let partition_timer = profiler.map(|p| p.phase("family/partition"));
-    // The partition reports each component's summary as it relabels it:
-    // the graph's maximum degree, the largest maximum degree over *tree*
-    // components (for Δ below it no spanning Δ-forest exists), and the
-    // non-tree components with their maximum degrees (the only ones the
-    // Lemma 1.8 search can fail on).
-    let mut max_degree = 0usize;
-    let mut tree_max_degree = 0usize;
-    let mut cyclic: Vec<(usize, usize)> = Vec::new();
-    let mut fold = |c, summary: ComponentSummary| {
-        max_degree = max_degree.max(summary.max_degree);
-        if summary.edges + 1 == summary.vertices {
-            tree_max_degree = tree_max_degree.max(summary.max_degree);
-        } else {
-            cyclic.push((c, summary.max_degree));
-        }
-    };
-    let part = match arena.attached_partition() {
-        Some(part) => {
-            for c in 0..part.num_components() {
-                fold(c, part.summary(c));
-            }
-            part
-        }
-        None => {
-            let work = arena.num_vertices() + arena.num_edges();
-            let threads = effective_parallelism(threads, work);
-            Arc::new(arena.partition_components_with(threads, fold))
-        }
-    };
+    let part = arena.attached_partition().unwrap_or_else(|| {
+        let work = arena.num_vertices() + arena.num_edges();
+        let threads = effective_parallelism(threads, work);
+        Arc::new(arena.partition_components_with(threads, |_, _| {}))
+    });
+    // What the anchor test reads, kept by the partition as it was built
+    // (or patched): the graph's maximum degree, the largest maximum degree
+    // over *tree* components (for Δ below it no spanning Δ-forest exists),
+    // and the non-tree components with their maximum degrees (the only ones
+    // the Lemma 1.8 search can fail on).
+    let max_degree = part.max_degree();
+    let tree_max_degree = part.tree_max_degree();
+    let cyclic = part.cyclic_components();
     // The partition filled the arena's component memo, so this (and the
     // release's true value after it) is a load, not a second pass.
     let fsf = arena.spanning_forest_size() as f64;
@@ -214,21 +204,21 @@ pub fn evaluate_family(
         let bridge_max: Vec<OnceCell<usize>> = cyclic.iter().map(|_| OnceCell::new()).collect();
         let bridge_max_of = |i: usize| {
             *bridge_max[i].get_or_init(|| {
-                let bridges = part.component(cyclic[i].0).bridge_degrees();
+                let bridges = part.component(cyclic[i].0 as usize).bridge_degrees();
                 bridges.into_iter().max().unwrap_or(0) as usize
             })
         };
         grid.iter()
             .map(|&delta| {
-                let over = || (0..cyclic.len()).filter(|&i| cyclic[i].1 > delta);
+                let over = || (0..cyclic.len()).filter(|&i| cyclic[i].1 as usize > delta);
                 // Every spanning forest holds every bridge, so a vertex with
                 // more than Δ bridges means the search must fail: skip it.
                 delta >= max_degree
                     || (delta >= tree_max_degree
                         && over().all(|i| bridge_max_of(i) <= delta)
                         && over().all(|i| {
-                            component_bounded_degree_spanning_forest(&part, cyclic[i].0, delta)
-                                .is_some()
+                            let c = cyclic[i].0 as usize;
+                            component_bounded_degree_spanning_forest(&part, c, delta).is_some()
                         }))
             })
             .collect()

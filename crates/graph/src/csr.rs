@@ -102,12 +102,7 @@ impl CsrGraph {
             1
         };
         let mut arena = CsrGraph::from_graph(g);
-        let mut max_degrees = Vec::new();
-        let mut part = arena.partition_components_with(threads, |_, summary| {
-            max_degrees.push(summary.max_degree as u32);
-        });
-        part.max_degrees = max_degrees;
-        let part = Arc::new(part);
+        let part = Arc::new(arena.partition_components_with(threads, |_, _| {}));
         arena.partition = Arc::downgrade(&part);
         (arena, part)
     }
@@ -491,6 +486,7 @@ struct Relabel<'a> {
     comp_starts: Vec<u32>,
     offsets: Vec<u32>,
     targets: Vec<u32>,
+    shape: Shape,
 }
 
 impl<'a> Relabel<'a> {
@@ -505,6 +501,7 @@ impl<'a> Relabel<'a> {
             comp_starts: vec![0],
             offsets,
             targets: Vec::with_capacity(src.targets.len()),
+            shape: Shape::default(),
         }
     }
 
@@ -534,7 +531,9 @@ impl<'a> Relabel<'a> {
                 edges: (self.targets.len() - first_target) / 2,
                 max_degree,
             };
-            visit(self.comp_starts.len() - 2, summary);
+            let c = self.comp_starts.len() - 2;
+            self.shape.add(c, summary);
+            visit(c, summary);
         }
     }
 
@@ -548,9 +547,44 @@ impl<'a> Relabel<'a> {
             arena,
             comp_starts: self.comp_starts,
             order: self.order,
-            max_degrees: Vec::new(),
+            shape: self.shape,
             id: PartitionId::fresh(),
             carried: None,
+        }
+    }
+}
+
+/// What the anchor test of the family evaluation reads of a partition's
+/// summaries, kept up to date as components are added (and, by a patch,
+/// removed).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Shape {
+    /// Each non-tree component and its maximum degree, in component order.
+    cyclic: Vec<(u32, u32)>,
+    /// `tree_degrees[d]`: the number of tree components (isolated vertices
+    /// included) whose maximum degree is `d`. Its last entry is never 0.
+    tree_degrees: Vec<u32>,
+}
+
+impl Shape {
+    /// Adds component `c`, the last one so far, with its summary.
+    fn add(&mut self, c: usize, summary: ComponentSummary) {
+        let d = summary.max_degree;
+        if summary.edges + 1 == summary.vertices {
+            if self.tree_degrees.len() <= d {
+                self.tree_degrees.resize(d + 1, 0);
+            }
+            self.tree_degrees[d] += 1;
+        } else {
+            self.cyclic.push((c as u32, d as u32));
+        }
+    }
+
+    /// Removes one tree component of maximum degree `d`.
+    fn remove_tree(&mut self, d: usize) {
+        self.tree_degrees[d] -= 1;
+        while self.tree_degrees.last() == Some(&0) {
+            self.tree_degrees.pop();
         }
     }
 }
@@ -572,19 +606,36 @@ impl PartitionId {
 #[derive(Clone, Debug)]
 struct Carried {
     from: PartitionId,
-    /// Component → its index in `from`, or [`NOT_CARRIED`] for a relabeled
-    /// component.
-    index: Vec<u32>,
+    /// Every component, in runs (see [`CarriedRun`]).
+    runs: Vec<CarriedRun>,
 }
 
-/// The carried index of a component [`CsrGraph::patched`] relabeled.
+/// A run of consecutive components of a [patched](CsrGraph::patched)
+/// partition, either copied from the partition it was patched from or
+/// relabeled. [`ComponentPartition::carried_from`] lists the runs in
+/// component order; together they cover every component once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CarriedRun {
+    /// The run's first component in the earlier partition, whose next
+    /// `len - 1` components follow it in the same order with the same
+    /// labeled slices; [`NOT_CARRIED`] for a run of relabeled components.
+    pub from: u32,
+    /// The run's first component in this partition.
+    pub start: u32,
+    /// Number of components in the run.
+    pub len: u32,
+}
+
+/// The [`CarriedRun::from`] of a run of components [`CsrGraph::patched`]
+/// relabeled.
 pub const NOT_CARRIED: u32 = u32::MAX;
 
 /// A component-contiguous relabeling of a [`CsrGraph`]: one shared arena plus
 /// the ranges and the permutation needed to map results back to original ids.
 ///
-/// Equality compares the arrays only; the partition's id and what it
-/// carried never affect it.
+/// Equality compares the arrays (and the cyclic components and tree degrees
+/// derived from them) only; the partition's id and what it carried never
+/// affect it.
 #[derive(Clone, Debug)]
 pub struct ComponentPartition {
     arena: CsrGraph,
@@ -592,10 +643,7 @@ pub struct ComponentPartition {
     comp_starts: Vec<u32>,
     /// New position → original vertex id.
     order: Vec<u32>,
-    /// Component → its maximum degree, kept by the partitions built with an
-    /// arena ([`CsrGraph::partitioned`], [`CsrGraph::patched`]); empty
-    /// otherwise.
-    max_degrees: Vec<u32>,
+    shape: Shape,
     id: PartitionId,
     /// Set on a partition [`CsrGraph::patched`] built.
     carried: Option<Carried>,
@@ -606,6 +654,7 @@ impl PartialEq for ComponentPartition {
         self.arena == other.arena
             && self.comp_starts == other.comp_starts
             && self.order == other.order
+            && self.shape == other.shape
     }
 }
 
@@ -623,35 +672,52 @@ impl ComponentPartition {
     }
 
     /// If this partition was [patched](CsrGraph::patched) from the
-    /// partition `from`: for each component, its index in `from`, where its
-    /// labeled slice is the same, or [`NOT_CARRIED`] for a component the
-    /// patch relabeled. `None` for any other `from`, and for a partition
-    /// built from scratch.
-    pub fn carried_from(&self, from: PartitionId) -> Option<&[u32]> {
+    /// partition `from`: its components in runs, in component order, each
+    /// run either copied from `from` (the same labeled slices, in the same
+    /// order) or relabeled ([`NOT_CARRIED`]). `None` for any other `from`,
+    /// and for a partition built from scratch. The components of `from` no
+    /// copied run names are the ones the patch replaced.
+    pub fn carried_from(&self, from: PartitionId) -> Option<&[CarriedRun]> {
         self.carried
             .as_ref()
             .filter(|carried| carried.from == from)
-            .map(|carried| &carried.index[..])
+            .map(|carried| &carried.runs[..])
     }
 
     /// Component `c`'s summary: the same [`ComponentSummary`] the
-    /// partition pass reports for it. O(1) on a partition built with its
-    /// arena, which keeps each component's maximum degree; otherwise the
-    /// maximum degree is read off the component's rows.
+    /// partition pass reports for it, read off the component's rows.
     pub fn summary(&self, c: usize) -> ComponentSummary {
         let view = self.component(c);
-        let max_degree = match self.max_degrees.get(c) {
-            Some(&d) => d as usize,
-            None => (0..view.num_vertices())
-                .map(|v| view.degree(v))
-                .max()
-                .unwrap_or(0),
-        };
         ComponentSummary {
             vertices: view.num_vertices(),
             edges: view.num_edges(),
-            max_degree,
+            max_degree: (0..view.num_vertices())
+                .map(|v| view.degree(v))
+                .max()
+                .unwrap_or(0),
         }
+    }
+
+    /// Each component that is not a tree (it holds a cycle), with its
+    /// maximum degree, in component order. Every partition keeps this list
+    /// as it builds (a patch carries it), so reading it is free.
+    pub fn cyclic_components(&self) -> &[(u32, u32)] {
+        &self.shape.cyclic
+    }
+
+    /// The largest maximum degree of a tree component (isolated vertices
+    /// included), 0 without one. Kept like
+    /// [`cyclic_components`](Self::cyclic_components).
+    pub fn tree_max_degree(&self) -> usize {
+        self.shape.tree_degrees.len().saturating_sub(1)
+    }
+
+    /// The graph's maximum degree: the larger of
+    /// [`tree_max_degree`](Self::tree_max_degree) and the cyclic
+    /// components' maximum degrees.
+    pub fn max_degree(&self) -> usize {
+        let cyclic = self.shape.cyclic.iter().map(|&(_, d)| d as usize);
+        cyclic.fold(self.tree_max_degree(), usize::max)
     }
 
     /// The smallest original vertex of component `c` (components are
@@ -1114,6 +1180,19 @@ mod tests {
                     };
                     assert_eq!(summary, direct, "graph {i} component {c}");
                 }
+                // The cyclic list and the tree degrees the pass kept are
+                // the summaries' own.
+                let is_tree = |s: &ComponentSummary| s.edges + 1 == s.vertices;
+                let cyclic: Vec<(u32, u32)> = summaries
+                    .iter()
+                    .filter(|(_, s)| !is_tree(s))
+                    .map(|&(c, s)| (c as u32, s.max_degree as u32))
+                    .collect();
+                assert_eq!(part.cyclic_components(), cyclic, "graph {i}");
+                let tree_max = summaries.iter().filter(|(_, s)| is_tree(s));
+                let tree_max = tree_max.map(|(_, s)| s.max_degree).max().unwrap_or(0);
+                assert_eq!(part.tree_max_degree(), tree_max, "graph {i}");
+                assert_eq!(part.max_degree(), csr.max_degree(), "graph {i}");
             }
         }
     }

@@ -9,7 +9,10 @@
 //! of incremental connectivity (Holm, de Lichtenberg and Thorup, J. ACM
 //! 2001, maintain the same components one edge at a time).
 
-use super::{Carried, ComponentPartition, CsrGraph, PartitionId, NOT_CARRIED};
+use super::{
+    Carried, CarriedRun, ComponentPartition, ComponentSummary, CsrGraph, PartitionId, Shape,
+    NOT_CARRIED,
+};
 use crate::graph::Graph;
 use std::sync::Arc;
 
@@ -45,16 +48,17 @@ impl CsrGraph {
     /// `prev_part` that holds no touched vertex, each with one constant
     /// shift, and relabels the components of `g` that hold one. It equals
     /// [`partition_components`](Self::partition_components) of the arena
-    /// array for array, and
+    /// array for array (its cyclic components and tree degrees too), and
     /// [`carried_from`](ComponentPartition::carried_from)`(prev_part.id())`
-    /// gives each copied component's index in `prev_part`. Both arenas'
-    /// component-count memos are filled. The caller holds the returned
-    /// `Arc`; the arena only refers to it.
+    /// lists its components as runs copied from `prev_part` and runs
+    /// relabeled. Both arenas' component-count memos are filled. The caller
+    /// holds the returned `Arc`; the arena only refers to it.
     ///
     /// The work is one copy of the arrays, a traversal and sort of the
-    /// relabeled components, and one read per earlier component (was its
-    /// smallest vertex relabeled?). It allocates the outputs only
-    /// (`scratch` keeps the rest from one call to the next).
+    /// relabeled components, one read per earlier component (was its
+    /// smallest vertex relabeled?), and a pass over the replaced ones and
+    /// the cyclic list. It allocates the outputs only (`scratch` keeps the
+    /// rest from one call to the next).
     ///
     /// # Panics
     /// Panics if `g` has fewer vertices than `prev`, if `prev_part` is not
@@ -195,8 +199,13 @@ fn patch_partition(
         targets: Vec::with_capacity(arena.targets.len()),
         comp_starts: Vec::with_capacity(bound + 1),
         order: Vec::with_capacity(n),
-        max_degrees: Vec::with_capacity(bound),
-        carried: Vec::with_capacity(bound),
+        // A copied run ends at a replaced component (each holds a touched
+        // vertex) or before a relabeled one.
+        runs: Vec::with_capacity(touched.len() + 2 * comps.len() + 1),
+        shape: Shape {
+            cyclic: Vec::with_capacity(prev.shape.cyclic.len() + comps.len()),
+            tree_degrees: prev.shape.tree_degrees.clone(),
+        },
     };
     out.offsets.push(0);
     out.comp_starts.push(0);
@@ -215,7 +224,11 @@ fn patch_partition(
         }
         run = c;
         if replaced {
-            replaced_vertices += prev.component_vertices(c).len();
+            let summary = prev.summary(c);
+            if summary.edges + 1 == summary.vertices {
+                out.shape.remove_tree(summary.max_degree);
+            }
+            replaced_vertices += summary.vertices;
             run += 1;
         }
     }
@@ -228,7 +241,7 @@ fn patch_partition(
         below, replaced_vertices,
         "a row that changed was not listed as touched"
     );
-    let k = out.carried.len();
+    let k = out.comp_starts.len() - 1;
     debug_assert_eq!(out.order.len(), n);
 
     for &v in queue.iter() {
@@ -243,11 +256,11 @@ fn patch_partition(
         arena,
         comp_starts: out.comp_starts,
         order: out.order,
-        max_degrees: out.max_degrees,
+        shape: out.shape,
         id: PartitionId::fresh(),
         carried: Some(Carried {
             from: prev.id,
-            index: out.carried,
+            runs: out.runs,
         }),
     }
 }
@@ -258,14 +271,38 @@ struct Patched {
     targets: Vec<u32>,
     comp_starts: Vec<u32>,
     order: Vec<u32>,
-    max_degrees: Vec<u32>,
-    carried: Vec<u32>,
+    runs: Vec<CarriedRun>,
+    shape: Shape,
 }
 
 impl Patched {
+    /// The number of components so far.
+    fn num_components(&self) -> u32 {
+        self.comp_starts.len() as u32 - 1
+    }
+
     /// Copies `prev`'s components `from..to`, none of them replaced: their
-    /// positions shift by one constant and their half-edges by another.
+    /// positions shift by one constant and their half-edges by another, and
+    /// so do their entries in the cyclic list.
     fn copy_run(&mut self, prev: &ComponentPartition, from: usize, to: usize) {
+        if from == to {
+            return;
+        }
+        let start = self.num_components();
+        self.runs.push(CarriedRun {
+            from: from as u32,
+            start,
+            len: (to - from) as u32,
+        });
+        let cyclic = &prev.shape.cyclic;
+        let lo = cyclic.partition_point(|&(c, _)| (c as usize) < from);
+        let hi = cyclic.partition_point(|&(c, _)| (c as usize) < to);
+        let comp_shift = start.wrapping_sub(from as u32);
+        self.shape.cyclic.extend(
+            cyclic[lo..hi]
+                .iter()
+                .map(|&(c, d)| (c.wrapping_add(comp_shift), d)),
+        );
         let (p0, p1) = (
             prev.comp_starts[from] as usize,
             prev.comp_starts[to] as usize,
@@ -277,14 +314,6 @@ impl Patched {
                 .iter()
                 .map(|&s| s.wrapping_add(shift)),
         );
-        self.carried.extend(from as u32..to as u32);
-        if prev.max_degrees.is_empty() {
-            self.max_degrees
-                .extend((from..to).map(|c| prev.summary(c).max_degree as u32));
-        } else {
-            self.max_degrees
-                .extend_from_slice(&prev.max_degrees[from..to]);
-        }
         let offsets = &prev.arena.offsets;
         let (e0, e1) = (offsets[p0], offsets[p1]);
         let edge_shift = (self.targets.len() as u32).wrapping_sub(e0);
@@ -303,10 +332,19 @@ impl Patched {
     /// Appends one relabeled component, its vertices ascending: the same
     /// numbering and rows the partition pass gives it.
     fn relabel(&mut self, arena: &CsrGraph, vertices: &[u32], new_of: &mut [u32]) {
+        let c = self.num_components();
+        match self.runs.last_mut() {
+            Some(run) if run.from == NOT_CARRIED => run.len += 1,
+            _ => self.runs.push(CarriedRun {
+                from: NOT_CARRIED,
+                start: c,
+                len: 1,
+            }),
+        }
         for (pos, &v) in (self.order.len() as u32..).zip(vertices) {
             new_of[v as usize] = pos;
         }
-        let mut max_degree = 0;
+        let (first_target, mut max_degree) = (self.targets.len(), 0);
         for &v in vertices {
             let row = arena.neighbors(v as usize);
             max_degree = max_degree.max(row.len());
@@ -315,8 +353,12 @@ impl Patched {
         }
         self.order.extend_from_slice(vertices);
         self.comp_starts.push(self.order.len() as u32);
-        self.max_degrees.push(max_degree as u32);
-        self.carried.push(NOT_CARRIED);
+        let summary = ComponentSummary {
+            vertices: vertices.len(),
+            edges: (self.targets.len() - first_target) / 2,
+            max_degree,
+        };
+        self.shape.add(c as usize, summary);
     }
 }
 
@@ -337,26 +379,47 @@ mod tests {
         assert_eq!(*part, cold);
         assert_eq!(arena.components.get(), Some(&cold.num_components()));
         assert!(Arc::ptr_eq(&arena.attached_partition().unwrap(), &part));
-        let carried = part.carried_from(prev_part.id()).unwrap();
-        for (c, &from) in carried.iter().enumerate() {
-            if from != NOT_CARRIED {
-                let (a, b) = (part.component(c), prev_part.component(from as usize));
-                assert_eq!(a.to_graph(), b.to_graph(), "component {c} from {from}");
-                assert_eq!(
-                    part.component_vertices(c),
-                    prev_part.component_vertices(from as usize)
-                );
-            }
-        }
+        let runs = part.carried_from(prev_part.id()).unwrap();
+        check_runs(&part, &prev_part, runs);
         assert!(part.carried_from(part.id()).is_none());
-        // The patch keeps each maximum degree; the cold partition reads
-        // them off its rows.
-        assert!(cold.max_degrees.is_empty());
+        // The cyclic list and tree degrees the patch carried are the cold
+        // pass's (partition equality compares them too).
+        assert_eq!(part.cyclic_components(), cold.cyclic_components());
+        assert_eq!(part.tree_max_degree(), cold.tree_max_degree());
+        assert_eq!(part.max_degree(), next.max_degree());
         for c in 0..cold.num_components() {
             assert_eq!(part.summary(c), cold.summary(c), "component {c}");
         }
         // The scratch is ready for the next patch.
         assert!(new_of_is_clear(scratch));
+    }
+
+    /// Checks that `runs` cover `part`'s components in order, that runs
+    /// are maximal (no two relabeled runs in a row), that every copied
+    /// component is the labeled slice of its source, and that the sources
+    /// ascend.
+    fn check_runs(part: &ComponentPartition, prev: &ComponentPartition, runs: &[CarriedRun]) {
+        let mut next = 0;
+        let mut next_from = 0;
+        for (i, run) in runs.iter().enumerate() {
+            assert_eq!(run.start, next, "run {i} starts where the last ended");
+            assert!(run.len > 0, "run {i} is empty");
+            next += run.len;
+            if run.from == NOT_CARRIED {
+                let previous = i.checked_sub(1).map(|j| runs[j].from);
+                assert_ne!(previous, Some(NOT_CARRIED), "run {i} is not maximal");
+                continue;
+            }
+            assert!(run.from >= next_from, "run {i} goes back");
+            next_from = run.from + run.len;
+            for k in 0..run.len as usize {
+                let (c, from) = (run.start as usize + k, run.from as usize + k);
+                let (a, b) = (part.component(c), prev.component(from));
+                assert_eq!(a.to_graph(), b.to_graph(), "component {c} from {from}");
+                assert_eq!(part.component_vertices(c), prev.component_vertices(from));
+            }
+        }
+        assert_eq!(next as usize, part.num_components());
     }
 
     fn new_of_is_clear(s: &PatchScratch) -> bool {

@@ -16,11 +16,11 @@
 //!
 //! * [`solve_partition`] — the driver: one sweep over a
 //!   [`ComponentPartition`] for every Δ of a grid. One fan-out classifies
-//!   the light components beside the heavy classes' (class, Δ) solves, then
-//!   solves the light classes in fixed-size chunks for the whole grid. The
-//!   results land in one dense value row per Δ, and each Δ's merge gathers
-//!   from its row in component order, so the result is the same for every
-//!   thread budget and for every grid the Δ appears in.
+//!   the light components beside the heavy classes' solves, then solves the
+//!   light classes in fixed-size chunks for the whole grid. The results
+//!   land in one dense value row per Δ, and each Δ's merge gathers from its
+//!   row in component order, so the result is the same for every thread
+//!   budget and for every grid the Δ appears in.
 //! * **Micro solver** — every component, of any size or cycle rank, takes a
 //!   CSR-native replica of the reference solver's reduction loop (same float
 //!   operations in the same order), with two provably-identical closed-form
@@ -43,22 +43,23 @@
 //!   at p = 1.05/n and n = 10⁶ there are ~15k labeled classes versus ~125k
 //!   components with an edge (~476k in all), so nearly every solve becomes
 //!   a lookup.
-//! * **Class memo across versions** — [`solve_partition_with_memo`] reads
-//!   the [`ClassMemo`] of a graph's previous version: a class (light class
-//!   or heavy component, of any size) whose labeled slice the memo holds
-//!   takes the stored value, `reduced` flag and LP work counters of each Δ
-//!   the memo has, again with slice equality as the witness. The memo then
-//!   holds this version's classes. A stream's versions share most of their
-//!   components, so most of a release's solves become lookups. When the
-//!   partition was patched from the very partition the memo was taken from
-//!   ([`ComponentPartition::carried_from`]), a component the patch copied
-//!   finds its memo class through its carried index, with no hash and no
-//!   slice compare.
+//! * **Class memo across versions** — [`solve_partition_with_memo`] keeps a
+//!   graph's classes in a [`ClassMemo`] from one version to the next: each
+//!   class's labeled slice and, for each Δ, its value, `reduced` flag and
+//!   LP work counters. Class ids are stable across versions. When the
+//!   partition was patched from the very partition the memo last saw
+//!   ([`ComponentPartition::carried_from`]), a copied component keeps its
+//!   class by a bulk copy of its run, and only the relabeled components are
+//!   hashed, compared and counted (a large one, such as a giant, takes a
+//!   new class unhashed); only classes the memo has not solved are solved.
+//!   Any other partition is classified in full against the memo. Either way
+//!   the values, the attribution counters and the LP work counters are
+//!   those of [`solve_partition`] by construction.
 
 use crate::combinatorial::{csr_piece, solve_piece, CAP_TOL};
 use crate::solver::{PolytopeError, PolytopeSolution};
 use ccdp_exec::{effective_parallelism, parallel_map};
-use ccdp_graph::{ComponentPartition, CsrComponent, PartitionId};
+use ccdp_graph::{ComponentPartition, CsrComponent, PartitionId, NOT_CARRIED};
 use std::cmp::Reverse;
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
@@ -70,6 +71,11 @@ pub const DEDUP_MAX_VERTICES: usize = 32;
 
 /// Light classes per task; one task solves its chunk at every Δ of the grid.
 const LIGHT_CHUNK: usize = 64;
+
+/// A heavy class whose vertices plus edges are below this solves its whole
+/// grid in one task, as a light chunk does; a larger one gets one task per
+/// Δ, so its Δ solves run side by side.
+const HEAVY_TASK_WORK: usize = 8192;
 
 /// Where each component's solution came from, for one Δ of a
 /// [`solve_partition`] call.
@@ -108,23 +114,33 @@ struct CompSolution {
     reduced: bool,
 }
 
-/// The classes one [`solve_partition_with_memo`] call solved, kept for the
-/// call on the graph's next version.
+/// A graph's classes, kept by [`solve_partition_with_memo`] from one
+/// version of the graph to the next.
 ///
-/// A class — a light class or a heavy component — is stored as a copy of its
-/// labeled slice and, for each Δ of the call that recorded it, the class's
-/// value, whether a remnant went through the LP tail, and its LP work
-/// counters. Classes are found by slice hash and confirmed by slice
-/// equality, so a hash collision never serves another slice's result. A
-/// call replaces the whole memo with its own classes, so the memo never
-/// holds more than one call's classes.
+/// A class is a labeled slice: every light class, and every distinct heavy
+/// slice (two identical heavy components share a class here, yet each
+/// still counts as its own rank in [`PartitionSolveStats`]). The memo keeps
+/// a copy of each class's slice, its member count in the last partition
+/// it saw, and for each Δ of the last call the class's value, whether a
+/// remnant went through the LP tail, and its LP work counters. Classes are
+/// found by slice hash and confirmed by slice equality, so a hash collision
+/// never serves another slice's result. A *large* component (vertices plus
+/// edges at least `HEAVY_TASK_WORK`; in practice a giant, which a batch
+/// changes almost every time) is neither hashed nor copied: it gets a class
+/// of its own that no lookup finds, and keeps it only through copied runs.
 ///
-/// The memo also records which partition it was taken from and the class of
-/// each of that partition's components. A call on a partition patched from
-/// exactly that one ([`ComponentPartition::carried_from`]) reads a copied
-/// component's class through the component's carried index, with no hash
-/// and no compare; every other component, and every component of a call on
-/// any other partition, takes the hash and the witness.
+/// Class ids are stable: a new slice is appended, and a class left with no
+/// member keeps its slice and its results (a later version may bring it
+/// back) until the dead classes outweigh the live ones, in classes or in
+/// slice words; then they are compacted away, so the memo stays within
+/// twice its live size. The memo also keeps the last partition's
+/// component → class array, and per Δ the running totals of the LP-tail
+/// ranks and LP work over the live classes. A call on a partition
+/// [patched](ccdp_graph::CsrGraph::patched) from exactly that partition
+/// ([`ComponentPartition::carried_from`]) copies the class array over the
+/// copied runs, drops the replaced components' memberships and classifies
+/// the relabeled components only; a call on any other partition
+/// classifies every component.
 #[derive(Debug, Default)]
 pub struct ClassMemo {
     /// Slice hash → class. A key already taken by a different slice probes
@@ -132,75 +148,114 @@ pub struct ClassMemo {
     table: HashMap<u64, u32>,
     /// Class `i`'s slice hash.
     hashes: Vec<u64>,
-    /// The partition of the recording call.
-    partition: Option<PartitionId>,
-    /// That partition's component → its class, [`NO_CLASS`] for an isolated
-    /// vertex.
-    comp_classes: Vec<u32>,
     /// Class `i`'s labeled slice (see [`push_slice_words`]) is
     /// `words[ends[i - 1]..ends[i]]`, from 0 for the first class.
     ends: Vec<usize>,
     words: Vec<u32>,
-    /// The Δ grid of the recording call.
-    deltas: Vec<f64>,
-    /// Class `i` solved at `deltas[d]` is `solved[i * deltas.len() + d]`.
-    solved: Vec<Solved>,
+    /// Class `i`'s vertex and edge counts.
+    sizes: Vec<(u32, u32)>,
+    /// Class `i`'s members in the last partition.
+    members: Vec<u32>,
+    /// The last partition, `None` before the first call and after an error.
+    partition: Option<PartitionId>,
+    /// Its component → class, [`NO_CLASS`] for an isolated vertex.
+    comp_classes: Vec<u32>,
+    /// The buffer the next class array is built in.
+    spare: Vec<u32>,
+    /// One column per Δ of the last call.
+    columns: Vec<Column>,
+    /// Eligible components (the members of every class).
+    eligible: usize,
+    /// Ranks: one per member of a heavy class, one per live light class.
+    ranks: usize,
+    /// Light classes with a member.
+    light_live: usize,
+    /// Classes with a member, and their slice words.
+    live_classes: usize,
+    live_words: usize,
 }
 
 /// The class of a component that belongs to none (an isolated vertex).
 const NO_CLASS: u32 = u32::MAX;
 
-/// One (class, Δ) solve as a [`ClassMemo`] keeps it: the value, whether a
-/// remnant went through the LP tail, and the LP work counters.
+/// Every class solved at one Δ, as far as the memo knows.
+#[derive(Debug)]
+struct Column {
+    delta: f64,
+    /// Class → its value at `delta`, then one 0.0 that an isolated vertex
+    /// reads in the merge ([`NO_CLASS`] clamps to it).
+    values: Vec<f64>,
+    /// Class → whether and how it was solved at `delta`.
+    cells: Vec<Cell>,
+    /// Over the live classes: the ranks whose solve went through the LP
+    /// tail, and their LP work counters times their members.
+    reduced: usize,
+    work: [usize; 4],
+}
+
+/// One (class, Δ) solve as a [`Column`] keeps it, beside its value.
 #[derive(Clone, Copy, Debug, Default)]
-struct Solved {
-    value: f64,
+struct Cell {
+    solved: bool,
     reduced: bool,
     /// Cuts, pivots, LP solves and fallbacks, as in [`PolytopeSolution`].
     work: [usize; 4],
 }
 
-impl Solved {
-    fn of(comp: &CompSolution) -> Self {
-        let sol = &comp.sol;
-        Solved {
-            value: sol.value,
-            reduced: comp.reduced,
-            work: [
-                sol.generated_cuts,
-                sol.lp_iterations,
-                sol.lp_solves,
-                sol.lp_fallback_components,
-            ],
+impl Column {
+    /// A column of `classes` classes, none of them solved.
+    fn new(delta: f64, classes: usize) -> Self {
+        Column {
+            delta,
+            values: vec![0.0; classes + 1],
+            cells: vec![Cell::default(); classes],
+            reduced: 0,
+            work: [0; 4],
         }
     }
 
-    /// The solve it records, without weights.
-    fn replay(self) -> CompSolution {
-        let mut sol = PolytopeSolution::zero(0);
-        sol.value = self.value;
-        [
-            sol.generated_cuts,
-            sol.lp_iterations,
-            sol.lp_solves,
-            sol.lp_fallback_components,
-        ] = self.work;
-        CompSolution {
-            sol,
-            reduced: self.reduced,
+    /// Adds (`up`) or removes `ranks` LP-tail ranks and `members` times
+    /// class `i`'s LP work to the totals, if `i` is solved here through the
+    /// LP tail.
+    fn count(&mut self, i: usize, ranks: usize, members: usize, up: bool) {
+        let cell = self.cells[i];
+        if !(cell.solved && cell.reduced) {
+            return;
+        }
+        step(&mut self.reduced, ranks, up);
+        for (total, &w) in self.work.iter_mut().zip(&cell.work) {
+            step(total, w * members, up);
         }
     }
 }
 
+/// Keeps `v[i]` for each `i` of `live` (ascending), in order.
+fn keep<T: Copy>(v: &mut Vec<T>, live: &[usize]) {
+    for (to, &i) in live.iter().enumerate() {
+        v[to] = v[i];
+    }
+    v.truncate(live.len());
+}
+
+/// `*x += by` if `up`, else `*x -= by`.
+fn step(x: &mut usize, by: usize, up: bool) {
+    if up {
+        *x += by;
+    } else {
+        *x -= by;
+    }
+}
+
 impl ClassMemo {
-    /// Number of classes stored.
+    /// Number of classes of the last call: its light classes plus one per
+    /// heavy component (the ranks of [`solve_partition_with_memo`]).
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.ranks
     }
 
-    /// `true` if no class is stored.
+    /// `true` if the last call had no eligible component.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.ranks == 0
     }
 
     /// Class `i`'s labeled slice.
@@ -210,10 +265,9 @@ impl ClassMemo {
         &self.words[start..self.ends[i]]
     }
 
-    /// The class of component `from` of the recording call's partition.
-    fn class_of(&self, from: u32) -> Option<u32> {
-        let class = *self.comp_classes.get(from as usize)?;
-        (class != NO_CLASS).then_some(class)
+    /// Whether class `i` is heavy.
+    fn is_heavy(&self, i: usize) -> bool {
+        self.sizes[i].0 as usize > DEDUP_MAX_VERTICES
     }
 
     /// The class whose slice is `view`'s, given `view`'s slice hash.
@@ -228,26 +282,315 @@ impl ClassMemo {
         }
     }
 
-    /// Makes class `i` findable under `hash`, unless a class with the same
-    /// slice already is (two heavy components can be identical, and the
-    /// first one answers for both).
+    /// Makes class `i` findable under `hash`. Every class has its own
+    /// slice, so an occupied key always holds another one.
     fn index(&mut self, i: u32, hash: u64) {
         let mut key = hash;
-        loop {
-            match self.table.entry(key) {
-                Entry::Vacant(slot) => {
-                    slot.insert(i);
-                    return;
+        while let Entry::Occupied(_) = self.table.entry(key) {
+            key = key.wrapping_add(1);
+        }
+        self.table.insert(key, i);
+    }
+
+    /// Appends a class for `view`'s slice, solved at no Δ, findable under
+    /// `hash`; a large class (`None`) keeps no slice and is never found.
+    fn push_class(&mut self, hash: Option<u64>, view: &CsrComponent<'_>) -> u32 {
+        #[cfg(test)]
+        count_slice_read(2);
+        let i = self.hashes.len() as u32;
+        if hash.is_some() {
+            push_slice_words(&mut self.words, view);
+        }
+        self.ends.push(self.words.len());
+        self.hashes.push(hash.unwrap_or(0));
+        self.sizes
+            .push((view.num_vertices() as u32, view.num_edges() as u32));
+        self.members.push(0);
+        for column in &mut self.columns {
+            column.cells.push(Cell::default());
+            column.values.insert(i as usize, 0.0);
+        }
+        if let Some(hash) = hash {
+            self.index(i, hash);
+        }
+        i
+    }
+
+    /// Whether class `i` is large: its vertices plus edges reach
+    /// [`HEAVY_TASK_WORK`].
+    fn is_large(&self, i: usize) -> bool {
+        let (v, e) = self.sizes[i];
+        (v + e) as usize >= HEAVY_TASK_WORK
+    }
+
+    /// Adds a member to class `i` (`up`) or removes one, keeping every
+    /// tally and every column's totals.
+    fn add_member(&mut self, i: u32, up: bool) {
+        let i = i as usize;
+        let before = self.members[i] as usize;
+        let after = if up { before + 1 } else { before - 1 };
+        self.members[i] = after as u32;
+        let heavy = self.is_heavy(i);
+        let lives = (before == 0) != (after == 0);
+        let slice_words = self.ends[i] - if i == 0 { 0 } else { self.ends[i - 1] };
+        step(&mut self.eligible, 1, up);
+        if lives {
+            step(&mut self.live_classes, 1, up);
+            step(&mut self.live_words, slice_words, up);
+            if !heavy {
+                step(&mut self.light_live, 1, up);
+            }
+        }
+        let ranks = usize::from(heavy || lives);
+        step(&mut self.ranks, ranks, up);
+        for column in &mut self.columns {
+            column.count(i, ranks, 1, up);
+        }
+    }
+
+    /// Component `c`'s class, found or made, and counts it as a member. A
+    /// class that had no member before is listed in `fresh` with `c`.
+    fn join(&mut self, part: &ComponentPartition, c: usize, fresh: &mut Vec<(u32, u32)>) -> u32 {
+        let view = part.component(c);
+        // A component is connected: with ≥ 2 vertices it has an edge.
+        if view.num_vertices() < 2 {
+            return NO_CLASS;
+        }
+        // A large component (in practice a giant, which a batch changes
+        // almost every time) gets a class of its own without a hash or a
+        // copy of its slice.
+        let i = if work_of(&view) >= HEAVY_TASK_WORK {
+            self.push_class(None, &view)
+        } else {
+            let hash = slice_hash(&view);
+            match self.find(hash, &view) {
+                Some(i) => i,
+                None => self.push_class(Some(hash), &view),
+            }
+        };
+        if self.members[i as usize] == 0 {
+            fresh.push((i, c as u32));
+        }
+        self.add_member(i, true);
+        i
+    }
+
+    /// Keeps one column per distinct Δ of `deltas`, solved as far as the
+    /// memo knows, and drops the others. Returns each Δ's column and
+    /// whether any column is new.
+    fn set_grid(&mut self, deltas: &[f64]) -> (Vec<usize>, bool) {
+        let mut old = std::mem::take(&mut self.columns);
+        let mut fresh = false;
+        let cols = deltas
+            .iter()
+            .map(|d| {
+                let same = |c: &Column| c.delta.to_bits() == d.to_bits();
+                if let Some(at) = self.columns.iter().position(same) {
+                    return at;
                 }
-                Entry::Occupied(hit) => {
-                    let at = *hit.get();
-                    if self.slice(at) == self.slice(i) {
-                        return;
+                let column = match old.iter().position(same) {
+                    Some(at) => old.swap_remove(at),
+                    None => {
+                        fresh = true;
+                        Column::new(*d, self.hashes.len())
                     }
-                    key = key.wrapping_add(1);
+                };
+                self.columns.push(column);
+                self.columns.len() - 1
+            })
+            .collect();
+        (cols, fresh)
+    }
+
+    /// Points the class array at `part` and returns the classes that had no
+    /// member before, each with its first member.
+    ///
+    /// If `part` was patched from the memo's last partition, a copied run
+    /// copies its classes, the replaced components leave theirs, and the
+    /// relabeled components are classified; otherwise every component is.
+    fn classify(&mut self, part: &ComponentPartition) -> Vec<(u32, u32)> {
+        let mut fresh = Vec::new();
+        let mut next = std::mem::take(&mut self.spare);
+        next.clear();
+        next.reserve(part.num_components());
+        match self.partition.and_then(|id| part.carried_from(id)) {
+            Some(runs) => {
+                let replaced = |from: usize, to: usize, memo: &mut Self| {
+                    for c in from..to {
+                        let i = memo.comp_classes[c];
+                        if i != NO_CLASS {
+                            memo.add_member(i, false);
+                        }
+                    }
+                };
+                let mut old = 0;
+                for run in runs.iter().filter(|run| run.from != NOT_CARRIED) {
+                    replaced(old, run.from as usize, self);
+                    old = (run.from + run.len) as usize;
+                }
+                replaced(old, self.comp_classes.len(), self);
+                for run in runs {
+                    let (start, len) = (run.start as usize, run.len as usize);
+                    if run.from == NOT_CARRIED {
+                        for c in start..start + len {
+                            next.push(self.join(part, c, &mut fresh));
+                        }
+                    } else {
+                        let from = run.from as usize;
+                        next.extend_from_slice(&self.comp_classes[from..from + len]);
+                    }
+                }
+            }
+            None => {
+                self.forget_members();
+                for c in 0..part.num_components() {
+                    next.push(self.join(part, c, &mut fresh));
                 }
             }
         }
+        self.spare = std::mem::replace(&mut self.comp_classes, next);
+        self.partition = Some(part.id());
+        fresh
+    }
+
+    /// Leaves every class without members.
+    fn forget_members(&mut self) {
+        self.members.iter_mut().for_each(|m| *m = 0);
+        (self.eligible, self.ranks, self.light_live) = (0, 0, 0);
+        (self.live_classes, self.live_words) = (0, 0);
+        for column in &mut self.columns {
+            (column.reduced, column.work) = (0, [0; 4]);
+        }
+    }
+
+    /// Drops the classes without members once they outweigh the live ones,
+    /// in classes or in slice words, renumbering the live ones in order
+    /// (`fresh` too).
+    fn compact(&mut self, fresh: &mut [(u32, u32)]) {
+        let dead_classes = self.hashes.len() - self.live_classes;
+        let dead_words = self.words.len() - self.live_words;
+        if dead_classes <= self.live_classes && dead_words <= self.live_words {
+            return;
+        }
+        let live: Vec<usize> = (0..self.hashes.len())
+            .filter(|&i| self.members[i] > 0)
+            .collect();
+        let mut remap = vec![NO_CLASS; self.hashes.len()];
+        for (to, &i) in live.iter().enumerate() {
+            remap[i] = to as u32;
+        }
+        // In place, keeping every buffer's capacity: a live class only
+        // moves down.
+        let mut end = 0;
+        for (to, &i) in live.iter().enumerate() {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            let len = self.ends[i] - start;
+            self.words.copy_within(start..start + len, end);
+            end += len;
+            self.ends[to] = end;
+        }
+        self.words.truncate(end);
+        self.ends.truncate(live.len());
+        keep(&mut self.hashes, &live);
+        keep(&mut self.sizes, &live);
+        keep(&mut self.members, &live);
+        for column in &mut self.columns {
+            keep(&mut column.cells, &live);
+            keep(&mut column.values, &live);
+            column.values.push(0.0);
+        }
+        for class in self.comp_classes.iter_mut().filter(|i| **i != NO_CLASS) {
+            *class = remap[*class as usize];
+        }
+        for (class, _) in fresh {
+            *class = remap[*class as usize];
+        }
+        self.table.clear();
+        for i in 0..self.hashes.len() {
+            if !self.is_large(i) {
+                self.index(i as u32, self.hashes[i]);
+            }
+        }
+    }
+
+    /// Records class `i` solved at column `col`, which did not have it.
+    fn record(&mut self, col: usize, i: u32, comp: &CompSolution) {
+        let i = i as usize;
+        let members = self.members[i] as usize;
+        let ranks = if self.is_heavy(i) {
+            members
+        } else {
+            usize::from(members > 0)
+        };
+        let sol = &comp.sol;
+        let column = &mut self.columns[col];
+        column.values[i] = sol.value;
+        column.cells[i] = Cell {
+            solved: true,
+            reduced: comp.reduced,
+            work: [
+                sol.generated_cuts,
+                sol.lp_iterations,
+                sol.lp_solves,
+                sol.lp_fallback_components,
+            ],
+        };
+        column.count(i, ranks, members, true);
+    }
+
+    /// Each live class with its first member, in class order: one pass
+    /// over the class array.
+    fn first_members(&self) -> Vec<(u32, u32)> {
+        let mut first = vec![NO_CLASS; self.hashes.len()];
+        for (c, &i) in self.comp_classes.iter().enumerate().rev() {
+            if i != NO_CLASS {
+                first[i as usize] = c as u32;
+            }
+        }
+        (0..self.hashes.len() as u32)
+            .zip(first)
+            .filter(|&(_, c)| c != NO_CLASS)
+            .collect()
+    }
+
+    /// The result at each column of `cols`: the values of the class array's
+    /// components summed in component order, one pass for every column,
+    /// and the tallies.
+    fn merge(&self, cols: &[usize]) -> Vec<PartitionSolution> {
+        let columns: Vec<&Column> = cols.iter().map(|&col| &self.columns[col]).collect();
+        let mut sums = vec![0.0f64; cols.len()];
+        // An isolated vertex's `NO_CLASS` clamps to the trailing 0.0, which
+        // leaves a sum's bits as they are (it starts at +0.0, so it is
+        // never −0.0).
+        let isolated = self.hashes.len();
+        for &i in &self.comp_classes {
+            let i = (i as usize).min(isolated);
+            for (sum, column) in sums.iter_mut().zip(&columns) {
+                *sum += column.values[i];
+            }
+        }
+        columns
+            .iter()
+            .zip(sums)
+            .map(|(column, value)| {
+                let mut solution = PolytopeSolution::zero(0);
+                solution.value = value;
+                [
+                    solution.generated_cuts,
+                    solution.lp_iterations,
+                    solution.lp_solves,
+                    solution.lp_fallback_components,
+                ] = column.work;
+                let stats = PartitionSolveStats {
+                    components: self.eligible,
+                    micro_closed_form: self.ranks - column.reduced,
+                    micro_reduced: column.reduced,
+                    dedup_classes: self.light_live,
+                    dedup_hits: self.eligible - self.ranks,
+                };
+                PartitionSolution { solution, stats }
+            })
+            .collect()
     }
 }
 
@@ -265,13 +608,16 @@ impl ClassMemo {
 /// 2. **One fan-out**: one [`parallel_map`] index per worker, each with its
 ///    own `MicroScratch`, taking the next task off a shared cursor, so
 ///    tasks start in list order and no phase waits for another to end. The
-///    first task classifies the light components; the next ones solve each
-///    heavy class at each Δ, largest class first, so the giant's Δ solves
-///    start at once and classification runs beside them. A heavy class's
-///    local CSR copy does not depend on Δ: the first of its tasks to need it
-///    builds it, the others share it read-only. The remaining tasks solve
-///    `LIGHT_CHUNK` consecutive light classes each, at every Δ; a worker
-///    that reaches them before classification ends waits for it.
+///    first task classifies the light components; the next ones solve the
+///    heavy classes, largest first, so the giant's solves start at once and
+///    classification runs beside them. A heavy class below
+///    `HEAVY_TASK_WORK` vertices plus edges is one task for the whole grid;
+///    a larger one is one task per Δ, and its local CSR copy, which does
+///    not depend on Δ, is shared: the first task to need it builds it, and
+///    a task that finds it still being built builds its own rather than
+///    wait. The remaining tasks solve `LIGHT_CHUNK` consecutive light
+///    classes each, at every Δ; a worker that reaches them before
+///    classification ends waits for it.
 /// 3. **Dense tables.** Every (Δ, rank) value goes into one dense row per Δ,
 ///    and with `want_weights` its weights into a table laid out alike. A
 ///    solve whose remnant went through the LP tail adds its work counters
@@ -283,110 +629,39 @@ impl ClassMemo {
 ///
 /// Each (class, Δ) solve is a pure function of the class's labeled slice
 /// and Δ, so the result is identical for every thread budget and for every
-/// grid a Δ appears in. `want_weights` asks for per-edge weights in arena
-/// edge order; the family evaluation only needs values, and without weights
-/// no solve returns a weight vector.
+/// grid a Δ appears in. On an error, the error returned is the first in
+/// task order (heavy classes largest first, then light classes in rank
+/// order; Δs in grid order). `want_weights` asks for per-edge weights in
+/// arena edge order; the family evaluation only needs values, and without
+/// weights no solve returns a weight vector.
 ///
 /// [`solve_partition_with_memo`] is the same sweep for a graph solved
-/// version after version: it also reads and replaces a [`ClassMemo`].
+/// version after version, which keeps its classes in a [`ClassMemo`].
 pub fn solve_partition(
     part: &ComponentPartition,
     deltas: &[f64],
     threads: usize,
     want_weights: bool,
 ) -> Result<Vec<PartitionSolution>, PolytopeError> {
-    solve_classes(part, deltas, threads, want_weights, None)
-}
-
-/// [`solve_partition`] without weights, for one version of a graph that is
-/// solved version after version: a class whose labeled slice `memo` holds
-/// takes the stored result for each Δ the memo has, and only the other
-/// (class, Δ) cells are solved. On success `memo` is replaced by this
-/// call's classes, ready for the next version; on an error it is left as it
-/// was.
-///
-/// Values are still merged through the component → rank array in component
-/// order, and a stored result is the result of the same pure (slice, Δ)
-/// solve, so the values, the [`PartitionSolveStats`] and the LP work
-/// counters are those of [`solve_partition`] by construction.
-pub fn solve_partition_with_memo(
-    part: &ComponentPartition,
-    deltas: &[f64],
-    threads: usize,
-    memo: &mut ClassMemo,
-) -> Result<Vec<PartitionSolution>, PolytopeError> {
-    solve_classes(part, deltas, threads, false, Some(memo))
-}
-
-/// The sweep behind [`solve_partition`] and [`solve_partition_with_memo`].
-fn solve_classes(
-    part: &ComponentPartition,
-    deltas: &[f64],
-    threads: usize,
-    want_weights: bool,
-    memo: Option<&mut ClassMemo>,
-) -> Result<Vec<PartitionSolution>, PolytopeError> {
-    if let Some(&delta) = deltas.iter().find(|d| **d <= 0.0 || !d.is_finite()) {
-        return Err(PolytopeError::InvalidDelta { delta });
-    }
+    check_deltas(deltas)?;
     let grid = deltas.len();
     if grid == 0 {
         return Ok(Vec::new());
     }
     let arena = part.arena();
     let num_edges = arena.num_edges();
-    let prev = memo.as_deref();
-    // Component → its memo class, known without a lookup: the class of its
-    // carried index, when the memo is taken from the partition this one was
-    // patched from and the patch copied the component.
-    let carried = prev.and_then(|memo| part.carried_from(memo.partition?));
-    let carried_class = |c: usize| prev?.class_of(carried?[c]);
-    // Each Δ's index in the memo's grid, if the memo has the Δ.
-    let prev_d: Vec<Option<usize>> = match prev {
-        Some(memo) => deltas
-            .iter()
-            .map(|d| memo.deltas.iter().position(|m| m.to_bits() == d.to_bits()))
-            .collect(),
-        None => Vec::new(),
-    };
-    // Class `at` of the memo solved at Δ `d`, if the memo has it.
-    let stored = |at: Option<u32>, d: usize| {
-        let memo = prev?;
-        let cell = at? as usize * memo.deltas.len() + prev_d[d]?;
-        Some(memo.solved[cell].replay())
-    };
 
-    // Heavy components in component order (their ranks). With a memo, each
-    // one's slice hash and memo class.
+    // Heavy components in component order (their ranks).
     let heavy: Vec<usize> = (0..part.num_components())
         .filter(|&c| part.component(c).num_vertices() > DEDUP_MAX_VERTICES)
         .collect();
     let num_heavy = heavy.len();
-    let heavy_found: Vec<(u64, Option<u32>)> = match prev {
-        Some(memo) => heavy
-            .iter()
-            .map(|&c| match carried_class(c) {
-                Some(at) => (memo.hashes[at as usize], Some(at)),
-                None => {
-                    let view = part.component(c);
-                    let hash = slice_hash(&view);
-                    (hash, memo.find(hash, &view))
-                }
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    // The heavy tasks, by descending class size, stable: one per Δ, or one
-    // for the whole grid when the memo holds the class at every Δ.
+    // The heavy tasks, by descending class size, stable.
     let mut heavy_order: Vec<usize> = (0..num_heavy).collect();
-    heavy_order.sort_by_key(|&rank| {
-        let view = part.component(heavy[rank]);
-        Reverse(view.num_vertices() + view.num_edges())
-    });
+    heavy_order.sort_by_key(|&rank| Reverse(work_of(&part.component(heavy[rank]))));
     let mut heavy_cells: Vec<(usize, Range<usize>)> = Vec::with_capacity(num_heavy * grid);
     for rank in heavy_order {
-        let at = heavy_found.get(rank).and_then(|&(_, at)| at);
-        if (0..grid).all(|d| stored(at, d).is_some()) {
+        if work_of(&part.component(heavy[rank])) < HEAVY_TASK_WORK {
             heavy_cells.push((rank, 0..grid));
         } else {
             heavy_cells.extend((0..grid).map(|d| (rank, d..d + 1)));
@@ -394,72 +669,17 @@ fn solve_classes(
     }
     let heavy_csr: Vec<OnceLock<LocalCsr>> = (0..num_heavy).map(|_| OnceLock::new()).collect();
     let classified = OnceLock::new();
-    let classes = || classified.get_or_init(|| Classes::of(part, num_heavy, prev, carried_class));
+    let classes = || classified.get_or_init(|| Classes::of(part, num_heavy));
     // The component a rank's solves read: the heavy component itself, or
     // the light class's representative.
     let class_view = |rank: usize| match heavy.get(rank) {
         Some(&c) => part.component(c),
         None => part.component(classes().reps[rank - num_heavy] as usize),
     };
-    // With a memo, a rank's class in it.
-    let memo_class = |rank: usize| {
-        prev?;
-        match heavy_found.get(rank) {
-            Some(&(_, at)) => at,
-            None => classes().found[rank - num_heavy],
-        }
-    };
-    // With a memo, the next memo: this call's classes, in rank order, with
-    // every solve but the results. A class the memo held copies its slice
-    // from there, a new one from the arena. It needs the classes only, so
-    // task 0 builds it beside the solves.
-    let next_memo = OnceLock::new();
-    let build_next_memo = |old: &ClassMemo| {
-        let classes = classes();
-        let num_ranks = classes.num_ranks();
-        let size = |rank| {
-            let view = class_view(rank);
-            view.num_vertices() + 2 * view.num_edges()
-        };
-        let mut words = Vec::with_capacity((0..num_ranks).map(size).sum());
-        let mut ends = Vec::with_capacity(num_ranks);
-        for rank in 0..num_ranks {
-            match memo_class(rank) {
-                Some(at) => words.extend_from_slice(old.slice(at)),
-                None => push_slice_words(&mut words, &class_view(rank)),
-            }
-            ends.push(words.len());
-        }
-        let mut eligible = classes.rank.iter();
-        let mut next = ClassMemo {
-            table: HashMap::with_capacity(num_ranks),
-            hashes: heavy_found
-                .iter()
-                .map(|&(hash, _)| hash)
-                .chain(classes.hashes.iter().copied())
-                .collect(),
-            partition: Some(part.id()),
-            comp_classes: (0..part.num_components())
-                .map(|c| match part.component(c).num_vertices() {
-                    0 | 1 => NO_CLASS,
-                    _ => *eligible.next().expect("one rank per eligible component"),
-                })
-                .collect(),
-            ends,
-            words,
-            deltas: deltas.to_vec(),
-            solved: Vec::new(),
-        };
-        for rank in 0..num_ranks {
-            next.index(rank as u32, next.hashes[rank]);
-        }
-        next
-    };
 
-    // Task 0 classifies (and with a memo builds the next one); tasks
-    // 1..=heavy_tasks are the heavy cells; task `heavy_tasks + 1 + k` is
-    // light chunk `k` at every Δ. Returns the task's (ranks, Δ indices),
-    // `None` past the last light chunk.
+    // Task 0 classifies; tasks 1..=heavy_tasks are the heavy cells; task
+    // `heavy_tasks + 1 + k` is light chunk `k` at every Δ. Returns the
+    // task's (ranks, Δ indices), `None` past the last light chunk.
     let heavy_tasks = heavy_cells.len();
     let cells = |task: usize| -> Option<(Range<usize>, Range<usize>)> {
         if task <= heavy_tasks {
@@ -478,9 +698,6 @@ fn solve_classes(
             let task = next_task.fetch_add(1, Ordering::Relaxed);
             if task == 0 {
                 classes();
-                if let Some(old) = prev {
-                    let _ = next_memo.set(build_next_memo(old));
-                }
                 continue;
             }
             let Some((ranks, ds)) = cells(task) else {
@@ -492,12 +709,8 @@ fn solve_classes(
                     let view = class_view(rank);
                     let light_csr = OnceLock::new();
                     let csr = heavy_csr.get(rank).unwrap_or(&light_csr);
-                    let at = memo_class(rank);
                     for d in ds.clone() {
-                        out.push(match stored(at, d) {
-                            Some(sol) => sol,
-                            None => micro_solve(&view, csr, deltas[d], &mut s, want_weights)?,
-                        });
+                        out.push(micro_solve(&view, csr, deltas[d], &mut s, want_weights)?);
                     }
                 }
                 Ok(out)
@@ -522,18 +735,13 @@ fn solve_classes(
     // `weights`, filled only with `want_weights`, is laid out alike.
     // `lp_work[d]` sums Δ `d`'s LP work counters over every eligible
     // component: each member of a class repeats its LP work, as it would
-    // alone. With a memo, `record[rank * grid + d]` is the same cell as the
-    // next memo keeps it.
+    // alone.
     let classes = classes();
     let num_ranks = classes.num_ranks();
     let mut values = vec![0.0f64; grid * num_ranks];
     let mut weights: Vec<Vec<f64>> = vec![Vec::new(); if want_weights { values.len() } else { 0 }];
     let mut lp_work: Vec<PolytopeSolution> = (0..grid).map(|_| PolytopeSolution::zero(0)).collect();
     let mut reduced = vec![0usize; grid];
-    let mut record = Vec::new();
-    if memo.is_some() {
-        record = vec![Solved::default(); num_ranks * grid];
-    }
     for (ranks, ds, solved) in done {
         let mut solved = solved.into_iter();
         for rank in ranks {
@@ -545,18 +753,11 @@ fn solve_classes(
                     reduced[d] += 1;
                     lp_work[d].add_lp_work(&comp.sol, classes.uses[rank] as usize);
                 }
-                if let Some(slot) = record.get_mut(rank * grid + d) {
-                    *slot = Solved::of(&comp);
-                }
                 if want_weights {
                     weights[cell] = comp.sol.edge_weights;
                 }
             }
         }
-    }
-    if let (Some(memo), Some(mut next)) = (memo, next_memo.into_inner()) {
-        next.solved = record;
-        *memo = next;
     }
 
     let merge = |d: usize| {
@@ -587,6 +788,144 @@ fn solve_classes(
         PartitionSolution { solution, stats }
     };
     Ok(parallel_map(eff, grid, merge))
+}
+
+/// [`solve_partition`] without weights, for one version of a graph that is
+/// solved version after version, with the graph's [`ClassMemo`].
+///
+/// The call first brings the memo to `part`: on a partition patched from
+/// the memo's last one, each copied run copies its components' classes in
+/// bulk, the replaced components leave their classes, and only the
+/// relabeled components are hashed and compared (a large one takes a new
+/// class without either); on any other partition every component is. Then
+/// only the (class, Δ) cells the memo lacks are solved: the classes new to
+/// the memo or back in it, and every live class at a Δ the memo's last call
+/// did not have. They run in one fan-out with the same task shapes as
+/// [`solve_partition`] (heavy classes largest first, light classes in
+/// chunks), and no worker waits for another. Each Δ's result is a merge of
+/// the memo's value column through the class array, in component order,
+/// and the stats and LP work counters come from tallies the memo keeps per
+/// class, so on a patched partition the only passes over every component
+/// are those merges and the class array's bulk copies.
+///
+/// A stored result is the result of the same pure (slice, Δ) solve, and the
+/// merge sums the same values in the same order, so the values, the
+/// [`PartitionSolveStats`] and the LP work counters are those of
+/// [`solve_partition`] by construction, and so is the error returned: of
+/// every cell that fails, the first in [`solve_partition`]'s task order.
+/// After an error the memo keeps its classes but forgets its partition, so
+/// the next call classifies every component again.
+pub fn solve_partition_with_memo(
+    part: &ComponentPartition,
+    deltas: &[f64],
+    threads: usize,
+    memo: &mut ClassMemo,
+) -> Result<Vec<PartitionSolution>, PolytopeError> {
+    check_deltas(deltas)?;
+    if deltas.is_empty() {
+        return Ok(Vec::new());
+    }
+    let (cols, new_column) = memo.set_grid(deltas);
+    let mut fresh = memo.classify(part);
+    memo.compact(&mut fresh);
+    // The live classes the memo lacks a cell of, each with its first member
+    // (the cold solve's representative): only fresh classes, unless a Δ is
+    // new to the memo.
+    let mut todo = if new_column {
+        memo.first_members()
+    } else {
+        fresh
+    };
+    let missing = |memo: &ClassMemo, i: u32| -> Vec<usize> {
+        let solved = |col: usize| memo.columns[col].cells[i as usize].solved;
+        (0..memo.columns.len())
+            .filter(|&col| !solved(col))
+            .collect()
+    };
+    todo.retain(|&(i, _)| !missing(memo, i).is_empty());
+    // Heavy classes first, largest first as in the cold task order, then
+    // the light ones.
+    let size = |i: u32| {
+        let (v, e) = memo.sizes[i as usize];
+        (v + e) as usize
+    };
+    todo.sort_by_key(|&(i, c)| match memo.is_heavy(i as usize) {
+        true => (false, Reverse(size(i)), c),
+        false => (true, Reverse(0), c),
+    });
+    let num_heavy = todo.partition_point(|&(i, _)| memo.is_heavy(i as usize));
+    // Each task: a range of `todo` and its columns (`None`: every column
+    // its class lacks).
+    let mut tasks: Vec<(Range<usize>, Option<usize>)> = Vec::new();
+    for (k, &(i, _)) in todo[..num_heavy].iter().enumerate() {
+        let cols = missing(memo, i);
+        if !memo.is_large(i as usize) || cols.len() == 1 {
+            tasks.push((k..k + 1, None));
+        } else {
+            tasks.extend(cols.into_iter().map(|col| (k..k + 1, Some(col))));
+        }
+    }
+    tasks.extend(
+        (num_heavy..todo.len())
+            .step_by(LIGHT_CHUNK)
+            .map(|lo| (lo..todo.len().min(lo + LIGHT_CHUNK), None)),
+    );
+    let heavy_csr: Vec<OnceLock<LocalCsr>> = (0..num_heavy).map(|_| OnceLock::new()).collect();
+    let memo_ref = &*memo;
+    let solve_task = |t: usize| {
+        let (range, only) = tasks[t].clone();
+        let mut s = MicroScratch::default();
+        let mut out = Vec::new();
+        for k in range {
+            let (i, c) = todo[k];
+            let view = part.component(c as usize);
+            let light_csr = OnceLock::new();
+            let csr = heavy_csr.get(k).unwrap_or(&light_csr);
+            let cols = only.map_or_else(|| missing(memo_ref, i), |col| vec![col]);
+            for col in cols {
+                let delta = memo_ref.columns[col].delta;
+                out.push((k, col, micro_solve(&view, csr, delta, &mut s, false)));
+            }
+        }
+        out
+    };
+    let arena = part.arena();
+    let work = deltas.len() * (arena.num_vertices() + arena.num_edges());
+    let eff = effective_parallelism(threads, work);
+    let mut solved: Vec<_> = parallel_map(eff, tasks.len(), solve_task)
+        .into_iter()
+        .flatten()
+        .collect();
+
+    // The first failing cell in the cold task order: heavy before light,
+    // larger before smaller, then by first member, then by Δ.
+    let first_grid_index = |col: usize| cols.iter().position(|&at| at == col);
+    let failed = (0..solved.len())
+        .filter(|&at| solved[at].2.is_err())
+        .min_by_key(|&at| (solved[at].0, first_grid_index(solved[at].1)));
+    if let Some(at) = failed {
+        memo.partition = None;
+        return Err(solved.swap_remove(at).2.err().expect("a failed cell"));
+    }
+    for (k, col, result) in solved {
+        let comp = result.expect("no cell failed");
+        memo.record(col, todo[k].0, &comp);
+    }
+    Ok(memo.merge(&cols))
+}
+
+/// Refuses a Δ that is not positive and finite.
+fn check_deltas(deltas: &[f64]) -> Result<(), PolytopeError> {
+    match deltas.iter().find(|d| **d <= 0.0 || !d.is_finite()) {
+        Some(&delta) => Err(PolytopeError::InvalidDelta { delta }),
+        None => Ok(()),
+    }
+}
+
+/// A component's vertices plus edges: the size heavy classes are ordered
+/// and split by.
+fn work_of(view: &CsrComponent<'_>) -> usize {
+    view.num_vertices() + view.num_edges()
 }
 
 // ---------------------------------------------------------------------------
@@ -677,7 +1016,12 @@ fn micro_solve(
             return Ok(CompSolution { sol, reduced });
         }
     }
-    let csr = csr.get_or_init(|| LocalCsr::of(view));
+    // A task that finds the copy missing builds one rather than wait for a
+    // build another task may have under way; the first one set is kept.
+    if csr.get().is_none() {
+        let _ = csr.set(LocalCsr::of(view));
+    }
+    let csr = csr.get().expect("set above");
 
     s.caps.clear();
     s.caps.resize(n, delta);
@@ -920,41 +1264,23 @@ struct Classes {
     reps: Vec<u32>,
     /// Rank → number of eligible components of the class.
     uses: Vec<u32>,
-    /// Light class → the slice hash of its members, kept only with a memo.
-    hashes: Vec<u64>,
-    /// Light class → its class in the memo, kept only with a memo.
-    found: Vec<Option<u32>>,
 }
 
 impl Classes {
     /// Sequential, lock-free classification in component order. The first
-    /// `num_heavy` ranks are the heavy components', in component order.
-    ///
-    /// With a `memo`, each light class keeps its slice hash and its memo
-    /// class. A component whose memo class `carried` knows joins the class
-    /// already made for that memo class, or makes it under the memo's hash,
-    /// with no hash and no compare; every other component is hashed and
-    /// confirmed against its class's representative slice, and a class it
-    /// makes is looked up in the memo.
-    fn of(
-        part: &ComponentPartition,
-        num_heavy: usize,
-        memo: Option<&ClassMemo>,
-        carried: impl Fn(usize) -> Option<u32>,
-    ) -> Self {
+    /// `num_heavy` ranks are the heavy components', in component order;
+    /// every light component is hashed and confirmed against its class's
+    /// representative slice.
+    fn of(part: &ComponentPartition, num_heavy: usize) -> Self {
         let mut classes = Classes {
             rank: Vec::new(),
             reps: Vec::new(),
             uses: vec![1; num_heavy],
-            hashes: Vec::new(),
-            found: Vec::new(),
         };
         let mut heavy_seen = 0u32;
         // Slice hash → light class. A key already taken by a different slice
         // probes on to the next key, so a lookup follows its insert's path.
         let mut table: HashMap<u64, u32> = HashMap::new();
-        // Memo class → the light class made for it, [`NO_CLASS`] before.
-        let mut of_memo = vec![NO_CLASS; memo.map_or(0, ClassMemo::len)];
         'components: for c in 0..part.num_components() {
             let view = part.component(c);
             // A component is connected: with ≥ 2 vertices it has an edge.
@@ -966,18 +1292,8 @@ impl Classes {
                 heavy_seen += 1;
                 continue;
             }
-            let at = carried(c);
-            let joined = at.map_or(NO_CLASS, |at| of_memo[at as usize]);
-            if joined != NO_CLASS {
-                classes.join(num_heavy + joined as usize);
-                continue;
-            }
             let class = classes.reps.len() as u32;
-            let hash = match (at, memo) {
-                (Some(at), Some(memo)) => memo.hashes[at as usize],
-                _ => slice_hash(&view),
-            };
-            let mut key = hash;
+            let mut key = slice_hash(&view);
             loop {
                 match table.entry(key) {
                     Entry::Vacant(slot) => {
@@ -990,7 +1306,8 @@ impl Classes {
                         let hit = *hit.get();
                         let rep = part.component(classes.reps[hit as usize] as usize);
                         if same_labeled_slice(&view, &rep) {
-                            classes.join(num_heavy + hit as usize);
+                            classes.rank.push((num_heavy + hit as usize) as u32);
+                            classes.uses[num_heavy + hit as usize] += 1;
                             continue 'components;
                         }
                         key = key.wrapping_add(1);
@@ -1000,23 +1317,9 @@ impl Classes {
             classes.rank.push((num_heavy + class as usize) as u32);
             classes.reps.push(c as u32);
             classes.uses.push(1);
-            if let Some(memo) = memo {
-                let at = at.or_else(|| memo.find(hash, &view));
-                if let Some(at) = at {
-                    of_memo[at as usize] = class;
-                }
-                classes.hashes.push(hash);
-                classes.found.push(at);
-            }
         }
         debug_assert_eq!(heavy_seen as usize, num_heavy);
         classes
-    }
-
-    /// Adds the next eligible component to the class at `rank`.
-    fn join(&mut self, rank: usize) {
-        self.rank.push(rank as u32);
-        self.uses[rank] += 1;
     }
 
     /// Number of ranks: heavy components plus light classes.
@@ -1028,6 +1331,8 @@ impl Classes {
 /// 64-bit hash of a component's labeled CSR slice: vertex count, then every
 /// local neighbor row behind its degree.
 fn slice_hash(view: &CsrComponent<'_>) -> u64 {
+    #[cfg(test)]
+    count_slice_read(0);
     let mix = |h: u64, x: usize| (h.rotate_left(5) ^ x as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
     (0..view.num_vertices()).fold(mix(0, view.num_vertices()), |h, v| {
         view.neighbors(v).fold(mix(h, view.degree(v)), mix)
@@ -1047,6 +1352,8 @@ fn push_slice_words(words: &mut Vec<u32>, view: &CsrComponent<'_>) {
 /// `true` iff `words` is a copy of `view`'s labeled slice
 /// ([`push_slice_words`]).
 fn slice_is(view: &CsrComponent<'_>, words: &[u32]) -> bool {
+    #[cfg(test)]
+    count_slice_read(1);
     let mut at = 0;
     for v in 0..view.num_vertices() {
         let degree = view.degree(v);
@@ -1066,6 +1373,23 @@ fn same_labeled_slice(a: &CsrComponent<'_>, b: &CsrComponent<'_>) -> bool {
     a.num_vertices() == b.num_vertices()
         && (0..a.num_vertices())
             .all(|v| a.degree(v) == b.degree(v) && a.neighbors(v).eq(b.neighbors(v)))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Slice hashes, slice-to-memo compares and classes appended to a memo
+    /// on this thread, for the tests that bound a memo call's work.
+    static SLICE_READS: std::cell::Cell<[usize; 3]> = const { std::cell::Cell::new([0; 3]) };
+}
+
+/// Counts one slice hash (0), compare (1) or appended class (2).
+#[cfg(test)]
+fn count_slice_read(kind: usize) {
+    SLICE_READS.with(|reads| {
+        let mut counts = reads.get();
+        counts[kind] += 1;
+        reads.set(counts);
+    });
 }
 
 #[cfg(test)]
@@ -1547,6 +1871,108 @@ mod tests {
         }
         assert_eq!(warm[0].solution.value, 1.5);
         assert_eq!(memo.len(), 1);
+    }
+
+    /// The solves of `part` on `grid` with `memo` at budget `threads`, checked
+    /// against a cold solve: value bits, stats and LP work counters. Returns
+    /// the slice hashes, compares and appended classes of the memo call.
+    fn assert_memo_matches_cold(
+        part: &ComponentPartition,
+        grid: &[f64],
+        threads: usize,
+        memo: &mut ClassMemo,
+    ) -> [usize; 3] {
+        let cold = solve_partition(part, grid, 1, false).unwrap();
+        SLICE_READS.with(|reads| reads.set([0; 3]));
+        let warm = solve_partition_with_memo(part, grid, threads, memo).unwrap();
+        let reads = SLICE_READS.with(|reads| reads.get());
+        assert_eq!(warm.len(), grid.len());
+        for ((delta, c), w) in grid.iter().zip(&cold).zip(&warm) {
+            let value = w.solution.value.to_bits();
+            assert_eq!(c.solution.value.to_bits(), value, "Δ={delta}");
+            assert_eq!(c.stats, w.stats, "Δ={delta}");
+            assert_eq!(lp_work(&c.solution), lp_work(&w.solution), "Δ={delta}");
+        }
+        assert_eq!(
+            memo.len(),
+            cold[0].stats.components - cold[0].stats.dedup_hits
+        );
+        reads
+    }
+
+    /// The eligible components in the relabeled runs of a patched
+    /// partition, and how many of them are large.
+    fn relabeled_eligible(
+        part: &ComponentPartition,
+        runs: &[ccdp_graph::CarriedRun],
+    ) -> (usize, usize) {
+        let relabeled = runs
+            .iter()
+            .filter(|run| run.from == NOT_CARRIED)
+            .flat_map(|run| run.start..run.start + run.len)
+            .map(|c| part.component(c as usize))
+            .filter(|view| view.num_vertices() >= 2);
+        let large = relabeled
+            .clone()
+            .filter(|view| work_of(view) >= HEAVY_TASK_WORK);
+        (relabeled.count(), large.count())
+    }
+
+    #[test]
+    fn a_patched_call_reads_only_the_relabeled_slices() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(19);
+        // Small components, and one large one that edits hit often.
+        let mut g = generators::erdos_renyi(4000, 1.1 / 4000.0, &mut rng);
+        g = generators::disjoint_union(&g, &chorded_tree(HEAVY_TASK_WORK / 2 + 1, &mut rng));
+        let n = g.num_vertices();
+        let grid = [1.0, 2.0, 4.0];
+        let (mut arena, mut part) = CsrGraph::partitioned(&g, 1);
+        let mut scratch = ccdp_graph::PatchScratch::default();
+        let mut memo = ClassMemo::default();
+        assert_memo_matches_cold(&part, &grid, 2, &mut memo);
+        let (mut compactions, mut large_seen) = (0, 0);
+        for version in 1..60 {
+            let mut touched = Vec::new();
+            // Every fifth version changes nothing.
+            for _ in 0..if version % 5 == 0 { 0 } else { 4 } {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u == v {
+                    continue;
+                }
+                if g.has_edge(u, v) {
+                    g.remove_edge(u, v);
+                } else {
+                    g.add_edge(u, v);
+                }
+                touched.extend([u as u32, v as u32]);
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            (arena, part) = CsrGraph::patched(&g, &arena, &part, &touched, &mut scratch);
+            let runs = part.carried_from(memo.partition.unwrap()).unwrap();
+            let (relabeled, large) = relabeled_eligible(&part, runs);
+            let classes = memo.hashes.len();
+            let reads = assert_memo_matches_cold(&part, &grid, 1 + version % 3, &mut memo);
+            // One hash per relabeled eligible component that is not large,
+            // and then either one compare (a class the memo holds) or one
+            // appended class; a large one appends a class unhashed.
+            let [hashes, compares, appended] = reads;
+            assert_eq!(hashes, relabeled - large, "version {version}");
+            assert_eq!(compares + appended, relabeled, "version {version}");
+            large_seen += large;
+            if touched.is_empty() {
+                assert_eq!(reads, [0; 3]);
+            }
+            if memo.hashes.len() < classes + appended {
+                compactions += 1;
+            }
+            // The memo stays within twice its live size.
+            assert!(memo.hashes.len() <= 2 * memo.live_classes.max(1));
+            assert!(memo.words.len() <= 2 * memo.live_words.max(1));
+        }
+        assert!(compactions > 0, "the chain crossed no compaction");
+        assert!(large_seen > 0, "no large component was relabeled");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! a one-element call. Across random edit sequences, a solve that reads the
 //! previous version's class memo must give the bits of a cold solve.
 
-use ccdp_graph::{generators, ComponentPartition, CsrGraph, Graph};
+use ccdp_graph::{generators, ComponentPartition, CsrGraph, Graph, PatchScratch};
 use ccdp_lp::{solve_partition, solve_partition_with_memo, ClassMemo, CombinatorialSolver};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -220,19 +220,80 @@ proptest! {
 }
 
 /// One random edit: remove a random present edge, or join a random pair of
-/// vertices (usually two components).
-fn edit(g: &mut Graph, rng: &mut StdRng) {
+/// vertices (usually two components). Returns the two endpoints.
+fn edit(g: &mut Graph, rng: &mut StdRng) -> [usize; 2] {
     let n = g.num_vertices();
     let edges: Vec<(usize, usize)> = g.edges().collect();
     if rng.gen_bool(0.5) && !edges.is_empty() {
         let (u, v) = edges[rng.gen_range(0..edges.len())];
         g.remove_edge(u, v);
+        [u, v]
     } else {
         let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
         if u != v {
             g.add_edge(u, v);
         }
+        [u, v]
     }
+}
+
+/// The disjoint union the memo properties start from: each family graph
+/// twice (so light classes repeat) and a 400-vertex random tree (a heavy
+/// class).
+fn memo_graph(parts: &[(u8, usize)], seed: u64) -> Graph {
+    let mut g = Graph::new(0);
+    for (i, &(family, n)) in parts.iter().chain([&(0, 400)]).enumerate() {
+        let h = family_graph(family, n, seed.wrapping_add(i as u64));
+        g = generators::disjoint_union(&g, &h);
+        if n < 400 {
+            g = generators::disjoint_union(&g, &h);
+        }
+    }
+    g
+}
+
+/// Checks a solve with `memo` against `cold`: value bits, attribution
+/// counters and LP work counters at every Δ, and the memo's class count.
+fn check_memo_solve(
+    part: &ComponentPartition,
+    grid: &[f64],
+    threads: usize,
+    memo: &mut ClassMemo,
+    cold: &[ccdp_lp::PartitionSolution],
+    at: &str,
+) -> Result<(), TestCaseError> {
+    let warm = solve_partition_with_memo(part, grid, threads, memo).unwrap();
+    prop_assert_eq!(warm.len(), grid.len());
+    let work = |s: &ccdp_lp::PolytopeSolution| {
+        [
+            s.generated_cuts,
+            s.lp_iterations,
+            s.lp_solves,
+            s.lp_fallback_components,
+        ]
+    };
+    for ((delta, want), got) in grid.iter().zip(cold).zip(&warm) {
+        prop_assert_eq!(
+            want.solution.value.to_bits(),
+            got.solution.value.to_bits(),
+            "value bits: {} Δ={} threads={}",
+            at,
+            delta,
+            threads
+        );
+        prop_assert_eq!(want.stats, got.stats, "stats: {} Δ={}", at, delta);
+        prop_assert_eq!(
+            work(&want.solution),
+            work(&got.solution),
+            "LP work: {} Δ={}",
+            at,
+            delta
+        );
+    }
+    // The memo counts this version's classes and nothing else.
+    let stats = cold[0].stats;
+    prop_assert_eq!(memo.len(), stats.components - stats.dedup_hits, "{}", at);
+    Ok(())
 }
 
 proptest! {
@@ -251,14 +312,7 @@ proptest! {
         edits in proptest::collection::vec(1usize..6, 3..7),
         seed in 0u64..1u64 << 48,
     ) {
-        let mut g = Graph::new(0);
-        for (i, &(family, n)) in parts.iter().chain([&(0, 400)]).enumerate() {
-            let h = family_graph(family, n, seed.wrapping_add(i as u64));
-            g = generators::disjoint_union(&g, &h);
-            if n < 400 {
-                g = generators::disjoint_union(&g, &h);
-            }
-        }
+        let mut g = memo_graph(&parts, seed);
         let grids: [&[f64]; 3] = [&[1.0, 2.0, 4.0], &[2.0, 1.0, 3.0], &[4.0, 1.0]];
         let mut memos: Vec<ClassMemo> = (0..3).map(|_| ClassMemo::default()).collect();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -290,6 +344,63 @@ proptest! {
                 // The memo holds this version's classes and nothing else.
                 let stats = cold[0].stats;
                 prop_assert_eq!(memo.len(), stats.components - stats.dedup_hits);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Long version chains through patched partitions, where each call on
+    /// a partition patched from its memo's last one carries the copied
+    /// components' classes and classifies only the relabeled ones: every
+    /// version gives the bits of a cold solve (values, attribution and LP
+    /// work counters) at budgets 1–3. The chains are long enough for the
+    /// memo to compact its dead classes (the 400-vertex tree and the
+    /// components it touches are replaced version after version), the grid
+    /// changes every few versions (so whole columns are solved anew), some
+    /// versions change nothing, and a fourth memo sees only every third
+    /// version, so its partition is an older one and it classifies in full.
+    /// In every other case a 4 100-vertex random tree joins the graph: it
+    /// is large enough (vertices plus edges above 8 192) that its class
+    /// keeps no slice copy, and most edits then hit it, split it or join
+    /// other components to it.
+    #[test]
+    fn class_memo_replays_cold_solves_across_patched_version_chains(
+        parts in proptest::collection::vec((0u8..FAMILIES, 4usize..=40), 3..8),
+        edits in proptest::collection::vec(0usize..8, 12..24),
+        seed in 0u64..1u64 << 48,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = memo_graph(&parts, seed);
+        if seed % 2 == 0 {
+            g = generators::disjoint_union(&g, &random_tree(4100, &mut rng));
+        }
+        let grids: [&[f64]; 3] = [&[1.0, 2.0, 4.0], &[2.0, 1.0, 3.0], &[4.0, 1.0]];
+        let mut memos: Vec<ClassMemo> = (0..3).map(|_| ClassMemo::default()).collect();
+        let mut stale = ClassMemo::default();
+        let (mut arena, mut part) = CsrGraph::partitioned(&g, 1);
+        let mut scratch = PatchScratch::default();
+        for (version, &count) in edits.iter().enumerate() {
+            if version > 0 {
+                let mut touched: Vec<u32> = (0..count)
+                    .flat_map(|_| edit(&mut g, &mut rng))
+                    .map(|v| v as u32)
+                    .collect();
+                touched.sort_unstable();
+                touched.dedup();
+                (arena, part) = CsrGraph::patched(&g, &arena, &part, &touched, &mut scratch);
+            }
+            let grid = grids[version / 4 % grids.len()];
+            let cold = solve_partition(&part, grid, 1, false).unwrap();
+            for (threads, memo) in (1usize..=3).zip(&mut memos) {
+                let at = format!("version={version}");
+                check_memo_solve(&part, grid, threads, memo, &cold, &at)?;
+            }
+            if version % 3 == 0 {
+                let at = format!("stale memo, version={version}");
+                check_memo_solve(&part, grid, 2, &mut stale, &cold, &at)?;
             }
         }
     }

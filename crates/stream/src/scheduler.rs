@@ -579,10 +579,7 @@ mod tests {
             ("invalid_epsilon", "acme", -1.0),
         ];
         for (case, tenant, epsilon) in cases {
-            // A slow graph occupies the lone worker long enough for the
-            // 1-slot queue to stay full behind it.
             let registry = Arc::new(GraphRegistry::new());
-            registry.insert("slow", ccdp_graph::generators::caveman(6, 6));
             let ledger = Arc::new(BudgetLedger::new());
             ledger.register("filler", 1e6).unwrap();
             ledger.register("acme", 100.0).unwrap();
@@ -600,17 +597,33 @@ mod tests {
             let grants = || ledger.account_view(&tenant).map_or(0, |a| a.grants);
             let mut fillers = Vec::new();
             let mut refused = None;
-            // Only the queue-full case can lose a race (the lone worker may
-            // drain the queue first); each attempt uses a fresh stream.
+            // Each attempt uses a fresh stream. The queue-full case would
+            // lose only if the lone worker finished a whole family
+            // evaluation before the release reaches the queue.
             for attempt in 0..20 {
                 let mut s = grow_stream(&format!("g{attempt}"), 2);
-                // Saturate the pool: submit filler work until the bounded
-                // queue pushes back.
+                // Saturate the pool: one filler running on the lone worker
+                // and one in the 1-slot queue behind it. Each is a graph no
+                // earlier attempt evaluated, so the running one is a cache
+                // miss that keeps the worker busy for its whole evaluation.
                 if case == "queue_full" {
-                    loop {
-                        match server.submit(ServeRequest::new("filler", "slow", 0.001)) {
-                            Ok(p) => fillers.push(p),
-                            Err(ServeError::QueueFull { .. }) => break,
+                    let slow = [0, 1].map(|k| format!("slow{attempt}-{k}"));
+                    for id in &slow {
+                        server
+                            .registry()
+                            .insert(id.as_str(), ccdp_graph::generators::caveman(6, 6));
+                    }
+                    let mut accepted = 0;
+                    while accepted < 2 {
+                        let request = ServeRequest::new("filler", slow[accepted].as_str(), 0.001);
+                        match server.submit(request) {
+                            Ok(p) => {
+                                fillers.push(p);
+                                accepted += 1;
+                            }
+                            // The worker has not taken the first filler off
+                            // the queue yet.
+                            Err(ServeError::QueueFull { .. }) => std::thread::yield_now(),
                             Err(other) => panic!("unexpected filler refusal: {other:?}"),
                         }
                     }

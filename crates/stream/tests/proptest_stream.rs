@@ -228,23 +228,28 @@ proptest! {
                 components::num_connected_components(stream.graph())
             );
             if let Some(prev) = prev.replace(std::sync::Arc::clone(&part)) {
-                let carried = part.carried_from(prev.id()).expect("patched from the last one");
-                prop_assert_eq!(carried.len(), part.num_components());
-                for (c, &from) in carried.iter().enumerate() {
-                    if from == NOT_CARRIED {
+                let runs = part.carried_from(prev.id()).expect("patched from the last one");
+                let mut next = 0;
+                for run in runs {
+                    prop_assert_eq!(run.start, next, "batch {} runs are contiguous", b);
+                    next += run.len;
+                    if run.from == NOT_CARRIED {
                         continue;
                     }
-                    let from = from as usize;
-                    prop_assert_eq!(
-                        part.component(c).to_graph(),
-                        prev.component(from).to_graph(),
-                        "batch {} component {} carried from {}", b, c, from
-                    );
-                    prop_assert_eq!(
-                        part.component_vertices(c),
-                        prev.component_vertices(from)
-                    );
+                    for k in 0..run.len as usize {
+                        let (c, from) = (run.start as usize + k, run.from as usize + k);
+                        prop_assert_eq!(
+                            part.component(c).to_graph(),
+                            prev.component(from).to_graph(),
+                            "batch {} component {} carried from {}", b, c, from
+                        );
+                        prop_assert_eq!(
+                            part.component_vertices(c),
+                            prev.component_vertices(from)
+                        );
+                    }
                 }
+                prop_assert_eq!(next as usize, part.num_components());
             }
         }
         prop_assert_eq!(stream.stats().rebuilds, 0);

@@ -78,9 +78,11 @@ fn a_published_snapshot_allocates_a_constant_number_of_times() {
             .unwrap();
         snapshot
     });
-    // Today exactly 14: the arena's two arrays and its `Arc`, the patched
-    // partition's six arrays and its `Arc`, the published id, and the three
-    // patch buffers the stream's first patch sizes.
+    // Today exactly 15: the arena's two arrays and its `Arc`, the patched
+    // partition's seven arrays (its arena's two, component starts, order,
+    // copied and relabeled runs, cyclic components, tree degree counts) and
+    // its `Arc`, the published id, and the three patch buffers the stream's
+    // first patch sizes.
     // The slack absorbs allocator or std drift, far below the 10^5 row
     // allocations of a `Graph` clone.
     assert!(

@@ -275,7 +275,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
                     solve_partition(&part, &grid, threads, true)
                         .unwrap()
                         .iter()
-                        .map(|s| s.solution.value)
+                        .map(|s| s.value)
                         .sum::<f64>()
                 })
             });

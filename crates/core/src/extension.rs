@@ -153,7 +153,7 @@ impl LipschitzExtension {
 /// the LP). When the attached partition was patched from the partition the
 /// memo last saw, the copied components keep their classes by bulk copies
 /// and only the relabeled ones are hashed and compared, and the counters
-/// come from the memo's running tallies: the only passes over every
+/// come from one pass over the memo's classes: the only passes over every
 /// component left are the patch's copies and the merge of each Δ's values.
 /// The values are those of the evaluation without a memo, bit for bit.
 ///
@@ -182,7 +182,7 @@ pub fn evaluate_family(
     let part = arena.attached_partition().unwrap_or_else(|| {
         let work = arena.num_vertices() + arena.num_edges();
         let threads = effective_parallelism(threads, work);
-        Arc::new(arena.partition_components_with(threads, |_, _| {}))
+        Arc::new(arena.partition_components_with(threads))
     });
     // What the anchor test reads, kept by the partition as it was built
     // (or patched): the graph's maximum degree, the largest maximum degree
@@ -264,7 +264,7 @@ pub fn evaluate_family(
                 p.add_count("solve/dedup-hits", stats.dedup_hits as u64);
             }
             ExtensionEvaluation {
-                value: solved.solution.value,
+                value: solved.value,
                 path: EvaluationPath::LinearProgram,
             }
         };

@@ -102,7 +102,7 @@ impl CsrGraph {
             1
         };
         let mut arena = CsrGraph::from_graph(g);
-        let part = Arc::new(arena.partition_components_with(threads, |_, _| {}));
+        let part = Arc::new(arena.partition_components_with(threads));
         arena.partition = Arc::downgrade(&part);
         (arena, part)
     }
@@ -358,13 +358,11 @@ impl CsrGraph {
     /// Sequential; [`partition_components_with`](Self::partition_components_with)
     /// is the same pass on a thread budget, and returns identical arrays.
     pub fn partition_components(&self) -> ComponentPartition {
-        self.partition_components_with(1, |_, _| {})
+        self.partition_components_with(1)
     }
 
     /// [`partition_components`](Self::partition_components) as two stages
-    /// that overlap on a thread budget, handing each component's
-    /// [`ComponentSummary`] to `visit` (component index first, in component
-    /// order) as soon as its rows are relabeled.
+    /// that overlap on a thread budget.
     ///
     /// * **Stage A** walks the vertices in ascending order over a visited
     ///   bitset: from each unvisited vertex a traversal collects the
@@ -373,25 +371,22 @@ impl CsrGraph {
     /// * **Stage B** sorts each component, numbers its vertices into
     ///   `order`, relabels its rows while they are in cache (the numbering
     ///   is monotone within a component, so each row stays sorted) and reads
-    ///   the summary off the rows it just wrote.
+    ///   its size and maximum degree off the rows it just wrote, for the
+    ///   cyclic list and tree degrees the partition keeps.
     ///
     /// With `threads ≥ 2`, stage A runs on one scoped thread and stage B on
     /// the caller's, joined by a bounded channel that holds at most two
     /// batches; with `threads ≤ 1` both run inline on the caller's thread.
     /// Callers gate the budget on the work size (the family evaluation
-    /// passes `effective_parallelism(threads, n + m)`). The arrays, the
-    /// summaries and their order are the same either way, and a panic in
-    /// either stage propagates to the caller. Fills the component-count memo
-    /// of both this arena and the relabeled one.
-    pub fn partition_components_with(
-        &self,
-        threads: usize,
-        mut visit: impl FnMut(usize, ComponentSummary),
-    ) -> ComponentPartition {
+    /// passes `effective_parallelism(threads, n + m)`). The partition is the
+    /// same either way, and a panic in either stage propagates to the
+    /// caller. Fills the component-count memo of both this arena and the
+    /// relabeled one.
+    pub fn partition_components_with(&self, threads: usize) -> ComponentPartition {
         let mut relabel = Relabel::new(self);
         if threads < 2 {
             self.collect_components(|mut batch| {
-                relabel.take(&mut batch, &mut visit);
+                relabel.take(&mut batch);
                 true
             });
         } else {
@@ -401,7 +396,7 @@ impl CsrGraph {
                 // and then stage A stops early.
                 let stage_a = s.spawn(move || self.collect_components(|b| tx.send(b).is_ok()));
                 for mut batch in rx {
-                    relabel.take(&mut batch, &mut visit);
+                    relabel.take(&mut batch);
                 }
                 if let Err(payload) = stage_a.join() {
                     std::panic::resume_unwind(payload);
@@ -455,10 +450,10 @@ const PARTITION_BATCH: usize = 4096;
 /// Batches the partition's channel holds before stage A waits for stage B.
 const PARTITION_BATCHES_IN_FLIGHT: usize = 2;
 
-/// What stage B of [`CsrGraph::partition_components_with`] reports for each
-/// component.
+/// A component's size and maximum degree, as the partition reads them off
+/// its rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ComponentSummary {
+pub(crate) struct ComponentSummary {
     /// Number of vertices.
     pub vertices: usize,
     /// Number of edges.
@@ -505,7 +500,7 @@ impl<'a> Relabel<'a> {
         }
     }
 
-    fn take(&mut self, batch: &mut Batch, visit: &mut impl FnMut(usize, ComponentSummary)) {
+    fn take(&mut self, batch: &mut Batch) {
         let mut lo = 0;
         for &end in &batch.ends {
             let comp = &mut batch.vertices[lo..end as usize];
@@ -532,8 +527,9 @@ impl<'a> Relabel<'a> {
                 max_degree,
             };
             let c = self.comp_starts.len() - 2;
+            #[cfg(test)]
+            RELABEL_LIMIT.with(|limit| assert!(c < limit.get(), "relabel refused"));
             self.shape.add(c, summary);
-            visit(c, summary);
         }
     }
 
@@ -684,9 +680,8 @@ impl ComponentPartition {
             .map(|carried| &carried.runs[..])
     }
 
-    /// Component `c`'s summary: the same [`ComponentSummary`] the
-    /// partition pass reports for it, read off the component's rows.
-    pub fn summary(&self, c: usize) -> ComponentSummary {
+    /// Component `c`'s summary, read off the component's rows.
+    pub(crate) fn summary(&self, c: usize) -> ComponentSummary {
         let view = self.component(c);
         ComponentSummary {
             vertices: view.num_vertices(),
@@ -915,6 +910,13 @@ fn fnv1a_128(mut h: u128, word: u32) -> u128 {
         h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Stage B panics on reaching this component on this thread, for the
+    /// test that a panic there reaches the caller.
+    static RELABEL_LIMIT: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
 }
 
 #[cfg(test)]
@@ -1154,56 +1156,55 @@ mod tests {
                 // A fresh arena, so the partition (not an earlier call)
                 // fills its memo.
                 let csr = CsrGraph::from_graph(g);
-                let mut summaries = Vec::new();
-                let part = csr.partition_components_with(threads, |c, summary| {
-                    summaries.push((c, summary));
-                });
+                let part = csr.partition_components_with(threads);
                 assert_eq!(part.arena().offsets, offsets, "graph {i} threads {threads}");
                 assert_eq!(part.arena().targets, targets, "graph {i} threads {threads}");
                 assert_eq!(part.comp_starts, comp_starts, "graph {i} threads {threads}");
                 assert_eq!(part.order, order, "graph {i} threads {threads}");
                 assert_eq!(csr.components.get(), Some(&k));
                 assert_eq!(part.arena().components.get(), Some(&k));
-                // One summary per component, in order, each equal to a
-                // direct scan of the component.
-                assert_eq!(summaries.len(), k);
-                for (expected_c, &(c, summary)) in summaries.iter().enumerate() {
-                    assert_eq!(c, expected_c);
-                    let view = part.component(c);
-                    let direct = ComponentSummary {
-                        vertices: view.num_vertices(),
-                        edges: view.num_edges(),
-                        max_degree: (0..view.num_vertices())
-                            .map(|v| view.degree(v))
-                            .max()
-                            .unwrap_or(0),
-                    };
-                    assert_eq!(summary, direct, "graph {i} component {c}");
+                // Each component's summary equals a direct scan of its
+                // rows in the three-pass arrays.
+                let direct: Vec<ComponentSummary> = (0..k)
+                    .map(|c| {
+                        let rows = comp_starts[c] as usize..comp_starts[c + 1] as usize;
+                        let degrees = rows.clone().map(|v| offsets[v + 1] - offsets[v]);
+                        let half_edges = offsets[rows.end] - offsets[rows.start];
+                        ComponentSummary {
+                            vertices: rows.len(),
+                            edges: half_edges as usize / 2,
+                            max_degree: degrees.max().unwrap_or(0) as usize,
+                        }
+                    })
+                    .collect();
+                for (c, &direct) in direct.iter().enumerate() {
+                    assert_eq!(part.summary(c), direct, "graph {i} component {c}");
                 }
                 // The cyclic list and the tree degrees the pass kept are
-                // the summaries' own.
+                // those of the direct scans.
                 let is_tree = |s: &ComponentSummary| s.edges + 1 == s.vertices;
-                let cyclic: Vec<(u32, u32)> = summaries
-                    .iter()
-                    .filter(|(_, s)| !is_tree(s))
-                    .map(|&(c, s)| (c as u32, s.max_degree as u32))
+                let cyclic: Vec<(u32, u32)> = (0..k)
+                    .filter(|&c| !is_tree(&direct[c]))
+                    .map(|c| (c as u32, direct[c].max_degree as u32))
                     .collect();
                 assert_eq!(part.cyclic_components(), cyclic, "graph {i}");
-                let tree_max = summaries.iter().filter(|(_, s)| is_tree(s));
-                let tree_max = tree_max.map(|(_, s)| s.max_degree).max().unwrap_or(0);
+                let tree_max = direct.iter().filter(|s| is_tree(s));
+                let tree_max = tree_max.map(|s| s.max_degree).max().unwrap_or(0);
                 assert_eq!(part.tree_max_degree(), tree_max, "graph {i}");
+                let max_degree = direct.iter().map(|s| s.max_degree).max().unwrap_or(0);
+                assert_eq!(part.max_degree(), max_degree, "graph {i}");
                 assert_eq!(part.max_degree(), csr.max_degree(), "graph {i}");
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "visit refused")]
+    #[should_panic(expected = "relabel refused")]
     fn a_panic_in_the_relabel_stage_reaches_the_caller() {
         let csr = CsrGraph::from_graph(&Graph::new(4 * PARTITION_BATCH));
-        csr.partition_components_with(2, |c, _| {
-            assert!(c < PARTITION_BATCH, "visit refused");
-        });
+        // Stage B runs on the caller's thread, so the limit applies to it.
+        RELABEL_LIMIT.with(|limit| limit.set(PARTITION_BATCH));
+        csr.partition_components_with(2);
     }
 
     /// Per-vertex bridge counts by brute force: delete each edge and see

@@ -32,8 +32,7 @@ pub mod version;
 
 pub use components::{component_sizes, components, num_connected_components, spanning_forest_size};
 pub use csr::{
-    CarriedRun, ComponentPartition, ComponentSummary, CsrComponent, CsrGraph, PartitionId,
-    PatchScratch, NOT_CARRIED,
+    CarriedRun, ComponentPartition, CsrComponent, CsrGraph, PartitionId, PatchScratch, NOT_CARRIED,
 };
 pub use forest::{bfs_spanning_forest, bounded_degree_spanning_forest, SpanningForest};
 pub use graph::Graph;

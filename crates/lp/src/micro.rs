@@ -45,19 +45,20 @@
 //!   a lookup.
 //! * **Class memo across versions** — [`solve_partition_with_memo`] keeps a
 //!   graph's classes in a [`ClassMemo`] from one version to the next: each
-//!   class's labeled slice and, for each Δ, its value, `reduced` flag and
-//!   LP work counters. Class ids are stable across versions. When the
+//!   class's labeled slice, member count and, for each Δ, its value and
+//!   `reduced` flag. Class ids are stable across versions. When the
 //!   partition was patched from the very partition the memo last saw
 //!   ([`ComponentPartition::carried_from`]), a copied component keeps its
 //!   class by a bulk copy of its run, and only the relabeled components are
 //!   hashed, compared and counted (a large one, such as a giant, takes a
 //!   new class unhashed); only classes the memo has not solved are solved.
 //!   Any other partition is classified in full against the memo. Either way
-//!   the values, the attribution counters and the LP work counters are
-//!   those of [`solve_partition`] by construction.
+//!   the values and the attribution counters are those of
+//!   [`solve_partition`] by construction; the counters come from one pass
+//!   over the classes, not over the components.
 
 use crate::combinatorial::{csr_piece, solve_piece, CAP_TOL};
-use crate::solver::{PolytopeError, PolytopeSolution};
+use crate::solver::PolytopeError;
 use ccdp_exec::{effective_parallelism, parallel_map};
 use ccdp_graph::{ComponentPartition, CsrComponent, PartitionId, NOT_CARRIED};
 use std::cmp::Reverse;
@@ -93,15 +94,15 @@ pub struct PartitionSolveStats {
     pub dedup_hits: usize,
 }
 
-/// One Δ's result of [`solve_partition`]: the merged polytope solution
-/// (weights in *arena* edge order when requested, empty otherwise) plus
-/// attribution counters.
+/// One Δ's result of [`solve_partition`]: f_Δ, the weights when requested,
+/// and attribution counters.
 #[derive(Clone, Debug)]
 pub struct PartitionSolution {
-    /// Merged solution; `edge_weights` is indexed like the arena's canonical
-    /// edge order (component-contiguous) and empty unless `want_weights` was
-    /// requested.
-    pub solution: PolytopeSolution,
+    /// The sum over components of the Δ-bounded forest-polytope maximum.
+    pub value: f64,
+    /// Indexed like the arena's canonical edge order (component-contiguous);
+    /// empty unless `want_weights` was requested.
+    pub edge_weights: Vec<f64>,
     /// Per-path attribution.
     pub stats: PartitionSolveStats,
 }
@@ -109,7 +110,8 @@ pub struct PartitionSolution {
 /// One component's solution, weights in local (component) edge order and
 /// empty unless the caller wants weights.
 struct CompSolution {
-    sol: PolytopeSolution,
+    value: f64,
+    weights: Vec<f64>,
     /// Whether a remnant piece went through the shared certificate/LP tail.
     reduced: bool,
 }
@@ -120,22 +122,21 @@ struct CompSolution {
 /// A class is a labeled slice: every light class, and every distinct heavy
 /// slice (two identical heavy components share a class here, yet each
 /// still counts as its own rank in [`PartitionSolveStats`]). The memo keeps
-/// a copy of each class's slice, its member count in the last partition
-/// it saw, and for each Δ of the last call the class's value, whether a
-/// remnant went through the LP tail, and its LP work counters. Classes are
-/// found by slice hash and confirmed by slice equality, so a hash collision
-/// never serves another slice's result. A *large* component (vertices plus
-/// edges at least `HEAVY_TASK_WORK`; in practice a giant, which a batch
-/// changes almost every time) is neither hashed nor copied: it gets a class
-/// of its own that no lookup finds, and keeps it only through copied runs.
+/// a copy of each class's slice, its size, its member count in the last
+/// partition it saw, and for each Δ of the last call the class's value and
+/// whether a remnant went through the LP tail. Classes are found by slice
+/// hash and confirmed by slice equality, so a hash collision never serves
+/// another slice's result. A *large* component (vertices plus edges at
+/// least `HEAVY_TASK_WORK`; in practice a giant, which a batch changes
+/// almost every time) is neither hashed nor copied: it gets a class of its
+/// own that no lookup finds, and keeps it only through copied runs.
 ///
 /// Class ids are stable: a new slice is appended, and a class left with no
 /// member keeps its slice and its results (a later version may bring it
 /// back) until the dead classes outweigh the live ones, in classes or in
 /// slice words; then they are compacted away, so the memo stays within
 /// twice its live size. The memo also keeps the last partition's
-/// component → class array, and per Δ the running totals of the LP-tail
-/// ranks and LP work over the live classes. A call on a partition
+/// component → class array. A call on a partition
 /// [patched](ccdp_graph::CsrGraph::patched) from exactly that partition
 /// ([`ComponentPartition::carried_from`]) copies the class array over the
 /// copied runs, drops the replaced components' memberships and classifies
@@ -164,15 +165,6 @@ pub struct ClassMemo {
     spare: Vec<u32>,
     /// One column per Δ of the last call.
     columns: Vec<Column>,
-    /// Eligible components (the members of every class).
-    eligible: usize,
-    /// Ranks: one per member of a heavy class, one per live light class.
-    ranks: usize,
-    /// Light classes with a member.
-    light_live: usize,
-    /// Classes with a member, and their slice words.
-    live_classes: usize,
-    live_words: usize,
 }
 
 /// The class of a component that belongs to none (an isolated vertex).
@@ -185,21 +177,9 @@ struct Column {
     /// Class → its value at `delta`, then one 0.0 that an isolated vertex
     /// reads in the merge ([`NO_CLASS`] clamps to it).
     values: Vec<f64>,
-    /// Class → whether and how it was solved at `delta`.
-    cells: Vec<Cell>,
-    /// Over the live classes: the ranks whose solve went through the LP
-    /// tail, and their LP work counters times their members.
-    reduced: usize,
-    work: [usize; 4],
-}
-
-/// One (class, Δ) solve as a [`Column`] keeps it, beside its value.
-#[derive(Clone, Copy, Debug, Default)]
-struct Cell {
-    solved: bool,
-    reduced: bool,
-    /// Cuts, pivots, LP solves and fallbacks, as in [`PolytopeSolution`].
-    work: [usize; 4],
+    /// Class → its cell at `delta`: `None` until it is solved, then whether
+    /// its remnant went through the LP tail.
+    cells: Vec<Option<bool>>,
 }
 
 impl Column {
@@ -208,23 +188,7 @@ impl Column {
         Column {
             delta,
             values: vec![0.0; classes + 1],
-            cells: vec![Cell::default(); classes],
-            reduced: 0,
-            work: [0; 4],
-        }
-    }
-
-    /// Adds (`up`) or removes `ranks` LP-tail ranks and `members` times
-    /// class `i`'s LP work to the totals, if `i` is solved here through the
-    /// LP tail.
-    fn count(&mut self, i: usize, ranks: usize, members: usize, up: bool) {
-        let cell = self.cells[i];
-        if !(cell.solved && cell.reduced) {
-            return;
-        }
-        step(&mut self.reduced, ranks, up);
-        for (total, &w) in self.work.iter_mut().zip(&cell.work) {
-            step(total, w * members, up);
+            cells: vec![None; classes],
         }
     }
 }
@@ -237,27 +201,7 @@ fn keep<T: Copy>(v: &mut Vec<T>, live: &[usize]) {
     v.truncate(live.len());
 }
 
-/// `*x += by` if `up`, else `*x -= by`.
-fn step(x: &mut usize, by: usize, up: bool) {
-    if up {
-        *x += by;
-    } else {
-        *x -= by;
-    }
-}
-
 impl ClassMemo {
-    /// Number of classes of the last call: its light classes plus one per
-    /// heavy component (the ranks of [`solve_partition_with_memo`]).
-    pub fn len(&self) -> usize {
-        self.ranks
-    }
-
-    /// `true` if the last call had no eligible component.
-    pub fn is_empty(&self) -> bool {
-        self.ranks == 0
-    }
-
     /// Class `i`'s labeled slice.
     fn slice(&self, i: u32) -> &[u32] {
         let i = i as usize;
@@ -307,7 +251,7 @@ impl ClassMemo {
             .push((view.num_vertices() as u32, view.num_edges() as u32));
         self.members.push(0);
         for column in &mut self.columns {
-            column.cells.push(Cell::default());
+            column.cells.push(None);
             column.values.insert(i as usize, 0.0);
         }
         if let Some(hash) = hash {
@@ -321,31 +265,6 @@ impl ClassMemo {
     fn is_large(&self, i: usize) -> bool {
         let (v, e) = self.sizes[i];
         (v + e) as usize >= HEAVY_TASK_WORK
-    }
-
-    /// Adds a member to class `i` (`up`) or removes one, keeping every
-    /// tally and every column's totals.
-    fn add_member(&mut self, i: u32, up: bool) {
-        let i = i as usize;
-        let before = self.members[i] as usize;
-        let after = if up { before + 1 } else { before - 1 };
-        self.members[i] = after as u32;
-        let heavy = self.is_heavy(i);
-        let lives = (before == 0) != (after == 0);
-        let slice_words = self.ends[i] - if i == 0 { 0 } else { self.ends[i - 1] };
-        step(&mut self.eligible, 1, up);
-        if lives {
-            step(&mut self.live_classes, 1, up);
-            step(&mut self.live_words, slice_words, up);
-            if !heavy {
-                step(&mut self.light_live, 1, up);
-            }
-        }
-        let ranks = usize::from(heavy || lives);
-        step(&mut self.ranks, ranks, up);
-        for column in &mut self.columns {
-            column.count(i, ranks, 1, up);
-        }
     }
 
     /// Component `c`'s class, found or made, and counts it as a member. A
@@ -371,7 +290,7 @@ impl ClassMemo {
         if self.members[i as usize] == 0 {
             fresh.push((i, c as u32));
         }
-        self.add_member(i, true);
+        self.members[i as usize] += 1;
         i
     }
 
@@ -419,7 +338,7 @@ impl ClassMemo {
                     for c in from..to {
                         let i = memo.comp_classes[c];
                         if i != NO_CLASS {
-                            memo.add_member(i, false);
+                            memo.members[i as usize] -= 1;
                         }
                     }
                 };
@@ -442,7 +361,7 @@ impl ClassMemo {
                 }
             }
             None => {
-                self.forget_members();
+                self.members.fill(0);
                 for c in 0..part.num_components() {
                     next.push(self.join(part, c, &mut fresh));
                 }
@@ -453,23 +372,43 @@ impl ClassMemo {
         fresh
     }
 
-    /// Leaves every class without members.
-    fn forget_members(&mut self) {
-        self.members.iter_mut().for_each(|m| *m = 0);
-        (self.eligible, self.ranks, self.light_live) = (0, 0, 0);
-        (self.live_classes, self.live_words) = (0, 0);
-        for column in &mut self.columns {
-            (column.reduced, column.work) = (0, [0; 4]);
+    /// One pass over the classes: each column's stats over the live
+    /// classes, and the number of live classes and of their slice words.
+    fn live_stats(&self) -> (Vec<PartitionSolveStats>, usize, usize) {
+        let mut stats = vec![PartitionSolveStats::default(); self.columns.len()];
+        let (mut live_classes, mut live_words) = (0, 0);
+        for (i, &members) in self.members.iter().enumerate() {
+            if members == 0 {
+                continue;
+            }
+            live_classes += 1;
+            live_words += self.slice(i as u32).len();
+            // Each member of a heavy class is its own rank; a light class
+            // is one rank, whatever its members.
+            let members = members as usize;
+            let heavy = self.is_heavy(i);
+            let ranks = if heavy { members } else { 1 };
+            for (s, column) in stats.iter_mut().zip(&self.columns) {
+                s.components += members;
+                s.dedup_hits += members - ranks;
+                s.dedup_classes += usize::from(!heavy);
+                if column.cells[i] == Some(true) {
+                    s.micro_reduced += ranks;
+                } else {
+                    s.micro_closed_form += ranks;
+                }
+            }
         }
+        (stats, live_classes, live_words)
     }
 
-    /// Drops the classes without members once they outweigh the live ones,
-    /// in classes or in slice words, renumbering the live ones in order
-    /// (`fresh` too).
-    fn compact(&mut self, fresh: &mut [(u32, u32)]) {
-        let dead_classes = self.hashes.len() - self.live_classes;
-        let dead_words = self.words.len() - self.live_words;
-        if dead_classes <= self.live_classes && dead_words <= self.live_words {
+    /// Drops the classes without members once they outweigh the
+    /// `live_classes` live ones, in classes or in slice words
+    /// (`live_words`), renumbering the live ones in order.
+    fn compact(&mut self, live_classes: usize, live_words: usize) {
+        let dead_classes = self.hashes.len() - live_classes;
+        let dead_words = self.words.len() - live_words;
+        if dead_classes <= live_classes && dead_words <= live_words {
             return;
         }
         let live: Vec<usize> = (0..self.hashes.len())
@@ -502,9 +441,6 @@ impl ClassMemo {
         for class in self.comp_classes.iter_mut().filter(|i| **i != NO_CLASS) {
             *class = remap[*class as usize];
         }
-        for (class, _) in fresh {
-            *class = remap[*class as usize];
-        }
         self.table.clear();
         for i in 0..self.hashes.len() {
             if !self.is_large(i) {
@@ -515,27 +451,9 @@ impl ClassMemo {
 
     /// Records class `i` solved at column `col`, which did not have it.
     fn record(&mut self, col: usize, i: u32, comp: &CompSolution) {
-        let i = i as usize;
-        let members = self.members[i] as usize;
-        let ranks = if self.is_heavy(i) {
-            members
-        } else {
-            usize::from(members > 0)
-        };
-        let sol = &comp.sol;
         let column = &mut self.columns[col];
-        column.values[i] = sol.value;
-        column.cells[i] = Cell {
-            solved: true,
-            reduced: comp.reduced,
-            work: [
-                sol.generated_cuts,
-                sol.lp_iterations,
-                sol.lp_solves,
-                sol.lp_fallback_components,
-            ],
-        };
-        column.count(i, ranks, members, true);
+        column.values[i as usize] = comp.value;
+        column.cells[i as usize] = Some(comp.reduced);
     }
 
     /// Each live class with its first member, in class order: one pass
@@ -555,8 +473,8 @@ impl ClassMemo {
 
     /// The result at each column of `cols`: the values of the class array's
     /// components summed in component order, one pass for every column,
-    /// and the tallies.
-    fn merge(&self, cols: &[usize]) -> Vec<PartitionSolution> {
+    /// with that column's entry of `stats`.
+    fn merge(&self, cols: &[usize], stats: &[PartitionSolveStats]) -> Vec<PartitionSolution> {
         let columns: Vec<&Column> = cols.iter().map(|&col| &self.columns[col]).collect();
         let mut sums = vec![0.0f64; cols.len()];
         // An isolated vertex's `NO_CLASS` clamps to the trailing 0.0, which
@@ -569,26 +487,12 @@ impl ClassMemo {
                 *sum += column.values[i];
             }
         }
-        columns
-            .iter()
+        cols.iter()
             .zip(sums)
-            .map(|(column, value)| {
-                let mut solution = PolytopeSolution::zero(0);
-                solution.value = value;
-                [
-                    solution.generated_cuts,
-                    solution.lp_iterations,
-                    solution.lp_solves,
-                    solution.lp_fallback_components,
-                ] = column.work;
-                let stats = PartitionSolveStats {
-                    components: self.eligible,
-                    micro_closed_form: self.ranks - column.reduced,
-                    micro_reduced: column.reduced,
-                    dedup_classes: self.light_live,
-                    dedup_hits: self.eligible - self.ranks,
-                };
-                PartitionSolution { solution, stats }
+            .map(|(&col, value)| PartitionSolution {
+                value,
+                edge_weights: Vec::new(),
+                stats: stats[col],
             })
             .collect()
     }
@@ -620,8 +524,8 @@ impl ClassMemo {
 ///    classification ends waits for it.
 /// 3. **Dense tables.** Every (Δ, rank) value goes into one dense row per Δ,
 ///    and with `want_weights` its weights into a table laid out alike. A
-///    solve whose remnant went through the LP tail adds its work counters
-///    to its Δ's total, scaled by the number of members of its class.
+///    solve whose remnant went through the LP tail counts toward its Δ's
+///    `micro_reduced`.
 /// 4. **Merge per Δ** on [`parallel_map`] over the grid: a gather through
 ///    the component → rank array into the Δ's value row, summed in
 ///    component order — the exact order of the reference solver's
@@ -686,7 +590,7 @@ pub fn solve_partition(
             let (rank, ds) = heavy_cells[task - 1].clone();
             return Some((rank..rank + 1, ds));
         }
-        let num_ranks = classes().num_ranks();
+        let num_ranks = num_heavy + classes().reps.len();
         let lo = num_heavy + (task - heavy_tasks - 1) * LIGHT_CHUNK;
         (lo < num_ranks).then(|| (lo..num_ranks.min(lo + LIGHT_CHUNK), 0..grid))
     };
@@ -733,14 +637,10 @@ pub fn solve_partition(
 
     // `values[d * num_ranks + rank]` is the class at `rank` solved at Δ `d`;
     // `weights`, filled only with `want_weights`, is laid out alike.
-    // `lp_work[d]` sums Δ `d`'s LP work counters over every eligible
-    // component: each member of a class repeats its LP work, as it would
-    // alone.
     let classes = classes();
-    let num_ranks = classes.num_ranks();
+    let num_ranks = num_heavy + classes.reps.len();
     let mut values = vec![0.0f64; grid * num_ranks];
     let mut weights: Vec<Vec<f64>> = vec![Vec::new(); if want_weights { values.len() } else { 0 }];
-    let mut lp_work: Vec<PolytopeSolution> = (0..grid).map(|_| PolytopeSolution::zero(0)).collect();
     let mut reduced = vec![0usize; grid];
     for (ranks, ds, solved) in done {
         let mut solved = solved.into_iter();
@@ -748,13 +648,10 @@ pub fn solve_partition(
             for d in ds.clone() {
                 let comp = solved.next().expect("one solve per cell");
                 let cell = d * num_ranks + rank;
-                values[cell] = comp.sol.value;
-                if comp.reduced {
-                    reduced[d] += 1;
-                    lp_work[d].add_lp_work(&comp.sol, classes.uses[rank] as usize);
-                }
+                values[cell] = comp.value;
+                reduced[d] += usize::from(comp.reduced);
                 if want_weights {
-                    weights[cell] = comp.sol.edge_weights;
+                    weights[cell] = comp.weights;
                 }
             }
         }
@@ -762,20 +659,17 @@ pub fn solve_partition(
 
     let merge = |d: usize| {
         let span = d * num_ranks..(d + 1) * num_ranks;
-        let mut solution = PolytopeSolution::zero(if want_weights { num_edges } else { 0 });
-        solution.add_lp_work(&lp_work[d], 1);
         let row = &values[span.clone()];
+        let mut value = 0.0f64;
         for &rank in &classes.rank {
-            solution.value += row[rank as usize];
+            value += row[rank as usize];
         }
+        let mut edge_weights = Vec::new();
         if want_weights {
             // Eligible components own every edge, contiguously, in order.
-            let row = &weights[span];
-            let mut off = 0;
+            edge_weights.reserve(num_edges);
             for &rank in &classes.rank {
-                let w = &row[rank as usize];
-                solution.edge_weights[off..off + w.len()].copy_from_slice(w);
-                off += w.len();
+                edge_weights.extend_from_slice(&weights[span.start + rank as usize]);
             }
         }
         let stats = PartitionSolveStats {
@@ -785,7 +679,11 @@ pub fn solve_partition(
             dedup_classes: classes.reps.len(),
             dedup_hits: classes.rank.len() - num_ranks,
         };
-        PartitionSolution { solution, stats }
+        PartitionSolution {
+            value,
+            edge_weights,
+            stats,
+        }
     };
     Ok(parallel_map(eff, grid, merge))
 }
@@ -803,15 +701,17 @@ pub fn solve_partition(
 /// did not have. They run in one fan-out with the same task shapes as
 /// [`solve_partition`] (heavy classes largest first, light classes in
 /// chunks), and no worker waits for another. Each Δ's result is a merge of
-/// the memo's value column through the class array, in component order,
-/// and the stats and LP work counters come from tallies the memo keeps per
-/// class, so on a patched partition the only passes over every component
-/// are those merges and the class array's bulk copies.
+/// the memo's value column through the class array, in component order.
+/// The stats come from one pass over the memo's classes (reading each live
+/// class's member count and `reduced` flags), which also weighs whether to
+/// compact the dead classes away, so on a patched partition the only passes
+/// over every component are those merges and the class array's bulk
+/// copies.
 ///
 /// A stored result is the result of the same pure (slice, Δ) solve, and the
-/// merge sums the same values in the same order, so the values, the
-/// [`PartitionSolveStats`] and the LP work counters are those of
-/// [`solve_partition`] by construction, and so is the error returned: of
+/// merge sums the same values in the same order, so the values and the
+/// [`PartitionSolveStats`] are those of [`solve_partition`] by
+/// construction, and so is the error returned: of
 /// every cell that fails, the first in [`solve_partition`]'s task order.
 /// After an error the memo keeps its classes but forgets its partition, so
 /// the next call classifies every component again.
@@ -826,8 +726,7 @@ pub fn solve_partition_with_memo(
         return Ok(Vec::new());
     }
     let (cols, new_column) = memo.set_grid(deltas);
-    let mut fresh = memo.classify(part);
-    memo.compact(&mut fresh);
+    let fresh = memo.classify(part);
     // The live classes the memo lacks a cell of, each with its first member
     // (the cold solve's representative): only fresh classes, unless a Δ is
     // new to the memo.
@@ -837,9 +736,8 @@ pub fn solve_partition_with_memo(
         fresh
     };
     let missing = |memo: &ClassMemo, i: u32| -> Vec<usize> {
-        let solved = |col: usize| memo.columns[col].cells[i as usize].solved;
         (0..memo.columns.len())
-            .filter(|&col| !solved(col))
+            .filter(|&col| memo.columns[col].cells[i as usize].is_none())
             .collect()
     };
     todo.retain(|&(i, _)| !missing(memo, i).is_empty());
@@ -911,7 +809,9 @@ pub fn solve_partition_with_memo(
         let comp = result.expect("no cell failed");
         memo.record(col, todo[k].0, &comp);
     }
-    Ok(memo.merge(&cols))
+    let (stats, live_classes, live_words) = memo.live_stats();
+    memo.compact(live_classes, live_words);
+    Ok(memo.merge(&cols, &stats))
 }
 
 /// Refuses a Δ that is not positive and finite.
@@ -1009,11 +909,11 @@ fn micro_solve(
     if m == n - 1 {
         let max_deg = (0..n).map(|v| view.degree(v)).max().unwrap_or(0);
         if delta >= max_deg as f64 {
-            let mut sol = PolytopeSolution::zero(0);
-            sol.value = (n - 1) as f64;
-            sol.edge_weights = vec![1.0; if want_weights { m } else { 0 }];
-            let reduced = false;
-            return Ok(CompSolution { sol, reduced });
+            return Ok(CompSolution {
+                value: (n - 1) as f64,
+                weights: vec![1.0; if want_weights { m } else { 0 }],
+                reduced: false,
+            });
         }
     }
     // A task that finds the copy missing builds one rather than wait for a
@@ -1076,7 +976,6 @@ fn micro_solve(
 
     // --- Remnant pieces, in the same order (by smallest vertex) and local
     // labeling (ascending) the reference solver uses.
-    let mut lp = PolytopeSolution::zero(0);
     let mut reduced = false;
 
     s.label.clear();
@@ -1110,27 +1009,27 @@ fn micro_solve(
             continue;
         }
         s.piece.sort_unstable();
-        if let Some(sol) = solve_remnant_piece(csr, s)? {
-            lp.add_lp_work(&sol, 1);
-            reduced = true;
-        }
+        reduced |= solve_remnant_piece(csr, s)?;
     }
 
-    lp.value = s.weights.iter().sum();
-    if want_weights {
-        lp.edge_weights = std::mem::take(&mut s.weights);
-    }
-    Ok(CompSolution { sol: lp, reduced })
+    let value = s.weights.iter().sum();
+    let weights = if want_weights {
+        std::mem::take(&mut s.weights)
+    } else {
+        Vec::new()
+    };
+    Ok(CompSolution {
+        value,
+        weights,
+        reduced,
+    })
 }
 
 /// Solves the remnant piece in `s.piece` (component-local vertex ids, sorted
-/// ascending), writing weights into `s.weights`. Returns the piece solver's
-/// solution (for its LP work counters) when the piece had to be
-/// copied out as a CSR piece, `None` for the cycle closed form.
-fn solve_remnant_piece(
-    csr: &LocalCsr,
-    s: &mut MicroScratch,
-) -> Result<Option<PolytopeSolution>, PolytopeError> {
+/// ascending), writing weights into `s.weights`. Returns `true` when the
+/// piece had to be copied out as a CSR piece for the shared tail, `false`
+/// for the cycle closed form.
+fn solve_remnant_piece(csr: &LocalCsr, s: &mut MicroScratch) -> Result<bool, PolytopeError> {
     // Closed form: a remnant cycle whose floored caps are all ≥ 2. Series
     // contraction leaves a cycle without ends as it is, and the capped greedy
     // of the spanning certificate accepts the first k − 1 canonical edges
@@ -1155,7 +1054,7 @@ fn solve_remnant_piece(
         if let Some(e) = last_eid {
             s.weights[e] = 0.0;
         }
-        return Ok(None);
+        return Ok(false);
     }
 
     // General tail: copy the piece out with ascending local ids (the
@@ -1189,7 +1088,7 @@ fn solve_remnant_piece(
     for (&eid, &w) in piece_eids.iter().zip(&sol.edge_weights) {
         s.weights[eid as usize] = w;
     }
-    Ok(Some(sol))
+    Ok(true)
 }
 
 // ---------------------------------------------------------------------------
@@ -1262,8 +1161,6 @@ struct Classes {
     /// Light class → its representative component, the first of the class
     /// (the one whose solve every other member replays).
     reps: Vec<u32>,
-    /// Rank → number of eligible components of the class.
-    uses: Vec<u32>,
 }
 
 impl Classes {
@@ -1275,7 +1172,6 @@ impl Classes {
         let mut classes = Classes {
             rank: Vec::new(),
             reps: Vec::new(),
-            uses: vec![1; num_heavy],
         };
         let mut heavy_seen = 0u32;
         // Slice hash → light class. A key already taken by a different slice
@@ -1307,7 +1203,6 @@ impl Classes {
                         let rep = part.component(classes.reps[hit as usize] as usize);
                         if same_labeled_slice(&view, &rep) {
                             classes.rank.push((num_heavy + hit as usize) as u32);
-                            classes.uses[num_heavy + hit as usize] += 1;
                             continue 'components;
                         }
                         key = key.wrapping_add(1);
@@ -1316,15 +1211,9 @@ impl Classes {
             }
             classes.rank.push((num_heavy + class as usize) as u32);
             classes.reps.push(c as u32);
-            classes.uses.push(1);
         }
         debug_assert_eq!(heavy_seen as usize, num_heavy);
         classes
-    }
-
-    /// Number of ranks: heavy components plus light classes.
-    fn num_ranks(&self) -> usize {
-        self.uses.len()
     }
 }
 
@@ -1395,7 +1284,7 @@ fn count_slice_read(kind: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CombinatorialSolver;
+    use crate::{CombinatorialSolver, PolytopeSolution};
     use ccdp_graph::{generators, CsrGraph, Graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1440,7 +1329,7 @@ mod tests {
                 let got = partition_value(g, delta, true);
                 assert_eq!(
                     reference.value.to_bits(),
-                    got.solution.value.to_bits(),
+                    got.value.to_bits(),
                     "value mismatch (delta={delta})"
                 );
                 // The partition may permute edges across components, but
@@ -1448,12 +1337,7 @@ mod tests {
                 // the weight vectors agree as multisets of bits.
                 let mut want: Vec<u64> =
                     reference.edge_weights.iter().map(|w| w.to_bits()).collect();
-                let mut have: Vec<u64> = got
-                    .solution
-                    .edge_weights
-                    .iter()
-                    .map(|w| w.to_bits())
-                    .collect();
+                let mut have: Vec<u64> = got.edge_weights.iter().map(|w| w.to_bits()).collect();
                 want.sort_unstable();
                 have.sort_unstable();
                 assert_eq!(want, have, "weight multiset (delta={delta})");
@@ -1471,7 +1355,7 @@ mod tests {
                 let got = partition_value(&g, delta, true);
                 assert_eq!(
                     reference.value.to_bits(),
-                    got.solution.value.to_bits(),
+                    got.value.to_bits(),
                     "round {round}, delta {delta}"
                 );
             }
@@ -1493,7 +1377,7 @@ mod tests {
         assert_eq!(got.stats.dedup_classes, 1);
         assert_eq!(got.stats.dedup_hits, 49);
         let reference = general_value(&g, 1.0);
-        assert_eq!(reference.value.to_bits(), got.solution.value.to_bits());
+        assert_eq!(reference.value.to_bits(), got.value.to_bits());
     }
 
     #[test]
@@ -1512,11 +1396,7 @@ mod tests {
     }
 
     fn weight_bits(sol: &PartitionSolution) -> Vec<u64> {
-        sol.solution
-            .edge_weights
-            .iter()
-            .map(|w| w.to_bits())
-            .collect()
+        sol.edge_weights.iter().map(|w| w.to_bits()).collect()
     }
 
     #[test]
@@ -1530,8 +1410,8 @@ mod tests {
             let par = solve_partition(&part, &grid, threads, true).unwrap();
             for (d, (s, p)) in seq.iter().zip(&par).enumerate() {
                 assert_eq!(
-                    s.solution.value.to_bits(),
-                    p.solution.value.to_bits(),
+                    s.value.to_bits(),
+                    p.value.to_bits(),
                     "threads={threads} Δ={}",
                     grid[d]
                 );
@@ -1551,7 +1431,7 @@ mod tests {
         assert_eq!(swept.len(), grid.len());
         for (&delta, got) in grid.iter().zip(&swept) {
             let alone = solve_partition(&part, &[delta], 1, true).unwrap().remove(0);
-            assert_eq!(alone.solution.value.to_bits(), got.solution.value.to_bits());
+            assert_eq!(alone.value.to_bits(), got.value.to_bits());
             assert_eq!(weight_bits(&alone), weight_bits(got));
             assert_eq!(alone.stats, got.stats);
         }
@@ -1613,15 +1493,15 @@ mod tests {
                     weights.extend(sol.edge_weights.iter().map(|w| w.to_bits()));
                 }
             }
-            assert_eq!(one.solution.value.to_bits(), value.to_bits(), "Δ={delta}");
+            assert_eq!(one.value.to_bits(), value.to_bits(), "Δ={delta}");
             assert_eq!(weight_bits(one), weights, "Δ={delta}");
         }
         for threads in [1, 2, 3] {
             let swept = solve_partition(&part, &grid, threads, true).unwrap();
             for ((&delta, got), one) in grid.iter().zip(&swept).zip(&alone) {
                 assert_eq!(
-                    got.solution.value.to_bits(),
-                    one.solution.value.to_bits(),
+                    got.value.to_bits(),
+                    one.value.to_bits(),
                     "threads={threads} Δ={delta}"
                 );
                 assert_eq!(weight_bits(got), weight_bits(one));
@@ -1697,10 +1577,9 @@ mod tests {
                     "no heavy" => {
                         assert_eq!(heavy, 0);
                         assert!(stats.dedup_classes > LIGHT_CHUNK && stats.dedup_hits > 0);
-                        // At Δ = 1 light classes with repeats take the LP
-                        // tail, so their LP work counts once per member.
+                        // At Δ = 1 some light classes take the LP tail.
                         if grid[0] == 1.0 {
-                            assert!(stats.micro_reduced > 0 && alone[0].solution.lp_solves > 0);
+                            assert!(stats.micro_reduced > 0);
                         }
                     }
                     "no light" => {
@@ -1710,20 +1589,11 @@ mod tests {
                     "mixed" => assert!(heavy == 18 && stats.dedup_hits > 0),
                     _ => {
                         assert_eq!(stats, PartitionSolveStats::default());
-                        assert_eq!(alone[0].solution.value.to_bits(), 0.0f64.to_bits());
+                        assert_eq!(alone[0].value.to_bits(), 0.0f64.to_bits());
                     }
                 }
             }
         }
-    }
-
-    fn lp_work(s: &PolytopeSolution) -> [usize; 4] {
-        [
-            s.generated_cuts,
-            s.lp_iterations,
-            s.lp_solves,
-            s.lp_fallback_components,
-        ]
     }
 
     /// Checks one-element calls at every Δ of `grid` against the
@@ -1740,7 +1610,6 @@ mod tests {
             .collect();
         for (&delta, one) in grid.iter().zip(&alone) {
             let (mut value, mut weights, mut components) = (0.0f64, Vec::new(), 0);
-            let mut work = PolytopeSolution::zero(0);
             for c in 0..part.num_components() {
                 let local = part.component(c).to_graph();
                 if local.num_edges() > 0 {
@@ -1748,13 +1617,11 @@ mod tests {
                     value += sol.value;
                     weights.extend(sol.edge_weights.iter().map(|w| w.to_bits()));
                     components += 1;
-                    work.add_lp_work(&sol, 1);
                 }
             }
-            assert_eq!(one.solution.value.to_bits(), value.to_bits(), "Δ={delta}");
+            assert_eq!(one.value.to_bits(), value.to_bits(), "Δ={delta}");
             assert_eq!(weight_bits(one), weights, "Δ={delta}");
             assert_eq!(one.stats.components, components, "Δ={delta}");
-            assert_eq!(lp_work(&one.solution), lp_work(&work), "Δ={delta}");
         }
         for threads in [1, 2, 3] {
             for want_weights in [true, false] {
@@ -1762,16 +1629,14 @@ mod tests {
                 assert_eq!(swept.len(), grid.len());
                 for ((&delta, got), one) in grid.iter().zip(&swept).zip(&alone) {
                     let at = format!("threads={threads} weights={want_weights} Δ={delta}");
-                    let value = got.solution.value.to_bits();
-                    assert_eq!(value, one.solution.value.to_bits(), "{at}");
+                    let value = got.value.to_bits();
+                    assert_eq!(value, one.value.to_bits(), "{at}");
                     if want_weights {
                         assert_eq!(weight_bits(got), weight_bits(one), "{at}");
                     } else {
-                        assert!(got.solution.edge_weights.is_empty(), "{at}");
+                        assert!(got.edge_weights.is_empty(), "{at}");
                     }
                     assert_eq!(got.stats, one.stats, "{at}");
-                    let work = lp_work(&got.solution);
-                    assert_eq!(work, lp_work(&one.solution), "{at}");
                 }
             }
         }
@@ -1795,7 +1660,7 @@ mod tests {
                     1,
                     "n={n} Δ={delta}"
                 );
-                assert_eq!(reference.value.to_bits(), got.solution.value.to_bits());
+                assert_eq!(reference.value.to_bits(), got.value.to_bits());
                 let want: Vec<u64> = reference.edge_weights.iter().map(|w| w.to_bits()).collect();
                 assert_eq!(want, weight_bits(&got), "n={n} Δ={delta}");
             }
@@ -1808,12 +1673,9 @@ mod tests {
         let g = generators::erdos_renyi(200, 1.2 / 200.0, &mut rng);
         let with = partition_value(&g, 2.0, true);
         let without = partition_value(&g, 2.0, false);
-        assert_eq!(
-            with.solution.value.to_bits(),
-            without.solution.value.to_bits()
-        );
-        assert!(without.solution.edge_weights.is_empty());
-        assert_eq!(with.solution.edge_weights.len(), g.num_edges());
+        assert_eq!(with.value.to_bits(), without.value.to_bits());
+        assert!(without.edge_weights.is_empty());
+        assert_eq!(with.edge_weights.len(), g.num_edges());
     }
 
     #[test]
@@ -1823,7 +1685,7 @@ mod tests {
             for delta in 1..=4usize {
                 let oracle = cycle_polytope_value(&vec![delta; k]);
                 let general = general_value(&g, delta as f64).value;
-                let micro = partition_value(&g, delta as f64, true).solution.value;
+                let micro = partition_value(&g, delta as f64, true).value;
                 assert!(
                     (general - oracle).abs() < 1e-6,
                     "general C_{k} Δ={delta}: {general} vs oracle {oracle}"
@@ -1842,6 +1704,21 @@ mod tests {
         assert_eq!(cycle_polytope_value(&[1, 1, 1, 1, 1]), 2.5);
     }
 
+    /// The memo's live classes, read off its member counts.
+    fn live_classes(memo: &ClassMemo) -> impl Iterator<Item = usize> + '_ {
+        (0..memo.members.len()).filter(|&i| memo.members[i] > 0)
+    }
+
+    /// The memo's ranks, read off its member counts: one per member of a
+    /// heavy class, one per light class with a member.
+    fn live_ranks(memo: &ClassMemo) -> usize {
+        let ranks = |i: usize| match memo.is_heavy(i) {
+            true => memo.members[i] as usize,
+            false => 1,
+        };
+        live_classes(memo).map(ranks).sum()
+    }
+
     #[test]
     fn memo_hits_are_confirmed_against_the_stored_slice() {
         let grid = [1.0, 2.0];
@@ -1852,7 +1729,7 @@ mod tests {
         let part0 = CsrGraph::from_graph(&v0).partition_components();
         let mut memo = ClassMemo::default();
         solve_partition_with_memo(&part0, &grid, 1, &mut memo).unwrap();
-        assert_eq!(memo.len(), 2);
+        assert_eq!(live_ranks(&memo), 2);
         // Forge a slice-hash collision: the triangle's hash now leads to the
         // path's class.
         let path = part0.component(0);
@@ -1866,16 +1743,17 @@ mod tests {
         let cold = solve_partition(&part1, &grid, 1, false).unwrap();
         let warm = solve_partition_with_memo(&part1, &grid, 1, &mut memo).unwrap();
         for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.solution.value.to_bits(), w.solution.value.to_bits());
+            assert_eq!(c.value.to_bits(), w.value.to_bits());
             assert_eq!(c.stats, w.stats);
         }
-        assert_eq!(warm[0].solution.value, 1.5);
-        assert_eq!(memo.len(), 1);
+        assert_eq!(warm[0].value, 1.5);
+        assert_eq!(live_ranks(&memo), 1);
     }
 
     /// The solves of `part` on `grid` with `memo` at budget `threads`, checked
-    /// against a cold solve: value bits, stats and LP work counters. Returns
-    /// the slice hashes, compares and appended classes of the memo call.
+    /// against a cold solve: value bits and stats at every Δ, and the memo's
+    /// member counts against this version's classes. Returns the slice
+    /// hashes, compares and appended classes of the memo call.
     fn assert_memo_matches_cold(
         part: &ComponentPartition,
         grid: &[f64],
@@ -1888,15 +1766,16 @@ mod tests {
         let reads = SLICE_READS.with(|reads| reads.get());
         assert_eq!(warm.len(), grid.len());
         for ((delta, c), w) in grid.iter().zip(&cold).zip(&warm) {
-            let value = w.solution.value.to_bits();
-            assert_eq!(c.solution.value.to_bits(), value, "Δ={delta}");
+            let value = w.value.to_bits();
+            assert_eq!(c.value.to_bits(), value, "Δ={delta}");
             assert_eq!(c.stats, w.stats, "Δ={delta}");
-            assert_eq!(lp_work(&c.solution), lp_work(&w.solution), "Δ={delta}");
         }
-        assert_eq!(
-            memo.len(),
-            cold[0].stats.components - cold[0].stats.dedup_hits
-        );
+        // The memo's live classes are exactly this version's: their members
+        // are its eligible components, and their ranks its classes.
+        let stats = cold[0].stats;
+        let members: usize = memo.members.iter().map(|&m| m as usize).sum();
+        assert_eq!(members, stats.components);
+        assert_eq!(live_ranks(memo), stats.components - stats.dedup_hits);
         reads
     }
 
@@ -1968,8 +1847,12 @@ mod tests {
                 compactions += 1;
             }
             // The memo stays within twice its live size.
-            assert!(memo.hashes.len() <= 2 * memo.live_classes.max(1));
-            assert!(memo.words.len() <= 2 * memo.live_words.max(1));
+            let live = live_classes(&memo).count();
+            let live_words: usize = live_classes(&memo)
+                .map(|i| memo.slice(i as u32).len())
+                .sum();
+            assert!(memo.hashes.len() <= 2 * live.max(1));
+            assert!(memo.words.len() <= 2 * live_words.max(1));
         }
         assert!(compactions > 0, "the chain crossed no compaction");
         assert!(large_seen > 0, "no large component was relabeled");

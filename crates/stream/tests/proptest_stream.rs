@@ -168,9 +168,10 @@ proptest! {
         // edge (touched vertices, often isolated, whose components do not
         // change), no-ops, and empty batches. Every snapshot after the first
         // is patched from the one before. Its arena must be the live graph's,
-        // its partition must equal a cold partition of that arena, summaries
-        // included, and every component it carried must have the labeled
-        // slice of the component it names in the previous partition.
+        // its partition must equal a cold partition of that arena (the cyclic
+        // list and tree degrees included), and every component it carried
+        // must have the labeled slice of the component it names in the
+        // previous partition.
         let seed: Vec<(usize, usize)> = seed_edges
             .into_iter()
             .map(|(u, v)| (u % n0, v % n0))
@@ -216,12 +217,8 @@ proptest! {
             let cold_arena = CsrGraph::from_graph(stream.graph());
             prop_assert_eq!(&**arena, &cold_arena, "batch {} arena", b);
             let part = arena.attached_partition().expect("the stream holds it");
-            let mut summaries = Vec::new();
-            let cold = cold_arena.partition_components_with(1, |_, s| summaries.push(s));
+            let cold = cold_arena.partition_components();
             prop_assert_eq!(&*part, &cold, "batch {} partition", b);
-            for (c, &summary) in summaries.iter().enumerate() {
-                prop_assert_eq!(part.summary(c), summary, "batch {} summary {}", b, c);
-            }
             prop_assert_eq!(snap.num_components(), cold.num_components());
             prop_assert_eq!(
                 snap.num_components(),
